@@ -271,7 +271,7 @@ let perf_cmd =
   let out_arg =
     Arg.(
       value
-      & opt string "BENCH_PR9.json"
+      & opt string "BENCH_PR12.json"
       & info [ "out" ] ~docv:"FILE" ~doc:"Benchmark document destination.")
   in
   let compare_arg =

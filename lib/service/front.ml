@@ -7,9 +7,9 @@
    checkpoint schedule (deadlines staggered by period/shards) so no
    global pause exists.
 
-   Sessions are *not* fibers: the scheduler dispatches by scanning every
-   thread, so 10k session fibers would make each context switch O(10k).
-   Instead one front-end fiber multiplexes all sessions as plain records
+   Sessions are *not* fibers: each fiber costs its own stack and effect
+   continuation, so 10k session fibers would be heavy to hold. Instead
+   one front-end fiber multiplexes all sessions as plain records
    driven by a binary heap of arrival events, and shard workers hand
    completions back through a mutex-guarded list + condvar. Network
    latency is one constant [net_ns] per hop (client->shard and

@@ -19,6 +19,3 @@ val waiting : t -> int
 (** Number of parked waiters (test hook). *)
 
 val name : t -> string
-
-val dump_waiting : unit -> string list
-(** Debug helper: every condition variable with parked waiters. *)

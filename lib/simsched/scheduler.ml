@@ -22,10 +22,19 @@
 
    Threads live in a growable array in spawn order and are never removed,
    so a thread's tid doubles as its index ([thread_clock]/[wakeup] are
-   O(1)) and the per-dispatch scans allocate nothing. Dispatch order is
-   pinned by the legacy newest-first list semantics: scans run from the
-   newest thread downwards with a strict comparison, so the newest ready
-   thread wins clock ties exactly as before. *)
+   O(1)). Ready threads also sit in a binary min-heap keyed by (clock
+   ascending, tid descending), so a context switch costs O(log r) in the
+   number r of ready threads however many have finished. The newest
+   thread wins clock ties; that rule fixes dispatch order, on which every
+   seeded virtual time and golden depends. [spawn]
+   and [wakeup] push, [run] pops the thread it dispatches and pushes it
+   back if it is still Ready after its slice, and the running thread's
+   preemption bound reads the heap top. [kill_all] empties the heap.
+
+   Invariant: a queued thread's clock never changes. Only [wakeup] (on a
+   Blocked thread, before pushing it) and [charge], [advance_to] and
+   [sleep_until] (on the running thread, which is not queued) write
+   clocks, so the heap order stays valid without re-keying. *)
 
 exception Crashed
 exception Deadlock of string
@@ -48,6 +57,8 @@ and status = Ready | Running | Blocked | Finished
 type t = {
   mutable threads : thread array; (* index = tid, spawn order *)
   mutable n_threads : int;
+  mutable ready : thread array; (* min-heap of Ready threads, see [before] *)
+  mutable n_ready : int;
   mutable current : thread option;
   mutable bound : float; (* preemption bound for the running thread *)
   mutable crash_at : float option;
@@ -64,6 +75,8 @@ let create ?(seed = 1) ?(quantum = 0.0) ?(jitter = 0.0) () =
   {
     threads = [||];
     n_threads = 0;
+    ready = [||];
+    n_ready = 0;
     current = None;
     bound = infinity;
     crash_at = None;
@@ -93,6 +106,54 @@ let now t = match t.current with Some th -> th.clock | None -> 0.0
 let tighten_bound t clock =
   if t.current <> None then t.bound <- Float.min t.bound (clock +. t.quantum)
 
+(* ------------------------------------------------------------------ *)
+(* Ready heap *)
+
+(* Heap order: the smaller clock first, the newer thread on equal clocks.
+   Tids are unique, so this is a strict total order and the heap top is
+   one well-defined thread. *)
+let before a b = a.clock < b.clock || (a.clock = b.clock && a.tid > b.tid)
+
+let push t th =
+  let n = t.n_ready in
+  if n = Array.length t.ready then begin
+    let arr = Array.make (max 8 (2 * n)) th in
+    Array.blit t.ready 0 arr 0 n;
+    t.ready <- arr
+  end;
+  let heap = t.ready in
+  let rec sift_up i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && before th heap.(parent) then begin
+      heap.(i) <- heap.(parent);
+      sift_up parent
+    end
+    else heap.(i) <- th
+  in
+  sift_up n;
+  t.n_ready <- n + 1
+
+(* Remove and return the heap top; [t.n_ready] must be positive. *)
+let pop t =
+  let heap = t.ready in
+  let top = heap.(0) in
+  let n = t.n_ready - 1 in
+  t.n_ready <- n;
+  let last = heap.(n) in
+  let rec sift_down i =
+    let l = (2 * i) + 1 in
+    if l >= n then heap.(i) <- last
+    else
+      let c = if l + 1 < n && before heap.(l + 1) heap.(l) then l + 1 else l in
+      if before heap.(c) last then begin
+        heap.(i) <- heap.(c);
+        sift_down c
+      end
+      else heap.(i) <- last
+  in
+  if n > 0 then sift_down 0;
+  top
+
 let spawn ?(name = "thread") t f =
   let clock = match t.current with Some th -> th.clock | None -> 0.0 in
   let th =
@@ -114,6 +175,7 @@ let spawn ?(name = "thread") t f =
   end;
   t.threads.(n) <- th;
   t.n_threads <- n + 1;
+  push t th;
   tighten_bound t clock;
   th.tid
 
@@ -178,6 +240,7 @@ let wakeup t tid ~at =
         invalid_arg "Scheduler.wakeup: thread is not blocked";
       th.status <- Ready;
       if at > th.clock then th.clock <- at;
+      push t th;
       tighten_bound t th.clock
 
 let set_crash_at t time = t.crash_at <- Some time
@@ -215,34 +278,16 @@ let handler t th =
         | _ -> None);
   }
 
-(* Newest-first scan with strict [<]: the newest ready thread wins clock
-   ties, matching the historical cons-list fold. *)
-let pick_min_ready t =
-  let best = ref None in
-  for i = t.n_threads - 1 downto 0 do
-    let th = t.threads.(i) in
-    if th.status = Ready then
-      match !best with
-      | None -> best := Some th
-      | Some b -> if th.clock < b.clock then best := Some th
-  done;
-  !best
+(* Smallest ready clock of any other thread: the next point at which
+   another thread should get the processor in virtual time. The running
+   thread has been popped, so this is the heap top. *)
+let next_other_clock t = if t.n_ready > 0 then t.ready.(0).clock else infinity
 
-(* Smallest ready clock excluding [th]: the next point at which another
-   thread should get the processor in virtual time. *)
-let next_other_clock t th =
-  let acc = ref infinity in
-  for i = 0 to t.n_threads - 1 do
-    let other = t.threads.(i) in
-    if other.tid <> th.tid && other.status = Ready then
-      acc := Float.min !acc other.clock
-  done;
-  !acc
-
+(* Run [th], just popped from the heap, for one slice. *)
 let dispatch t th =
   th.status <- Running;
   t.current <- Some th;
-  let bound = next_other_clock t th +. t.quantum in
+  let bound = next_other_clock t +. t.quantum in
   t.bound <-
     (match t.crash_at with Some c -> Float.min bound c | None -> bound);
   (match th.entry with
@@ -256,7 +301,8 @@ let dispatch t th =
           Effect.Deep.continue k ()
       | None -> assert false));
   t.current <- None;
-  if th.status = Running then th.status <- Ready
+  (* The handler left the thread Ready (preempted), Blocked or Finished. *)
+  if th.status = Ready then push t th
 
 let kill_all t =
   for i = t.n_threads - 1 downto 0 do
@@ -269,7 +315,8 @@ let kill_all t =
     | None -> ());
     t.current <- None;
     th.status <- Finished
-  done
+  done;
+  t.n_ready <- 0
 
 let describe_blocked t =
   let acc = ref [] in
@@ -294,21 +341,20 @@ let run t =
         kill_all t;
         raise e
     | None -> ());
-    match pick_min_ready t with
-    | None ->
-        if any_blocked t then
-          raise
-            (Deadlock
-               (Printf.sprintf "no runnable thread; blocked: %s"
-                  (describe_blocked t)))
-        else Completed
-    | Some th -> (
-        match t.crash_at with
-        | Some c when th.clock >= c ->
-            kill_all t;
-            Crash_interrupt c
-        | Some _ | None ->
-            dispatch t th;
-            loop ())
+    if t.n_ready = 0 then
+      if any_blocked t then
+        raise
+          (Deadlock
+             (Printf.sprintf "no runnable thread; blocked: %s"
+                (describe_blocked t)))
+      else Completed
+    else
+      match t.crash_at with
+      | Some c when t.ready.(0).clock >= c ->
+          kill_all t;
+          Crash_interrupt c
+      | Some _ | None ->
+          dispatch t (pop t);
+          loop ()
   in
   loop ()

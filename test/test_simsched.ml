@@ -78,6 +78,89 @@ let test_exception_propagates () =
   Alcotest.check_raises "reraised" (Failure "boom") (fun () ->
       ignore (Scheduler.run s))
 
+let test_tie_break_newest_first () =
+  (* Equal clocks go to the newest tid, both at first dispatch and after
+     every thread has yielded back to the same instant. *)
+  let s = Scheduler.create () in
+  let order = ref [] in
+  for _ = 1 to 3 do
+    ignore
+      (Scheduler.spawn s (fun () ->
+           let me = Scheduler.current_tid s in
+           order := me :: !order;
+           Scheduler.charge s 10.0;
+           Scheduler.yield s;
+           order := me :: !order))
+  done;
+  ignore (Scheduler.run s);
+  Alcotest.(check (list int)) "newest first" [ 2; 1; 0; 2; 1; 0 ]
+    (List.rev !order)
+
+(* Digest of the (tid, clock) pair observed after every scheduling point
+   of a seeded jittered program mixing mutex hand-off, condvar wake-ups,
+   sleep_until and yield. Pinned so that any change to dispatch order or
+   to any virtual clock shows up bit for bit. *)
+let dispatch_trace () =
+  let s = Scheduler.create ~seed:5 ~quantum:10.0 ~jitter:0.3 () in
+  let m = Mutex.create () in
+  let cv = Condvar.create () in
+  let buf = Buffer.create 4096 in
+  let marks = ref 0 in
+  let mark () =
+    incr marks;
+    Printf.bprintf buf "%d:%h;" (Scheduler.current_tid s) (Scheduler.now s)
+  in
+  let items = ref 0 in
+  for p = 0 to 2 do
+    ignore
+      (Scheduler.spawn s (fun () ->
+           for i = 1 to 16 do
+             Scheduler.charge s (20.0 +. float_of_int (7 * p));
+             Scheduler.poll s;
+             mark ();
+             Mutex.lock s m;
+             mark ();
+             incr items;
+             Condvar.signal s cv;
+             Mutex.unlock s m;
+             if i mod 4 = 0 then begin
+               Scheduler.yield s;
+               mark ()
+             end
+           done))
+  done;
+  for _ = 1 to 2 do
+    ignore
+      (Scheduler.spawn s (fun () ->
+           for _ = 1 to 24 do
+             Mutex.lock s m;
+             mark ();
+             while !items = 0 do
+               Condvar.wait s cv m;
+               mark ()
+             done;
+             decr items;
+             Mutex.unlock s m;
+             Scheduler.charge s 35.0;
+             Scheduler.poll s;
+             mark ()
+           done))
+  done;
+  ignore
+    (Scheduler.spawn s ~name:"timer" (fun () ->
+         for k = 1 to 6 do
+           Scheduler.sleep_until s (150.0 *. float_of_int k);
+           mark ()
+         done));
+  Alcotest.check outcome "completed" Scheduler.Completed (Scheduler.run s);
+  Printf.bprintf buf "end:%h" (Scheduler.elapsed s);
+  (!marks, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_dispatch_order_golden () =
+  let marks, digest = dispatch_trace () in
+  Alcotest.(check int) "scheduling points" 212 marks;
+  Alcotest.(check string) "dispatch digest" "e3676d320126c0e40feb9d2fd057fe4c" digest
+
 let test_determinism () =
   let run_once () =
     let s = Scheduler.create ~seed:9 ~jitter:0.2 () in
@@ -380,6 +463,69 @@ let test_crash_holds_locks () =
   | Scheduler.Completed -> Alcotest.fail "expected crash");
   Alcotest.(check bool) "lock still held" true (Mutex.holder m <> None)
 
+let test_crash_clears_queue () =
+  (* After a crash every fiber is dead: a second [run] finds nothing to
+     dispatch, neither the interrupted workers nor a child spawned past the
+     crash instant that never started. *)
+  let s = Scheduler.create () in
+  let m = Mutex.create () in
+  let steps = Array.make 3 0 in
+  let child_ran = ref false in
+  for i = 0 to 1 do
+    ignore
+      (Scheduler.spawn s (fun () ->
+           for _ = 1 to 100 do
+             Mutex.lock s m;
+             Scheduler.charge s 50.0;
+             Scheduler.poll s;
+             Mutex.unlock s m;
+             steps.(i) <- steps.(i) + 1
+           done))
+  done;
+  ignore
+    (Scheduler.spawn s (fun () ->
+         Scheduler.charge s 1_000.0;
+         ignore (Scheduler.spawn s (fun () -> child_ran := true));
+         Scheduler.poll s;
+         steps.(2) <- steps.(2) + 1));
+  Scheduler.set_crash_at s 500.0;
+  (match Scheduler.run s with
+  | Scheduler.Crash_interrupt _ -> ()
+  | Scheduler.Completed -> Alcotest.fail "expected crash");
+  let before = Array.copy steps in
+  Alcotest.check outcome "second run" Scheduler.Completed (Scheduler.run s);
+  Alcotest.(check (array int)) "no killed fiber resumed" before steps;
+  Alcotest.(check int) "spawner stopped at the crash" 0 steps.(2);
+  Alcotest.(check bool) "unstarted child discarded" false !child_ran
+
+(* Minor-heap words allocated per context switch by two threads yielding
+   to each other, measured inside the fiber over [n] rounds. *)
+let words_per_switch ~finished =
+  let s = Scheduler.create () in
+  for _ = 1 to finished do
+    ignore (Scheduler.spawn s (fun () -> ()))
+  done;
+  ignore (Scheduler.run s);
+  let n = 2_000 in
+  let delta = ref 0.0 in
+  let ping measure () =
+    for i = 1 to n + 100 do
+      if measure && i = 101 then delta := -.Gc.minor_words ();
+      Scheduler.charge s 1.0;
+      Scheduler.yield s
+    done;
+    if measure then delta := !delta +. Gc.minor_words ()
+  in
+  ignore (Scheduler.spawn s (ping true));
+  ignore (Scheduler.spawn s (ping false));
+  ignore (Scheduler.run s);
+  !delta /. float_of_int (2 * n)
+
+let test_switch_cost_ignores_finished () =
+  let idle = words_per_switch ~finished:0 in
+  let crowded = words_per_switch ~finished:10_000 in
+  Alcotest.check (Alcotest.float 0.01) "same words per switch" idle crowded
+
 (* ------------------------------------------------------------------ *)
 (* Env integration *)
 
@@ -513,6 +659,12 @@ let () =
           Alcotest.test_case "exception propagates" `Quick
             test_exception_propagates;
           Alcotest.test_case "deterministic" `Quick test_determinism;
+          Alcotest.test_case "ties go to the newest tid" `Quick
+            test_tie_break_newest_first;
+          Alcotest.test_case "dispatch-order golden" `Quick
+            test_dispatch_order_golden;
+          Alcotest.test_case "switch cost ignores finished threads" `Quick
+            test_switch_cost_ignores_finished;
         ] );
       ( "mutex",
         [
@@ -550,6 +702,8 @@ let () =
           Alcotest.test_case "completion before crash" `Quick
             test_completion_before_crash;
           Alcotest.test_case "crash holds locks" `Quick test_crash_holds_locks;
+          Alcotest.test_case "crash clears the ready queue" `Quick
+            test_crash_clears_queue;
         ] );
       ( "env",
         [
