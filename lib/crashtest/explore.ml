@@ -19,9 +19,11 @@
    - under eADR the cache is in the persistence domain: the post-crash
      image is unique and only the baseline is checked.
 
-   Each image is installed with [reset_to_image] + targeted pokes and
-   handed to the scenario's [recover_check], which runs the system's
-   recovery procedure and compares the recovered state against its oracle. *)
+   The post-crash image is snapshotted once per crash point. Each image
+   is installed with [restore] + targeted pokes, which undoes only the
+   lines the previous image's recovery wrote, and handed to the
+   scenario's [recover_check], which runs the system's recovery procedure
+   and compares the recovered state against its oracle. *)
 
 type instance = {
   mem : Simnvm.Memsys.t;
@@ -194,7 +196,7 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
           let cfg = Simnvm.Memsys.config mem in
           let dirty = Simnvm.Memsys.dirty_nvm_lines mem in
           Simnvm.Memsys.crash mem;
-          let base = Simnvm.Memsys.image mem in
+          let base = Simnvm.Memsys.snapshot mem in
           let variants, dropped =
             variants_for ~eadr:cfg.Simnvm.Memsys.eadr
               ~pcso:cfg.Simnvm.Memsys.pcso
@@ -207,9 +209,10 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
               List.iter
                 (fun fs ->
                   if not (stop ()) then begin
-                    (* reset clears poison / transient state from the
-                       previous fault image as well as the pokes *)
-                    Simnvm.Memsys.reset_to_image mem base;
+                    (* restore clears poison / transient state from the
+                       previous fault image as well as the pokes and the
+                       previous recovery's writes *)
+                    Simnvm.Memsys.restore mem base;
                     apply_variant mem dirty v;
                     let check =
                       match fs with
@@ -266,7 +269,9 @@ let check_point ?fault_seed (s : scenario) ~crash_index ~variant =
   | `Crashed -> (
       let dirty = Simnvm.Memsys.dirty_nvm_lines ik.mem in
       Simnvm.Memsys.crash ik.mem;
-      let base = Simnvm.Memsys.image ik.mem in
+      let base = Simnvm.Memsys.snapshot ik.mem in
+      (* the volatile reset every explored image gets *)
+      Simnvm.Memsys.restore ik.mem base;
       apply_variant ik.mem dirty variant;
       let check =
         match fault_seed with

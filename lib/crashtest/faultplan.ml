@@ -110,7 +110,7 @@ let apply mem ~base ~dirty ops =
                     Simnvm.Memsys.poke_persisted mem addr
                       (if keep land (1 lsl off) <> 0 then
                          dl.Simnvm.Memsys.data.(off)
-                       else base.(addr))
+                       else Simnvm.Memsys.snapshot_persisted base addr)
                 done)
             dirty
       | Poison { lineno } -> Simnvm.Memsys.poison_line mem lineno

@@ -28,11 +28,13 @@ val derive :
 
 val apply :
   Simnvm.Memsys.t ->
-  base:int array ->
+  base:Simnvm.Memsys.snapshot ->
   dirty:Simnvm.Memsys.dirty_line list ->
   op list ->
   unit
 (** Install a plan into the post-crash persistent image. [base] must be
-    the image as the crash left it (before write-back variants), [dirty]
-    the dirty-line set captured just before the crash; tears combine the
-    two below line granularity. *)
+    the live snapshot taken right after the crash, before write-back
+    variants were poked: tears read their reverted words from it with
+    {!Simnvm.Memsys.snapshot_persisted}. [dirty] is the dirty-line set
+    captured just before the crash; tears combine the two below line
+    granularity. *)

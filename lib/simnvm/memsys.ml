@@ -97,8 +97,10 @@ exception Media_error of { addr : int; line : int; transient : bool }
    really is zeroed, so no branch), writes materialize a private chunk
    first. World creation then costs a pointer per chunk instead of a
    zeroed word per address — the dominant cost of an experiment sweep
-   creating hundreds of short-lived worlds. *)
-let chunk_shift = 14
+   creating hundreds of short-lived worlds. Chunks are 2K words because a
+   crash campaign builds thousands of worlds that each write a few
+   scattered lines, and every such write materialises a whole chunk. *)
+let chunk_shift = 11
 let chunk_words = 1 lsl chunk_shift
 let chunk_mask = chunk_words - 1
 let zero_chunk = Array.make chunk_words 0
@@ -228,7 +230,19 @@ type t = {
   transient_bits : Bytes.t;
   mutable n_transient : int;
   mutable crash_count : int;
+  (* Undo journal of the live snapshot (0 = none taken yet): the NVMM
+     lines written since the snapshot or its last restore, as a sparse
+     set — line [l] is journaled iff [i = jr_slot.(l)] is below
+     [jr_count] and [jr_lines.(i) = l] — with the line's old words at
+     [jr_words.(i * lw)]. Emptying it is resetting the count. *)
+  mutable snap_id : int;
+  jr_slot : store;
+  mutable jr_lines : int array;
+  mutable jr_words : int array;
+  mutable jr_count : int;
 }
+
+type snapshot = { owner : t; id : int }
 
 let no_charge (_ : float) = ()
 let no_tid () = -1
@@ -381,6 +395,11 @@ let create cfg =
     transient_bits = Bytes.make (max 1 ((nvm_lines + 7) / 8)) '\000';
     n_transient = 0;
     crash_count = 0;
+    snap_id = 0;
+    jr_slot = store_make nvm_lines;
+    jr_lines = [||];
+    jr_words = [||];
+    jr_count = 0;
   }
 
 let config t = t.cfg
@@ -402,12 +421,46 @@ let[@inline] line_of t addr =
 let[@inline] off_of t addr =
   if t.lw_mask >= 0 then addr land t.lw_mask else addr mod t.lw
 
+(* Undo journal. While a snapshot is live, every writer into [pmem] —
+   whole-line and partial write-back, crash-time tears and bit flips,
+   [poke_persisted], [scrub_line] — first calls [journal], which saves
+   the line's old words on its first write since the snapshot or the last
+   restore. [restore] copies exactly those lines back, so installing an
+   image costs the lines recovery wrote, not the NVMM size. Without a
+   live snapshot a write-back pays one integer test. *)
+
+let journal_slot t lineno =
+  let i = store_get t.jr_slot lineno in
+  if i < t.jr_count && t.jr_lines.(i) = lineno then i else -1
+
+let journal_line t lineno =
+  if journal_slot t lineno < 0 then begin
+    let n = t.jr_count and lw = t.lw in
+    if n = Array.length t.jr_lines then begin
+      let cap = max 16 (2 * n) in
+      let lines = Array.make cap (-1) and words = Array.make (cap * lw) 0 in
+      Array.blit t.jr_lines 0 lines 0 n;
+      Array.blit t.jr_words 0 words 0 (n * lw);
+      t.jr_lines <- lines;
+      t.jr_words <- words
+    end;
+    t.jr_lines.(n) <- lineno;
+    store_blit_out t.pmem (lineno * lw) t.jr_words (n * lw) lw;
+    store_set t.jr_slot lineno n;
+    t.jr_count <- n + 1
+  end
+
+let[@inline] journal t lineno = if t.snap_id > 0 then journal_line t lineno
+
 (* Backing-store write, indexed by line number (partial persists only;
    whole-line transfers use Array.blit directly). *)
 
 let backing_write t lineno off v =
   let addr = (lineno * t.lw) + off in
-  if is_nvm t addr then store_set t.pmem addr v
+  if is_nvm t addr then begin
+    journal t lineno;
+    store_set t.pmem addr v
+  end
   else store_set t.dram (addr - t.cfg.nvm_words) v
 
 (* Persist a cached line to its backing store. Under PCSO the whole line is
@@ -423,7 +476,10 @@ let write_back ?(complete = true) t line =
   let base = lineno * t.lw in
   let nvm = is_nvm t base in
   if t.cfg.pcso || complete then begin
-    if nvm then store_blit_in t.pmem base line.data 0 t.lw
+    if nvm then begin
+      journal t lineno;
+      store_blit_in t.pmem base line.data 0 t.lw
+    end
     else store_blit_in t.dram (base - t.cfg.nvm_words) line.data 0 t.lw;
     line.dirty <- false;
     line.dirty_mask <- 0
@@ -749,6 +805,7 @@ let inject_crash_faults t (fc : fault_config) =
     for _ = 1 to max 1 k do
       let addr = Rng.int rng t.cfg.nvm_words in
       let bit = Rng.int rng 62 in
+      journal t (line_of t addr);
       store_set t.pmem addr (store_get t.pmem addr lxor (1 lsl bit));
       bump_faults t;
       if has_subs t then
@@ -807,9 +864,11 @@ let flush_all t =
 (* Crash-image hooks for the systematic crash explorer (lib/crashtest).
 
    These are host-level accessors: no latency is charged, no event is
-   emitted and no cache state (LRU, prefetch ring, RNG) is perturbed, so a
-   subscriber-driven pilot run and its per-boundary re-executions observe
-   identical event sequences whether or not an explorer is watching. *)
+   emitted and, [restore] aside, no cache state (LRU, prefetch ring, RNG)
+   is perturbed, so a subscriber-driven pilot run and its per-boundary
+   re-executions observe identical event sequences whether or not an
+   explorer is watching. [restore] runs only after a crash, between
+   recoveries, and resets that state the same way every time. *)
 
 (* Logical (cache-coherent) view of a word, bypassing cost and events. *)
 let peek t addr =
@@ -844,25 +903,25 @@ let image t =
     t.pmem;
   out
 
-let reset_to_image t img =
-  if Array.length img <> t.cfg.nvm_words then
-    invalid_arg "Memsys.reset_to_image: image size mismatch";
-  (* Per chunk: an all-zero image span over a still-shared chunk needs no
-     work (the common case when the explorer resets a sparse image), any
-     other span is blitted into a private chunk. *)
-  Array.iteri
-    (fun k c ->
-      let pos = k lsl chunk_shift in
-      let n = min chunk_words (t.cfg.nvm_words - pos) in
-      if c != zero_chunk then Array.blit img pos c 0 n
-      else begin
-        let nonzero = ref false in
-        for i = pos to pos + n - 1 do
-          if Array.unsafe_get img i <> 0 then nonzero := true
-        done;
-        if !nonzero then store_blit_in t.pmem pos img pos n
-      end)
-    t.pmem;
+(* Snapshots are undo journals over [pmem] (see [journal]): taking one
+   copies nothing, and only the live one may be restored or read, because
+   the journal only knows the lines written since that snapshot. *)
+let snapshot t =
+  t.snap_id <- t.snap_id + 1;
+  t.jr_count <- 0;
+  { owner = t; id = t.snap_id }
+
+let check_live t s fn =
+  if s.owner != t || s.id <> t.snap_id then
+    invalid_arg ("Memsys." ^ fn ^ ": not the live snapshot of this memory")
+
+let restore t s =
+  check_live t s "restore";
+  let lw = t.lw in
+  for i = 0 to t.jr_count - 1 do
+    store_blit_in t.pmem (t.jr_lines.(i) * lw) t.jr_words (i * lw) lw
+  done;
+  t.jr_count <- 0;
   Array.iter
     (fun line ->
       line.tag <- -1;
@@ -871,19 +930,41 @@ let reset_to_image t img =
       line.last_writer <- -1)
     t.lines;
   store_clear t.dram;
-  Array.fill t.recent_fills 0 prefetch_window (-1);
-  store_clear t.recent_count;
+  (* Empty the prefetch ring entry by entry: clearing [recent_count]
+     wholesale would drop its chunks and re-materialise them on the next
+     miss. *)
+  for i = 0 to prefetch_window - 1 do
+    let l = t.recent_fills.(i) in
+    if l >= 0 then begin
+      store_add t.recent_count l (-1);
+      t.recent_fills.(i) <- -1
+    end
+  done;
   t.recent_pos <- 0;
-  (* A captured image carries no fault state: each adversarial re-recovery
-     starts from healthy media and plants its own faults. *)
-  Bytes.fill t.poisoned_bits 0 (Bytes.length t.poisoned_bits) '\000';
-  t.n_poisoned <- 0;
-  Bytes.fill t.transient_bits 0 (Bytes.length t.transient_bits) '\000';
-  t.n_transient <- 0
+  (* A snapshot image carries no fault state: each adversarial
+     re-recovery starts from healthy media and plants its own faults. *)
+  if t.n_poisoned > 0 then begin
+    Bytes.fill t.poisoned_bits 0 (Bytes.length t.poisoned_bits) '\000';
+    t.n_poisoned <- 0
+  end;
+  if t.n_transient > 0 then begin
+    Bytes.fill t.transient_bits 0 (Bytes.length t.transient_bits) '\000';
+    t.n_transient <- 0
+  end
+
+let snapshot_persisted s addr =
+  let t = s.owner in
+  check_live t s "snapshot_persisted";
+  if addr < 0 || addr >= t.cfg.nvm_words then
+    invalid_arg "Memsys.snapshot_persisted: address not in NVMM";
+  match journal_slot t (line_of t addr) with
+  | -1 -> store_get t.pmem addr
+  | i -> t.jr_words.((i * t.lw) + off_of t addr)
 
 let poke_persisted t addr v =
   if addr < 0 || addr >= t.cfg.nvm_words then
     invalid_arg "Memsys.poke_persisted: address not in NVMM";
+  journal t (line_of t addr);
   store_set t.pmem addr v
 
 (* ------------------------------------------------------------------ *)
@@ -942,6 +1023,7 @@ let scrub_line t lineno =
     bit_clear t.poisoned_bits lineno;
     t.n_poisoned <- t.n_poisoned - 1
   end;
+  journal t lineno;
   store_fill_zero t.pmem (lineno * t.lw) t.lw;
   if t.stats_on then
     t.stats.Stats.media_scrubs <- t.stats.Stats.media_scrubs + 1;

@@ -158,9 +158,12 @@ val flush_all : t -> unit
 (** {2 Crash-image hooks}
 
     Host-level accessors for the systematic crash explorer
-    ([lib/crashtest]): none of them charges latency, emits an event or
-    perturbs cache replacement state, so watched and unwatched runs stay
-    bit-identical. *)
+    ([lib/crashtest]): none of them charges latency or emits an event, and
+    none but {!restore} perturbs cache replacement state, so watched and
+    unwatched runs stay bit-identical. The explorer installs each
+    adversarial image with one path: {!snapshot} right after {!crash},
+    then {!restore} plus {!poke_persisted} before every image, so an image
+    costs the lines the previous recovery wrote. *)
 
 val peek : t -> Addr.t -> int
 (** Logical (cache-coherent) view of a word: the cached copy if present,
@@ -177,14 +180,36 @@ val dirty_nvm_lines : t -> dirty_line list
     freedom of the adversarial crash-image enumeration. *)
 
 val image : t -> int array
-(** Copy of the full persistent NVMM image. *)
+(** Copy of the full persistent NVMM image: O(NVMM words), an oracle view
+    for comparisons. The explorer rewinds with {!snapshot} and {!restore}
+    instead. *)
 
-val reset_to_image : t -> int array -> unit
-(** Restore the persistent image from a copy taken with {!image}, drop all
-    cache contents without write-back and zero the DRAM: rewinds the world
-    to a captured post-crash state so one crash point can be re-recovered
-    under several adversarial images.
-    @raise Invalid_argument on image size mismatch. *)
+type snapshot
+(** A rewind point of the persistent image, kept as an undo journal rather
+    than a copy: while a snapshot is live, the first write into an NVMM
+    line — write-back (whole or partial), crash-time tear or bit flip,
+    {!poke_persisted}, {!scrub_line} — saves that line's old words. Being
+    abstract, it cannot be changed behind the journal's back. *)
+
+val snapshot : t -> snapshot
+(** Start journaling from the current persistent image. O(1): nothing is
+    copied. Any earlier snapshot of the same memory stops being live. *)
+
+val restore : t -> snapshot -> unit
+(** Rewind the persistent image to the snapshot by copying back each
+    journaled line, then drop all volatile state: every cache line is
+    invalidated without write-back, the DRAM is zeroed, the prefetch ring
+    is emptied, and poisoned lines and armed transient faults are cleared.
+    The snapshot stays live, so one crash point can be re-recovered under
+    several adversarial images. Costs the lines written since the
+    snapshot or the previous restore, plus one pass over the cache lines
+    and the DRAM chunk table — not the NVMM size.
+    @raise Invalid_argument if the snapshot is not the live one of [t]. *)
+
+val snapshot_persisted : snapshot -> Addr.t -> int
+(** A word of the snapshot's image, whatever was written since.
+    @raise Invalid_argument if the snapshot is no longer live or the
+    address is outside the NVMM region. *)
 
 val poke_persisted : t -> Addr.t -> int -> unit
 (** Write one word directly into the NVMM image (adversarial-image
@@ -195,7 +220,7 @@ val poke_persisted : t -> Addr.t -> int -> unit
 
     Plant media faults directly — the crash explorer's fault dimension
     layers these on adversarial crash images, independently of the seeded
-    [faults] config. {!reset_to_image} clears all planted fault state.
+    [faults] config. {!restore} clears all planted fault state.
     {!persisted}, {!peek} and {!image} are oracle views and deliberately
     bypass poison. *)
 

@@ -209,7 +209,7 @@ let test_recovery_idempotent () =
   | `Completed -> Alcotest.fail "crash boundary never reached");
   Memsys.crash mem;
   let layout = Respct.Runtime.layout rt in
-  let post_crash = Memsys.image mem in
+  let post_crash = Memsys.snapshot mem in
   (* Reference: uninterrupted recovery. *)
   let rb, rep_ref = count_recovery_boundaries mem ~layout in
   let image_ref = Memsys.image mem in
@@ -217,7 +217,7 @@ let test_recovery_idempotent () =
   Alcotest.(check bool) "recovery persists something" true (rb > 0);
   (* Crash recovery at each of its own boundaries and re-run. *)
   for j = 0 to rb - 1 do
-    Memsys.reset_to_image mem post_crash;
+    Memsys.restore mem post_crash;
     interrupt_recovery_at mem ~layout j;
     Memsys.crash mem;
     let rep = Respct.Recovery.run ~layout mem in

@@ -8,6 +8,12 @@
    final crash, the poisoned-line set, the exact (float-equal) total
    latency charge, and the entire event stream.
 
+   Armed cases run the same sequences under a live [Memsys.snapshot]: the
+   undo journal must be invisible to every check above, and must record
+   every write into the persistent image — write-back whole or partial,
+   crash-time tear and bit flip, scrub — so that the snapshot still reads
+   the pre-sequence image and [Memsys.restore] reinstalls it exactly.
+
    As in test/common/gen_common.ml, a case generates only its seed and the
    failure printer emits a replay recipe, so a red run identifies the
    exact sequence. *)
@@ -68,14 +74,14 @@ let pp_result ppf = function
    replay recipes the printers emit are only as durable as the draw
    order below, so a reordered or added draw must fail the pinned-trace
    test loudly instead of silently invalidating every recorded seed. *)
-let run_case ~pcso ~faults ~n_ops seed =
+let run_case ?(armed = false) ~pcso ~faults ~n_ops seed =
   let cfg = config ~pcso ~faults seed in
   let mem = Memsys.create cfg in
   let rm = Refmodel.create cfg in
   let fail fmt =
     QCheck.Test.fail_reportf
-      ("seed=%d pcso=%b faults=%b n_ops=%d: " ^^ fmt)
-      seed pcso faults n_ops
+      ("seed=%d pcso=%b faults=%b armed=%b n_ops=%d: " ^^ fmt)
+      seed pcso faults armed n_ops
   in
   let cur_tid = ref 0 in
   Memsys.set_tid_provider mem (fun () -> !cur_tid);
@@ -84,6 +90,24 @@ let run_case ~pcso ~faults ~n_ops seed =
   ignore (Memsys.subscribe mem (fun ev -> mem_events := ev :: !mem_events));
   let mem_charge = ref 0.0 in
   Memsys.set_charge mem (fun ns -> mem_charge := !mem_charge +. ns);
+  (* Armed: persist a nonzero word everywhere in both models first — a
+     scrub over zeros would change nothing, and its journaling could not
+     be observed — then snapshot that image. The prefill draws nothing
+     from the op-stream [rng], so an armed case runs the unarmed stream. *)
+  let armed_at =
+    if not armed then None
+    else begin
+      for addr = 0 to nvm_words - 1 do
+        Memsys.store mem addr (addr + 1);
+        Refmodel.store rm addr (addr + 1);
+        if (addr + 1) mod line_words = 0 then begin
+          Memsys.pwb mem addr;
+          Refmodel.pwb rm addr
+        end
+      done;
+      Some (Memsys.snapshot mem, Memsys.image mem)
+    end
+  in
   let rng = Rng.create (seed + 0x51ed5eed) in
   let digest = ref 0 in
   let mix v = digest := ((!digest * 31) + v) land 0x3FFFFFFF in
@@ -224,21 +248,36 @@ let run_case ~pcso ~faults ~n_ops seed =
       if got <> want then
         fail "stats.%s = %d but the event stream says %d" name got want)
     checks;
+  Option.iter
+    (fun (snap, before) ->
+      for addr = 0 to nvm_words - 1 do
+        let got = Memsys.snapshot_persisted snap addr in
+        if got <> before.(addr) then
+          fail "snapshot reads %d at %d, the pre-sequence image held %d" got
+            addr before.(addr)
+      done;
+      Memsys.restore mem snap;
+      if Memsys.image mem <> before then
+        fail "restore did not reinstall the pre-sequence image";
+      if Memsys.poisoned_lines mem <> [] then fail "restore left lines poisoned")
+    armed_at;
   !digest
 
-let arb_seed ~pcso ~faults ~n_ops =
+let arb_seed ~armed ~pcso ~faults ~n_ops =
   QCheck.make
     ~print:(fun seed ->
       Printf.sprintf
-        "refmodel differential: seed=%d pcso=%b faults=%b n_ops=%d" seed pcso
-        faults n_ops)
+        "refmodel differential: seed=%d pcso=%b faults=%b armed=%b n_ops=%d"
+        seed pcso faults armed n_ops)
     QCheck.Gen.(1 -- 100_000)
 
-let prop ~name ~count ~pcso ~faults ~n_ops =
+let prop ?(armed = false) ~name ~count ~pcso ~faults ~n_ops () =
   Gen_common.to_alcotest ~suite:"refmodel"
     (QCheck.Test.make ~name ~count
-       (arb_seed ~pcso ~faults ~n_ops)
-       (fun seed -> ignore (run_case ~pcso ~faults ~n_ops seed : int); true))
+       (arb_seed ~armed ~pcso ~faults ~n_ops)
+       (fun seed ->
+         ignore (run_case ~armed ~pcso ~faults ~n_ops seed : int);
+         true))
 
 (* The seeded derivation itself, pinned: one fixed (seed, n_ops) case
    whose executed op stream must digest to a known constant. See the
@@ -256,12 +295,23 @@ let () =
     [
       ( "differential",
         [
-          prop ~name:"pcso" ~count:400 ~pcso:true ~faults:false ~n_ops:140;
+          prop ~name:"pcso" ~count:400 ~pcso:true ~faults:false ~n_ops:140 ();
           prop ~name:"ablation (pcso=false)" ~count:250 ~pcso:false
-            ~faults:false ~n_ops:140;
-          prop ~name:"faults" ~count:250 ~pcso:true ~faults:true ~n_ops:140;
+            ~faults:false ~n_ops:140 ();
+          prop ~name:"faults" ~count:250 ~pcso:true ~faults:true ~n_ops:140 ();
           prop ~name:"ablation+faults" ~count:100 ~pcso:false ~faults:true
-            ~n_ops:140;
+            ~n_ops:140 ();
+        ] );
+      ( "journal",
+        [
+          prop ~armed:true ~name:"armed pcso" ~count:150 ~pcso:true
+            ~faults:false ~n_ops:140 ();
+          prop ~armed:true ~name:"armed ablation (pcso=false)" ~count:150
+            ~pcso:false ~faults:false ~n_ops:140 ();
+          prop ~armed:true ~name:"armed faults" ~count:150 ~pcso:true
+            ~faults:true ~n_ops:140 ();
+          prop ~armed:true ~name:"armed ablation+faults" ~count:150
+            ~pcso:false ~faults:true ~n_ops:140 ();
         ] );
       ( "seed-stability",
         [ Alcotest.test_case "pinned trace (seed=42)" `Quick pinned_trace ] );

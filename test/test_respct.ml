@@ -635,8 +635,8 @@ let check_verdict what expected got =
 
 let test_verified_verdict_taxonomy () =
   let mem, layout, cell = crash_world ~integrity:true () in
-  let base = Memsys.image mem in
-  let reset () = Memsys.reset_to_image mem base in
+  let base = Memsys.snapshot mem in
+  let reset () = Memsys.restore mem base in
   let verify () = Recovery.run_verified ~layout mem in
   (* Clean image: proven exact. *)
   let v = verify () in
@@ -710,7 +710,7 @@ let test_verified_verdict_taxonomy () =
 
 let test_verified_media_retry_and_scrub () =
   let mem, layout, cell = crash_world ~integrity:true () in
-  let base = Memsys.image mem in
+  let base = Memsys.snapshot mem in
   let lw = (Memsys.config mem).Memsys.line_words in
   let line = Incll.record cell / lw in
   (* Transient fault: retried with backoff, healed, still proven exact. *)
@@ -721,7 +721,7 @@ let test_verified_media_retry_and_scrub () =
     (Recovery.exact_image v.Recovery.verdict);
   (* Hard poison: retry budget exhausted, the line is scrubbed and the
      loss reported — fail-stop on content, never a hang. *)
-  Memsys.reset_to_image mem base;
+  Memsys.restore mem base;
   Memsys.poison_line mem line;
   let v = Recovery.run_verified ~layout mem in
   (match v.Recovery.verdict with

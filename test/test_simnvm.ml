@@ -507,16 +507,114 @@ let test_transient_fault_one_shot () =
   (* The fault disarmed with the first raise: the retry succeeds. *)
   Alcotest.(check int) "retry heals" 7 (Memsys.load m 200)
 
-let test_reset_to_image_clears_planted_faults () =
+let test_restore_clears_planted_faults () =
   let m = Memsys.create (cfg ()) in
   Memsys.poke_persisted m 64 9;
-  let img = Memsys.image m in
+  Memsys.poke_persisted m 80 5;
+  let snap = Memsys.snapshot m in
+  Memsys.poke_persisted m 64 10;
   Memsys.poison_line m (64 / lw);
   Memsys.arm_transient_fault m (72 / lw);
-  Memsys.reset_to_image m img;
+  Memsys.scrub_line m (80 / lw);
+  Alcotest.(check int) "snapshot keeps the poked word" 9
+    (Memsys.snapshot_persisted snap 64);
+  Memsys.restore m snap;
   Alcotest.(check (list int)) "poison cleared" [] (Memsys.poisoned_lines m);
-  Alcotest.(check int) "loads cleanly" 9 (Memsys.load m 64);
-  Alcotest.(check int) "transient cleared" 0 (Memsys.load m 72)
+  Alcotest.(check int) "poke undone, loads cleanly" 9 (Memsys.load m 64);
+  Alcotest.(check int) "transient cleared" 0 (Memsys.load m 72);
+  Alcotest.(check int) "scrubbed content restored" 5 (Memsys.load m 80)
+
+(* ------------------------------------------------------------------ *)
+(* Snapshots: the crash explorer's image-install path. *)
+
+let not_live fn =
+  Invalid_argument ("Memsys." ^ fn ^ ": not the live snapshot of this memory")
+
+let test_restore_rejects_stale_snapshots () =
+  let m = Memsys.create (cfg ()) in
+  let old = Memsys.snapshot m in
+  let live = Memsys.snapshot m in
+  Alcotest.check_raises "superseded snapshot" (not_live "restore") (fun () ->
+      Memsys.restore m old);
+  Alcotest.check_raises "superseded snapshot read"
+    (not_live "snapshot_persisted") (fun () ->
+      ignore (Memsys.snapshot_persisted old 0));
+  (* Another world at the same snapshot count: only the owner matches. *)
+  let other = Memsys.create (cfg ()) in
+  ignore (Memsys.snapshot other);
+  ignore (Memsys.snapshot other);
+  Alcotest.check_raises "another world's snapshot" (not_live "restore")
+    (fun () -> Memsys.restore other live);
+  (* The live snapshot restores any number of times. *)
+  Memsys.restore m live;
+  Memsys.restore m live
+
+(* After a restore the world must be indistinguishable from a fresh one
+   holding the same image: the same loads read the same values and charge
+   the same virtual time. A prefetch ring left holding the discarded
+   run's fills would discount some misses; cached lines left behind would
+   turn misses into hits; DRAM left behind would read back. *)
+let test_restore_charges_like_fresh_world () =
+  let dram = (cfg ()).Memsys.nvm_words in
+  let image = List.init 40 (fun i -> ((i * 37) + 3, i + 1)) in
+  let with_image () =
+    let m = Memsys.create (cfg ()) in
+    List.iter (fun (a, v) -> Memsys.poke_persisted m a v) image;
+    m
+  in
+  let loads =
+    let r = Rng.create 11 in
+    List.init 2000 (fun i ->
+        if i mod 3 = 0 then i
+        else if i mod 7 = 0 then dram + Rng.int r 64
+        else Rng.int r 4096)
+  in
+  let replay m =
+    let total = ref 0.0 in
+    Memsys.set_charge m (fun ns -> total := !total +. ns);
+    let values = List.map (Memsys.load m) loads in
+    (values, !total)
+  in
+  let want = replay (with_image ()) in
+  let m = with_image () in
+  let snap = Memsys.snapshot m in
+  Memsys.set_tid_provider m (fun () -> 1);
+  for a = 0 to 4095 do
+    Memsys.store m a (a + 7);
+    if a mod 5 = 0 then Memsys.pwb m a
+  done;
+  for a = dram to dram + 63 do
+    Memsys.store m a a;
+    Memsys.pwb m a
+  done;
+  Memsys.set_tid_provider m (fun () -> -1);
+  Memsys.restore m snap;
+  let values, charge = replay m in
+  Alcotest.(check (list int)) "same values" (fst want) values;
+  Alcotest.check (Alcotest.float 0.0) "same charge" (snd want) charge
+
+(* Installing an image must cost the lines written since the snapshot, not
+   the NVMM size: a whole-image copy would allocate 16x more words at
+   2^20 NVMM words than at 2^16. *)
+let test_restore_cost_independent_of_nvm_size () =
+  let words_per_cycle nvm_words =
+    let m = Memsys.create { (cfg ()) with Memsys.nvm_words } in
+    let cycle () =
+      let snap = Memsys.snapshot m in
+      for i = 0 to 7 do
+        Memsys.poke_persisted m (i * 1000) i
+      done;
+      Memsys.restore m snap
+    in
+    cycle () (* warm-up: materialise chunks, grow the journal *);
+    let before = Gc.allocated_bytes () in
+    cycle ();
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let small = words_per_cycle (1 lsl 16) in
+  Alcotest.check (Alcotest.float 0.0)
+    "words per snapshot/poke/restore cycle" small
+    (words_per_cycle (1 lsl 20))
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties *)
@@ -651,8 +749,17 @@ let () =
             test_poison_raises_and_scrub_heals;
           Alcotest.test_case "transient fault is one-shot" `Quick
             test_transient_fault_one_shot;
-          Alcotest.test_case "reset_to_image clears planted faults" `Quick
-            test_reset_to_image_clears_planted_faults;
+          Alcotest.test_case "restore clears planted faults" `Quick
+            test_restore_clears_planted_faults;
+        ] );
+      ( "snapshot",
+        [
+          Alcotest.test_case "restore rejects stale snapshots" `Quick
+            test_restore_rejects_stale_snapshots;
+          Alcotest.test_case "restored world charges like a fresh one" `Quick
+            test_restore_charges_like_fresh_world;
+          Alcotest.test_case "restore cost independent of NVMM size" `Quick
+            test_restore_cost_independent_of_nvm_size;
         ] );
       ( "properties",
         qcheck
