@@ -366,6 +366,12 @@ let perf_cmd =
       const run $ preset_arg $ runs_arg $ warmup_arg $ seed_arg $ out_arg
       $ compare_arg $ wall_tol_arg $ sim_tol_arg $ only_arg)
 
+(* The line a shrunk counterexample gets when its printed text did not
+   replay. *)
+let pp_parity ppf = function
+  | Ok () -> ()
+  | Error m -> Fmt.pf ppf "REPLAY DID NOT REPRODUCE (%s)@." m
+
 let crashmatrix_cmd =
   let deep_arg =
     Arg.(
@@ -429,48 +435,6 @@ let crashmatrix_cmd =
              replayable counterexamples. Includes the pipelined schedule \
              sweep.")
   in
-  let replay_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"SCENARIO"
-          ~doc:
-            "Replay one counterexample (as printed by a failing run) \
-             instead of exploring; combine with --ops, --sched-seed, \
-             --mem-seed, --crash-index, --image and --no-pcso.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 18 & info [ "ops" ] ~doc:"Replay: operation count.")
-  in
-  let sched_seed_arg =
-    Arg.(
-      value & opt int 1 & info [ "sched-seed" ] ~doc:"Replay: scheduler seed.")
-  in
-  let mem_seed_arg =
-    Arg.(value & opt int 1 & info [ "mem-seed" ] ~doc:"Replay: memory seed.")
-  in
-  let crash_index_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "crash-index" ] ~doc:"Replay: persist-event boundary to crash at.")
-  in
-  let image_arg =
-    Arg.(
-      value & opt string "baseline"
-      & info [ "image" ] ~docv:"VARIANT"
-          ~doc:
-            "Replay: adversarial image variant (baseline, all, line:N or \
-             word:N).")
-  in
-  let fault_seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fault-seed" ]
-          ~doc:
-            "Replay: media-fault seed layered on the image (as printed by a \
-             failing --faults run).")
-  in
   let backend_arg =
     Arg.(
       value
@@ -480,90 +444,23 @@ let crashmatrix_cmd =
             "Crash medium: sim (the cache-model dimensions) or file (the \
              Filemem dimension: virtual power cuts over memory-mapped \
              images, held to the prockill digest oracles with exact \
-             shrinking; --replay takes its seed=..;..;mutant=.. strings).")
+             shrinking).")
   in
   let run deep _smoke scenario no_pcso ablation no_schedules faults pipeline
-      backend replay ops sched_seed mem_seed crash_index image fault_seed =
+      backend =
     let ppf = Fmt.stdout in
-    if backend = `File then begin
-      let dir = Service.Front.fresh_dir () in
-      let ok =
-        match replay with
-        | Some s -> (
-            match Crashtest.Filematrix.replay s ~dir with
-            | Error msg ->
-                Fmt.epr "%s@." msg;
-                exit 2
-            | Ok (_, o) ->
-                if o.Crashtest.Filematrix.fo_violations = [] then begin
-                  Fmt.pf ppf "replay %s: recovery passed (no violation)@." s;
-                  true
-                end
-                else begin
-                  Fmt.pf ppf "replay %s: violation reproduced: %a@." s
-                    Fmt.(list ~sep:comma Crashtest.Filematrix.pp_violation)
-                    o.Crashtest.Filematrix.fo_violations;
-                  false
-                end)
-        | None ->
-            let p =
-              if deep then Crashtest.Matrix.deep else Crashtest.Matrix.smoke
-            in
-            Crashtest.Filematrix.check ~dir p ppf
-      in
-      (try Unix.rmdir dir with Unix.Unix_error (_, _, _) -> ());
-      if not ok then exit 1
-    end
-    else
-    match replay with
-    | Some id -> (
-        let build =
-          match Crashtest.Scenarios.find id with
-          | Some e -> Some e.Crashtest.Scenarios.build
-          | None -> Crashtest.Irscenarios.find id
-        in
-        match build with
-        | None ->
-            Fmt.epr "unknown scenario %s (know: %s)@." id
-              (String.concat ", "
-                 (List.map
-                    (fun (e : Crashtest.Scenarios.entry) -> e.Crashtest.Scenarios.id)
-                    (Crashtest.Scenarios.all
-                    @ Crashtest.Scenarios.fault_scenarios
-                    @ List.map fst Crashtest.Scenarios.pipeline_scenarios)
-                 @ List.map fst (Crashtest.Irscenarios.corpus ())));
-            exit 2
-        | Some build -> (
-            match Crashtest.Report.variant_of_string image with
-            | Error msg ->
-                Fmt.epr "%s@." msg;
-                exit 2
-            | Ok variant -> (
-                let sc =
-                  build ~sched_seed ~mem_seed ~pcso:(not no_pcso) ~n_ops:ops
-                in
-                match
-                  Crashtest.Explore.check_point ?fault_seed sc ~crash_index
-                    ~variant
-                with
-                | Ok () ->
-                    Fmt.pf ppf "replay %s: recovery passed (no violation)@." id
-                | Error reason ->
-                    Fmt.pf ppf "replay %s: violation reproduced: %s@." id
-                      reason;
-                    exit 1)))
-    | None ->
-        let p = if deep then Crashtest.Matrix.deep else Crashtest.Matrix.smoke in
-        let filter = scenario in
-        let ok =
-          if ablation then Crashtest.Matrix.ablation_check ?filter p ppf
-          else if faults then Crashtest.Matrix.faults_check ?filter p ppf
-          else if pipeline then Crashtest.Matrix.pipeline_check ?filter p ppf
-          else
-            Crashtest.Matrix.run ~pcso:(not no_pcso) ?filter
-              ~schedules:(not no_schedules) p ppf
-        in
-        if not ok then exit 1
+    let p = if deep then Crashtest.Matrix.deep else Crashtest.Matrix.smoke in
+    let filter = scenario in
+    let ok =
+      if backend = `File then Crashtest.Filematrix.check p ppf
+      else if ablation then Crashtest.Matrix.ablation_check ?filter p ppf
+      else if faults then Crashtest.Matrix.faults_check ?filter p ppf
+      else if pipeline then Crashtest.Matrix.pipeline_check ?filter p ppf
+      else
+        Crashtest.Matrix.run ~pcso:(not no_pcso) ?filter
+          ~schedules:(not no_schedules) p ppf
+    in
+    if not ok then exit 1
   in
   Cmd.v
     (Cmd.info "crashmatrix"
@@ -573,8 +470,7 @@ let crashmatrix_cmd =
     Term.(
       const run $ deep_arg $ smoke_arg $ scenario_arg $ no_pcso_arg
       $ ablation_arg $ no_schedules_arg $ faults_arg $ pipeline_arg
-      $ backend_arg $ replay_arg $ ops_arg $ sched_seed_arg $ mem_seed_arg
-      $ crash_index_arg $ image_arg $ fault_seed_arg)
+      $ backend_arg)
 
 let analyze_cmd =
   let program_arg =
@@ -661,15 +557,6 @@ let analyze_cmd =
       value & opt int 1
       & info [ "axcheck-seed" ] ~doc:"Base seed for --axcheck generation.")
   in
-  let replay_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:
-            "Replay an axcheck counterexample file instead of \
-             analysing; exit 1 iff the claim violation reproduces.")
-  in
   let ce_arg =
     Arg.(
       value & opt string "axcheck-counterexample.txt"
@@ -677,33 +564,8 @@ let analyze_cmd =
           ~doc:"Where --axcheck and --mutant write a shrunk counterexample.")
   in
   let run program iters out strip dynamic persistency mutant axcheck axseed
-      replay ce_file =
+      ce_file =
     let ppf = Fmt.stdout in
-    match replay with
-    | Some file -> (
-        let text =
-          try In_channel.with_open_text file In_channel.input_all
-          with Sys_error msg ->
-            Fmt.epr "cannot read %s: %s@." file msg;
-            exit 2
-        in
-        match Litmus.Axcheck.counterexample_of_string text with
-        | Error msg ->
-            Fmt.epr "cannot parse %s: %s@." file msg;
-            exit 2
-        | Ok c -> (
-            match Litmus.Axcheck.replay c with
-            | `Reproduced ->
-                Fmt.pf ppf
-                  "replay %s: must-durable claim on %s violated again@."
-                  c.Litmus.Axcheck.cx_prog.Litmus.Prog.name
-                  c.Litmus.Axcheck.cx_loc;
-                exit 1
-            | `Vanished ->
-                Fmt.pf ppf "replay %s: no violation (claim on %s holds)@."
-                  c.Litmus.Axcheck.cx_prog.Litmus.Prog.name
-                  c.Litmus.Axcheck.cx_loc))
-    | None ->
     let corpus = Analysis.Corpus.all @ Analysis.Corpus.flush_corpus in
     let selected =
       match program with
@@ -831,36 +693,21 @@ let analyze_cmd =
         end
         else Fmt.pf ppf "mutant %s NOT caught (no %s finding)@." mname r;
         if m = Litmus.Axcheck.Strip_psync then begin
-          let variant = Litmus.Axiom.Pcso_lazy in
-          let shrunk =
-            Litmus.Axcheck.minimize ~mutant:m ~variant Litmus.Axcheck.demo
-          in
-          let claims = Litmus.Axcheck.static_claims shrunk in
-          let rep =
-            Litmus.Axcheck.check ~variant ~claims
-              (Litmus.Axcheck.apply_mutant m shrunk)
-          in
-          match rep.Litmus.Axcheck.r_violations with
-          | [] ->
+          match
+            Litmus.Axcheck.counterexample ~mutant:m
+              ~variant:Litmus.Axiom.Pcso_lazy Litmus.Axcheck.demo
+          with
+          | None ->
               failed := true;
               Fmt.pf ppf
                 "axcheck: stripped WAL twin shows no claim violation — \
                  the gate lost its teeth@."
-          | v :: _ ->
-              let c =
-                {
-                  Litmus.Axcheck.cx_prog = shrunk;
-                  cx_variant = variant;
-                  cx_mutant = Some m;
-                  cx_loc = v.Litmus.Axcheck.v_loc;
-                }
-              in
-              let text = Litmus.Axcheck.counterexample_to_string c in
-              write_ce text;
+          | Some s ->
+              write_ce s.Obs.Cx.text;
               Fmt.pf ppf
-                "axcheck: WAL twin claim violated under %s (replay with \
-                 analyze --replay %s):@.%s"
-                mname ce_file text
+                "axcheck: WAL twin claim violated under %s (re-run: \
+                 replay %s):@.%s%a"
+                mname ce_file s.Obs.Cx.text pp_parity s.Obs.Cx.parity
         end
     | _ -> ());
     let ax_json =
@@ -875,14 +722,12 @@ let analyze_cmd =
             r.Litmus.Axcheck.fz_claims;
           (match r.Litmus.Axcheck.fz_failure with
           | None -> ()
-          | Some c ->
+          | Some s ->
               failed := true;
-              let text = Litmus.Axcheck.counterexample_to_string c in
-              write_ce text;
+              write_ce s.Obs.Cx.text;
               Fmt.pf ppf
-                "axcheck: shrunk soundness violation (replay with analyze \
-                 --replay %s):@.%s"
-                ce_file text);
+                "axcheck: shrunk soundness violation (re-run: replay %s):@.%s%a"
+                ce_file s.Obs.Cx.text pp_parity s.Obs.Cx.parity);
           [ ("axcheck", Litmus.Axcheck.fuzz_to_json r) ]
     in
     (match out with
@@ -915,8 +760,7 @@ let analyze_cmd =
           finding (the CI gate).")
     Term.(
       const run $ program_arg $ iters_arg $ out_arg $ strip_arg $ dynamic_arg
-      $ persistency_arg $ mutant_arg $ axcheck_arg $ axseed_arg $ replay_arg
-      $ ce_arg)
+      $ persistency_arg $ mutant_arg $ axcheck_arg $ axseed_arg $ ce_arg)
 
 let litmus_cmd =
   let corpus_arg =
@@ -970,15 +814,6 @@ let litmus_cmd =
           Litmus.Axiom.Pcso
       & info [ "variant" ] ~doc:"Axiom variant for --fuzz (default pcso).")
   in
-  let replay_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:
-            "Replay a counterexample file written by a failing run \
-             instead of exploring; exit 1 iff the violation reproduces.")
-  in
   let mutant_arg =
     Arg.(
       value & flag
@@ -1001,175 +836,146 @@ let litmus_cmd =
       & info [ "counterexample-out" ] ~docv:"FILE"
           ~doc:"Where --fuzz writes a shrunk counterexample.")
   in
-  let run corpus fuzz_n seed samples world variant replay mutant verbose
-      ce_file json =
+  let run corpus fuzz_n seed samples world variant mutant verbose ce_file json
+      =
     let ppf = Fmt.stdout in
     let worlds =
       match world with Some w -> [ w ] | None -> Litmus.World.all_ids
     in
     if mutant then
       Litmus.World.set_mutant (Some Litmus.World.Drop_same_line_order);
-    match replay with
-    | Some file -> (
-        let text =
-          try In_channel.with_open_text file In_channel.input_all
-          with Sys_error msg ->
-            Fmt.epr "cannot read %s: %s@." file msg;
-            exit 2
-        in
-        match Litmus.Harness.counterexample_of_string text with
-        | Error msg ->
-            Fmt.epr "cannot parse %s: %s@." file msg;
-            exit 2
-        | Ok (p, v) -> (
-            match Litmus.Harness.replay p v with
-            | `Reproduced observed ->
-                Fmt.pf ppf "replay %s: violation reproduced: %a@."
-                  p.Litmus.Prog.name
-                  (Litmus.Axiom.pp_outcome (Litmus.Prog.locs p))
-                  observed;
-                exit 1
-            | `Vanished observed ->
-                Fmt.pf ppf
-                  "replay %s: no violation (observed %a is allowed)@."
-                  p.Litmus.Prog.name
-                  (Litmus.Axiom.pp_outcome (Litmus.Prog.locs p))
-                  observed))
-    | None -> (
-        let failed = ref false in
-        let reports = ref [] in
-        if corpus then begin
+    let failed = ref false in
+    let reports = ref [] in
+    if corpus then begin
+      List.iter
+        (fun (e : Litmus.Corpus.entry) ->
+          let locs = Litmus.Prog.locs e.Litmus.Corpus.e_prog in
+          let ax v =
+            Litmus.Axiom.allowed ~variant:v e.Litmus.Corpus.e_prog
+          in
+          if verbose then
+            List.iter
+              (fun v ->
+                Fmt.pf ppf "%-16s %-9s allowed %a@."
+                  e.Litmus.Corpus.e_name
+                  (Litmus.Axiom.variant_name v)
+                  (Litmus.Axiom.pp_outcomes locs)
+                  (ax v).Litmus.Axiom.outcomes)
+              e.Litmus.Corpus.e_variants;
+          (* axiom-level inclusions *)
+          let pcso = ax Litmus.Axiom.Pcso in
+          let sub a b =
+            Litmus.Axiom.Outcomes.subset a.Litmus.Axiom.outcomes
+              b.Litmus.Axiom.outcomes
+          in
+          if not (sub (ax Litmus.Axiom.Eadr) pcso) then begin
+            failed := true;
+            Fmt.pf ppf "%-16s AXIOM FAIL: eadr not within pcso@."
+              e.Litmus.Corpus.e_name
+          end;
+          if not (sub pcso (ax Litmus.Axiom.Ablation)) then begin
+            failed := true;
+            Fmt.pf ppf "%-16s AXIOM FAIL: pcso not within ablation@."
+              e.Litmus.Corpus.e_name
+          end;
           List.iter
-            (fun (e : Litmus.Corpus.entry) ->
-              let locs = Litmus.Prog.locs e.Litmus.Corpus.e_prog in
-              let ax v =
-                Litmus.Axiom.allowed ~variant:v e.Litmus.Corpus.e_prog
-              in
-              if verbose then
-                List.iter
-                  (fun v ->
-                    Fmt.pf ppf "%-16s %-9s allowed %a@."
-                      e.Litmus.Corpus.e_name
-                      (Litmus.Axiom.variant_name v)
-                      (Litmus.Axiom.pp_outcomes locs)
-                      (ax v).Litmus.Axiom.outcomes)
-                  e.Litmus.Corpus.e_variants;
-              (* axiom-level inclusions *)
-              let pcso = ax Litmus.Axiom.Pcso in
-              let sub a b =
-                Litmus.Axiom.Outcomes.subset a.Litmus.Axiom.outcomes
-                  b.Litmus.Axiom.outcomes
-              in
-              if not (sub (ax Litmus.Axiom.Eadr) pcso) then begin
-                failed := true;
-                Fmt.pf ppf "%-16s AXIOM FAIL: eadr not within pcso@."
-                  e.Litmus.Corpus.e_name
-              end;
-              if not (sub pcso (ax Litmus.Axiom.Ablation)) then begin
-                failed := true;
-                Fmt.pf ppf "%-16s AXIOM FAIL: pcso not within ablation@."
-                  e.Litmus.Corpus.e_name
-              end;
+            (fun v ->
               List.iter
-                (fun v ->
-                  List.iter
-                    (fun w ->
-                      let r =
-                        Litmus.Harness.check ~samples ~seed ~world:w
-                          ~variant:v e.Litmus.Corpus.e_prog
-                      in
-                      reports := r :: !reports;
-                      match r.Litmus.Harness.r_violations with
-                      | [] ->
-                          Fmt.pf ppf "%-16s %-6s %-9s ok (%d samples)@."
-                            e.Litmus.Corpus.e_name
-                            (Litmus.World.id_name w)
-                            (Litmus.Axiom.variant_name v)
-                            r.Litmus.Harness.r_samples
-                      | v0 :: _ ->
-                          failed := true;
-                          Fmt.pf ppf "%-16s %-6s %-9s VIOLATION %a@."
-                            e.Litmus.Corpus.e_name
-                            (Litmus.World.id_name w)
-                            (Litmus.Axiom.variant_name v)
-                            (Litmus.Harness.pp_violation locs)
-                            v0)
-                    worlds)
-                e.Litmus.Corpus.e_variants)
-            Litmus.Corpus.all
-        end;
-        let fuzz_json =
-          match fuzz_n with
-          | None -> Obs.Json.Null
-          | Some n ->
-              let r =
-                Litmus.Harness.fuzz ~n ~seed ~samples ~worlds
-                  ~variants:[ variant ] ()
-              in
-              Fmt.pf ppf
-                "fuzz: %d programs tested, %d skipped (state cap)@."
-                r.Litmus.Harness.f_tested r.Litmus.Harness.f_skipped;
-              (match r.Litmus.Harness.f_failure with
-              | None -> ()
-              | Some (p, v) ->
-                  failed := true;
-                  let text = Litmus.Harness.counterexample_to_string p v in
-                  (try
-                     Out_channel.with_open_text ce_file (fun oc ->
-                         Out_channel.output_string oc text)
-                   with Sys_error msg ->
-                     Fmt.epr "cannot write %s: %s@." ce_file msg);
-                  Fmt.pf ppf
-                    "fuzz: shrunk violation (replay with --replay %s):@.%s"
-                    ce_file text);
-              Obs.Json.Obj
-                [
-                  ("tested", Obs.Json.Int r.Litmus.Harness.f_tested);
-                  ("skipped", Obs.Json.Int r.Litmus.Harness.f_skipped);
-                  ( "failure",
-                    match r.Litmus.Harness.f_failure with
-                    | None -> Obs.Json.Null
-                    | Some (p, v) ->
-                        Obs.Json.Obj
-                          [
-                            ( "program",
-                              Obs.Json.String (Litmus.Prog.to_string p) );
-                            ( "violation",
-                              Litmus.Harness.violation_to_json v );
-                          ] );
-                ]
+                (fun w ->
+                  let r =
+                    Litmus.Harness.check ~samples ~seed ~world:w
+                      ~variant:v e.Litmus.Corpus.e_prog
+                  in
+                  reports := r :: !reports;
+                  match r.Litmus.Harness.r_violations with
+                  | [] ->
+                      Fmt.pf ppf "%-16s %-6s %-9s ok (%d samples)@."
+                        e.Litmus.Corpus.e_name
+                        (Litmus.World.id_name w)
+                        (Litmus.Axiom.variant_name v)
+                        r.Litmus.Harness.r_samples
+                  | v0 :: _ ->
+                      failed := true;
+                      Fmt.pf ppf "%-16s %-6s %-9s VIOLATION %a@."
+                        e.Litmus.Corpus.e_name
+                        (Litmus.World.id_name w)
+                        (Litmus.Axiom.variant_name v)
+                        (Litmus.Harness.pp_violation locs)
+                        v0)
+                worlds)
+            e.Litmus.Corpus.e_variants)
+        Litmus.Corpus.all
+    end;
+    let fuzz_json =
+      match fuzz_n with
+      | None -> Obs.Json.Null
+      | Some n ->
+          let r =
+            Litmus.Harness.fuzz ~n ~seed ~samples ~worlds
+              ~variants:[ variant ] ()
+          in
+          Fmt.pf ppf
+            "fuzz: %d programs tested, %d skipped (state cap)@."
+            r.Litmus.Harness.f_tested r.Litmus.Harness.f_skipped;
+          (match r.Litmus.Harness.f_failure with
+          | None -> ()
+          | Some s ->
+              failed := true;
+              (try
+                 Out_channel.with_open_text ce_file (fun oc ->
+                     Out_channel.output_string oc s.Obs.Cx.text)
+               with Sys_error msg ->
+                 Fmt.epr "cannot write %s: %s@." ce_file msg);
+              Fmt.pf ppf "fuzz: shrunk violation (re-run: replay %s):@.%s%a"
+                ce_file s.Obs.Cx.text pp_parity s.Obs.Cx.parity);
+          Obs.Json.Obj
+            [
+              ("tested", Obs.Json.Int r.Litmus.Harness.f_tested);
+              ("skipped", Obs.Json.Int r.Litmus.Harness.f_skipped);
+              ( "failure",
+                match r.Litmus.Harness.f_failure with
+                | Some { Obs.Cx.witness = p, Some v; _ } ->
+                    Obs.Json.Obj
+                      [
+                        ( "program",
+                          Obs.Json.String (Litmus.Prog.to_string p) );
+                        ( "violation",
+                          Litmus.Harness.violation_to_json v );
+                      ]
+                | _ -> Obs.Json.Null );
+            ]
+    in
+    if (not corpus) && fuzz_n = None then begin
+      Fmt.epr "nothing to do: pass --corpus or --fuzz N@.";
+      exit 2
+    end;
+    (match json with
+    | None -> ()
+    | Some path -> (
+        let doc =
+          Obs.Json.Obj
+            [
+              ("schema", Obs.Json.String "respct-litmus/v1");
+              ("seed", Obs.Json.Int seed);
+              ("samples", Obs.Json.Int samples);
+              ( "mutant",
+                Obs.Json.Bool
+                  (Litmus.World.mutant ()
+                  = Some Litmus.World.Drop_same_line_order) );
+              ( "corpus",
+                Obs.Json.List
+                  (List.rev_map Litmus.Harness.report_to_json !reports)
+              );
+              ("fuzz", fuzz_json);
+            ]
         in
-        if (not corpus) && fuzz_n = None then begin
-          Fmt.epr "nothing to do: pass --corpus, --fuzz N or --replay@.";
-          exit 2
-        end;
-        (match json with
-        | None -> ()
-        | Some path -> (
-            let doc =
-              Obs.Json.Obj
-                [
-                  ("schema", Obs.Json.String "respct-litmus/v1");
-                  ("seed", Obs.Json.Int seed);
-                  ("samples", Obs.Json.Int samples);
-                  ( "mutant",
-                    Obs.Json.Bool
-                      (Litmus.World.mutant ()
-                      = Some Litmus.World.Drop_same_line_order) );
-                  ( "corpus",
-                    Obs.Json.List
-                      (List.rev_map Litmus.Harness.report_to_json !reports)
-                  );
-                  ("fuzz", fuzz_json);
-                ]
-            in
-            try
-              Obs.Json.to_file path doc;
-              Fmt.pf ppf "[litmus results written to %s]@." path
-            with Sys_error msg ->
-              Fmt.epr "cannot write --json sink: %s@." msg;
-              exit 2));
-        if !failed then exit 1)
+        try
+          Obs.Json.to_file path doc;
+          Fmt.pf ppf "[litmus results written to %s]@." path
+        with Sys_error msg ->
+          Fmt.epr "cannot write --json sink: %s@." msg;
+          exit 2));
+    if !failed then exit 1
   in
   Cmd.v
     (Cmd.info "litmus"
@@ -1180,8 +986,7 @@ let litmus_cmd =
           with shrunk replayable counterexamples.")
     Term.(
       const run $ corpus_arg $ fuzz_arg $ seed_arg $ samples_arg $ world_arg
-      $ variant_arg $ replay_arg $ mutant_arg $ verbose_arg $ ce_arg
-      $ json_arg)
+      $ variant_arg $ mutant_arg $ verbose_arg $ ce_arg $ json_arg)
 
 let prockill_cmd =
   let kills_arg =
@@ -1218,85 +1023,50 @@ let prockill_cmd =
             "Directory for trial images and logs (default: /dev/shm when \
              writable, else the system temp dir).")
   in
-  let replay_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"PARAMS"
-          ~doc:
-            "Re-run one shrunk counterexample string (as printed by a \
-             campaign) instead of running a campaign. Exits 0 if a \
-             violation reproduces.")
-  in
-  let run kills seed max_delay mutant_trials dir replay json =
-    match replay with
-    | Some s -> (
-        let dir =
-          match dir with Some d -> d | None -> Prockill.default_dir ()
-        in
-        match Prockill.replay s ~dir with
-        | Error msg ->
-            prerr_endline msg;
-            exit 2
-        | Ok (p, Some o) ->
-            Fmt.pr "replay %s: violation reproduced@."
-              (Prockill.replay_string p);
-            List.iter
-              (fun v -> Fmt.pr "  %a@." Prockill.pp_violation v)
-              o.Prockill.o_violations;
-            exit 0
-        | Ok (p, None) ->
-            Fmt.pr
-              "replay %s: no violation reproduced (the kill point is real \
-               time; retry)@."
-              (Prockill.replay_string p);
-            exit 1)
-    | None -> (
-        let c =
-          Prockill.run ~kills ~seed ~max_delay_us:max_delay ~mutant_trials
-            ~progress:(fun m -> Fmt.pr "[prockill] %s@." m)
-            ?dir ()
-        in
-        (match json with
-        | Some path -> Obs.Json.to_file path (Prockill.json_of_campaign c)
-        | None -> ());
-        match c.Prockill.c_skipped with
-        | Some reason ->
-            Fmt.pr "prockill: SKIPPED (%s)@." reason;
-            exit 0
-        | None ->
-            let nviol = Prockill.violation_count c in
-            Fmt.pr "prockill: %d kills, %d violation(s)@." c.Prockill.c_kills
-              nviol;
-            List.iter
-              (fun o ->
-                if o.Prockill.o_violations <> [] then begin
-                  Fmt.pr "  trial %d (%s):@." o.Prockill.o_params.Prockill.trial
-                    (Prockill.replay_string o.Prockill.o_params);
-                  List.iter
-                    (fun v -> Fmt.pr "    %a@." Prockill.pp_violation v)
-                    o.Prockill.o_violations
-                end)
-              c.Prockill.c_trials;
-            (match c.Prockill.c_mutant with
-            | None -> ()
-            | Some m ->
-                if m.Prockill.m_detected then begin
-                  Fmt.pr "mutant: psync elision DETECTED after %d trial(s)@."
-                    m.Prockill.m_attempts;
-                  Option.iter
-                    (fun r -> Fmt.pr "  shrunk replay: %s@." r)
-                    m.Prockill.m_replay
-                end
-                else
+  let run kills seed max_delay mutant_trials dir json =
+    let c =
+      Prockill_campaign.run ~kills ~seed ~max_delay_us:max_delay ~mutant_trials
+        ~progress:(fun m -> Fmt.pr "[prockill] %s@." m)
+        ?dir ()
+    in
+    (match json with
+    | Some path -> Obs.Json.to_file path (Prockill_campaign.json_of_campaign c)
+    | None -> ());
+    match c.Prockill_campaign.c_skipped with
+    | Some reason ->
+        Fmt.pr "prockill: SKIPPED (%s)@." reason;
+        exit 0
+    | None ->
+        let nviol = Prockill_campaign.violation_count c in
+        Fmt.pr "prockill: %d kills, %d violation(s)@." c.Prockill_campaign.c_kills nviol;
+        List.iter
+          (fun o ->
+            if o.Prockill.o_violations <> [] then begin
+              Fmt.pr "  trial %d: %s" o.Prockill.o_params.Prockill.trial
+                (Obs.Cx.to_string (Prockill_campaign.campaign ()) o.Prockill.o_params);
+              List.iter
+                (fun v -> Fmt.pr "    %a@." Prockill.pp_violation v)
+                o.Prockill.o_violations
+            end)
+          c.Prockill_campaign.c_trials;
+        let mutant_ok =
+          match c.Prockill_campaign.c_mutant with
+          | None -> true
+          | Some m -> (
+              match m.Prockill_campaign.m_shrunk with
+              | Some s ->
+                  Fmt.pr
+                    "mutant: psync elision DETECTED after %d trial(s); shrunk \
+                     (%s):@.  %s%a"
+                    m.Prockill_campaign.m_attempts s.Obs.Cx.reason s.Obs.Cx.text
+                    pp_parity s.Obs.Cx.parity;
+                  s.Obs.Cx.parity = Ok ()
+              | None ->
                   Fmt.pr "mutant: NOT detected in %d trial(s)@."
-                    m.Prockill.m_attempts);
-            let mutant_ok =
-              match c.Prockill.c_mutant with
-              | None -> true
-              | Some m -> m.Prockill.m_detected
-            in
-            if nviol = 0 && mutant_ok then exit 0 else exit 1)
+                    m.Prockill_campaign.m_attempts;
+                  false)
+        in
+        if nviol = 0 && mutant_ok then exit 0 else exit 1
   in
   Cmd.v
     (Cmd.info "prockill"
@@ -1305,10 +1075,58 @@ let prockill_cmd =
           against the file-backed backend, kill them at randomised points, \
           reopen and hold verified recovery to the durability oracles; \
           then catch the planted psync-elision mutant and shrink the \
-          counterexample to a replayable string.")
+          counterexample to a replayable line.")
     Term.(
       const run $ kills_arg $ seed_arg $ max_delay_arg $ mutant_trials_arg
-      $ dir_arg $ replay_arg $ json_arg)
+      $ dir_arg $ json_arg)
+
+(* The one replay entry: every campaign's counterexample text ends in a
+   [# <tag> k=v ...] line, and the tag picks the campaign. *)
+let replay_cmd =
+  let file_arg =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"FILE"
+          ~doc:"Counterexample file as printed by a campaign; - reads stdin.")
+  in
+  let campaigns =
+    [
+      Obs.Cx.Campaign Crashtest.Matrix.campaign;
+      Obs.Cx.Campaign (Crashtest.Filematrix.campaign ());
+      Obs.Cx.Campaign (Prockill_campaign.campaign ());
+      Obs.Cx.Campaign (Litmus.Harness.campaign ());
+      Obs.Cx.Campaign Litmus.Axcheck.campaign;
+    ]
+  in
+  let run file =
+    let result =
+      match
+        if file = "-" then In_channel.input_all stdin
+        else In_channel.with_open_text file In_channel.input_all
+      with
+      | text -> Obs.Cx.replay campaigns text
+      | exception Sys_error msg -> Error (Obs.Cx.Unreadable msg)
+    in
+    match result with
+    | Ok (tag, Obs.Cx.Reproduced reason) ->
+        Fmt.pr "replay %s: violation reproduced: %s@." tag reason;
+        exit 1
+    | Ok (tag, Obs.Cx.Vanished n) ->
+        Fmt.pr "replay %s: no violation in %d run(s)@." tag n
+    | Error e ->
+        Fmt.epr "replay %s: %a@." file Obs.Cx.pp_error e;
+        exit 2
+  in
+  Cmd.v
+    (Cmd.info "replay"
+       ~doc:
+         "Re-run one counterexample printed by crashmatrix (either \
+          backend), prockill, litmus or analyze. Exit 1: the violation \
+          reproduced; 0: it did not; 2: the counterexample could not be \
+          replayed (unreadable, unknown tag, bad field, or the harness \
+          failed).")
+    Term.(const run $ file_arg)
 
 let service_cmd =
   let preset_arg =
@@ -1499,4 +1317,5 @@ let () =
             litmus_cmd;
             prockill_cmd;
             service_cmd;
+            replay_cmd;
           ]))

@@ -258,10 +258,12 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
   }
 
 (* Replay a single (crash point, image variant) — the counterexample
-   reproduction path of the CLI. *)
+   reproduction path. A world that raises on the way to the crash point
+   is reported with the reason [explore] gives it. *)
 let check_point ?fault_seed (s : scenario) ~crash_index ~variant =
   let ik = s.make ~n_ops:s.n_ops in
   match Crashpoint.run_to ik.mem ~crash_index ik.run with
+  | exception e -> Error ("crash run raised " ^ Printexc.to_string e)
   | `Completed ->
       Error
         (Printf.sprintf "boundary %d never reached (run completed)"

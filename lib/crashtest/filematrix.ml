@@ -40,30 +40,6 @@ type params = {
   fmutant : bool;  (* arm Elide_psync after the first checkpoint *)
 }
 
-let replay_string p =
-  Printf.sprintf "seed=%d;threads=%d;keyspace=%d;ops=%d;crash_us=%d;mutant=%d"
-    p.fseed p.fthreads p.fkeyspace p.fops p.fcrash_us
-    (if p.fmutant then 1 else 0)
-
-let parse_replay s =
-  match
-    Scanf.sscanf s "seed=%d;threads=%d;keyspace=%d;ops=%d;crash_us=%d;mutant=%d"
-      (fun a b c d e f -> (a, b, c, d, e, f))
-  with
-  | seed, threads, keyspace, ops, crash_us, mutant ->
-      if threads <= 0 || keyspace <= 0 || ops < 0 || crash_us < 0 then None
-      else
-        Some
-          {
-            fseed = seed;
-            fthreads = threads;
-            fkeyspace = keyspace;
-            fops = ops;
-            fcrash_us = crash_us;
-            fmutant = mutant <> 0;
-          }
-  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
-
 type violation =
   | Lost_sealed_epoch of { durable : int; sealed : int }
   | Snapshot_mismatch of { epoch : int; expected : int; got : int }
@@ -254,40 +230,75 @@ let run_trial (p : params) ~dir : outcome =
   }
 
 let violating o = o.fo_violations <> []
+let pp_violations = Fmt.(list ~sep:comma pp_violation)
 
 (* ------------------------------------------------------------------ *)
-(* Exact shrinking: the crash instant is virtual, so a reproduction is
-   a pure function of the params — no retries, no statistics. *)
+(* Counterexamples: [# filematrix seed=.. threads=.. keyspace=.. ops=..
+   crash_us=.. mutant=0|1]. The crash instant is virtual, so a run is a
+   pure function of the params: one run per candidate, no retries. *)
 
-let shrink (p : params) ~dir =
-  let better q = if violating (run_trial q ~dir) then Some q else None in
-  let p = ref p in
-  (* fewer ops per worker first *)
-  let continue = ref true in
-  while !continue do
-    let q = { !p with fops = !p.fops / 2 } in
-    if q.fops < 1 then continue := false
-    else
-      match better q with Some q -> p := q | None -> continue := false
-  done;
-  (* then fewer threads *)
-  let continue = ref true in
-  while !continue && !p.fthreads > 1 do
-    let q = { !p with fthreads = !p.fthreads - 1 } in
-    match better q with Some q -> p := q | None -> continue := false
-  done;
-  (* then an earlier crash, walking down in checkpoint-period steps *)
-  let continue = ref true in
-  while !continue && !p.fcrash_us > 50 do
-    let q = { !p with fcrash_us = !p.fcrash_us - 40 } in
-    match better q with Some q -> p := q | None -> continue := false
-  done;
-  !p
+let fields p =
+  [
+    ("seed", string_of_int p.fseed);
+    ("threads", string_of_int p.fthreads);
+    ("keyspace", string_of_int p.fkeyspace);
+    ("ops", string_of_int p.fops);
+    ("crash_us", string_of_int p.fcrash_us);
+    ("mutant", if p.fmutant then "1" else "0");
+  ]
+
+let decode _body fs =
+  let open Obs.Cx in
+  let ( let* ) = Result.bind in
+  let pos v =
+    Option.bind (int_of_string_opt v) (fun n -> if n > 0 then Some n else None)
+  in
+  let* () =
+    known fs [ "seed"; "threads"; "keyspace"; "ops"; "crash_us"; "mutant" ]
+  in
+  let* fseed = req fs "seed" int in
+  let* fthreads = req fs "threads" pos in
+  let* fkeyspace = req fs "keyspace" pos in
+  let* fops = req fs "ops" nat in
+  let* fcrash_us = req fs "crash_us" nat in
+  let* fmutant = req fs "mutant" bit in
+  Ok { fseed; fthreads; fkeyspace; fops; fcrash_us; fmutant }
+
+let campaign ?dir () : params Obs.Cx.campaign =
+  let in_dir f =
+    match dir with
+    | Some d -> f d
+    | None -> Prockill.with_scratch_dir "respct-fmx" f
+  in
+  {
+    Obs.Cx.tag = "filematrix";
+    print = (fun p -> ([], fields p));
+    decode;
+    check =
+      (fun p ->
+        let o = in_dir (fun dir -> run_trial p ~dir) in
+        if violating o then
+          Obs.Cx.Fail (p, Fmt.str "%a" pp_violations o.fo_violations)
+        else Obs.Cx.Pass);
+    candidates =
+      (fun p ->
+        List.concat
+          [
+            (if p.fops >= 2 then [ { p with fops = p.fops / 2 } ] else []);
+            (if p.fthreads > 1 then [ { p with fthreads = p.fthreads - 1 } ]
+             else []);
+            (* an earlier crash, in checkpoint-period steps *)
+            (if p.fcrash_us > 50 then
+               [ { p with fcrash_us = p.fcrash_us - 40 } ]
+             else []);
+          ]);
+    attempts = 1;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* The check: clean worlds must pass every grid point, the planted
-   psync-elision mutant must be caught (with an exact, replayable
-   counterexample), and the replay string must round-trip. *)
+(* The check: clean worlds must pass every grid point, and the planted
+   psync-elision mutant must be caught with an exact, replayable
+   counterexample. *)
 
 let grid (preset : Matrix.preset) =
   let crash_points =
@@ -315,77 +326,48 @@ let grid (preset : Matrix.preset) =
     preset.Matrix.seeds
 
 let check ?dir (preset : Matrix.preset) ppf =
-  let dir =
-    match dir with
-    | Some d -> d
-    | None ->
-        let base =
-          if Sys.file_exists "/dev/shm" then "/dev/shm"
-          else Filename.get_temp_dir_name ()
-        in
-        let rec go i =
-          let d =
-            Filename.concat base
-              (Printf.sprintf "respct-fmx-%d-%d" (Unix.getpid ()) i)
-          in
-          match Unix.mkdir d 0o700 with
-          | () -> d
-          | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
-        in
-        go 0
-  in
-  let ok = ref true in
-  (* direction 1: clean worlds pass everywhere *)
-  List.iter
-    (fun p ->
-      let o = run_trial p ~dir in
-      if violating o then begin
-        ok := false;
-        Fmt.pf ppf "filemem %-42s FAIL (%a)@." (replay_string p)
-          Fmt.(list ~sep:comma pp_violation)
-          o.fo_violations
-      end
-      else
-        Fmt.pf ppf "filemem %-42s ok (%s, epoch %d, %d ckpts)@."
-          (replay_string p) o.fo_verdict o.fo_failed_epoch o.fo_checkpoints)
-    (grid preset);
-  (* direction 2: the planted mutant must break somewhere on the grid *)
-  let caught = ref None in
-  List.iter
-    (fun p ->
-      if !caught = None then begin
-        let p = { p with fmutant = true } in
+  let go dir =
+    let ok = ref true in
+    (* direction 1: clean worlds pass everywhere *)
+    List.iter
+      (fun p ->
         let o = run_trial p ~dir in
-        if violating o then caught := Some (p, o)
-      end)
-    (grid preset);
-  (match !caught with
-  | None ->
-      ok := false;
-      Fmt.pf ppf "filemem mutant Elide_psync NOT caught — oracles toothless@."
-  | Some (p, o) ->
-      let s = shrink p ~dir in
-      let so = run_trial s ~dir in
-      Fmt.pf ppf "filemem mutant caught (%a); shrunk to %s (%a)@."
-        Fmt.(list ~sep:comma pp_violation)
-        o.fo_violations (replay_string s)
-        Fmt.(list ~sep:comma pp_violation)
-        so.fo_violations;
-      (* replay parity: the printed string must reproduce exactly *)
-      (match parse_replay (replay_string s) with
-      | Some s' when s' = s ->
-          if not (violating (run_trial s' ~dir)) then begin
-            ok := false;
-            Fmt.pf ppf "filemem replay of shrunk counterexample LOST the \
-                        violation@."
-          end
-      | _ ->
+        let label = Obs.Cx.fields_to_string (fields p) in
+        if violating o then begin
           ok := false;
-          Fmt.pf ppf "filemem replay string does not round-trip@."));
-  (try Unix.rmdir dir with Unix.Unix_error (_, _, _) -> ());
-  !ok
-
-let replay s ~dir =
-  match parse_replay s with
-  | None -> Error (Printf.sprintf "cannot parse %S" s)
-  | Some p -> Ok (p, run_trial p ~dir)
+          Fmt.pf ppf "filemem %s FAIL (%a)@." label pp_violations
+            o.fo_violations
+        end
+        else
+          Fmt.pf ppf "filemem %s ok (%s, epoch %d, %d ckpts)@." label
+            o.fo_verdict o.fo_failed_epoch o.fo_checkpoints)
+      (grid preset);
+    (* direction 2: the planted mutant must break somewhere on the grid *)
+    let caught =
+      List.find_map
+        (fun p ->
+          let p = { p with fmutant = true } in
+          let o = run_trial p ~dir in
+          if violating o then Some (p, o) else None)
+        (grid preset)
+    in
+    (match caught with
+    | None ->
+        ok := false;
+        Fmt.pf ppf
+          "filemem mutant Elide_psync NOT caught — oracles toothless@."
+    | Some (p, o) -> (
+        let reason = Fmt.str "%a" pp_violations o.fo_violations in
+        let s = Obs.Cx.minimize (campaign ~dir ()) (p, reason) in
+        Fmt.pf ppf "filemem mutant caught (%s); shrunk (%s):@.  %s@." reason
+          s.Obs.Cx.reason (String.trim s.Obs.Cx.text);
+        match s.Obs.Cx.parity with
+        | Ok () -> ()
+        | Error m ->
+            ok := false;
+            Fmt.pf ppf "filemem REPLAY DID NOT REPRODUCE (%s)@." m));
+    !ok
+  in
+  match dir with
+  | Some d -> go d
+  | None -> Prockill.with_scratch_dir "respct-fmx" go

@@ -14,11 +14,6 @@ type params = {
   fmutant : bool;  (** arm [Filemem.Elide_psync] after the first checkpoint *)
 }
 
-val replay_string : params -> string
-(** ["seed=..;threads=..;keyspace=..;ops=..;crash_us=..;mutant=0|1"] *)
-
-val parse_replay : string -> params option
-
 type violation =
   | Lost_sealed_epoch of { durable : int; sealed : int }
   | Snapshot_mismatch of { epoch : int; expected : int; got : int }
@@ -42,15 +37,15 @@ val run_trial : params -> dir:string -> outcome
     Deterministic: equal params give equal outcomes. Trial files live
     under [dir] and are removed afterwards. *)
 
-val shrink : params -> dir:string -> params
-(** Minimise a violating trial (ops, then threads, then the crash
-    instant), preserving the violation at every step. *)
+val campaign : ?dir:string -> unit -> params Obs.Cx.campaign
+(** Tag [filematrix], keys [seed threads keyspace ops crash_us
+    mutant=0|1]: one deterministic trial per run. Candidates: half the
+    ops, one thread fewer, a crash 40 µs earlier. Trial files go to
+    [dir], or to a scratch directory made and removed around each run. *)
 
 val check : ?dir:string -> Matrix.preset -> Format.formatter -> bool
 (** Both directions over a grid derived from the preset: clean worlds
     must pass every (seed × crash instant) point, and the planted
     psync-elision mutant must be caught, shrunk and replayed. Returns
-    whether everything held. *)
-
-val replay : string -> dir:string -> (params * outcome, string) result
-(** Re-run a printed counterexample string. *)
+    whether everything held. [dir] defaults to a scratch directory
+    removed on return. *)

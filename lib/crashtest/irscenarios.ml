@@ -85,7 +85,7 @@ type verdict = {
   plan_ok : bool;
   plan_failures : Explore.failure list;
   mutant_caught_static : bool;
-  mutant_counterexample : Shrink.counterexample option;
+  mutant_counterexample : Report.witness Obs.Cx.shrunk option;
 }
 
 let check_program ?(sched_seed = 5) ?(mem_seed = 7) ?(pcso = true)
@@ -110,17 +110,21 @@ let check_program ?(sched_seed = 5) ?(mem_seed = 7) ?(pcso = true)
       (Analysis.Lint.run ~plan:mutant_plan p)
   in
   let mutant_name = name ^ "-striplog" in
-  let rebuild ~n_ops =
+  let rebuild ~sched_seed ~mem_seed ~pcso ~n_ops =
     scenario ~strip_log:stripped ~name:mutant_name ~sched_seed ~mem_seed
       ~pcso ~n_ops prog
   in
-  let mutant_outcome =
-    Explore.explore ~stop_at_first_failure:true (rebuild ~n_ops)
-  in
+  let mutant = rebuild ~sched_seed ~mem_seed ~pcso ~n_ops in
   let mutant_counterexample =
-    match mutant_outcome.Explore.failures with
+    match
+      (Explore.explore ~stop_at_first_failure:true mutant).Explore.failures
+    with
     | [] -> None
-    | f :: _ -> Some (Shrink.minimize ~rebuild ~n_ops f)
+    | f :: _ ->
+        let find id = if id = mutant_name then Some rebuild else None in
+        Some
+          (Obs.Cx.minimize (Report.campaign ~find ())
+             (Report.witness_of ~n_ops mutant f, f.Explore.reason))
   in
   {
     plan_ok = good_outcome.Explore.failures = [];

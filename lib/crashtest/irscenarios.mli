@@ -7,8 +7,8 @@
     survives crash exploration" is a checked property. [strip_log]
     plants the one-logging-site-removed mutant the lint must also
     reject. These scenarios live outside {!Scenarios.all} so the matrix
-    goldens stay pinned; the CLI's [--replay] resolves them through
-    {!find}. *)
+    goldens stay pinned; [# crashmatrix] counterexamples resolve them
+    through {!find}. *)
 
 val scenario :
   ?strip_log:Analysis.Ir.var list ->
@@ -42,7 +42,7 @@ type verdict = {
   plan_ok : bool;
   plan_failures : Explore.failure list;
   mutant_caught_static : bool;  (** lint flags [War_missing_logging] *)
-  mutant_counterexample : Shrink.counterexample option;
+  mutant_counterexample : Report.witness Obs.Cx.shrunk option;
       (** shrunk dynamic counterexample; [None] means the mutant
           survived exploration *)
 }

@@ -75,16 +75,30 @@ let explore_entry ~pcso ~p (e : Scenarios.entry) =
       Explore.explore ~max_images_per_point:p.max_images sc)
     p.seeds
 
-let shrunk ?fault_seeds ~pcso (e : Scenarios.entry) (o : Explore.outcome) =
+let find id =
+  match Scenarios.find id with
+  | Some e -> Some e.Scenarios.build
+  | None -> Irscenarios.find id
+
+let campaign = Report.campaign ~find ()
+
+(* Shrink the outcome's first failure, print it as a replayable line and
+   replay that line; returns whether the replay reproduced. *)
+let report_shrunk ?fault_seeds ~n_ops ppf (o : Explore.outcome) =
   match o.Explore.failures with
-  | [] -> None
-  | f :: _ ->
-      let s = o.Explore.scenario in
-      let rebuild ~n_ops =
-        e.Scenarios.build ~sched_seed:s.Explore.sched_seed
-          ~mem_seed:s.Explore.mem_seed ~pcso ~n_ops
+  | [] -> true
+  | f :: _ -> (
+      let s =
+        Obs.Cx.minimize
+          (Report.campaign ?fault_seeds ~find ())
+          (Report.witness_of ~n_ops o.Explore.scenario f, f.Explore.reason)
       in
-      Some (Shrink.minimize ?fault_seeds ~rebuild ~n_ops:s.Explore.n_ops f)
+      Fmt.pf ppf "    %a@." Report.pp_counterexample s;
+      match s.Obs.Cx.parity with
+      | Ok () -> true
+      | Error m ->
+          Fmt.pf ppf "    REPLAY DID NOT REPRODUCE (%s)@." m;
+          false)
 
 let run ?(pcso = true) ?filter ?(schedules = true) p ppf =
   Fmt.pf ppf "crash matrix (%s, %s)@."
@@ -102,9 +116,8 @@ let run ?(pcso = true) ?filter ?(schedules = true) p ppf =
               (fun i f ->
                 if i < 3 then Fmt.pf ppf "    %a@." Report.pp_failure f)
               o.Explore.failures;
-            match shrunk ~pcso e o with
-            | None -> ()
-            | Some c -> Fmt.pf ppf "    %a@." Report.pp_counterexample c
+            ignore
+              (report_shrunk ~n_ops:(n_ops_for p e.Scenarios.structure) ppf o)
           end)
         (explore_entry ~pcso ~p e))
     (entries ?filter ());
@@ -168,10 +181,7 @@ let ablation_check ?filter p ppf =
         (match o.Explore.failures with
         | f :: _ -> Fmt.pf ppf "    first: %a@." Report.pp_failure f
         | [] -> ());
-        if expected then
-          match shrunk ~pcso:false e o with
-          | None -> ()
-          | Some c -> Fmt.pf ppf "    %a@." Report.pp_counterexample c
+        if expected && not (report_shrunk ~n_ops ppf o) then ok := false
       end)
     (entries ?filter ());
   Fmt.pf ppf "ablation asymmetry: %s@." (if !ok then "PASS" else "FAIL");
@@ -217,19 +227,10 @@ let faults_check ?filter p ppf =
         (match o.Explore.failures with
         | f :: _ -> Fmt.pf ppf "    first: %a@." Report.pp_failure f
         | [] -> ());
-        if expected then
-          match shrunk ~fault_seeds:p.fault_seeds ~pcso:true e o with
-          | None -> ()
-          | Some c -> (
-              Fmt.pf ppf "    %a@." Report.pp_counterexample c;
-              let rebuild ~n_ops =
-                e.Scenarios.build ~sched_seed ~mem_seed ~pcso:true ~n_ops
-              in
-              match Shrink.replay c ~rebuild with
-              | Error _ -> ()
-              | Ok () ->
-                  ok := false;
-                  Fmt.pf ppf "    REPLAY DID NOT REPRODUCE@.")
+        if
+          expected
+          && not (report_shrunk ~fault_seeds:p.fault_seeds ~n_ops ppf o)
+        then ok := false
       end)
     (fault_entries ?filter ());
   Fmt.pf ppf "fault injection: %s@." (if !ok then "PASS" else "FAIL");
@@ -286,24 +287,8 @@ let pipeline_check ?filter p ppf =
         (match o.Explore.failures with
         | f :: _ -> Fmt.pf ppf "    first: %a@." Report.pp_failure f
         | [] -> ());
-        if expected then
-          match
-            shrunk
-              ?fault_seeds:
-                (if fault_seeds = [] then None else Some fault_seeds)
-              ~pcso:true e o
-          with
-          | None -> ()
-          | Some c -> (
-              Fmt.pf ppf "    %a@." Report.pp_counterexample c;
-              let rebuild ~n_ops =
-                e.Scenarios.build ~sched_seed ~mem_seed ~pcso:true ~n_ops
-              in
-              match Shrink.replay c ~rebuild with
-              | Error _ -> ()
-              | Ok () ->
-                  ok := false;
-                  Fmt.pf ppf "    REPLAY DID NOT REPRODUCE@.")
+        if expected && not (report_shrunk ~fault_seeds ~n_ops ppf o) then
+          ok := false
       end)
     pool;
   let sched_failures =

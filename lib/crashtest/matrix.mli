@@ -17,6 +17,11 @@ type preset = {
 val smoke : preset
 val deep : preset
 
+val campaign : Report.witness Obs.Cx.campaign
+(** The [# crashmatrix] campaign over every scenario id
+    {!Scenarios.find} or {!Irscenarios.find} resolves — what
+    [respct_experiments replay] runs. *)
+
 val run :
   ?pcso:bool ->
   ?filter:string ->

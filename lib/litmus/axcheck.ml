@@ -13,7 +13,7 @@
    The same machinery grades the planted mutants: the claims of the
    CORRECT program must be violated by its strip-psync variant (the
    gate has teeth), with greedy shrinking over the original program and
-   a crashmatrix-style replayable counterexample file. *)
+   a replayable [# axcheck] counterexample file. *)
 
 module Ir = Analysis.Ir
 module Persistate = Analysis.Persistate
@@ -262,90 +262,82 @@ type cx = {
   cx_loc : Prog.loc;
 }
 
-let violates ?mutant ~variant (p : Prog.t) =
-  Prog.well_formed p
-  &&
-  let claims = static_claims p in
-  claims.c_must_durable <> []
-  &&
-  let target =
-    match mutant with None -> p | Some m -> apply_mutant m p
-  in
-  let r = check ~variant ~claims target in
-  (not r.r_skipped) && r.r_violations <> []
+(* The first location whose claim (the program's own) is violated by
+   its (optionally mutated) enumeration. *)
+let first_violation ?mutant ~variant (p : Prog.t) =
+  if not (Prog.well_formed p) then None
+  else
+    let claims = static_claims p in
+    if claims.c_must_durable = [] then None
+    else
+      let target = match mutant with None -> p | Some m -> apply_mutant m p in
+      let r = check ~variant ~claims target in
+      match r.r_violations with
+      | v :: _ when not r.r_skipped -> Some v.v_loc
+      | _ -> None
 
-(* Greedy descent exactly as Harness.minimize, but shrinking the
-   ORIGINAL program: each candidate's own claims must be violated by
-   its own mutated version, so the shrunk artifact is a complete
-   self-contained repro. *)
-let minimize ?mutant ~variant (p : Prog.t) : Prog.t =
-  let exception Found of Prog.t in
-  let rec go p =
-    match
-      Gen.shrink p (fun p' ->
-          if violates ?mutant ~variant p' then raise (Found p'))
-    with
-    | () -> p
-    | exception Found p' -> go p'
-  in
-  go p
+let violates ?mutant ~variant p =
+  Option.is_some (first_violation ?mutant ~variant p)
 
-let counterexample_to_string (c : cx) =
-  Fmt.str "%s# axcheck variant=%s%s loc=%s must-durable=%s\n"
-    (Prog.to_string c.cx_prog)
-    (Axiom.variant_name c.cx_variant)
-    (match c.cx_mutant with
-    | None -> ""
-    | Some m -> " mutant=" ^ mutant_name m)
-    c.cx_loc
-    (String.concat "," (static_claims c.cx_prog).c_must_durable)
+let claim_violated l = Printf.sprintf "must-durable claim on %s violated" l
 
-let counterexample_of_string s : (cx, string) result =
-  match Prog.of_string s with
-  | Error e -> Error e
-  | Ok p -> (
-      let line =
-        String.split_on_char '\n' s
-        |> List.find_opt (fun l ->
-               let l = String.trim l in
-               String.length l > 9 && String.sub l 0 9 = "# axcheck")
-      in
-      match line with
-      | None -> Error "no '# axcheck ...' line"
-      | Some l -> (
-          let kvs =
-            String.split_on_char ' ' (String.trim l)
-            |> List.filter_map (fun tok ->
-                   match String.index_opt tok '=' with
-                   | Some i ->
-                       Some
-                         ( String.sub tok 0 i,
-                           String.sub tok (i + 1)
-                             (String.length tok - i - 1) )
-                   | None -> None)
-          in
-          let get k = List.assoc_opt k kvs in
-          match (get "variant", get "loc") with
-          | Some vr, Some loc -> (
-              match Axiom.variant_of_string vr with
-              | Some variant ->
-                  if List.mem loc (Prog.locs p) then
-                    Ok
-                      {
-                        cx_prog = p;
-                        cx_variant = variant;
-                        cx_mutant =
-                          Option.bind (get "mutant") mutant_of_string;
-                        cx_loc = loc;
-                      }
-                  else Error "axcheck line: loc not in program"
-              | None -> Error "axcheck line: bad variant")
-          | _ -> Error "axcheck line: missing variant/loc"))
+(* Text: the program text followed by
+   [# axcheck variant=.. [mutant=..] loc=.. must-durable=..]; the claims
+   are re-derived on replay, so must-durable is informational. Shrinking
+   works on the ORIGINAL program: each candidate's own claims must be
+   violated by its own mutated version, so the shrunk artifact is a
+   complete, self-contained repro. *)
+let campaign : cx Obs.Cx.campaign =
+  {
+    Obs.Cx.tag = "axcheck";
+    print =
+      (fun c ->
+        ( String.split_on_char '\n' (String.trim (Prog.to_string c.cx_prog)),
+          [ ("variant", Axiom.variant_name c.cx_variant) ]
+          @ Option.fold ~none:[]
+              ~some:(fun m -> [ ("mutant", mutant_name m) ])
+              c.cx_mutant
+          @ [
+              ("loc", c.cx_loc);
+              ( "must-durable",
+                String.concat "," (static_claims c.cx_prog).c_must_durable );
+            ] ));
+    decode =
+      (fun body fs ->
+        let open Obs.Cx in
+        let ( let* ) = Result.bind in
+        let* cx_prog = Prog.of_string (String.concat "\n" body) in
+        let* () = known fs [ "variant"; "mutant"; "loc"; "must-durable" ] in
+        let* cx_variant = req fs "variant" Axiom.variant_of_string in
+        let* cx_mutant = opt fs "mutant" mutant_of_string in
+        let* cx_loc =
+          req fs "loc" (fun l ->
+              if List.mem l (Prog.locs cx_prog) then Some l else None)
+        in
+        Ok { cx_prog; cx_variant; cx_mutant; cx_loc });
+    check =
+      (fun c ->
+        match
+          first_violation ?mutant:c.cx_mutant ~variant:c.cx_variant c.cx_prog
+        with
+        | Some l -> Obs.Cx.Fail ({ c with cx_loc = l }, claim_violated l)
+        | None -> Obs.Cx.Pass);
+    candidates =
+      (fun c ->
+        let cs = ref [] in
+        Gen.shrink c.cx_prog (fun p -> cs := { c with cx_prog = p } :: !cs);
+        List.rev !cs);
+    attempts = 1;
+  }
 
-let replay (c : cx) : [ `Reproduced | `Vanished ] =
-  if violates ?mutant:c.cx_mutant ~variant:c.cx_variant c.cx_prog then
-    `Reproduced
-  else `Vanished
+let shrunk c = Obs.Cx.minimize campaign (c, claim_violated c.cx_loc)
+
+let counterexample ?mutant ~variant p =
+  Option.map
+    (fun l ->
+      shrunk
+        { cx_prog = p; cx_variant = variant; cx_mutant = mutant; cx_loc = l })
+    (first_violation ?mutant ~variant p)
 
 (* --- the CLI demo program --------------------------------------------- *)
 
@@ -378,7 +370,7 @@ type fuzz_result = {
   fz_tested : int;
   fz_skipped : int;  (** enumeration hit the state cap *)
   fz_claims : int;  (** must-durable claims verified across programs *)
-  fz_failure : cx option;  (** already minimized *)
+  fz_failure : cx Obs.Cx.shrunk option;
 }
 
 let fuzz ?(n = 300) ?(seed = 1) ?(variant = Axiom.Pcso_lazy) ?mutate () :
@@ -412,30 +404,19 @@ let fuzz ?(n = 300) ?(seed = 1) ?(variant = Axiom.Pcso_lazy) ?mutate () :
             claims_total := !claims_total + List.length claims.c_must_durable;
             loop (i + 1)
         | v :: _ ->
-            let p' = minimize ?mutant:mutate ~variant p in
-            (* re-derive the violated location on the shrunk program *)
-            let loc =
-              let target' =
-                match mutate with
-                | None -> p'
-                | Some m -> apply_mutant m p'
-              in
-              match (check ~variant target').r_violations with
-              | v' :: _ -> v'.v_loc
-              | [] -> v.v_loc
-            in
             {
               fz_tested = i + 1;
               fz_skipped = !skipped;
               fz_claims = !claims_total;
               fz_failure =
                 Some
-                  {
-                    cx_prog = p';
-                    cx_variant = variant;
-                    cx_mutant = mutate;
-                    cx_loc = loc;
-                  };
+                  (shrunk
+                     {
+                       cx_prog = p;
+                       cx_variant = variant;
+                       cx_mutant = mutate;
+                       cx_loc = v.v_loc;
+                     });
             }
     end
   in
@@ -466,5 +447,5 @@ let fuzz_to_json (f : fuzz_result) =
       ( "failure",
         match f.fz_failure with
         | None -> Obs.Json.Null
-        | Some c -> Obs.Json.String (counterexample_to_string c) );
+        | Some s -> Obs.Json.String s.Obs.Cx.text );
     ]

@@ -7,8 +7,7 @@
     claimed [v] in each pair — by default against [Pcso_lazy], the
     weakest variant, which dominates the rest. Violations shrink over
     the {e original} program (each candidate re-derives its own claims)
-    into replayable counterexample files, mirroring the
-    {!Harness} / crashmatrix convention. *)
+    into replayable [# axcheck] counterexample files. *)
 
 (** {2 Planted mutants} *)
 
@@ -104,19 +103,18 @@ val violates : ?mutant:mutant -> variant:Axiom.variant -> Prog.t -> bool
 (** The shrink predicate: the program's own claims are non-empty and
     violated by its (optionally mutated) enumeration. *)
 
-val minimize : ?mutant:mutant -> variant:Axiom.variant -> Prog.t -> Prog.t
-(** Greedy {!Gen.shrink} descent over the original program keeping
-    {!violates} true; deterministic. *)
+val campaign : cx Obs.Cx.campaign
+(** Tag [axcheck]: the program text followed by an
+    [# axcheck variant=.. \[mutant=..\] loc=.. must-durable=..] line
+    ({!Prog.of_string} skips it as a comment). Checking re-derives the
+    claims and reports the first violated location; must-durable is
+    informational. Candidates: {!Gen.shrink} over the original program,
+    so each candidate is judged by its own claims. *)
 
-val counterexample_to_string : cx -> string
-(** Replay file: the program text followed by an
-    [# axcheck variant=... mutant=... loc=... must-durable=...] line
-    ({!Prog.of_string} skips it as a comment). *)
-
-val counterexample_of_string : string -> (cx, string) result
-
-val replay : cx -> [ `Reproduced | `Vanished ]
-(** Re-derive the claims and re-run the containment check. *)
+val counterexample :
+  ?mutant:mutant -> variant:Axiom.variant -> Prog.t -> cx Obs.Cx.shrunk option
+(** The program's first violated claim under [mutant], shrunk, printed
+    and replayed; [None] when every claim holds. *)
 
 val demo : Prog.t
 (** The WAL-append litmus twin of [Analysis.Corpus.wal_append]: claims
@@ -130,7 +128,7 @@ type fuzz_result = {
   fz_tested : int;
   fz_skipped : int;  (** enumeration hit the state cap *)
   fz_claims : int;  (** must-durable claims verified across programs *)
-  fz_failure : cx option;  (** already minimized *)
+  fz_failure : cx Obs.Cx.shrunk option;  (** shrunk and replayed *)
 }
 
 val fuzz :

@@ -19,14 +19,24 @@ type report = {
   r_violations : violation list;
 }
 
+let mutant_name = function
+  | World.Drop_same_line_order -> "drop-same-line-order"
+
+(* The [# check] tag-line fields. *)
+let violation_fields locs v =
+  [ ("world", World.id_name v.v_world);
+    ("variant", Axiom.variant_name v.v_variant) ]
+  @ Option.fold ~none:[]
+      ~some:(fun m -> [ ("mutant", mutant_name m) ])
+      v.v_mutant
+  @ [
+      ("sched", string_of_int v.v_sched_seed);
+      ("image", string_of_int v.v_image_seed);
+      ("observed", Fmt.str "%a" (Axiom.pp_outcome locs) v.v_observed);
+    ]
+
 let pp_violation locs ppf v =
-  Fmt.pf ppf "world=%s variant=%s%s sched=%d image=%d observed=%a"
-    (World.id_name v.v_world)
-    (Axiom.variant_name v.v_variant)
-    (match v.v_mutant with
-    | Some World.Drop_same_line_order -> " mutant=drop-same-line-order"
-    | None -> "")
-    v.v_sched_seed v.v_image_seed (Axiom.pp_outcome locs) v.v_observed
+  Fmt.string ppf (Obs.Cx.fields_to_string (violation_fields locs v))
 
 (* Derive the (sched, image) seed stream for one (program, world,
    variant, seed) check deterministically, so a reported violation's
@@ -90,28 +100,111 @@ let first_violation ?samples ?seed ~worlds ~variants p =
             None variants)
     None worlds
 
-(* Greedy shrink: keep taking the first shrink candidate that still
-   violates (re-checked with the same seeds, so the descent is
-   deterministic) until none does. *)
-let minimize ?samples ?seed ~worlds ~variants p v =
-  let exception Found of Prog.t * violation in
-  let rec go p v =
-    match
-      Gen.shrink p (fun p' ->
-          if Prog.well_formed p' then
-            match first_violation ?samples ?seed ~worlds ~variants p' with
-            | Some v' -> raise (Found (p', v'))
-            | None -> ())
-    with
-    | () -> (p, v)
-    | exception Found (p', v') -> go p' v'
+(* --- counterexamples ----------------------------------------------------
+
+   Text: the program in {!Prog.to_string} form, then
+   [# check world=.. variant=.. [mutant=..] sched=.. image=.. observed=..]
+   ({!Prog.of_string} skips it as a comment). A witness without a
+   violation is a shrink candidate: [check] searches it with the
+   campaign's sampling context and fills the violation in. *)
+
+type witness = Prog.t * violation option
+
+let print ((p, v) : witness) =
+  ( String.split_on_char '\n' (String.trim (Prog.to_string p)),
+    Option.fold ~none:[] ~some:(violation_fields (Prog.locs p)) v )
+
+(* "(d=0,f=1)" or "0,1": keep the digits, signs and commas *)
+let observed_of_string ~arity o =
+  let vs =
+    String.to_seq o
+    |> Seq.filter (fun c -> (c >= '0' && c <= '9') || c = ',' || c = '-')
+    |> String.of_seq |> String.split_on_char ','
+    |> List.filter (fun s -> s <> "")
+    |> List.map int_of_string_opt
   in
-  go p v
+  if List.length vs = arity && List.for_all Option.is_some vs then
+    Some (List.map Option.get vs)
+  else None
+
+let decode body fs =
+  let open Obs.Cx in
+  let ( let* ) = Result.bind in
+  let* p = Prog.of_string (String.concat "\n" body) in
+  let* () =
+    known fs [ "world"; "variant"; "mutant"; "sched"; "image"; "observed" ]
+  in
+  let* v_world = req fs "world" World.id_of_string in
+  let* v_variant = req fs "variant" Axiom.variant_of_string in
+  let* v_mutant =
+    opt fs "mutant" (fun m ->
+        if m = mutant_name World.Drop_same_line_order then
+          Some World.Drop_same_line_order
+        else None)
+  in
+  let* v_sched_seed = req fs "sched" int in
+  let* v_image_seed = req fs "image" int in
+  let* v_observed =
+    req fs "observed" (observed_of_string ~arity:(List.length (Prog.locs p)))
+  in
+  Ok
+    ( p,
+      Some
+        { v_world; v_variant; v_mutant; v_sched_seed; v_image_seed; v_observed }
+    )
+
+let observed_reason p o =
+  Fmt.str "observed %a outside the allowed set"
+    (Axiom.pp_outcome (Prog.locs p))
+    o
+
+(* Re-run the recorded seed pair with the recorded mutant planted; the
+   violation reproduces iff the observation is outside the allowed set. *)
+let rerun p v =
+  let saved = World.mutant () in
+  World.set_mutant v.v_mutant;
+  Fun.protect
+    ~finally:(fun () -> World.set_mutant saved)
+    (fun () ->
+      let observed =
+        World.run ~world:v.v_world ~cfg:(World.run_cfg_of_variant v.v_variant)
+          ~sched_seed:v.v_sched_seed ~image_seed:v.v_image_seed p
+      in
+      let ax = Axiom.allowed ~variant:v.v_variant p in
+      if ax.Axiom.complete && not (Axiom.mem_outcome ax observed) then
+        Obs.Cx.Fail
+          ( (p, Some { v with v_observed = observed }),
+            observed_reason p observed )
+      else Obs.Cx.Pass)
+
+let campaign ?samples ?seed ?(worlds = World.all_ids)
+    ?(variants = [ Axiom.Pcso ]) () : witness Obs.Cx.campaign =
+  {
+    Obs.Cx.tag = "check";
+    print;
+    decode;
+    check =
+      (fun (p, v) ->
+        match v with
+        | Some v -> rerun p v
+        | None -> (
+            match first_violation ?samples ?seed ~worlds ~variants p with
+            | Some v ->
+                Obs.Cx.Fail ((p, Some v), observed_reason p v.v_observed)
+            | None -> Obs.Cx.Pass));
+    candidates =
+      (fun (p, _) ->
+        let cs = ref [] in
+        Gen.shrink p (fun q ->
+            if Prog.well_formed q then cs := (q, None) :: !cs);
+        List.rev !cs);
+    attempts = 1;
+  }
 
 type fuzz_result = {
   f_tested : int;
   f_skipped : int;
-  f_failure : (Prog.t * violation) option;  (** already minimized *)
+  f_failure : witness Obs.Cx.shrunk option;
 }
 
 let fuzz ?(n = 500) ?(seed = 1) ?(samples = 8) ?(worlds = World.all_ids)
@@ -132,111 +225,18 @@ let fuzz ?(n = 500) ?(seed = 1) ?(samples = 8) ?(worlds = World.all_ids)
         loop (i + 1)
       end
       else
-        match first_violation ~samples ~seed ~worlds ~variants p with
-        | None -> loop (i + 1)
-        | Some v ->
-            let p', v' = minimize ~samples ~seed ~worlds ~variants p v in
+        let c = campaign ~samples ~seed ~worlds ~variants () in
+        match c.Obs.Cx.check (p, None) with
+        | Obs.Cx.Pass -> loop (i + 1)
+        | Obs.Cx.Fail (w, reason) ->
             {
               f_tested = i + 1;
               f_skipped = !skipped;
-              f_failure = Some (p', v');
+              f_failure = Some (Obs.Cx.minimize c (w, reason));
             }
     end
   in
   loop 0
-
-(* --- counterexample files (crashmatrix-style replay) ----------------- *)
-
-let counterexample_to_string p v =
-  Fmt.str "%s# check %a\n" (Prog.to_string p)
-    (pp_violation (Prog.locs p))
-    v
-
-let parse_check_line locs line =
-  let kvs =
-    String.split_on_char ' ' line
-    |> List.filter_map (fun tok ->
-           match String.index_opt tok '=' with
-           | Some i ->
-               Some
-                 ( String.sub tok 0 i,
-                   String.sub tok (i + 1) (String.length tok - i - 1) )
-           | None -> None)
-  in
-  let get k = List.assoc_opt k kvs in
-  match
-    (get "world", get "variant", get "sched", get "image", get "observed")
-  with
-  | Some w, Some vr, Some s, Some i, Some o -> (
-      match
-        ( World.id_of_string w,
-          Axiom.variant_of_string vr,
-          int_of_string_opt s,
-          int_of_string_opt i )
-      with
-      | Some world, Some variant, Some sched, Some image ->
-          let observed =
-            (* "(d=0,f=1)" or "0,1": accept both by stripping names *)
-            String.to_seq o
-            |> Seq.filter (fun c ->
-                   (c >= '0' && c <= '9') || c = ',' || c = '-')
-            |> String.of_seq |> String.split_on_char ','
-            |> List.filter (fun s -> s <> "")
-            |> List.filter_map int_of_string_opt
-          in
-          if List.length observed = List.length locs then
-            Ok
-              {
-                v_world = world;
-                v_variant = variant;
-                v_mutant =
-                  (match get "mutant" with
-                  | Some "drop-same-line-order" ->
-                      Some World.Drop_same_line_order
-                  | _ -> None);
-                v_sched_seed = sched;
-                v_image_seed = image;
-                v_observed = observed;
-              }
-          else Error "check line: observed arity mismatch"
-      | _ -> Error "check line: bad world/variant/seed")
-  | _ -> Error "check line: missing world/variant/sched/image/observed"
-
-let counterexample_of_string s =
-  match Prog.of_string s with
-  | Error e -> Error e
-  | Ok p -> (
-      let check_line =
-        String.split_on_char '\n' s
-        |> List.find_opt (fun l ->
-               let l = String.trim l in
-               String.length l > 7 && String.sub l 0 7 = "# check")
-      in
-      match check_line with
-      | None -> Error "no '# check ...' line"
-      | Some l -> (
-          match parse_check_line (Prog.locs p) (String.trim l) with
-          | Ok v -> Ok (p, v)
-          | Error e -> Error e))
-
-(* Re-run the recorded seed pair; [`Reproduced] iff the observation is
-   still outside the allowed set. Plants/restores the recorded mutant
-   around the run. *)
-let replay (p : Prog.t) (v : violation) =
-  let saved = World.mutant () in
-  World.set_mutant v.v_mutant;
-  Fun.protect
-    ~finally:(fun () -> World.set_mutant saved)
-    (fun () ->
-      let cfg = World.run_cfg_of_variant v.v_variant in
-      let observed =
-        World.run ~world:v.v_world ~cfg ~sched_seed:v.v_sched_seed
-          ~image_seed:v.v_image_seed p
-      in
-      let ax = Axiom.allowed ~variant:v.v_variant p in
-      if ax.Axiom.complete && not (Axiom.mem_outcome ax observed) then
-        `Reproduced observed
-      else `Vanished observed)
 
 (* --- JSON ------------------------------------------------------------ *)
 
@@ -246,10 +246,9 @@ let violation_to_json v =
       ("world", Obs.Json.String (World.id_name v.v_world));
       ("variant", Obs.Json.String (Axiom.variant_name v.v_variant));
       ( "mutant",
-        match v.v_mutant with
-        | Some World.Drop_same_line_order ->
-            Obs.Json.String "drop-same-line-order"
-        | None -> Obs.Json.Null );
+        Option.fold ~none:Obs.Json.Null
+          ~some:(fun m -> Obs.Json.String (mutant_name m))
+          v.v_mutant );
       ("sched_seed", Obs.Json.Int v.v_sched_seed);
       ("image_seed", Obs.Json.Int v.v_image_seed);
       ( "observed",

@@ -1,7 +1,7 @@
 (** Differential litmus harness: sample executions of a program in a
     world and require every observed post-crash outcome to lie in the
-    matching axiomatic set, with crashmatrix-style shrinking and
-    replayable counterexample files. *)
+    matching axiomatic set, with shrunk, replayable counterexample
+    files. *)
 
 type violation = {
   v_world : World.id;
@@ -43,21 +43,29 @@ val first_violation :
   Prog.t ->
   violation option
 
-val minimize :
+type witness = Prog.t * violation option
+(** A program and the violation found in it; [None] marks a shrink
+    candidate still to be searched. *)
+
+val campaign :
   ?samples:int ->
   ?seed:int ->
-  worlds:World.id list ->
-  variants:Axiom.variant list ->
-  Prog.t ->
-  violation ->
-  Prog.t * violation
-(** Greedy descent through {!Gen.shrink} candidates that still violate
-    (re-checked with the same seeds, so deterministic). *)
+  ?worlds:World.id list ->
+  ?variants:Axiom.variant list ->
+  unit ->
+  witness Obs.Cx.campaign
+(** Tag [check]: the program text ({!Prog.to_string}) followed by a
+    [# check world=.. variant=.. \[mutant=..\] sched=.. image=..
+    observed=..] line ({!Prog.of_string} skips it as a comment). A
+    witness with a violation re-runs its seed pair with its mutant
+    planted; a candidate runs {!first_violation} over [worlds] (default
+    all) and [variants] (default PCSO) with [samples] and [seed].
+    Candidates: the well-formed {!Gen.shrink} steps. *)
 
 type fuzz_result = {
   f_tested : int;
   f_skipped : int;  (** programs whose axiom enumeration hit the cap *)
-  f_failure : (Prog.t * violation) option;  (** already minimized *)
+  f_failure : witness Obs.Cx.shrunk option;  (** shrunk and replayed *)
 }
 
 val fuzz :
@@ -71,19 +79,6 @@ val fuzz :
 (** Generate [n] (default 500) programs from {!Gen.gen_prog} under a
     [seed]-derived stream and check each; stops at (and minimizes) the
     first violation. *)
-
-val counterexample_to_string : Prog.t -> violation -> string
-(** The replay file: the program in {!Prog.to_string} form followed by
-    a [# check world=... variant=... sched=... image=... observed=...]
-    line ({!Prog.of_string} treats it as a comment). *)
-
-val counterexample_of_string : string -> (Prog.t * violation, string) result
-
-val replay :
-  Prog.t -> violation -> [ `Reproduced of int list | `Vanished of int list ]
-(** Re-run the recorded (world, variant, mutant, seeds) tuple;
-    [`Reproduced] iff the observation is still outside the allowed set.
-    The recorded mutant is planted for the run and restored after. *)
 
 val violation_to_json : violation -> Obs.Json.t
 val report_to_json : report -> Obs.Json.t

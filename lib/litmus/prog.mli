@@ -11,7 +11,7 @@
 
     The textual encoding ([to_string]/[of_string]) is the replay
     format: counterexamples print as parseable program text, and
-    [litmus --replay] reads it back. *)
+    [respct_experiments replay] reads it back. *)
 
 type loc = string
 type reg = string

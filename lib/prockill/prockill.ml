@@ -57,49 +57,6 @@ type params = {
   mutant : bool;  (** arm [Filemem.Elide_psync] once steady state is reached *)
 }
 
-let replay_string p =
-  Printf.sprintf "seed=%d;trial=%d;threads=%d;keyspace=%d;delay_us=%d;mutant=%d"
-    p.seed p.trial p.threads p.keyspace p.kill_delay_us
-    (if p.mutant then 1 else 0)
-
-let parse_replay s =
-  let kv = Hashtbl.create 8 in
-  let ok =
-    List.for_all
-      (fun field ->
-        match String.split_on_char '=' field with
-        | [ k; v ] -> (
-            match int_of_string_opt v with
-            | Some n ->
-                Hashtbl.replace kv k n;
-                true
-            | None -> false)
-        | _ -> false)
-      (String.split_on_char ';' (String.trim s))
-  in
-  let get k = Hashtbl.find_opt kv k in
-  match
-    ( ok,
-      get "seed",
-      get "trial",
-      get "threads",
-      get "keyspace",
-      get "delay_us",
-      get "mutant" )
-  with
-  | ( true,
-      Some seed,
-      Some trial,
-      Some threads,
-      Some keyspace,
-      Some delay,
-      Some mutant )
-    when threads >= 1 && threads <= ncounters && keyspace >= 1 && delay >= 0 ->
-      Some
-        { seed; trial; threads; keyspace; kill_delay_us = delay;
-          mutant = mutant <> 0 }
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Durable-image digest: the hashmap's logical bindings plus the raw
    counter records, folded into one integer. Both sides compute it the
@@ -529,68 +486,6 @@ let run_trial ?(recovery_kill = false) ?(recovery_kill_delay_us = 500)
             check_image p ~img ~pl ~killed ~recovery_killed:rk ~extra:[]
           end)
 
-(* ------------------------------------------------------------------ *)
-(* Shrinking. The kill point is wall-clock real time, so reproduction is
-   statistical: a shrink candidate is accepted only if some re-run
-   attempt reproduces a violation, and the surviving counterexample is
-   re-validated the same way by [--replay]. *)
-
-let reproduces ?(attempts = 3) p ~dir =
-  let rec go k =
-    if k = 0 then None
-    else
-      let o = run_trial p ~dir in
-      if o.o_violations <> [] then Some o else go (k - 1)
-  in
-  go attempts
-
-let shrink p0 o0 ~dir =
-  let candidates p =
-    List.concat
-      [
-        (if p.threads > 1 then [ { p with threads = 1 } ] else []);
-        (if p.keyspace > 16 then [ { p with keyspace = p.keyspace / 2 } ]
-         else []);
-        (if p.kill_delay_us > 1000 then
-           [ { p with kill_delay_us = p.kill_delay_us / 2 } ]
-         else []);
-      ]
-  in
-  let rec go p o fuel =
-    if fuel = 0 then (p, o)
-    else
-      match
-        List.find_map
-          (fun c -> Option.map (fun oc -> (c, oc)) (reproduces c ~dir))
-          (candidates p)
-      with
-      | Some (c, oc) -> go c oc (fuel - 1)
-      | None -> (p, o)
-  in
-  go p0 o0 12
-
-(* ------------------------------------------------------------------ *)
-(* Campaign. *)
-
-type mutant_result = {
-  m_detected : bool;
-  m_attempts : int;
-  m_first : outcome option;
-  m_shrunk : outcome option;
-  m_replay : string option;
-}
-
-type campaign = {
-  c_seed : int;
-  c_kills : int;
-  c_trials : outcome list;
-  c_mutant : mutant_result option;
-  c_skipped : string option;
-}
-
-let violation_count c =
-  List.fold_left (fun n o -> n + List.length o.o_violations) 0 c.c_trials
-
 let fork_available () =
   if not Sys.unix then false
   else
@@ -601,12 +496,17 @@ let fork_available () =
         true
     | exception Unix.Unix_error _ -> false
 
-let default_dir () =
+
+(* ------------------------------------------------------------------ *)
+(* Scratch directories: a fresh [<prefix>-<pid>-<random>] directory
+   under /dev/shm when writable (else the system temp dir), removed when
+   [f] returns or raises. *)
+
+let with_scratch_dir prefix f =
   let base =
     let shm = "/dev/shm" in
     if
-      Sys.file_exists shm
-      && Sys.is_directory shm
+      Sys.file_exists shm && Sys.is_directory shm
       && (try
             Unix.access shm [ Unix.W_OK ];
             true
@@ -615,107 +515,16 @@ let default_dir () =
     else Filename.get_temp_dir_name ()
   in
   let d =
-    Filename.concat base (Printf.sprintf "respct-prockill-%d" (Unix.getpid ()))
+    Filename.temp_dir ~temp_dir:base
+      (Printf.sprintf "%s-%d-" prefix (Unix.getpid ()))
+      ""
   in
-  (match Unix.mkdir d 0o700 with
-  | () -> ()
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
-
-let skipped_campaign ~seed ~kills reason =
-  {
-    c_seed = seed;
-    c_kills = kills;
-    c_trials = [];
-    c_mutant = None;
-    c_skipped = Some reason;
-  }
-
-let run ?(kills = 50) ?(seed = 42) ?(max_delay_us = 25_000)
-    ?(mutant_trials = 12) ?(progress = fun (_ : string) -> ()) ?dir () :
-    campaign =
-  if not (fork_available ()) then
-    skipped_campaign ~seed ~kills "fork/SIGKILL unavailable on this platform"
-  else begin
-    let dir, own_dir =
-      match dir with Some d -> (d, false) | None -> (default_dir (), true)
-    in
-    let rng = Rng.create seed in
-    let trials =
-      List.init kills (fun i ->
-          let p =
-            {
-              seed;
-              trial = i;
-              threads = 1 + (i mod 3);
-              keyspace = 64 * (1 + (i mod 2));
-              kill_delay_us = 50 + Rng.int rng (max 1 max_delay_us);
-              mutant = false;
-            }
-          in
-          let o =
-            run_trial
-              ~recovery_kill:(Rng.bool rng)
-              ~recovery_kill_delay_us:(100 + Rng.int rng 2_000)
-              p ~dir
-          in
-          if (i + 1) mod 25 = 0 then
-            progress (Printf.sprintf "%d/%d kills" (i + 1) kills);
-          o)
-    in
-    let mutant =
-      if mutant_trials <= 0 then None
-      else begin
-        let rec hunt k =
-          if k >= mutant_trials then
-            {
-              m_detected = false;
-              m_attempts = k;
-              m_first = None;
-              m_shrunk = None;
-              m_replay = None;
-            }
-          else
-            let p =
-              {
-                seed;
-                trial = 100_000 + k;
-                threads = 2;
-                keyspace = 64;
-                kill_delay_us = 2_000 + Rng.int rng 20_000;
-                mutant = true;
-              }
-            in
-            let o = run_trial p ~dir in
-            if o.o_violations <> [] then begin
-              progress "mutant detected; shrinking";
-              let sp, so = shrink p o ~dir in
-              {
-                m_detected = true;
-                m_attempts = k + 1;
-                m_first = Some o;
-                m_shrunk = Some so;
-                m_replay = Some (replay_string sp);
-              }
-            end
-            else hunt (k + 1)
-        in
-        Some (hunt 0)
-      end
-    in
-    if own_dir then (
-      try Unix.rmdir dir with Unix.Unix_error _ -> ());
-    { c_seed = seed; c_kills = kills; c_trials = trials; c_mutant = mutant;
-      c_skipped = None }
-  end
-
-let replay s ~dir =
-  match parse_replay s with
-  | None -> Error (Printf.sprintf "unparsable replay string: %S" s)
-  | Some p -> Ok (p, reproduces ~attempts:5 p ~dir)
+  Fun.protect
+    ~finally:(fun () -> try Unix.rmdir d with Unix.Unix_error _ -> ())
+    (fun () -> f d)
 
 (* ------------------------------------------------------------------ *)
-(* JSON report ("respct-prockill/v1"). *)
+(* JSON: one trial (the campaign document is {!Prockill_campaign}'s). *)
 
 let json_of_outcome (o : outcome) : Obs.Json.t =
   let p = o.o_params in
@@ -738,54 +547,4 @@ let json_of_outcome (o : outcome) : Obs.Json.t =
           (List.map
              (fun v -> Obs.Json.String (Fmt.str "%a" pp_violation v))
              o.o_violations) );
-    ]
-
-let json_of_campaign (c : campaign) : Obs.Json.t =
-  let hist = Hashtbl.create 8 in
-  List.iter
-    (fun o ->
-      Hashtbl.replace hist o.o_verdict
-        (1 + Option.value ~default:0 (Hashtbl.find_opt hist o.o_verdict)))
-    c.c_trials;
-  let verdicts =
-    List.filter_map
-      (fun k ->
-        Option.map (fun n -> (k, Obs.Json.Int n)) (Hashtbl.find_opt hist k))
-      [ "clean"; "repaired"; "salvaged"; "unrecoverable"; "none" ]
-  in
-  let mutant =
-    match c.c_mutant with
-    | None -> Obs.Json.Null
-    | Some m ->
-        Obs.Json.Obj
-          [
-            ("detected", Obs.Json.Bool m.m_detected);
-            ("attempts", Obs.Json.Int m.m_attempts);
-            ( "first",
-              match m.m_first with
-              | Some o -> json_of_outcome o
-              | None -> Obs.Json.Null );
-            ( "shrunk",
-              match m.m_shrunk with
-              | Some o -> json_of_outcome o
-              | None -> Obs.Json.Null );
-            ( "replay",
-              match m.m_replay with
-              | Some s -> Obs.Json.String s
-              | None -> Obs.Json.Null );
-          ]
-  in
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.String "respct-prockill/v1");
-      ("seed", Obs.Json.Int c.c_seed);
-      ("kills", Obs.Json.Int c.c_kills);
-      ( "skipped",
-        match c.c_skipped with
-        | Some r -> Obs.Json.String r
-        | None -> Obs.Json.Null );
-      ("violations", Obs.Json.Int (violation_count c));
-      ("verdicts", Obs.Json.Obj verdicts);
-      ("mutant", mutant);
-      ("trials", Obs.Json.List (List.map json_of_outcome c.c_trials));
     ]

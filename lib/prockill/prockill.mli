@@ -13,11 +13,13 @@
       image, the recovered digest must equal the digest the child took at
       the failed epoch's quiescent instant.
 
-    Campaigns also fork-and-kill a recovery pass itself (idempotence
-    sub-trial) and hunt a planted [Elide_psync] mutant, shrinking any
-    counterexample to a replayable parameter string. The kill point is
-    real time, so reproduction is statistical: shrinking and [--replay]
-    re-run a candidate several times and accept any violating run. *)
+    {!Prockill_campaign} runs campaigns of such trials, including the hunt
+    for a planted [Elide_psync] mutant and its shrunk, replayable
+    [# prockill ...] counterexample. *)
+
+val ncounters : int
+(** InCLL counter cells in the workload; a trial runs at most this many
+    worker threads. *)
 
 type params = {
   seed : int;
@@ -27,11 +29,6 @@ type params = {
   kill_delay_us : int;  (** wall-clock delay after readiness before SIGKILL *)
   mutant : bool;  (** arm [Filemem.Elide_psync] once steady state is reached *)
 }
-
-val replay_string : params -> string
-(** ["seed=..;trial=..;threads=..;keyspace=..;delay_us=..;mutant=0|1"] *)
-
-val parse_replay : string -> params option
 
 val digest_with :
   read:(int -> int) ->
@@ -90,54 +87,11 @@ val run_trial :
     verified recovery, proving recovery idempotent. Trial files live
     under [dir] and are removed afterwards. *)
 
-type mutant_result = {
-  m_detected : bool;
-  m_attempts : int;
-  m_first : outcome option;
-  m_shrunk : outcome option;
-  m_replay : string option;  (** replayable shrunk counterexample *)
-}
+val with_scratch_dir : string -> (string -> 'a) -> 'a
+(** [with_scratch_dir prefix f] runs [f] on a fresh [prefix-<pid>-<random>]
+    directory under [/dev/shm] when writable (else the system temp dir)
+    and removes it afterwards, also when [f] raises. *)
 
-type campaign = {
-  c_seed : int;
-  c_kills : int;
-  c_trials : outcome list;
-  c_mutant : mutant_result option;
-  c_skipped : string option;  (** reason, when fork/SIGKILL is unavailable *)
-}
-
-val violation_count : campaign -> int
-
-val run :
-  ?kills:int ->
-  ?seed:int ->
-  ?max_delay_us:int ->
-  ?mutant_trials:int ->
-  ?progress:(string -> unit) ->
-  ?dir:string ->
-  unit ->
-  campaign
-(** Full campaign: [kills] fault-free kill trials (varying thread count,
-    keyspace and kill delay, with seeded recovery-kill sub-trials), then
-    up to [mutant_trials] attempts to catch the planted psync-elision
-    mutant, shrinking the first counterexample. Degrades to a skipped
-    campaign (never raises) where [fork] is unavailable. [dir] defaults
-    to a fresh directory under [/dev/shm] when writable (else the system
-    temp dir). *)
-
-val replay :
-  string -> dir:string -> (params * outcome option, string) result
-(** Re-run a shrunk counterexample string: [Ok (params, Some outcome)]
-    when some attempt reproduced a violation, [Ok (params, None)] when
-    none did (the kill point is real time — retry), [Error _] when the
-    string does not parse. *)
-
-val reproduces : ?attempts:int -> params -> dir:string -> outcome option
-
-val default_dir : unit -> string
 val fork_available : unit -> bool
 
 val json_of_outcome : outcome -> Obs.Json.t
-
-val json_of_campaign : campaign -> Obs.Json.t
-(** Schema ["respct-prockill/v1"]. *)

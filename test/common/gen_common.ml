@@ -7,8 +7,9 @@
    on what an "op mix" is, and so every randomized crash-injection
    property prints a replayable seed when it fails instead of an opaque
    QCheck counterexample. Finite mixes delegate to Crashtest.Workmix —
-   the same generator the crashmatrix CLI explores, which keeps `--replay`
-   lines valid across the test suite and the command line. *)
+   the same generator the crashmatrix CLI explores, which keeps
+   `# crashmatrix` replay lines valid across the test suite and the
+   command line. *)
 
 module Workmix = Crashtest.Workmix
 module Rng = Simnvm.Rng

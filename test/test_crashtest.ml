@@ -11,7 +11,8 @@ module Env = Simsched.Env
 module Crashpoint = Crashtest.Crashpoint
 module Explore = Crashtest.Explore
 module Scenarios = Crashtest.Scenarios
-module Shrink = Crashtest.Shrink
+module Report = Crashtest.Report
+module Cx = Obs.Cx
 module Schedule = Crashtest.Schedule
 module Workmix = Crashtest.Workmix
 
@@ -61,32 +62,77 @@ let test_correct_systems_pass () =
    third word must be caught, shrink to a replayable counterexample, and
    replay. *)
 
+(* Shrink the first failure of [o] against a campaign that rebuilds the
+   scenario [id] with [rebuild]; the result must have replayed. *)
+let shrink_first ?fault_seeds ~id ~rebuild ~n_ops (o : Explore.outcome) =
+  match o.Explore.failures with
+  | [] -> Alcotest.failf "%s was not caught" id
+  | f :: _ ->
+      let find x = if x = id then Some rebuild else None in
+      let s =
+        Cx.minimize
+          (Report.campaign ?fault_seeds ~find ())
+          (Report.witness_of ~n_ops o.Explore.scenario f, f.Explore.reason)
+      in
+      (match s.Cx.parity with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s counterexample does not replay: %s" id m);
+      let w = s.Cx.witness in
+      let point = Option.get w.Report.point in
+      Alcotest.(check bool) (id ^ " shrunk op count <= original") true
+        (w.Report.n_ops <= n_ops);
+      Alcotest.(check bool)
+        (id ^ " shrunk crash index <= original")
+        true
+        (point.Report.crash_index <= f.Explore.crash_index);
+      s
+
 let test_mutant_caught_and_shrunk () =
-  let rebuild ~n_ops =
-    Scenarios.respct_raw ~mutant:true ~sched_seed:1 ~mem_seed:1 ~pcso:true
-      ~n_ops ()
+  let rebuild ~sched_seed ~mem_seed ~pcso ~n_ops =
+    Scenarios.respct_raw ~mutant:true ~sched_seed ~mem_seed ~pcso ~n_ops ()
   in
   (* 18 ops so the run crosses several checkpoints: the oracle can only
      see the missing [add_modified] once a checkpoint that should have
      flushed the word has completed. *)
-  let o = Explore.explore ~stop_at_first_failure:true (rebuild ~n_ops:18) in
-  match o.Explore.failures with
-  | [] -> Alcotest.fail "mutant respct-raw scenario was not caught"
-  | f :: _ ->
-      let c = Shrink.minimize ~rebuild ~n_ops:18 f in
-      Alcotest.(check bool) "shrunk op count <= original" true (c.Shrink.n_ops <= 18);
-      Alcotest.(check bool)
-        "shrunk crash index <= original" true
-        (c.Shrink.crash_index <= f.Explore.crash_index);
-      (match Shrink.replay c ~rebuild with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "shrunk counterexample does not reproduce");
-      (* The printed replay line round-trips through the CLI's variant
-         syntax. *)
-      let s = Crashtest.Report.variant_to_string c.Shrink.variant in
-      Alcotest.(check bool)
-        "variant round-trips" true
-        (Crashtest.Report.variant_of_string s = Ok c.Shrink.variant)
+  let sc = rebuild ~sched_seed:1 ~mem_seed:1 ~pcso:true ~n_ops:18 in
+  let o = Explore.explore ~stop_at_first_failure:true sc in
+  ignore (shrink_first ~id:sc.Explore.name ~rebuild ~n_ops:18 o)
+
+(* A world whose re-execution raises on the way to a crash point: the
+   single-point replay must report it exactly as the explorer does, not
+   raise. *)
+let test_check_point_reports_raise () =
+  let made = ref 0 in
+  let make ~n_ops:_ =
+    incr made;
+    let rerun = !made > 1 in
+    let mem = Memsys.create (Scenarios.mem_cfg ~mem_seed:1 ~pcso:true) in
+    {
+      Explore.mem;
+      run =
+        (fun () ->
+          for i = 0 to 4 do
+            if rerun && i = 3 then failwith "boom";
+            Memsys.store mem i 1
+          done);
+      completed = (fun () -> 0);
+      recover_check = (fun () -> Ok ());
+      recover_check_faulty = None;
+    }
+  in
+  let sc =
+    { Explore.name = "raise-on-rerun"; sched_seed = 1; mem_seed = 1;
+      pcso = true; n_ops = 0; make }
+  in
+  match (Explore.explore ~stop_at_first_failure:true sc).Explore.failures with
+  | [ f ] ->
+      Alcotest.(check int) "explorer fails at the third store" 3
+        f.Explore.crash_index;
+      Alcotest.(check (result unit string))
+        "check_point reports what explore reports" (Error f.Explore.reason)
+        (Explore.check_point sc ~crash_index:f.Explore.crash_index
+           ~variant:f.Explore.variant)
+  | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs)
 
 let test_unmutated_raw_passes () =
   let sc =
@@ -393,26 +439,28 @@ let test_noverify_mutant_fault_counterexample () =
   (* The planted integrity mutant: identical world, but recovery skips
      verification. The fault dimension must catch it and hand back a
      counterexample that carries its fault seed through shrinking, replay
-     and the printed CLI line. *)
-  let rebuild ~n_ops = scenario_of "respct-map-noverify" ~pcso:true ~n_ops in
+     and the printed line. *)
+  let id = "respct-map-noverify" in
+  let rebuild ~sched_seed ~mem_seed ~pcso ~n_ops =
+    (Option.get (Scenarios.find id)).Scenarios.build ~sched_seed ~mem_seed
+      ~pcso ~n_ops
+  in
   let o =
     Explore.explore ~stop_at_first_failure:true ~fault_seeds:[ 7 ]
-      (rebuild ~n_ops:6)
+      (scenario_of id ~pcso:true ~n_ops:6)
   in
-  match o.Explore.failures with
-  | [] -> Alcotest.fail "unverified recovery survived faulty media"
-  | f :: _ -> (
+  (match o.Explore.failures with
+  | f :: _ ->
       Alcotest.(check (option int))
-        "failure records its fault seed" (Some 7) f.Explore.fault_seed;
-      let c = Shrink.minimize ~fault_seeds:[ 7 ] ~rebuild ~n_ops:6 f in
-      Alcotest.(check (option int))
-        "counterexample carries the seed" (Some 7) c.Shrink.fault_seed;
-      (match Shrink.replay c ~rebuild with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "fault counterexample does not replay");
-      Alcotest.(check bool)
-        "replay line names the fault seed" true
-        (contains ~sub:"--fault-seed 7" (Crashtest.Report.replay_args c)))
+        "failure records its fault seed" (Some 7) f.Explore.fault_seed
+  | [] -> ());
+  let s = shrink_first ~fault_seeds:[ 7 ] ~id ~rebuild ~n_ops:6 o in
+  Alcotest.(check (option int))
+    "counterexample carries the seed" (Some 7)
+    (Option.get s.Cx.witness.Report.point).Report.fault_seed;
+  Alcotest.(check bool)
+    "replay line names the fault seed" true
+    (contains ~sub:" fault-seed=7" s.Cx.text)
 
 (* ------------------------------------------------------------------ *)
 (* Pipelined checkpointing: the async-epoch worlds hold under a small
@@ -433,19 +481,15 @@ let test_pipeline_scenarios_hold () =
 let test_pipeline_mutants_caught () =
   List.iter
     (fun (id, n) ->
-      let rebuild ~n_ops = scenario_of id ~pcso:true ~n_ops in
-      let o = Explore.explore ~stop_at_first_failure:true (rebuild ~n_ops:n) in
-      match o.Explore.failures with
-      | [] -> Alcotest.failf "%s survived exploration" id
-      | f :: _ -> (
-          let c = Shrink.minimize ~rebuild ~n_ops:n f in
-          Alcotest.(check bool)
-            (id ^ " shrunk op count <= original")
-            true
-            (c.Shrink.n_ops <= n);
-          match Shrink.replay c ~rebuild with
-          | Error _ -> ()
-          | Ok () -> Alcotest.failf "%s counterexample does not replay" id))
+      let rebuild ~sched_seed ~mem_seed ~pcso ~n_ops =
+        (Option.get (Scenarios.find id)).Scenarios.build ~sched_seed ~mem_seed
+          ~pcso ~n_ops
+      in
+      let o =
+        Explore.explore ~stop_at_first_failure:true
+          (scenario_of id ~pcso:true ~n_ops:n)
+      in
+      ignore (shrink_first ~id ~rebuild ~n_ops:n o))
     [
       (* the seal-before-walk mutant dies quickly on the random mix; the
          early-reclaim one needs the allocator-churn workload to force a
@@ -479,17 +523,13 @@ let test_ir_plans_survive_and_mutants_die () =
       | None ->
           Alcotest.failf "%s: stripped mutant survived dynamic exploration"
             name
-      | Some c -> (
-          let rebuild ~n_ops =
-            match Crashtest.Irscenarios.find (id ^ "-striplog") with
-            | Some build ->
-                build ~sched_seed:5 ~mem_seed:7 ~pcso:true ~n_ops
-            | None -> Alcotest.failf "%s-striplog not resolvable" id
-          in
-          match Shrink.replay c ~rebuild with
-          | Error _ -> ()
-          | Ok () ->
-              Alcotest.failf "%s: mutant counterexample does not replay" name))
+      | Some s -> (
+          (* the printed line replays through the global scenario lookup *)
+          match Cx.replay [ Cx.Campaign Crashtest.Matrix.campaign ] s.Cx.text with
+          | Ok (_, Cx.Reproduced _) -> ()
+          | Ok (_, Cx.Vanished _) ->
+              Alcotest.failf "%s: mutant counterexample does not replay" name
+          | Error e -> Alcotest.failf "%s: %a" name Cx.pp_error e))
     Analysis.Corpus.all
 
 (* ------------------------------------------------------------------ *)
@@ -539,31 +579,181 @@ let test_filematrix_mutant_caught () =
   with_tmpdir (fun dir ->
       let p = { fmx_params with Crashtest.Filematrix.fmutant = true } in
       let o = Crashtest.Filematrix.run_trial p ~dir in
-      (match o.Crashtest.Filematrix.fo_violations with
-      | [] ->
-          Alcotest.fail "Elide_psync mutant slipped past both oracles"
-      | _ -> ());
-      (* the shrunk counterexample must still violate and round-trip *)
-      let q = Crashtest.Filematrix.shrink p ~dir in
-      let oq = Crashtest.Filematrix.run_trial q ~dir in
-      Alcotest.(check bool) "shrunk params still violate" true
-        (oq.Crashtest.Filematrix.fo_violations <> []);
-      let s = Crashtest.Filematrix.replay_string q in
-      match Crashtest.Filematrix.replay s ~dir with
-      | Error msg -> Alcotest.failf "replay %S failed: %s" s msg
-      | Ok (q', o') ->
-          Alcotest.(check bool) "replay parses back the same params" true
-            (q' = q);
-          Alcotest.(check bool) "replay reproduces the violation" true
-            (o'.Crashtest.Filematrix.fo_violations <> []))
+      match o.Crashtest.Filematrix.fo_violations with
+      | [] -> Alcotest.fail "Elide_psync mutant slipped past both oracles"
+      | vs -> (
+          (* the shrunk counterexample must still violate and replay *)
+          let reason =
+            Fmt.str "%a" Fmt.(list ~sep:comma Crashtest.Filematrix.pp_violation) vs
+          in
+          let s =
+            Cx.minimize (Crashtest.Filematrix.campaign ~dir ()) (p, reason)
+          in
+          let q = s.Cx.witness in
+          Alcotest.(check bool) "shrunk no larger" true
+            (q.Crashtest.Filematrix.fops <= p.Crashtest.Filematrix.fops
+            && q.Crashtest.Filematrix.fthreads <= p.Crashtest.Filematrix.fthreads
+            && q.Crashtest.Filematrix.fcrash_us <= p.Crashtest.Filematrix.fcrash_us);
+          match s.Cx.parity with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "replay %S failed: %s" s.Cx.text m))
 
-let test_filematrix_replay_string_roundtrip () =
-  let s = Crashtest.Filematrix.replay_string fmx_params in
-  (match Crashtest.Filematrix.parse_replay s with
-  | Some p -> Alcotest.(check bool) "round-trips" true (p = fmx_params)
-  | None -> Alcotest.failf "cannot parse own string %S" s);
-  Alcotest.(check bool) "garbage rejected" true
-    (Crashtest.Filematrix.parse_replay "seed=x;nope" = None)
+(* ------------------------------------------------------------------ *)
+(* One codec property for all five campaigns: printing then parsing a
+   witness gives it back, and the parser answers every other input —
+   random strings, every truncation of a valid text, the malformed
+   literals older syntaxes accepted — with an error, never an
+   exception. *)
+
+type any_witness = W : 'p Cx.campaign * 'p -> any_witness
+
+let campaigns : Cx.packed list =
+  [
+    Cx.Campaign Crashtest.Matrix.campaign;
+    Cx.Campaign (Crashtest.Filematrix.campaign ());
+    Cx.Campaign (Prockill_campaign.campaign ());
+    Cx.Campaign (Litmus.Harness.campaign ());
+    Cx.Campaign Litmus.Axcheck.campaign;
+  ]
+
+let gen_witness : any_witness QCheck.Gen.t =
+  let open QCheck.Gen in
+  let seed = int_range (-1000) 1_000_000 and small = int_range 0 400 in
+  let scenario = oneofl (List.map (fun (e : Scenarios.entry) -> e.Scenarios.id) Scenarios.all @ [ "ir-kv-update-striplog" ]) in
+  let variant =
+    oneof
+      [ return Explore.Baseline; return Explore.Evict_all;
+        map (fun l -> Explore.Evict_line l) small;
+        map (fun a -> Explore.Evict_word a) small ]
+  in
+  let crashmatrix =
+    map
+      (fun ((scenario, sched_seed, mem_seed, pcso), (n_ops, crash_index, variant, fault_seed)) ->
+        W
+          ( Crashtest.Matrix.campaign,
+            { Report.scenario; sched_seed; mem_seed; pcso; n_ops;
+              point = Some { Report.crash_index; variant; fault_seed } } ))
+      (pair (quad scenario seed seed bool) (quad small small variant (opt seed)))
+  in
+  let filematrix =
+    map
+      (fun ((fseed, fthreads, fkeyspace), (fops, fcrash_us, fmutant)) ->
+        W
+          ( Crashtest.Filematrix.campaign (),
+            { Crashtest.Filematrix.fseed; fthreads; fkeyspace; fops; fcrash_us; fmutant } ))
+      (pair (triple seed (int_range 1 8) (int_range 1 500)) (triple small small bool))
+  in
+  let prockill =
+    map
+      (fun ((seed, trial, threads), (keyspace, kill_delay_us, mutant)) ->
+        W
+          ( Prockill_campaign.campaign (),
+            { Prockill.seed; trial; threads; keyspace; kill_delay_us; mutant } ))
+      (pair (triple seed seed (int_range 1 16)) (triple (int_range 1 500) small bool))
+  in
+  let litmus =
+    map
+      (fun (p, (world, variant, mutant, (sched, image))) ->
+        let locs = Litmus.Prog.locs p in
+        W
+          ( Litmus.Harness.campaign (),
+            ( p,
+              Some
+                {
+                  Litmus.Harness.v_world = world;
+                  v_variant = variant;
+                  v_mutant = (if mutant then Some Litmus.World.Drop_same_line_order else None);
+                  v_sched_seed = sched;
+                  v_image_seed = image;
+                  v_observed = List.map (fun _ -> 0) locs;
+                } ) ))
+      (pair Litmus.Gen.gen_prog
+         (quad (oneofl Litmus.World.all_ids)
+            (oneofl Litmus.Axiom.[ Pcso; Pcso_lazy; Eadr; Ablation ])
+            bool (pair seed seed)))
+  in
+  let axcheck =
+    map
+      (fun (p, variant, mutant, i) ->
+        let locs = Litmus.Prog.locs p in
+        W
+          ( Litmus.Axcheck.campaign,
+            { Litmus.Axcheck.cx_prog = p; cx_variant = variant;
+              cx_mutant = mutant; cx_loc = List.nth locs (i mod List.length locs) } ))
+      (quad Litmus.Gen.gen_prog
+         (oneofl Litmus.Axiom.[ Pcso; Pcso_lazy; Eadr; Ablation ])
+         (opt (oneofl Litmus.Axcheck.[ Strip_psync; Inject_redundant_pwb ]))
+         small)
+  in
+  oneof [ crashmatrix; filematrix; prockill; litmus; axcheck ]
+
+(* Holds unless the parser raises (which fails the property). *)
+let parse_total text =
+  (match Cx.parse text with Ok _ | Error _ -> true)
+  && List.for_all
+       (fun (Cx.Campaign c) ->
+         match Cx.of_string c text with Ok _ | Error _ -> true)
+       campaigns
+
+let codec_roundtrip =
+  QCheck.Test.make ~name:"codec round-trip, truncations"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (W (c, w)) -> Cx.to_string c w)
+       gen_witness)
+    (fun (W (c, w)) ->
+      let text = Cx.to_string c w in
+      Cx.of_string c text = Ok w
+      && List.for_all
+           (fun n -> parse_total (String.sub text 0 n))
+           (List.init (String.length text) Fun.id))
+
+let codec_garbage =
+  QCheck.Test.make ~name:"parser total on garbage" ~count:500
+    (QCheck.string_gen_of_size (QCheck.Gen.int_range 0 80) QCheck.Gen.printable)
+    (fun s -> parse_total s && parse_total ("# crashmatrix " ^ s) && parse_total ("# check " ^ s))
+
+let test_codec_malformed_literals () =
+  List.iter
+    (fun text ->
+      List.iter
+        (fun (Cx.Campaign c) ->
+          match Cx.of_string c text with
+          | Ok _ -> Alcotest.failf "%s accepted %S" c.Cx.tag text
+          | Error _ -> ())
+        campaigns;
+      match Cx.replay campaigns text with
+      | Ok _ -> Alcotest.failf "replay accepted %S" text
+      | Error _ -> ())
+    [ "seed=1;bogus"; "seed=x;nope"; "# prockill seed=1;bogus"; "# filematrix seed=x;nope" ]
+
+(* Replays of the file-backed campaigns make their scratch directories
+   only once the text parses, and remove them on every path. *)
+let test_replay_leaves_no_scratch_dirs () =
+  let pid = string_of_int (Unix.getpid ()) in
+  let ours () =
+    List.concat_map
+      (fun base ->
+        match Sys.readdir base with
+        | entries ->
+            Array.to_list entries
+            |> List.filter (fun e -> contains ~sub:("-" ^ pid ^ "-") e)
+        | exception Sys_error _ -> [])
+      [ "/dev/shm"; Filename.get_temp_dir_name () ]
+  in
+  let before = ours () in
+  List.iter
+    (fun text -> ignore (Cx.replay campaigns text))
+    ([
+       "# prockill seed=x";
+       "# filematrix seed=x";
+       "# filematrix seed=7 threads=1 keyspace=16 ops=4 crash_us=60 mutant=1";
+     ]
+    @
+    if Prockill.fork_available () then
+      [ "# prockill seed=7 trial=1 threads=1 keyspace=16 delay_us=500 mutant=0" ]
+    else []);
+  Alcotest.(check (list string)) "no scratch directory left behind" before (ours ())
 
 let () =
   Alcotest.run "crashtest"
@@ -577,6 +767,8 @@ let () =
             test_correct_systems_pass;
           Alcotest.test_case "mutant caught + shrunk + replays" `Slow
             test_mutant_caught_and_shrunk;
+          Alcotest.test_case "check_point reports a raise" `Quick
+            test_check_point_reports_raise;
           Alcotest.test_case "unmutated raw log passes" `Quick
             test_unmutated_raw_passes;
         ] );
@@ -631,7 +823,15 @@ let () =
             test_filematrix_clean_passes;
           Alcotest.test_case "mutant caught, shrunk, replays" `Slow
             test_filematrix_mutant_caught;
-          Alcotest.test_case "replay string round-trips" `Quick
-            test_filematrix_replay_string_roundtrip;
         ] );
+      ( "counterexamples",
+        List.map
+          (fun t -> Gen_common.to_alcotest ~suite:"crashtest" t)
+          [ codec_roundtrip; codec_garbage ]
+        @ [
+            Alcotest.test_case "malformed literals rejected" `Quick
+              test_codec_malformed_literals;
+            Alcotest.test_case "replay leaves no scratch dirs" `Quick
+              test_replay_leaves_no_scratch_dirs;
+          ] );
     ]

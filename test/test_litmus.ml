@@ -149,7 +149,7 @@ let corpus_sound () =
     Corpus.all
 
 (* >= 500 fuzzed programs per world; a failure prints the replay file
-   verbatim, so it feeds straight into [litmus --replay]. *)
+   verbatim, so it feeds straight into [respct_experiments replay]. *)
 let soundness_prop world =
   QCheck.Test.make
     ~name:(Fmt.str "observed within PCSO allowed (%s world)"
@@ -166,7 +166,7 @@ let soundness_prop world =
         | v :: _ ->
             QCheck.Test.fail_reportf
               "soundness violation; replay file:@.%s"
-              (Harness.counterexample_to_string p v))
+              (Obs.Cx.to_string (Harness.campaign ()) (p, Some v)))
 
 let gen_well_formed =
   QCheck.Test.make ~name:"generated programs well-formed" ~count:300
@@ -185,8 +185,8 @@ let shrink_well_formed =
 (* With [Drop_same_line_order] planted the kernel runs with
    line-snapshot write-back off while the spec stays PCSO: the fuzzer
    must find a violating program, shrink it, and produce a
-   counterexample that replays (also after a text round-trip, which is
-   what [litmus --replay] consumes). *)
+   counterexample that replays from its printed text, which is what
+   [respct_experiments replay] consumes. *)
 let mutant_detected () =
   Fun.protect
     ~finally:(fun () -> World.set_mutant None)
@@ -201,25 +201,22 @@ let mutant_detected () =
           Alcotest.failf
             "planted mutant survived %d fuzzed programs (%d skipped)"
             fz.Harness.f_tested fz.Harness.f_skipped
-      | Some (p, v) ->
-          Alcotest.(check bool)
-            "violation records the planted mutant" true
-            (v.Harness.v_mutant = Some World.Drop_same_line_order);
-          (match Harness.replay p v with
-          | `Reproduced _ -> ()
-          | `Vanished o ->
-              Alcotest.failf "shrunk counterexample vanished on replay: %a"
-                (Axiom.pp_outcome (Prog.locs p))
-                o);
-          let txt = Harness.counterexample_to_string p v in
-          (match Harness.counterexample_of_string txt with
-          | Error msg -> Alcotest.failf "replay file did not parse: %s" msg
-          | Ok (p', v') -> (
-              match Harness.replay p' v' with
-              | `Reproduced _ -> ()
-              | `Vanished _ ->
-                  Alcotest.fail
-                    "parsed replay file no longer reproduces")))
+      | Some s -> (
+          (match s.Obs.Cx.witness with
+          | _, Some v ->
+              Alcotest.(check bool)
+                "violation records the planted mutant" true
+                (v.Harness.v_mutant = Some World.Drop_same_line_order)
+          | _, None -> Alcotest.fail "shrunk witness carries no violation");
+          (* the replay plants the recorded mutant itself *)
+          World.set_mutant None;
+          match
+            Obs.Cx.replay [ Obs.Cx.Campaign (Harness.campaign ()) ] s.Obs.Cx.text
+          with
+          | Ok (_, Obs.Cx.Reproduced _) -> ()
+          | Ok (_, Obs.Cx.Vanished _) ->
+              Alcotest.fail "parsed replay file no longer reproduces"
+          | Error e -> Alcotest.failf "replay file: %a" Obs.Cx.pp_error e))
 
 (* The same fuzz budget without the mutant is clean — the detection
    above is the mutant's doing, not generator noise. *)
@@ -230,9 +227,8 @@ let mutant_clean_baseline () =
   in
   match fz.Harness.f_failure with
   | None -> ()
-  | Some (p, v) ->
-      Alcotest.failf "unexpected violation without mutant:@.%s"
-        (Harness.counterexample_to_string p v)
+  | Some s ->
+      Alcotest.failf "unexpected violation without mutant:@.%s" s.Obs.Cx.text
 
 (* --- completeness ----------------------------------------------------- *)
 
@@ -308,37 +304,25 @@ let axcheck_demo_mutant () =
     (r.Axcheck.r_violations <> []);
   (* shrink, round-trip the replay file, reproduce *)
   let variant = Axiom.Pcso_lazy in
-  let shrunk =
-    Axcheck.minimize ~mutant:Axcheck.Strip_psync ~variant Axcheck.demo
-  in
-  Alcotest.(check bool) "shrunk program still violates" true
-    (Axcheck.violates ~mutant:Axcheck.Strip_psync ~variant shrunk);
-  Alcotest.(check bool) "shrunk no larger than the demo" true
-    (List.length (Prog.locs shrunk) <= List.length (Prog.locs Axcheck.demo));
-  let sc = Axcheck.static_claims shrunk in
-  let sr =
-    Axcheck.check ~variant ~claims:sc (Axcheck.strip_psync shrunk)
-  in
-  match sr.Axcheck.r_violations with
-  | [] -> Alcotest.fail "shrunk claims no longer violate"
-  | v :: _ -> (
-      let c =
-        {
-          Axcheck.cx_prog = shrunk;
-          cx_variant = variant;
-          cx_mutant = Some Axcheck.Strip_psync;
-          cx_loc = v.Axcheck.v_loc;
-        }
-      in
-      let txt = Axcheck.counterexample_to_string c in
-      match Axcheck.counterexample_of_string txt with
-      | Error msg -> Alcotest.failf "replay file did not parse: %s" msg
-      | Ok c' -> (
+  match
+    Axcheck.counterexample ~mutant:Axcheck.Strip_psync ~variant Axcheck.demo
+  with
+  | None -> Alcotest.fail "stripped demo shows no claim violation"
+  | Some s -> (
+      let shrunk = s.Obs.Cx.witness.Axcheck.cx_prog in
+      Alcotest.(check bool) "shrunk program still violates" true
+        (Axcheck.violates ~mutant:Axcheck.Strip_psync ~variant shrunk);
+      Alcotest.(check bool) "shrunk no larger than the demo" true
+        (List.length (Prog.locs shrunk) <= List.length (Prog.locs Axcheck.demo));
+      (match s.Obs.Cx.parity with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "shrunk counterexample: %s" m);
+      match Obs.Cx.of_string Axcheck.campaign s.Obs.Cx.text with
+      | Error e -> Alcotest.failf "replay file did not parse: %a" Obs.Cx.pp_error e
+      | Ok c' ->
           Alcotest.(check string)
-            "loc survives the round-trip" c.Axcheck.cx_loc c'.Axcheck.cx_loc;
-          match Axcheck.replay c' with
-          | `Reproduced -> ()
-          | `Vanished -> Alcotest.fail "parsed counterexample vanished"))
+            "loc survives the round-trip" s.Obs.Cx.witness.Axcheck.cx_loc
+            c'.Axcheck.cx_loc)
 
 let axcheck_redundant_pwb_neutral () =
   (* duplicating pwbs changes no outcome: the axiomatic gate stays
@@ -352,9 +336,7 @@ let axcheck_fuzz_clean () =
   let r = Axcheck.fuzz ~n:150 ~seed:5 () in
   (match r.Axcheck.fz_failure with
   | None -> ()
-  | Some c ->
-      Alcotest.failf "soundness violation:@.%s"
-        (Axcheck.counterexample_to_string c));
+  | Some s -> Alcotest.failf "soundness violation:@.%s" s.Obs.Cx.text);
   Alcotest.(check bool) "some claims exercised" true (r.Axcheck.fz_claims > 0)
 
 let axcheck_fuzz_mutant () =
@@ -362,12 +344,12 @@ let axcheck_fuzz_mutant () =
   | { Axcheck.fz_failure = None; fz_tested; fz_skipped; _ } ->
       Alcotest.failf "strip-psync survived %d fuzzed programs (%d skipped)"
         fz_tested fz_skipped
-  | { Axcheck.fz_failure = Some c; _ } -> (
+  | { Axcheck.fz_failure = Some s; _ } -> (
       Alcotest.(check bool) "failure records the mutant" true
-        (c.Axcheck.cx_mutant = Some Axcheck.Strip_psync);
-      match Axcheck.replay c with
-      | `Reproduced -> ()
-      | `Vanished -> Alcotest.fail "minimized fuzz failure vanished")
+        (s.Obs.Cx.witness.Axcheck.cx_mutant = Some Axcheck.Strip_psync);
+      match s.Obs.Cx.parity with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "minimized fuzz failure: %s" m)
 
 let () =
   Alcotest.run "litmus"

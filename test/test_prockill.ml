@@ -7,19 +7,9 @@ let skip_unless_fork () =
   if not (Prockill.fork_available ()) then
     Alcotest.skip ()
 
-let dir = lazy (Prockill.default_dir ())
-
-let replay_roundtrip () =
-  let p =
-    { Prockill.seed = 7; trial = 123; threads = 3; keyspace = 48;
-      kill_delay_us = 4321; mutant = true }
-  in
-  Alcotest.(check bool)
-    "replay string round-trips" true
-    (Prockill.parse_replay (Prockill.replay_string p) = Some p);
-  Alcotest.(check bool)
-    "garbage does not parse" true
-    (Prockill.parse_replay "seed=1;bogus" = None)
+(* Trial files of every case go to one scratch directory per case,
+   removed when the case returns. *)
+let in_scratch f = Prockill.with_scratch_dir "respct-prockill-test" f
 
 let fault_free_trial () =
   skip_unless_fork ();
@@ -27,7 +17,7 @@ let fault_free_trial () =
     { Prockill.seed = 101; trial = 0; threads = 2; keyspace = 64;
       kill_delay_us = 4_000; mutant = false }
   in
-  let o = Prockill.run_trial p ~dir:(Lazy.force dir) in
+  let o = in_scratch (fun dir -> Prockill.run_trial p ~dir) in
   Alcotest.(check (list string))
     "no oracle violations on fault-free media" []
     (List.map (Fmt.str "%a" Prockill.pp_violation) o.Prockill.o_violations)
@@ -41,17 +31,19 @@ let kill_during_recovery_trial () =
       kill_delay_us = 3_000; mutant = false }
   in
   let o =
-    Prockill.run_trial ~recovery_kill:true ~recovery_kill_delay_us:300 p
-      ~dir:(Lazy.force dir)
+    in_scratch (fun dir ->
+        Prockill.run_trial ~recovery_kill:true ~recovery_kill_delay_us:300 p
+          ~dir)
   in
   Alcotest.(check (list string))
     "idempotent after killed recovery" []
     (List.map (Fmt.str "%a" Prockill.pp_violation) o.Prockill.o_violations)
 
 (* The planted psync-elision mutant must be caught, and the
-   counterexample must replay from its shrunk parameter string. *)
+   counterexample must shrink and replay from its printed line. *)
 let mutant_detected () =
   skip_unless_fork ();
+  let c = Prockill_campaign.campaign () in
   let rec hunt k =
     if k = 0 then Alcotest.fail "mutant not detected in 8 trials"
     else
@@ -59,22 +51,19 @@ let mutant_detected () =
         { Prockill.seed = 303; trial = 9_000 + k; threads = 2; keyspace = 64;
           kill_delay_us = 5_000; mutant = true }
       in
-      match Prockill.reproduces ~attempts:2 p ~dir:(Lazy.force dir) with
-      | Some o ->
-          Alcotest.(check bool) "violations reported" true
-            (o.Prockill.o_violations <> []);
-          let s = Prockill.replay_string o.Prockill.o_params in
-          (match Prockill.parse_replay s with
-          | Some p' -> Alcotest.(check bool) "replay parses back" true (p' = p)
-          | None -> Alcotest.failf "unparsable replay string %S" s)
-      | None -> hunt (k - 1)
+      match c.Obs.Cx.check p with
+      | Obs.Cx.Fail (w, reason) -> (
+          let s = Obs.Cx.minimize c (w, reason) in
+          match s.Obs.Cx.parity with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "%s: %s" (String.trim s.Obs.Cx.text) m)
+      | Obs.Cx.Pass -> hunt (k - 1)
   in
   hunt 4
 
 let () =
   Alcotest.run "prockill"
     [
-      ("replay", [ Alcotest.test_case "round-trip" `Quick replay_roundtrip ]);
       ( "trials",
         [
           Alcotest.test_case "fault-free kill" `Quick fault_free_trial;
