@@ -598,6 +598,17 @@ let test_filematrix_mutant_caught () =
           | Ok () -> ()
           | Error m -> Alcotest.failf "replay %S failed: %s" s.Cx.text m))
 
+(* The printed [# filematrix] line parses back to the same witness; the
+   retired [k=v;...] syntax is refused. *)
+let test_filematrix_replay_string_roundtrip () =
+  let c = Crashtest.Filematrix.campaign () in
+  let s = Cx.to_string c fmx_params in
+  (match Cx.of_string c s with
+  | Ok p -> Alcotest.(check bool) "round-trips" true (p = fmx_params)
+  | Error e -> Alcotest.failf "cannot parse own string %S: %a" s Cx.pp_error e);
+  Alcotest.(check bool) "garbage rejected" true
+    (Result.is_error (Cx.of_string c "seed=x;nope"))
+
 (* ------------------------------------------------------------------ *)
 (* One codec property for all five campaigns: printing then parsing a
    witness gives it back, and the parser answers every other input —
@@ -823,8 +834,10 @@ let () =
             test_filematrix_clean_passes;
           Alcotest.test_case "mutant caught, shrunk, replays" `Slow
             test_filematrix_mutant_caught;
+          Alcotest.test_case "replay string round-trips" `Quick
+            test_filematrix_replay_string_roundtrip;
         ] );
-      ( "counterexamples",
+      ( "cx",
         List.map
           (fun t -> Gen_common.to_alcotest ~suite:"crashtest" t)
           [ codec_roundtrip; codec_garbage ]

@@ -11,6 +11,21 @@ let skip_unless_fork () =
    removed when the case returns. *)
 let in_scratch f = Prockill.with_scratch_dir "respct-prockill-test" f
 
+(* The printed [# prockill] line parses back to the same witness; the
+   retired [k=v;...] syntax is refused. *)
+let replay_roundtrip () =
+  let c = Prockill_campaign.campaign () in
+  let p =
+    { Prockill.seed = 7; trial = 123; threads = 3; keyspace = 48;
+      kill_delay_us = 4321; mutant = true }
+  in
+  Alcotest.(check bool)
+    "replay string round-trips" true
+    (Obs.Cx.of_string c (Obs.Cx.to_string c p) = Ok p);
+  Alcotest.(check bool)
+    "garbage does not parse" true
+    (Result.is_error (Obs.Cx.of_string c "seed=1;bogus"))
+
 let fault_free_trial () =
   skip_unless_fork ();
   let p =
@@ -64,6 +79,7 @@ let mutant_detected () =
 let () =
   Alcotest.run "prockill"
     [
+      ("replay", [ Alcotest.test_case "round-trip" `Quick replay_roundtrip ]);
       ( "trials",
         [
           Alcotest.test_case "fault-free kill" `Quick fault_free_trial;
