@@ -1,12 +1,15 @@
-(* Command-line front end for the evaluation harness: pick experiments,
-   scale, seed and thread sweep without recompiling. The default `bench`
-   executable runs everything; this tool is for exploring single data
-   points, e.g.
+(* Command-line front end for the evaluation harness: regenerate the
+   paper's figures and tables, explore single data points, and run the
+   benchmark gate, the crash campaigns and the analyzers, e.g.
 
+     respct_experiments figures                       # every figure, small scale
+     respct_experiments figures fig8 fig11 --scale paper --json out.json
      respct_experiments map --system respct --threads 16 --update 90
      respct_experiments queue --system pmthreads --threads 64
      respct_experiments recover --buckets 100000 --recovery-threads 32
-     respct_experiments figures fig8 fig11 --scale paper *)
+
+   Every subcommand that writes a JSON document takes the same --json FILE
+   option. *)
 
 open Cmdliner
 open Harness
@@ -48,54 +51,59 @@ let update_arg =
     value & opt int 50
     & info [ "update" ] ~doc:"Update percentage of the map mix (rest search).")
 
+(* The one --json sink. The path is opened for writing (without
+   truncating it) before the subcommand does any work, so an unwritable
+   path fails with exit 2 up front and an existing file is left as it was
+   until [write_json] replaces it. *)
 let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Also write the point's structured results (throughput, \
-           memory-event counters, span breakdown) to $(docv).")
+  let check = function
+    | None -> None
+    | Some path -> (
+        match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+        | oc ->
+            close_out oc;
+            Some path
+        | exception Sys_error msg ->
+            Printf.eprintf "cannot write --json sink: %s\n" msg;
+            exit 2)
+  in
+  let path =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:"Write the structured results as one JSON document to $(docv).")
+  in
+  Term.(const check $ path)
 
-let write_point_json path name pt =
-  (try Obs.Json.to_file path (Obs.Run.document [ Obs.Run.experiment name [ pt ] ])
-   with Sys_error msg ->
-     Printf.eprintf "cannot write --json sink: %s\n" msg;
-     exit 2);
-  Printf.printf "[structured results written to %s]\n" path
+let write_json sink doc =
+  Option.iter
+    (fun path ->
+      Obs.Json.to_file path doc;
+      Fmt.pr "[structured results written to %s]@." path)
+    sink
 
 let map_cmd =
   let run scale threads system update_pct json =
-    match json with
-    | None ->
-        let r, rt = Experiments.map_point ~update_pct scale system ~threads in
-        Printf.printf
-          "%s HashMap %d threads %d%% updates: %.2f Mops/s (%d ops)\n"
-          (Systems.name_of system) threads update_pct r.Workload.mops
-          r.Workload.total_ops;
-        Option.iter
-          (fun rt ->
-            let s = Respct.Runtime.stats rt in
-            Printf.printf
-              "checkpoints=%d flushed=%d addrs effective-period=%.0fus\n"
-              s.Respct.Runtime.checkpoints s.Respct.Runtime.flushed_addrs
-              (Respct.Runtime.mean_effective_period rt /. 1e3);
-            if s.Respct.Runtime.checkpoints > 0 then
-              Printf.printf
-                "mutator-stall=%.1fus/ckpt flush-overlap=%.1fus/ckpt\n"
-                (s.Respct.Runtime.stall_ns
-                /. float_of_int s.Respct.Runtime.checkpoints /. 1e3)
-                (s.Respct.Runtime.overlap_ns
-                /. float_of_int s.Respct.Runtime.checkpoints /. 1e3))
-          rt
-    | Some path ->
-        let pt =
-          Experiments.map_point_obs ~update_pct scale system ~threads
-        in
-        Printf.printf "%s HashMap %d threads %d%% updates: %.2f Mops/s\n"
-          (Systems.name_of system) threads update_pct
-          (Experiments.point_mops pt);
-        write_point_json path "map" pt
+    let pt = Experiments.map_point_obs ~update_pct scale system ~threads in
+    Printf.printf "%s HashMap %d threads %d%% updates: %.2f Mops/s (%d ops)\n"
+      (Systems.name_of system) threads update_pct (Experiments.point_mops pt)
+      (Experiments.point_extra_int pt "total_ops");
+    (* Only the ResPCT runtime reports checkpoint statistics. *)
+    if List.mem_assoc "checkpoints" pt.Obs.Run.extra then begin
+      let ckpts = Experiments.point_extra_int pt "checkpoints" in
+      Printf.printf "checkpoints=%d flushed=%d addrs effective-period=%.0fus\n"
+        ckpts
+        (Experiments.point_extra_int pt "flushed_addrs")
+        (Experiments.point_eff pt /. 1e3);
+      if ckpts > 0 then
+        Printf.printf "mutator-stall=%.1fus/ckpt flush-overlap=%.1fus/ckpt\n"
+          (Experiments.point_extra_float pt "stall_ns"
+          /. float_of_int ckpts /. 1e3)
+          (Experiments.point_extra_float pt "overlap_ns"
+          /. float_of_int ckpts /. 1e3)
+    end;
+    write_json json (Obs.Run.document [ Obs.Run.experiment "map" [ pt ] ])
   in
   Cmd.v (Cmd.info "map" ~doc:"One HashMap data point (Figure 8 style).")
     Term.(const run $ scale_arg $ threads_arg $ system_arg $ update_arg
@@ -103,17 +111,11 @@ let map_cmd =
 
 let queue_cmd =
   let run scale threads system json =
-    match json with
-    | None ->
-        let r, _ = Experiments.queue_point scale system ~threads in
-        Printf.printf "%s Queue %d threads: %.2f Mops/s (%d ops)\n"
-          (Systems.name_of system) threads r.Workload.mops r.Workload.total_ops
-    | Some path ->
-        let pt = Experiments.queue_point_obs scale system ~threads in
-        Printf.printf "%s Queue %d threads: %.2f Mops/s\n"
-          (Systems.name_of system) threads
-          (Experiments.point_mops pt);
-        write_point_json path "queue" pt
+    let pt = Experiments.queue_point_obs scale system ~threads in
+    Printf.printf "%s Queue %d threads: %.2f Mops/s (%d ops)\n"
+      (Systems.name_of system) threads (Experiments.point_mops pt)
+      (Experiments.point_extra_int pt "total_ops");
+    write_json json (Obs.Run.document [ Obs.Run.experiment "queue" [ pt ] ])
   in
   Cmd.v (Cmd.info "queue" ~doc:"One Queue data point (Figure 9 style).")
     Term.(const run $ scale_arg $ threads_arg $ system_arg $ json_arg)
@@ -135,7 +137,7 @@ let recover_cmd =
       (fun (label, cells) ->
         Printf.printf "buckets=%s recovery=%sms entries=%s rolled-back=%s\n"
           label (List.nth cells 0) (List.nth cells 1) (List.nth cells 2))
-      (Experiments.fig12 ~scale:s ())
+      (Figures.fig12_rows (Experiments.fig12_points ~scale:s ()))
   in
   Cmd.v
     (Cmd.info "recover" ~doc:"Crash + parallel recovery (Figure 12 style).")
@@ -143,56 +145,43 @@ let recover_cmd =
 
 let figures_cmd =
   let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"FIGURE" ~doc:"fig8..fig14")
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun f -> (f.Figures.name, f)) Figures.all)) []
+      & info [] ~docv:"FIGURE"
+          ~doc:
+            "fig8 .. fig14, tab2 or tab3, run in the order given (default: \
+             all of them).")
   in
-  let run scale names =
-    let app_scale =
-      if scale.Experiments.label = "paper" then App_experiments.paper
-      else App_experiments.small
+  let run scale figures json =
+    let setup = Figures.setup scale in
+    Printf.printf
+      "ResPCT evaluation harness — scale=%s (virtual-time results; \
+       see EXPERIMENTS.md)\n"
+      scale.Experiments.label;
+    let experiments =
+      List.filter_map
+        (fun (f : Figures.figure) ->
+          let t0 = Unix.gettimeofday () in
+          let tables, experiment = f.Figures.run setup in
+          List.iter Figures.print tables;
+          Printf.printf "[%s done in %.1fs wall]\n%!" f.Figures.name
+            (Unix.gettimeofday () -. t0);
+          experiment)
+        (match figures with [] -> Figures.all | l -> l)
     in
-    let print_rows title header rows = Table.print ~title ~header rows in
-    List.iter
-      (fun name ->
-        match name with
-        | "fig8" ->
-            List.iter
-              (fun (pct, rows) ->
-                print_rows
-                  (Printf.sprintf "Figure 8 (%d%% updates)" pct)
-                  ("threads:"
-                  :: List.map string_of_int scale.Experiments.sweep_threads)
-                  rows)
-              (Experiments.fig8 ~scale ())
-        | "fig9" ->
-            print_rows "Figure 9"
-              ("threads:"
-              :: List.map string_of_int scale.Experiments.sweep_threads)
-              (Experiments.fig9 ~scale ())
-        | "fig10" ->
-            print_rows "Figure 10"
-              [ "config:"; "Queue"; "HashMap-RI"; "HashMap-WI" ]
-              (Experiments.fig10 ~scale ())
-        | "fig11" ->
-            print_rows "Figure 11"
-              [ "period"; "norm. throughput"; "effective period" ]
-              (Experiments.fig11 ~scale ())
-        | "fig12" ->
-            print_rows "Figure 12"
-              [ "buckets"; "recovery (ms)"; "entries"; "rolled back" ]
-              (Experiments.fig12 ~scale ())
-        | "fig13" ->
-            print_rows "Figure 13"
-              [ "config:"; "Dedup"; "Swaptions"; "MatMul"; "LR" ]
-              (App_experiments.fig13 ~scale:app_scale ())
-        | "fig14" ->
-            print_rows "Figure 14"
-              [ "config:"; "RI"; "balanced"; "WI" ]
-              (App_experiments.fig14 ~scale:app_scale ())
-        | other -> Printf.eprintf "unknown figure %s\n" other)
-      names
+    write_json json
+      (Obs.Run.document
+         ~meta:[ ("scale", Obs.Json.String scale.Experiments.label) ]
+         experiments)
   in
-  Cmd.v (Cmd.info "figures" ~doc:"Regenerate selected figures.")
-    Term.(const run $ scale_arg $ names)
+  Cmd.v
+    (Cmd.info "figures"
+       ~doc:
+         "Regenerate the paper's figures and tables (section 5) as ASCII \
+          tables; with --json, Figures 8-12 also write their per-point \
+          results.")
+    Term.(const run $ scale_arg $ names $ json_arg)
 
 let integrity_cmd =
   let threads_opt =
@@ -211,25 +200,13 @@ let integrity_cmd =
     Table.print ~title:"Integrity tax (ResPCT sealed/raw Mops, delta)"
       ~header:("threads:" :: List.map string_of_int sweep)
       (Experiments.integrity_overhead_rows pts);
-    match json with
-    | None -> ()
-    | Some path ->
-        let sel f =
-          List.concat_map (fun (_, cells) -> List.map f cells) pts
-        in
-        (try
-           Obs.Json.to_file path
-             (Obs.Run.document
-                [
-                  Obs.Run.experiment "integrity-off"
-                    (sel (fun (_, off, _) -> off));
-                  Obs.Run.experiment "integrity-on"
-                    (sel (fun (_, _, on) -> on));
-                ])
-         with Sys_error msg ->
-           Printf.eprintf "cannot write --json sink: %s\n" msg;
-           exit 2);
-        Printf.printf "[structured results written to %s]\n" path
+    let sel f = List.concat_map (fun (_, cells) -> List.map f cells) pts in
+    write_json json
+      (Obs.Run.document
+         [
+           Obs.Run.experiment "integrity-off" (sel (fun (_, off, _) -> off));
+           Obs.Run.experiment "integrity-on" (sel (fun (_, _, on) -> on));
+         ])
   in
   Cmd.v
     (Cmd.info "integrity"
@@ -268,12 +245,6 @@ let perf_cmd =
       value & opt int 42
       & info [ "seed" ] ~doc:"Seed for the bootstrap confidence intervals.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_PR12.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Benchmark document destination.")
-  in
   let compare_arg =
     Arg.(
       value
@@ -307,7 +278,28 @@ let perf_cmd =
       & opt (some string) None
       & info [ "only" ] ~docv:"BENCH" ~doc:"Run a single benchmark by name.")
   in
-  let run preset runs warmup seed out compare wall_tol sim_tol only =
+  let same_file a b =
+    match (Unix.stat a, Unix.stat b) with
+    | sa, sb -> sa.Unix.st_dev = sb.Unix.st_dev && sa.Unix.st_ino = sb.Unix.st_ino
+    | exception Unix.Unix_error _ -> false
+  in
+  let run preset runs warmup seed json compare wall_tol sim_tol only =
+    (* Load the baseline before measuring, and refuse a --json that names
+       it: writing first would grade the run against itself. *)
+    let baseline =
+      Option.map
+        (fun path ->
+          if Option.fold ~none:false ~some:(same_file path) json then begin
+            Printf.eprintf "--json and --compare both name %s\n" path;
+            exit 2
+          end;
+          match Obs.Json.of_file path with
+          | Ok baseline -> baseline
+          | Error msg ->
+              Printf.eprintf "cannot load baseline %s: %s\n" path msg;
+              exit 2)
+        compare
+    in
     let ms = Perf.Suite.run ?runs ?warmup ~seed ?only preset in
     if ms = [] then begin
       Printf.eprintf "no benchmark selected (check --only)\n";
@@ -336,25 +328,16 @@ let perf_cmd =
             p.Perf.Suite.pause_overlap_us p.Perf.Suite.pause_checkpoints)
         (Perf.Suite.checkpoint_pause preset);
     let doc = Perf.Suite.document ~calibration preset ms in
-    (try Obs.Json.to_file out doc
-     with Sys_error msg ->
-       Printf.eprintf "cannot write %s: %s\n" out msg;
-       exit 2);
-    Printf.printf "[benchmark document written to %s]\n" out;
-    match compare with
-    | None -> ()
-    | Some path -> (
-        match Obs.Json.of_file path with
-        | Error msg ->
-            Printf.eprintf "cannot load baseline %s: %s\n" path msg;
-            exit 2
-        | Ok baseline ->
-            let report =
-              Perf.Compare.compare ~wall_tolerance:wall_tol
-                ~sim_tolerance:sim_tol ~baseline ~current:doc ()
-            in
-            Perf.Compare.print_report Format.std_formatter report;
-            if not (Perf.Compare.ok report) then exit 1)
+    write_json json doc;
+    Option.iter
+      (fun baseline ->
+        let report =
+          Perf.Compare.compare ~wall_tolerance:wall_tol ~sim_tolerance:sim_tol
+            ~baseline ~current:doc ()
+        in
+        Perf.Compare.print_report Format.std_formatter report;
+        if not (Perf.Compare.ok report) then exit 1)
+      baseline
   in
   Cmd.v
     (Cmd.info "perf"
@@ -363,7 +346,7 @@ let perf_cmd =
           fig8/fig9 sweeps, median/MAD/bootstrap-CI summaries, \
           deterministic JSON export, optional regression gate.")
     Term.(
-      const run $ preset_arg $ runs_arg $ warmup_arg $ seed_arg $ out_arg
+      const run $ preset_arg $ runs_arg $ warmup_arg $ seed_arg $ json_arg
       $ compare_arg $ wall_tol_arg $ sim_tol_arg $ only_arg)
 
 (* The line a shrunk counterexample gets when its printed text did not
@@ -378,11 +361,6 @@ let crashmatrix_cmd =
       value & flag
       & info [ "deep" ]
           ~doc:"Deep preset (more ops, seeds and schedules) instead of smoke.")
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"Smoke preset (the default; kept for clarity).")
   in
   let scenario_arg =
     Arg.(
@@ -446,7 +424,7 @@ let crashmatrix_cmd =
              images, held to the prockill digest oracles with exact \
              shrinking).")
   in
-  let run deep _smoke scenario no_pcso ablation no_schedules faults pipeline
+  let run deep scenario no_pcso ablation no_schedules faults pipeline
       backend =
     let ppf = Fmt.stdout in
     let p = if deep then Crashtest.Matrix.deep else Crashtest.Matrix.smoke in
@@ -468,7 +446,7 @@ let crashmatrix_cmd =
          "Exhaustive crash-point and schedule exploration with \
           durable-linearizability oracles over ResPCT and all baselines.")
     Term.(
-      const run $ deep_arg $ smoke_arg $ scenario_arg $ no_pcso_arg
+      const run $ deep_arg $ scenario_arg $ no_pcso_arg
       $ ablation_arg $ no_schedules_arg $ faults_arg $ pipeline_arg
       $ backend_arg)
 
@@ -484,13 +462,6 @@ let analyze_cmd =
     Arg.(
       value & opt int 8
       & info [ "iters" ] ~doc:"Loop iteration count for the IR corpus.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the JSON diagnostics document to $(docv).")
   in
   let strip_arg =
     Arg.(
@@ -563,7 +534,7 @@ let analyze_cmd =
       & info [ "counterexample-out" ] ~docv:"FILE"
           ~doc:"Where --axcheck and --mutant write a shrunk counterexample.")
   in
-  let run program iters out strip dynamic persistency mutant axcheck axseed
+  let run program iters json strip dynamic persistency mutant axcheck axseed
       ce_file =
     let ppf = Fmt.stdout in
     let corpus = Analysis.Corpus.all @ Analysis.Corpus.flush_corpus in
@@ -730,23 +701,13 @@ let analyze_cmd =
                 ce_file s.Obs.Cx.text pp_parity s.Obs.Cx.parity);
           [ ("axcheck", Litmus.Axcheck.fuzz_to_json r) ]
     in
-    (match out with
-    | None -> ()
-    | Some path -> (
-        let doc =
-          Obs.Json.Obj
-            ([
-               ("schema", Obs.Json.String "respct-analyze/v2");
-               ("programs", Obs.Json.List docs);
-             ]
-            @ ax_json)
-        in
-        try
-          Obs.Json.to_file path doc;
-          Fmt.pf ppf "[diagnostics written to %s]@." path
-        with Sys_error msg ->
-          Fmt.epr "cannot write --out sink: %s@." msg;
-          exit 2));
+    write_json json
+      (Obs.Json.Obj
+         ([
+            ("schema", Obs.Json.String "respct-analyze/v2");
+            ("programs", Obs.Json.List docs);
+          ]
+         @ ax_json));
     if !failed then exit 1
   in
   Cmd.v
@@ -759,7 +720,7 @@ let analyze_cmd =
           (--axcheck), emit JSON diagnostics; nonzero exit on any error \
           finding (the CI gate).")
     Term.(
-      const run $ program_arg $ iters_arg $ out_arg $ strip_arg $ dynamic_arg
+      const run $ program_arg $ iters_arg $ json_arg $ strip_arg $ dynamic_arg
       $ persistency_arg $ mutant_arg $ axcheck_arg $ axseed_arg $ ce_arg)
 
 let litmus_cmd =
@@ -949,32 +910,21 @@ let litmus_cmd =
       Fmt.epr "nothing to do: pass --corpus or --fuzz N@.";
       exit 2
     end;
-    (match json with
-    | None -> ()
-    | Some path -> (
-        let doc =
-          Obs.Json.Obj
-            [
-              ("schema", Obs.Json.String "respct-litmus/v1");
-              ("seed", Obs.Json.Int seed);
-              ("samples", Obs.Json.Int samples);
-              ( "mutant",
-                Obs.Json.Bool
-                  (Litmus.World.mutant ()
-                  = Some Litmus.World.Drop_same_line_order) );
-              ( "corpus",
-                Obs.Json.List
-                  (List.rev_map Litmus.Harness.report_to_json !reports)
-              );
-              ("fuzz", fuzz_json);
-            ]
-        in
-        try
-          Obs.Json.to_file path doc;
-          Fmt.pf ppf "[litmus results written to %s]@." path
-        with Sys_error msg ->
-          Fmt.epr "cannot write --json sink: %s@." msg;
-          exit 2));
+    write_json json
+      (Obs.Json.Obj
+         [
+           ("schema", Obs.Json.String "respct-litmus/v1");
+           ("seed", Obs.Json.Int seed);
+           ("samples", Obs.Json.Int samples);
+           ( "mutant",
+             Obs.Json.Bool
+               (Litmus.World.mutant () = Some Litmus.World.Drop_same_line_order)
+           );
+           ( "corpus",
+             Obs.Json.List (List.rev_map Litmus.Harness.report_to_json !reports)
+           );
+           ("fuzz", fuzz_json);
+         ]);
     if !failed then exit 1
   in
   Cmd.v
@@ -1029,9 +979,7 @@ let prockill_cmd =
         ~progress:(fun m -> Fmt.pr "[prockill] %s@." m)
         ?dir ()
     in
-    (match json with
-    | Some path -> Obs.Json.to_file path (Prockill_campaign.json_of_campaign c)
-    | None -> ());
+    write_json json (Prockill_campaign.json_of_campaign c);
     match c.Prockill_campaign.c_skipped with
     | Some reason ->
         Fmt.pr "prockill: SKIPPED (%s)@." reason;
@@ -1139,11 +1087,6 @@ let service_cmd =
              or sweep (the ROADMAP target: 8 shards, 10k sessions, 2^20 \
              keys, zipfian hot-key storm).")
   in
-  let smoke_flag =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"Alias for --preset smoke (the default).")
-  in
   let opt_int name doc =
     Arg.(value & opt (some int) None & info [ name ] ~doc)
   in
@@ -1185,22 +1128,12 @@ let service_cmd =
       value & opt int 0
       & info [ "crash-shard" ] ~doc:"Which shard the crash trial kills.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the full structured results (schema respct-service/v1: \
-             per-shard counters, latency/depth/batch histograms, span \
-             summaries, crash report) to $(docv).")
-  in
-  let run preset smoke shards workers sessions requests keys seed period_us
+  let run preset shards workers sessions requests keys seed period_us
       backend crash_at_us crash_shard json =
     let base =
-      match (preset, smoke) with
-      | `Sweep, false -> Service.Front.sweep
-      | _ -> Service.Front.smoke
+      match preset with
+      | `Sweep -> Service.Front.sweep
+      | `Smoke -> Service.Front.smoke
     in
     let ov v = function None -> v | Some x -> x in
     let dir = match backend with `Sim -> None | `File -> Some (Service.Front.fresh_dir ()) in
@@ -1272,14 +1205,7 @@ let service_cmd =
       Printf.printf "  survivor audit: %d/%d ok\n"
         (List.length (List.filter (fun sc -> sc.sc_ok) r.r_survivors))
         (List.length r.r_survivors);
-    (match json with
-    | None -> ()
-    | Some path ->
-        (try Obs.Json.to_file path (Service.Front.to_json r)
-         with Sys_error msg ->
-           Printf.eprintf "cannot write --json sink: %s\n" msg;
-           exit 2);
-        Printf.printf "[structured results written to %s]\n" path);
+    write_json json (Service.Front.to_json r);
     (match dir with
     | Some d -> ( try Unix.rmdir d with Unix.Unix_error (_, _, _) -> ())
     | None -> ());
@@ -1293,7 +1219,7 @@ let service_cmd =
           checkpointed ResPCT shards with a rolling checkpoint schedule; \
           optional crash-under-load trial with verified recovery.")
     Term.(
-      const run $ preset_arg $ smoke_flag $ shards_arg $ workers_arg
+      const run $ preset_arg $ shards_arg $ workers_arg
       $ sessions_arg $ requests_arg $ keys_arg $ seed_arg $ period_us_arg
       $ backend_arg $ crash_at_arg $ crash_shard_arg $ json_arg)
 

@@ -304,6 +304,139 @@ let test_structured_results_deterministic () =
     (Digest.to_hex (Digest.string a))
     (Digest.to_hex (Digest.string b))
 
+(* The instrumented points (`map`/`queue`, the figures) and the plain ones
+   (the perf gate) must measure the same thing: probes only observe, so
+   throughput and op counts agree to the bit for every system and mix. *)
+let test_instrumented_equals_plain () =
+  let same what (r : Harness.Workload.result) pt =
+    Alcotest.(check int64)
+      (what ^ " mops bits")
+      (Int64.bits_of_float r.Harness.Workload.mops)
+      (Int64.bits_of_float (Harness.Experiments.point_mops pt));
+    Alcotest.(check int)
+      (what ^ " total_ops")
+      r.Harness.Workload.total_ops
+      (Harness.Experiments.point_extra_int pt "total_ops")
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun update_pct ->
+          let r, _ =
+            Harness.Experiments.map_point ~update_pct tiny kind ~threads:2
+          in
+          same
+            (Printf.sprintf "%s map %d%%" (Harness.Systems.name_of kind)
+               update_pct)
+            r
+            (Harness.Experiments.map_point_obs ~update_pct tiny kind
+               ~threads:2))
+        [ 10; 50; 90 ])
+    Harness.Systems.map_kinds;
+  List.iter
+    (fun kind ->
+      let r, _ = Harness.Experiments.queue_point tiny kind ~threads:2 in
+      same
+        (Harness.Systems.name_of kind ^ " queue")
+        r
+        (Harness.Experiments.queue_point_obs tiny kind ~threads:2))
+    Harness.Systems.queue_kinds
+
+(* ------------------------------------------------------------------ *)
+(* The figure registry at miniature scales: every figure and table runs,
+   its rows fit its header, Figures 8-12 each contribute one experiment
+   with points, and the JSON document is deterministic. *)
+
+let miniature =
+  {
+    Harness.Figures.root =
+      (* dune runs tests inside _build: the sources are one level up. *)
+      Option.value ~default:"."
+        (List.find_opt
+           (fun r ->
+             Sys.file_exists (Filename.concat r "lib/pds/hashmap_respct.ml"))
+           [ "."; ".."; "../.."; "../../.." ]);
+    scale =
+      {
+        Harness.Experiments.small with
+        Harness.Experiments.sweep_threads = [ 4 ];
+        duration_ns = 100_000.0;
+        map_prefill = 500;
+        buckets = 500;
+        queue_prefill = 100;
+        fig10_threads = 4;
+        fig11_periods_ns = [ 64_000.0 ];
+        fig12_buckets = [ 2_000 ];
+      };
+    apps =
+      {
+        Harness.App_experiments.small with
+        Harness.App_experiments.matmul_n = 12;
+        lr_points = 2_000;
+        swaptions = 32;
+        dedup_chunks = 200;
+        kv_load = 300;
+        kv_run = 900;
+        kv_keys = 300;
+        app_threads = 4;
+      };
+  }
+
+let run_figures () =
+  List.map
+    (fun (f : Harness.Figures.figure) ->
+      (f.Harness.Figures.name, f.Harness.Figures.run miniature))
+    Harness.Figures.all
+
+let with_json = [ "fig8"; "fig9"; "fig10"; "fig11"; "fig12" ]
+
+let test_figures_registry () =
+  Alcotest.(check (list string))
+    "registry order"
+    (with_json @ [ "fig13"; "fig14"; "tab2"; "tab3" ])
+    (List.map
+       (fun (f : Harness.Figures.figure) -> f.Harness.Figures.name)
+       Harness.Figures.all);
+  List.iter
+    (fun (name, (tables, experiment)) ->
+      Alcotest.(check bool) (name ^ " prints a table") true (tables <> []);
+      List.iter
+        (fun (t : Harness.Figures.table) ->
+          Alcotest.(check bool) (t.Harness.Figures.title ^ " has rows") true
+            (t.Harness.Figures.rows <> []);
+          List.iter
+            (fun (label, cells) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: row %s fits the header" name label)
+                (List.length t.Harness.Figures.header)
+                (1 + List.length cells))
+            t.Harness.Figures.rows)
+        tables;
+      match experiment with
+      | None ->
+          Alcotest.(check bool) (name ^ " has no JSON experiment") false
+            (List.mem name with_json)
+      | Some j ->
+          Alcotest.(check (option string))
+            (name ^ " experiment name") (Some name)
+            (Option.map
+               (function Obs.Json.String s -> s | _ -> "")
+               (Obs.Json.member "experiment" j));
+          Alcotest.(check bool) (name ^ " has points") true
+            (match Obs.Json.member "points" j with
+            | Some (Obs.Json.List (_ :: _)) -> true
+            | _ -> false))
+    (run_figures ())
+
+let test_figures_json_deterministic () =
+  let document () =
+    Obs.Json.to_string
+      (Obs.Run.document
+         (List.filter_map (fun (_, (_, e)) -> e) (run_figures ())))
+  in
+  let a = document () in
+  Alcotest.(check string) "byte-identical documents" a (document ())
+
 (* ------------------------------------------------------------------ *)
 (* Golden outputs pinned across the fast-path kernel rewrite *)
 
@@ -462,6 +595,15 @@ let () =
           Alcotest.test_case "fig12 rows" `Quick test_fig12_rows;
           Alcotest.test_case "structured results deterministic" `Quick
             test_structured_results_deterministic;
+          Alcotest.test_case "instrumented points equal plain" `Quick
+            test_instrumented_equals_plain;
+        ] );
+      ( "figures",
+        [
+          Alcotest.test_case "registry at miniature scales" `Quick
+            test_figures_registry;
+          Alcotest.test_case "json byte-identical across runs" `Quick
+            test_figures_json_deterministic;
         ] );
       ( "reporting",
         [
