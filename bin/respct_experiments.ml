@@ -367,51 +367,45 @@ let crashmatrix_cmd =
       value
       & opt (some string) None
       & info [ "scenario" ] ~docv:"PREFIX"
-          ~doc:"Only run scenarios whose id starts with $(docv).")
-  in
-  let no_pcso_arg =
-    Arg.(
-      value & flag
-      & info [ "no-pcso" ]
-          ~doc:"Run under the word-granular write-back ablation.")
-  in
-  let ablation_arg =
-    Arg.(
-      value & flag
-      & info [ "ablation-check" ]
           ~doc:
-            "Check the PCSO-reliance asymmetry: under word-granular \
-             write-back, InCLL-based systems must report violations and \
-             explicitly-flushing systems must not.")
+            "Only run the chosen dimension's scenarios whose id starts with \
+             $(docv); a prefix that matches none exits 2.")
+  in
+  let mode_arg =
+    Arg.(
+      value
+      & vflag `Matrix
+          [
+            ( `Ablation,
+              info [ "ablation-check" ]
+                ~doc:
+                  "Check the PCSO-reliance asymmetry: under word-granular \
+                   write-back, InCLL-based systems must report violations \
+                   and explicitly-flushing systems must not." );
+            ( `Faults,
+              info [ "faults" ]
+                ~doc:
+                  "Run the media-fault dimension: layer deterministic torn / \
+                   poisoned / bit-flipped / transiently-failing images on \
+                   every crash image; integrity-mode recovery must detect or \
+                   exactly repair every fault and the planted \
+                   no-verification mutant must break." );
+            ( `Pipeline,
+              info [ "pipeline" ]
+                ~doc:
+                  "Run the pipelined-checkpointing dimension: pipeline-mode \
+                   worlds (async epoch advance, double-buffered commits) \
+                   must recover at every crash boundary including \
+                   mid-overlap windows, and the planted overlap-protocol \
+                   mutants (early seal, missing overlap barrier, eager \
+                   reclamation) must break with shrunk, replayable \
+                   counterexamples. Includes the pipelined schedule sweep." );
+          ])
   in
   let no_schedules_arg =
     Arg.(
       value & flag
       & info [ "no-schedules" ] ~doc:"Skip the schedule-exploration sweeps.")
-  in
-  let faults_arg =
-    Arg.(
-      value & flag
-      & info [ "faults" ]
-          ~doc:
-            "Run the media-fault dimension: layer deterministic torn / \
-             poisoned / bit-flipped / transiently-failing images on every \
-             crash image; integrity-mode recovery must detect or exactly \
-             repair every fault and the planted no-verification mutant must \
-             break.")
-  in
-  let pipeline_arg =
-    Arg.(
-      value & flag
-      & info [ "pipeline" ]
-          ~doc:
-            "Run the pipelined-checkpointing dimension: pipeline-mode \
-             worlds (async epoch advance, double-buffered commits) must \
-             recover at every crash boundary including mid-overlap windows, \
-             and the planted overlap-protocol mutants (early seal, missing \
-             overlap barrier, eager reclamation) must break with shrunk, \
-             replayable counterexamples. Includes the pipelined schedule \
-             sweep.")
   in
   let backend_arg =
     Arg.(
@@ -422,23 +416,44 @@ let crashmatrix_cmd =
             "Crash medium: sim (the cache-model dimensions) or file (the \
              Filemem dimension: virtual power cuts over memory-mapped \
              images, held to the prockill digest oracles with exact \
-             shrinking).")
+             shrinking). The file grid takes no dimension flag, \
+             --scenario or --no-schedules.")
   in
-  let run deep scenario no_pcso ablation no_schedules faults pipeline
-      backend =
-    let ppf = Fmt.stdout in
+  let run deep filter mode no_schedules backend =
     let p = if deep then Crashtest.Matrix.deep else Crashtest.Matrix.smoke in
-    let filter = scenario in
-    let ok =
-      if backend = `File then Crashtest.Filematrix.check p ppf
-      else if ablation then Crashtest.Matrix.ablation_check ?filter p ppf
-      else if faults then Crashtest.Matrix.faults_check ?filter p ppf
-      else if pipeline then Crashtest.Matrix.pipeline_check ?filter p ppf
-      else
-        Crashtest.Matrix.run ~pcso:(not no_pcso) ?filter
-          ~schedules:(not no_schedules) p ppf
-    in
-    if not ok then exit 1
+    let exit_with ok = if ok then `Ok () else exit 1 in
+    match backend with
+    | `File ->
+        if mode <> `Matrix || filter <> None || no_schedules then
+          `Error
+            ( true,
+              "--backend file runs the file-image grid alone: drop \
+               --ablation-check, --faults, --pipeline, --scenario and \
+               --no-schedules" )
+        else exit_with (Crashtest.Filematrix.check p Fmt.stdout)
+    | `Sim ->
+        let dimension, check =
+          match mode with
+          | `Matrix -> (Crashtest.Scenarios.Ablation, Crashtest.Matrix.run)
+          | `Ablation ->
+              (Crashtest.Scenarios.Ablation, Crashtest.Matrix.ablation_check)
+          | `Faults -> (Crashtest.Scenarios.Faults, Crashtest.Matrix.faults_check)
+          | `Pipeline ->
+              (Crashtest.Scenarios.Pipeline, Crashtest.Matrix.pipeline_check)
+        in
+        Option.iter
+          (fun prefix ->
+            if Crashtest.Matrix.entries ~filter:prefix dimension = [] then begin
+              Fmt.epr "unknown scenario %s (know: %s)@." prefix
+                (String.concat ", "
+                   (List.map
+                      (fun (e : Crashtest.Scenarios.entry) ->
+                        e.Crashtest.Scenarios.id)
+                      (Crashtest.Matrix.entries dimension)));
+              exit 2
+            end)
+          filter;
+        exit_with (check ?filter ~schedules:(not no_schedules) p Fmt.stdout)
   in
   Cmd.v
     (Cmd.info "crashmatrix"
@@ -446,9 +461,9 @@ let crashmatrix_cmd =
          "Exhaustive crash-point and schedule exploration with \
           durable-linearizability oracles over ResPCT and all baselines.")
     Term.(
-      const run $ deep_arg $ scenario_arg $ no_pcso_arg
-      $ ablation_arg $ no_schedules_arg $ faults_arg $ pipeline_arg
-      $ backend_arg)
+      ret
+        (const run $ deep_arg $ scenario_arg $ mode_arg $ no_schedules_arg
+       $ backend_arg))
 
 let analyze_cmd =
   let program_arg =

@@ -24,30 +24,6 @@ let scenario ?(strip_log = []) ~name ~sched_seed ~mem_seed ~pcso ~n_ops
   in
   { Explore.name; sched_seed; mem_seed; pcso; n_ops; make }
 
-(* The corpus scenarios under the inferred plan, plus one planted mutant
-   per program stripping the alphabetically first logged variable. *)
-let corpus ?(sched_seed = 5) ?(mem_seed = 7) ?(pcso = true) ?(n_ops = 8) () :
-    (string * Explore.scenario) list =
-  List.concat_map
-    (fun (cname, prog) ->
-      let p, plan = Analysis.Placement.infer (prog ~iters:n_ops) in
-      ignore p;
-      let stripped =
-        match Analysis.Dataflow.Vars.min_elt_opt plan.Analysis.Placement.log with
-        | Some v -> [ v ]
-        | None -> []
-      in
-      [
-        ( "ir-" ^ cname,
-          scenario ~name:("ir-" ^ cname) ~sched_seed ~mem_seed ~pcso ~n_ops
-            prog );
-        ( "ir-" ^ cname ^ "-striplog",
-          scenario ~strip_log:stripped
-            ~name:("ir-" ^ cname ^ "-striplog")
-            ~sched_seed ~mem_seed ~pcso ~n_ops prog );
-      ])
-    Analysis.Corpus.all
-
 (* Strip the alphabetically first logged variable: the canonical
    one-logging-site-removed mutant. *)
 let strip_of (plan : Analysis.Placement.plan) =
@@ -55,27 +31,33 @@ let strip_of (plan : Analysis.Placement.plan) =
   | Some v -> [ v ]
   | None -> []
 
-(* Resolve the ids [corpus] (and the printed replay lines) use; kept out
-   of [Scenarios.all] so the matrix goldens stay pinned. *)
-let find id :
-    (sched_seed:int -> mem_seed:int -> pcso:bool -> n_ops:int ->
-     Explore.scenario)
-    option =
-  List.find_map
+(* Every corpus program under its inferred plan, plus its stripped
+   mutant, by id. [corpus] and [find] both read this one table, so a
+   printed id always resolves. Kept out of [Scenarios.all] so the matrix
+   goldens stay pinned. *)
+let table : (string * Report.builder) list =
+  List.concat_map
     (fun (cname, prog) ->
       let base = "ir-" ^ cname in
-      if id = base then
-        Some
-          (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-            scenario ~name:base ~sched_seed ~mem_seed ~pcso ~n_ops prog)
-      else if id = base ^ "-striplog" then
-        Some
-          (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
+      let mutant = base ^ "-striplog" in
+      [
+        ( base,
+          fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
+            scenario ~name:base ~sched_seed ~mem_seed ~pcso ~n_ops prog );
+        ( mutant,
+          fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
             let _, plan = Analysis.Placement.infer (prog ~iters:n_ops) in
-            scenario ~strip_log:(strip_of plan) ~name:id ~sched_seed
-              ~mem_seed ~pcso ~n_ops prog)
-      else None)
+            scenario ~strip_log:(strip_of plan) ~name:mutant ~sched_seed
+              ~mem_seed ~pcso ~n_ops prog );
+      ])
     Analysis.Corpus.all
+
+let corpus ?(sched_seed = 5) ?(mem_seed = 7) ?(pcso = true) ?(n_ops = 8) () =
+  List.map
+    (fun (id, build) -> (id, build ~sched_seed ~mem_seed ~pcso ~n_ops))
+    table
+
+let find id = List.assoc_opt id table
 
 (* Both-directions gate for one program: the inferred plan must survive
    exploration, and the stripped mutant must fail it (and be caught

@@ -31,12 +31,9 @@ val corpus :
     inferred plan and ["ir-<name>-striplog"] with the alphabetically
     first logged variable stripped. *)
 
-val find :
-  string ->
-  (sched_seed:int -> mem_seed:int -> pcso:bool -> n_ops:int ->
-   Explore.scenario)
-  option
-(** Resolve a [corpus] id (as printed in replay lines) to its builder. *)
+val find : string -> Report.builder option
+(** Resolve a [corpus] id (as printed in replay lines) to its builder;
+    every id [corpus] returns resolves. *)
 
 type verdict = {
   plan_ok : bool;

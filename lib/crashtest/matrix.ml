@@ -1,15 +1,27 @@
 (* The crash matrix: every scenario × every crash boundary × every
    adversarial image, plus the schedule sweeps, behind two presets.
 
-   [run] is the correctness gate (zero violations expected everywhere);
-   [ablation_check] flips the world to word-granular write-back and
-   checks the *asymmetry*: systems whose recovery leans on PCSO's
-   same-line store ordering (ResPCT's InCLL, Quadra's in-line logging)
-   must break, systems that persist each datum with explicit flushes
-   before depending on it (Clobber's write-ahead undo log, SOFT's
-   validity-tagged pnodes, FriedmanQueue) must keep passing. A matrix
-   where everything passes under the ablation would mean the explorer
-   cannot see persist-order bugs at all. *)
+   [run] is the correctness gate (zero violations expected everywhere).
+   [check] is the one expectation check, run over three dimensions of the
+   registry:
+   - [ablation_check] flips the world to word-granular write-back and
+     checks the *asymmetry*: systems whose recovery leans on PCSO's
+     same-line store ordering (ResPCT's InCLL, Quadra's in-line logging)
+     must break, systems that persist each datum with explicit flushes
+     before depending on it (Clobber's write-ahead undo log, SOFT's
+     validity-tagged pnodes, FriedmanQueue) must keep passing. A matrix
+     where everything passes under the ablation would mean the explorer
+     cannot see persist-order bugs at all.
+   - [faults_check] layers the preset's media-fault plans on every crash
+     image: integrity-mode recovery must prove the exact snapshot or
+     explicitly report the damage, and the planted no-verification mutant
+     must fail — if silent corruption sails through the trusting scan
+     unnoticed, the fault dimension has no teeth.
+   - [pipeline_check] runs the pipelined-checkpointing worlds: correct
+     configurations must recover at every boundary, mid-overlap windows
+     included, the integrity entry also under the media-fault plans; the
+     planted overlap-protocol mutants must fail. The pipelined schedule
+     sweep (preemption injection inside the overlap window) closes it. *)
 
 type preset = {
   label : string;
@@ -53,27 +65,15 @@ let n_ops_for p = function
   | Scenarios.Map -> p.map_ops
   | Scenarios.Queue -> p.queue_ops
 
-let filtered ?filter pool =
-  match filter with
-  | None -> pool
-  | Some f ->
-      List.filter
-        (fun (e : Scenarios.entry) ->
-          let len = String.length f in
-          String.length e.Scenarios.id >= len
-          && (String.sub e.Scenarios.id 0 len = f || e.Scenarios.id = f))
-        pool
-
-let entries ?filter () = filtered ?filter Scenarios.all
-let fault_entries ?filter () = filtered ?filter Scenarios.fault_scenarios
-
-let explore_entry ~pcso ~p (e : Scenarios.entry) =
-  List.map
-    (fun (sched_seed, mem_seed) ->
-      let n_ops = n_ops_for p e.Scenarios.structure in
-      let sc = e.Scenarios.build ~sched_seed ~mem_seed ~pcso ~n_ops in
-      Explore.explore ~max_images_per_point:p.max_images sc)
-    p.seeds
+let entries ?filter dimension =
+  List.filter
+    (fun (e : Scenarios.entry) ->
+      e.Scenarios.dimension = dimension
+      &&
+      match filter with
+      | None -> true
+      | Some prefix -> String.starts_with ~prefix e.Scenarios.id)
+    Scenarios.all
 
 let find id =
   match Scenarios.find id with
@@ -84,13 +84,13 @@ let campaign = Report.campaign ~find ()
 
 (* Shrink the outcome's first failure, print it as a replayable line and
    replay that line; returns whether the replay reproduced. *)
-let report_shrunk ?fault_seeds ~n_ops ppf (o : Explore.outcome) =
+let report_shrunk ~fault_seeds ~n_ops ppf (o : Explore.outcome) =
   match o.Explore.failures with
   | [] -> true
   | f :: _ -> (
       let s =
         Obs.Cx.minimize
-          (Report.campaign ?fault_seeds ~find ())
+          (Report.campaign ~fault_seeds ~find ())
           (Report.witness_of ~n_ops o.Explore.scenario f, f.Explore.reason)
       in
       Fmt.pf ppf "    %a@." Report.pp_counterexample s;
@@ -100,13 +100,28 @@ let report_shrunk ?fault_seeds ~n_ops ppf (o : Explore.outcome) =
           Fmt.pf ppf "    REPLAY DID NOT REPRODUCE (%s)@." m;
           false)
 
-let run ?(pcso = true) ?filter ?(schedules = true) p ppf =
-  Fmt.pf ppf "crash matrix (%s, %s)@."
-    p.label
-    (if pcso then "PCSO" else "word-granular ablation");
+(* The trailing schedule sweeps: one summary line, then every failure. *)
+let sweep ~label specs p ppf =
+  let failures =
+    List.concat_map
+      (fun spec ->
+        Schedule.sweep spec ~seeds:p.sched_seeds ~delays:p.sched_delays
+          ~stride:p.sched_stride)
+      specs
+  in
+  Fmt.pf ppf "  %sschedule sweeps: %d specs, %s@." label (List.length specs)
+    (match failures with
+    | [] -> "ok"
+    | fs -> Printf.sprintf "FAIL (%d)" (List.length fs));
+  List.iter (fun f -> Fmt.pf ppf "    %a@." Schedule.pp_failure f) failures;
+  failures
+
+let run ?filter ?(schedules = true) p ppf =
+  Fmt.pf ppf "crash matrix (%s, PCSO)@." p.label;
   let violations = ref 0 in
   List.iter
     (fun (e : Scenarios.entry) ->
+      let n_ops = n_ops_for p e.Scenarios.structure in
       List.iter
         (fun (o : Explore.outcome) ->
           Fmt.pf ppf "  %a@." Report.pp_outcome o;
@@ -116,27 +131,17 @@ let run ?(pcso = true) ?filter ?(schedules = true) p ppf =
               (fun i f ->
                 if i < 3 then Fmt.pf ppf "    %a@." Report.pp_failure f)
               o.Explore.failures;
-            ignore
-              (report_shrunk ~n_ops:(n_ops_for p e.Scenarios.structure) ppf o)
+            ignore (report_shrunk ~fault_seeds:[] ~n_ops ppf o)
           end)
-        (explore_entry ~pcso ~p e))
-    (entries ?filter ());
+        (List.map
+           (fun (sched_seed, mem_seed) ->
+             Explore.explore ~max_images_per_point:p.max_images
+               (e.Scenarios.build ~sched_seed ~mem_seed ~pcso:true ~n_ops))
+           p.seeds))
+    (entries ?filter Scenarios.Ablation);
   let sched_failures =
-    if not schedules then []
-    else
-      List.concat_map
-        (fun spec ->
-          Schedule.sweep spec ~seeds:p.sched_seeds ~delays:p.sched_delays
-            ~stride:p.sched_stride)
-        Schedule.all_specs
+    if schedules then sweep ~label:"" Schedule.all_specs p ppf else []
   in
-  if schedules then
-    Fmt.pf ppf "  schedule sweeps: %d specs, %s@."
-      (List.length Schedule.all_specs)
-      (match sched_failures with
-      | [] -> "ok"
-      | fs -> Printf.sprintf "FAIL (%d)" (List.length fs));
-  List.iter (fun f -> Fmt.pf ppf "    %a@." Schedule.pp_failure f) sched_failures;
   let ok = !violations = 0 && sched_failures = [] in
   Fmt.pf ppf "crash matrix %s: %s@." p.label
     (if ok then "PASS"
@@ -146,166 +151,119 @@ let run ?(pcso = true) ?filter ?(schedules = true) p ppf =
          (List.length sched_failures));
   ok
 
-let ablation_check ?filter p ppf =
-  Fmt.pf ppf "ablation asymmetry check (%s): word-granular write-back@."
-    p.label;
+(* One dimension of the expectation check: what its worlds run under, and
+   how its rows read. *)
+type check = {
+  dimension : Scenarios.dimension;
+  title : preset -> string;
+  pcso : bool;
+  fault_seeds : preset -> Scenarios.expect -> int list;
+      (** media-fault plans layered on each crash image *)
+  width : int;  (** of the id column *)
+  holds : string;  (** verdict of an entry that held, as expected *)
+  breaks : string;  (** broke, as expected *)
+  escaped : string;  (** broke, but was expected to hold *)
+  toothless : string;  (** held, but was expected to break *)
+  sweeps : (string * Schedule.spec list) option;
+      (** trailing schedule sweeps, with their label *)
+  summary : string;
+}
+
+(* Every entry of the dimension runs once, at the preset's first seed
+   pair, and must meet its expectation. A first failure settles the
+   verdict for entries expected to break; only the ones expected to hold
+   need the full sweep. An expected break is shrunk and its printed line
+   replayed — a mutant whose counterexample does not reproduce fails the
+   check. *)
+let check c ?filter ?(schedules = true) p ppf =
+  Fmt.pf ppf "%s@." (c.title p);
   let ok = ref true in
   List.iter
     (fun (e : Scenarios.entry) ->
       let sched_seed, mem_seed = List.hd p.seeds in
       let n_ops = n_ops_for p e.Scenarios.structure in
-      let sc = e.Scenarios.build ~sched_seed ~mem_seed ~pcso:false ~n_ops in
-      (* A first failure settles the verdict for systems expected to
-         break; only the ones expected to hold need the full sweep. *)
+      let expected = e.Scenarios.expect = Scenarios.Breaks in
+      let fault_seeds = c.fault_seeds p e.Scenarios.expect in
       let o =
         Explore.explore ~max_images_per_point:p.max_images
-          ~stop_at_first_failure:(e.Scenarios.expect_ablation = `Breaks)
-          sc
+          ~stop_at_first_failure:expected ~fault_seeds
+          (e.Scenarios.build ~sched_seed ~mem_seed ~pcso:c.pcso ~n_ops)
       in
       let broke = o.Explore.failures <> [] in
-      let expected = e.Scenarios.expect_ablation = `Breaks in
-      let verdict =
-        match (broke, expected) with
-        | true, true -> "breaks (expected: relies on PCSO)"
-        | false, false -> "holds (expected: explicit flush ordering)"
-        | true, false ->
-            ok := false;
-            "UNEXPECTED BREAK"
-        | false, true ->
-            ok := false;
-            "UNEXPECTEDLY HOLDS (explorer lost its teeth?)"
-      in
-      Fmt.pf ppf "  %-18s boundaries=%-5d images=%-5d %s@." e.Scenarios.id
-        o.Explore.boundaries o.Explore.images verdict;
-      if broke then begin
-        (match o.Explore.failures with
-        | f :: _ -> Fmt.pf ppf "    first: %a@." Report.pp_failure f
-        | [] -> ());
-        if expected && not (report_shrunk ~n_ops ppf o) then ok := false
-      end)
-    (entries ?filter ());
-  Fmt.pf ppf "ablation asymmetry: %s@." (if !ok then "PASS" else "FAIL");
+      if broke <> expected then ok := false;
+      Fmt.pf ppf "  %-*s boundaries=%-5d images=%-5d %s@." c.width
+        e.Scenarios.id o.Explore.boundaries o.Explore.images
+        (match (broke, expected) with
+        | false, false -> c.holds
+        | true, true -> c.breaks
+        | true, false -> c.escaped
+        | false, true -> c.toothless);
+      match o.Explore.failures with
+      | [] -> ()
+      | f :: _ ->
+          Fmt.pf ppf "    first: %a@." Report.pp_failure f;
+          if expected && not (report_shrunk ~fault_seeds ~n_ops ppf o) then
+            ok := false)
+    (entries ?filter c.dimension);
+  (match c.sweeps with
+  | Some (label, specs) when schedules ->
+      if sweep ~label specs p ppf <> [] then ok := false
+  | _ -> ());
+  Fmt.pf ppf "%s: %s@." c.summary (if !ok then "PASS" else "FAIL");
   !ok
 
-(* The fault-injection gate, in both directions. Integrity-mode worlds
-   must survive every (crash image x fault plan): recovery either proves
-   the exact snapshot or explicitly reports the damage. The planted
-   no-verification mutant must *fail* under the same plans — if silent
-   corruption sails through the trusting scan unnoticed by the oracle,
-   the fault dimension has no teeth. Mutant counterexamples are shrunk
-   and replayed like any other. *)
-let faults_check ?filter p ppf =
-  Fmt.pf ppf "fault-injection check (%s): seeds [%s]@." p.label
-    (String.concat "; " (List.map string_of_int p.fault_seeds));
-  let ok = ref true in
-  List.iter
-    (fun (e : Scenarios.entry) ->
-      let sched_seed, mem_seed = List.hd p.seeds in
-      let n_ops = n_ops_for p e.Scenarios.structure in
-      let sc = e.Scenarios.build ~sched_seed ~mem_seed ~pcso:true ~n_ops in
-      let o =
-        Explore.explore ~max_images_per_point:p.max_images
-          ~stop_at_first_failure:(e.Scenarios.expect_faults = `Breaks)
-          ~fault_seeds:p.fault_seeds sc
-      in
-      let broke = o.Explore.failures <> [] in
-      let expected = e.Scenarios.expect_faults = `Breaks in
-      let verdict =
-        match (broke, expected) with
-        | false, false -> "detects (every fault detected or exactly repaired)"
-        | true, true -> "breaks (expected: recovery skips verification)"
-        | true, false ->
-            ok := false;
-            "SILENT CORRUPTION ESCAPED"
-        | false, true ->
-            ok := false;
-            "MUTANT UNDETECTED (fault oracle lost its teeth?)"
-      in
-      Fmt.pf ppf "  %-24s boundaries=%-5d images=%-5d %s@." e.Scenarios.id
-        o.Explore.boundaries o.Explore.images verdict;
-      if broke then begin
-        (match o.Explore.failures with
-        | f :: _ -> Fmt.pf ppf "    first: %a@." Report.pp_failure f
-        | [] -> ());
-        if
-          expected
-          && not (report_shrunk ~fault_seeds:p.fault_seeds ~n_ops ppf o)
-        then ok := false
-      end)
-    (fault_entries ?filter ());
-  Fmt.pf ppf "fault injection: %s@." (if !ok then "PASS" else "FAIL");
-  !ok
+let ablation_check =
+  check
+    {
+      dimension = Scenarios.Ablation;
+      title =
+        (fun p ->
+          Printf.sprintf
+            "ablation asymmetry check (%s): word-granular write-back" p.label);
+      pcso = false;
+      fault_seeds = (fun _ _ -> []);
+      width = 18;
+      holds = "holds (expected: explicit flush ordering)";
+      breaks = "breaks (expected: relies on PCSO)";
+      escaped = "UNEXPECTED BREAK";
+      toothless = "UNEXPECTEDLY HOLDS (explorer lost its teeth?)";
+      sweeps = None;
+      summary = "ablation asymmetry";
+    }
 
-(* The pipelined-checkpointing gate, in both directions. Correct pipeline
-   configurations (async epoch advance + double-buffered commits) must
-   recover at every crash boundary — the boundary enumeration includes
-   every pwb of the background walk, the commit-slot stores and the
-   post-advance restart points, so the mid-overlap windows are visited
-   exhaustively. The integrity-mode entry additionally replays the
-   preset's media-fault plans against the two-slot commit protocol. The
-   three planted protocol mutants must *fail*, and their counterexamples
-   must shrink and replay — otherwise the overlap oracles have no teeth.
-   The pipelined schedule sweep (preemption injection inside the overlap
-   window) closes the check. *)
-let pipeline_check ?filter p ppf =
-  Fmt.pf ppf "pipelined checkpointing check (%s)@." p.label;
-  let ok = ref true in
-  let pool =
-    List.filter
-      (fun (e, _) -> filtered ?filter [ e ] <> [])
-      Scenarios.pipeline_scenarios
-  in
-  List.iter
-    (fun ((e : Scenarios.entry), expect) ->
-      let sched_seed, mem_seed = List.hd p.seeds in
-      let n_ops = n_ops_for p e.Scenarios.structure in
-      let sc = e.Scenarios.build ~sched_seed ~mem_seed ~pcso:true ~n_ops in
-      let fault_seeds =
-        if e.Scenarios.expect_faults = `Detects then p.fault_seeds else []
-      in
-      let o =
-        Explore.explore ~max_images_per_point:p.max_images
-          ~stop_at_first_failure:(expect = `Breaks)
-          ~fault_seeds sc
-      in
-      let broke = o.Explore.failures <> [] in
-      let expected = expect = `Breaks in
-      let verdict =
-        match (broke, expected) with
-        | false, false -> "holds (recovers at every mid-overlap boundary)"
-        | true, true -> "breaks (expected: planted overlap-protocol mutant)"
-        | true, false ->
-            ok := false;
-            "OVERLAP UNSAFE"
-        | false, true ->
-            ok := false;
-            "MUTANT UNDETECTED (overlap oracle lost its teeth?)"
-      in
-      Fmt.pf ppf "  %-40s boundaries=%-5d images=%-5d %s@." e.Scenarios.id
-        o.Explore.boundaries o.Explore.images verdict;
-      if broke then begin
-        (match o.Explore.failures with
-        | f :: _ -> Fmt.pf ppf "    first: %a@." Report.pp_failure f
-        | [] -> ());
-        if expected && not (report_shrunk ~fault_seeds ~n_ops ppf o) then
-          ok := false
-      end)
-    pool;
-  let sched_failures =
-    List.concat_map
-      (fun spec ->
-        Schedule.sweep spec ~seeds:p.sched_seeds ~delays:p.sched_delays
-          ~stride:p.sched_stride)
-      Schedule.pipeline_specs
-  in
-  Fmt.pf ppf "  pipeline schedule sweeps: %d specs, %s@."
-    (List.length Schedule.pipeline_specs)
-    (match sched_failures with
-    | [] -> "ok"
-    | fs -> Printf.sprintf "FAIL (%d)" (List.length fs));
-  List.iter
-    (fun f -> Fmt.pf ppf "    %a@." Schedule.pp_failure f)
-    sched_failures;
-  if sched_failures <> [] then ok := false;
-  Fmt.pf ppf "pipelined checkpointing: %s@." (if !ok then "PASS" else "FAIL");
-  !ok
+let faults_check =
+  check
+    {
+      dimension = Scenarios.Faults;
+      title =
+        (fun p ->
+          Printf.sprintf "fault-injection check (%s): seeds [%s]" p.label
+            (String.concat "; " (List.map string_of_int p.fault_seeds)));
+      pcso = true;
+      fault_seeds = (fun p _ -> p.fault_seeds);
+      width = 24;
+      holds = "detects (every fault detected or exactly repaired)";
+      breaks = "breaks (expected: recovery skips verification)";
+      escaped = "SILENT CORRUPTION ESCAPED";
+      toothless = "MUTANT UNDETECTED (fault oracle lost its teeth?)";
+      sweeps = None;
+      summary = "fault injection";
+    }
+
+let pipeline_check =
+  check
+    {
+      dimension = Scenarios.Pipeline;
+      title =
+        (fun p -> Printf.sprintf "pipelined checkpointing check (%s)" p.label);
+      pcso = true;
+      fault_seeds =
+        (fun p x -> if x = Scenarios.Detects then p.fault_seeds else []);
+      width = 40;
+      holds = "holds (recovers at every mid-overlap boundary)";
+      breaks = "breaks (expected: planted overlap-protocol mutant)";
+      escaped = "OVERLAP UNSAFE";
+      toothless = "MUTANT UNDETECTED (overlap oracle lost its teeth?)";
+      sweeps = Some ("pipeline ", Schedule.pipeline_specs);
+      summary = "pipelined checkpointing";
+    }

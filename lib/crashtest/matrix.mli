@@ -22,39 +22,42 @@ val campaign : Report.witness Obs.Cx.campaign
     {!Scenarios.find} or {!Irscenarios.find} resolves — what
     [respct_experiments replay] runs. *)
 
+val entries : ?filter:string -> Scenarios.dimension -> Scenarios.entry list
+(** The registry entries of one dimension, in registry order; [filter]
+    keeps those whose id starts with the given prefix. *)
+
 val run :
-  ?pcso:bool ->
-  ?filter:string ->
-  ?schedules:bool ->
-  preset ->
-  Format.formatter ->
-  bool
-(** Explore every (filtered) scenario under every seed pair, print one row
-    per outcome with shrunk counterexamples for failures, then run the
-    schedule sweeps. Returns whether everything passed. [filter] keeps
-    scenarios whose id starts with the given prefix. *)
+  ?filter:string -> ?schedules:bool -> preset -> Format.formatter -> bool
+(** Explore every (filtered) {!Scenarios.Ablation} entry under PCSO and
+    every seed pair, print one row per outcome with shrunk counterexamples
+    for failures, then run the schedule sweeps unless [schedules] is
+    false. Returns whether everything passed. *)
 
-val ablation_check : ?filter:string -> preset -> Format.formatter -> bool
-(** Re-run the matrix under word-granular write-back and check the
-    asymmetry: PCSO-reliant systems (ResPCT-InCLL, Quadra) must report
-    violations, explicitly-flushing systems (Clobber, SOFT, FriedmanQueue)
-    and the buffered epoch systems must not. Returns whether every
-    expectation held. *)
+(** The expectation checks: every (filtered) entry of one dimension runs
+    at the preset's first seed pair and must meet its
+    {!Scenarios.expect}; expected breaks are shrunk and replayed. Each
+    returns whether every expectation held. *)
 
-val pipeline_check : ?filter:string -> preset -> Format.formatter -> bool
-(** Run the pipelined-checkpointing dimension over
-    {!Scenarios.pipeline_scenarios}: pipeline-mode worlds must recover at
-    every crash boundary (including mid-overlap windows: during the
-    background walk, between the commit-slot stores, at post-advance
-    restart points), the integrity entry additionally under the preset's
+val ablation_check :
+  ?filter:string -> ?schedules:bool -> preset -> Format.formatter -> bool
+(** {!Scenarios.Ablation} under word-granular write-back: PCSO-reliant
+    systems (ResPCT-InCLL, Quadra) must report violations,
+    explicitly-flushing systems (Clobber, SOFT, FriedmanQueue) and the
+    buffered epoch systems must not. *)
+
+val faults_check :
+  ?filter:string -> ?schedules:bool -> preset -> Format.formatter -> bool
+(** {!Scenarios.Faults}: every crash image is re-checked with each of the
+    preset's deterministic media-fault plans installed. Integrity-mode
+    recovery must detect or exactly repair every fault; the planted
+    no-verification mutant must produce violations. *)
+
+val pipeline_check :
+  ?filter:string -> ?schedules:bool -> preset -> Format.formatter -> bool
+(** {!Scenarios.Pipeline}: pipeline-mode worlds must recover at every
+    crash boundary (including mid-overlap windows: during the background
+    walk, between the commit-slot stores, at post-advance restart
+    points), the {!Scenarios.Detects} entry also under the preset's
     media-fault plans; the planted overlap-protocol mutants must produce
-    violations, which are shrunk and replayed. Closes with the pipelined
-    schedule sweep. Returns whether every expectation held. *)
-
-val faults_check : ?filter:string -> preset -> Format.formatter -> bool
-(** Run the fault dimension over {!Scenarios.fault_scenarios}: every crash
-    image is re-checked with each of the preset's deterministic media-fault
-    plans installed. Integrity-mode recovery must detect or exactly repair
-    every fault (zero violations); the planted no-verification mutant must
-    produce violations, which are shrunk and replayed. Returns whether both
-    directions held. *)
+    violations. Closes with the pipelined schedule sweep unless
+    [schedules] is false. *)

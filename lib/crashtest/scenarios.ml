@@ -1,6 +1,14 @@
-(* Crash-test scenarios: one deterministic single-producer world per
+(* Crash-test scenarios: one deterministic single-worker world per
    (system, structure) pair, each with the strongest oracle its
    persistence contract supports.
+
+   [drive] is the one world. It builds the memory and the scheduler, lets
+   the system start its worker fiber, runs the Workmix op list through the
+   structure's [Pds.Ops] record, and assembles the explorer's records.
+   Per op the order is fixed: operation, model update, completed += 1,
+   restart point — the pilot's completed count at every crash boundary
+   depends on it. A system supplies only its [half]: how the worker
+   starts, the structure's constructor, and the oracle.
 
    - ResPCT (and the raw-word variant): last-checkpoint oracle. The
      manual checkpoint coordinator snapshots the host-side reference
@@ -12,27 +20,29 @@
      missing [add_modified]: a never-flushed cell is stale in both the
      image snapshot and the recovered image, but not in the model.
 
-   - Clobber / Quadra: durable-linearizability oracle. Shadow recovery
-     (Fatomic.recover_shadow) reconstructs what each published log
-     durably contains; the result must be the reference state after [c]
-     or [c + 1] completed operations ([c + 1] when the in-flight
-     operation's effects persisted in full before the crash). Quadra
-     additionally reports torn lines — persisted line states unreachable
-     under PCSO — which is precisely what the word-granular ablation
-     produces and in-cache-line logging cannot recover from.
+   - Clobber / Quadra / FriedmanQueue: durable-linearizability oracle.
+     The recovered state must be the reference state after [c] or [c + 1]
+     completed operations ([c + 1] when the in-flight operation's effects
+     persisted in full before the crash). For Clobber and Quadra, shadow
+     recovery (Fatomic.recover_shadow) first reconstructs what each
+     published log durably contains; Quadra additionally reports torn
+     lines — persisted line states unreachable under PCSO — which is
+     precisely what the word-granular ablation produces and in-cache-line
+     logging cannot recover from.
 
    - SOFT: durable-linearizability with per-key choice. An in-flight
      update legitimately leaves both the old and the new pnode valid;
      recovery may keep either, so the oracle accepts any per-key choice
      function that reproduces state [c] or [c + 1].
 
-   - FriedmanQueue: durable linearizability on the persisted head chain.
-
    - PMThreads / Montage / Dali: progress-and-determinism oracle only.
      Their recovery procedures are modelled as time costs, not as
      content transformations, so the explorer checks that every crash
      boundary is reachable deterministically (same completed-op count as
-     the pilot) and that recovery hooks do not raise. *)
+     the pilot) and that recovery hooks do not raise.
+
+   [all] is the one registry: each entry names the dimension it runs in
+   and its expectation there. *)
 
 let nvm_words = 1 lsl 16
 let dram_words = 1 lsl 14
@@ -49,17 +59,90 @@ let mem_cfg ~mem_seed ~pcso =
     pcso;
   }
 
-let world ~sched_seed ~mem_seed ~pcso =
-  let mem = Simnvm.Memsys.create (mem_cfg ~mem_seed ~pcso) in
-  let sched = Simsched.Scheduler.create ~seed:sched_seed () in
-  let env = Simsched.Env.make mem sched in
-  (mem, sched, env)
-
-let run_world sched =
-  match Simsched.Scheduler.run sched with
-  | Simsched.Scheduler.Completed | Simsched.Scheduler.Crash_interrupt _ -> ()
-
 let buckets = 8
+let epoch_period = 3_000.0
+
+type structure = Map | Queue
+
+(* ------------------------------------------------------------------ *)
+(* The single-worker world *)
+
+type world = {
+  mem : Simnvm.Memsys.t;
+  sched : Simsched.Scheduler.t;
+  env : Simsched.Env.t;
+  completed : int ref;  (* operations fully completed so far *)
+}
+
+(* A system's half of the world. [start] spawns the worker fiber around
+   the driver's body; the body first calls [open_], which builds the
+   structure and returns its op step and restart point, and ends with
+   [close]. [oracle ~faults] judges the current persistent image;
+   [faults] says whether it carries injected media damage. *)
+type 'op half = {
+  start : (unit -> unit) -> unit;
+  open_ : unit -> ('op -> unit) * (unit -> unit);
+  after_op : 'op -> unit;
+  close : unit -> unit;
+  oracle : faults:bool -> unit -> (unit, string) result;
+}
+
+let drive ~name ~mix system ~sched_seed ~mem_seed ~pcso ~n_ops :
+    Explore.scenario =
+  let make ~n_ops =
+    let mem = Simnvm.Memsys.create (mem_cfg ~mem_seed ~pcso) in
+    let sched = Simsched.Scheduler.create ~seed:sched_seed () in
+    let w =
+      { mem; sched; env = Simsched.Env.make mem sched; completed = ref 0 }
+    in
+    let ops = mix ~mem_seed ~n_ops in
+    let h = system w ops in
+    let run () =
+      h.start (fun () ->
+          let step, rp = h.open_ () in
+          List.iter
+            (fun op ->
+              step op;
+              h.after_op op;
+              incr w.completed;
+              rp ())
+            ops;
+          h.close ());
+      match Simsched.Scheduler.run sched with
+      | Simsched.Scheduler.Completed | Simsched.Scheduler.Crash_interrupt _ -> ()
+    in
+    {
+      Explore.mem;
+      run;
+      completed = (fun () -> !(w.completed));
+      recover_check = h.oracle ~faults:false;
+      recover_check_faulty = Some (h.oracle ~faults:true);
+    }
+  in
+  { Explore.name; sched_seed; mem_seed; pcso; n_ops; make }
+
+(* The one map op and the one queue op: a Workmix op through the
+   structure's [Pds.Ops] record, plus the record's restart-point hook
+   ([Pds.Ops.no_rp] for the flush-per-op systems). *)
+let map_step (m : Pds.Ops.map) =
+  ( (function
+    | Workmix.Insert (key, value) -> ignore (m.Pds.Ops.insert ~slot:0 ~key ~value)
+    | Workmix.Remove key -> ignore (m.Pds.Ops.remove ~slot:0 ~key)
+    | Workmix.Search key -> ignore (m.Pds.Ops.search ~slot:0 ~key)),
+    fun () -> m.Pds.Ops.map_rp ~slot:0 ~id:1 )
+
+let queue_step (q : Pds.Ops.queue) =
+  ( (function
+    | Workmix.Enqueue v -> q.Pds.Ops.enqueue ~slot:0 v
+    | Workmix.Dequeue -> ignore (q.Pds.Ops.dequeue ~slot:0)),
+    fun () -> q.Pds.Ops.queue_rp ~slot:0 ~id:1 )
+
+(* Each system draws its mix from its own offset of the memory seed. *)
+let map_mix offset ~mem_seed ~n_ops =
+  Workmix.map_ops ~seed:(mem_seed + offset) ~n:n_ops ()
+
+let queue_mix offset ~mem_seed ~n_ops =
+  Workmix.queue_ops ~seed:(mem_seed + offset) ~n:n_ops ()
 
 (* ------------------------------------------------------------------ *)
 (* ResPCT: manual periodic coordinator with a termination flag (the
@@ -79,8 +162,6 @@ let rt_cfg =
     integrity = false;
     pipeline = false;
   }
-
-let rt_cfg_integrity = { rt_cfg with Respct.Runtime.integrity = true }
 
 (* Recovery flavour of the ResPCT scenarios. [`Off] is the plain trusting
    scan on a plain image; [`Verified] writes the image under
@@ -104,265 +185,158 @@ let spawn_coordinator sched r ~finished ~on_flushed =
          in
          loop rt_cfg.Respct.Runtime.period_ns))
 
-(* The recovered image can only be interpreted through the structure once
-   a checkpoint has covered its creation: for a crash in the creation
-   epoch, recovery rolls back the heap cursor and the registry length, so
-   the structure's cells are discarded allocations the re-executed
-   application re-initialises — walking them would read garbage that is
-   never observable after restart. *)
-let respct_recover_check mem rt snapshots ~created_epoch ~recovered_state ~pp =
-  match !rt with
-  | None -> Ok () (* crash before the runtime existed: nothing promised *)
-  | Some r ->
-      let rep = Respct.Recovery.run ~layout:(Respct.Runtime.layout r) mem in
-      let failed = rep.Respct.Recovery.failed_epoch in
-      if failed <= !created_epoch then Ok ()
+(* ResPCT's half: the runtime and its coordinator start before the
+   worker, which runs under [Runtime.spawn]. [snapshot] is taken at every
+   checkpoint's quiescent point; [oracle] gets the runtime and the
+   snapshot for an epoch. A pipelined runtime is stopped at the end to
+   wake its idle background flushers; otherwise the world ends in
+   [Scheduler.Deadlock], which [drive] deliberately does not catch. *)
+let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
+  let rt = ref None and finished = ref false in
+  let snapshots = Hashtbl.create 8 in
+  let runtime () = Option.get !rt in
+  {
+    start =
+      (fun body ->
+        let r = Respct.Runtime.create ~cfg w.env in
+        Respct.Runtime.set_mutant r mutant;
+        rt := Some r;
+        spawn_coordinator w.sched r ~finished ~on_flushed:(fun next_epoch ->
+            Hashtbl.replace snapshots next_epoch (snapshot ()));
+        ignore (Respct.Runtime.spawn r ~slot:0 (fun _ctx -> body ())));
+    open_ = (fun () -> open_ (runtime ()));
+    after_op;
+    close =
+      (fun () ->
+        finished := true;
+        if cfg.Respct.Runtime.pipeline then Respct.Runtime.stop (runtime ()));
+    oracle =
+      (fun ~faults () ->
+        match !rt with
+        | None -> Ok () (* crash before the runtime existed: nothing promised *)
+        | Some r ->
+            oracle ~faults r (fun epoch ->
+                Option.value ~default:[] (Hashtbl.find_opt snapshots epoch)));
+  }
+
+(* The last-checkpoint oracle, one recover-then-compare path for every
+   fault mode.
+
+   The recovered image can only be interpreted through the structure once
+   a checkpoint has covered its creation ([created] holds the creation
+   epoch and the handle): for a crash in the creation epoch, recovery
+   rolls back the heap cursor and the registry length, so the structure's
+   cells are discarded allocations the re-executed application
+   re-initialises — walking them would read garbage that is never
+   observable after restart.
+
+   [`Verified] recovery also returns a verdict. On perfect media the
+   recovered structure must match the snapshot regardless of the verdict:
+   damage classification may legitimately fire on freed cells caught
+   mid-reinitialisation (their partial init is not logged, exactly like
+   upstream ResPCT, because a free cell is unreachable in every
+   recoverable state), but it can never change reachable state — and an
+   [Unrecoverable] verdict is a false alarm by construction, since
+   metadata cells are never recycled. On faulty media the verdict gates
+   the comparison: [Clean] / [Repaired] promise the exact last-checkpoint
+   snapshot and are held to it; [Salvaged] / [Unrecoverable] explicitly
+   report the damage, which is the whole durability contract — detected
+   or exact, never silently wrong. *)
+let last_checkpoint ~fault_mode ~faults mem r ~snapshot ~created ~recovered
+    ~pp =
+  let layout = Respct.Runtime.layout r in
+  let failed, verdict =
+    match fault_mode with
+    | `Verified ->
+        let v = Respct.Recovery.run_verified ~layout mem in
+        ( v.Respct.Recovery.vreport.Respct.Recovery.failed_epoch,
+          Some v.Respct.Recovery.verdict )
+    | `Off | `Noverify ->
+        ((Respct.Recovery.run ~layout mem).Respct.Recovery.failed_epoch, None)
+  in
+  match (verdict, created) with
+  | Some v, _ when faults && not (Respct.Recovery.exact_image v) -> Ok ()
+  | Some (Respct.Recovery.Unrecoverable _ as v), _ when not faults ->
+      Error (Fmt.str "perfect media judged %a" Respct.Recovery.pp_verdict v)
+  | _, Some (epoch, h) when failed > epoch ->
+      let expected = snapshot failed and got = recovered h in
+      if got = expected then Ok ()
       else
-        let expected =
-          Option.value ~default:[] (Hashtbl.find_opt snapshots failed)
-        in
-        let got = recovered_state () in
-        if got = expected then Ok ()
-        else
-          Error
-            (Fmt.str "epoch %d: recovered %a, last checkpoint had %a" failed pp
-               got pp expected)
-
-(* Verdict-aware oracle for integrity-mode images. [faults] says whether
-   the image under check carries injected media damage.
-
-   On perfect media the recovered structure must match the snapshot
-   regardless of the verdict: damage classification may legitimately fire
-   on freed cells caught mid-reinitialisation (their partial init is not
-   logged, exactly like upstream ResPCT, because a free cell is
-   unreachable in every recoverable state), but it can never change
-   reachable state — and an [Unrecoverable] verdict is a false alarm by
-   construction, since metadata cells are never recycled.
-
-   On faulty media the verdict gates the comparison: [Clean] / [Repaired]
-   promise the exact last-checkpoint snapshot and are held to it;
-   [Salvaged] / [Unrecoverable] explicitly report the damage, which is the
-   whole durability contract — detected or exact, never silently wrong. *)
-let respct_verified_check ~faults mem rt snapshots ~created_epoch
-    ~recovered_state ~pp =
-  match !rt with
-  | None -> Ok ()
-  | Some r ->
-      let v =
-        Respct.Recovery.run_verified ~layout:(Respct.Runtime.layout r) mem
-      in
-      let failed = v.Respct.Recovery.vreport.Respct.Recovery.failed_epoch in
-      let exact = Respct.Recovery.exact_image v.Respct.Recovery.verdict in
-      if faults && not exact then Ok ()
-      else if
-        (not faults)
-        && (match v.Respct.Recovery.verdict with
-           | Respct.Recovery.Unrecoverable _ -> true
-           | _ -> false)
-      then
         Error
-          (Fmt.str "perfect media judged %a" Respct.Recovery.pp_verdict
-             v.Respct.Recovery.verdict)
-      else if failed <= !created_epoch then Ok ()
-      else
-        let expected =
-          Option.value ~default:[] (Hashtbl.find_opt snapshots failed)
-        in
-        let got = recovered_state () in
-        if got = expected then Ok ()
-        else
-          Error
-            (Fmt.str "verdict %a, epoch %d: recovered %a, last checkpoint \
-                      had %a"
-               Respct.Recovery.pp_verdict v.Respct.Recovery.verdict failed pp
-               got pp expected)
+          (Fmt.str "%aepoch %d: recovered %a, last checkpoint had %a"
+             (Fmt.option (fun ppf v ->
+                  Fmt.pf ppf "verdict %a, " Respct.Recovery.pp_verdict v))
+             verdict failed pp got pp expected)
+  | _ -> Ok ()
 
-let respct_cfg_of_mode = function
-  | `Off -> rt_cfg
-  | `Verified | `Noverify -> rt_cfg_integrity
-
-(* Pipelined variants reuse the classic configs with the asynchronous
-   epoch advance switched on; the crash boundaries then include every pwb
-   of the background walk and the (double-buffered) seal itself, so the
-   explorer automatically visits crashes mid-walk, between the commit-slot
-   stores and the epoch-word store, and at the workers' first post-advance
-   restart points. *)
-let respct_pipeline_cfg fault_mode =
-  { (respct_cfg_of_mode fault_mode) with Respct.Runtime.pipeline = true }
-
-let mutant_suffix = function
-  | None -> ""
-  | Some Respct.Runtime.Seal_before_walk -> "-mutant-earlyseal"
-  | Some Respct.Runtime.No_overlap_wait -> "-mutant-nowait"
-  | Some Respct.Runtime.Early_reclaim -> "-mutant-earlyreclaim"
-
-let respct_checks_of_mode fault_mode mem rt snapshots ~created_epoch
-    ~recovered_state ~pp =
-  let plain () =
-    respct_recover_check mem rt snapshots ~created_epoch ~recovered_state ~pp
+(* ResPCT over its map or queue. Pipelined variants switch on the
+   asynchronous epoch advance; the crash boundaries then include every
+   pwb of the background walk and the (double-buffered) seal itself, so
+   the explorer visits crashes mid-walk, between the commit-slot stores
+   and the epoch-word store, and at the workers' first post-advance
+   restart points. [churn] drives the map with the allocator-churn mix. *)
+let respct ?(fault_mode : respct_fault_mode = `Off) ?(pipeline = false)
+    ?(churn = false) ?mutant structure ~name =
+  let cfg =
+    { rt_cfg with Respct.Runtime.integrity = fault_mode <> `Off; pipeline }
   in
-  let verified ~faults () =
-    respct_verified_check ~faults mem rt snapshots ~created_epoch
-      ~recovered_state ~pp
+  let system ~model ~create ~recovered ~pp (w : world) _ops =
+    let m = model () in
+    let created = ref None in
+    respct_half ~cfg ?mutant w ~snapshot:m.Workmix.state
+      ~after_op:m.Workmix.apply
+      ~open_:(fun r ->
+        let h, step = create r in
+        created := Some (Respct.Runtime.epoch r, h);
+        step)
+      ~oracle:(fun ~faults r snapshot ->
+        last_checkpoint ~fault_mode ~faults w.mem r ~snapshot
+          ~created:!created ~recovered:(recovered w.mem) ~pp)
   in
-  match fault_mode with
-  | `Off -> (plain, None)
-  | `Verified -> (verified ~faults:false, Some (verified ~faults:true))
-  (* the mutant trusts the image even when the oracle injects damage *)
-  | `Noverify -> (plain, Some plain)
+  match structure with
+  | Map ->
+      drive ~name
+        ~mix:
+          (if churn then fun ~mem_seed:_ ~n_ops -> Workmix.churn_ops ~n:n_ops ()
+           else map_mix 11)
+        (system ~model:Workmix.map_model
+           ~create:(fun r ->
+             let m = Pds.Hashmap_respct.create r ~slot:0 ~buckets in
+             (m, map_step (Pds.Hashmap_respct.ops m)))
+           ~recovered:Pds.Hashmap_respct.persisted_bindings
+           ~pp:Workmix.pp_bindings)
+  | Queue ->
+      drive ~name ~mix:(queue_mix 23)
+        (system ~model:Workmix.queue_model
+           ~create:(fun r ->
+             let q = Pds.Queue_respct.create r ~slot:0 in
+             (q, queue_step (Pds.Queue_respct.ops q)))
+           ~recovered:Pds.Queue_respct.persisted_contents
+           ~pp:Workmix.pp_contents)
 
 let respct_map ?(fault_mode : respct_fault_mode = `Off) ?(pipeline = false)
-    ?(churn = false) ?mutant ~sched_seed ~mem_seed ~pcso ~n_ops () :
-    Explore.scenario =
-  let make ~n_ops =
-    let mem, sched, env = world ~sched_seed ~mem_seed ~pcso in
-    let ops =
-      if churn then Workmix.churn_ops ~n:n_ops ()
-      else Workmix.map_ops ~seed:(mem_seed + 11) ~n:n_ops ()
-    in
-    let rt = ref None in
-    let map = ref None in
-    let created_epoch = ref max_int in
-    let snapshots = Hashtbl.create 8 in
-    let model = Hashtbl.create 32 in
-    let model_snapshot () =
-      List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) model [])
-    in
-    let completed = ref 0 in
-    let finished = ref false in
-    let run () =
-      let cfg =
-        if pipeline then respct_pipeline_cfg fault_mode
-        else respct_cfg_of_mode fault_mode
-      in
-      let r = Respct.Runtime.create ~cfg env in
-      Respct.Runtime.set_mutant r mutant;
-      rt := Some r;
-      spawn_coordinator sched r ~finished ~on_flushed:(fun next_epoch ->
-          Hashtbl.replace snapshots next_epoch (model_snapshot ()));
-      ignore
-        (Respct.Runtime.spawn r ~slot:0 (fun _ctx ->
-             let m = Pds.Hashmap_respct.create r ~slot:0 ~buckets in
-             map := Some m;
-             created_epoch := Respct.Runtime.epoch r;
-             List.iter
-               (fun op ->
-                 (match op with
-                 | Workmix.Insert (key, value) ->
-                     ignore (Pds.Hashmap_respct.insert m ~slot:0 ~key ~value);
-                     Hashtbl.replace model key value
-                 | Workmix.Remove key ->
-                     ignore (Pds.Hashmap_respct.remove m ~slot:0 ~key);
-                     Hashtbl.remove model key
-                 | Workmix.Search key ->
-                     ignore (Pds.Hashmap_respct.search m ~slot:0 ~key));
-                 incr completed;
-                 Respct.Runtime.rp r ~slot:0 1)
-               ops;
-             finished := true;
-             (* Wake any idle background flusher fibers; otherwise the
-                world ends in [Scheduler.Deadlock], which [run_world]
-                deliberately does not catch. *)
-             if pipeline then Respct.Runtime.stop r));
-      run_world sched
-    in
-    let recover_check, recover_check_faulty =
-      respct_checks_of_mode fault_mode mem rt snapshots ~created_epoch
-        ~recovered_state:(fun () ->
-          match !map with
-          | None -> []
-          | Some m -> Pds.Hashmap_respct.persisted_bindings mem m)
-        ~pp:Workmix.pp_bindings
-    in
-    {
-      Explore.mem;
-      run;
-      completed = (fun () -> !completed);
-      recover_check;
-      recover_check_faulty;
-    }
-  in
+    ?(churn = false) ?mutant ~sched_seed ~mem_seed ~pcso ~n_ops () =
   let name =
-    (match fault_mode with
-    | `Off -> "respct-map"
-    | `Verified -> "respct-map-integrity"
-    | `Noverify -> "respct-map-noverify")
-    ^ (if pipeline then "-pipeline" else "")
-    ^ (if churn then "-churn" else "")
-    ^ mutant_suffix mutant
+    String.concat ""
+      [
+        "respct-map";
+        (match fault_mode with
+        | `Off -> ""
+        | `Verified -> "-integrity"
+        | `Noverify -> "-noverify");
+        (if pipeline then "-pipeline" else "");
+        (if churn then "-churn" else "");
+        (match mutant with
+        | None -> ""
+        | Some Respct.Runtime.Seal_before_walk -> "-mutant-earlyseal"
+        | Some Respct.Runtime.No_overlap_wait -> "-mutant-nowait"
+        | Some Respct.Runtime.Early_reclaim -> "-mutant-earlyreclaim");
+      ]
   in
-  { Explore.name; sched_seed; mem_seed; pcso; n_ops; make }
+  respct ~fault_mode ~pipeline ~churn ?mutant Map ~name ~sched_seed ~mem_seed
+    ~pcso ~n_ops
 
-let respct_queue ?(fault_mode : respct_fault_mode = `Off) ?(pipeline = false)
-    ?mutant ~sched_seed ~mem_seed ~pcso ~n_ops () : Explore.scenario =
-  let make ~n_ops =
-    let mem, sched, env = world ~sched_seed ~mem_seed ~pcso in
-    let ops = Workmix.queue_ops ~seed:(mem_seed + 23) ~n:n_ops () in
-    let rt = ref None in
-    let queue = ref None in
-    let created_epoch = ref max_int in
-    let snapshots = Hashtbl.create 8 in
-    let model = ref [] in
-    let completed = ref 0 in
-    let finished = ref false in
-    let run () =
-      let cfg =
-        if pipeline then respct_pipeline_cfg fault_mode
-        else respct_cfg_of_mode fault_mode
-      in
-      let r = Respct.Runtime.create ~cfg env in
-      Respct.Runtime.set_mutant r mutant;
-      rt := Some r;
-      spawn_coordinator sched r ~finished ~on_flushed:(fun next_epoch ->
-          Hashtbl.replace snapshots next_epoch !model);
-      ignore
-        (Respct.Runtime.spawn r ~slot:0 (fun _ctx ->
-             let q = Pds.Queue_respct.create r ~slot:0 in
-             queue := Some q;
-             created_epoch := Respct.Runtime.epoch r;
-             List.iter
-               (fun op ->
-                 (match op with
-                 | Workmix.Enqueue v ->
-                     Pds.Queue_respct.enqueue q ~slot:0 v;
-                     model := !model @ [ v ]
-                 | Workmix.Dequeue -> (
-                     ignore (Pds.Queue_respct.dequeue q ~slot:0);
-                     match !model with [] -> () | _ :: tl -> model := tl));
-                 incr completed;
-                 Respct.Runtime.rp r ~slot:0 1)
-               ops;
-             finished := true;
-             if pipeline then Respct.Runtime.stop r));
-      run_world sched
-    in
-    let recover_check, recover_check_faulty =
-      respct_checks_of_mode fault_mode mem rt snapshots ~created_epoch
-        ~recovered_state:(fun () ->
-          match !queue with
-          | None -> []
-          | Some q -> Pds.Queue_respct.persisted_contents mem q)
-        ~pp:Workmix.pp_contents
-    in
-    {
-      Explore.mem;
-      run;
-      completed = (fun () -> !completed);
-      recover_check;
-      recover_check_faulty;
-    }
-  in
-  let name =
-    (match fault_mode with
-    | `Off -> "respct-queue"
-    | `Verified -> "respct-queue-integrity"
-    | `Noverify -> "respct-queue-noverify")
-    ^ (if pipeline then "-pipeline" else "")
-    ^ mutant_suffix mutant
-  in
-  { Explore.name; sched_seed; mem_seed; pcso; n_ops; make }
-
-(* Raw-word append log: each operation allocates one line-aligned untracked
+(* Raw-word append log: op [i] allocates one line-aligned untracked
    persistent word, stores a unique value and registers it with
    [add_modified] — the paper's section 3.3.2 rule for WAR-free data. The
    [mutant] flag skips [add_modified] on every third word (a deliberately
@@ -371,637 +345,283 @@ let respct_queue ?(fault_mode : respct_fault_mode = `Off) ?(pipeline = false)
    neighbouring entry's flush from masking the bug. The oracle is
    one-sided (every entry of the failed epoch's snapshot must be
    persisted), which is the durability contract of tracked raw data. *)
-let respct_raw ?(mutant = false) ~sched_seed ~mem_seed ~pcso ~n_ops () :
-    Explore.scenario =
-  let make ~n_ops =
-    let mem, sched, env = world ~sched_seed ~mem_seed ~pcso in
-    let rt = ref None in
-    let snapshots = Hashtbl.create 8 in
-    let entries = ref [] in
-    let completed = ref 0 in
-    let finished = ref false in
-    let run () =
-      let r = Respct.Runtime.create ~cfg:rt_cfg env in
-      rt := Some r;
-      spawn_coordinator sched r ~finished ~on_flushed:(fun next_epoch ->
-          Hashtbl.replace snapshots next_epoch !entries);
-      ignore
-        (Respct.Runtime.spawn r ~slot:0 (fun _ctx ->
-             for i = 1 to n_ops do
-               let addr =
-                 Respct.Runtime.alloc_raw ~line_start:true r ~slot:0 ~words:1
-               in
-               Simsched.Env.store env addr (1000 + i);
-               if not (mutant && i mod 3 = 0) then
-                 Respct.Runtime.add_modified r ~slot:0 addr;
-               entries := (addr, 1000 + i) :: !entries;
-               incr completed;
-               Respct.Runtime.rp r ~slot:0 1
-             done;
-             finished := true));
-      run_world sched
-    in
-    let recover_check () =
-      match !rt with
-      | None -> Ok ()
-      | Some r ->
-          let rep =
-            Respct.Recovery.run ~layout:(Respct.Runtime.layout r) mem
+let raw ~mutant ~name =
+  drive ~name
+    ~mix:(fun ~mem_seed:_ ~n_ops -> List.init n_ops (fun i -> i + 1))
+    (fun w _ops ->
+      let entries = ref [] in
+      let append r i =
+        let addr =
+          Respct.Runtime.alloc_raw ~line_start:true r ~slot:0 ~words:1
+        in
+        Simsched.Env.store w.env addr (1000 + i);
+        if not (mutant && i mod 3 = 0) then
+          Respct.Runtime.add_modified r ~slot:0 addr;
+        entries := (addr, 1000 + i) :: !entries
+      in
+      respct_half ~cfg:rt_cfg w
+        ~snapshot:(fun () -> !entries)
+        ~after_op:ignore
+        ~open_:(fun r -> (append r, fun () -> Respct.Runtime.rp r ~slot:0 1))
+        ~oracle:(fun ~faults:_ r snapshot ->
+          let failed =
+            (Respct.Recovery.run ~layout:(Respct.Runtime.layout r) w.mem)
+              .Respct.Recovery.failed_epoch
           in
-          let failed = rep.Respct.Recovery.failed_epoch in
-          let expected =
-            Option.value ~default:[] (Hashtbl.find_opt snapshots failed)
-          in
-          let stale =
-            List.find_opt
-              (fun (a, v) -> Simnvm.Memsys.persisted mem a <> v)
-              expected
-          in
-          (match stale with
+          let image = Simnvm.Memsys.persisted w.mem in
+          match List.find_opt (fun (a, v) -> image a <> v) (snapshot failed) with
           | None -> Ok ()
           | Some (a, v) ->
               Error
                 (Printf.sprintf
-                   "epoch %d: word %d should persist %d, image has %d" failed
-                   a v
-                   (Simnvm.Memsys.persisted mem a)))
-    in
-    {
-      Explore.mem;
-      run;
-      completed = (fun () -> !completed);
-      recover_check;
-      recover_check_faulty = None;
-    }
-  in
-  let name = if mutant then "respct-raw-mutant" else "respct-raw" in
-  { Explore.name; sched_seed; mem_seed; pcso; n_ops; make }
+                   "epoch %d: word %d should persist %d, image has %d" failed a
+                   v (image a))))
+
+let respct_raw ?(mutant = false) ~sched_seed ~mem_seed ~pcso ~n_ops () =
+  raw ~mutant
+    ~name:(if mutant then "respct-raw-mutant" else "respct-raw")
+    ~sched_seed ~mem_seed ~pcso ~n_ops
 
 (* ------------------------------------------------------------------ *)
-(* Clobber / Quadra: single worker fiber, durable-linearizability oracle
-   against the precomputed reference-prefix states. *)
+(* The other systems run their worker as a plain fiber. [create] builds
+   the structure inside it and returns the handle the oracle reads: a
+   crash during construction finds no handle, and nothing is promised
+   yet. *)
 
-let durlin_allowed states c got =
-  got = states.(c) || (c + 1 < Array.length states && got = states.(c + 1))
+let worker ?(close = ignore) ~create ~check (w : world) =
+  let handle = ref None in
+  {
+    start =
+      (fun body -> ignore (Simsched.Scheduler.spawn ~name:"worker" w.sched body));
+    open_ =
+      (fun () ->
+        let h, step = create w.env in
+        handle := Some h;
+        step);
+    after_op = ignore;
+    close = (fun () -> Option.iter close !handle);
+    oracle =
+      (fun ~faults:_ () -> match !handle with None -> Ok () | Some h -> check h);
+  }
 
-let durlin_error ~pp states c got =
-  Error
-    (Fmt.str "after %d complete ops: recovered %a not in {%a, %a}" c pp got pp
-       states.(c) pp
-       states.(min (c + 1) (Array.length states - 1)))
+(* The {c, c+1} window over the reference prefix states. *)
+let in_window matches states c got =
+  matches got states.(c)
+  || (c + 1 < Array.length states && matches got states.(c + 1))
 
-let durlin_map ~policy ~name ~sched_seed ~mem_seed ~pcso ~n_ops :
-    Explore.scenario =
-  let make ~n_ops =
-    let mem, sched, env = world ~sched_seed ~mem_seed ~pcso in
-    let ops = Workmix.map_ops ~seed:(mem_seed + 31) ~n:n_ops () in
-    let states = Workmix.map_states ops in
-    let handles = ref None in
-    let completed = ref 0 in
-    let run () =
-      ignore
-        (Simsched.Scheduler.spawn ~name:"worker" sched (fun () ->
-             let fa, m, mops =
-               Baselines.Durlin.make_map_instrumented env ~policy
-                 ~max_threads:2 ~buckets
-             in
-             handles := Some (fa, m);
-             List.iter
-               (fun op ->
-                 (match op with
-                 | Workmix.Insert (key, value) ->
-                     ignore (mops.Pds.Ops.insert ~slot:0 ~key ~value)
-                 | Workmix.Remove key -> ignore (mops.Pds.Ops.remove ~slot:0 ~key)
-                 | Workmix.Search key ->
-                     ignore (mops.Pds.Ops.search ~slot:0 ~key));
-                 incr completed)
-               ops));
-      run_world sched
-    in
-    let recover_check () =
-      match !handles with
-      | None -> Ok () (* crash during construction: no committed state yet *)
-      | Some (fa, m) -> (
-          match Baselines.Fatomic.recover_shadow fa with
-          | Baselines.Fatomic.Torn_line line ->
-              Error
-                (Printf.sprintf
-                   "torn line %d: persisted state unreachable under PCSO" line)
-          | Baselines.Fatomic.Rolled_back _ ->
-              let got = Pds.Hashmap_transient.persisted_bindings mem m in
-              let c = !completed in
-              if durlin_allowed states c got then Ok ()
-              else durlin_error ~pp:Workmix.pp_bindings states c got)
-    in
-    {
-      Explore.mem;
-      run;
-      completed = (fun () -> !completed);
-      recover_check;
-      recover_check_faulty = None;
-    }
+let window ~pp states c got =
+  if in_window ( = ) states c got then Ok ()
+  else
+    Error
+      (Fmt.str "after %d complete ops: recovered %a not in {%a, %a}" c pp got pp
+         states.(c) pp
+         states.(min (c + 1) (Array.length states - 1)))
+
+(* Clobber / Quadra: shadow recovery, then the window. *)
+let durlin policy structure ~name =
+  let check ~pp (w : world) states fa recovered =
+    match Baselines.Fatomic.recover_shadow fa with
+    | Baselines.Fatomic.Torn_line line ->
+        Error
+          (Printf.sprintf "torn line %d: persisted state unreachable under PCSO"
+             line)
+    | Baselines.Fatomic.Rolled_back _ ->
+        window ~pp states !(w.completed) (recovered ())
   in
-  { Explore.name = name; sched_seed; mem_seed; pcso; n_ops; make }
+  match structure with
+  | Map ->
+      drive ~name ~mix:(map_mix 31) (fun w ops ->
+          let states = Workmix.map_states ops in
+          worker w
+            ~create:(fun env ->
+              let fa, m, o =
+                Baselines.Durlin.make_map_instrumented env ~policy
+                  ~max_threads:2 ~buckets
+              in
+              ((fa, m), map_step o))
+            ~check:(fun (fa, m) ->
+              check ~pp:Workmix.pp_bindings w states fa (fun () ->
+                  Pds.Hashmap_transient.persisted_bindings w.mem m)))
+  | Queue ->
+      drive ~name ~mix:(queue_mix 43) (fun w ops ->
+          let states = Workmix.queue_states ops in
+          worker w
+            ~create:(fun env ->
+              let fa, q, o =
+                Baselines.Durlin.make_queue_instrumented env ~policy
+                  ~max_threads:2
+              in
+              ((fa, q), queue_step o))
+            ~check:(fun (fa, q) ->
+              check ~pp:Workmix.pp_contents w states fa (fun () ->
+                  Pds.Queue_transient.persisted_contents w.mem q)))
 
-let durlin_queue ~policy ~name ~sched_seed ~mem_seed ~pcso ~n_ops :
-    Explore.scenario =
-  let make ~n_ops =
-    let mem, sched, env = world ~sched_seed ~mem_seed ~pcso in
-    let ops = Workmix.queue_ops ~seed:(mem_seed + 43) ~n:n_ops () in
-    let states = Workmix.queue_states ops in
-    let handles = ref None in
-    let completed = ref 0 in
-    let run () =
-      ignore
-        (Simsched.Scheduler.spawn ~name:"worker" sched (fun () ->
-             let fa, q, qops =
-               Baselines.Durlin.make_queue_instrumented env ~policy
-                 ~max_threads:2
-             in
-             handles := Some (fa, q);
-             List.iter
-               (fun op ->
-                 (match op with
-                 | Workmix.Enqueue v -> qops.Pds.Ops.enqueue ~slot:0 v
-                 | Workmix.Dequeue -> ignore (qops.Pds.Ops.dequeue ~slot:0));
-                 incr completed)
-               ops));
-      run_world sched
-    in
-    let recover_check () =
-      match !handles with
-      | None -> Ok ()
-      | Some (fa, q) -> (
-          match Baselines.Fatomic.recover_shadow fa with
-          | Baselines.Fatomic.Torn_line line ->
-              Error
-                (Printf.sprintf
-                   "torn line %d: persisted state unreachable under PCSO" line)
-          | Baselines.Fatomic.Rolled_back _ ->
-              let got = Pds.Queue_transient.persisted_contents mem q in
-              let c = !completed in
-              if durlin_allowed states c got then Ok ()
-              else durlin_error ~pp:Workmix.pp_contents states c got)
-    in
-    {
-      Explore.mem;
-      run;
-      completed = (fun () -> !completed);
-      recover_check;
-      recover_check_faulty = None;
-    }
+(* SOFT: the window with per-key choice — an in-flight update leaves both
+   pnodes valid and recovery may keep either. *)
+let soft_map ~name =
+  let matches recovered state =
+    List.sort_uniq compare (List.map fst recovered) = List.map fst state
+    && List.for_all (fun kv -> List.mem kv recovered) state
   in
-  { Explore.name = name; sched_seed; mem_seed; pcso; n_ops; make }
-
-(* ------------------------------------------------------------------ *)
-(* SOFT: durable linearizability with per-key choice — an in-flight
-   update leaves both pnodes valid and recovery may keep either. *)
-
-let soft_matches recovered state =
-  List.sort_uniq compare (List.map fst recovered) = List.map fst state
-  && List.for_all (fun kv -> List.mem kv recovered) state
-
-let soft_map ~sched_seed ~mem_seed ~pcso ~n_ops : Explore.scenario =
-  let make ~n_ops =
-    let mem, sched, env = world ~sched_seed ~mem_seed ~pcso in
-    let ops = Workmix.map_ops ~seed:(mem_seed + 53) ~n:n_ops () in
-    let states = Workmix.map_states ops in
-    let handle = ref None in
-    let completed = ref 0 in
-    let run () =
-      ignore
-        (Simsched.Scheduler.spawn ~name:"worker" sched (fun () ->
-             let t, mops = Baselines.Soft.make_map_instrumented env ~buckets in
-             handle := Some t;
-             List.iter
-               (fun op ->
-                 (match op with
-                 | Workmix.Insert (key, value) ->
-                     ignore (mops.Pds.Ops.insert ~slot:0 ~key ~value)
-                 | Workmix.Remove key -> ignore (mops.Pds.Ops.remove ~slot:0 ~key)
-                 | Workmix.Search key ->
-                     ignore (mops.Pds.Ops.search ~slot:0 ~key));
-                 incr completed)
-               ops));
-      run_world sched
-    in
-    let recover_check () =
-      match !handle with
-      | None -> Ok ()
-      | Some t ->
-          let recovered = Baselines.Soft.persisted_bindings mem t in
-          let c = !completed in
-          if
-            soft_matches recovered states.(c)
-            || c + 1 < Array.length states
-               && soft_matches recovered states.(c + 1)
-          then Ok ()
+  drive ~name ~mix:(map_mix 53) (fun w ops ->
+      let states = Workmix.map_states ops in
+      worker w
+        ~create:(fun env ->
+          let t, o = Baselines.Soft.make_map_instrumented env ~buckets in
+          (t, map_step o))
+        ~check:(fun t ->
+          let recovered = Baselines.Soft.persisted_bindings w.mem t in
+          let c = !(w.completed) in
+          if in_window matches states c recovered then Ok ()
           else
             Error
               (Fmt.str "after %d complete ops: valid pnodes %a match neither \
                         %a nor the next state"
                  c Workmix.pp_bindings recovered Workmix.pp_bindings
-                 states.(c))
-    in
-    {
-      Explore.mem;
-      run;
-      completed = (fun () -> !completed);
-      recover_check;
-      recover_check_faulty = None;
-    }
-  in
-  { Explore.name = "soft-map"; sched_seed; mem_seed; pcso; n_ops; make }
+                 states.(c))))
 
-let friedman_queue ~sched_seed ~mem_seed ~pcso ~n_ops : Explore.scenario =
-  let make ~n_ops =
-    let mem, sched, env = world ~sched_seed ~mem_seed ~pcso in
-    let ops = Workmix.queue_ops ~seed:(mem_seed + 61) ~n:n_ops () in
-    let states = Workmix.queue_states ops in
-    let handle = ref None in
-    let completed = ref 0 in
-    let run () =
-      ignore
-        (Simsched.Scheduler.spawn ~name:"worker" sched (fun () ->
-             let t, qops = Baselines.Friedman_queue.make_queue_instrumented env in
-             handle := Some t;
-             List.iter
-               (fun op ->
-                 (match op with
-                 | Workmix.Enqueue v -> qops.Pds.Ops.enqueue ~slot:0 v
-                 | Workmix.Dequeue -> ignore (qops.Pds.Ops.dequeue ~slot:0));
-                 incr completed)
-               ops));
-      run_world sched
-    in
-    let recover_check () =
-      match !handle with
-      | None -> Ok ()
-      | Some t ->
-          let got = Baselines.Friedman_queue.persisted_contents mem t in
-          let c = !completed in
-          if durlin_allowed states c got then Ok ()
-          else durlin_error ~pp:Workmix.pp_contents states c got
-    in
-    {
-      Explore.mem;
-      run;
-      completed = (fun () -> !completed);
-      recover_check;
-      recover_check_faulty = None;
-    }
-  in
-  { Explore.name = "friedman-queue"; sched_seed; mem_seed; pcso; n_ops; make }
+(* FriedmanQueue: the window on the persisted head chain. *)
+let friedman_queue ~name =
+  drive ~name ~mix:(queue_mix 61) (fun w ops ->
+      let states = Workmix.queue_states ops in
+      worker w
+        ~create:(fun env ->
+          let t, o = Baselines.Friedman_queue.make_queue_instrumented env in
+          (t, queue_step o))
+        ~check:(fun t ->
+          window ~pp:Workmix.pp_contents states !(w.completed)
+            (Baselines.Friedman_queue.persisted_contents w.mem t)))
 
-(* ------------------------------------------------------------------ *)
 (* Buffered epoch systems (PMThreads, Montage, Dali): their recovery is
    modelled as a time cost, so content cannot be checked — the explorer's
    built-in determinism oracle (same completed-op count as the pilot at
    every boundary) is the property under test. *)
+let epoch_system build step (w : world) =
+  worker w
+    ~create:(fun env ->
+      let o, sys = build env in
+      sys.Pds.Ops.sys_register ~slot:0;
+      (sys, step o))
+    ~close:(fun sys ->
+      sys.Pds.Ops.sys_deregister ~slot:0;
+      sys.Pds.Ops.sys_stop ())
+    ~check:(fun _ -> Ok ())
 
-type epoch_builder =
-  | Map_builder of (Simsched.Env.t -> Pds.Ops.map * Pds.Ops.system)
-  | Queue_builder of (Simsched.Env.t -> Pds.Ops.queue * Pds.Ops.system)
+let epoch_map make ~name =
+  drive ~name ~mix:(map_mix 71) (fun w _ops ->
+      epoch_system
+        (fun env ->
+          make env ~max_threads:2 ~period_ns:epoch_period ~flusher_pool:2
+            ~buckets)
+        map_step w)
 
-let progress ~name ~builder ~sched_seed ~mem_seed ~pcso ~n_ops :
-    Explore.scenario =
-  let make ~n_ops =
-    let mem, sched, env = world ~sched_seed ~mem_seed ~pcso in
-    let completed = ref 0 in
-    let run () =
-      ignore
-        (Simsched.Scheduler.spawn ~name:"worker" sched (fun () ->
-             match builder with
-             | Map_builder build ->
-                 let mops, sys = build env in
-                 sys.Pds.Ops.sys_register ~slot:0;
-                 List.iter
-                   (fun op ->
-                     (match op with
-                     | Workmix.Insert (key, value) ->
-                         ignore (mops.Pds.Ops.insert ~slot:0 ~key ~value)
-                     | Workmix.Remove key ->
-                         ignore (mops.Pds.Ops.remove ~slot:0 ~key)
-                     | Workmix.Search key ->
-                         ignore (mops.Pds.Ops.search ~slot:0 ~key));
-                     incr completed;
-                     mops.Pds.Ops.map_rp ~slot:0 ~id:1)
-                   (Workmix.map_ops ~seed:(mem_seed + 71) ~n:n_ops ());
-                 sys.Pds.Ops.sys_deregister ~slot:0;
-                 sys.Pds.Ops.sys_stop ()
-             | Queue_builder build ->
-                 let qops, sys = build env in
-                 sys.Pds.Ops.sys_register ~slot:0;
-                 List.iter
-                   (fun op ->
-                     (match op with
-                     | Workmix.Enqueue v -> qops.Pds.Ops.enqueue ~slot:0 v
-                     | Workmix.Dequeue -> ignore (qops.Pds.Ops.dequeue ~slot:0));
-                     incr completed;
-                     qops.Pds.Ops.queue_rp ~slot:0 ~id:1)
-                   (Workmix.queue_ops ~seed:(mem_seed + 83) ~n:n_ops ());
-                 sys.Pds.Ops.sys_deregister ~slot:0;
-                 sys.Pds.Ops.sys_stop ()));
-      run_world sched
-    in
-    {
-      Explore.mem;
-      run;
-      completed = (fun () -> !completed);
-      recover_check = (fun () -> Ok ());
-      recover_check_faulty = None;
-    }
-  in
-  { Explore.name = name; sched_seed; mem_seed; pcso; n_ops; make }
-
-let epoch_period = 3_000.0
+let epoch_queue make ~name =
+  drive ~name ~mix:(queue_mix 83) (fun w _ops ->
+      epoch_system
+        (fun env ->
+          make env ~max_threads:2 ~period_ns:epoch_period ~flusher_pool:2)
+        queue_step w)
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
 
-type structure = Map | Queue
+type dimension = Ablation | Faults | Pipeline
+type expect = Holds | Detects | Breaks
 
 type entry = {
   id : string;
   structure : structure;
-  expect_ablation : [ `Breaks | `Holds ];
-  expect_faults : [ `Detects | `Breaks | `Unsupported ];
+  dimension : dimension;
+  expect : expect;
   build :
     sched_seed:int -> mem_seed:int -> pcso:bool -> n_ops:int ->
     Explore.scenario;
 }
 
+(* The built scenario is named by its id, so every printed [scenario=]
+   field resolves through [find]. *)
+let entry id structure (dimension, expect) build =
+  { id; structure; dimension; expect; build = build ~name:id }
+
+(* The mutant workloads run at twice the preset's op count: the bugs they
+   plant only fire inside an overlap window that also contains a
+   conflicting re-log (nowait) or a free-then-reuse pair (reclaim), and
+   the smoke preset's op counts cross too few epochs to guarantee one.
+   Exploration stops at the first violation, so the larger workload costs
+   little. A printed [ops=] stays the preset's count, which replay doubles
+   again. *)
+let doubled build ~name ~sched_seed ~mem_seed ~pcso ~n_ops =
+  build ~name ~sched_seed ~mem_seed ~pcso ~n_ops:(n_ops * 2)
+
 let all : entry list =
   [
-    {
-      id = "respct-map";
-      structure = Map;
-      expect_ablation = `Breaks;
-      expect_faults = `Unsupported;
-      build =
-        (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-          respct_map ~sched_seed ~mem_seed ~pcso ~n_ops ());
-    };
-    {
-      id = "respct-queue";
-      structure = Queue;
-      expect_ablation = `Breaks;
-      expect_faults = `Unsupported;
-      build =
-        (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-          respct_queue ~sched_seed ~mem_seed ~pcso ~n_ops ());
-    };
-    {
-      id = "respct-raw";
-      structure = Map;
-      expect_ablation = `Holds;
-      expect_faults = `Unsupported;
-      build =
-        (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-          respct_raw ~sched_seed ~mem_seed ~pcso ~n_ops ());
-    };
-    {
-      id = "clobber-map";
-      structure = Map;
-      expect_ablation = `Holds;
-      expect_faults = `Unsupported;
-      build = durlin_map ~policy:Baselines.Fatomic.Clobber ~name:"clobber-map";
-    };
-    {
-      id = "clobber-queue";
-      structure = Queue;
-      expect_ablation = `Holds;
-      expect_faults = `Unsupported;
-      build =
-        durlin_queue ~policy:Baselines.Fatomic.Clobber ~name:"clobber-queue";
-    };
-    {
-      id = "quadra-map";
-      structure = Map;
-      expect_ablation = `Breaks;
-      expect_faults = `Unsupported;
-      build = durlin_map ~policy:Baselines.Fatomic.Quadra ~name:"quadra-map";
-    };
-    {
-      id = "quadra-queue";
-      structure = Queue;
-      expect_ablation = `Breaks;
-      expect_faults = `Unsupported;
-      build =
-        durlin_queue ~policy:Baselines.Fatomic.Quadra ~name:"quadra-queue";
-    };
-    {
-      id = "soft-map";
-      structure = Map;
-      expect_ablation = `Holds;
-      expect_faults = `Unsupported;
-      build = soft_map;
-    };
-    {
-      id = "friedman-queue";
-      structure = Queue;
-      expect_ablation = `Holds;
-      expect_faults = `Unsupported;
-      build = friedman_queue;
-    };
-    {
-      id = "pmthreads-map";
-      structure = Map;
-      expect_ablation = `Holds;
-      expect_faults = `Unsupported;
-      build =
-        progress ~name:"pmthreads-map"
-          ~builder:
-            (Map_builder
-               (fun env ->
-                 Baselines.Pmthreads.make_map env ~max_threads:2
-                   ~period_ns:epoch_period ~flusher_pool:2 ~buckets));
-    };
-    {
-      id = "pmthreads-queue";
-      structure = Queue;
-      expect_ablation = `Holds;
-      expect_faults = `Unsupported;
-      build =
-        progress ~name:"pmthreads-queue"
-          ~builder:
-            (Queue_builder
-               (fun env ->
-                 Baselines.Pmthreads.make_queue env ~max_threads:2
-                   ~period_ns:epoch_period ~flusher_pool:2));
-    };
-    {
-      id = "montage-map";
-      structure = Map;
-      expect_ablation = `Holds;
-      expect_faults = `Unsupported;
-      build =
-        progress ~name:"montage-map"
-          ~builder:
-            (Map_builder
-               (fun env ->
-                 Baselines.Montage.make_map env ~max_threads:2
-                   ~period_ns:epoch_period ~flusher_pool:2 ~buckets));
-    };
-    {
-      id = "montage-queue";
-      structure = Queue;
-      expect_ablation = `Holds;
-      expect_faults = `Unsupported;
-      build =
-        progress ~name:"montage-queue"
-          ~builder:
-            (Queue_builder
-               (fun env ->
-                 Baselines.Montage.make_queue env ~max_threads:2
-                   ~period_ns:epoch_period ~flusher_pool:2));
-    };
-    {
-      id = "dali-map";
-      structure = Map;
-      expect_ablation = `Holds;
-      expect_faults = `Unsupported;
-      build =
-        progress ~name:"dali-map"
-          ~builder:
-            (Map_builder
-               (fun env ->
-                 Baselines.Dali.make_map env ~max_threads:2
-                   ~period_ns:epoch_period ~flusher_pool:2 ~buckets));
-    };
-  ]
-
-(* The fault dimension's scenario set: integrity-mode worlds recovered
-   with the verifying scan (every injected fault must be detected or
-   exactly repaired) plus the planted no-verification mutant (injected
-   faults must surface as violations — otherwise the fault oracle has no
-   teeth). Kept out of [all] so the plain matrix and the ablation check
-   are unchanged. *)
-let fault_scenarios : entry list =
-  [
-    {
-      id = "respct-map-integrity";
-      structure = Map;
-      expect_ablation = `Breaks;
-      expect_faults = `Detects;
-      build =
-        (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-          respct_map ~fault_mode:`Verified ~sched_seed ~mem_seed ~pcso ~n_ops
-            ());
-    };
-    {
-      id = "respct-queue-integrity";
-      structure = Queue;
-      expect_ablation = `Breaks;
-      expect_faults = `Detects;
-      build =
-        (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-          respct_queue ~fault_mode:`Verified ~sched_seed ~mem_seed ~pcso
-            ~n_ops ());
-    };
-    {
-      id = "respct-map-noverify";
-      structure = Map;
-      expect_ablation = `Breaks;
-      expect_faults = `Breaks;
-      build =
-        (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-          respct_map ~fault_mode:`Noverify ~sched_seed ~mem_seed ~pcso ~n_ops
-            ());
-    };
-  ]
-
-(* Pipelined-checkpointing scenario set, paired with the pipeline check's
-   expectation. Kept out of [all] so the smoke matrix and its byte-pinned
-   golden are unchanged. Correct pipeline configurations must recover at
-   every crash boundary — including crashes taken mid background walk,
-   between the commit-slot stores and the epoch-word store, and at the
-   first post-advance restart point, all of which the persist-event
-   boundary enumeration visits. The planted mutants each break one leg of
-   the overlap protocol and must die with a shrunk, replayable
-   counterexample:
-   - [Seal_before_walk] seals the commit record at handoff, so a crash
-     during the walk reports the new epoch durable while epoch-[e] lines
-     are still dirty;
-   - [No_overlap_wait] lets epoch-[e+1] writers overwrite the single
-     backup word of a cell whose epoch-[e] log has not flushed, so
-     rollback restores a value from the wrong epoch;
-   - [Early_reclaim] releases epoch-[e] freed blocks at handoff, so an
-     overlapped allocation recycles a cell that rollback still needs. *)
-let pipeline_scenarios : (entry * [ `Holds | `Breaks ]) list =
-  [
-    ( {
-        id = "respct-map-pipeline";
-        structure = Map;
-        expect_ablation = `Breaks;
-        expect_faults = `Unsupported;
-        build =
-          (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-            respct_map ~pipeline:true ~sched_seed ~mem_seed ~pcso ~n_ops ());
-      },
-      `Holds );
-    ( {
-        id = "respct-queue-pipeline";
-        structure = Queue;
-        expect_ablation = `Breaks;
-        expect_faults = `Unsupported;
-        build =
-          (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-            respct_queue ~pipeline:true ~sched_seed ~mem_seed ~pcso ~n_ops ());
-      },
-      `Holds );
-    ( {
-        id = "respct-map-integrity-pipeline";
-        structure = Map;
-        expect_ablation = `Breaks;
-        expect_faults = `Detects;
-        build =
-          (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-            respct_map ~fault_mode:`Verified ~pipeline:true ~sched_seed
-              ~mem_seed ~pcso ~n_ops ());
-      },
-      `Holds );
-    (* The mutant workloads run at twice the preset's op count: the bugs
-       they plant only fire inside an overlap window that also contains a
-       conflicting re-log (nowait) or a free-then-reuse pair (reclaim),
-       and the smoke preset's op counts cross too few epochs to guarantee
-       one. Exploration stops at the first violation, so the larger
-       workload costs little. *)
-    ( {
-        id = "respct-map-pipeline-mutant-earlyseal";
-        structure = Map;
-        expect_ablation = `Breaks;
-        expect_faults = `Unsupported;
-        build =
-          (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-            respct_map ~pipeline:true ~mutant:Respct.Runtime.Seal_before_walk
-              ~sched_seed ~mem_seed ~pcso ~n_ops:(n_ops * 2) ());
-      },
-      `Breaks );
-    ( {
-        id = "respct-map-pipeline-mutant-nowait";
-        structure = Map;
-        expect_ablation = `Breaks;
-        expect_faults = `Unsupported;
-        build =
-          (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-            respct_map ~pipeline:true ~mutant:Respct.Runtime.No_overlap_wait
-              ~sched_seed ~mem_seed ~pcso ~n_ops:(n_ops * 2) ());
-      },
-      `Breaks );
+    (* The PCSO matrix. Under word-granular write-back, systems whose
+       recovery leans on PCSO's same-line store ordering must break;
+       systems that persist each datum with explicit flushes before
+       depending on it must hold. *)
+    entry "respct-map" Map (Ablation, Breaks) (respct Map);
+    entry "respct-queue" Queue (Ablation, Breaks) (respct Queue);
+    entry "respct-raw" Map (Ablation, Holds) (raw ~mutant:false);
+    entry "clobber-map" Map (Ablation, Holds)
+      (durlin Baselines.Fatomic.Clobber Map);
+    entry "clobber-queue" Queue (Ablation, Holds)
+      (durlin Baselines.Fatomic.Clobber Queue);
+    entry "quadra-map" Map (Ablation, Breaks)
+      (durlin Baselines.Fatomic.Quadra Map);
+    entry "quadra-queue" Queue (Ablation, Breaks)
+      (durlin Baselines.Fatomic.Quadra Queue);
+    entry "soft-map" Map (Ablation, Holds) soft_map;
+    entry "friedman-queue" Queue (Ablation, Holds) friedman_queue;
+    entry "pmthreads-map" Map (Ablation, Holds)
+      (epoch_map Baselines.Pmthreads.make_map);
+    entry "pmthreads-queue" Queue (Ablation, Holds)
+      (epoch_queue Baselines.Pmthreads.make_queue);
+    entry "montage-map" Map (Ablation, Holds)
+      (epoch_map Baselines.Montage.make_map);
+    entry "montage-queue" Queue (Ablation, Holds)
+      (epoch_queue Baselines.Montage.make_queue);
+    entry "dali-map" Map (Ablation, Holds) (epoch_map Baselines.Dali.make_map);
+    (* Media faults: integrity-mode worlds recovered with the verifying
+       scan must detect or exactly repair every injected fault; the
+       planted no-verification mutant must let one through, or the fault
+       oracle has no teeth. *)
+    entry "respct-map-integrity" Map (Faults, Detects)
+      (respct ~fault_mode:`Verified Map);
+    entry "respct-queue-integrity" Queue (Faults, Detects)
+      (respct ~fault_mode:`Verified Queue);
+    entry "respct-map-noverify" Map (Faults, Breaks)
+      (respct ~fault_mode:`Noverify Map);
+    (* Pipelined checkpointing. Correct configurations must recover at
+       every crash boundary — including crashes taken mid background walk,
+       between the commit-slot stores and the epoch-word store, and at
+       the first post-advance restart point. The planted mutants each
+       break one leg of the overlap protocol and must die with a shrunk,
+       replayable counterexample:
+       - [Seal_before_walk] seals the commit record at handoff, so a crash
+         during the walk reports the new epoch durable while epoch-[e]
+         lines are still dirty;
+       - [No_overlap_wait] lets epoch-[e+1] writers overwrite the single
+         backup word of a cell whose epoch-[e] log has not flushed, so
+         rollback restores a value from the wrong epoch;
+       - [Early_reclaim] releases epoch-[e] freed blocks at handoff, so an
+         overlapped allocation recycles a cell that rollback still
+         needs. *)
+    entry "respct-map-pipeline" Map (Pipeline, Holds)
+      (respct ~pipeline:true Map);
+    entry "respct-queue-pipeline" Queue (Pipeline, Holds)
+      (respct ~pipeline:true Queue);
+    entry "respct-map-integrity-pipeline" Map (Pipeline, Detects)
+      (respct ~fault_mode:`Verified ~pipeline:true Map);
+    entry "respct-map-pipeline-mutant-earlyseal" Map (Pipeline, Breaks)
+      (doubled
+         (respct ~pipeline:true ~mutant:Respct.Runtime.Seal_before_walk Map));
+    entry "respct-map-pipeline-mutant-nowait" Map (Pipeline, Breaks)
+      (doubled
+         (respct ~pipeline:true ~mutant:Respct.Runtime.No_overlap_wait Map));
     (* The control for the reclaim mutant below: the correct protocol must
        survive the allocator-churn workload that kills the mutant. *)
-    ( {
-        id = "respct-map-pipeline-churn";
-        structure = Map;
-        expect_ablation = `Breaks;
-        expect_faults = `Unsupported;
-        build =
-          (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-            respct_map ~pipeline:true ~churn:true ~sched_seed ~mem_seed ~pcso
-              ~n_ops ());
-      },
-      `Holds );
+    entry "respct-map-pipeline-churn" Map (Pipeline, Holds)
+      (respct ~pipeline:true ~churn:true Map);
     (* The map, not the queue: a hashmap remove frees a node whose key
        word is plain (written once, WAR-free), so an overlapped reuse
        destroys state that rollback cannot restore. The queue only ever
@@ -1016,21 +636,11 @@ let pipeline_scenarios : (entry * [ `Holds | `Breaks ]) list =
        every other operation and re-allocates on the next, and free lists
        are LIFO per size class, so nearly every overlap window pops a
        just-staged block. *)
-    ( {
-        id = "respct-map-pipeline-churn-mutant-earlyreclaim";
-        structure = Map;
-        expect_ablation = `Breaks;
-        expect_faults = `Unsupported;
-        build =
-          (fun ~sched_seed ~mem_seed ~pcso ~n_ops ->
-            respct_map ~pipeline:true ~churn:true
-              ~mutant:Respct.Runtime.Early_reclaim ~sched_seed ~mem_seed
-              ~pcso ~n_ops:(n_ops * 2) ());
-      },
-      `Breaks );
+    entry "respct-map-pipeline-churn-mutant-earlyreclaim" Map
+      (Pipeline, Breaks)
+      (doubled
+         (respct ~pipeline:true ~churn:true
+            ~mutant:Respct.Runtime.Early_reclaim Map));
   ]
 
-let find id =
-  List.find_opt
-    (fun e -> e.id = id)
-    (all @ fault_scenarios @ List.map fst pipeline_scenarios)
+let find id = List.find_opt (fun e -> e.id = id) all

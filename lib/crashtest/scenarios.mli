@@ -1,8 +1,10 @@
-(** Crash-test scenarios: one deterministic world per (system, structure)
-    pair, each with the strongest oracle its persistence contract supports
-    — last-checkpoint for ResPCT, durable linearizability for the
-    flush-per-operation baselines, progress/determinism for the buffered
-    epoch systems. *)
+(** Crash-test scenarios: one deterministic single-worker world per
+    (system, structure) pair, each with the strongest oracle its
+    persistence contract supports — last-checkpoint for ResPCT, durable
+    linearizability for the flush-per-operation baselines,
+    progress/determinism for the buffered epoch systems. One driver builds
+    every world; each system supplies only its structure's constructor and
+    its oracle. *)
 
 val mem_cfg : mem_seed:int -> pcso:bool -> Simnvm.Memsys.config
 (** The small deterministic world every scenario runs in (64 Ki NVMM
@@ -12,11 +14,6 @@ val mem_cfg : mem_seed:int -> pcso:bool -> Simnvm.Memsys.config
 val rt_cfg : Respct.Runtime.config
 (** ResPCT runtime config of the crash scenarios: 3 µs checkpoint period,
     so short runs cross several epochs. *)
-
-val rt_cfg_integrity : Respct.Runtime.config
-(** [rt_cfg] with {!Respct.Runtime.config.integrity} on: epoch words,
-    registry entries and checkpoint commits carry {!Respct.Checksum}
-    seals. *)
 
 type respct_fault_mode = [ `Off | `Verified | `Noverify ]
 (** Recovery flavour of the ResPCT scenarios: plain image + trusting scan,
@@ -42,17 +39,6 @@ val respct_map :
     [?mutant] plants one of the pipeline protocol mutants via
     {!Respct.Runtime.set_mutant}. *)
 
-val respct_queue :
-  ?fault_mode:respct_fault_mode ->
-  ?pipeline:bool ->
-  ?mutant:Respct.Runtime.mutant ->
-  sched_seed:int ->
-  mem_seed:int ->
-  pcso:bool ->
-  n_ops:int ->
-  unit ->
-  Explore.scenario
-
 val respct_raw :
   ?mutant:bool ->
   sched_seed:int ->
@@ -65,68 +51,38 @@ val respct_raw :
     [~mutant:true] every third word deliberately skips [add_modified]; the
     last-checkpoint oracle must catch the stale word. *)
 
-val durlin_map :
-  policy:Baselines.Fatomic.policy ->
-  name:string ->
-  sched_seed:int ->
-  mem_seed:int ->
-  pcso:bool ->
-  n_ops:int ->
-  Explore.scenario
-
-val durlin_queue :
-  policy:Baselines.Fatomic.policy ->
-  name:string ->
-  sched_seed:int ->
-  mem_seed:int ->
-  pcso:bool ->
-  n_ops:int ->
-  Explore.scenario
-
-val soft_map :
-  sched_seed:int -> mem_seed:int -> pcso:bool -> n_ops:int -> Explore.scenario
-
-val friedman_queue :
-  sched_seed:int -> mem_seed:int -> pcso:bool -> n_ops:int -> Explore.scenario
-
-val soft_matches : (int * int) list -> (int * int) list -> bool
-(** Whether the valid-pnode multiset can reduce to the given state under
-    some per-key choice (exposed for tests). *)
-
 type structure = Map | Queue
+
+(** The crashmatrix dimension an entry runs in. *)
+type dimension =
+  | Ablation
+      (** the PCSO matrix, where every entry must hold, and the
+          word-granular write-back ablation check, where the entry's
+          expectation applies *)
+  | Faults  (** media faults layered on every crash image *)
+  | Pipeline  (** pipelined checkpointing *)
+
+type expect =
+  | Holds  (** zero violations *)
+  | Detects
+      (** zero violations, also with the preset's media faults injected:
+          recovery detects or exactly repairs every one *)
+  | Breaks  (** a planted bug or a PCSO reliance must produce violations *)
 
 type entry = {
   id : string;
-  structure : structure;
-  expect_ablation : [ `Breaks | `Holds ];
-      (** whether the word-granular write-back ablation must produce
-          violations for this system (the PCSO-reliance asymmetry) *)
-  expect_faults : [ `Detects | `Breaks | `Unsupported ];
-      (** under injected media faults: [`Detects] — every fault must be
-          detected or exactly repaired (zero violations), [`Breaks] — the
-          planted mutant must produce violations, [`Unsupported] — the
-          system makes no integrity claims and is not run in the fault
-          dimension *)
+  structure : structure;  (** which preset op count the entry runs at *)
+  dimension : dimension;
+  expect : expect;  (** in [dimension] *)
   build :
     sched_seed:int -> mem_seed:int -> pcso:bool -> n_ops:int ->
     Explore.scenario;
+      (** the built scenario is named [id] *)
 }
 
 val all : entry list
-(** ResPCT and every baseline, over both structures where applicable. *)
-
-val fault_scenarios : entry list
-(** The fault dimension's set: the integrity-mode ResPCT worlds plus the
-    no-verification mutant; disjoint from [all] so the plain matrix is
-    unchanged. *)
-
-val pipeline_scenarios : (entry * [ `Holds | `Breaks ]) list
-(** The pipelined-checkpointing dimension: ResPCT worlds with
-    {!Respct.Runtime.config.pipeline} on (plain and integrity-mode), each
-    paired with the pipeline check's expectation, plus the three planted
-    protocol mutants ([Seal_before_walk], [No_overlap_wait],
-    [Early_reclaim]) that must produce violations. Disjoint from [all] so
-    the smoke matrix is unchanged. *)
+(** The one registry: ResPCT and every baseline over both structures
+    where applicable, the integrity-mode worlds and their mutant, and the
+    pipelined worlds and their mutants. *)
 
 val find : string -> entry option
-(** Looks through [all], [fault_scenarios] and [pipeline_scenarios]. *)

@@ -16,40 +16,25 @@ type injection = { at_sync : int; delay_ns : float }
 (* Count Acquire/Rmw events; fire the injection at the chosen one. The
    subscription is detached on every exit path. *)
 let with_injection sched inj f =
-  match inj with
-  | None ->
-      let n = ref 0 in
-      let bus = Simsched.Scheduler.trace_bus sched in
-      let sub =
-        Simsched.Trace.subscribe bus (fun ev ->
-            match ev with
-            | Simsched.Trace.Acquire _ | Simsched.Trace.Rmw _ -> incr n
-            | _ -> ())
-      in
-      Fun.protect
-        ~finally:(fun () -> Simsched.Trace.unsubscribe bus sub)
-        (fun () ->
-          let r = f () in
-          (r, !n))
-  | Some { at_sync; delay_ns } ->
-      let n = ref 0 in
-      let bus = Simsched.Scheduler.trace_bus sched in
-      let sub =
-        Simsched.Trace.subscribe bus (fun ev ->
-            match ev with
-            | Simsched.Trace.Acquire _ | Simsched.Trace.Rmw _ ->
-                if !n = at_sync then begin
-                  Simsched.Scheduler.charge sched delay_ns;
-                  Simsched.Scheduler.preempt_now sched
-                end;
-                incr n
-            | _ -> ())
-      in
-      Fun.protect
-        ~finally:(fun () -> Simsched.Trace.unsubscribe bus sub)
-        (fun () ->
-          let r = f () in
-          (r, !n))
+  let n = ref 0 in
+  let bus = Simsched.Scheduler.trace_bus sched in
+  let sub =
+    Simsched.Trace.subscribe bus (fun ev ->
+        match ev with
+        | Simsched.Trace.Acquire _ | Simsched.Trace.Rmw _ ->
+            (match inj with
+            | Some { at_sync; delay_ns } when !n = at_sync ->
+                Simsched.Scheduler.charge sched delay_ns;
+                Simsched.Scheduler.preempt_now sched
+            | _ -> ());
+            incr n
+        | _ -> ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Simsched.Trace.unsubscribe bus sub)
+    (fun () ->
+      let r = f () in
+      (r, !n))
 
 type spec = {
   name : string;

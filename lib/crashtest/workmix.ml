@@ -42,36 +42,50 @@ let queue_ops ~seed ~n () =
   List.init n (fun i ->
       if Simnvm.Rng.int rng 3 = 0 then Dequeue else Enqueue (100 + i))
 
-(* Reference-model states after each prefix: [states.(i)] is the logical
-   state once the first [i] operations have completed. *)
+(* The reference models: the logical state a correct structure holds,
+   stepped one operation at a time. The prefix states below fold them;
+   the ResPCT crash scenarios step one live beside the worker and
+   snapshot it at every checkpoint. *)
 
-let map_states ops =
-  let n = List.length ops in
-  let states = Array.make (n + 1) [] in
-  let model = Hashtbl.create 16 in
-  List.iteri
-    (fun i op ->
-      (match op with
-      | Insert (k, v) -> Hashtbl.replace model k v
-      | Remove k -> Hashtbl.remove model k
+type ('op, 'state) model = { apply : 'op -> unit; state : unit -> 'state }
+
+let map_model () =
+  let t = Hashtbl.create 16 in
+  {
+    apply =
+      (function
+      | Insert (k, v) -> Hashtbl.replace t k v
+      | Remove k -> Hashtbl.remove t k
       | Search _ -> ());
-      states.(i + 1) <-
-        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
-    ops;
-  states
+    state =
+      (fun () ->
+        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []));
+  }
 
-let queue_states ops =
-  let n = List.length ops in
-  let states = Array.make (n + 1) [] in
+let queue_model () =
   let q = ref [] in
-  List.iteri
-    (fun i op ->
-      (match op with
+  {
+    apply =
+      (function
       | Enqueue v -> q := !q @ [ v ]
       | Dequeue -> ( match !q with [] -> () | _ :: tl -> q := tl));
-      states.(i + 1) <- !q)
+    state = (fun () -> !q);
+  }
+
+(* [states.(i)] is the logical state once the first [i] operations have
+   completed. *)
+let states model ops =
+  let m = model () in
+  let states = Array.make (List.length ops + 1) (m.state ()) in
+  List.iteri
+    (fun i op ->
+      m.apply op;
+      states.(i + 1) <- m.state ())
     ops;
   states
+
+let map_states ops = states map_model ops
+let queue_states ops = states queue_model ops
 
 let pp_map_op ppf = function
   | Insert (k, v) -> Fmt.pf ppf "insert(%d,%d)" k v

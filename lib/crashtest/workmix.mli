@@ -23,6 +23,16 @@ val churn_ops : ?keys:int -> n:int -> unit -> map_op list
 val queue_ops : seed:int -> n:int -> unit -> queue_op list
 (** ~2/3 enqueues of unique non-zero values, ~1/3 dequeues. *)
 
+type ('op, 'state) model = { apply : 'op -> unit; state : unit -> 'state }
+(** A reference model: the logical state a correct structure holds,
+    stepped one operation at a time. *)
+
+val map_model : unit -> (map_op, (int * int) list) model
+(** Sorted bindings. *)
+
+val queue_model : unit -> (queue_op, int list) model
+(** Contents, front first. *)
+
 val map_states : map_op list -> (int * int) list array
 (** [states.(i)]: sorted logical bindings after the first [i] operations
     (length [n + 1], index 0 is the empty map). *)

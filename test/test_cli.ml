@@ -5,7 +5,12 @@
      --json it writes nothing, and a --json naming the baseline is refused
      with exit 2 before any measurement;
    - figure names are a closed set (cmdliner's usage error, exit 124);
-   - an unwritable --json sink fails with exit 2 before any work. *)
+   - an unwritable --json sink fails with exit 2 before any work;
+   - `crashmatrix` runs one dimension and ignores no flag: two dimension
+     flags, or the file grid with a flag it would not read, are usage
+     errors; a --scenario prefix naming nothing in the chosen dimension
+     exits 2 listing the ids it knows; --no-schedules holds in every
+     dimension. *)
 
 let exe = Filename.concat (Sys.getcwd ()) "../bin/respct_experiments.exe"
 let bench_baseline = Filename.concat (Sys.getcwd ()) "../BENCH_PR12.json"
@@ -103,6 +108,75 @@ let test_unwritable_sink () =
         [ [ "figures"; "fig9" ]; [ "prockill"; "--kills"; "1" ] ];
       check_untouched dir copy)
 
+let crashmatrix dir args = run dir ("crashmatrix" :: args)
+
+let check_usage_errors dir cases =
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let status, out, _ = crashmatrix dir args in
+      Alcotest.(check int) (what ^ ": usage error") 124 status;
+      Alcotest.(check string) (what ^ ": nothing run") "" out)
+    cases
+
+let test_one_dimension () =
+  with_dir (fun dir copy ->
+      check_usage_errors dir
+        [
+          [ "--faults"; "--pipeline" ];
+          [ "--ablation-check"; "--faults" ];
+          [ "--ablation-check"; "--pipeline" ];
+        ];
+      check_untouched dir copy)
+
+let test_file_grid_takes_no_sim_flags () =
+  with_dir (fun dir copy ->
+      check_usage_errors dir
+        [
+          [ "--backend"; "file"; "--faults"; "--scenario"; "nosuch" ];
+          [ "--backend"; "file"; "--pipeline" ];
+          [ "--backend"; "file"; "--scenario"; "respct" ];
+          [ "--backend"; "file"; "--no-schedules" ];
+        ];
+      check_untouched dir copy)
+
+let test_no_pcso_removed () =
+  with_dir (fun dir copy ->
+      check_usage_errors dir [ [ "--no-pcso" ] ];
+      check_untouched dir copy)
+
+let test_unknown_scenario () =
+  with_dir (fun dir copy ->
+      List.iter
+        (fun (args, known) ->
+          let what = String.concat " " args in
+          let status, out, err = crashmatrix dir args in
+          Alcotest.(check int) (what ^ ": exit 2") 2 status;
+          Alcotest.(check string) (what ^ ": nothing run") "" out;
+          Alcotest.(check bool)
+            (what ^ ": lists the dimension's ids")
+            true (contains err known))
+        [
+          ([ "--scenario"; "nosuch" ], "respct-map, respct-queue");
+          (* soft-map exists, but not in the fault dimension *)
+          ([ "--faults"; "--scenario"; "soft" ], "respct-map-noverify");
+        ];
+      check_untouched dir copy)
+
+let test_no_schedules_everywhere () =
+  with_dir (fun dir copy ->
+      let status, out, _ =
+        crashmatrix dir
+          [ "--pipeline"; "--scenario"; "respct-queue-pipeline";
+            "--no-schedules" ]
+      in
+      Alcotest.(check int) "passes" 0 status;
+      Alcotest.(check bool) "ran the scenario" true
+        (contains out "respct-queue-pipeline");
+      Alcotest.(check bool) "no schedule sweep" false
+        (contains out "schedule sweeps");
+      check_untouched dir copy)
+
 let () =
   Alcotest.run "cli"
     [
@@ -119,5 +193,17 @@ let () =
             test_unknown_figure;
           Alcotest.test_case "unwritable json fails first" `Quick
             test_unwritable_sink;
+        ] );
+      ( "crashmatrix",
+        [
+          Alcotest.test_case "one dimension per run" `Quick
+            test_one_dimension;
+          Alcotest.test_case "file grid takes no sim flags" `Quick
+            test_file_grid_takes_no_sim_flags;
+          Alcotest.test_case "no-pcso removed" `Quick test_no_pcso_removed;
+          Alcotest.test_case "unknown scenario exits 2" `Quick
+            test_unknown_scenario;
+          Alcotest.test_case "no-schedules in every dimension" `Quick
+            test_no_schedules_everywhere;
         ] );
     ]

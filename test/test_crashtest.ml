@@ -58,6 +58,29 @@ let test_correct_systems_pass () =
     [ "respct-map"; "respct-queue"; "clobber-map"; "soft-map"; "friedman-queue" ]
 
 (* ------------------------------------------------------------------ *)
+(* The registry invariant replay rests on: a printed [scenario=] field is
+   the built scenario's name, and [replay] resolves it through [find]. A
+   mismatch would make every counterexample of that entry unreplayable. *)
+
+let test_registry_ids_resolve () =
+  let ids = List.map (fun (e : Scenarios.entry) -> e.Scenarios.id) Scenarios.all in
+  Alcotest.(check int) "ids unique" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  List.iter
+    (fun (e : Scenarios.entry) ->
+      let id = e.Scenarios.id in
+      Alcotest.(check bool)
+        (id ^ ": find returns the entry")
+        true
+        (match Scenarios.find id with Some found -> found == e | None -> false);
+      Alcotest.(check string)
+        (id ^ ": built scenario is named by its id")
+        id
+        (e.Scenarios.build ~sched_seed:3 ~mem_seed:5 ~pcso:true ~n_ops:4)
+          .Explore.name)
+    Scenarios.all
+
+(* ------------------------------------------------------------------ *)
 (* The planted mutant: an append log that skips [add_modified] for every
    third word must be caught, shrink to a replayable counterexample, and
    replay. *)
@@ -630,7 +653,12 @@ let campaigns : Cx.packed list =
 let gen_witness : any_witness QCheck.Gen.t =
   let open QCheck.Gen in
   let seed = int_range (-1000) 1_000_000 and small = int_range 0 400 in
-  let scenario = oneofl (List.map (fun (e : Scenarios.entry) -> e.Scenarios.id) Scenarios.all @ [ "ir-kv-update-striplog" ]) in
+  (* every registry id, in every dimension, plus an IR corpus one *)
+  let scenario =
+    oneofl
+      (List.map (fun (e : Scenarios.entry) -> e.Scenarios.id) Scenarios.all
+      @ [ "ir-kv-update-striplog" ])
+  in
   let variant =
     oneof
       [ return Explore.Baseline; return Explore.Evict_all;
@@ -782,6 +810,8 @@ let () =
             test_check_point_reports_raise;
           Alcotest.test_case "unmutated raw log passes" `Quick
             test_unmutated_raw_passes;
+          Alcotest.test_case "registry ids resolve" `Quick
+            test_registry_ids_resolve;
         ] );
       ( "ablation",
         [

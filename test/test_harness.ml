@@ -504,6 +504,119 @@ let test_crashmatrix_golden () =
   Alcotest.(check string) "verdict counts byte-identical" crashmatrix_golden
     (Buffer.contents buf)
 
+(* The three expectation dimensions at the smoke preset, pinned the same
+   way: verdict rows, shrunk counterexamples and their [# crashmatrix]
+   replay lines, which CI and [replay] read back. *)
+let ablation_golden =
+  {|ablation asymmetry check (smoke): word-granular write-back
+  respct-map         boundaries=276   images=4666  breaks (expected: relies on PCSO)
+    first: crash@163 image=word:817: epoch 1: recovered {2->106, 4->102, 5->107, 8->105,
+9->103}, last checkpoint had {2->106, 4->102, 5->100, 8->105,
+9->103}
+    counterexample respct-map (shrunk to 8 ops):
+      seeds: scheduler=1 memory=1 pcso=false
+      crash index 163, image word:817
+      epoch 1: recovered {2->106, 4->102, 5->107, 8->105,
+9->103}, last checkpoint had {2->106, 4->102, 5->100, 8->105,
+9->103}
+      # crashmatrix scenario=respct-map ops=8 sched-seed=1 mem-seed=1 pcso=false crash-index=163 image=word:817
+  respct-queue       boundaries=193   images=4742  breaks (expected: relies on PCSO)
+    first: crash@172 image=word:857: recovery raised Failure("persisted queue chain is cyclic")
+    counterexample respct-queue (shrunk to 12 ops):
+      seeds: scheduler=1 memory=1 pcso=false
+      crash index 172, image word:857
+      recovery raised Failure("persisted queue chain is cyclic")
+      # crashmatrix scenario=respct-queue ops=12 sched-seed=1 mem-seed=1 pcso=false crash-index=172 image=word:857
+  respct-raw         boundaries=126   images=1352  holds (expected: explicit flush ordering)
+  clobber-map        boundaries=83    images=232   holds (expected: explicit flush ordering)
+  clobber-queue      boundaries=139   images=460   holds (expected: explicit flush ordering)
+  quadra-map         boundaries=51    images=7     breaks (expected: relies on PCSO)
+    first: crash@2 image=word:17: torn line 2: persisted state unreachable under PCSO
+    counterexample quadra-map (shrunk to 4 ops):
+      seeds: scheduler=1 memory=1 pcso=false
+      crash index 2, image word:17
+      torn line 2: persisted state unreachable under PCSO
+      # crashmatrix scenario=quadra-map ops=4 sched-seed=1 mem-seed=1 pcso=false crash-index=2 image=word:17
+  quadra-queue       boundaries=87    images=20    breaks (expected: relies on PCSO)
+    first: crash@8 image=word:11: torn line 1: persisted state unreachable under PCSO
+    counterexample quadra-queue (shrunk to 2 ops):
+      seeds: scheduler=1 memory=1 pcso=false
+      crash index 8, image word:11
+      torn line 1: persisted state unreachable under PCSO
+      # crashmatrix scenario=quadra-queue ops=2 sched-seed=1 mem-seed=1 pcso=false crash-index=8 image=word:11
+  soft-map           boundaries=64    images=119   holds (expected: explicit flush ordering)
+  friedman-queue     boundaries=86    images=156   holds (expected: explicit flush ordering)
+  pmthreads-map      boundaries=0     images=0     holds (expected: explicit flush ordering)
+  pmthreads-queue    boundaries=0     images=0     holds (expected: explicit flush ordering)
+  montage-map        boundaries=50    images=962   holds (expected: explicit flush ordering)
+  montage-queue      boundaries=72    images=1332  holds (expected: explicit flush ordering)
+  dali-map           boundaries=44    images=981   holds (expected: explicit flush ordering)
+ablation asymmetry: PASS
+|}
+
+let faults_golden =
+  {|fault-injection check (smoke): seeds [7]
+  respct-map-integrity     boundaries=365   images=6246  detects (every fault detected or exactly repaired)
+  respct-queue-integrity   boundaries=276   images=4286  detects (every fault detected or exactly repaired)
+  respct-map-noverify      boundaries=365   images=130   breaks (expected: recovery skips verification)
+    first: crash@36 image=baseline fault-seed=7: recovery raised Simnvm.Memsys.Media_error(8, 1, 1)
+    counterexample respct-map-noverify (shrunk to 0 ops):
+      seeds: scheduler=1 memory=1 pcso=true
+      crash index 36, image baseline fault-seed=7
+      recovery raised Simnvm.Memsys.Media_error(8, 1, 1)
+      # crashmatrix scenario=respct-map-noverify ops=0 sched-seed=1 mem-seed=1 pcso=true crash-index=36 image=baseline fault-seed=7
+fault injection: PASS
+|}
+
+let pipeline_golden =
+  {|pipelined checkpointing check (smoke)
+  respct-map-pipeline                      boundaries=290   images=2436  holds (recovers at every mid-overlap boundary)
+  respct-queue-pipeline                    boundaries=191   images=1487  holds (recovers at every mid-overlap boundary)
+  respct-map-integrity-pipeline            boundaries=374   images=6640  holds (recovers at every mid-overlap boundary)
+  respct-map-pipeline-mutant-earlyseal     boundaries=394   images=1346  breaks (expected: planted overlap-protocol mutant)
+    first: crash@142 image=baseline: epoch 1: recovered {}, last checkpoint had {2->106, 4->102, 5->100, 8->105,
+9->103}
+    counterexample respct-map-pipeline-mutant-earlyseal (shrunk to 4 ops):
+      seeds: scheduler=1 memory=1 pcso=true
+      crash index 142, image baseline
+      epoch 1: recovered {}, last checkpoint had {2->106, 4->102, 5->100, 8->105,
+9->103}
+      # crashmatrix scenario=respct-map-pipeline-mutant-earlyseal ops=4 sched-seed=1 mem-seed=1 pcso=true crash-index=142 image=baseline
+  respct-map-pipeline-mutant-nowait        boundaries=326   images=3078  breaks (expected: planted overlap-protocol mutant)
+    first: crash@274 image=line:104: epoch 1: recovered {2->106, 4->102, 5->100, 8->105,
+9->121}, last checkpoint had {2->106, 4->102, 5->100, 8->105,
+9->103}
+    counterexample respct-map-pipeline-mutant-nowait (shrunk to 14 ops):
+      seeds: scheduler=1 memory=1 pcso=true
+      crash index 274, image line:104
+      epoch 1: recovered {2->106, 4->102, 5->100, 8->105,
+9->121}, last checkpoint had {2->106, 4->102, 5->100, 8->105,
+9->103}
+      # crashmatrix scenario=respct-map-pipeline-mutant-nowait ops=14 sched-seed=1 mem-seed=1 pcso=true crash-index=274 image=line:104
+  respct-map-pipeline-churn                boundaries=317   images=2848  holds (recovers at every mid-overlap boundary)
+  respct-map-pipeline-churn-mutant-earlyreclaim boundaries=464   images=2564  breaks (expected: planted overlap-protocol mutant)
+    first: crash@277 image=line:102: epoch 2: recovered {2->101, 3->102, 4->100, 4->103, 5->104, 6->105,
+7->106}, last checkpoint had {1->100, 2->101, 3->102, 4->103, 5->104, 6->105,
+7->106}
+    counterexample respct-map-pipeline-churn-mutant-earlyreclaim (shrunk to 8 ops):
+      seeds: scheduler=1 memory=1 pcso=true
+      crash index 277, image line:102
+      epoch 2: recovered {2->101, 3->102, 4->100, 4->103, 5->104, 6->105,
+7->106}, last checkpoint had {1->100, 2->101, 3->102, 4->103, 5->104, 6->105,
+7->106}
+      # crashmatrix scenario=respct-map-pipeline-churn-mutant-earlyreclaim ops=8 sched-seed=1 mem-seed=1 pcso=true crash-index=277 image=line:102
+  pipeline schedule sweeps: 1 specs, ok
+pipelined checkpointing: PASS
+|}
+
+let check_dimension_golden run golden () =
+  let buf = Buffer.create 8192 in
+  let ppf = Format.formatter_of_buffer buf in
+  let ok = run Crashtest.Matrix.smoke ppf in
+  Format.pp_print_flush ppf ();
+  Alcotest.(check bool) "every expectation holds" true ok;
+  Alcotest.(check string) "output byte-identical" golden (Buffer.contents buf)
+
 (* The lint's JSON output is a CI artifact: the diagnostics document for
    a fixed multi-finding program is pinned byte-for-byte, which is what
    makes the `analyze --json` gate diffable. Findings are normalized
@@ -614,6 +727,18 @@ let () =
         [
           Alcotest.test_case "fig9 table" `Quick test_fig9_golden;
           Alcotest.test_case "crashmatrix smoke" `Quick test_crashmatrix_golden;
+          Alcotest.test_case "crashmatrix ablation check" `Quick
+            (check_dimension_golden
+               (fun p ppf -> Crashtest.Matrix.ablation_check p ppf)
+               ablation_golden);
+          Alcotest.test_case "crashmatrix faults check" `Quick
+            (check_dimension_golden
+               (fun p ppf -> Crashtest.Matrix.faults_check p ppf)
+               faults_golden);
+          Alcotest.test_case "crashmatrix pipeline check" `Slow
+            (check_dimension_golden
+               (fun p ppf -> Crashtest.Matrix.pipeline_check p ppf)
+               pipeline_golden);
           Alcotest.test_case "lint diagnostics json" `Quick
             test_lint_json_golden;
         ] );
