@@ -327,7 +327,7 @@ let run_mem ?(fuel = 100_000) ?(sched_seed = 0) ?halt_var
 
 type world = {
   w_mem : Simnvm.Memsys.t;
-  w_bus : Simsched.Trace.bus;
+  w_bus : Simnvm.Event.bus;
   w_run : unit -> unit;
   w_completed : unit -> int;
   w_recover_check : unit -> (unit, string) result;
@@ -599,7 +599,7 @@ let sim_world ?(sched_seed = 1) ?(mem_seed = 1) ?(pcso = true)
   in
   {
     w_mem = mem;
-    w_bus = Simsched.Env.bus env;
+    w_bus = Simsched.Scheduler.trace_bus sched;
     w_run = run;
     w_completed = (fun () -> !completed);
     w_recover_check = recover_check;

@@ -64,8 +64,8 @@ val run_mem :
 
 type world = {
   w_mem : Simnvm.Memsys.t;
-  w_bus : Simsched.Trace.bus;
-      (** the world's trace bus, for attaching the dynamic advisor or a
+  w_bus : Simnvm.Event.bus;
+      (** the world's event bus, for attaching the dynamic advisor or a
           race checker around [w_run] *)
   w_run : unit -> unit;
   w_completed : unit -> int;  (** restart points executed *)

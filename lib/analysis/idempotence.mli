@@ -6,8 +6,8 @@
     write-after-read; the paper derives from this the rule deciding which
     persistent variables need InCLL logging. This module implements that
     rule over explicit traces — the automation direction the paper's
-    section 6 sketches as future work (see also {!Trace} for traces
-    recorded from running simulated code). *)
+    section 6 sketches as future work (see also {!Simnvm.Event.record}
+    for traces recorded from running simulated code). *)
 
 type access = Read of string | Write of string
 

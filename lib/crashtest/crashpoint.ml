@@ -1,4 +1,4 @@
-(* Crash-point enumeration over the Memsys event pipeline.
+(* Crash-point enumeration over the memory's event bus.
 
    A persist-relevant event is any action that changes, or could have
    changed, what a power failure leaves in NVMM: a store to an NVMM
@@ -30,30 +30,32 @@ let pilot mem ~completed f =
   let nw = (Simnvm.Memsys.config mem).Simnvm.Memsys.nvm_words in
   let acc = ref [] in
   let n = ref 0 in
+  let bus = Simnvm.Memsys.bus mem in
   let sub =
-    Simnvm.Memsys.subscribe mem (fun ev ->
+    Simnvm.Event.subscribe bus (fun ev ->
         if persist_event ~nvm_words:nw ev then begin
           acc := completed () :: !acc;
           incr n
         end)
   in
   Fun.protect
-    ~finally:(fun () -> Simnvm.Memsys.unsubscribe mem sub)
+    ~finally:(fun () -> Simnvm.Event.unsubscribe bus sub)
     (fun () -> f ());
   (!n, Array.of_list (List.rev !acc))
 
 let run_to mem ~crash_index f =
   let nw = (Simnvm.Memsys.config mem).Simnvm.Memsys.nvm_words in
   let n = ref 0 in
+  let bus = Simnvm.Memsys.bus mem in
   let sub =
-    Simnvm.Memsys.subscribe mem (fun ev ->
+    Simnvm.Event.subscribe bus (fun ev ->
         if persist_event ~nvm_words:nw ev then begin
           if !n = crash_index then raise Crash_now;
           incr n
         end)
   in
   Fun.protect
-    ~finally:(fun () -> Simnvm.Memsys.unsubscribe mem sub)
+    ~finally:(fun () -> Simnvm.Event.unsubscribe bus sub)
     (fun () ->
       match f () with
       | () -> `Completed

@@ -3,12 +3,12 @@
 
    A sweep runs each scenario under several scheduler seeds (with charge
    jitter, so seeds genuinely permute interleavings) and, per seed, once
-   per targeted synchronisation point: a subscriber on the world's
-   [Trace] bus counts lock acquisitions and atomic RMWs and, at the n-th
-   one, charges a delay to the running thread and forces it to switch out
-   at its next poll ([Scheduler.preempt_now]) — exactly the "adversary
-   preempts you inside your critical window" schedules a seed sweep is
-   unlikely to hit. A [Deadlock] from the scheduler is a failure like any
+   per targeted synchronisation point: a subscriber on the world's bus
+   counts lock acquisitions and atomic RMWs and, at the n-th one, charges
+   a delay to the running thread and forces it to switch out at its next
+   poll ([Scheduler.preempt_now]) — exactly the "adversary preempts you
+   inside your critical window" schedules a seed sweep is unlikely to
+   hit. A [Deadlock] from the scheduler is a failure like any
    assertion: lost-wakeup and lock-order bugs surface here. *)
 
 type injection = { at_sync : int; delay_ns : float }
@@ -19,9 +19,9 @@ let with_injection sched inj f =
   let n = ref 0 in
   let bus = Simsched.Scheduler.trace_bus sched in
   let sub =
-    Simsched.Trace.subscribe bus (fun ev ->
+    Simnvm.Event.subscribe bus (fun ev ->
         match ev with
-        | Simsched.Trace.Acquire _ | Simsched.Trace.Rmw _ ->
+        | Simnvm.Event.Acquire _ | Simnvm.Event.Rmw _ ->
             (match inj with
             | Some { at_sync; delay_ns } when !n = at_sync ->
                 Simsched.Scheduler.charge sched delay_ns;
@@ -31,7 +31,7 @@ let with_injection sched inj f =
         | _ -> ())
   in
   Fun.protect
-    ~finally:(fun () -> Simsched.Trace.unsubscribe bus sub)
+    ~finally:(fun () -> Simnvm.Event.unsubscribe bus sub)
     (fun () ->
       let r = f () in
       (r, !n))

@@ -37,6 +37,8 @@
      [..]      the NVMM image, nvm_words words
    The DRAM region exists only in the mirror (volatile scratch). *)
 
+module Event = Simnvm.Event
+
 type config = {
   line_words : int;
   nvm_words : int;
@@ -94,8 +96,7 @@ type t = {
   mutable pending_order : int list; (* pending lines, reverse issue order *)
   rng : Simnvm.Rng.t;
   stats : Simnvm.Stats.t;
-  mutable subs : (int * (Simnvm.Event.t -> unit)) list;
-  mutable next_sub : int;
+  mutable bus : Event.bus; (* the world's bus once Env couples it *)
   mutable charge : float -> unit;
   mutable tid : unit -> int;
   mutable mutant : mutant option;
@@ -239,8 +240,7 @@ let make cfg meta ~path ~fd ~map ~truncated =
     pending_order = [];
     rng = Simnvm.Rng.create cfg.seed;
     stats = Simnvm.Stats.create ();
-    subs = [];
-    next_sub = 0;
+    bus = Event.create_bus ();
     charge = (fun _ -> ());
     tid = (fun () -> -1);
     mutant = None;
@@ -338,9 +338,6 @@ let arm_mutant t m = t.mutant <- Some m
 (* ------------------------------------------------------------------ *)
 (* Access path *)
 
-let emit t ev = List.iter (fun (_, f) -> f ev) (List.rev t.subs)
-let[@inline] has_subs t = t.subs <> []
-
 let check_addr t addr =
   if addr < 0 || addr >= t.cfg.nvm_words + t.cfg.dram_words then
     invalid_arg (Printf.sprintf "Filemem: address %d out of range" addr)
@@ -366,10 +363,10 @@ let spontaneous_eviction t =
         t.stats.Simnvm.Stats.spontaneous_evictions + 1;
       t.stats.Simnvm.Stats.nvm_writebacks <-
         t.stats.Simnvm.Stats.nvm_writebacks + 1;
-      if has_subs t then begin
-        emit t
-          (Simnvm.Event.Writeback { backing = Simnvm.Event.Nvm; line = lineno });
-        emit t (Simnvm.Event.Eviction { line = lineno })
+      if Event.active t.bus then begin
+        Event.emit t.bus
+          (Event.Writeback { backing = Event.Nvm; line = lineno });
+        Event.emit t.bus (Event.Eviction { line = lineno })
       end
     end
   end
@@ -377,14 +374,16 @@ let spontaneous_eviction t =
 let load t addr =
   check_addr t addr;
   t.stats.Simnvm.Stats.loads <- t.stats.Simnvm.Stats.loads + 1;
-  if has_subs t then emit t (Simnvm.Event.Load { tid = t.tid (); addr });
+  if Event.active t.bus then
+    Event.emit t.bus (Event.Load { tid = t.tid (); addr });
   t.charge t.cfg.latency.Simnvm.Latency.cache_hit_ns;
   t.mirror.(addr)
 
 let store t addr v =
   check_addr t addr;
   t.stats.Simnvm.Stats.stores <- t.stats.Simnvm.Stats.stores + 1;
-  if has_subs t then emit t (Simnvm.Event.Store { tid = t.tid (); addr });
+  if Event.active t.bus then
+    Event.emit t.bus (Event.Store { tid = t.tid (); addr });
   t.charge
     (t.cfg.latency.Simnvm.Latency.cache_hit_ns
     +. t.cfg.latency.Simnvm.Latency.store_extra_ns);
@@ -402,7 +401,8 @@ let pwb t addr =
   let lineno = line_of t addr in
   let dirty = is_nvm t addr && bit_get t.dirty lineno in
   t.stats.Simnvm.Stats.pwbs <- t.stats.Simnvm.Stats.pwbs + 1;
-  if has_subs t then emit t (Simnvm.Event.Pwb { tid = t.tid (); addr; dirty });
+  if Event.active t.bus then
+    Event.emit t.bus (Event.Pwb { tid = t.tid (); addr; dirty });
   if dirty then begin
     if not (bit_get t.pending lineno) then begin
       bit_set t.pending lineno;
@@ -414,7 +414,7 @@ let pwb t addr =
 
 let psync t =
   t.stats.Simnvm.Stats.psyncs <- t.stats.Simnvm.Stats.psyncs + 1;
-  if has_subs t then emit t (Simnvm.Event.Psync { tid = t.tid () });
+  if Event.active t.bus then Event.emit t.bus (Event.Psync { tid = t.tid () });
   t.charge t.cfg.latency.Simnvm.Latency.sfence_ns;
   match t.mutant with
   | Some Elide_psync -> ()
@@ -430,10 +430,9 @@ let psync t =
             t.stats.Simnvm.Stats.nvm_writebacks <-
               t.stats.Simnvm.Stats.nvm_writebacks + 1;
             t.charge t.cfg.latency.Simnvm.Latency.nvm_writeback_ns;
-            if has_subs t then
-              emit t
-                (Simnvm.Event.Writeback
-                   { backing = Simnvm.Event.Nvm; line = lineno })
+            if Event.active t.bus then
+              Event.emit t.bus
+                (Event.Writeback { backing = Event.Nvm; line = lineno })
           end)
         lines
 
@@ -449,17 +448,12 @@ let persisted t addr =
     invalid_arg "Filemem.persisted: address not in NVMM";
   Int64.to_int t.map.{t.image_base + addr}
 
-let poke_persisted t addr v =
-  if addr < 0 || addr >= t.cfg.nvm_words then
-    invalid_arg "Filemem.poke_persisted: address not in NVMM";
-  t.map.{t.image_base + addr} <- Int64.of_int v
-
 (* In-process power cut: the mirror (our "cache") reloads from the file
    image and the DRAM region zeroes. The parity and idempotence tests use
    this; the prockill harness uses the real thing (SIGKILL). *)
 let crash t =
   t.stats.Simnvm.Stats.crashes <- t.stats.Simnvm.Stats.crashes + 1;
-  if has_subs t then emit t (Simnvm.Event.Crash { eadr = false });
+  if Event.active t.bus then Event.emit t.bus (Event.Crash { eadr = false });
   for i = 0 to t.cfg.nvm_words - 1 do
     t.mirror.(i) <- Int64.to_int t.map.{t.image_base + i}
   done;
@@ -491,36 +485,25 @@ let scrub_line t lineno =
   done;
   bit_clear t.dirty lineno;
   t.stats.Simnvm.Stats.media_scrubs <- t.stats.Simnvm.Stats.media_scrubs + 1;
-  if has_subs t then emit t (Simnvm.Event.Media_scrub { line = lineno })
-
-let image t =
-  Array.init t.cfg.nvm_words (fun i -> Int64.to_int t.map.{t.image_base + i})
-
-let subscribe t f =
-  let id = t.next_sub in
-  t.next_sub <- id + 1;
-  t.subs <- (id, f) :: t.subs;
-  fun () -> t.subs <- List.filter (fun (i, _) -> i <> id) t.subs
+  if Event.active t.bus then
+    Event.emit t.bus (Event.Media_scrub { line = lineno })
 
 let backend t : Simnvm.Backend.t =
   {
     Simnvm.Backend.name = "filemem:" ^ t.path;
     line_words = t.cfg.line_words;
     nvm_words = t.cfg.nvm_words;
-    dram_words = t.cfg.dram_words;
     load = load t;
     store = store t;
     pwb = pwb t;
     psync = (fun () -> psync t);
     peek = peek t;
     persisted = persisted t;
-    poke_persisted = poke_persisted t;
-    is_nvm = is_nvm t;
     crash = (fun () -> crash t);
     scrub_line = scrub_line t;
     flush_all = (fun () -> flush_all t);
-    image = (fun () -> image t);
-    subscribe = subscribe t;
+    bus = (fun () -> t.bus);
+    set_bus = (fun b -> t.bus <- b);
     set_charge = (fun f -> t.charge <- f);
     get_charge = (fun () -> t.charge);
     set_tid_provider = (fun f -> t.tid <- f);

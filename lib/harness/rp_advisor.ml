@@ -1,7 +1,7 @@
 (* Automation of the paper's section 3.3.2 rules over recorded executions —
    the future-work direction of its section 6.
 
-   Given a trace of a simulated run (Simsched.Trace), the advisor:
+   Given the event stream of a simulated run (Simnvm.Event), the advisor:
 
    - splits each thread's accesses into restart-point-delimited segments
      and applies the WAR rule per segment: any address read before its
@@ -48,35 +48,34 @@ let analyse ?(addr_filter = fun (_ : int) -> true) events =
   List.iter
     (fun ev ->
       match ev with
-      | Simsched.Trace.Load { tid; addr } when addr_filter addr ->
+      | Simnvm.Event.Load { tid; addr } when addr_filter addr ->
           let ws = tbl_of writes_in_segment tid in
           if not (Hashtbl.mem ws addr) then
             Hashtbl.replace (tbl_of reads_in_segment tid) addr ();
           Analysis.Racecheck.push checker
             (Analysis.Racecheck.Rread { thread = tid; addr })
-      | Simsched.Trace.Store { tid; addr } when addr_filter addr ->
+      | Simnvm.Event.Store { tid; addr } when addr_filter addr ->
           Hashtbl.replace written addr ();
           if Hashtbl.mem (tbl_of reads_in_segment tid) addr then
             Hashtbl.replace war addr ();
           Hashtbl.replace (tbl_of writes_in_segment tid) addr ();
           Analysis.Racecheck.push checker
             (Analysis.Racecheck.Rwrite { thread = tid; addr })
-      | Simsched.Trace.Acquire { tid; lock } ->
+      | Simnvm.Event.Acquire { tid; lock } ->
           Analysis.Racecheck.push checker
             (Analysis.Racecheck.Racq { thread = tid; lock })
-      | Simsched.Trace.Release { tid; lock } ->
+      | Simnvm.Event.Release { tid; lock } ->
           Analysis.Racecheck.push checker
             (Analysis.Racecheck.Rrel { thread = tid; lock })
-      | Simsched.Trace.Restart_point { tid; id = _ } ->
+      | Simnvm.Event.Restart_point { tid; id = _ } ->
           incr segments;
           Hashtbl.remove reads_in_segment tid;
           Hashtbl.remove writes_in_segment tid
-      (* An Rmw marker follows the load/store pair Env already emitted for
-         the atomic op, so the access itself is accounted above; persistence
-         instructions and compute charges carry no WAR information. *)
-      | Simsched.Trace.Load _ | Simsched.Trace.Store _
-      | Simsched.Trace.Rmw _ | Simsched.Trace.Pwb _
-      | Simsched.Trace.Psync _ | Simsched.Trace.Compute _ -> ())
+      (* An Rmw marker follows the load/store the memory already published
+         for the atomic op, so the access itself is accounted above;
+         persistence instructions, cache outcomes and compute charges carry
+         no WAR information. *)
+      | _ -> ())
     events;
   let needs_logging =
     Hashtbl.fold (fun a () acc -> a :: acc) war [] |> List.sort compare
@@ -94,31 +93,31 @@ let analyse ?(addr_filter = fun (_ : int) -> true) events =
     segments = !segments;
   }
 
-(* Subscriber-style capture: attach a recorder to the world's trace bus,
+(* Subscriber-style capture: attach a recorder to the world's event bus,
    run the workload, analyse what was seen. The advisor is just one more
-   pipeline consumer; other subscribers on the same bus are unaffected. *)
+   subscriber; other subscribers on the same bus are unaffected. *)
 let capture ?addr_filter bus f =
-  let v, events = Simsched.Trace.record bus f in
+  let v, events = Simnvm.Event.record bus f in
   (v, analyse ?addr_filter events)
 
-(* Attach the streaming vector-clock checker directly to a trace bus: races
+(* Attach the streaming vector-clock checker directly to a world's bus: races
    are detected as the simulation produces events, with nothing recorded.
    Returns the live checker and the subscription for detaching. *)
 let race_checker_on ?(addr_filter = fun (_ : int) -> true) bus =
   let checker = Analysis.Racecheck.create () in
   let sub =
-    Simsched.Trace.subscribe bus (fun ev ->
+    Simnvm.Event.subscribe bus (fun ev ->
         match ev with
-        | Simsched.Trace.Load { tid; addr } when addr_filter addr ->
+        | Simnvm.Event.Load { tid; addr } when addr_filter addr ->
             Analysis.Racecheck.push checker
               (Analysis.Racecheck.Rread { thread = tid; addr })
-        | Simsched.Trace.Store { tid; addr } when addr_filter addr ->
+        | Simnvm.Event.Store { tid; addr } when addr_filter addr ->
             Analysis.Racecheck.push checker
               (Analysis.Racecheck.Rwrite { thread = tid; addr })
-        | Simsched.Trace.Acquire { tid; lock } ->
+        | Simnvm.Event.Acquire { tid; lock } ->
             Analysis.Racecheck.push checker
               (Analysis.Racecheck.Racq { thread = tid; lock })
-        | Simsched.Trace.Release { tid; lock } ->
+        | Simnvm.Event.Release { tid; lock } ->
             Analysis.Racecheck.push checker
               (Analysis.Racecheck.Rrel { thread = tid; lock })
         | _ -> ())
@@ -148,7 +147,7 @@ type ir_cross_check = {
 let cross_check_ir ?sched_seed ?mem_seed ?pcso ~n_ops prog : ir_cross_check =
   let p, plan = Analysis.Placement.infer (prog ~iters:n_ops) in
   let w = Analysis.Exec.sim_world ?sched_seed ?mem_seed ?pcso ~plan p in
-  let (), events = Simsched.Trace.record w.Analysis.Exec.w_bus (fun () ->
+  let (), events = Simnvm.Event.record w.Analysis.Exec.w_bus (fun () ->
       w.Analysis.Exec.w_run ())
   in
   let var_of_addr =

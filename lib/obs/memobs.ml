@@ -1,7 +1,7 @@
-(* Memory-event probe: a Metrics-backed subscriber for the Memsys pipeline.
+(* Memory-event probe: a Metrics-backed subscriber on a memory's bus.
 
    Attaching one puts named counters for every memory event class into a
-   registry, as a second consumer alongside (not instead of) Stats. The
+   registry, alongside (not instead of) the memory's Stats record. The
    counter set is richer than Stats where the event carries more detail
    than the historical record kept — clean pwbs and prefetched misses are
    distinguished here. *)
@@ -119,8 +119,11 @@ let subscriber p (ev : Simnvm.Event.t) =
       Metrics.incr p.media_errors;
       if transient then Metrics.incr p.media_errors_transient
   | Simnvm.Event.Media_scrub _ -> Metrics.incr p.media_scrubs
+  | Simnvm.Event.Rmw _ | Simnvm.Event.Compute _ | Simnvm.Event.Acquire _
+  | Simnvm.Event.Release _ | Simnvm.Event.Restart_point _ ->
+      ()
 
 (* Attach to a memory system; returns the subscription for detaching. *)
 let attach registry mem =
   let p = make registry in
-  (p, Simnvm.Memsys.subscribe mem (subscriber p))
+  (p, Simnvm.Event.subscribe (Simnvm.Memsys.bus mem) (subscriber p))

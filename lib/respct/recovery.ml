@@ -182,8 +182,12 @@ let run_backend ?(threads = 1) ?(layout : Layout.t option) ?spans
     Checksum.epoch_of (b.Simnvm.Backend.persisted layout.Layout.epoch_addr)
   in
   (* Recovery runs on its own scheduler so its virtual duration is the
-     makespan of the parallel scan (Figure 12 measures exactly this). *)
-  let sched = Simsched.Scheduler.create ~seed:17 () in
+     makespan of the parallel scan (Figure 12 measures exactly this). The
+     scheduler shares the memory's bus: the world's subscribers (the crash
+     explorer's boundary counter among them) keep seeing recovery. *)
+  let sched =
+    Simsched.Scheduler.create ~bus:(b.Simnvm.Backend.bus ()) ~seed:17 ()
+  in
   let env = Simsched.Env.make_backend b sched in
   let rolled = ref [] in
   let scanned = ref 0 in
@@ -314,8 +318,10 @@ let run_verified_backend ?(max_read_retries = 4) ?(layout : Layout.t option)
   (* The verified scan is sequential on one recovery fiber: verification is
      dominated by the same registry reads the trusting scan performs, and a
      single fiber keeps the repair log and the media-retry state trivially
-     race-free. *)
-  let sched = Simsched.Scheduler.create ~seed:17 () in
+     race-free. The scheduler shares the memory's bus, as in [run_backend]. *)
+  let sched =
+    Simsched.Scheduler.create ~bus:(b.Simnvm.Backend.bus ()) ~seed:17 ()
+  in
   let env = Simsched.Env.make_backend b sched in
   let damages = ref [] in
   let add_damage d = damages := d :: !damages in

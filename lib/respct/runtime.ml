@@ -750,9 +750,9 @@ let set_mutant t m = t.mutant <- m
 let rp t ~slot id =
   let st = t.slots.(slot) in
   (let bus = Simsched.Scheduler.trace_bus (sched t) in
-   if Simsched.Trace.active bus then
-     Simsched.Trace.emit bus
-       (Simsched.Trace.Restart_point
+   if Simnvm.Event.active bus then
+     Simnvm.Event.emit bus
+       (Simnvm.Event.Restart_point
           { tid = Simsched.Scheduler.current_tid_opt (sched t); id }));
   (* Deferred RP_id under an overlapped flush: the rp cell is updated at
      every restart point, so its previous log always belongs to the epoch

@@ -8,27 +8,25 @@
    functor explosion through Runtime/Recovery/Heap), and lets one world
    hold backends of different provenance side by side (the prockill
    parent recovers a file image while its oracles run over a simulated
-   one). The simulator keeps its direct, zero-allocation call path in
-   Simsched.Env; the record is consulted on the cold paths only. *)
+   one). Simsched.Env calls the record on every access, so a backend is a
+   drop-in world memory: its accesses publish on the bus [set_bus]
+   installs, and its costs reach the clock [set_charge] installs. *)
 
 type t = {
   name : string;  (* "simnvm", "filemem:<path>", ... *)
   line_words : int;
   nvm_words : int;
-  dram_words : int;
   load : int -> int;
   store : int -> int -> unit;
   pwb : int -> unit;
   psync : unit -> unit;
   peek : int -> int;
   persisted : int -> int;
-  poke_persisted : int -> int -> unit;
-  is_nvm : int -> bool;
   crash : unit -> unit;
   scrub_line : int -> unit;
   flush_all : unit -> unit;
-  image : unit -> int array;
-  subscribe : (Event.t -> unit) -> unit -> unit;
+  bus : unit -> Event.bus;
+  set_bus : Event.bus -> unit;
   set_charge : (float -> unit) -> unit;
   get_charge : unit -> float -> unit;
   set_tid_provider : (unit -> int) -> unit;
@@ -40,23 +38,17 @@ let of_memsys m =
     name = "simnvm";
     line_words = cfg.Memsys.line_words;
     nvm_words = cfg.Memsys.nvm_words;
-    dram_words = cfg.Memsys.dram_words;
     load = Memsys.load m;
     store = Memsys.store m;
     pwb = Memsys.pwb m;
     psync = (fun () -> Memsys.psync m);
     peek = Memsys.peek m;
     persisted = Memsys.persisted m;
-    poke_persisted = Memsys.poke_persisted m;
-    is_nvm = Memsys.is_nvm m;
     crash = (fun () -> Memsys.crash m);
     scrub_line = Memsys.scrub_line m;
     flush_all = (fun () -> Memsys.flush_all m);
-    image = (fun () -> Memsys.image m);
-    subscribe =
-      (fun f ->
-        let s = Memsys.subscribe m f in
-        fun () -> Memsys.unsubscribe m s);
+    bus = (fun () -> Memsys.bus m);
+    set_bus = Memsys.set_bus m;
     set_charge = Memsys.set_charge m;
     get_charge = (fun () -> Memsys.get_charge m);
     set_tid_provider = Memsys.set_tid_provider m;

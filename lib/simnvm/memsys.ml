@@ -29,8 +29,8 @@
    bitset indexed by line number (no hashtables), set/offset arithmetic
    uses precomputed shifts and masks when the geometry is a power of two,
    and the steady state allocates nothing — events are only constructed
-   when an external subscriber is attached, and the default stats counters
-   are bumped directly instead of travelling through the pipeline. The
+   when the bus has a subscriber, and the stats counters are bumped
+   inline instead of travelling through the bus. The
    differential oracle in [Refmodel] pins this kernel, word for word and
    event for event, to a naive executable specification. *)
 
@@ -185,8 +185,6 @@ type line = {
    so the placeholder is never read or written. *)
 let no_data : int array = [||]
 
-type subscription = int
-
 type t = {
   cfg : config;
   pmem : store; (* the persistent NVMM image *)
@@ -194,18 +192,8 @@ type t = {
   lines : line array; (* sets * ways, row-major by set *)
   mutable stamp : int;
   rng : Rng.t;
-  stats : Stats.t;
-  (* The stats counters are "subscription 0": bumped inline on the hot
-     path instead of through the event pipeline, so a memory system with
-     no external subscriber never constructs an event. *)
-  mutable stats_on : bool;
-  (* External subscribers, stored as parallel id/function arrays with an
-     explicit count so subscribe/unsubscribe churn is allocation-free in
-     the steady state. *)
-  mutable sub_ids : int array;
-  mutable sub_fns : (Event.t -> unit) array;
-  mutable n_subs : int;
-  mutable next_sub : int;
+  stats : Stats.t; (* bumped inline on the hot path, not through the bus *)
+  mutable bus : Event.bus; (* the world's bus once Env.make couples it *)
   mutable charge : float -> unit;
   mutable current_tid : unit -> int;
   (* Precomputed geometry. [lw_shift]/[lw_mask] and [sets_mask] are -1
@@ -246,7 +234,6 @@ type snapshot = { owner : t; id : int }
 
 let no_charge (_ : float) = ()
 let no_tid () = -1
-let no_sub (_ : Event.t) = ()
 
 (* Bitset primitives over [Bytes]; indices are validated by the callers
    (every producer bounds-checks the line number first). *)
@@ -261,70 +248,14 @@ let bit_clear b i =
   Bytes.set b (i lsr 3)
     (Char.chr (Char.code (Bytes.get b (i lsr 3)) land lnot (1 lsl (i land 7))))
 
-(* Event pipeline. Emission sites guard on [has_subs] — external
-   subscribers only — before constructing the event, so the common
-   stats-only configuration pays a single integer bump per event site and
-   never allocates. Subscribers run in attach order, which keeps event
-   delivery (and therefore anything derived from it) deterministic. *)
+(* Event publication. Emission sites guard on [has_subs] before
+   constructing the event, so a world nobody observes pays one integer
+   test per event site and never allocates. *)
 
-let[@inline] has_subs t = t.n_subs > 0
-
-let emit t ev =
-  let fns = t.sub_fns in
-  for i = 0 to t.n_subs - 1 do
-    (Array.unsafe_get fns i) ev
-  done
-
-let subscribe t f =
-  let id = t.next_sub in
-  t.next_sub <- id + 1;
-  let n = t.n_subs in
-  if n = Array.length t.sub_ids then begin
-    let cap = max 4 (2 * n) in
-    let ids = Array.make cap (-1) and fns = Array.make cap no_sub in
-    Array.blit t.sub_ids 0 ids 0 n;
-    Array.blit t.sub_fns 0 fns 0 n;
-    t.sub_ids <- ids;
-    t.sub_fns <- fns
-  end;
-  t.sub_ids.(n) <- id;
-  t.sub_fns.(n) <- f;
-  t.n_subs <- n + 1;
-  id
-
-(* In-place left shift over the parallel arrays: no list round-trip, no
-   allocation. The vacated slot gets a no-op function so the subscriber
-   can be collected (and so an emit that captured the array mid-removal
-   calls a harmless stub rather than a stale closure). *)
-let unsubscribe t id =
-  if id = 0 then t.stats_on <- false
-  else begin
-    let n = t.n_subs in
-    let found = ref (-1) in
-    for i = 0 to n - 1 do
-      if !found < 0 && t.sub_ids.(i) = id then found := i
-    done;
-    match !found with
-    | -1 -> ()
-    | at ->
-        for i = at to n - 2 do
-          t.sub_ids.(i) <- t.sub_ids.(i + 1);
-          t.sub_fns.(i) <- t.sub_fns.(i + 1)
-        done;
-        t.sub_ids.(n - 1) <- -1;
-        t.sub_fns.(n - 1) <- no_sub;
-        t.n_subs <- n - 1
-  end
-
-let clear_subscribers t =
-  t.stats_on <- false;
-  for i = 0 to t.n_subs - 1 do
-    t.sub_ids.(i) <- -1;
-    t.sub_fns.(i) <- no_sub
-  done;
-  t.n_subs <- 0
-
-let subscriber_count t = (if t.stats_on then 1 else 0) + t.n_subs
+let[@inline] has_subs t = Event.active t.bus
+let emit t ev = Event.emit t.bus ev
+let bus t = t.bus
+let set_bus t b = t.bus <- b
 
 (* MESI-style coherence approximation: reading a line last written by a
    different core pays a cache-to-cache transfer and demotes the line to
@@ -373,11 +304,7 @@ let create cfg =
     stamp = 0;
     rng = Rng.create cfg.seed;
     stats = Stats.create ();
-    stats_on = true;
-    sub_ids = [||];
-    sub_fns = [||];
-    n_subs = 0;
-    next_sub = 1 (* 0 is the built-in stats counter *);
+    bus = Event.create_bus ();
     charge = no_charge;
     current_tid = no_tid;
     lw;
@@ -495,11 +422,9 @@ let write_back ?(complete = true) t line =
     line.dirty_mask <- !mask;
     line.dirty <- !mask <> 0
   end;
-  if t.stats_on then begin
-    let s = t.stats in
-    if nvm then s.Stats.nvm_writebacks <- s.Stats.nvm_writebacks + 1
-    else s.Stats.dram_writebacks <- s.Stats.dram_writebacks + 1
-  end;
+  (let s = t.stats in
+   if nvm then s.Stats.nvm_writebacks <- s.Stats.nvm_writebacks + 1
+   else s.Stats.dram_writebacks <- s.Stats.dram_writebacks + 1);
   if has_subs t then
     emit t
       (Event.Writeback
@@ -557,8 +482,7 @@ let check_media t lineno =
     bit_clear t.transient_bits lineno;
     t.n_transient <- t.n_transient - 1;
     let addr = lineno * t.lw in
-    if t.stats_on then
-      t.stats.Stats.media_errors <- t.stats.Stats.media_errors + 1;
+    t.stats.Stats.media_errors <- t.stats.Stats.media_errors + 1;
     if has_subs t then
       emit t (Event.Media_error { addr; line = lineno; transient = true });
     raise (Media_error { addr; line = lineno; transient = true })
@@ -566,8 +490,7 @@ let check_media t lineno =
   if t.n_poisoned > 0 && lineno < t.nvm_lines && bit_get t.poisoned_bits lineno
   then begin
     let addr = lineno * t.lw in
-    if t.stats_on then
-      t.stats.Stats.media_errors <- t.stats.Stats.media_errors + 1;
+    t.stats.Stats.media_errors <- t.stats.Stats.media_errors + 1;
     if has_subs t then
       emit t (Event.Media_error { addr; line = lineno; transient = false });
     raise (Media_error { addr; line = lineno; transient = false })
@@ -600,11 +523,9 @@ let fill t lineno =
    t.recent_fills.(t.recent_pos) <- lineno;
    store_add t.recent_count lineno 1;
    t.recent_pos <- (t.recent_pos + 1) land prefetch_mask);
-  if t.stats_on then begin
-    let s = t.stats in
-    if nvm then s.Stats.nvm_misses <- s.Stats.nvm_misses + 1
-    else s.Stats.dram_misses <- s.Stats.dram_misses + 1
-  end;
+  (let s = t.stats in
+   if nvm then s.Stats.nvm_misses <- s.Stats.nvm_misses + 1
+   else s.Stats.dram_misses <- s.Stats.dram_misses + 1);
   if has_subs t then
     emit t
       (Event.Miss
@@ -625,7 +546,7 @@ let lookup t addr =
   let line =
     if slot >= 0 then begin
       let line = Array.unsafe_get t.lines slot in
-      if t.stats_on then t.stats.Stats.hits <- t.stats.Stats.hits + 1;
+      t.stats.Stats.hits <- t.stats.Stats.hits + 1;
       if has_subs t then emit t (Event.Hit { addr });
       t.charge t.cfg.latency.Latency.cache_hit_ns;
       line
@@ -647,16 +568,15 @@ let spontaneous_eviction t =
     let line = t.lines.(i) in
     if line.tag >= 0 && line.dirty then begin
       ignore (write_back ~complete:false t line);
-      if t.stats_on then
-        t.stats.Stats.spontaneous_evictions <-
-          t.stats.Stats.spontaneous_evictions + 1;
+      t.stats.Stats.spontaneous_evictions <-
+        t.stats.Stats.spontaneous_evictions + 1;
       if has_subs t then emit t (Event.Eviction { line = line.tag })
     end
   end
 
 let load t addr =
   check_addr t addr;
-  if t.stats_on then t.stats.Stats.loads <- t.stats.Stats.loads + 1;
+  t.stats.Stats.loads <- t.stats.Stats.loads + 1;
   if has_subs t then emit t (Event.Load { tid = t.current_tid (); addr });
   let line = lookup t addr in
   let me = t.current_tid () in
@@ -668,7 +588,7 @@ let load t addr =
 
 let store t addr v =
   check_addr t addr;
-  if t.stats_on then t.stats.Stats.stores <- t.stats.Stats.stores + 1;
+  t.stats.Stats.stores <- t.stats.Stats.stores + 1;
   if has_subs t then emit t (Event.Store { tid = t.current_tid (); addr });
   let line = lookup t addr in
   let me = t.current_tid () in
@@ -686,7 +606,7 @@ let pwb t addr =
   let lineno = line_of t addr in
   let slot = find_slot t lineno in
   let dirty = slot >= 0 && t.lines.(slot).dirty in
-  if t.stats_on then t.stats.Stats.pwbs <- t.stats.Stats.pwbs + 1;
+  t.stats.Stats.pwbs <- t.stats.Stats.pwbs + 1;
   if has_subs t then
     emit t (Event.Pwb { tid = t.current_tid (); addr; dirty });
   if dirty then begin
@@ -698,7 +618,7 @@ let pwb t addr =
     t.charge (t.cfg.latency.Latency.clwb_ns /. 8.0)
 
 let psync t =
-  if t.stats_on then t.stats.Stats.psyncs <- t.stats.Stats.psyncs + 1;
+  t.stats.Stats.psyncs <- t.stats.Stats.psyncs + 1;
   if has_subs t then emit t (Event.Psync { tid = t.current_tid () });
   t.charge t.cfg.latency.Latency.sfence_ns
 
@@ -729,8 +649,7 @@ let is_cached_dirty t addr =
   | None -> false
 
 let bump_faults t =
-  if t.stats_on then
-    t.stats.Stats.faults_injected <- t.stats.Stats.faults_injected + 1
+  t.stats.Stats.faults_injected <- t.stats.Stats.faults_injected + 1
 
 (* Seeded fault injection at a crash. The RNG derives from the config's
    fault seed and the crash ordinal, so the nth crash of a given world
@@ -830,7 +749,7 @@ let inject_crash_faults t (fc : fault_config) =
   end
 
 let crash t =
-  if t.stats_on then t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;
+  t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;
   if has_subs t then emit t (Event.Crash { eadr = t.cfg.eadr });
   if t.cfg.eadr then
     (* eADR: the cache is in the persistent domain; dirty NVMM lines are
@@ -1016,7 +935,7 @@ let poisoned_lines t =
 
 (* Clear a poisoned line, zeroing its media content (the stored bits are
    gone; what a real scrub or sector remap does). Emits [Media_scrub] so
-   repairs are observable on the pipeline. *)
+   repairs are observable on the bus. *)
 let scrub_line t lineno =
   check_nvm_line t lineno;
   if bit_get t.poisoned_bits lineno then begin
@@ -1025,6 +944,5 @@ let scrub_line t lineno =
   end;
   journal t lineno;
   store_fill_zero t.pmem (lineno * t.lw) t.lw;
-  if t.stats_on then
-    t.stats.Stats.media_scrubs <- t.stats.Stats.media_scrubs + 1;
+  t.stats.Stats.media_scrubs <- t.stats.Stats.media_scrubs + 1;
   if has_subs t then emit t (Event.Media_scrub { line = lineno })

@@ -69,32 +69,27 @@ val create : config -> t
 val config : t -> config
 
 val stats : t -> Stats.t
-(** The counter record updated by the default {!Stats.subscriber} attached
-    at creation. After {!clear_subscribers} the record freezes. *)
+(** The counter record, bumped inline at every event site whether or not
+    the bus has subscribers. Folding {!Stats.subscriber} over the events
+    published in a window yields the same counts. *)
 
-(** {2 Event pipeline}
+(** {2 Event bus}
 
-    Every observable action is published as a typed {!Event.t} to the
-    subscriber list, in attach order. With no external subscriber attached
-    no event is even constructed: the default stats counters (logically
-    subscription 0, reported by {!subscriber_count}) are bumped inline on
-    the hot path, so the stats-only configuration costs one integer
-    increment per event site and never allocates. Subscribers must not
-    subscribe or unsubscribe from within a callback. *)
+    Every observable action is published as a typed {!Event.t} on the
+    memory's bus; an access ([Load], [Store], [Pwb], [Psync]) is published
+    before it lands, so a subscriber that raises stops it. A fresh memory
+    publishes on a bus of its own; [Simsched.Env.make] couples it to the
+    scheduler's bus with {!set_bus}, so one world has one stream. With no
+    subscriber attached no event is even constructed: the stats counters
+    cost one integer increment per event site and nothing allocates. *)
 
-type subscription
+val bus : t -> Event.bus
+(** The bus this memory publishes on; attach with {!Event.subscribe}. *)
 
-val subscribe : t -> (Event.t -> unit) -> subscription
-(** Attach a subscriber; it observes every subsequent event. *)
-
-val unsubscribe : t -> subscription -> unit
-(** Detach one subscriber (no-op if already detached). *)
-
-val clear_subscribers : t -> unit
-(** Detach every subscriber, including the default stats counter — the
-    zero-cost configuration for hot benchmarking runs. *)
-
-val subscriber_count : t -> int
+val set_bus : t -> Event.bus -> unit
+(** Publish on another bus from now on (the world coupling of
+    [Simsched.Env.make]); subscribers of the old bus stop seeing this
+    memory. *)
 
 val set_charge : t -> (float -> unit) -> unit
 (** Install the hook that receives the nanosecond cost of each operation. *)

@@ -21,9 +21,10 @@ val create : unit -> t
 val reset : t -> unit
 
 val subscriber : t -> Event.t -> unit
-(** Fold one memory event into the counters. {!Memsys.create} attaches this
-    to its own pipeline by default; detaching it ({!Memsys.clear_subscribers})
-    freezes the counters. *)
+(** Fold one event into the counters; events that are not memory events
+    are ignored. This is the reference meaning of the counters: the memory
+    bumps its own record ({!Memsys.stats}) inline, and folding this over
+    the events it published in a window gives the same deltas. *)
 
 val accesses : t -> int
 (** Total loads + stores. *)

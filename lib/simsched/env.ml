@@ -5,96 +5,64 @@
    installed by [make]) and every access is a preemption point, so the
    scheduler can interleave threads as real hardware would.
 
-   The memory side is a backend behind the Simnvm.Backend seam. The
-   simulator remains a special case with a direct, closure-free call path
-   (one constructor match per access, nothing else changed); any other
-   backend — the mmap'd-file Filemem, chiefly — goes through its record of
-   closures. Sim-only call sites keep using [mem]; backend-generic code
-   uses [backend].
+   The memory side is a backend behind the Simnvm.Backend seam — the
+   simulator (Backend.of_memsys) or the mmap'd-file Filemem — and every
+   wrapper calls its record the same way. Sim-only call sites keep using
+   [mem]; backend-generic code uses [backend].
 
-   Every wrapper — including the atomic RMWs and pure-compute charges —
-   publishes on the world's trace bus (Scheduler.trace_bus), so analyses
-   that consume traces (race checker, RP advisor) see the complete access
-   stream. Emission is guarded on [Trace.active]: an untraced world pays
-   one array-length test per access. *)
-
-type backing = Sim of Simnvm.Memsys.t | Ext of Simnvm.Backend.t
+   [make] couples the memory to the world's bus (Scheduler.trace_bus), so a
+   world has one event stream. The memory publishes every access itself;
+   Env publishes only what the memory cannot see: the Rmw marker closing
+   an atomic CAS/FAA, and compute charges. Emission is guarded on
+   [Event.active]: an untraced world pays one integer test. *)
 
 type t = {
-  be : backing;
-  ops : Simnvm.Backend.t; (* cold-path view of [be]; for Sim, of_memsys *)
-  lw : int; (* cached line_words: the hot paths and RMW tokens need it *)
+  be : Simnvm.Backend.t;
+  sim : Simnvm.Memsys.t option; (* the simulator underneath, for [mem] *)
   sched : Scheduler.t;
-  bus : Trace.bus;
   rmw_tokens : (int, Mutex.t) Hashtbl.t;
       (* per-line exclusive-ownership tokens: conflicting RMWs on one line
          serialise on real hardware (the line passes core to core), which a
          pure time charge cannot express *)
 }
 
-let init be (ops : Simnvm.Backend.t) sched =
-  ops.Simnvm.Backend.set_charge (fun ns -> Scheduler.charge sched ns);
-  ops.Simnvm.Backend.set_tid_provider (fun () ->
+let init sim (be : Simnvm.Backend.t) sched =
+  be.Simnvm.Backend.set_bus (Scheduler.trace_bus sched);
+  be.Simnvm.Backend.set_charge (fun ns -> Scheduler.charge sched ns);
+  be.Simnvm.Backend.set_tid_provider (fun () ->
       Scheduler.current_tid_opt sched);
-  {
-    be;
-    ops;
-    lw = ops.Simnvm.Backend.line_words;
-    sched;
-    bus = Scheduler.trace_bus sched;
-    rmw_tokens = Hashtbl.create 64;
-  }
+  { be; sim; sched; rmw_tokens = Hashtbl.create 64 }
 
-let make mem sched = init (Sim mem) (Simnvm.Backend.of_memsys mem) sched
-let make_backend ops sched = init (Ext ops) ops sched
+let make mem sched = init (Some mem) (Simnvm.Backend.of_memsys mem) sched
+let make_backend be sched = init None be sched
 
 let mem t =
-  match t.be with
-  | Sim m -> m
-  | Ext b ->
+  match t.sim with
+  | Some m -> m
+  | None ->
       invalid_arg
-        ("Env.mem: world runs over external backend " ^ b.Simnvm.Backend.name)
+        ("Env.mem: world runs over external backend "
+        ^ t.be.Simnvm.Backend.name)
 
-let backend t = t.ops
+let backend t = t.be
 let sched t = t.sched
-let bus t = t.bus
+let line_words t = t.be.Simnvm.Backend.line_words
 
 let load t addr =
-  let v =
-    match t.be with
-    | Sim m -> Simnvm.Memsys.load m addr
-    | Ext b -> b.Simnvm.Backend.load addr
-  in
-  if Trace.active t.bus then
-    Trace.emit t.bus
-      (Trace.Load { tid = Scheduler.current_tid_opt t.sched; addr });
+  let v = t.be.Simnvm.Backend.load addr in
   Scheduler.poll t.sched;
   v
 
 let store t addr v =
-  (match t.be with
-  | Sim m -> Simnvm.Memsys.store m addr v
-  | Ext b -> b.Simnvm.Backend.store addr v);
-  if Trace.active t.bus then
-    Trace.emit t.bus
-      (Trace.Store { tid = Scheduler.current_tid_opt t.sched; addr });
+  t.be.Simnvm.Backend.store addr v;
   Scheduler.poll t.sched
 
 let pwb t addr =
-  (match t.be with
-  | Sim m -> Simnvm.Memsys.pwb m addr
-  | Ext b -> b.Simnvm.Backend.pwb addr);
-  if Trace.active t.bus then
-    Trace.emit t.bus
-      (Trace.Pwb { tid = Scheduler.current_tid_opt t.sched; addr });
+  t.be.Simnvm.Backend.pwb addr;
   Scheduler.poll t.sched
 
 let psync t =
-  (match t.be with
-  | Sim m -> Simnvm.Memsys.psync m
-  | Ext b -> b.Simnvm.Backend.psync ());
-  if Trace.active t.bus then
-    Trace.emit t.bus (Trace.Psync { tid = Scheduler.current_tid_opt t.sched });
+  t.be.Simnvm.Backend.psync ();
   Scheduler.poll t.sched
 
 (* Conflicting atomic RMWs on one cache line serialise: the line is a token
@@ -106,7 +74,7 @@ let psync t =
    chain that successive operations wait on. Reentrancy is not supported:
    nest [cas]/[faa] on a different line only. *)
 let serialize_rmw t addr f =
-  let line = Simnvm.Addr.line_of ~line_words:t.lw addr in
+  let line = Simnvm.Addr.line_of ~line_words:(line_words t) addr in
   let token =
     match Hashtbl.find_opt t.rmw_tokens line with
     | Some m -> m
@@ -120,28 +88,15 @@ let serialize_rmw t addr f =
       Scheduler.charge t.sched 8.0;
       result)
 
-(* The traced view of an atomic RMW: the load (and, on success, the store)
-   appear as ordinary access events so the WAR rule and the race checker
-   account for them, and an Rmw marker records their atomicity. Before this
-   went through the bus, cas/faa bypassed tracing entirely and RMW-heavy
-   structures were silently invisible to the analyses. *)
-let emit_rmw t ~addr ~wrote =
-  if Trace.active t.bus then begin
-    let tid = Scheduler.current_tid_opt t.sched in
-    Trace.emit t.bus (Trace.Load { tid; addr });
-    if wrote then Trace.emit t.bus (Trace.Store { tid; addr });
-    Trace.emit t.bus (Trace.Rmw { tid; addr })
-  end
-
-let raw_load t addr =
-  match t.be with
-  | Sim m -> Simnvm.Memsys.load m addr
-  | Ext b -> b.Simnvm.Backend.load addr
-
-let raw_store t addr v =
-  match t.be with
-  | Sim m -> Simnvm.Memsys.store m addr v
-  | Ext b -> b.Simnvm.Backend.store addr v
+(* An atomic RMW reaches the bus as its accesses — the memory publishes
+   the load and, on success, the store — followed by an Rmw marker that
+   records their atomicity, so the WAR rule and the race checker account
+   for cas/faa like any other access. *)
+let emit_rmw t addr =
+  let bus = Scheduler.trace_bus t.sched in
+  if Simnvm.Event.active bus then
+    Simnvm.Event.emit bus
+      (Simnvm.Event.Rmw { tid = Scheduler.current_tid_opt t.sched; addr })
 
 (* Atomic compare-and-swap: no preemption point separates the read from the
    write, so it is atomic in the simulation exactly as the hardware
@@ -149,19 +104,18 @@ let raw_store t addr v =
    RMWs contend on one line must additionally wrap their dependent
    sequences in [serialize_rmw]. *)
 let cas t addr ~expected ~desired =
-  let v = raw_load t addr in
-  let ok = v = expected in
-  if ok then raw_store t addr desired;
-  emit_rmw t ~addr ~wrote:ok;
+  let ok = t.be.Simnvm.Backend.load addr = expected in
+  if ok then t.be.Simnvm.Backend.store addr desired;
+  emit_rmw t addr;
   Scheduler.charge t.sched 8.0;
   Scheduler.poll t.sched;
   ok
 
 (* Atomic fetch-and-add, same atomicity argument as [cas]. *)
 let faa t addr delta =
-  let v = raw_load t addr in
-  raw_store t addr (v + delta);
-  emit_rmw t ~addr ~wrote:true;
+  let v = t.be.Simnvm.Backend.load addr in
+  t.be.Simnvm.Backend.store addr (v + delta);
+  emit_rmw t addr;
   Scheduler.charge t.sched 8.0;
   Scheduler.poll t.sched;
   v
@@ -169,9 +123,8 @@ let faa t addr delta =
 (* Pure computation cost (the non-memory work of an application kernel). *)
 let compute t ns =
   Scheduler.charge t.sched ns;
-  if Trace.active t.bus then
-    Trace.emit t.bus
-      (Trace.Compute { tid = Scheduler.current_tid_opt t.sched; ns });
+  (let bus = Scheduler.trace_bus t.sched in
+   if Simnvm.Event.active bus then
+     Simnvm.Event.emit bus
+       (Simnvm.Event.Compute { tid = Scheduler.current_tid_opt t.sched; ns }));
   Scheduler.poll t.sched
-
-let line_words t = t.lw

@@ -3,18 +3,26 @@
     Simulated programs access memory exclusively through these wrappers:
     latencies are charged to the running thread's virtual clock and every
     access is a preemption point. The backend is usually the simulator
-    ({!make}, which keeps a direct call path); {!make_backend} runs the
-    same programs over any {!Simnvm.Backend.t} (e.g. a memory-mapped
-    file). *)
+    ({!make}); {!make_backend} runs the same programs over any
+    {!Simnvm.Backend.t} (e.g. a memory-mapped file).
+
+    Both couple the memory to the scheduler's bus
+    ({!Scheduler.trace_bus}), so the world has one event stream: the
+    memory publishes each load, store, pwb and psync (with its cache
+    outcome and write-backs) before it lands; Env adds only an [Rmw]
+    marker after each {!cas}/{!faa} and a [Compute] event per
+    {!compute}. *)
 
 type t
 
 val make : Simnvm.Memsys.t -> Scheduler.t -> t
-(** Couple a memory system with a scheduler (installs the charge hook). *)
+(** Couple a memory system with a scheduler: [make_backend] of
+    [Simnvm.Backend.of_memsys mem], keeping [mem] for {!mem}. *)
 
 val make_backend : Simnvm.Backend.t -> Scheduler.t -> t
-(** Couple an arbitrary backend with a scheduler (installs the charge
-    hook and thread-id provider through the backend record). *)
+(** Couple an arbitrary backend with a scheduler: installs the
+    scheduler's bus, charge hook and thread-id provider through the
+    backend record. *)
 
 val mem : t -> Simnvm.Memsys.t
 (** The simulator underneath, when there is one.
@@ -25,12 +33,6 @@ val backend : t -> Simnvm.Backend.t
     [Simnvm.Backend.of_memsys] of the simulator. *)
 
 val sched : t -> Scheduler.t
-
-val bus : t -> Trace.bus
-(** The world's trace bus (same as [Scheduler.trace_bus (sched t)]): every
-    wrapper below publishes its access on it, including {!cas}/{!faa}
-    (which emit the constituent load/store plus an [Rmw] marker) and
-    {!compute}. *)
 
 val load : t -> Simnvm.Addr.t -> int
 (** Read a word; charges latency; preemption point. *)
@@ -51,13 +53,17 @@ val serialize_rmw : t -> Simnvm.Addr.t -> (unit -> 'a) -> 'a
     their linearisation + flush chains. *)
 
 val cas : t -> Simnvm.Addr.t -> expected:int -> desired:int -> bool
-(** Atomic compare-and-swap (no preemption point between read and write). *)
+(** Atomic compare-and-swap (no preemption point between read and write).
+    On the bus: the memory's load (and store, when it succeeds), then an
+    [Rmw] marker. *)
 
 val faa : t -> Simnvm.Addr.t -> int -> int
-(** Atomic fetch-and-add; returns the previous value. *)
+(** Atomic fetch-and-add; returns the previous value. On the bus: the
+    memory's load and store, then an [Rmw] marker. *)
 
 val compute : t -> float -> unit
-(** Charge pure computation time (non-memory work of a kernel). *)
+(** Charge pure computation time (non-memory work of a kernel); publishes
+    a [Compute] event. *)
 
 val line_words : t -> int
 (** Cache-line size of the underlying memory system, in words. *)

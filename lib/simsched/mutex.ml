@@ -68,7 +68,8 @@ let lock sched m =
      m.last_owner <- me
    end);
   let bus = Scheduler.trace_bus sched in
-  if Trace.active bus then Trace.emit bus (Trace.Acquire { tid = me; lock = m.id })
+  if Simnvm.Event.active bus then
+    Simnvm.Event.emit bus (Simnvm.Event.Acquire { tid = me; lock = m.id })
 
 let unlock sched m =
   let me = Scheduler.current_tid sched in
@@ -78,7 +79,8 @@ let unlock sched m =
       invalid_arg (Printf.sprintf "Mutex.unlock(%s): not the owner" m.name));
   Scheduler.charge sched unlock_ns;
   let bus = Scheduler.trace_bus sched in
-  if Trace.active bus then Trace.emit bus (Trace.Release { tid = me; lock = m.id });
+  if Simnvm.Event.active bus then
+    Simnvm.Event.emit bus (Simnvm.Event.Release { tid = me; lock = m.id });
   m.last_release <- Scheduler.now sched;
   match Queue.take_opt m.waiters with
   | Some next ->

@@ -66,12 +66,12 @@ type t = {
   quantum : float;
   jitter : float;
   rng : Simnvm.Rng.t;
-  bus : Trace.bus; (* this world's trace-event bus *)
+  bus : Simnvm.Event.bus; (* this world's one event stream *)
 }
 
 type _ Effect.t += Preempt : unit Effect.t | Block : unit Effect.t
 
-let create ?(seed = 1) ?(quantum = 0.0) ?(jitter = 0.0) () =
+let create ?bus ?(seed = 1) ?(quantum = 0.0) ?(jitter = 0.0) () =
   {
     threads = [||];
     n_threads = 0;
@@ -84,7 +84,7 @@ let create ?(seed = 1) ?(quantum = 0.0) ?(jitter = 0.0) () =
     quantum;
     jitter;
     rng = Simnvm.Rng.create seed;
-    bus = Trace.create_bus ();
+    bus = (match bus with Some b -> b | None -> Simnvm.Event.create_bus ());
   }
 
 let trace_bus t = t.bus

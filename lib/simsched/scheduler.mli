@@ -23,18 +23,28 @@ type outcome =
 
 type t
 
-val create : ?seed:int -> ?quantum:float -> ?jitter:float -> unit -> t
+val create :
+  ?bus:Simnvm.Event.bus ->
+  ?seed:int ->
+  ?quantum:float ->
+  ?jitter:float ->
+  unit ->
+  t
 (** [create ()] makes a scheduler.
+    [bus] is the world's event stream, fresh by default; a scheduler
+    built over a memory that already belongs to a world (recovery's)
+    passes that memory's bus, so subscribers keep seeing it.
     [quantum] (ns) bounds how far a running thread may overrun the next
     ready thread's clock before {!poll} preempts it: [0.0] gives the most
     faithful interleaving, larger values trade accuracy for speed.
     [jitter] randomises charges by the given relative amplitude, to vary
     interleavings across seeds in crash-injection tests. *)
 
-val trace_bus : t -> Trace.bus
-(** This world's trace-event bus: {!Env}, {!Mutex} and the ResPCT runtime
-    publish on it, analyses subscribe to it. One bus per scheduler, so
-    traced worlds compose and parallel worlds stay isolated. *)
+val trace_bus : t -> Simnvm.Event.bus
+(** This world's one event stream: the memory {!Env.make} couples to it,
+    {!Env}, {!Mutex} and the ResPCT runtime publish on it, analyses and
+    probes subscribe to it. One bus per world, so traced worlds compose
+    and parallel worlds stay isolated. *)
 
 val spawn : ?name:string -> t -> (unit -> unit) -> int
 (** Register a new simulated thread and return its tid. Its initial clock is
@@ -96,6 +106,6 @@ val set_crash_at : t -> float -> unit
 val preempt_now : t -> unit
 (** Force the running thread to switch out at its next {!poll}, regardless
     of the quantum: targeted preemption injection for schedule exploration
-    (call from a {!Trace} subscriber at a chosen sync event). No-op outside
+    (call from a {!trace_bus} subscriber at a chosen sync event). No-op outside
     the simulation; the thread still resumes whenever it holds the smallest
     ready clock. *)

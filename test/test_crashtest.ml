@@ -2,10 +2,12 @@
    that it catches a deliberately planted persistence bug with a shrunk
    replayable counterexample, that the word-granular ablation breaks
    exactly the PCSO-reliant systems, that ResPCT recovery is idempotent
-   under crashes *during* recovery, and that the explorer's Memsys
-   subscribers never leak past a world's teardown. *)
+   under crashes *during* recovery, that the explorer's subscribers never
+   leak past a world's teardown, and that a world's one event stream
+   carries everything its memory and its recovery publish. *)
 
 module Memsys = Simnvm.Memsys
+module Event = Simnvm.Event
 module Scheduler = Simsched.Scheduler
 module Env = Simsched.Env
 module Crashpoint = Crashtest.Crashpoint
@@ -196,13 +198,13 @@ let test_ablation_spares_explicit_flushers () =
    boundary of the recovery itself; re-running recovery must produce a
    byte-identical persistent image and the same rolled-back report. *)
 
-let respct_world ~n_ops =
+let respct_world ?(cfg = Scenarios.rt_cfg) ~n_ops () =
   let mem = Memsys.create (Scenarios.mem_cfg ~mem_seed:1 ~pcso:true) in
   let sched = Scheduler.create ~seed:1 () in
   let env = Env.make mem sched in
-  let rt = Respct.Runtime.create ~cfg:Scenarios.rt_cfg env in
+  let rt = Respct.Runtime.create ~cfg env in
   let finished = ref false in
-  let period = Scenarios.rt_cfg.Respct.Runtime.period_ns in
+  let period = cfg.Respct.Runtime.period_ns in
   ignore
     (Scheduler.spawn ~name:"ckpt" sched (fun () ->
          let rec loop at =
@@ -232,18 +234,19 @@ let respct_world ~n_ops =
     match Scheduler.run sched with
     | Scheduler.Completed | Scheduler.Crash_interrupt _ -> ()
   in
-  (mem, rt, run)
+  (mem, sched, rt, run)
 
 let count_recovery_boundaries mem ~layout =
   let nvm_words = (Memsys.config mem).Memsys.nvm_words in
   let n = ref 0 in
+  let bus = Memsys.bus mem in
   let sub =
-    Memsys.subscribe mem (fun ev ->
+    Event.subscribe bus (fun ev ->
         if Crashpoint.persist_event ~nvm_words ev then incr n)
   in
   let rep =
     Fun.protect
-      ~finally:(fun () -> Memsys.unsubscribe mem sub)
+      ~finally:(fun () -> Event.unsubscribe bus sub)
       (fun () -> Respct.Recovery.run ~layout mem)
   in
   (!n, rep)
@@ -251,15 +254,16 @@ let count_recovery_boundaries mem ~layout =
 let interrupt_recovery_at mem ~layout j =
   let nvm_words = (Memsys.config mem).Memsys.nvm_words in
   let n = ref 0 in
+  let bus = Memsys.bus mem in
   let sub =
-    Memsys.subscribe mem (fun ev ->
+    Event.subscribe bus (fun ev ->
         if Crashpoint.persist_event ~nvm_words ev then begin
           if !n = j then raise Crashpoint.Crash_now;
           incr n
         end)
   in
   Fun.protect
-    ~finally:(fun () -> Memsys.unsubscribe mem sub)
+    ~finally:(fun () -> Event.unsubscribe bus sub)
     (fun () ->
       match Respct.Recovery.run ~layout mem with
       | _ -> Alcotest.failf "recovery finished before boundary %d" j
@@ -268,11 +272,11 @@ let interrupt_recovery_at mem ~layout j =
 let test_recovery_idempotent () =
   (* Pilot the world once to learn its boundary count, then pick a crash
      point deep enough that several epochs and rollbacks are in play. *)
-  let mem, _rt, run = respct_world ~n_ops:12 in
+  let mem, _sched, _rt, run = respct_world ~n_ops:12 () in
   let boundaries, _ = Crashpoint.pilot mem ~completed:(fun () -> 0) run in
   Alcotest.(check bool) "world persists something" true (boundaries > 10);
   let crash_index = boundaries * 2 / 3 in
-  let mem, rt, run = respct_world ~n_ops:12 in
+  let mem, _sched, rt, run = respct_world ~n_ops:12 () in
   (match Crashpoint.run_to mem ~crash_index run with
   | `Crashed -> ()
   | `Completed -> Alcotest.fail "crash boundary never reached");
@@ -307,18 +311,20 @@ let test_recovery_idempotent () =
 (* Subscriber hygiene: the explorer's counting subscribers must detach on
    every exit path — completion, crash, and exceptions out of the world. *)
 
+let subscribers mem = Event.subscriber_count (Memsys.bus mem)
+
 let test_subscribers_detach () =
   let sc = scenario_of "respct-map" ~pcso:true ~n_ops:6 in
   let inst = sc.Explore.make ~n_ops:6 in
-  let before = Memsys.subscriber_count inst.Explore.mem in
+  let before = subscribers inst.Explore.mem in
   let boundaries, _ =
     Crashpoint.pilot inst.Explore.mem ~completed:inst.Explore.completed
       inst.Explore.run
   in
   Alcotest.(check int) "pilot detaches" before
-    (Memsys.subscriber_count inst.Explore.mem);
+    (subscribers inst.Explore.mem);
   let inst2 = sc.Explore.make ~n_ops:6 in
-  let before2 = Memsys.subscriber_count inst2.Explore.mem in
+  let before2 = subscribers inst2.Explore.mem in
   (match
      Crashpoint.run_to inst2.Explore.mem ~crash_index:(boundaries / 2)
        inst2.Explore.run
@@ -326,25 +332,106 @@ let test_subscribers_detach () =
   | `Crashed -> ()
   | `Completed -> Alcotest.fail "expected a crash");
   Alcotest.(check int) "crashed run detaches" before2
-    (Memsys.subscriber_count inst2.Explore.mem)
+    (subscribers inst2.Explore.mem)
 
 let test_subscribers_detach_on_raise () =
   let mem = Memsys.create (Scenarios.mem_cfg ~mem_seed:1 ~pcso:true) in
-  let before = Memsys.subscriber_count mem in
+  let before = subscribers mem in
   (match
      Crashpoint.pilot mem ~completed:(fun () -> 0) (fun () -> failwith "boom")
    with
   | _ -> Alcotest.fail "pilot swallowed the exception"
   | exception Failure _ -> ());
   Alcotest.(check int) "pilot detaches on raise" before
-    (Memsys.subscriber_count mem);
+    (subscribers mem);
   (match
      Crashpoint.run_to mem ~crash_index:0 (fun () -> failwith "boom")
    with
   | _ -> Alcotest.fail "run_to swallowed the exception"
   | exception Failure _ -> ());
   Alcotest.(check int) "run_to detaches on raise" before
-    (Memsys.subscriber_count mem)
+    (subscribers mem)
+
+(* ------------------------------------------------------------------ *)
+(* One event stream per world: the memory publishes every access on the
+   scheduler's bus, and recovery's own schedulers publish there too. *)
+
+(* Folding [Stats.subscriber] over the world's recorded stream must give
+   exactly what the memory's inline counters counted in the same window:
+   every access, cache outcome, write-back and crash reaches the bus, each
+   once. *)
+let test_stream_folds_to_stats () =
+  let mem, sched, rt, run = respct_world ~n_ops:12 () in
+  let s = Memsys.stats mem in
+  let before = { s with Simnvm.Stats.loads = s.Simnvm.Stats.loads } in
+  let (), events =
+    Event.record (Scheduler.trace_bus sched) (fun () ->
+        run ();
+        Memsys.crash mem;
+        ignore (Respct.Recovery.run ~layout:(Respct.Runtime.layout rt) mem))
+  in
+  let folded = Simnvm.Stats.create () in
+  List.iter (Simnvm.Stats.subscriber folded) events;
+  let open Simnvm.Stats in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check int) name (f s - f before) (f folded))
+    [
+      ("loads", fun c -> c.loads);
+      ("stores", fun c -> c.stores);
+      ("hits", fun c -> c.hits);
+      ("dram_misses", fun c -> c.dram_misses);
+      ("nvm_misses", fun c -> c.nvm_misses);
+      ("dram_writebacks", fun c -> c.dram_writebacks);
+      ("nvm_writebacks", fun c -> c.nvm_writebacks);
+      ("pwbs", fun c -> c.pwbs);
+      ("psyncs", fun c -> c.psyncs);
+      ("spontaneous_evictions", fun c -> c.spontaneous_evictions);
+      ("crashes", fun c -> c.crashes);
+      ("faults_injected", fun c -> c.faults_injected);
+      ("media_errors", fun c -> c.media_errors);
+      ("media_scrubs", fun c -> c.media_scrubs);
+    ];
+  Alcotest.(check bool) "the window saw cache outcomes and write-backs" true
+    (folded.hits > 0 && folded.nvm_misses > 0 && folded.nvm_writebacks > 0
+    && folded.crashes = 1)
+
+(* Env.make couples the memory to the scheduler's bus; Recovery.run and
+   Recovery.run_verified build their schedulers on that same bus, so a
+   subscriber attached to the world before recovery counts recovery's
+   persists, and the memory keeps publishing there afterwards. *)
+let test_recovery_shares_the_bus () =
+  let cfg = { Scenarios.rt_cfg with Respct.Runtime.integrity = true } in
+  let mem, sched, rt, run = respct_world ~cfg ~n_ops:12 () in
+  let bus = Scheduler.trace_bus sched in
+  Alcotest.(check bool) "Env.make couples the memory" true
+    (Memsys.bus mem == bus);
+  run ();
+  let layout = Respct.Runtime.layout rt in
+  let nvm_words = (Memsys.config mem).Memsys.nvm_words in
+  let persists recover =
+    Memsys.crash mem;
+    let n = ref 0 in
+    let sub =
+      Event.subscribe bus (fun ev ->
+          if Crashpoint.persist_event ~nvm_words ev then incr n)
+    in
+    Fun.protect ~finally:(fun () -> Event.unsubscribe bus sub) recover;
+    !n
+  in
+  Alcotest.(check bool) "Recovery.run persists on the world's bus" true
+    (persists (fun () -> ignore (Respct.Recovery.run ~layout mem)) > 0);
+  Alcotest.(check bool) "Recovery.run_verified persists on the world's bus"
+    true
+    (persists (fun () -> ignore (Respct.Recovery.run_verified ~layout mem))
+    > 0);
+  Alcotest.(check bool) "the memory stays on the world's bus" true
+    (Memsys.bus mem == bus);
+  let seen = ref 0 in
+  let sub = Event.subscribe bus (fun _ -> incr seen) in
+  Memsys.store mem 0 1;
+  Event.unsubscribe bus sub;
+  Alcotest.(check bool) "and still publishes there" true (!seen > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule sweeps stay clean on the shipped specs. *)
@@ -831,6 +918,10 @@ let () =
             test_subscribers_detach;
           Alcotest.test_case "detach when the world raises" `Quick
             test_subscribers_detach_on_raise;
+          Alcotest.test_case "world stream folds to the stats" `Quick
+            test_stream_folds_to_stats;
+          Alcotest.test_case "recovery publishes on the world's bus" `Quick
+            test_recovery_shares_the_bus;
         ] );
       ( "schedules",
         [ Alcotest.test_case "sweeps clean" `Slow test_schedule_sweeps_clean ]

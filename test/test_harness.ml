@@ -192,7 +192,7 @@ let test_advisor_queue_war_rule () =
          done));
   let heap_base = (Respct.Runtime.layout rt).Respct.Layout.heap_base in
   let (), events =
-    Simsched.Trace.record (Simsched.Scheduler.trace_bus sched) (fun () ->
+    Simnvm.Event.record (Simsched.Scheduler.trace_bus sched) (fun () ->
         match Simsched.Scheduler.run sched with
         | Simsched.Scheduler.Completed -> ()
         | Simsched.Scheduler.Crash_interrupt _ -> Alcotest.fail "crash")
@@ -268,7 +268,7 @@ let test_advisor_race_freedom_of_map () =
   done;
   let heap_base = (Respct.Runtime.layout rt).Respct.Layout.heap_base in
   let (), events =
-    Simsched.Trace.record (Simsched.Scheduler.trace_bus sched) (fun () ->
+    Simnvm.Event.record (Simsched.Scheduler.trace_bus sched) (fun () ->
         match Simsched.Scheduler.run sched with
         | Simsched.Scheduler.Completed -> ()
         | Simsched.Scheduler.Crash_interrupt _ -> Alcotest.fail "crash")

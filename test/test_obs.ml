@@ -114,7 +114,7 @@ let test_memobs_probe () =
   Alcotest.(check int) "loads" 2 (v "loads");
   Alcotest.(check int) "pwbs" 1 (v "pwbs");
   Alcotest.(check int) "psyncs" 1 (v "psyncs");
-  (* probe and Stats agree: both are subscribers of the same pipeline *)
+  (* the probe's fold of the bus agrees with the inline Stats counters *)
   let s = Simnvm.Memsys.stats mem in
   Alcotest.(check int) "stats agree on loads" s.Simnvm.Stats.loads (v "loads");
   Alcotest.(check int)
@@ -122,7 +122,7 @@ let test_memobs_probe () =
     (s.Simnvm.Stats.dram_misses + s.Simnvm.Stats.nvm_misses)
     (v "misses.dram" + v "misses.nvm");
   (* detaching stops the probe but not Stats *)
-  Simnvm.Memsys.unsubscribe mem sub;
+  Simnvm.Event.unsubscribe (Simnvm.Memsys.bus mem) sub;
   ignore (Simnvm.Memsys.load mem 0);
   Alcotest.(check int) "probe detached" 2 (v "loads");
   Alcotest.(check int) "stats still counting" 3 s.Simnvm.Stats.loads

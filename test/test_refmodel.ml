@@ -87,7 +87,8 @@ let run_case ?(armed = false) ~pcso ~faults ~n_ops seed =
   Memsys.set_tid_provider mem (fun () -> !cur_tid);
   Refmodel.set_tid_provider rm (fun () -> !cur_tid);
   let mem_events = ref [] in
-  ignore (Memsys.subscribe mem (fun ev -> mem_events := ev :: !mem_events));
+  ignore
+    (Event.subscribe (Memsys.bus mem) (fun ev -> mem_events := ev :: !mem_events));
   let mem_charge = ref 0.0 in
   Memsys.set_charge mem (fun ns -> mem_charge := !mem_charge +. ns);
   (* Armed: persist a nonzero word everywhere in both models first — a
@@ -202,7 +203,7 @@ let run_case ?(armed = false) ~pcso ~faults ~n_ops seed =
         fail "event %d diverged: %a vs %a" i Event.pp a Event.pp b)
     (List.combine evs_mem evs_rm);
   (* The kernel bumps its stats counters inline instead of via the
-     pipeline; they must still match the event stream exactly. *)
+     bus; they must still match the event stream exactly. *)
   let s = Memsys.stats mem in
   let count p = List.length (List.filter p evs_mem) in
   let checks =

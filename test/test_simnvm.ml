@@ -292,11 +292,20 @@ let kind_of (ev : Event.t) =
   | Event.Fault_injected _ -> "fault"
   | Event.Media_error _ -> "media-error"
   | Event.Media_scrub _ -> "media-scrub"
+  | Event.Rmw _ -> "rmw"
+  | Event.Compute _ -> "compute"
+  | Event.Acquire _ -> "acquire"
+  | Event.Release _ -> "release"
+  | Event.Restart_point _ -> "rp"
+
+let subscribe m f = Event.subscribe (Memsys.bus m) f
+let unsubscribe m sub = Event.unsubscribe (Memsys.bus m) sub
+let subscribers m = Event.subscriber_count (Memsys.bus m)
 
 let test_pipeline_delivery () =
   let m = Memsys.create (cfg ()) in
   let seen = ref [] in
-  let _sub = Memsys.subscribe m (fun ev -> seen := kind_of ev :: !seen) in
+  let _sub = subscribe m (fun ev -> seen := kind_of ev :: !seen) in
   Memsys.store m 0 1;
   ignore (Memsys.load m 0);
   Memsys.pwb m 0;
@@ -307,7 +316,7 @@ let test_pipeline_delivery () =
     "event sequence"
     [ "store"; "miss"; "load"; "hit"; "pwb"; "writeback"; "psync" ]
     (List.rev !seen);
-  (* The default Stats subscriber saw the same events. *)
+  (* The inline Stats counters saw the same events. *)
   let s = Memsys.stats m in
   Alcotest.(check int) "stats loads" 1 s.Stats.loads;
   Alcotest.(check int) "stats stores" 1 s.Stats.stores;
@@ -315,21 +324,20 @@ let test_pipeline_delivery () =
 
 let test_pipeline_unsubscribe () =
   let m = Memsys.create (cfg ()) in
-  (* Stats is subscriber #0, attached by create. *)
-  Alcotest.(check int) "default count" 1 (Memsys.subscriber_count m);
+  Alcotest.(check int) "default count" 0 (subscribers m);
   let n = ref 0 in
-  let sub = Memsys.subscribe m (fun _ -> incr n) in
-  Alcotest.(check int) "after subscribe" 2 (Memsys.subscriber_count m);
+  let sub = subscribe m (fun _ -> incr n) in
+  Alcotest.(check int) "after subscribe" 1 (subscribers m);
   Memsys.store m 0 1;
   let seen_before = !n in
   Alcotest.(check bool) "saw events" true (seen_before > 0);
-  Memsys.unsubscribe m sub;
-  Alcotest.(check int) "after unsubscribe" 1 (Memsys.subscriber_count m);
+  unsubscribe m sub;
+  Alcotest.(check int) "after unsubscribe" 0 (subscribers m);
   Memsys.store m 8 2;
   Alcotest.(check int) "no further delivery" seen_before !n;
   (* unsubscribing twice is a harmless no-op *)
-  Memsys.unsubscribe m sub;
-  Alcotest.(check int) "double detach no-op" 1 (Memsys.subscriber_count m)
+  unsubscribe m sub;
+  Alcotest.(check int) "double detach no-op" 0 (subscribers m)
 
 (* Crash-explorer usage pattern: transient counting subscribers attach and
    detach around every re-execution (Fun.protect on exceptional exits, the
@@ -338,15 +346,15 @@ let test_pipeline_unsubscribe () =
    the pipeline or starve the remaining subscribers. *)
 let test_pipeline_churn () =
   let m = Memsys.create (cfg ()) in
-  let base = Memsys.subscriber_count m in
+  let base = subscribers m in
   let delivered = ref 0 in
-  let _keeper = Memsys.subscribe m (fun _ -> incr delivered) in
+  let _keeper = subscribe m (fun _ -> incr delivered) in
   for round = 1 to 50 do
     let n = ref 0 in
-    let sub = Memsys.subscribe m (fun _ -> incr n) in
+    let sub = subscribe m (fun _ -> incr n) in
     (try
        Fun.protect
-         ~finally:(fun () -> Memsys.unsubscribe m sub)
+         ~finally:(fun () -> unsubscribe m sub)
          (fun () ->
            Memsys.store m (8 * (round mod 16)) round;
            if round mod 7 = 0 then failwith "simulated crash boundary";
@@ -354,7 +362,7 @@ let test_pipeline_churn () =
      with Failure _ -> ());
     Alcotest.(check int)
       (Printf.sprintf "round %d detached" round)
-      (base + 1) (Memsys.subscriber_count m);
+      (base + 1) (subscribers m);
     Alcotest.(check bool)
       (Printf.sprintf "round %d saw its events" round)
       true (!n > 0)
@@ -363,20 +371,6 @@ let test_pipeline_churn () =
     (!delivered >= 50);
   let s = Memsys.stats m in
   Alcotest.(check int) "stats saw every store" 50 s.Stats.stores
-
-let test_pipeline_clear_freezes_stats () =
-  let m = Memsys.create (cfg ()) in
-  Memsys.store m 0 1;
-  let s = Memsys.stats m in
-  Alcotest.(check int) "counted" 1 s.Stats.stores;
-  Memsys.clear_subscribers m;
-  Alcotest.(check int) "no subscribers" 0 (Memsys.subscriber_count m);
-  Memsys.store m 8 2;
-  ignore (Memsys.load m 8);
-  Alcotest.(check int) "stats frozen" 1 s.Stats.stores;
-  Alcotest.(check int) "loads frozen" 0 s.Stats.loads;
-  (* semantics are unaffected: the zero-subscriber path still works *)
-  Alcotest.(check int) "value intact" 2 (Memsys.load m 8)
 
 (* Crash explorers churn a transient subscriber around every one of their
    thousands of re-executions, so a subscribe/unsubscribe cycle must cost
@@ -388,13 +382,13 @@ let test_subscriber_churn_cost () =
   let m = Memsys.create (cfg ()) in
   let f (_ : Event.t) = () in
   (* Grow the subscriber capacity past anything the loop needs. *)
-  let warm = Array.init 8 (fun _ -> Memsys.subscribe m f) in
-  Array.iter (fun id -> Memsys.unsubscribe m id) warm;
+  let warm = Array.init 8 (fun _ -> subscribe m f) in
+  Array.iter (fun id -> unsubscribe m id) warm;
   let rounds = 10_000 in
   let before = Gc.minor_words () in
   for _ = 1 to rounds do
-    let sub = Memsys.subscribe m f in
-    Memsys.unsubscribe m sub
+    let sub = subscribe m f in
+    unsubscribe m sub
   done;
   let per_round = (Gc.minor_words () -. before) /. float_of_int rounds in
   Alcotest.(check bool)
@@ -433,7 +427,7 @@ let crash_with_faults fault_seed =
   let m = Memsys.create (faulty_cfg ~fault_seed ()) in
   let faults = ref [] in
   let _sub =
-    Memsys.subscribe m (fun ev ->
+    subscribe m (fun ev ->
         match ev with
         | Event.Fault_injected f -> faults := f :: !faults
         | _ -> ())
@@ -474,7 +468,7 @@ let test_poison_raises_and_scrub_heals () =
   Memsys.store m 100 42;
   Memsys.pwb m 100;
   let seen = ref [] in
-  let _sub = Memsys.subscribe m (fun ev -> seen := kind_of ev :: !seen) in
+  let _sub = subscribe m (fun ev -> seen := kind_of ev :: !seen) in
   let line = 100 / lw in
   Memsys.poison_line m line;
   Alcotest.(check bool) "poisoned" true (Memsys.is_poisoned m line);
@@ -711,8 +705,6 @@ let () =
           Alcotest.test_case "delivery order" `Quick test_pipeline_delivery;
           Alcotest.test_case "unsubscribe" `Quick test_pipeline_unsubscribe;
           Alcotest.test_case "subscriber churn" `Quick test_pipeline_churn;
-          Alcotest.test_case "clear freezes stats" `Quick
-            test_pipeline_clear_freezes_stats;
           Alcotest.test_case "churn allocation cost" `Quick
             test_subscriber_churn_cost;
         ] );

@@ -568,36 +568,48 @@ let test_env_two_threads_parallel_time () =
   | _ -> Alcotest.fail "expected two threads"
 
 (* ------------------------------------------------------------------ *)
-(* Trace bus *)
+(* The world's event bus *)
 
-let kind_of (ev : Trace.event) =
+module Event = Simnvm.Event
+
+let kind_of (ev : Event.t) =
   match ev with
-  | Trace.Load _ -> "load"
-  | Trace.Store _ -> "store"
-  | Trace.Rmw _ -> "rmw"
-  | Trace.Pwb _ -> "pwb"
-  | Trace.Psync _ -> "psync"
-  | Trace.Compute _ -> "compute"
-  | Trace.Acquire _ -> "acquire"
-  | Trace.Release _ -> "release"
-  | Trace.Restart_point _ -> "rp"
+  | Event.Load _ -> "load"
+  | Event.Store _ -> "store"
+  | Event.Hit _ -> "hit"
+  | Event.Miss _ -> "miss"
+  | Event.Writeback _ -> "writeback"
+  | Event.Eviction _ -> "eviction"
+  | Event.Rmw _ -> "rmw"
+  | Event.Pwb _ -> "pwb"
+  | Event.Psync _ -> "psync"
+  | Event.Compute _ -> "compute"
+  | Event.Acquire _ -> "acquire"
+  | Event.Release _ -> "release"
+  | Event.Restart_point _ -> "rp"
+  | Event.Crash _ -> "crash"
+  | Event.Fault_injected _ -> "fault"
+  | Event.Media_error _ -> "media-error"
+  | Event.Media_scrub _ -> "media-scrub"
 
 let traced f =
   let mem = Simnvm.Memsys.create Simnvm.Memsys.default_config in
   let s = Scheduler.create () in
   let env = Env.make mem s in
   let (), tr =
-    Trace.record (Scheduler.trace_bus s) (fun () ->
+    Event.record (Scheduler.trace_bus s) (fun () ->
         ignore (Scheduler.spawn s (fun () -> f env));
         ignore (Scheduler.run s))
   in
   List.map kind_of tr
 
 let test_trace_full_stream () =
-  (* Every Env wrapper publishes on the world's bus. *)
+  (* One stream per world: the memory publishes each access before it
+     lands, followed by its cache outcome and write-backs; Env adds only
+     the compute charge. Nothing is published twice. *)
   Alcotest.(check (list string))
     "full stream"
-    [ "store"; "load"; "pwb"; "psync"; "compute" ]
+    [ "store"; "miss"; "load"; "hit"; "pwb"; "writeback"; "psync"; "compute" ]
     (traced (fun env ->
          Env.store env 0 1;
          ignore (Env.load env 0);
@@ -608,22 +620,24 @@ let test_trace_full_stream () =
 let test_trace_rmw_regression () =
   (* Regression: cas/faa used to bypass tracing entirely, leaving RMW-heavy
      structures invisible to the race checker and RP advisor. Each RMW must
-     appear as load(+store on write)+rmw. *)
+     appear as the memory's load (+store on write), then Env's rmw. *)
   Alcotest.(check (list string))
-    "successful cas" [ "load"; "store"; "rmw" ]
+    "successful cas"
+    [ "load"; "miss"; "store"; "hit"; "rmw" ]
     (traced (fun env -> ignore (Env.cas env 0 ~expected:0 ~desired:1)));
   Alcotest.(check (list string))
-    "failed cas emits no store" [ "load"; "rmw" ]
+    "failed cas emits no store" [ "load"; "miss"; "rmw" ]
     (traced (fun env -> ignore (Env.cas env 0 ~expected:99 ~desired:1)));
   Alcotest.(check (list string))
-    "faa" [ "load"; "store"; "rmw" ]
+    "faa"
+    [ "load"; "miss"; "store"; "hit"; "rmw" ]
     (traced (fun env -> ignore (Env.faa env 0 7)))
 
 let test_trace_mutex_events () =
   let s = Scheduler.create () in
   let m = Mutex.create () in
   let (), tr =
-    Trace.record (Scheduler.trace_bus s) (fun () ->
+    Event.record (Scheduler.trace_bus s) (fun () ->
         ignore
           (Scheduler.spawn s (fun () ->
                Mutex.with_lock s m (fun () -> Scheduler.charge s 10.0)));
@@ -638,11 +652,11 @@ let test_trace_mutex_events () =
 let test_trace_inactive_by_default () =
   let s = Scheduler.create () in
   let bus = Scheduler.trace_bus s in
-  Alcotest.(check bool) "inactive" false (Trace.active bus);
-  let sub = Trace.subscribe bus (fun _ -> ()) in
-  Alcotest.(check bool) "active" true (Trace.active bus);
-  Trace.unsubscribe bus sub;
-  Alcotest.(check bool) "inactive again" false (Trace.active bus)
+  Alcotest.(check bool) "inactive" false (Event.active bus);
+  let sub = Event.subscribe bus (fun _ -> ()) in
+  Alcotest.(check bool) "active" true (Event.active bus);
+  Event.unsubscribe bus sub;
+  Alcotest.(check bool) "inactive again" false (Event.active bus)
 
 let () =
   Alcotest.run "simsched"
