@@ -8,17 +8,13 @@
    crash anywhere between two such events yields the same persistent image
    and the same set of dirty lines.
 
-   The pilot run counts the boundaries; a crash run re-executes the same
-   deterministic world and raises [Crash_now] from a subscriber when the
-   chosen boundary fires. The exception unwinds through the fiber (the
-   scheduler kills the remaining threads and re-raises it from
-   [Scheduler.run]) or, for events emitted during setup code outside any
-   fiber, directly out of the instance's [run] — both paths end in
-   [run_to]'s handler. [Fun.protect] guarantees the subscriber is detached
-   from the world on every exit path, including crashes: a leaked
-   subscriber would crash the *next* world's pilot at a stale index. *)
-
-exception Crash_now
+   [walk] hands each boundary to its caller at the instant the event is
+   published, while the world is stopped inside the publishing access:
+   the pilot records a fingerprint there, the explorer checks the crash
+   images there and lets the world run on. [Fun.protect] guarantees the
+   subscriber is detached from the world on every exit path: a leaked
+   subscriber would fire in the *next* run of the world at stale
+   indices. *)
 
 let persist_event ~nvm_words = function
   | Simnvm.Event.Store { addr; _ } -> addr < nvm_words
@@ -26,37 +22,45 @@ let persist_event ~nvm_words = function
   | Simnvm.Event.Psync _ -> true
   | _ -> false
 
-let pilot mem ~completed f =
+(* [busy] covers both the events published while [at] runs and, since it
+   stays set when [at] raises, the events the world's unwinding code
+   publishes afterwards. *)
+let walk mem ~at run =
   let nw = (Simnvm.Memsys.config mem).Simnvm.Memsys.nvm_words in
-  let acc = ref [] in
-  let n = ref 0 in
+  let n = ref 0 and busy = ref false in
   let bus = Simnvm.Memsys.bus mem in
   let sub =
     Simnvm.Event.subscribe bus (fun ev ->
-        if persist_event ~nvm_words:nw ev then begin
-          acc := completed () :: !acc;
-          incr n
+        if (not !busy) && persist_event ~nvm_words:nw ev then begin
+          let k = !n in
+          incr n;
+          busy := true;
+          at k;
+          busy := false
         end)
   in
-  Fun.protect
-    ~finally:(fun () -> Simnvm.Event.unsubscribe bus sub)
-    (fun () -> f ());
-  (!n, Array.of_list (List.rev !acc))
+  Fun.protect ~finally:(fun () -> Simnvm.Event.unsubscribe bus sub) run
 
-let run_to mem ~crash_index f =
-  let nw = (Simnvm.Memsys.config mem).Simnvm.Memsys.nvm_words in
-  let n = ref 0 in
-  let bus = Simnvm.Memsys.bus mem in
-  let sub =
-    Simnvm.Event.subscribe bus (fun ev ->
-        if persist_event ~nvm_words:nw ev then begin
-          if !n = crash_index then raise Crash_now;
-          incr n
-        end)
-  in
-  Fun.protect
-    ~finally:(fun () -> Simnvm.Event.unsubscribe bus sub)
-    (fun () ->
-      match f () with
-      | () -> `Completed
-      | exception Crash_now -> `Crashed)
+type fingerprint = { completed : int; dirty : int }
+
+let mix h v = (h lxor v) * 0x100000001b3
+
+let fingerprint ~completed dirty =
+  {
+    completed;
+    dirty =
+      List.fold_left
+        (fun h (dl : Simnvm.Memsys.dirty_line) ->
+          Array.fold_left mix
+            (mix (mix h dl.Simnvm.Memsys.lineno) dl.Simnvm.Memsys.mask)
+            dl.Simnvm.Memsys.data)
+        0 dirty;
+  }
+
+let pilot mem ~completed run =
+  let acc = ref [] in
+  walk mem run ~at:(fun _ ->
+      acc :=
+        fingerprint ~completed:(completed ()) (Simnvm.Memsys.dirty_nvm_lines mem)
+        :: !acc);
+  Array.of_list (List.rev !acc)

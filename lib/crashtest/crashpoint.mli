@@ -1,29 +1,34 @@
-(** Crash-point enumeration: count the persist-relevant event boundaries of
-    a deterministic execution, then re-execute and crash at a chosen one. *)
-
-exception Crash_now
-(** Raised by the crash subscriber at the chosen boundary. Simulated code
-    must not catch it; it unwinds to {!run_to}. *)
+(** Crash-point enumeration: the persist-relevant event boundaries of a
+    deterministic execution, a walk that stops at each of them, and the
+    fingerprint that pins a boundary across two runs of one world. *)
 
 val persist_event : nvm_words:int -> Simnvm.Event.t -> bool
 (** Whether the event can change what a power failure leaves in NVMM: an
     NVMM store, an NVMM write-back, or a fence. *)
 
-val pilot :
-  Simnvm.Memsys.t -> completed:(unit -> int) -> (unit -> unit) -> int * int array
-(** [pilot mem ~completed run] executes [run] to completion with a counting
-    subscriber attached and returns [(boundaries, completed_at)]:
-    the number of persist-relevant events, and per event the value of
-    [completed ()] at the instant it fired (the determinism reference for
-    re-executions). The subscriber is detached on every exit path. *)
+val walk : Simnvm.Memsys.t -> at:(int -> unit) -> (unit -> unit) -> unit
+(** [walk mem ~at run] executes [run] with a subscriber on the memory's
+    bus that calls [at k] at the instant persist-relevant event [k]
+    (counting from 0) is published: what the event did to the persistent
+    image is in place (a write-back has landed), the access it announces
+    has not happened (a store is not yet in the cache). That instant is
+    the crash instant of boundary [k]. The subscriber ignores the events
+    published while [at] runs, and every event after an [at] that
+    raised; the exception unwinds out of [run] and [walk]. The subscriber
+    is detached on every exit path. *)
 
-val run_to :
-  Simnvm.Memsys.t ->
-  crash_index:int ->
-  (unit -> unit) ->
-  [ `Completed | `Crashed ]
-(** Re-execute, raising {!Crash_now} exactly when persist-relevant event
-    [crash_index] fires (events [0 .. crash_index - 1] complete; the
-    triggering event does not). [`Completed] means the boundary was never
-    reached — for a deterministic world, a divergence from the pilot. The
-    subscriber is detached on every exit path. *)
+type fingerprint = { completed : int; dirty : int }
+(** What a deterministic re-run reproduces at a boundary: the count of
+    completed operations and a digest of the dirty NVMM lines (line
+    number, dirty mask and words of each). *)
+
+val fingerprint : completed:int -> Simnvm.Memsys.dirty_line list -> fingerprint
+(** The fingerprint of a boundary at which [completed] operations are done
+    and these lines ({!Simnvm.Memsys.dirty_nvm_lines}) are dirty. *)
+
+val pilot :
+  Simnvm.Memsys.t -> completed:(unit -> int) -> (unit -> unit) -> fingerprint array
+(** [pilot mem ~completed run] walks [run] to completion and returns the
+    fingerprint of every boundary, in order: their number is the
+    boundary count, and each is the determinism reference for the
+    matching boundary of a later run of the same world. *)

@@ -1,11 +1,13 @@
 (* The crash explorer: exhaustive crash-point enumeration with adversarial
    persistent-image enumeration per crash point.
 
-   One pilot run fixes the deterministic execution and counts its
-   persist-relevant event boundaries (Crashpoint). For every boundary the
-   world is re-executed from scratch and crashed exactly there; the set of
-   dirty NVMM lines at that instant spans the adversary's degrees of
-   freedom — which write-backs the power failure did or did not complete:
+   A pilot run fixes the deterministic execution: it counts its
+   persist-relevant event boundaries (Crashpoint) and fingerprints each
+   one. One checking run of a fresh instance then stops at every
+   boundary, at the instant its event is published, and checks the crash
+   images there in place. The set of dirty NVMM lines at that instant
+   spans the adversary's degrees of freedom — which write-backs the power
+   failure did or did not complete:
 
    - under PCSO, any subset of dirty lines may have been written back as
      whole-line snapshots; we check the baseline image (no extra
@@ -17,13 +19,25 @@
      generated there — they would report false positives against
      InCLL-based systems;
    - under eADR the cache is in the persistence domain: the post-crash
-     image is unique and only the baseline is checked.
+     image is unique, every dirty line drained, and only it is checked.
 
-   The post-crash image is snapshotted once per crash point. Each image
-   is installed with [restore] + targeted pokes, which undoes only the
-   lines the previous image's recovery wrote, and handed to the
+   At a boundary the world's memory is suspended (Memsys.suspend): its
+   volatile state is set aside and the persistent image journaled. Each
+   image is installed with [restore] + targeted pokes, which undoes only
+   the lines the previous image's recovery wrote, and handed to the
    scenario's [recover_check], which runs the system's recovery procedure
-   and compares the recovered state against its oracle. *)
+   on that same memory and compares the recovered state against its
+   oracle. [resume] then rewinds the image and puts the volatile state
+   back bit for bit, and the world runs on to the next boundary. So the
+   exploration costs one run of the world plus the recoveries, not one
+   run per boundary.
+
+   The fingerprints make the two runs one deterministic execution: at
+   every boundary the checking run must have completed as many
+   operations as the pilot and hold the same dirty lines, word for word.
+
+   [check_point], the replay of one counterexample, is the same checking
+   run stopped after its one boundary. *)
 
 type instance = {
   mem : Simnvm.Memsys.t;
@@ -31,7 +45,8 @@ type instance = {
   completed : unit -> int;  (** operations fully completed so far *)
   recover_check : unit -> (unit, string) result;
       (** recover the current persistent image and check it against the
-          oracle; called once per adversarial image *)
+          oracle; called once per adversarial image, mid-run, on the
+          suspended memory *)
   recover_check_faulty : (unit -> (unit, string) result) option;
       (** oracle for images carrying injected media damage: recovery must
           either restore the exact snapshot or explicitly report the
@@ -97,7 +112,7 @@ let apply_variant mem dirty v =
         dirty
 
 let variants_for ~eadr ~pcso ~line_words ~max_images dirty =
-  if eadr then ([ Baseline ], 0)
+  if eadr then ([ Evict_all ], 0)
   else
     let extremes = if dirty = [] then [] else [ Evict_all ] in
     let singles =
@@ -120,170 +135,166 @@ let variants_for ~eadr ~pcso ~line_words ~max_images dirty =
     if total <= max_images then (all, 0)
     else (List.filteri (fun i _ -> i < max_images) all, total - max_images)
 
+(* Raised out of the crash-point subscriber to end a checking run. *)
+exception Stop
+
+(* A fresh instance. [restore] would undo the seeded crash-time faults of
+   a [faults = Some _] memory, so such a world cannot be checked in
+   place; the fault dimension is [fault_seeds]. *)
+let fresh s =
+  let inst = s.make ~n_ops:s.n_ops in
+  if (Simnvm.Memsys.config inst.mem).Simnvm.Memsys.faults <> None then
+    invalid_arg
+      (s.name
+     ^ ": Explore needs a memory without seeded crash faults (faults = \
+        None); fault_seeds layers media faults on the crash images");
+  inst
+
+(* The one per-boundary check, shared by [explore] and [check_point]. At
+   a boundary of the running world, suspend its memory; for each
+   (variant, fault seed) in [images], restore the boundary's image,
+   install the variant and the fault plan, run the oracle and hand the
+   verdict to [judge], which says whether to go on. The memory is resumed
+   on every exit path. *)
+let check_boundary inst ~crash_index ~dirty images judge =
+  let mem = inst.mem in
+  let lw = (Simnvm.Memsys.config mem).Simnvm.Memsys.line_words in
+  let base = Simnvm.Memsys.suspend mem in
+  let rec go = function
+    | [] -> ()
+    | (v, fs) :: rest ->
+        (* restore clears poison / transient state from the previous
+           fault image as well as the pokes and the previous recovery's
+           writes *)
+        Simnvm.Memsys.restore mem base;
+        apply_variant mem dirty v;
+        let check =
+          match fs with
+          | None -> inst.recover_check
+          | Some seed ->
+              Faultplan.apply mem ~base ~dirty
+                (Faultplan.derive ~seed ~crash_index ~line_words:lw dirty);
+              Option.value inst.recover_check_faulty ~default:inst.recover_check
+        in
+        let verdict =
+          match check () with
+          | r -> r
+          | exception e -> Error ("recovery raised " ^ Printexc.to_string e)
+        in
+        if judge v fs verdict then go rest
+  in
+  Fun.protect
+    ~finally:(fun () -> Simnvm.Memsys.resume mem base)
+    (fun () -> go images)
+
+(* Run a fresh instance of [s] to completion, calling [at inst k] at
+   every boundary [k]. [reached] counts the boundaries passed. *)
+let checking_run s ~at :
+    [ `Completed of int | `Stopped | `Raised of exn * int ] =
+  let inst = fresh s in
+  let reached = ref 0 in
+  match
+    Crashpoint.walk inst.mem inst.run ~at:(fun k ->
+        reached := k + 1;
+        at inst k)
+  with
+  | () -> `Completed !reached
+  | exception Stop -> `Stopped
+  | exception e -> `Raised (e, !reached)
+
 let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
     ?(fault_seeds = []) (s : scenario) =
   let fault_options = None :: List.map Option.some fault_seeds in
-  let pilot_inst = s.make ~n_ops:s.n_ops in
-  match
-    Crashpoint.pilot pilot_inst.mem ~completed:pilot_inst.completed
-      pilot_inst.run
-  with
+  let failures = ref [] and images = ref 0 and truncated = ref 0 in
+  let add crash_index variant fault_seed reason =
+    failures := { crash_index; variant; fault_seed; reason } :: !failures
+  in
+  let outcome boundaries =
+    {
+      scenario = s;
+      boundaries;
+      images = !images;
+      truncated = !truncated;
+      failures = List.rev !failures;
+    }
+  in
+  let pilot = fresh s in
+  match Crashpoint.pilot pilot.mem ~completed:pilot.completed pilot.run with
   | exception e ->
-      {
-        scenario = s;
-        boundaries = 0;
-        images = 0;
-        truncated = 0;
-        failures =
-          [
-            {
-              crash_index = 0;
-              variant = Baseline;
-              fault_seed = None;
-              reason = "pilot run raised " ^ Printexc.to_string e;
-            };
-          ];
-      }
-  | boundaries, completed_at ->
-  let failures = ref [] in
-  let images = ref 0 in
-  let truncated = ref 0 in
-  let add f = failures := f :: !failures in
-  let stop () = stop_at_first_failure && !failures <> [] in
-  let k = ref 0 in
-  while (not (stop ())) && !k < boundaries do
-    let ck = !k in
-    let ik = s.make ~n_ops:s.n_ops in
-    let mem = ik.mem in
-    (match
-       try
-         (Crashpoint.run_to mem ~crash_index:ck ik.run
-           :> [ `Completed | `Crashed | `Raised of exn ])
-       with e -> `Raised e
-     with
-    | `Raised e ->
-        add
-          {
-            crash_index = ck;
-            variant = Baseline;
-            fault_seed = None;
-            reason = "crash run raised " ^ Printexc.to_string e;
-          }
-    | `Completed ->
-        add
-          {
-            crash_index = ck;
-            variant = Baseline;
-            fault_seed = None;
-            reason =
-              Printf.sprintf
-                "re-execution diverged: boundary %d never reached" ck;
-          }
-    | `Crashed ->
-        if ik.completed () <> completed_at.(ck) then
-          add
-            {
-              crash_index = ck;
-              variant = Baseline;
-              fault_seed = None;
-              reason =
-                Printf.sprintf
-                  "nondeterministic re-execution: %d ops completed, pilot \
-                   saw %d"
-                  (ik.completed ()) completed_at.(ck);
-            }
-        else begin
-          let cfg = Simnvm.Memsys.config mem in
-          let dirty = Simnvm.Memsys.dirty_nvm_lines mem in
-          Simnvm.Memsys.crash mem;
-          let base = Simnvm.Memsys.snapshot mem in
-          let variants, dropped =
-            variants_for ~eadr:cfg.Simnvm.Memsys.eadr
-              ~pcso:cfg.Simnvm.Memsys.pcso
-              ~line_words:cfg.Simnvm.Memsys.line_words
-              ~max_images:max_images_per_point dirty
-          in
-          truncated := !truncated + dropped;
-          List.iter
-            (fun v ->
-              List.iter
-                (fun fs ->
-                  if not (stop ()) then begin
-                    (* restore clears poison / transient state from the
-                       previous fault image as well as the pokes and the
-                       previous recovery's writes *)
-                    Simnvm.Memsys.restore mem base;
-                    apply_variant mem dirty v;
-                    let check =
-                      match fs with
-                      | None -> ik.recover_check
-                      | Some seed ->
-                          Faultplan.apply mem ~base ~dirty
-                            (Faultplan.derive ~seed ~crash_index:ck
-                               ~line_words:cfg.Simnvm.Memsys.line_words dirty);
-                          Option.value ik.recover_check_faulty
-                            ~default:ik.recover_check
-                    in
-                    incr images;
-                    match check () with
-                    | Ok () -> ()
-                    | Error reason ->
-                        add
-                          {
-                            crash_index = ck;
-                            variant = v;
-                            fault_seed = fs;
-                            reason;
-                          }
-                    | exception e ->
-                        add
-                          {
-                            crash_index = ck;
-                            variant = v;
-                            fault_seed = fs;
-                            reason = "recovery raised " ^ Printexc.to_string e;
-                          }
-                  end)
-                fault_options)
-            variants
-        end);
-    incr k
-  done;
-  {
-    scenario = s;
-    boundaries;
-    images = !images;
-    truncated = !truncated;
-    failures = List.rev !failures;
-  }
+      add 0 Baseline None ("pilot run raised " ^ Printexc.to_string e);
+      outcome 0
+  | prints ->
+      let boundaries = Array.length prints in
+      let stopped () = stop_at_first_failure && !failures <> [] in
+      let at inst k =
+        if k < boundaries then begin
+          let dirty = Simnvm.Memsys.dirty_nvm_lines inst.mem in
+          let seen = Crashpoint.fingerprint ~completed:(inst.completed ()) dirty
+          and want = prints.(k) in
+          if seen.Crashpoint.completed <> want.Crashpoint.completed then
+            add k Baseline None
+              (Printf.sprintf
+                 "nondeterministic re-execution: %d ops completed, pilot saw \
+                  %d"
+                 seen.Crashpoint.completed want.Crashpoint.completed)
+          else if seen <> want then
+            add k Baseline None
+              "nondeterministic re-execution: dirty lines differ from the \
+               pilot's"
+          else begin
+            let cfg = Simnvm.Memsys.config inst.mem in
+            let variants, dropped =
+              variants_for ~eadr:cfg.Simnvm.Memsys.eadr
+                ~pcso:cfg.Simnvm.Memsys.pcso
+                ~line_words:cfg.Simnvm.Memsys.line_words
+                ~max_images:max_images_per_point dirty
+            in
+            truncated := !truncated + dropped;
+            check_boundary inst ~crash_index:k ~dirty
+              (List.concat_map
+                 (fun v -> List.map (fun fs -> (v, fs)) fault_options)
+                 variants)
+              (fun v fs verdict ->
+                incr images;
+                Result.iter_error (add k v fs) verdict;
+                not (stopped ()))
+          end;
+          if stopped () then raise Stop
+        end
+      in
+      (* Once stopped, how the abandoned run unwinds is not a finding. *)
+      (match checking_run s ~at with
+      | _ when stopped () -> ()
+      | `Stopped -> ()
+      | `Completed reached ->
+          if reached < boundaries then
+            add reached Baseline None
+              (Printf.sprintf
+                 "re-execution diverged: boundary %d never reached" reached)
+      | `Raised (e, reached) ->
+          add reached Baseline None ("crash run raised " ^ Printexc.to_string e));
+      outcome boundaries
 
 (* Replay a single (crash point, image variant) — the counterexample
-   reproduction path. A world that raises on the way to the crash point
-   is reported with the reason [explore] gives it. *)
+   reproduction path: the checking run of [explore], stopped after its
+   one boundary. A world that raises on the way to the crash point is
+   reported with the reason [explore] gives it. *)
 let check_point ?fault_seed (s : scenario) ~crash_index ~variant =
-  let ik = s.make ~n_ops:s.n_ops in
-  match Crashpoint.run_to ik.mem ~crash_index ik.run with
-  | exception e -> Error ("crash run raised " ^ Printexc.to_string e)
-  | `Completed ->
+  let verdict = ref None in
+  let at inst k =
+    if k = crash_index then begin
+      check_boundary inst ~crash_index
+        ~dirty:(Simnvm.Memsys.dirty_nvm_lines inst.mem)
+        [ (variant, fault_seed) ]
+        (fun _ _ r ->
+          verdict := Some r;
+          false);
+      raise Stop
+    end
+  in
+  match (checking_run s ~at, !verdict) with
+  | _, Some r -> r
+  | `Raised (e, _), None -> Error ("crash run raised " ^ Printexc.to_string e)
+  | (`Completed _ | `Stopped), None ->
       Error
-        (Printf.sprintf "boundary %d never reached (run completed)"
-           crash_index)
-  | `Crashed -> (
-      let dirty = Simnvm.Memsys.dirty_nvm_lines ik.mem in
-      Simnvm.Memsys.crash ik.mem;
-      let base = Simnvm.Memsys.snapshot ik.mem in
-      (* the volatile reset every explored image gets *)
-      Simnvm.Memsys.restore ik.mem base;
-      apply_variant ik.mem dirty variant;
-      let check =
-        match fault_seed with
-        | None -> ik.recover_check
-        | Some seed ->
-            let lw = (Simnvm.Memsys.config ik.mem).Simnvm.Memsys.line_words in
-            Faultplan.apply ik.mem ~base ~dirty
-              (Faultplan.derive ~seed ~crash_index ~line_words:lw dirty);
-            Option.value ik.recover_check_faulty ~default:ik.recover_check
-      in
-      match check () with
-      | r -> r
-      | exception e -> Error ("recovery raised " ^ Printexc.to_string e))
+        (Printf.sprintf "boundary %d never reached (run completed)" crash_index)

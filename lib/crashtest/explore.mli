@@ -6,13 +6,19 @@ type instance = {
   mem : Simnvm.Memsys.t;
   run : unit -> unit;
       (** build the structures and drive the operations; everything that
-          emits memory events must happen inside this call so the crash
-          exception unwinds to the explorer *)
+          emits memory events must happen inside this call, where the
+          explorer's crash-point subscriber sees it *)
   completed : unit -> int;  (** operations fully completed so far *)
   recover_check : unit -> (unit, string) result;
-      (** run the system's recovery on the current persistent image and
-          compare against the oracle; invoked once per adversarial image,
-          so it must be re-runnable *)
+      (** run the system's recovery on the current persistent image of
+          [mem] and compare against the oracle. Invoked once per
+          adversarial image, so it must be re-runnable, and invoked in
+          the middle of [run], from inside the world's publishing access,
+          on [mem] suspended ({!Simnvm.Memsys.suspend}). It may write
+          [mem] freely — resuming undoes every write — and may run its
+          own scheduler over it, but it must not change state that the
+          world's run reads (the oracle's models, the structures' host
+          handles), nor run the world's simulated code. *)
   recover_check_faulty : (unit -> (unit, string) result) option;
       (** oracle for images that additionally carry injected media faults:
           recovery must either restore the exact last-checkpoint snapshot
@@ -37,7 +43,8 @@ type variant =
   | Evict_word of int
       (** one dirty word additionally persisted alone — word-granular
           hardware; only generated under the pcso = false ablation *)
-  | Evict_all  (** every dirty line written back *)
+  | Evict_all
+      (** every dirty line written back; under eADR, the only image *)
 
 type failure = {
   crash_index : int;
@@ -61,17 +68,22 @@ val explore :
   ?fault_seeds:int list ->
   scenario ->
   outcome
-(** Pilot once, then crash the re-executed world at every boundary and
-    check recovery under every adversarial image (default cap: 64 images
-    per point, excess counted in [truncated]). Divergence from the pilot
-    (a boundary not reached, or a different completed-op count at the
-    crash) is itself reported as a failure: the explorer's soundness rests
-    on deterministic re-execution.
+(** Pilot once, then run one fresh instance that stops at every boundary
+    and checks recovery, in place, under every adversarial image
+    (default cap: 64 images per point, excess counted in [truncated]);
+    after each boundary the world runs on from its exact pre-check state.
+    Divergence from the pilot (a boundary not reached, or a different
+    completed-op count or dirty-line set at a boundary) is itself
+    reported as a failure: the explorer's soundness rests on
+    deterministic execution.
 
     Each seed in [fault_seeds] (default none) multiplies the image set:
     every adversarial image is additionally checked with the
     {!Faultplan} derived from (seed, crash index, dirty lines) installed
-    on top, against [recover_check_faulty]. *)
+    on top, against [recover_check_faulty].
+
+    @raise Invalid_argument if the world's memory config has seeded
+    crash-time [faults]: checking in place would undo them. *)
 
 val check_point :
   ?fault_seed:int ->
@@ -80,7 +92,8 @@ val check_point :
   variant:variant ->
   (unit, string) result
 (** Replay a single (crash point, image variant, optional fault seed)
-    tuple — counterexample reproduction. *)
+    tuple — counterexample reproduction: {!explore}'s checking run,
+    checking only that image at that boundary and stopping there. *)
 
 val apply_variant :
   Simnvm.Memsys.t -> Simnvm.Memsys.dirty_line list -> variant -> unit

@@ -34,57 +34,84 @@
    over the 8-byte little-endian serialisation of each word. *)
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) *)
+(* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) and CRC-16/CCITT-FALSE
+   (poly 0x1021, init 0xFFFF), a word at a time.
 
-let crc32_table =
-  let t = Array.make 256 0 in
-  for n = 0 to 255 do
-    let c = ref n in
-    for _ = 0 to 7 do
-      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-    done;
-    t.(n) <- !c
+   Slicing-by-8: one step folds a whole 8-byte word into the CRC with
+   eight independent table lookups, one per byte, instead of eight
+   dependent byte steps. Table [k] (at offset [k * 256] of a 2048-entry
+   array) holds the CRC of a byte followed by [k] zero bytes, so byte [i]
+   of the word looks up table [7 - i]. The entry points take a fixed
+   number of words and allocate nothing; test_respct pins them to the
+   bytewise definition. *)
+
+(* The eight slices of a byte table, given the register step that shifts
+   one zero byte in. *)
+let slices byte_table zero_step =
+  let t = Array.make 2048 0 in
+  Array.blit byte_table 0 t 0 256;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      t.((k * 256) + n) <- zero_step t.(((k - 1) * 256) + n)
+    done
   done;
   t
 
-let crc32_byte crc b = crc32_table.((crc lxor b) land 0xFF) lxor (crc lsr 8)
+let crc32_slices =
+  let byte =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  slices byte (fun c -> byte.(c land 0xFF) lxor (c lsr 8))
 
-let crc32_word crc w =
-  let c = ref crc in
-  for i = 0 to 7 do
-    c := crc32_byte !c ((w lsr (i * 8)) land 0xFF)
-  done;
-  !c
+let crc16_slices =
+  let byte =
+    Array.init 256 (fun n ->
+        let c = ref (n lsl 8) in
+        for _ = 0 to 7 do
+          c := if !c land 0x8000 <> 0 then (!c lsl 1) lxor 0x1021 else !c lsl 1;
+          c := !c land 0xFFFF
+        done;
+        !c)
+  in
+  slices byte (fun c -> byte.((c lsr 8) land 0xFF) lxor ((c lsl 8) land 0xFFFF))
 
-let crc32_words ws =
-  let c = List.fold_left crc32_word 0xFFFFFFFF ws in
-  c lxor 0xFFFFFFFF
+(* A byte plus a slice offset: below 2048 by construction. *)
+let[@inline] slice t k b = Array.unsafe_get t ((k lsl 8) lor (b land 0xFF))
 
-(* ------------------------------------------------------------------ *)
-(* CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) *)
+(* Reflected: the register enters the word's low four bytes. *)
+let crc32_step crc w =
+  let x = crc lxor (w land 0xFFFFFFFF) and hi = w lsr 32 in
+  let t = crc32_slices in
+  slice t 7 x
+  lxor slice t 6 (x lsr 8)
+  lxor slice t 5 (x lsr 16)
+  lxor slice t 4 (x lsr 24)
+  lxor slice t 3 hi
+  lxor slice t 2 (hi lsr 8)
+  lxor slice t 1 (hi lsr 16)
+  lxor slice t 0 (hi lsr 24)
 
-let crc16_table =
-  let t = Array.make 256 0 in
-  for n = 0 to 255 do
-    let c = ref (n lsl 8) in
-    for _ = 0 to 7 do
-      c := if !c land 0x8000 <> 0 then (!c lsl 1) lxor 0x1021 else !c lsl 1;
-      c := !c land 0xFFFF
-    done;
-    t.(n) <- !c
-  done;
-  t
+(* MSB-first: the register enters the first two bytes, high byte first. *)
+let crc16_step crc w =
+  let x = w lxor ((crc lsr 8) lor ((crc land 0xFF) lsl 8)) in
+  let t = crc16_slices in
+  slice t 7 x
+  lxor slice t 6 (x lsr 8)
+  lxor slice t 5 (x lsr 16)
+  lxor slice t 4 (x lsr 24)
+  lxor slice t 3 (x lsr 32)
+  lxor slice t 2 (x lsr 40)
+  lxor slice t 1 (x lsr 48)
+  lxor slice t 0 (x lsr 56)
 
-let crc16_byte crc b = crc16_table.(((crc lsr 8) lxor b) land 0xFF) lxor ((crc lsl 8) land 0xFFFF)
-
-let crc16_word crc w =
-  let c = ref crc in
-  for i = 0 to 7 do
-    c := crc16_byte !c ((w lsr (i * 8)) land 0xFF)
-  done;
-  !c
-
-let crc16_words ws = List.fold_left crc16_word 0xFFFF ws
+let crc32_2 a b = crc32_step (crc32_step 0xFFFFFFFF a) b lxor 0xFFFFFFFF
+let crc16_2 a b = crc16_step (crc16_step 0xFFFF a) b
+let crc16_3 a b c = crc16_step (crc16_step (crc16_step 0xFFFF a) b) c
 
 (* ------------------------------------------------------------------ *)
 (* Epoch-word packing *)
@@ -98,9 +125,9 @@ let log_mask = 0xFFFF
 let epoch_of w = (w lsl 31) asr 31
 
 let crc_log ~backup ~epoch_bits ~cell =
-  crc16_words [ backup; epoch_bits; cell ] land log_mask
+  crc16_3 backup epoch_bits cell land log_mask
 
-let crc_rec ~record ~cell = crc16_words [ record; cell ] land rec_mask
+let crc_rec ~record ~cell = crc16_2 record cell land rec_mask
 
 let seal ~record ~backup ~epoch ~cell =
   let e = epoch land epoch_mask in
@@ -140,14 +167,14 @@ let epoch_seal_mask = 0xFFFF
 
 let seal_epoch ~epoch ~addr =
   let e = epoch land epoch_mask in
-  e lor (crc16_words [ e; addr ] lsl epoch_seal_shift)
+  e lor (crc16_2 e addr lsl epoch_seal_shift)
 
 let check_epoch ~word ~addr =
   (word lsr epoch_seal_shift) land epoch_seal_mask
-  = crc16_words [ word land epoch_mask; addr ]
+  = crc16_2 (word land epoch_mask) addr
 
 (* ------------------------------------------------------------------ *)
 (* Whole-word CRC-32 codes: checkpoint commit record, registry summaries *)
 
-let commit ~epoch ~addr = crc32_words [ epoch; addr ]
-let regsum ~entry ~addr = crc32_words [ entry; addr ]
+let commit ~epoch ~addr = crc32_2 epoch addr
+let regsum ~entry ~addr = crc32_2 entry addr

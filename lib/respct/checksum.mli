@@ -52,8 +52,12 @@ val commit : epoch:int -> addr:int -> int
 val regsum : entry:int -> addr:int -> int
 (** CRC-32 summary of a registry entry word living at [addr]. *)
 
-val crc32_words : int list -> int
-(** CRC-32 (IEEE) of a word sequence, 8-byte little-endian. *)
+val crc32_2 : int -> int -> int
+(** CRC-32 (IEEE) of two words, each serialised 8-byte little-endian. *)
 
-val crc16_words : int list -> int
-(** CRC-16/CCITT-FALSE of a word sequence, 8-byte little-endian. *)
+val crc16_2 : int -> int -> int
+(** CRC-16/CCITT-FALSE of two words, each serialised 8-byte
+    little-endian. *)
+
+val crc16_3 : int -> int -> int -> int
+(** CRC-16/CCITT-FALSE of three words. *)

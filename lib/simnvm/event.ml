@@ -87,7 +87,7 @@ type subscription = int
 
 (* Parallel id/function arrays with an explicit count: subscribe grows by
    doubling, unsubscribe shifts in place — the crash explorer's
-   attach/detach churn around every re-execution allocates nothing. *)
+   attach/detach churn around every run of a world allocates nothing. *)
 type bus = {
   mutable sink_ids : int array;
   mutable sink_fns : (t -> unit) array;

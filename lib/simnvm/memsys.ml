@@ -185,6 +185,32 @@ type line = {
    so the placeholder is never read or written. *)
 let no_data : int array = [||]
 
+(* The volatile state [suspend] sets aside while the memory serves a
+   nested recovery, and [resume] puts back: a copy of every cache line
+   (tag, words, dirtiness, LRU stamp, last writer), the LRU clock, the
+   DRAM chunk table, the prefetch ring, the eviction RNG, the crash
+   ordinal, the planted-fault bitsets and the three hooks. The DRAM table
+   is saved shallow: [crash] and [restore] replace chunks and never write
+   into them, so the saved chunks stay intact. Allocated at a memory's
+   first [suspend] and reused by every later one. *)
+type parked = {
+  p_lines : line array; (* indexed like [lines], with words of their own *)
+  mutable p_stamp : int;
+  p_dram : int array array;
+  p_fills : int array;
+  mutable p_pos : int;
+  p_rng : Rng.t;
+  mutable p_crash_count : int;
+  p_poisoned : Bytes.t;
+  mutable p_n_poisoned : int;
+  p_transient : Bytes.t;
+  mutable p_n_transient : int;
+  mutable p_charge : float -> unit;
+  mutable p_tid : unit -> int;
+  mutable p_bus : Event.bus;
+  p_private_bus : Event.bus; (* what the memory publishes on meanwhile *)
+}
+
 type t = {
   cfg : config;
   pmem : store; (* the persistent NVMM image *)
@@ -218,16 +244,20 @@ type t = {
   transient_bits : Bytes.t;
   mutable n_transient : int;
   mutable crash_count : int;
-  (* Undo journal of the live snapshot (0 = none taken yet): the NVMM
-     lines written since the snapshot or its last restore, as a sparse
-     set — line [l] is journaled iff [i = jr_slot.(l)] is below
-     [jr_count] and [jr_lines.(i) = l] — with the line's old words at
-     [jr_words.(i * lw)]. Emptying it is resetting the count. *)
-  mutable snap_id : int;
+  (* Undo journal of the live snapshot ([snap_live] is its id, 0 = none
+     live): the NVMM lines written since the snapshot or its last
+     restore, as a sparse set — line [l] is journaled iff
+     [i = jr_slot.(l)] is below [jr_count] and [jr_lines.(i) = l] — with
+     the line's old words at [jr_words.(i * lw)]. Emptying it is
+     resetting the count. *)
+  mutable snap_seq : int; (* ids handed out so far *)
+  mutable snap_live : int;
   jr_slot : store;
   mutable jr_lines : int array;
   mutable jr_words : int array;
   mutable jr_count : int;
+  mutable parked : parked option; (* [suspend]'s buffers, once allocated *)
+  mutable suspended : bool;
 }
 
 type snapshot = { owner : t; id : int }
@@ -322,11 +352,14 @@ let create cfg =
     transient_bits = Bytes.make (max 1 ((nvm_lines + 7) / 8)) '\000';
     n_transient = 0;
     crash_count = 0;
-    snap_id = 0;
+    snap_seq = 0;
+    snap_live = 0;
     jr_slot = store_make nvm_lines;
     jr_lines = [||];
     jr_words = [||];
     jr_count = 0;
+    parked = None;
+    suspended = false;
   }
 
 let config t = t.cfg
@@ -377,7 +410,7 @@ let journal_line t lineno =
     t.jr_count <- n + 1
   end
 
-let[@inline] journal t lineno = if t.snap_id > 0 then journal_line t lineno
+let[@inline] journal t lineno = if t.snap_live > 0 then journal_line t lineno
 
 (* Backing-store write, indexed by line number (partial persists only;
    whole-line transfers use Array.blit directly). *)
@@ -784,10 +817,10 @@ let flush_all t =
 
    These are host-level accessors: no latency is charged, no event is
    emitted and, [restore] aside, no cache state (LRU, prefetch ring, RNG)
-   is perturbed, so a subscriber-driven pilot run and its per-boundary
-   re-executions observe identical event sequences whether or not an
-   explorer is watching. [restore] runs only after a crash, between
-   recoveries, and resets that state the same way every time. *)
+   is perturbed, so a subscriber-driven pilot run and the checking run
+   observe identical event sequences whether or not an explorer is
+   watching. [restore] runs only between [suspend] and [resume] (or after
+   a crash), and [resume] puts back everything it reset. *)
 
 (* Logical (cache-coherent) view of a word, bypassing cost and events. *)
 let peek t addr =
@@ -826,12 +859,13 @@ let image t =
    copies nothing, and only the live one may be restored or read, because
    the journal only knows the lines written since that snapshot. *)
 let snapshot t =
-  t.snap_id <- t.snap_id + 1;
+  t.snap_seq <- t.snap_seq + 1;
+  t.snap_live <- t.snap_seq;
   t.jr_count <- 0;
-  { owner = t; id = t.snap_id }
+  { owner = t; id = t.snap_seq }
 
 let check_live t s fn =
-  if s.owner != t || s.id <> t.snap_id then
+  if s.owner != t || s.id <> t.snap_live then
     invalid_arg ("Memsys." ^ fn ^ ": not the live snapshot of this memory")
 
 let restore t s =
@@ -870,6 +904,117 @@ let restore t s =
     Bytes.fill t.transient_bits 0 (Bytes.length t.transient_bits) '\000';
     t.n_transient <- 0
   end
+
+(* Suspend and resume: a running world's memory serves the crash
+   explorer's recoveries in place. [suspend] parks the volatile state and
+   journals from the current image; each recovery then starts from
+   [restore]; [resume] rewinds the image once more and unparks, so the
+   world runs on from exactly the state it published its event in. *)
+
+let make_parked t =
+  {
+    p_lines =
+      Array.map
+        (fun _ ->
+          {
+            tag = -1;
+            data = Array.make t.lw 0;
+            dirty = false;
+            dirty_mask = 0;
+            lru = 0;
+            last_writer = -1;
+          })
+        t.lines;
+    p_stamp = 0;
+    p_dram = Array.make (Array.length t.dram) zero_chunk;
+    p_fills = Array.make prefetch_window (-1);
+    p_pos = 0;
+    p_rng = Rng.create 0;
+    p_crash_count = 0;
+    p_poisoned = Bytes.make (Bytes.length t.poisoned_bits) '\000';
+    p_n_poisoned = 0;
+    p_transient = Bytes.make (Bytes.length t.transient_bits) '\000';
+    p_n_transient = 0;
+    p_charge = no_charge;
+    p_tid = no_tid;
+    p_bus = t.bus;
+    p_private_bus = Event.create_bus ();
+  }
+
+(* Only a valid line's words matter, and a line that was ever valid has
+   words of its own. *)
+let copy_line lw src dst =
+  dst.tag <- src.tag;
+  if src.tag >= 0 then Array.blit src.data 0 dst.data 0 lw;
+  dst.dirty <- src.dirty;
+  dst.dirty_mask <- src.dirty_mask;
+  dst.lru <- src.lru;
+  dst.last_writer <- src.last_writer
+
+let suspend t =
+  if t.suspended then invalid_arg "Memsys.suspend: already suspended";
+  let p =
+    match t.parked with
+    | Some p -> p
+    | None ->
+        let p = make_parked t in
+        t.parked <- Some p;
+        p
+  in
+  Array.iter2 (copy_line t.lw) t.lines p.p_lines;
+  p.p_stamp <- t.stamp;
+  Array.blit t.dram 0 p.p_dram 0 (Array.length t.dram);
+  Array.blit t.recent_fills 0 p.p_fills 0 prefetch_window;
+  p.p_pos <- t.recent_pos;
+  Rng.blit t.rng p.p_rng;
+  p.p_crash_count <- t.crash_count;
+  p.p_n_poisoned <- t.n_poisoned;
+  if t.n_poisoned > 0 then
+    Bytes.blit t.poisoned_bits 0 p.p_poisoned 0 (Bytes.length t.poisoned_bits);
+  p.p_n_transient <- t.n_transient;
+  if t.n_transient > 0 then
+    Bytes.blit t.transient_bits 0 p.p_transient 0
+      (Bytes.length t.transient_bits);
+  p.p_charge <- t.charge;
+  p.p_tid <- t.current_tid;
+  p.p_bus <- t.bus;
+  t.charge <- no_charge;
+  t.current_tid <- no_tid;
+  t.bus <- p.p_private_bus;
+  t.suspended <- true;
+  snapshot t
+
+let resume t s =
+  if not t.suspended then invalid_arg "Memsys.resume: not suspended";
+  restore t s;
+  let p = Option.get t.parked in
+  Array.iter2 (copy_line t.lw) p.p_lines t.lines;
+  t.stamp <- p.p_stamp;
+  Array.blit p.p_dram 0 t.dram 0 (Array.length t.dram);
+  (* [restore] emptied the ring; refill it entry by entry so the
+     per-line counts are rebuilt with it. *)
+  for i = 0 to prefetch_window - 1 do
+    let l = p.p_fills.(i) in
+    t.recent_fills.(i) <- l;
+    if l >= 0 then store_add t.recent_count l 1
+  done;
+  t.recent_pos <- p.p_pos;
+  Rng.blit p.p_rng t.rng;
+  t.crash_count <- p.p_crash_count;
+  (* [restore] left both bitsets empty. *)
+  t.n_poisoned <- p.p_n_poisoned;
+  if p.p_n_poisoned > 0 then
+    Bytes.blit p.p_poisoned 0 t.poisoned_bits 0 (Bytes.length t.poisoned_bits);
+  t.n_transient <- p.p_n_transient;
+  if p.p_n_transient > 0 then
+    Bytes.blit p.p_transient 0 t.transient_bits 0
+      (Bytes.length t.transient_bits);
+  t.charge <- p.p_charge;
+  t.current_tid <- p.p_tid;
+  t.bus <- p.p_bus;
+  (* The world's own write-backs are not journaled. *)
+  t.snap_live <- 0;
+  t.suspended <- false
 
 let snapshot_persisted s addr =
   let t = s.owner in

@@ -155,10 +155,12 @@ val flush_all : t -> unit
     Host-level accessors for the systematic crash explorer
     ([lib/crashtest]): none of them charges latency or emits an event, and
     none but {!restore} perturbs cache replacement state, so watched and
-    unwatched runs stay bit-identical. The explorer installs each
-    adversarial image with one path: {!snapshot} right after {!crash},
-    then {!restore} plus {!poke_persisted} before every image, so an image
-    costs the lines the previous recovery wrote. *)
+    unwatched runs stay bit-identical. The explorer checks a running
+    world's crash images in place, with one path: at a crash boundary it
+    {!suspend}s the memory, installs each adversarial image with
+    {!restore} plus {!poke_persisted} (so an image costs the lines the
+    previous recovery wrote), recovers it, and finally {!resume}s the
+    memory, which lets the world run on as if nothing had happened. *)
 
 val peek : t -> Addr.t -> int
 (** Logical (cache-coherent) view of a word: the cached copy if present,
@@ -200,6 +202,28 @@ val restore : t -> snapshot -> unit
     snapshot or the previous restore, plus one pass over the cache lines
     and the DRAM chunk table — not the NVMM size.
     @raise Invalid_argument if the snapshot is not the live one of [t]. *)
+
+val suspend : t -> snapshot
+(** Set the running world's volatile state aside and return the live
+    {!snapshot} of the current persistent image, so recoveries can run on
+    this memory and the world can continue afterwards. Saved are every
+    cache line (tag, words, dirtiness, LRU stamp, last writer), the LRU
+    clock, the DRAM contents, the prefetch ring, the eviction RNG, the
+    crash ordinal, the planted faults, and the charge, thread-id and bus
+    hooks. Until {!resume} the memory publishes on a private bus and
+    charges nothing, so nothing reaches the world's subscribers or
+    clocks (a recovery's own scheduler may install its hooks
+    meanwhile); the stats counters keep counting. Access the memory
+    only after a {!restore}: until then it still holds the world's cache
+    and DRAM. The save buffers are allocated once per memory.
+    @raise Invalid_argument if the memory is already suspended. *)
+
+val resume : t -> snapshot -> unit
+(** [restore] the snapshot, then put back everything {!suspend} saved:
+    the memory is bit for bit what it was at the suspend, and the
+    snapshot stops being live.
+    @raise Invalid_argument if the memory is not suspended or the
+    snapshot is not its live one. *)
 
 val snapshot_persisted : snapshot -> Addr.t -> int
 (** A word of the snapshot's image, whatever was written since.

@@ -12,6 +12,10 @@ val create : int -> t
 val copy : t -> t
 (** Independent copy continuing from the current state. *)
 
+val blit : t -> t -> unit
+(** [blit src dst] makes [dst] continue from [src]'s current state, in
+    place (save and rewind a generator without allocating). *)
+
 val bits : t -> int
 (** 62 uniformly distributed non-negative bits. *)
 

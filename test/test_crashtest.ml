@@ -159,6 +159,204 @@ let test_check_point_reports_raise () =
            ~variant:f.Explore.variant)
   | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs)
 
+(* ------------------------------------------------------------------ *)
+(* What the explorer checks, enumerated independently: a passive
+   subscriber on a fresh world of the scenario sees each boundary at the
+   instant its event is published, and [images_at] lists that boundary's
+   images in the explorer's order — baseline, each single-line (or, off
+   PCSO, single-word) eviction, then all lines. *)
+
+let images_at ~pcso ~line_words (dirty : Memsys.dirty_line list) =
+  let singles =
+    List.concat_map
+      (fun (dl : Memsys.dirty_line) ->
+        if pcso then [ Explore.Evict_line dl.Memsys.lineno ]
+        else
+          List.filter_map
+            (fun off ->
+              if dl.Memsys.mask land (1 lsl off) <> 0 then
+                Some (Explore.Evict_word ((dl.Memsys.lineno * line_words) + off))
+              else None)
+            (List.init line_words Fun.id))
+      dirty
+  in
+  (Explore.Baseline :: singles) @ if dirty = [] then [] else [ Explore.Evict_all ]
+
+(* [at k mem] at every boundary [k] of a fresh world of [sc], run to
+   completion. *)
+let observe (sc : Explore.scenario) at =
+  let inst = sc.Explore.make ~n_ops:sc.Explore.n_ops in
+  let mem = inst.Explore.mem in
+  let nvm_words = (Memsys.config mem).Memsys.nvm_words in
+  let k = ref 0 in
+  let bus = Memsys.bus mem in
+  let sub =
+    Event.subscribe bus (fun ev ->
+        if Crashpoint.persist_event ~nvm_words ev then begin
+          at !k mem;
+          incr k
+        end)
+  in
+  Fun.protect ~finally:(fun () -> Event.unsubscribe bus sub) inst.Explore.run
+
+(* Order-free digest of a persistent image: the XOR of one hash per
+   nonzero word, so an eviction's pokes update it word by word. *)
+let word_hash addr v =
+  if v = 0 then 0 else ((addr * 0x9E3779B1) lxor v) * 0x100000001b3
+
+let image_digest img =
+  let d = ref 0 in
+  Array.iteri (fun a v -> d := !d lxor word_hash a v) img;
+  !d
+
+(* The image each recovery gets is the persisted image at the boundary's
+   instant plus the variant's write-backs. A crash taken by unwinding the
+   world instead lets its cleanup code (a lock release, a thread
+   deregistering) run other threads first, and their write-backs leak
+   into the image: in this pipelined world, boundary 251 would carry line
+   6 persisted and never check the image without it. *)
+let test_images_are_the_crash_instant () =
+  let max_images = 48 in
+  let sc =
+    Scenarios.respct_map ~pipeline:true ~sched_seed:1 ~mem_seed:1 ~pcso:true
+      ~n_ops:18 ()
+  in
+  let want = ref [] in
+  observe sc (fun k mem ->
+      let lw = (Memsys.config mem).Memsys.line_words in
+      let img = Memsys.image mem and dirty = Memsys.dirty_nvm_lines mem in
+      let evict d (dl : Memsys.dirty_line) =
+        let d = ref d in
+        for off = 0 to lw - 1 do
+          if dl.Memsys.mask land (1 lsl off) <> 0 then begin
+            let a = (dl.Memsys.lineno * lw) + off in
+            d := !d lxor word_hash a img.(a) lxor word_hash a dl.Memsys.data.(off)
+          end
+        done;
+        !d
+      in
+      let base = image_digest img in
+      List.iteri
+        (fun i v ->
+          if i < max_images then
+            want :=
+              ( k,
+                match v with
+                | Explore.Evict_line l ->
+                    evict base (List.find (fun dl -> dl.Memsys.lineno = l) dirty)
+                | Explore.Evict_all -> List.fold_left evict base dirty
+                | Explore.Baseline | Explore.Evict_word _ -> base )
+              :: !want)
+        (images_at ~pcso:true ~line_words:lw dirty));
+  let got = ref [] in
+  let make ~n_ops =
+    let inst = sc.Explore.make ~n_ops in
+    {
+      inst with
+      Explore.recover_check =
+        (fun () ->
+          got := image_digest (Memsys.image inst.Explore.mem) :: !got;
+          inst.Explore.recover_check ());
+    }
+  in
+  let o =
+    Explore.explore ~max_images_per_point:max_images { sc with Explore.make }
+  in
+  Alcotest.(check int) "no violations" 0 (List.length o.Explore.failures);
+  let rec first i want got =
+    match (want, got) with
+    | [], [] -> ()
+    | (k, w) :: want, g :: got ->
+        if w <> g then
+          Alcotest.failf "image %d (boundary %d) is not the crash instant's" i k
+        else first (i + 1) want got
+    | (k, _) :: _, [] ->
+        Alcotest.failf "only %d images checked; boundary %d has more" i k
+    | [], _ :: _ -> Alcotest.failf "more than the %d crash-instant images" i
+  in
+  first 0 (List.rev !want) (List.rev !got)
+
+(* The single pass against fresh worlds: every image of every boundary,
+   replayed by [check_point] on a world of its own — which never resumes
+   a memory, nor runs a world on after a nested recovery — must fail
+   exactly where, and why, [explore]'s one checking run failed. *)
+let test_single_pass_equals_fresh_worlds () =
+  List.iter
+    (fun (id, pcso, fault_seeds) ->
+      let sc = scenario_of id ~pcso ~n_ops:6 in
+      let points = ref [] in
+      observe sc (fun k mem ->
+          let line_words = (Memsys.config mem).Memsys.line_words in
+          points :=
+            (k, images_at ~pcso ~line_words (Memsys.dirty_nvm_lines mem))
+            :: !points);
+      let fault_options = None :: List.map Option.some fault_seeds in
+      let want =
+        List.concat_map
+          (fun (crash_index, variants) ->
+            List.concat_map
+              (fun variant ->
+                List.filter_map
+                  (fun fault_seed ->
+                    match
+                      Explore.check_point ?fault_seed sc ~crash_index ~variant
+                    with
+                    | Ok () -> None
+                    | Error reason ->
+                        Some { Explore.crash_index; variant; fault_seed; reason })
+                  fault_options)
+              variants)
+          (List.rev !points)
+      in
+      let o = Explore.explore ~max_images_per_point:max_int ~fault_seeds sc in
+      Alcotest.(check int)
+        (id ^ ": images") (List.length (List.concat_map snd !points)
+                           * List.length fault_options)
+        o.Explore.images;
+      Alcotest.(check (list (testable Report.pp_failure ( = ))))
+        (id ^ ": failures equal the fresh worlds'")
+        want o.Explore.failures)
+    [
+      ("respct-map", false, []);
+      ("respct-queue", false, []);
+      ("quadra-map", false, []);
+      ("clobber-map", false, []);
+      ("respct-map-pipeline", true, []);
+      ("respct-map-integrity", true, [ 7 ]);
+    ]
+
+(* Checking in place would undo a memory's own seeded crash faults, so
+   such a world is refused by both entry points, not explored wrongly. *)
+let test_seeded_crash_faults_rejected () =
+  let make ~n_ops:_ =
+    let mem =
+      Memsys.create
+        {
+          (Scenarios.mem_cfg ~mem_seed:1 ~pcso:true) with
+          Memsys.faults = Some Memsys.no_faults;
+        }
+    in
+    {
+      Explore.mem;
+      run = (fun () -> Memsys.store mem 0 1);
+      completed = (fun () -> 0);
+      recover_check = (fun () -> Ok ());
+      recover_check_faulty = None;
+    }
+  in
+  let sc =
+    { Explore.name = "seeded-faults"; sched_seed = 1; mem_seed = 1;
+      pcso = true; n_ops = 0; make }
+  in
+  let rejected f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "explore rejects it" true
+    (rejected (fun () -> ignore (Explore.explore sc)));
+  Alcotest.(check bool) "check_point rejects it" true
+    (rejected (fun () ->
+         ignore (Explore.check_point sc ~crash_index:0 ~variant:Explore.Baseline)))
+
 let test_unmutated_raw_passes () =
   let sc =
     Scenarios.respct_raw ~sched_seed:1 ~mem_seed:1 ~pcso:true ~n_ops:9 ()
@@ -251,35 +449,33 @@ let count_recovery_boundaries mem ~layout =
   in
   (!n, rep)
 
+(* A crash at boundary [j] of [run]: raised out of the crash-point
+   subscriber, it unwinds the world there. *)
+exception Crash_here
+
+let crash_at mem j run =
+  match
+    Crashpoint.walk mem run ~at:(fun k -> if k = j then raise Crash_here)
+  with
+  | () -> false
+  | exception Crash_here -> true
+
 let interrupt_recovery_at mem ~layout j =
-  let nvm_words = (Memsys.config mem).Memsys.nvm_words in
-  let n = ref 0 in
-  let bus = Memsys.bus mem in
-  let sub =
-    Event.subscribe bus (fun ev ->
-        if Crashpoint.persist_event ~nvm_words ev then begin
-          if !n = j then raise Crashpoint.Crash_now;
-          incr n
-        end)
-  in
-  Fun.protect
-    ~finally:(fun () -> Event.unsubscribe bus sub)
-    (fun () ->
-      match Respct.Recovery.run ~layout mem with
-      | _ -> Alcotest.failf "recovery finished before boundary %d" j
-      | exception Crashpoint.Crash_now -> ())
+  if not (crash_at mem j (fun () -> ignore (Respct.Recovery.run ~layout mem)))
+  then Alcotest.failf "recovery finished before boundary %d" j
 
 let test_recovery_idempotent () =
   (* Pilot the world once to learn its boundary count, then pick a crash
      point deep enough that several epochs and rollbacks are in play. *)
   let mem, _sched, _rt, run = respct_world ~n_ops:12 () in
-  let boundaries, _ = Crashpoint.pilot mem ~completed:(fun () -> 0) run in
+  let boundaries =
+    Array.length (Crashpoint.pilot mem ~completed:(fun () -> 0) run)
+  in
   Alcotest.(check bool) "world persists something" true (boundaries > 10);
   let crash_index = boundaries * 2 / 3 in
   let mem, _sched, rt, run = respct_world ~n_ops:12 () in
-  (match Crashpoint.run_to mem ~crash_index run with
-  | `Crashed -> ()
-  | `Completed -> Alcotest.fail "crash boundary never reached");
+  if not (crash_at mem crash_index run) then
+    Alcotest.fail "crash boundary never reached";
   Memsys.crash mem;
   let layout = Respct.Runtime.layout rt in
   let post_crash = Memsys.snapshot mem in
@@ -317,20 +513,17 @@ let test_subscribers_detach () =
   let sc = scenario_of "respct-map" ~pcso:true ~n_ops:6 in
   let inst = sc.Explore.make ~n_ops:6 in
   let before = subscribers inst.Explore.mem in
-  let boundaries, _ =
-    Crashpoint.pilot inst.Explore.mem ~completed:inst.Explore.completed
-      inst.Explore.run
+  let boundaries =
+    Array.length
+      (Crashpoint.pilot inst.Explore.mem ~completed:inst.Explore.completed
+         inst.Explore.run)
   in
   Alcotest.(check int) "pilot detaches" before
     (subscribers inst.Explore.mem);
   let inst2 = sc.Explore.make ~n_ops:6 in
   let before2 = subscribers inst2.Explore.mem in
-  (match
-     Crashpoint.run_to inst2.Explore.mem ~crash_index:(boundaries / 2)
-       inst2.Explore.run
-   with
-  | `Crashed -> ()
-  | `Completed -> Alcotest.fail "expected a crash");
+  if not (crash_at inst2.Explore.mem (boundaries / 2) inst2.Explore.run) then
+    Alcotest.fail "expected a crash";
   Alcotest.(check int) "crashed run detaches" before2
     (subscribers inst2.Explore.mem)
 
@@ -344,12 +537,10 @@ let test_subscribers_detach_on_raise () =
   | exception Failure _ -> ());
   Alcotest.(check int) "pilot detaches on raise" before
     (subscribers mem);
-  (match
-     Crashpoint.run_to mem ~crash_index:0 (fun () -> failwith "boom")
-   with
-  | _ -> Alcotest.fail "run_to swallowed the exception"
+  (match Crashpoint.walk mem ~at:ignore (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "walk swallowed the exception"
   | exception Failure _ -> ());
-  Alcotest.(check int) "run_to detaches on raise" before
+  Alcotest.(check int) "walk detaches on raise" before
     (subscribers mem)
 
 (* ------------------------------------------------------------------ *)
@@ -899,6 +1090,12 @@ let () =
             test_unmutated_raw_passes;
           Alcotest.test_case "registry ids resolve" `Quick
             test_registry_ids_resolve;
+          Alcotest.test_case "images are the crash instant's" `Slow
+            test_images_are_the_crash_instant;
+          Alcotest.test_case "single pass equals fresh worlds" `Slow
+            test_single_pass_equals_fresh_worlds;
+          Alcotest.test_case "seeded crash faults rejected" `Quick
+            test_seeded_crash_faults_rejected;
         ] );
       ( "ablation",
         [

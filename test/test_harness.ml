@@ -570,9 +570,9 @@ fault injection: PASS
 
 let pipeline_golden =
   {|pipelined checkpointing check (smoke)
-  respct-map-pipeline                      boundaries=290   images=2436  holds (recovers at every mid-overlap boundary)
+  respct-map-pipeline                      boundaries=290   images=2439  holds (recovers at every mid-overlap boundary)
   respct-queue-pipeline                    boundaries=191   images=1487  holds (recovers at every mid-overlap boundary)
-  respct-map-integrity-pipeline            boundaries=374   images=6640  holds (recovers at every mid-overlap boundary)
+  respct-map-integrity-pipeline            boundaries=374   images=6648  holds (recovers at every mid-overlap boundary)
   respct-map-pipeline-mutant-earlyseal     boundaries=394   images=1346  breaks (expected: planted overlap-protocol mutant)
     first: crash@142 image=baseline: epoch 1: recovered {}, last checkpoint had {2->106, 4->102, 5->100, 8->105,
 9->103}
@@ -582,7 +582,7 @@ let pipeline_golden =
       epoch 1: recovered {}, last checkpoint had {2->106, 4->102, 5->100, 8->105,
 9->103}
       # crashmatrix scenario=respct-map-pipeline-mutant-earlyseal ops=4 sched-seed=1 mem-seed=1 pcso=true crash-index=142 image=baseline
-  respct-map-pipeline-mutant-nowait        boundaries=326   images=3078  breaks (expected: planted overlap-protocol mutant)
+  respct-map-pipeline-mutant-nowait        boundaries=326   images=3106  breaks (expected: planted overlap-protocol mutant)
     first: crash@274 image=line:104: epoch 1: recovered {2->106, 4->102, 5->100, 8->105,
 9->121}, last checkpoint had {2->106, 4->102, 5->100, 8->105,
 9->103}
@@ -593,7 +593,7 @@ let pipeline_golden =
 9->121}, last checkpoint had {2->106, 4->102, 5->100, 8->105,
 9->103}
       # crashmatrix scenario=respct-map-pipeline-mutant-nowait ops=14 sched-seed=1 mem-seed=1 pcso=true crash-index=274 image=line:104
-  respct-map-pipeline-churn                boundaries=317   images=2848  holds (recovers at every mid-overlap boundary)
+  respct-map-pipeline-churn                boundaries=317   images=2849  holds (recovers at every mid-overlap boundary)
   respct-map-pipeline-churn-mutant-earlyreclaim boundaries=464   images=2564  breaks (expected: planted overlap-protocol mutant)
     first: crash@277 image=line:102: epoch 2: recovered {2->101, 3->102, 4->100, 4->103, 5->104, 6->105,
 7->106}, last checkpoint had {1->100, 2->101, 3->102, 4->103, 5->104, 6->105,

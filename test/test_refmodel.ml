@@ -14,6 +14,15 @@
    crash-time tear and bit flip, scrub — so that the snapshot still reads
    the pre-sequence image and [Memsys.restore] reinstalls it exactly.
 
+   Suspended cases interleave, at seeded points, what the crash explorer
+   does to a running world's memory: [Memsys.suspend], an interlude of
+   [restore], pokes, loads and stores under a private charge hook, then
+   [Memsys.resume]. The reference model runs nothing meanwhile, so every
+   check above proves the interlude invisible: resume puts back the
+   cache, the replacement and eviction state, DRAM, the faults and the
+   hooks bit for bit. The interlude's events go to the suspended
+   memory's private bus; the stats counters count them too.
+
    As in test/common/gen_common.ml, a case generates only its seed and the
    failure printer emits a replay recipe, so a red run identifies the
    exact sequence. *)
@@ -74,14 +83,14 @@ let pp_result ppf = function
    replay recipes the printers emit are only as durable as the draw
    order below, so a reordered or added draw must fail the pinned-trace
    test loudly instead of silently invalidating every recorded seed. *)
-let run_case ?(armed = false) ~pcso ~faults ~n_ops seed =
+let run_case ?(armed = false) ?(suspended = false) ~pcso ~faults ~n_ops seed =
   let cfg = config ~pcso ~faults seed in
   let mem = Memsys.create cfg in
   let rm = Refmodel.create cfg in
   let fail fmt =
     QCheck.Test.fail_reportf
-      ("seed=%d pcso=%b faults=%b armed=%b n_ops=%d: " ^^ fmt)
-      seed pcso faults armed n_ops
+      ("seed=%d pcso=%b faults=%b armed=%b suspended=%b n_ops=%d: " ^^ fmt)
+      seed pcso faults armed suspended n_ops
   in
   let cur_tid = ref 0 in
   Memsys.set_tid_provider mem (fun () -> !cur_tid);
@@ -177,7 +186,33 @@ let run_case ?(armed = false) ~pcso ~faults ~n_ops seed =
         Memsys.scrub_line mem lineno;
         Refmodel.scrub_line rm lineno
   in
+  (* The interludes draw from a stream of their own, so a suspended case
+     runs the unsuspended op stream. *)
+  let srng = Rng.create (seed + 0x5e5e5e) in
+  let interlude_events = ref [] in
+  let interlude () =
+    let snap = Memsys.suspend mem in
+    let bus = Memsys.bus mem in
+    let sub =
+      Event.subscribe bus (fun ev -> interlude_events := ev :: !interlude_events)
+    in
+    Memsys.set_charge mem ignore;
+    Memsys.restore mem snap;
+    for _ = 0 to Rng.int srng 4 do
+      Memsys.poke_persisted mem (Rng.int srng nvm_words) (Rng.int srng 1_000)
+    done;
+    for _ = 1 to Rng.int srng 24 do
+      let addr = Rng.int srng n_addr in
+      ignore
+        (run_mem (fun () ->
+             if Rng.bool srng then Memsys.load mem addr
+             else (Memsys.store mem addr (Rng.int srng 1_000); 0)))
+    done;
+    Event.unsubscribe bus sub;
+    Memsys.resume mem snap
+  in
   for op_ix = 1 to n_ops do
+    if suspended && Rng.int srng 8 = 0 then interlude ();
     step op_ix
   done;
   (* Persisted image agreement before the final crash... *)
@@ -205,7 +240,7 @@ let run_case ?(armed = false) ~pcso ~faults ~n_ops seed =
   (* The kernel bumps its stats counters inline instead of via the
      bus; they must still match the event stream exactly. *)
   let s = Memsys.stats mem in
-  let count p = List.length (List.filter p evs_mem) in
+  let count p = List.length (List.filter p (evs_mem @ !interlude_events)) in
   let checks =
     [
       ("loads", s.Stats.loads, count (function Event.Load _ -> true | _ -> false));
@@ -264,20 +299,22 @@ let run_case ?(armed = false) ~pcso ~faults ~n_ops seed =
     armed_at;
   !digest
 
-let arb_seed ~armed ~pcso ~faults ~n_ops =
+let arb_seed ~armed ~suspended ~pcso ~faults ~n_ops =
   QCheck.make
     ~print:(fun seed ->
       Printf.sprintf
-        "refmodel differential: seed=%d pcso=%b faults=%b armed=%b n_ops=%d"
-        seed pcso faults armed n_ops)
+        "refmodel differential: seed=%d pcso=%b faults=%b armed=%b \
+         suspended=%b n_ops=%d"
+        seed pcso faults armed suspended n_ops)
     QCheck.Gen.(1 -- 100_000)
 
-let prop ?(armed = false) ~name ~count ~pcso ~faults ~n_ops () =
+let prop ?(armed = false) ?(suspended = false) ~name ~count ~pcso ~faults
+    ~n_ops () =
   Gen_common.to_alcotest ~suite:"refmodel"
     (QCheck.Test.make ~name ~count
-       (arb_seed ~armed ~pcso ~faults ~n_ops)
+       (arb_seed ~armed ~suspended ~pcso ~faults ~n_ops)
        (fun seed ->
-         ignore (run_case ~armed ~pcso ~faults ~n_ops seed : int);
+         ignore (run_case ~armed ~suspended ~pcso ~faults ~n_ops seed : int);
          true))
 
 (* The seeded derivation itself, pinned: one fixed (seed, n_ops) case
@@ -313,6 +350,15 @@ let () =
             ~faults:true ~n_ops:140 ();
           prop ~armed:true ~name:"armed ablation+faults" ~count:150
             ~pcso:false ~faults:true ~n_ops:140 ();
+        ] );
+      ( "suspend",
+        [
+          prop ~suspended:true ~name:"suspended pcso" ~count:150 ~pcso:true
+            ~faults:false ~n_ops:140 ();
+          prop ~suspended:true ~name:"suspended ablation (pcso=false)"
+            ~count:150 ~pcso:false ~faults:false ~n_ops:140 ();
+          prop ~suspended:true ~name:"suspended faults" ~count:150 ~pcso:true
+            ~faults:true ~n_ops:140 ();
         ] );
       ( "seed-stability",
         [ Alcotest.test_case "pinned trace (seed=42)" `Quick pinned_trace ] );

@@ -601,6 +601,63 @@ let test_checksum_metadata_seals () =
     (Checksum.regsum ~entry:17 ~addr:9 <> Checksum.regsum ~entry:18 ~addr:9
     && Checksum.regsum ~entry:17 ~addr:9 <> Checksum.regsum ~entry:17 ~addr:10)
 
+(* The bytewise definitions the word-at-a-time CRCs must equal: every
+   word serialised 8-byte little-endian and folded in one byte at a
+   time, through a table built bit by bit. *)
+let byte_table step = Array.init 256 (fun n -> step n)
+
+let crc32_table =
+  byte_table (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc16_table =
+  byte_table (fun n ->
+      let c = ref (n lsl 8) in
+      for _ = 0 to 7 do
+        c := if !c land 0x8000 <> 0 then (!c lsl 1) lxor 0x1021 else !c lsl 1;
+        c := !c land 0xFFFF
+      done;
+      !c)
+
+let bytewise byte init ws =
+  List.fold_left
+    (fun crc w ->
+      let c = ref crc in
+      for i = 0 to 7 do
+        c := byte !c ((w lsr (i * 8)) land 0xFF)
+      done;
+      !c)
+    init ws
+
+let crc32_words ws =
+  bytewise
+    (fun crc b -> crc32_table.((crc lxor b) land 0xFF) lxor (crc lsr 8))
+    0xFFFFFFFF ws
+  lxor 0xFFFFFFFF
+
+let crc16_words =
+  bytewise
+    (fun crc b ->
+      crc16_table.(((crc lsr 8) lxor b) land 0xFF) lxor ((crc lsl 8) land 0xFFFF))
+    0xFFFF
+
+let prop_crcs_match_bytewise =
+  let word =
+    QCheck.make ~print:string_of_int
+      QCheck.Gen.(
+        frequency
+          [ (1, oneofl [ 0; 1; -1; max_int; min_int ]); (6, int) ])
+  in
+  QCheck.Test.make ~name:"word-at-a-time CRCs equal the bytewise spec"
+    ~count:2000 (QCheck.triple word word word) (fun (a, b, c) ->
+      Checksum.crc32_2 a b = crc32_words [ a; b ]
+      && Checksum.crc16_2 a b = crc16_words [ a; b ]
+      && Checksum.crc16_3 a b c = crc16_words [ a; b; c ])
+
 (* One counter, one checkpoint (epoch 0 -> 1), crash mid-epoch 1 with a
    deterministic cache (no evictions): the post-crash image has the cell
    quiescent under its epoch-0 seal and the metadata committed at epoch 1.
@@ -1112,7 +1169,8 @@ let () =
             test_verified_media_retry_and_scrub;
           Alcotest.test_case "integrity off keeps raw words" `Quick
             test_integrity_off_keeps_raw_words;
-        ] );
+        ]
+        @ qcheck [ prop_crcs_match_bytewise ] );
       ( "condvar",
         [
           Alcotest.test_case "cond_wait under checkpoints" `Quick

@@ -340,9 +340,9 @@ let test_pipeline_unsubscribe () =
   Alcotest.(check int) "double detach no-op" 0 (subscribers m)
 
 (* Crash-explorer usage pattern: transient counting subscribers attach and
-   detach around every re-execution (Fun.protect on exceptional exits, the
-   way Crashtest.Crashpoint does), including subscribers that abort the
-   run by raising mid-event. Churning them must never strand an entry in
+   detach around every run of a world (Fun.protect on exceptional exits,
+   the way Crashtest.Crashpoint does), including subscribers that abort
+   the run by raising mid-event. Churning them must never strand an entry in
    the pipeline or starve the remaining subscribers. *)
 let test_pipeline_churn () =
   let m = Memsys.create (cfg ()) in
@@ -373,9 +373,9 @@ let test_pipeline_churn () =
   Alcotest.(check int) "stats saw every store" 50 s.Stats.stores
 
 (* Crash explorers churn a transient subscriber around every one of their
-   thousands of re-executions, so a subscribe/unsubscribe cycle must cost
-   no allocation at steady state (the subscriber arrays are in place;
-   detaching shifts in place). Guard it with a minor-heap budget: the old
+   thousands of world runs (replays and shrinks), so a subscribe /
+   unsubscribe cycle must cost no allocation at steady state (the
+   subscriber arrays are in place; detaching shifts in place). Guard it with a minor-heap budget: the old
    list-rebuilding unsubscribe spent dozens of words per cycle, a cycle on
    the flat arrays spends none. *)
 let test_subscriber_churn_cost () =
