@@ -226,24 +226,7 @@ let perf_cmd =
       & info [ "preset" ]
           ~doc:
             "Benchmark preset: default (the fig8/fig9 sweeps at the \
-             figures' scale) or smoke (shrunk worlds for CI).")
-  in
-  let runs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "runs" ] ~doc:"Measured repetitions (preset default if unset).")
-  in
-  let warmup_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "warmup" ] ~doc:"Discarded warmup runs (preset default if unset).")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~doc:"Seed for the bootstrap confidence intervals.")
+             figures' scale) or smoke (shrunk worlds, seconds).")
   in
   let compare_arg =
     Arg.(
@@ -251,26 +234,9 @@ let perf_cmd =
       & opt (some string) None
       & info [ "compare" ] ~docv:"BASELINE"
           ~doc:
-            "Compare against a committed baseline document and exit \
-             nonzero on regression beyond the noise tolerances.")
-  in
-  let wall_tol_arg =
-    Arg.(
-      value
-      & opt Arg.float Perf.Compare.default_wall_tolerance
-      & info [ "wall-tolerance" ]
-          ~doc:
-            "Allowed fractional drop in calibration-normalised wall \
-             throughput before --compare fails.")
-  in
-  let sim_tol_arg =
-    Arg.(
-      value
-      & opt Arg.float Perf.Compare.default_sim_tolerance
-      & info [ "sim-tolerance" ]
-          ~doc:
-            "Allowed fractional drop in simulated throughput before \
-             --compare fails (deterministic, so keep tight).")
+            "Compare against a committed baseline document and exit 1 \
+             unless every baseline benchmark ran the same simulated ops \
+             in the same virtual time.")
   in
   let only_arg =
     Arg.(
@@ -283,7 +249,7 @@ let perf_cmd =
     | sa, sb -> sa.Unix.st_dev = sb.Unix.st_dev && sa.Unix.st_ino = sb.Unix.st_ino
     | exception Unix.Unix_error _ -> false
   in
-  let run preset runs warmup seed json compare wall_tol sim_tol only =
+  let run preset json compare only =
     (* Load the baseline before measuring, and refuse a --json that names
        it: writing first would grade the run against itself. *)
     let baseline =
@@ -300,22 +266,17 @@ let perf_cmd =
               exit 2)
         compare
     in
-    let ms = Perf.Suite.run ?runs ?warmup ~seed ?only preset in
-    if ms = [] then begin
+    let bs = Perf.Suite.run ?only preset in
+    if bs = [] then begin
       Printf.eprintf "no benchmark selected (check --only)\n";
       exit 2
     end;
-    let calibration = Perf.Bench.calibrate () in
-    Printf.printf "calibration: %.1f Mips\n" calibration;
     List.iter
-      (fun (m : Perf.Bench.measurement) ->
-        let w = m.Perf.Bench.wall_kops and s = m.Perf.Bench.sim_mops in
-        Printf.printf
-          "%-12s wall %8.1f kops/s (mad %.1f, ci95 [%.1f, %.1f])  sim %6.3f \
-           Mops/s\n"
-          m.Perf.Bench.name w.Perf.Stat.s_median w.Perf.Stat.s_mad
-          w.Perf.Stat.s_ci_lo w.Perf.Stat.s_ci_hi s.Perf.Stat.s_median)
-      ms;
+      (fun (b : Perf.Bench.t) ->
+        Printf.printf "%-12s ops %9d  sim_ns %16.12g  sim %7.3f Mops/s\n"
+          b.Perf.Bench.name b.Perf.Bench.ops b.Perf.Bench.sim_ns
+          (Perf.Bench.sim_mops b))
+      bs;
     (* The pause probe only makes sense for full-suite runs; --only is for
        iterating on one benchmark. *)
     if only = None then
@@ -327,14 +288,11 @@ let perf_cmd =
             p.Perf.Suite.pause_mode p.Perf.Suite.pause_stall_us
             p.Perf.Suite.pause_overlap_us p.Perf.Suite.pause_checkpoints)
         (Perf.Suite.checkpoint_pause preset);
-    let doc = Perf.Suite.document ~calibration preset ms in
+    let doc = Perf.Suite.document preset bs in
     write_json json doc;
     Option.iter
       (fun baseline ->
-        let report =
-          Perf.Compare.compare ~wall_tolerance:wall_tol ~sim_tolerance:sim_tol
-            ~baseline ~current:doc ()
-        in
+        let report = Perf.Compare.compare ~baseline ~current:doc in
         Perf.Compare.print_report Format.std_formatter report;
         if not (Perf.Compare.ok report) then exit 1)
       baseline
@@ -342,12 +300,11 @@ let perf_cmd =
   Cmd.v
     (Cmd.info "perf"
        ~doc:
-         "Statistical benchmark harness: warmup + repetition over the \
-          fig8/fig9 sweeps, median/MAD/bootstrap-CI summaries, \
-          deterministic JSON export, optional regression gate.")
-    Term.(
-      const run $ preset_arg $ runs_arg $ warmup_arg $ seed_arg $ json_arg
-      $ compare_arg $ wall_tol_arg $ sim_tol_arg $ only_arg)
+         "Deterministic benchmark of the fig8/fig9 sweeps: each runs once \
+          and reports its simulated ops and virtual time \
+          (respct-sim/bench/v2 JSON); --compare gates both exactly against \
+          a baseline.")
+    Term.(const run $ preset_arg $ json_arg $ compare_arg $ only_arg)
 
 (* The line a shrunk counterexample gets when its printed text did not
    replay. *)

@@ -273,25 +273,4 @@ let pp_program ppf p =
     p.threads;
   Fmt.pf ppf "@]"
 
-let pp_node_kind ppf = function
-  | Entry -> Fmt.string ppf "entry"
-  | Exit -> Fmt.string ppf "exit"
-  | Node_assign (v, e) -> Fmt.pf ppf "%s = %a" v pp_expr e
-  | Node_branch e -> Fmt.pf ppf "branch %a" pp_expr e
-  | Node_acquire l -> Fmt.pf ppf "acquire L%d" l
-  | Node_release l -> Fmt.pf ppf "release L%d" l
-  | Node_rp r -> Fmt.pf ppf "rp %d" r
-  | Node_pwb v -> Fmt.pf ppf "pwb %s" v
-  | Node_psync -> Fmt.string ppf "psync"
-
-let pp_cfg ppf cfg =
-  Fmt.pf ppf "@[<v>cfg %s@," cfg.owner;
-  Array.iter
-    (fun n ->
-      Fmt.pf ppf "%3d: %a -> %a  (%s)@," n.id pp_node_kind n.kind
-        Fmt.(list ~sep:comma int)
-        n.succ n.path)
-    cfg.nodes;
-  Fmt.pf ppf "@]"
-
 let program_to_string p = Fmt.str "%a" pp_program p

@@ -111,8 +111,6 @@ val node_write : node_kind -> var option
 val pp_expr : expr Fmt.t
 val pp_stmt : stmt Fmt.t
 val pp_program : program Fmt.t
-val pp_node_kind : node_kind Fmt.t
-val pp_cfg : cfg Fmt.t
 
 val program_to_string : program -> string
 (** [Fmt.str pp_program], for QCheck counterexample printing. *)

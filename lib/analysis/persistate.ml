@@ -80,10 +80,6 @@ let pvars t = Array.to_list t.pvars
 let var_index t v = Hashtbl.find_opt t.index v
 let line_of t v = match var_index t v with Some i -> t.line.(i) | None -> -1
 
-let line_members t lid =
-  Array.to_list t.pvars
-  |> List.filteri (fun i _ -> t.line.(i) = lid)
-
 (* --- the lattice ----------------------------------------------------- *)
 
 (* A fact is one mask per persistent variable; the zero-length array is

@@ -51,8 +51,6 @@ val pvars : t -> Ir.var list
 val line_of : t -> Ir.var -> int
 (** [-1] for unknown (transient) variables. *)
 
-val line_members : t -> int -> Ir.var list
-
 type fact = int array
 (** One mask per persistent variable (declaration order); the
     zero-length array is bottom (unreachable). *)

@@ -29,14 +29,6 @@ type race = {
   second_access : access;
 }
 
-let pp_access ppf = function
-  | Aread -> Fmt.string ppf "read"
-  | Awrite -> Fmt.string ppf "write"
-
-let pp_race ppf r =
-  Fmt.pf ppf "addr %d: %a by T%d races with %a by T%d" r.addr pp_access
-    r.first_access r.first_thread pp_access r.second_access r.second_thread
-
 module Vc = struct
   type t = (int, int) Hashtbl.t
 

@@ -24,9 +24,6 @@ type race = {
 (** One unordered conflicting pair. At least one endpoint is a write;
     [first_access = Aread] means a read raced with a later write. *)
 
-val pp_access : Format.formatter -> access -> unit
-val pp_race : Format.formatter -> race -> unit
-
 (** {2 Streaming interface} — the shape a trace-bus subscriber needs *)
 
 type t

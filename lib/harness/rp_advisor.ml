@@ -100,30 +100,6 @@ let capture ?addr_filter bus f =
   let v, events = Simnvm.Event.record bus f in
   (v, analyse ?addr_filter events)
 
-(* Attach the streaming vector-clock checker directly to a world's bus: races
-   are detected as the simulation produces events, with nothing recorded.
-   Returns the live checker and the subscription for detaching. *)
-let race_checker_on ?(addr_filter = fun (_ : int) -> true) bus =
-  let checker = Analysis.Racecheck.create () in
-  let sub =
-    Simnvm.Event.subscribe bus (fun ev ->
-        match ev with
-        | Simnvm.Event.Load { tid; addr } when addr_filter addr ->
-            Analysis.Racecheck.push checker
-              (Analysis.Racecheck.Rread { thread = tid; addr })
-        | Simnvm.Event.Store { tid; addr } when addr_filter addr ->
-            Analysis.Racecheck.push checker
-              (Analysis.Racecheck.Rwrite { thread = tid; addr })
-        | Simnvm.Event.Acquire { tid; lock } ->
-            Analysis.Racecheck.push checker
-              (Analysis.Racecheck.Racq { thread = tid; lock })
-        | Simnvm.Event.Release { tid; lock } ->
-            Analysis.Racecheck.push checker
-              (Analysis.Racecheck.Rrel { thread = tid; lock })
-        | _ -> ())
-  in
-  (checker, sub)
-
 (* ------------------------------------------------------------------ *)
 (* Static/dynamic cross-check for analysed IR programs.
 

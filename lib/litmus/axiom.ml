@@ -208,8 +208,3 @@ let pp_outcomes locs ppf set =
     Fmt.(list ~sep:(any " ") (pp_outcome locs))
     (Outcomes.elements set)
 
-let outcomes_to_json set =
-  Obs.Json.List
-    (List.map
-       (fun o -> Obs.Json.List (List.map (fun v -> Obs.Json.Int v) o))
-       (Outcomes.elements set))

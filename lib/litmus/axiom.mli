@@ -67,4 +67,3 @@ val mem_outcome : result -> int list -> bool
 
 val pp_outcome : Prog.loc list -> int list Fmt.t
 val pp_outcomes : Prog.loc list -> Outcomes.t Fmt.t
-val outcomes_to_json : Outcomes.t -> Obs.Json.t

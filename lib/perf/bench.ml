@@ -1,123 +1,56 @@
-(* Benchmark runner: warmup + repetition around a workload closure.
+(* One benchmark's result and the respct-sim/bench/v2 document.
 
-   A workload reports one [sample] per execution: how many simulated
-   operations it completed, how much virtual time they covered and how
-   much wall-clock time the run took. Two throughputs fall out:
+   A benchmark runs its workload once and reports how many simulated
+   operations completed and how much virtual time they covered. Both are
+   pure functions of the cost model and the seeds, so the document holds
+   no host-time field: two same-seed runs export identical bytes, and a
+   committed document is an exact record of the cost model. How fast the
+   host runs the simulator is measured by benchmark/, paired against the
+   parent commit. *)
 
-   - simulated throughput (Mops per virtual second) is a pure function of
-     the simulation and must be bit-identical across same-seed runs — it
-     guards the *cost model* against accidental changes;
-   - wall throughput (kops per wall second) measures how fast the host
-     executes the simulator — it is what a hot-path optimisation moves and
-     what the regression gate watches, normalised by [calibrate] so
-     machines of different speeds can share a baseline.
+type t = { name : string; ops : int; sim_ns : float }
 
-   Export strips to [Obs.Json]; [strip_wall] removes every
-   host-speed-dependent field so determinism tests can compare documents
-   byte-for-byte. *)
+let schema = "respct-sim/bench/v2"
 
-type sample = {
-  wall_s : float; (* host seconds for the run *)
-  sim_ns : float; (* virtual nanoseconds covered by the measured windows *)
-  ops : int; (* simulated operations completed *)
-}
+(* Million simulated ops per virtual second. *)
+let sim_mops b = float_of_int b.ops /. Float.max 1.0 b.sim_ns *. 1e3
 
-type measurement = {
-  name : string;
-  warmup : int;
-  runs : int;
-  samples : sample array; (* in execution order, warmup excluded *)
-  wall_kops : Stat.summary; (* thousand simulated ops per wall second *)
-  sim_mops : Stat.summary; (* million simulated ops per virtual second *)
-}
+let document ~preset bs =
+  Obs.Json.Obj
+    [
+      ("schema", Obs.Json.String schema);
+      ("preset", Obs.Json.String preset);
+      ( "benchmarks",
+        Obs.Json.List
+          (List.map
+             (fun b ->
+               Obs.Json.Obj
+                 [
+                   ("name", Obs.Json.String b.name);
+                   ("ops", Obs.Json.Int b.ops);
+                   ("sim_ns", Obs.Json.Float b.sim_ns);
+                   ("sim_mops", Obs.Json.Float (sim_mops b));
+                 ])
+             bs) );
+    ]
 
-let wall_kops_of s = float_of_int s.ops /. Float.max 1e-9 s.wall_s /. 1e3
-let sim_mops_of s = float_of_int s.ops /. Float.max 1.0 s.sim_ns *. 1e3
-
-(* Seed the bootstrap from the benchmark name so reordering benchmarks in
-   a suite cannot silently change any interval. *)
-let name_seed name seed =
-  String.fold_left (fun acc c -> (acc * 131) + Char.code c) seed name
-  land max_int
-
-let measure ?(warmup = 1) ?(runs = 3) ?(seed = 42) ~name f =
-  if runs < 1 then invalid_arg "Bench.measure: runs must be >= 1";
-  for _ = 1 to warmup do
-    ignore (f () : sample)
-  done;
-  let samples = Array.init runs (fun _ -> f ()) in
-  let summarize proj =
-    Stat.summarize ~seed:(name_seed name seed) (Array.map proj samples)
+let of_document doc =
+  let entry e =
+    match
+      ( Obs.Json.member "name" e,
+        Obs.Json.member "ops" e,
+        Option.bind (Obs.Json.member "sim_ns" e) Obs.Json.to_float_opt )
+    with
+    | Some (Obs.Json.String name), Some (Obs.Json.Int ops), Some sim_ns ->
+        Ok { name; ops; sim_ns }
+    | _ -> Error "a benchmark entry lacks name, ops or sim_ns"
   in
-  {
-    name;
-    warmup;
-    runs;
-    samples;
-    wall_kops = summarize wall_kops_of;
-    sim_mops = summarize sim_mops_of;
-  }
-
-(* Host-speed calibration: a fixed pure-integer loop (the splitmix64 step
-   the simulator's own RNG uses) timed on the current machine. Wall
-   throughputs are meaningless across machines; wall throughput divided by
-   the calibration score is comparable enough to gate on with a generous
-   threshold. *)
-let calibration_iters = 20_000_000
-
-let calibrate () =
-  let rng = Simnvm.Rng.create 7 in
-  let t0 = Unix.gettimeofday () in
-  let acc = ref 0 in
-  for _ = 1 to calibration_iters do
-    acc := !acc lxor Simnvm.Rng.bits rng
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  ignore (Sys.opaque_identity !acc);
-  float_of_int calibration_iters /. Float.max 1e-9 dt /. 1e6
-
-let sample_json ~strip_wall s =
-  Obs.Json.Obj
-    (List.concat
-       [
-         [ ("ops", Obs.Json.Int s.ops); ("sim_ns", Obs.Json.Float s.sim_ns) ];
-         (if strip_wall then []
-          else [ ("wall_s", Obs.Json.Float s.wall_s) ]);
-       ])
-
-let measurement_json ?(strip_wall = false) m =
-  Obs.Json.Obj
-    (List.concat
-       [
-         [
-           ("name", Obs.Json.String m.name);
-           ("warmup", Obs.Json.Int m.warmup);
-           ("runs", Obs.Json.Int m.runs);
-           ( "samples",
-             Obs.Json.List
-               (Array.to_list (Array.map (sample_json ~strip_wall) m.samples))
-           );
-           ("sim_mops", Stat.summary_json m.sim_mops);
-         ];
-         (if strip_wall then []
-          else [ ("wall_kops", Stat.summary_json m.wall_kops) ]);
-       ])
-
-(* The benchmark document: schema + preset label + calibration score +
-   one entry per measurement. [strip_wall] also drops the calibration
-   (it is a wall measurement). *)
-let document ?(strip_wall = false) ~preset ~calibration ms =
-  Obs.Json.Obj
-    (List.concat
-       [
-         [
-           ("schema", Obs.Json.String "respct-sim/bench/v1");
-           ("preset", Obs.Json.String preset);
-         ];
-         (if strip_wall then []
-          else [ ("calibration_mips", Obs.Json.Float calibration) ]);
-         [
-           ( "benchmarks",
-             Obs.Json.List (List.map (measurement_json ~strip_wall) ms) );
-         ];
-       ])
+  match (Obs.Json.member "schema" doc, Obs.Json.member "benchmarks" doc) with
+  | Some (Obs.Json.String s), Some (Obs.Json.List entries) when s = schema ->
+      List.fold_right
+        (fun e acc ->
+          Result.bind acc (fun bs -> Result.map (fun b -> b :: bs) (entry e)))
+        entries (Ok [])
+  | Some (Obs.Json.String s), _ when s <> schema ->
+      Error (Printf.sprintf "schema %S, not %s" s schema)
+  | _ -> Error ("not a " ^ schema ^ " document")

@@ -1,23 +1,16 @@
-(* Regression gate: compare a freshly produced benchmark document against
-   a committed baseline (both in the respct-sim/bench/v1 schema).
+(* The sim gate: a fresh benchmark document against a committed baseline,
+   both respct-sim/bench/v2.
 
-   Two metrics per benchmark, two very different tolerances:
-
-   - simulated throughput is deterministic, so any drift beyond float
-     noise means the *cost model* changed — gate tightly;
-   - wall throughput depends on the host, so both documents carry a
-     calibration score (a fixed integer-work loop timed on their machine)
-     and the gate compares calibration-normalised medians with a generous
-     tolerance. A genuine 2× slowdown still trips it; scheduler noise on a
-     shared CI runner does not. *)
+   Simulated ops and virtual time are deterministic, so any difference
+   means the cost model or a workload changed, in either direction: a
+   2x faster simulation is as much a change as a 2x slower one. Values
+   are compared as the document prints them (floats at %.12g), so a
+   baseline written by one run and read back by the next passes. *)
 
 type verdict = {
-  v_bench : string;
-  v_metric : string; (* "wall" or "sim" *)
-  v_baseline : float;
-  v_current : float;
-  v_ratio : float; (* current / baseline; < 1 means slower *)
-  v_tolerance : float;
+  v_baseline : Bench.t;
+  v_current : Bench.t;
+  v_ratio : float; (* current / baseline sim_mops *)
   v_ok : bool;
 }
 
@@ -25,116 +18,49 @@ type report = { verdicts : verdict list; errors : string list }
 
 let ok r = r.errors = [] && List.for_all (fun v -> v.v_ok) r.verdicts
 
-let default_wall_tolerance = 0.40
-let default_sim_tolerance = 0.001
+let printed f = Obs.Json.to_string (Obs.Json.Float f)
 
-let float_member k j = Option.bind (Obs.Json.member k j) Obs.Json.to_float_opt
+(* A float as a document stores it: printed, then read back. *)
+let stored f =
+  Option.bind (Result.to_option (Obs.Json.of_string (printed f)))
+    Obs.Json.to_float_opt
 
-let median_member k j =
-  Option.bind (Obs.Json.member k j) (float_member "median")
-
-let benches_of doc =
-  match Obs.Json.member "benchmarks" doc with
-  | Some (Obs.Json.List entries) ->
-      List.filter_map
-        (fun e ->
-          match Obs.Json.member "name" e with
-          | Some (Obs.Json.String name) -> Some (name, e)
-          | _ -> None)
-        entries
-  | _ -> []
-
-let verdict ~bench ~metric ~tolerance ~baseline ~current =
-  let ratio = current /. baseline in
+let verdict (b : Bench.t) (c : Bench.t) =
   {
-    v_bench = bench;
-    v_metric = metric;
-    v_baseline = baseline;
-    v_current = current;
-    v_ratio = ratio;
-    v_tolerance = tolerance;
-    v_ok = ratio >= 1.0 -. tolerance;
+    v_baseline = b;
+    v_current = c;
+    v_ratio = Bench.sim_mops c /. Bench.sim_mops b;
+    v_ok =
+      b.Bench.ops = c.Bench.ops
+      && stored b.Bench.sim_ns = stored c.Bench.sim_ns;
   }
 
-(* Every benchmark present in the baseline must be present and not
-   regressed in the current document; benchmarks that only exist in the
-   current document are new and pass by construction. *)
-let compare ?(wall_tolerance = default_wall_tolerance)
-    ?(sim_tolerance = default_sim_tolerance) ~baseline ~current () =
-  let schema doc =
-    match Obs.Json.member "schema" doc with
-    | Some (Obs.Json.String s) -> s
-    | _ -> "<missing>"
-  in
-  if schema baseline <> "respct-sim/bench/v1" then
-    {
-      verdicts = [];
-      errors =
-        [ Printf.sprintf "baseline has schema %S, not respct-sim/bench/v1"
-            (schema baseline) ];
-    }
-  else begin
-    let base_cal = float_member "calibration_mips" baseline in
-    let cur_cal = float_member "calibration_mips" current in
-    let cur_benches = benches_of current in
-    let errors = ref [] in
-    let verdicts = ref [] in
-    List.iter
-      (fun (name, base_entry) ->
-        match List.assoc_opt name cur_benches with
-        | None ->
-            errors :=
-              Printf.sprintf "benchmark %S missing from current run" name
-              :: !errors
-        | Some cur_entry -> (
-            (match
-               ( median_member "sim_mops" base_entry,
-                 median_member "sim_mops" cur_entry )
-             with
-            | Some b, Some c ->
-                verdicts :=
-                  verdict ~bench:name ~metric:"sim" ~tolerance:sim_tolerance
-                    ~baseline:b ~current:c
-                  :: !verdicts
-            | _ ->
-                errors :=
-                  Printf.sprintf "benchmark %S lacks sim_mops medians" name
-                  :: !errors);
-            (* Wall verdicts need calibrations on both sides; a baseline
-               exported with stripped wall fields simply has no wall gate. *)
-            match
-              ( median_member "wall_kops" base_entry,
-                median_member "wall_kops" cur_entry,
-                base_cal,
-                cur_cal )
-            with
-            | Some b, Some c, Some bcal, Some ccal ->
-                verdicts :=
-                  verdict ~bench:name ~metric:"wall" ~tolerance:wall_tolerance
-                    ~baseline:(b /. bcal) ~current:(c /. ccal)
-                  :: !verdicts
-            | None, _, _, _ -> ()
-            | _ ->
-                errors :=
-                  Printf.sprintf
-                    "benchmark %S has wall medians but a calibration score \
-                     is missing"
-                    name
-                  :: !errors))
-      (benches_of baseline);
-    { verdicts = List.rev !verdicts; errors = List.rev !errors }
-  end
+(* Every benchmark in the baseline must be in the current document;
+   benchmarks only in the current document are new and pass. *)
+let compare ~baseline ~current =
+  match (Bench.of_document baseline, Bench.of_document current) with
+  | Error e, _ -> { verdicts = []; errors = [ "baseline: " ^ e ] }
+  | _, Error e -> { verdicts = []; errors = [ "current run: " ^ e ] }
+  | Ok base, Ok cur ->
+      List.fold_right
+        (fun b r ->
+          let name = b.Bench.name in
+          match List.find_opt (fun c -> c.Bench.name = name) cur with
+          | Some c -> { r with verdicts = verdict b c :: r.verdicts }
+          | None ->
+              let e =
+                Printf.sprintf "benchmark %S missing from current run" name
+              in
+              { r with errors = e :: r.errors })
+        base { verdicts = []; errors = [] }
 
 let print_report ppf r =
   List.iter (fun e -> Format.fprintf ppf "error: %s@." e) r.errors;
   List.iter
-    (fun v ->
-      Format.fprintf ppf "%-12s %-4s %10.3f -> %10.3f  ratio %.3f  %s@."
-        v.v_bench v.v_metric v.v_baseline v.v_current v.v_ratio
-        (if v.v_ok then "ok"
-         else
-           Printf.sprintf "REGRESSION (beyond %.0f%% tolerance)"
-             (100.0 *. v.v_tolerance)))
+    (fun { v_baseline = b; v_current = c; v_ratio; v_ok } ->
+      Format.fprintf ppf "%-12s ops %d -> %d  sim_ns %s -> %s  ratio %.3f  %s@."
+        b.Bench.name b.Bench.ops c.Bench.ops (printed b.Bench.sim_ns)
+        (printed c.Bench.sim_ns) v_ratio
+        (if v_ok then "identical" else "CHANGED"))
     r.verdicts;
-  Format.fprintf ppf "perf compare: %s@."
-    (if ok r then "PASS" else "FAIL")
+  Format.fprintf ppf "perf compare: %s@." (if ok r then "PASS" else "FAIL")

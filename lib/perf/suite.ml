@@ -4,81 +4,37 @@
    configuration every property test and crashmatrix run exercises.
 
    Each benchmark executes a whole sweep (every system × every thread
-   count) and reports one aggregate sample: total simulated operations,
-   total virtual time, wall time. Aggregating keeps the sample count low
-   and the per-sample work large, which is what the median/MAD machinery
-   wants. *)
+   count) once and reports its total simulated operations and total
+   virtual time. *)
 
 type preset = {
   p_name : string;
-  p_runs : int;
-  p_warmup : int;
-  p_benches : (string * (unit -> Bench.sample)) list;
+  p_benches : (string * (unit -> int * float)) list;
 }
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let ops, sim_ns = f () in
-  { Bench.wall_s = Unix.gettimeofday () -. t0; sim_ns; ops }
+(* Total ops and virtual time of [point] over every kind × thread count
+   of the sweep, summed in that order. *)
+let sweep point (scale : Harness.Experiments.scale) kinds () =
+  List.fold_left
+    (fun acc kind ->
+      List.fold_left
+        (fun (ops, sim) threads ->
+          let r, _ = point scale kind ~threads in
+          ( ops + r.Harness.Workload.total_ops,
+            sim +. r.Harness.Workload.elapsed_ns ))
+        acc scale.Harness.Experiments.sweep_threads)
+    (0, 0.0) kinds
 
-let map_sample (scale : Harness.Experiments.scale) kinds () =
-  timed (fun () ->
-      let ops = ref 0 and sim = ref 0.0 in
-      List.iter
-        (fun kind ->
-          List.iter
-            (fun threads ->
-              let r, _ =
-                Harness.Experiments.map_point ~update_pct:50 scale kind
-                  ~threads
-              in
-              ops := !ops + r.Harness.Workload.total_ops;
-              sim := !sim +. r.Harness.Workload.elapsed_ns)
-            scale.Harness.Experiments.sweep_threads)
-        kinds;
-      (!ops, !sim))
-
-let queue_sample (scale : Harness.Experiments.scale) kinds () =
-  timed (fun () ->
-      let ops = ref 0 and sim = ref 0.0 in
-      List.iter
-        (fun kind ->
-          List.iter
-            (fun threads ->
-              let r, _ =
-                Harness.Experiments.queue_point scale kind ~threads
-              in
-              ops := !ops + r.Harness.Workload.total_ops;
-              sim := !sim +. r.Harness.Workload.elapsed_ns)
-            scale.Harness.Experiments.sweep_threads)
-        kinds;
-      (!ops, !sim))
-
-(* ResPCT with pipelined checkpointing (async epoch advance,
-   double-buffered commits): the same fig8 map sweep restricted to ResPCT,
-   so the pipelined runtime's hot paths (volatile epoch views, overlap
-   barrier, staged reclamation) are under the same wall-clock regression
-   gate as everything else. *)
-let pipeline_map_sample (scale : Harness.Experiments.scale) () =
-  let kind = Harness.Systems.Respct in
-  timed (fun () ->
-      let ops = ref 0 and sim = ref 0.0 in
-      List.iter
-        (fun threads ->
-          let p =
-            {
-              (Harness.Experiments.params_for scale ~threads ~kind) with
-              Harness.Systems.pipeline = true;
-            }
-          in
-          let r, _ =
-            Harness.Experiments.map_point ~update_pct:50 ~params:p scale kind
-              ~threads
-          in
-          ops := !ops + r.Harness.Workload.total_ops;
-          sim := !sim +. r.Harness.Workload.elapsed_ns)
-        scale.Harness.Experiments.sweep_threads;
-      (!ops, !sim))
+(* A fig8 map point (50% updates), with ResPCT's pipelined checkpointing
+   (async epoch advance, double-buffered commits) on or off. *)
+let map_point ~pipeline scale kind ~threads =
+  let params =
+    {
+      (Harness.Experiments.params_for scale ~threads ~kind) with
+      Harness.Systems.pipeline;
+    }
+  in
+  Harness.Experiments.map_point ~update_pct:50 ~params scale kind ~threads
 
 (* The sharded KV service front-end (lib/service): sessions, admission,
    batching and consistent-hash routing over per-shard runtimes, on the
@@ -105,27 +61,28 @@ let service_sample ~big () =
         prefill = 2_000;
       }
   in
-  timed (fun () ->
-      let r = Service.Front.run cfg in
-      (r.Service.Front.r_completed, r.Service.Front.r_makespan_ns))
+  let r = Service.Front.run cfg in
+  (r.Service.Front.r_completed, r.Service.Front.r_makespan_ns)
 
 let benches_for ?(big = true) scale =
   [
-    ("fig8-map", map_sample scale Harness.Systems.map_kinds);
-    ("fig9-queue", queue_sample scale Harness.Systems.queue_kinds);
-    ("respct-pipe", pipeline_map_sample scale);
+    ( "fig8-map",
+      sweep (map_point ~pipeline:false) scale Harness.Systems.map_kinds );
+    ( "fig9-queue",
+      sweep
+        (fun s k ~threads -> Harness.Experiments.queue_point s k ~threads)
+        scale Harness.Systems.queue_kinds );
+    (* The same sweep restricted to ResPCT with pipelined checkpointing, so
+       the pipelined runtime (volatile epoch views, overlap barrier, staged
+       reclamation) is under the gate as well. *)
+    ( "respct-pipe",
+      sweep (map_point ~pipeline:true) scale [ Harness.Systems.Respct ] );
     ("kv-service", service_sample ~big);
   ]
 
-(* Default preset: the figures' own scale — the ISSUE's "fig8 + fig9
-   workloads at default scale". *)
+(* Default preset: the fig8 and fig9 sweeps at the figures' own scale. *)
 let default_preset =
-  {
-    p_name = "default";
-    p_runs = 3;
-    p_warmup = 1;
-    p_benches = benches_for Harness.Experiments.small;
-  }
+  { p_name = "default"; p_benches = benches_for Harness.Experiments.small }
 
 (* Smoke preset: the same sweeps on a drastically shrunk world, for CI
    and for the harness's own tests — seconds, not minutes. *)
@@ -142,17 +99,7 @@ let smoke_scale =
   }
 
 let smoke_preset =
-  {
-    p_name = "smoke";
-    p_runs = 2;
-    p_warmup = 1;
-    p_benches = benches_for ~big:false smoke_scale;
-  }
-
-let preset_of_string = function
-  | "default" -> Some default_preset
-  | "smoke" -> Some smoke_preset
-  | _ -> None
+  { p_name = "smoke"; p_benches = benches_for ~big:false smoke_scale }
 
 (* Checkpoint-pause probe: the metric the pipelined runtime is built to
    move. One classic and one pipelined ResPCT map run at the preset's
@@ -171,18 +118,11 @@ let checkpoint_pause preset =
   let scale =
     if preset.p_name = "smoke" then smoke_scale else Harness.Experiments.small
   in
-  let kind = Harness.Systems.Respct in
   let threads =
     List.fold_left max 1 scale.Harness.Experiments.sweep_threads
   in
   let run ~pipeline =
-    let p =
-      {
-        (Harness.Experiments.params_for scale ~threads ~kind) with
-        Harness.Systems.pipeline;
-      }
-    in
-    let _, rt = Harness.Experiments.map_point ~update_pct:50 ~params:p scale kind ~threads in
+    let _, rt = map_point ~pipeline scale Harness.Systems.Respct ~threads in
     Option.bind rt (fun rt ->
         let s = Respct.Runtime.stats rt in
         let n = s.Respct.Runtime.checkpoints in
@@ -200,15 +140,13 @@ let checkpoint_pause preset =
   in
   List.filter_map (fun pipeline -> run ~pipeline) [ false; true ]
 
-let run ?runs ?warmup ?(seed = 42) ?only preset =
-  let benches =
-    match only with
-    | None -> preset.p_benches
-    | Some name -> List.filter (fun (n, _) -> n = name) preset.p_benches
-  in
-  let runs = Option.value ~default:preset.p_runs runs in
-  let warmup = Option.value ~default:preset.p_warmup warmup in
-  List.map (fun (name, f) -> Bench.measure ~warmup ~runs ~seed ~name f) benches
+let run ?only preset =
+  List.filter_map
+    (fun (name, f) ->
+      if Option.fold ~none:true ~some:(String.equal name) only then
+        let ops, sim_ns = f () in
+        Some { Bench.name; ops; sim_ns }
+      else None)
+    preset.p_benches
 
-let document ?strip_wall ~calibration preset ms =
-  Bench.document ?strip_wall ~preset:preset.p_name ~calibration ms
+let document preset bs = Bench.document ~preset:preset.p_name bs

@@ -62,7 +62,6 @@ let create cfg =
 let set_tid_provider t f = t.tid <- f
 let total_charge t = t.charged
 let events t = List.rev t.events
-let clear_events t = t.events <- []
 
 let emit t ev = t.events <- ev :: t.events
 let charge t ns = t.charged <- t.charged +. ns

@@ -43,5 +43,3 @@ val total_charge : t -> float
 
 val events : t -> Event.t list
 (** Every event emitted so far, in emission order. *)
-
-val clear_events : t -> unit

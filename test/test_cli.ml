@@ -3,7 +3,9 @@
 
    - `perf --compare` reads its baseline and never writes over it: without
      --json it writes nothing, and a --json naming the baseline is refused
-     with exit 2 before any measurement;
+     with exit 2 before any measurement; a document `perf --json` wrote
+     passes `perf --compare` on the next run, so the exact gate survives
+     its own print and parse;
    - figure names are a closed set (cmdliner's usage error, exit 124);
    - an unwritable --json sink fails with exit 2 before any work;
    - `crashmatrix` runs one dimension and ignores no flag: two dimension
@@ -13,7 +15,7 @@
      dimension. *)
 
 let exe = Filename.concat (Sys.getcwd ()) "../bin/respct_experiments.exe"
-let bench_baseline = Filename.concat (Sys.getcwd ()) "../BENCH_PR12.json"
+let bench_baseline = Filename.concat (Sys.getcwd ()) "../BENCH_PR21.json"
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* A fresh directory holding a copy of the committed baseline. *)
@@ -59,14 +61,12 @@ let check_untouched dir copy =
     "nothing else written" [ copy ]
     (Array.to_list (Sys.readdir dir))
 
-(* The smoke preset's simulated throughput is far below the default-preset
-   baseline, so an honest comparison fails. *)
+(* The smoke preset runs far fewer ops than the default-preset baseline,
+   so an honest comparison fails. *)
 let test_compare_reads_baseline () =
   with_dir (fun dir copy ->
       let status, out, _ =
-        run dir
-          [ "perf"; "--preset"; "smoke"; "--runs"; "1"; "--warmup"; "0";
-            "--compare"; copy ]
+        run dir [ "perf"; "--preset"; "smoke"; "--compare"; copy ]
       in
       Alcotest.(check int) "regression reported" 1 status;
       Alcotest.(check bool) "comparison printed" true
@@ -81,6 +81,18 @@ let test_compare_same_file_refused () =
       Alcotest.(check int) "exit 2" 2 status;
       Alcotest.(check string) "nothing measured" "" out;
       Alcotest.(check bool) "names the file" true (contains err copy);
+      check_untouched dir copy)
+
+let test_compare_round_trip () =
+  with_dir (fun dir copy ->
+      let smoke = [ "perf"; "--preset"; "smoke" ] in
+      let status, _, _ = run dir (smoke @ [ "--json"; "a.json" ]) in
+      Alcotest.(check int) "first run writes" 0 status;
+      let status, out, _ = run dir (smoke @ [ "--compare"; "a.json" ]) in
+      Alcotest.(check int) "second run passes" 0 status;
+      Alcotest.(check bool) "comparison printed" true
+        (contains out "perf compare: PASS");
+      Sys.remove (Filename.concat dir "a.json");
       check_untouched dir copy)
 
 let test_unknown_figure () =
@@ -186,6 +198,8 @@ let () =
             test_compare_reads_baseline;
           Alcotest.test_case "json naming the baseline refused" `Quick
             test_compare_same_file_refused;
+          Alcotest.test_case "json output passes compare" `Quick
+            test_compare_round_trip;
         ] );
       ( "sinks",
         [

@@ -1,13 +1,12 @@
-(* Tests for the statistical perf harness (lib/perf):
+(* Tests for the deterministic perf harness (lib/perf):
 
    - the summary statistics are correct and the bootstrap is a pure
      function of (samples, seed);
    - two same-seed smoke runs of the real benchmark suite export
-     byte-identical JSON once the wall-clock fields are stripped — the
-     bench-determinism guarantee the ISSUE asks for;
-   - the regression gate actually fails on a planted 2x slowdown, gates
-     wall throughput through the calibration normalisation, and reports
-     structural problems (missing benchmark, bad schema) as errors;
+     byte-identical documents;
+   - the sim gate is exact and two-sided: a planted 2x slowdown, a 2x
+     speed-up and a one-op drift all fail it, and structural problems
+     (missing benchmark, bad schema) are reported as errors;
    - the Obs.Json reader round-trips the writer's output. *)
 
 module Stat = Perf.Stat
@@ -70,99 +69,69 @@ let test_json_roundtrip () =
 (* Bench determinism on the real suite *)
 
 let smoke_doc () =
-  let ms = Suite.run ~seed:42 Suite.smoke_preset in
-  Json.to_string (Suite.document ~strip_wall:true ~calibration:0.0
-                    Suite.smoke_preset ms)
-
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  go 0
+  let preset = Suite.smoke_preset in
+  Json.to_string (Suite.document preset (Suite.run preset))
 
 let test_bench_determinism () =
-  let a = smoke_doc () and b = smoke_doc () in
-  check Alcotest.string "same-seed smoke exports identical stripped JSON" a b;
-  (* Stripping must actually remove every host-speed-dependent field. *)
-  checkb "no wall_s" true (not (contains ~affix:"wall_s" a));
-  checkb "no wall_kops" true (not (contains ~affix:"wall_kops" a));
-  checkb "no calibration" true (not (contains ~affix:"calibration" a))
+  check Alcotest.string "same-seed smoke exports identical JSON"
+    (smoke_doc ()) (smoke_doc ())
 
 (* ---------------------------------------------------------------- *)
 (* Regression gate *)
 
-(* A synthetic measurement whose medians we fully control. *)
-let measurement ~name ~wall_s ~sim_ns ~ops =
-  let samples = Array.init 3 (fun _ -> { Bench.wall_s; sim_ns; ops }) in
-  {
-    Bench.name;
-    warmup = 0;
-    runs = 3;
-    samples;
-    wall_kops = Stat.summarize ~seed:1 (Array.map Bench.wall_kops_of samples);
-    sim_mops = Stat.summarize ~seed:1 (Array.map Bench.sim_mops_of samples);
-  }
-
-let doc ?(calibration = 100.0) ms =
-  Bench.document ~preset:"test" ~calibration ms
-
-let base_ms = [ measurement ~name:"b" ~wall_s:1.0 ~sim_ns:1e9 ~ops:1_000_000 ]
+let doc bs = Bench.document ~preset:"test" bs
+let base = [ { Bench.name = "b"; ops = 1_000_000; sim_ns = 1e9 } ]
+let compare_to current =
+  Compare.compare ~baseline:(doc base) ~current:(doc current)
 
 let test_compare_self () =
-  let d = doc base_ms in
-  let r = Compare.compare ~baseline:d ~current:d () in
+  let r = compare_to base in
   checkb "self-compare passes" true (Compare.ok r);
-  check Alcotest.int "two verdicts (wall + sim)" 2
-    (List.length r.Compare.verdicts)
+  check Alcotest.int "one verdict" 1 (List.length r.Compare.verdicts);
+  (* Values are compared as documents store them (%.12g): a difference
+     the print drops passes, also where it drops the fraction. *)
+  let at sim_ns = [ { Bench.name = "b"; ops = 1; sim_ns } ] in
+  let r2 =
+    Compare.compare ~baseline:(doc (at 123456789012.0))
+      ~current:(doc (at 123456789012.25))
+  in
+  checkb "below print precision passes" true (Compare.ok r2)
+
+(* The planted change and the sim_mops ratio it must show. *)
+let check_changed what current ratio =
+  match (compare_to [ current ]).Compare.verdicts with
+  | [ v ] ->
+      checkf (what ^ " ratio") ratio v.Compare.v_ratio;
+      checkb (what ^ " fails") false v.Compare.v_ok
+  | vs -> Alcotest.failf "%s: %d verdicts, want 1" what (List.length vs)
 
 let test_compare_planted_slowdown () =
-  (* 2x more wall time and 2x more virtual time for the same ops: both
-     throughput medians halve, both gates must trip. *)
-  let slow =
-    [ measurement ~name:"b" ~wall_s:2.0 ~sim_ns:2e9 ~ops:1_000_000 ]
-  in
-  let r = Compare.compare ~baseline:(doc base_ms) ~current:(doc slow) () in
-  checkb "planted 2x slowdown fails" false (Compare.ok r);
-  List.iter
-    (fun v ->
-      checkf (v.Compare.v_metric ^ " ratio") 0.5 v.Compare.v_ratio;
-      checkb (v.Compare.v_metric ^ " not ok") false v.Compare.v_ok)
-    r.Compare.verdicts
+  (* 2x more virtual time for the same ops: sim_mops halves. *)
+  check_changed "planted 2x slowdown"
+    { Bench.name = "b"; ops = 1_000_000; sim_ns = 2e9 }
+    0.5
 
-let test_compare_calibration_normalises () =
-  (* Same workload on a machine that scores 2x on calibration and runs
-     the benchmark 2x faster: normalised ratio is 1.0, no regression. *)
-  let fast = [ measurement ~name:"b" ~wall_s:0.5 ~sim_ns:1e9 ~ops:1_000_000 ] in
-  let r =
-    Compare.compare ~baseline:(doc base_ms)
-      ~current:(doc ~calibration:200.0 fast)
-      ()
-  in
-  checkb "normalised equal speed passes" true (Compare.ok r);
-  (* Same raw wall throughput on the 2x machine = a real 2x regression. *)
-  let r2 =
-    Compare.compare ~baseline:(doc base_ms)
-      ~current:(doc ~calibration:200.0 base_ms)
-      ()
-  in
-  checkb "hidden-by-raw-wall regression caught" false (Compare.ok r2)
+let test_compare_two_sided () =
+  check_changed "planted 2x speed-up"
+    { Bench.name = "b"; ops = 1_000_000; sim_ns = 5e8 }
+    2.0;
+  check_changed "one more op"
+    { Bench.name = "b"; ops = 1_000_001; sim_ns = 1e9 }
+    1.000001;
+  check_changed "one op fewer"
+    { Bench.name = "b"; ops = 999_999; sim_ns = 1e9 }
+    0.999999
 
 let test_compare_structural () =
-  let r =
-    Compare.compare ~baseline:(doc base_ms)
-      ~current:(doc [ measurement ~name:"other" ~wall_s:1.0 ~sim_ns:1e9 ~ops:1 ])
-      ()
-  in
+  let r = compare_to [ { Bench.name = "other"; ops = 1; sim_ns = 1e9 } ] in
   checkb "missing benchmark is an error" false (Compare.ok r);
   checkb "reported in errors" true (r.Compare.errors <> []);
   let bad = Json.Obj [ ("schema", Json.String "nope") ] in
-  let r2 = Compare.compare ~baseline:bad ~current:(doc base_ms) () in
+  let r2 = Compare.compare ~baseline:bad ~current:(doc base) in
   checkb "bad schema is an error" false (Compare.ok r2);
   (* A benchmark only in the current document is new: passes. *)
   let r3 =
-    Compare.compare ~baseline:(doc base_ms)
-      ~current:
-        (doc (base_ms @ [ measurement ~name:"new" ~wall_s:1.0 ~sim_ns:1e9 ~ops:1 ]))
-      ()
+    compare_to (base @ [ { Bench.name = "new"; ops = 1; sim_ns = 1e9 } ])
   in
   checkb "new benchmark passes" true (Compare.ok r3)
 
@@ -185,8 +154,7 @@ let () =
           Alcotest.test_case "self compare" `Quick test_compare_self;
           Alcotest.test_case "planted slowdown" `Quick
             test_compare_planted_slowdown;
-          Alcotest.test_case "calibration normalisation" `Quick
-            test_compare_calibration_normalises;
+          Alcotest.test_case "two-sided" `Quick test_compare_two_sided;
           Alcotest.test_case "structural errors" `Quick test_compare_structural;
         ] );
     ]
