@@ -1108,80 +1108,82 @@ let service_cmd =
       | `Smoke -> Service.Front.smoke
     in
     let ov v = function None -> v | Some x -> x in
-    let dir = match backend with `Sim -> None | `File -> Some (Service.Front.fresh_dir ()) in
-    let cfg =
-      {
-        base with
-        Service.Front.shards = ov base.Service.Front.shards shards;
-        workers = ov base.Service.Front.workers workers;
-        sessions = ov base.Service.Front.sessions sessions;
-        requests = ov base.Service.Front.requests requests;
-        keys = ov base.Service.Front.keys keys;
-        seed = ov base.Service.Front.seed seed;
-        period_ns =
-          (match period_us with
-          | None -> base.Service.Front.period_ns
-          | Some us -> us *. 1_000.0);
-        backend =
-          (match dir with
-          | None -> Service.Front.Sim
-          | Some d -> Service.Front.File d);
-        record_digests = dir <> None;
-      }
-    in
-    let crash_at_ns = Option.map (fun us -> us *. 1_000.0) crash_at_us in
-    let r = Service.Front.run ?crash_at_ns ~crash_shard cfg in
-    let open Service.Front in
-    Printf.printf
-      "service: %d shards x %d workers, %d sessions x %d reqs, %d keys \
-       (zipf %.2f, %d%% reads)\n"
-      cfg.shards cfg.workers cfg.sessions cfg.requests cfg.keys cfg.theta
-      cfg.read_pct;
-    Printf.printf
-      "  completed %d, failed %d, retried %d, rejects %d full / %d down\n"
-      r.r_completed r.r_failed r.r_retried r.r_rejected_full r.r_rejected_down;
-    Printf.printf
-      "  throughput %.3f Mreq/s over %.3f ms; checkpoint stall overlap %.0f \
-       ns\n"
-      r.r_mrps (r.r_makespan_ns /. 1e6) r.r_stall_overlap_ns;
-    List.iter
-      (fun sr ->
-        Printf.printf
-          "  shard %d%s: served %d in %d batches (%d coalesced), max depth \
-           %d, %d ckpts, sealed epoch %d, stall %.0f ns\n"
-          sr.sr_id
-          (if sr.sr_down then " (down)" else "")
-          sr.sr_served sr.sr_batches sr.sr_coalesced sr.sr_max_depth
-          sr.sr_checkpoints sr.sr_sealed sr.sr_stall_ns)
-      r.r_shards;
-    let crash_ok =
-      match r.r_crash with
-      | None -> true
-      | Some cr ->
+    let serve backend =
+      let cfg =
+        {
+          base with
+          Service.Front.shards = ov base.Service.Front.shards shards;
+          workers = ov base.Service.Front.workers workers;
+          sessions = ov base.Service.Front.sessions sessions;
+          requests = ov base.Service.Front.requests requests;
+          keys = ov base.Service.Front.keys keys;
+          seed = ov base.Service.Front.seed seed;
+          period_ns =
+            (match period_us with
+            | None -> base.Service.Front.period_ns
+            | Some us -> us *. 1_000.0);
+          backend;
+        }
+      in
+      let crash_at_ns = Option.map (fun us -> us *. 1_000.0) crash_at_us in
+      let r = Service.Front.run ?crash_at_ns ~crash_shard cfg in
+      let open Service.Front in
+      Printf.printf
+        "service: %d shards x %d workers, %d sessions x %d reqs, %d keys \
+         (zipf %.2f, %d%% reads)\n"
+        cfg.shards cfg.workers cfg.sessions cfg.requests cfg.keys cfg.theta
+        cfg.read_pct;
+      Printf.printf
+        "  completed %d, failed %d, retried %d, rejects %d full / %d down\n"
+        r.r_completed r.r_failed r.r_retried r.r_rejected_full
+        r.r_rejected_down;
+      Printf.printf
+        "  throughput %.3f Mreq/s over %.3f ms; checkpoint stall overlap %.0f \
+         ns\n"
+        r.r_mrps (r.r_makespan_ns /. 1e6) r.r_stall_overlap_ns;
+      List.iter
+        (fun sr ->
           Printf.printf
-            "  crash: shard %d at %.1f µs -> verdict %s, failed epoch %d \
-             (sealed %d)%s, dropped %d, recovery %.0f ns, survivors %.3f \
-             Mreq/s\n"
-            cr.cr_shard (cr.cr_at_ns /. 1e3) cr.cr_verdict cr.cr_failed_epoch
-            cr.cr_sealed_at_crash
-            (match cr.cr_digest_match with
-            | Some true -> ", digest ok"
-            | Some false -> ", DIGEST MISMATCH"
-            | None -> "")
-            cr.cr_dropped cr.cr_recovery_ns cr.cr_survivor_mrps;
-          cr.cr_exact && (not cr.cr_lost_sealed)
-          && cr.cr_digest_match <> Some false
+            "  shard %d%s: served %d in %d batches (%d coalesced), max depth \
+             %d, %d ckpts, sealed epoch %d, stall %.0f ns\n"
+            sr.sr_id
+            (if sr.sr_down then " (down)" else "")
+            sr.sr_served sr.sr_batches sr.sr_coalesced sr.sr_max_depth
+            sr.sr_checkpoints sr.sr_sealed sr.sr_stall_ns)
+        r.r_shards;
+      let crash_ok =
+        match r.r_crash with
+        | None -> true
+        | Some cr ->
+            Printf.printf
+              "  crash: shard %d at %.1f µs -> verdict %s, failed epoch %d \
+               (sealed %d)%s, dropped %d, recovery %.0f ns, survivors %.3f \
+               Mreq/s\n"
+              cr.cr_shard (cr.cr_at_ns /. 1e3) cr.cr_verdict cr.cr_failed_epoch
+              cr.cr_sealed_at_crash
+              (match cr.cr_digest_match with
+              | Some true -> ", digest ok"
+              | Some false -> ", DIGEST MISMATCH"
+              | None -> "")
+              cr.cr_dropped cr.cr_recovery_ns cr.cr_survivor_mrps;
+            cr.cr_exact && cr.cr_violations = []
+      in
+      let surv_ok = List.for_all (fun sc -> sc.sc_ok) r.r_survivors in
+      if r.r_survivors <> [] then
+        Printf.printf "  survivor audit: %d/%d ok\n"
+          (List.length (List.filter (fun sc -> sc.sc_ok) r.r_survivors))
+          (List.length r.r_survivors);
+      write_json json (Service.Front.to_json r);
+      crash_ok && surv_ok
     in
-    let surv_ok = List.for_all (fun sc -> sc.sc_ok) r.r_survivors in
-    if r.r_survivors <> [] then
-      Printf.printf "  survivor audit: %d/%d ok\n"
-        (List.length (List.filter (fun sc -> sc.sc_ok) r.r_survivors))
-        (List.length r.r_survivors);
-    write_json json (Service.Front.to_json r);
-    (match dir with
-    | Some d -> ( try Unix.rmdir d with Unix.Unix_error (_, _, _) -> ())
-    | None -> ());
-    if not (crash_ok && surv_ok) then exit 1
+    let ok =
+      match backend with
+      | `Sim -> serve Service.Front.Sim
+      | `File ->
+          Prockill.with_scratch_dir "respct-svc" (fun d ->
+              serve (Service.Front.File d))
+    in
+    if not ok then exit 1
   in
   Cmd.v
     (Cmd.info "service"

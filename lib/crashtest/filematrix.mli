@@ -1,9 +1,10 @@
-(** Crash-matrix dimension over {!Filemem} images: the prockill
-    durability oracles (no-lost-sealed-epoch, exact checkpoint-snapshot
-    digest) made deterministic by crashing at a *virtual* instant
-    instead of a wall-clock SIGKILL. Counterexamples shrink exactly and
-    replay byte-for-byte, and the planted [Elide_psync] mutant must be
-    caught — proving the journalled write-back load-bearing. *)
+(** Crash-matrix dimension over {!Filemem} images: prockill's file-image
+    world and durability verdict (no-lost-sealed-epoch, exact
+    checkpoint-snapshot digest) made deterministic by crashing at a
+    *virtual* instant instead of a wall-clock SIGKILL. Counterexamples
+    shrink exactly and replay byte-for-byte, and the planted
+    [Elide_psync] mutant must be caught — proving the journalled
+    write-back load-bearing. *)
 
 type params = {
   fseed : int;
@@ -14,28 +15,23 @@ type params = {
   fmutant : bool;  (** arm [Filemem.Elide_psync] after the first checkpoint *)
 }
 
-type violation =
-  | Lost_sealed_epoch of { durable : int; sealed : int }
-  | Snapshot_mismatch of { epoch : int; expected : int; got : int }
-  | Unrecoverable_image of string
-  | Walk_failed of string
-
-val pp_violation : violation Fmt.t
-
 type outcome = {
   fo_params : params;
-  fo_crashed : bool;
   fo_verdict : string;
   fo_failed_epoch : int;
   fo_sealed_max : int;
   fo_checkpoints : int;
-  fo_violations : violation list;  (** empty = passed both oracles *)
+  fo_violations : Prockill.violation list;  (** empty = passed both oracles *)
 }
 
 val run_trial : params -> dir:string -> outcome
-(** One seeded workload / virtual power cut / verified recovery cycle.
-    Deterministic: equal params give equal outcomes. Trial files live
-    under [dir] and are removed afterwards. *)
+(** {!Prockill.world} with its three seeds all [fseed], a virtual power
+    cut at [fcrash_us], then verified recovery held to
+    {!Prockill.violations}. Deterministic: equal params give equal
+    outcomes. The image lives under [dir] and is removed afterwards,
+    also when the trial raises.
+    @raise Invalid_argument when [fthreads] is outside
+    [\[1, Prockill.ncounters\]]. *)
 
 val campaign : ?dir:string -> unit -> params Obs.Cx.campaign
 (** Tag [filematrix], keys [seed threads keyspace ops crash_us

@@ -102,6 +102,8 @@ let req fs k conv =
 
 let int = int_of_string_opt
 let nat v = match int v with Some n when n >= 0 -> Some n | _ -> None
+let range lo hi v =
+  match int v with Some n when lo <= n && n <= hi -> Some n | _ -> None
 let bool = bool_of_string_opt
 let bit = function "0" -> Some false | "1" -> Some true | _ -> None
 

@@ -1,25 +1,29 @@
-(* Real-process SIGKILL crash harness.
+(* Real-process SIGKILL crash harness, and the file-image crash world
+   and durability verdict it shares with the file crash grid
+   (crashtest's Filematrix) and the service's crash drill.
 
    The simulated crash explorers (crashtest, crashmatrix) interrupt a
    virtual machine at a virtual instant; every bit of "durable" state is
    still process memory, so they can only validate the protocol against the
    simulator's own story of what survives. This harness closes that loop
-   with a real operating-system crash: fork a child that runs a seeded
-   ResPCT workload against a file-backed {!Filemem} image, SIGKILL it at a
-   randomised (seeded, replayable) wall-clock point, reopen the surviving
-   file in the parent and run {!Respct.Recovery.run_verified_backend} plus
-   the durability oracles against the child's progress log.
+   with a real operating-system crash: fork a child that runs the
+   file-image world against a file-backed {!Filemem} image, SIGKILL it at
+   a randomised (seeded, replayable) wall-clock point, reopen the
+   surviving file in the parent and hold
+   {!Respct.Recovery.run_verified_backend} to the durability verdict
+   against the child's progress log.
 
    Child/parent protocol: the child appends one-line records to a log file,
    each written with a single unbuffered [Unix.write] so the line is in the
    kernel page cache (and thus survives SIGKILL) before the durable
    transition it predicts can happen:
 
-     H <heads> <cbase>    workload geometry (map bucket array, counter base)
-     R                    steady state reached (parent may kill from here)
-     Q <epoch> <digest>   flush for <epoch> completed; durable-image digest
-                          taken at the quiescent instant, before the seal
-     S <epoch>            <epoch>'s commit sealed (logged after the seal)
+     Q <epoch> <digest> <heads> <cbase>
+                          flush for <epoch> completed; digest of the durable
+                          map (bucket array <heads>) and counters (base
+                          <cbase>) at the quiescent instant, before the seal
+     S <epoch>            <epoch>'s commit sealed (logged after the seal); the
+                          first S marks steady state (parent may kill)
      F                    workload budget exhausted, clean exit
      E <message>          child failed with an exception
 
@@ -32,12 +36,13 @@
    the oracle. *)
 
 module Rng = Simnvm.Rng
+module Sched = Simsched.Scheduler
 module Recovery = Respct.Recovery
 
 (* ------------------------------------------------------------------ *)
-(* Workload geometry: shared by child (construction) and parent
+(* Workload geometry: shared by the world (construction) and the parent
    (oracle walk), so everything the parent cannot rederive from the
-   file header travels in the H log line. *)
+   file header travels in the Q log lines. *)
 
 let line_words = Simnvm.Addr.default_line_words
 let nvm_words = 1 lsl 16
@@ -46,7 +51,10 @@ let registry_per_slot = 1024
 let buckets = 32
 let ncounters = 16
 let period_ns = 40_000.0
-let checkpoint_budget = 20_000
+
+(* Operations per child worker: enough to outlive the campaign's longest
+   kill delay, so every kill lands on a running workload. *)
+let child_ops = 1_000_000
 
 type params = {
   seed : int;
@@ -57,11 +65,13 @@ type params = {
   mutant : bool;  (** arm [Filemem.Elide_psync] once steady state is reached *)
 }
 
+type geometry = { heads : int; cbase : int }
+
 (* ------------------------------------------------------------------ *)
 (* Durable-image digest: the hashmap's logical bindings plus the raw
    counter records, folded into one integer. Both sides compute it the
-   same way — the child over [Filemem.persisted] at the quiescent
-   instant, the parent over the reopened file after recovery. *)
+   same way — the world over [Filemem.persisted] at the quiescent
+   instant, the checker over the image after recovery. *)
 
 let digest_with ~read ~line_words ~fuel ~heads ~buckets ~cbase ~ncounters =
   let acc = ref 0x9e3779b9 in
@@ -79,191 +89,128 @@ let digest_with ~read ~line_words ~fuel ~heads ~buckets ~cbase ~ncounters =
   done;
   !acc
 
-let digest ~read ~heads ~cbase =
-  digest_with ~read ~line_words ~fuel:nvm_words ~heads ~buckets ~cbase
-    ~ncounters
+let digest ~read g =
+  digest_with ~read ~line_words ~fuel:nvm_words ~heads:g.heads ~buckets
+    ~cbase:g.cbase ~ncounters
 
 (* ------------------------------------------------------------------ *)
-(* Child side. Runs after [Unix.fork] in the child process; never
-   returns (always [Unix._exit]). *)
+(* The file-image crash world, built once for the prockill child and the
+   file crash grid: a seeded multi-threaded workload (hashmap plus
+   partitioned InCLL counters, a restart point after every op) over a
+   fresh Filemem image. The caller runs [sched] (to completion, or to a
+   virtual power cut). *)
 
-let log_to fd s =
-  let line = s ^ "\n" in
-  ignore (Unix.write_substring fd line 0 (String.length line))
+type world = { fm : Filemem.t; sched : Sched.t }
 
-let run_child (p : params) ~img ~logpath : unit =
-  let lfd =
-    Unix.openfile logpath [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+let world ~path ~mem_seed ~sched_seed ~worker_seed ~threads ~keyspace ~ops
+    ~mutant ~on_flushed ~on_sealed =
+  if threads < 1 || threads > ncounters then
+    invalid_arg "Prockill.world: threads outside [1, ncounters]";
+  let fm =
+    Filemem.create
+      ~meta:
+        { Filemem.max_threads = threads; registry_per_slot; integrity = true }
+      {
+        Filemem.default_config with
+        Filemem.nvm_words;
+        dram_words;
+        evict_rate = 0.02;
+        seed = mem_seed;
+      }
+      ~path
   in
-  let log = log_to lfd in
-  (try
-     let cfg =
-       {
-         Filemem.default_config with
-         Filemem.nvm_words;
-         Filemem.dram_words;
-         Filemem.evict_rate = 0.02;
-         Filemem.seed = p.seed + (1000003 * p.trial);
-       }
-     in
-     let meta =
-       {
-         Filemem.max_threads = p.threads;
-         Filemem.registry_per_slot = registry_per_slot;
-         Filemem.integrity = true;
-       }
-     in
-     let fm = Filemem.create ~meta cfg ~path:img in
-     let sched = Simsched.Scheduler.create ~seed:(p.seed + p.trial) () in
-     let env = Simsched.Env.make_backend (Filemem.backend fm) sched in
-     let rcfg =
-       {
-         Respct.Runtime.default_config with
-         Respct.Runtime.period_ns;
-         Respct.Runtime.flusher_pool = 2;
-         Respct.Runtime.max_threads = p.threads;
-         Respct.Runtime.registry_per_slot = registry_per_slot;
-         Respct.Runtime.integrity = true;
-       }
-     in
-     let rt = Respct.Runtime.create ~cfg:rcfg env in
-     let structures = ref None in
-     let stop = ref false in
-     ignore
-       (Simsched.Scheduler.spawn ~name:"pk-coord" sched (fun () ->
-            while Option.is_none !structures do
-              Simsched.Scheduler.sleep sched 1_000.0
-            done;
-            let m, cbase = Option.get !structures in
-            let heads = Pds.Hashmap_respct.heads m in
-            let dig () = digest ~read:(Filemem.persisted fm) ~heads ~cbase in
-            log (Printf.sprintf "H %d %d" heads cbase);
-            let last = ref 0 in
-            let ckpt () =
-              Respct.Runtime.run_checkpoint rt ~on_flushed:(fun e ->
-                  last := e;
-                  log (Printf.sprintf "Q %d %d" e (dig ())));
-              log (Printf.sprintf "S %d" !last)
-            in
-            (* One checkpoint before declaring readiness, so the mutant
-               (armed below, after the seal) can never corrupt setup and
-               every kill lands on a steady-state image. *)
-            ckpt ();
-            if p.mutant then Filemem.arm_mutant fm Filemem.Elide_psync;
-            log "R";
-            let n = ref 0 in
-            while !n < checkpoint_budget do
-              incr n;
-              Simsched.Scheduler.sleep sched period_ns;
-              ckpt ()
-            done;
-            stop := true));
-     for w = 0 to p.threads - 1 do
-       let wseed = p.seed + (7919 * p.trial) + (104729 * w) in
-       ignore
-         (Respct.Runtime.spawn ~name:(Printf.sprintf "pk-w%d" w) rt ~slot:w
-            (fun _ctx ->
-              if w = 0 then begin
-                let cbase =
-                  Respct.Runtime.alloc_incll_array rt ~slot:0 ncounters ~init:0
-                in
-                let m = Pds.Hashmap_respct.create rt ~slot:0 ~buckets in
-                structures := Some (m, cbase)
-              end;
-              while Option.is_none !structures do
-                Simsched.Scheduler.sleep sched 1_000.0
-              done;
-              let m, cbase = Option.get !structures in
-              let rng = Rng.create wseed in
-              while not !stop do
-                (match Rng.int rng 8 with
-                | 0 ->
-                    ignore
-                      (Pds.Hashmap_respct.remove m ~slot:w
-                         ~key:(Rng.int rng p.keyspace))
-                | 1 | 2 ->
-                    (* Counters are partitioned by slot (worker [w] owns
-                       indices congruent to [w]): InCLL updates need the
-                       caller to own the variable's lock, and ownership is
-                       the cheapest lock there is. *)
-                    let k = Rng.int rng (ncounters / p.threads) in
-                    let cell =
-                      Respct.Heap.cell_at_words ~line_words cbase
-                        (w + (p.threads * k))
-                    in
-                    Respct.Runtime.update rt ~slot:w cell
-                      (Respct.Runtime.read rt ~slot:w cell + 1)
-                | _ ->
-                    ignore
-                      (Pds.Hashmap_respct.insert m ~slot:w
-                         ~key:(Rng.int rng p.keyspace)
-                         ~value:(Rng.bits rng land 0xFFFFF)));
-                Respct.Runtime.rp rt ~slot:w 1
-              done))
-     done;
-     (match Simsched.Scheduler.run sched with
-     | Simsched.Scheduler.Completed | Simsched.Scheduler.Crash_interrupt _ ->
-         ());
-     log "F";
-     Filemem.close fm;
-     Unix._exit 0
-   with e -> log ("E " ^ Printexc.to_string e));
-  Unix._exit 2
+  let sched = Sched.create ~seed:sched_seed () in
+  let rt =
+    Respct.Runtime.create
+      ~cfg:
+        {
+          Respct.Runtime.default_config with
+          Respct.Runtime.period_ns;
+          flusher_pool = 2;
+          max_threads = threads;
+          registry_per_slot;
+          integrity = true;
+        }
+      (Simsched.Env.make_backend (Filemem.backend fm) sched)
+  in
+  let structures = ref None in
+  let rec built () =
+    match !structures with
+    | Some s -> s
+    | None ->
+        Sched.sleep sched 1_000.0;
+        built ()
+  in
+  let remaining = ref threads in
+  ignore
+    (Sched.spawn ~name:"fw-coord" sched (fun () ->
+         let m, cbase = built () in
+         let g = { heads = Pds.Hashmap_respct.heads m; cbase } in
+         let last = ref 0 in
+         let ckpt () =
+           Respct.Runtime.run_checkpoint rt ~on_flushed:(fun e ->
+               last := e;
+               on_flushed g e (digest ~read:(Filemem.persisted fm) g))
+         in
+         (* One checkpoint before the mutant arms, so it can never corrupt
+            setup and every crash lands on a steady-state image; that
+            first seal is reported once the mutant is armed. *)
+         ckpt ();
+         if mutant then Filemem.arm_mutant fm Filemem.Elide_psync;
+         on_sealed !last;
+         while !remaining > 0 do
+           Sched.sleep sched period_ns;
+           ckpt ();
+           on_sealed !last
+         done));
+  for w = 0 to threads - 1 do
+    ignore
+      (Respct.Runtime.spawn ~name:(Printf.sprintf "fw-w%d" w) rt ~slot:w
+         (fun _ctx ->
+           if w = 0 then begin
+             let cbase =
+               Respct.Runtime.alloc_incll_array rt ~slot:0 ncounters ~init:0
+             in
+             structures :=
+               Some (Pds.Hashmap_respct.create rt ~slot:0 ~buckets, cbase)
+           end;
+           (* no readiness gate: workers must keep passing restart points
+              or the coordinator's first checkpoint can never quiesce *)
+           let m, cbase = built () in
+           let rng = Rng.create (worker_seed + (104729 * w)) in
+           for _ = 1 to ops do
+             (match Rng.int rng 8 with
+             | 0 ->
+                 ignore
+                   (Pds.Hashmap_respct.remove m ~slot:w
+                      ~key:(Rng.int rng keyspace))
+             | 1 | 2 ->
+                 (* Counters are partitioned by slot (worker [w] owns
+                    indices congruent to [w]): InCLL updates need the
+                    caller to own the variable's lock, and ownership is
+                    the cheapest lock there is. *)
+                 let k = Rng.int rng (ncounters / threads) in
+                 let cell =
+                   Respct.Heap.cell_at_words ~line_words cbase
+                     (w + (threads * k))
+                 in
+                 Respct.Runtime.update rt ~slot:w cell
+                   (Respct.Runtime.read rt ~slot:w cell + 1)
+             | _ ->
+                 ignore
+                   (Pds.Hashmap_respct.insert m ~slot:w
+                      ~key:(Rng.int rng keyspace)
+                      ~value:(Rng.bits rng land 0xFFFFF)));
+             Respct.Runtime.rp rt ~slot:w 1
+           done;
+           decr remaining))
+  done;
+  { fm; sched }
 
 (* ------------------------------------------------------------------ *)
-(* Progress-log parsing (parent side). Only newline-terminated lines
-   count: the kill can tear the last line mid-write, and a torn line
-   must not fabricate a claim. Dropping it is always sound — the log
-   under-approximates the child's durable progress, which is the safe
-   direction for both oracles. *)
-
-type parsed = {
-  pl_geom : (int * int) option;  (** H line: heads, counter base *)
-  pl_ready : bool;
-  pl_digests : (int * int) list;  (** Q lines: epoch -> digest *)
-  pl_sealed : int;  (** largest S epoch, [-1] if none *)
-  pl_finished : bool;
-  pl_error : string option;
-}
-
-let parse_log s =
-  let rec complete = function [] | [ _ ] -> [] | x :: tl -> x :: complete tl in
-  let lines = complete (String.split_on_char '\n' s) in
-  List.fold_left
-    (fun acc line ->
-      match String.split_on_char ' ' line with
-      | [ "R" ] -> { acc with pl_ready = true }
-      | [ "F" ] -> { acc with pl_finished = true }
-      | [ "H"; a; b ] -> (
-          match (int_of_string_opt a, int_of_string_opt b) with
-          | Some heads, Some cbase -> { acc with pl_geom = Some (heads, cbase) }
-          | _ -> acc)
-      | [ "Q"; e; d ] -> (
-          match (int_of_string_opt e, int_of_string_opt d) with
-          | Some e, Some d -> { acc with pl_digests = (e, d) :: acc.pl_digests }
-          | _ -> acc)
-      | [ "S"; e ] -> (
-          match int_of_string_opt e with
-          | Some e -> { acc with pl_sealed = max acc.pl_sealed e }
-          | None -> acc)
-      | "E" :: rest ->
-          { acc with pl_error = Some (String.concat " " rest) }
-      | _ -> acc)
-    {
-      pl_geom = None;
-      pl_ready = false;
-      pl_digests = [];
-      pl_sealed = -1;
-      pl_finished = false;
-      pl_error = None;
-    }
-    lines
-
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all with Sys_error _ -> ""
-
-(* ------------------------------------------------------------------ *)
-(* Oracles. *)
+(* The durability verdict: what every file-image crash check — the
+   prockill parent, the file crash grid, the service's crash report and
+   survivor audit — holds a verified recovery to. *)
 
 type violation =
   | Child_error of string
@@ -274,27 +221,119 @@ type violation =
   | Unrecoverable_image of string
       (** verified recovery failed stop on fault-free media *)
   | Lost_sealed_epoch of { durable : int; sealed : int }
-      (** the durable epoch word fell below an epoch the child logged as
-          sealed *)
+      (** the durable epoch word fell below an epoch known sealed *)
   | Snapshot_mismatch of { epoch : int; expected : int; got : int }
       (** recovery promised an exact image whose digest disagrees with
-          the child's quiescent-instant digest for the failed epoch *)
-  | Oracle_walk_failed of { epoch : int; msg : string }
-      (** the recovered image could not even be walked (cyclic chain)
-          despite an exact-image verdict *)
+          the one recorded at the failed epoch's quiescent instant *)
+  | Walk_failed of string
+      (** the digest walk over the recovered image raised *)
 
 let pp_violation ppf = function
   | Child_error m -> Fmt.pf ppf "child error: %s" m
   | Reopen_failed m -> Fmt.pf ppf "reopen failed: %s" m
   | Unrecoverable_image m -> Fmt.pf ppf "unrecoverable image: %s" m
   | Lost_sealed_epoch { durable; sealed } ->
-      Fmt.pf ppf "lost sealed epoch: durable epoch %d < logged seal %d" durable
-        sealed
+      Fmt.pf ppf "lost sealed epoch: durable %d < sealed %d" durable sealed
   | Snapshot_mismatch { epoch; expected; got } ->
-      Fmt.pf ppf "snapshot mismatch at epoch %d: logged digest %d, recovered %d"
-        epoch expected got
-  | Oracle_walk_failed { epoch; msg } ->
-      Fmt.pf ppf "oracle walk failed at epoch %d: %s" epoch msg
+      Fmt.pf ppf "snapshot mismatch at epoch %d: expected %x got %x" epoch
+        expected got
+  | Walk_failed m -> Fmt.pf ppf "oracle walk failed: %s" m
+
+(* The digest oracle binds only when recovery promises a bit-exact
+   snapshot and a digest was recorded for the failed epoch (a crash
+   before the first flush has none); [digest] walks the recovered image
+   and may meet a cyclic chain or a wild pointer on a bad one. *)
+let violations (v : Recovery.verified) ~sealed ~recorded ~digest =
+  match v.Recovery.verdict with
+  | Recovery.Unrecoverable _ as verdict ->
+      [ Unrecoverable_image (Fmt.str "%a" Recovery.pp_verdict verdict) ]
+  | verdict -> (
+      let fe = v.Recovery.vreport.Recovery.failed_epoch in
+      (if fe < sealed then [ Lost_sealed_epoch { durable = fe; sealed } ]
+       else [])
+      @
+      match recorded with
+      | Some expected when Recovery.exact_image verdict -> (
+          match digest () with
+          | got when got = expected -> []
+          | got -> [ Snapshot_mismatch { epoch = fe; expected; got } ]
+          | exception e -> [ Walk_failed (Printexc.to_string e) ])
+      | _ -> [])
+
+(* ------------------------------------------------------------------ *)
+(* Child side. Runs after [Unix.fork] in the child process; never
+   returns (always [Unix._exit]). *)
+
+let run_child (p : params) ~img ~logpath : unit =
+  let lfd =
+    Unix.openfile logpath [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let log fmt =
+    Printf.ksprintf
+      (fun s ->
+        let line = s ^ "\n" in
+        ignore (Unix.write_substring lfd line 0 (String.length line)))
+      fmt
+  in
+  (try
+     let w =
+       world ~path:img
+         ~mem_seed:(p.seed + (1000003 * p.trial))
+         ~sched_seed:(p.seed + p.trial)
+         ~worker_seed:(p.seed + (7919 * p.trial))
+         ~threads:p.threads ~keyspace:p.keyspace ~ops:child_ops
+         ~mutant:p.mutant
+         ~on_flushed:(fun g e d -> log "Q %d %d %d %d" e d g.heads g.cbase)
+         ~on_sealed:(log "S %d")
+     in
+     ignore (Sched.run w.sched);
+     log "F";
+     Filemem.close w.fm;
+     Unix._exit 0
+   with e -> log "E %s" (Printexc.to_string e));
+  Unix._exit 2
+
+(* ------------------------------------------------------------------ *)
+(* Progress-log parsing (parent side). Only newline-terminated lines
+   count: the kill can tear the last line mid-write, and a torn line
+   must not fabricate a claim. Dropping it is always sound — the log
+   under-approximates the child's durable progress, which is the safe
+   direction for both oracles. *)
+
+type parsed = {
+  pl_digests : (int * (int * geometry)) list;  (** Q lines: epoch -> digest *)
+  pl_sealed : int;  (** largest S epoch, [-1] if none (not yet steady) *)
+  pl_finished : bool;
+  pl_error : string option;
+}
+
+let parse_log s =
+  let rec complete = function [] | [ _ ] -> [] | x :: tl -> x :: complete tl in
+  let lines = complete (String.split_on_char '\n' s) in
+  List.fold_left
+    (fun acc line ->
+      match String.split_on_char ' ' line with
+      | [ "F" ] -> { acc with pl_finished = true }
+      | [ "Q"; e; d; h; c ] -> (
+          match List.map int_of_string_opt [ e; d; h; c ] with
+          | [ Some e; Some d; Some heads; Some cbase ] ->
+              {
+                acc with
+                pl_digests = (e, (d, { heads; cbase })) :: acc.pl_digests;
+              }
+          | _ -> acc)
+      | [ "S"; e ] -> (
+          match int_of_string_opt e with
+          | Some e -> { acc with pl_sealed = max acc.pl_sealed e }
+          | None -> acc)
+      | "E" :: rest ->
+          { acc with pl_error = Some (String.concat " " rest) }
+      | _ -> acc)
+    { pl_digests = []; pl_sealed = -1; pl_finished = false; pl_error = None }
+    lines
+
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all with Sys_error _ -> ""
 
 type outcome = {
   o_params : params;
@@ -324,29 +363,13 @@ let layout_of fm =
     ~max_threads:meta.Filemem.max_threads
     ~registry_per_slot:meta.Filemem.registry_per_slot ()
 
-(* Reopen the surviving image and hold it to the oracles. *)
-let check_image (p : params) ~img ~(pl : parsed) ~killed ~recovery_killed
-    ~extra : outcome =
-  let base =
-    {
-      o_params = p;
-      o_killed = killed;
-      o_finished = pl.pl_finished;
-      o_recovery_killed = recovery_killed;
-      o_verdict = "none";
-      o_failed_epoch = -1;
-      o_sealed_max = pl.pl_sealed;
-      o_truncated = false;
-      o_violations = extra;
-    }
-  in
+(* Reopen the surviving image and hold its verified recovery to the
+   verdict, the digest walked with the geometry the child logged. *)
+let check_image (o : outcome) ~img ~(pl : parsed) : outcome =
   match Filemem.open_existing ~path:img () with
   | Error e ->
-      {
-        base with
-        o_violations =
-          base.o_violations @ [ Reopen_failed (Fmt.str "%a" Filemem.pp_open_error e) ];
-      }
+      let m = Fmt.str "%a" Filemem.pp_open_error e in
+      { o with o_violations = [ Reopen_failed m ] }
   | Ok fm ->
       Fun.protect
         ~finally:(fun () -> Filemem.close fm)
@@ -356,40 +379,17 @@ let check_image (p : params) ~img ~(pl : parsed) ~killed ~recovery_killed
               (Filemem.backend fm)
           in
           let fe = v.Recovery.vreport.Recovery.failed_epoch in
-          let viol = ref [] in
-          (match v.Recovery.verdict with
-          | Recovery.Unrecoverable _ ->
-              viol :=
-                [ Unrecoverable_image
-                    (Fmt.str "%a" Recovery.pp_verdict v.Recovery.verdict) ]
-          | _ -> ());
-          if pl.pl_sealed >= 0 && fe < pl.pl_sealed then
-            viol :=
-              !viol @ [ Lost_sealed_epoch { durable = fe; sealed = pl.pl_sealed } ];
-          (* The digest oracle only binds when recovery promises a
-             bit-exact snapshot AND the child durably predicted this
-             epoch's digest (Q is logged before the seal, so a durably
-             sealed epoch always has one; epoch 0 — a kill before the
-             first seal — has none). *)
-          (if Recovery.exact_image v.Recovery.verdict then
-             match (pl.pl_geom, List.assoc_opt fe pl.pl_digests) with
-             | Some (heads, cbase), Some expected -> (
-                 match digest ~read:(Filemem.persisted fm) ~heads ~cbase with
-                 | got ->
-                     if got <> expected then
-                       viol :=
-                         !viol
-                         @ [ Snapshot_mismatch { epoch = fe; expected; got } ]
-                 | exception Failure msg ->
-                     viol :=
-                       !viol @ [ Oracle_walk_failed { epoch = fe; msg } ])
-             | _ -> ());
+          let recorded = List.assoc_opt fe pl.pl_digests in
           {
-            base with
+            o with
             o_verdict = verdict_name v.Recovery.verdict;
             o_failed_epoch = fe;
             o_truncated = Filemem.was_truncated fm;
-            o_violations = base.o_violations @ !viol;
+            o_violations =
+              violations v ~sealed:pl.pl_sealed
+                ~recorded:(Option.map fst recorded) ~digest:(fun () ->
+                  digest ~read:(Filemem.persisted fm)
+                    (snd (Option.get recorded)));
           })
 
 (* ------------------------------------------------------------------ *)
@@ -403,7 +403,7 @@ let wait_ready ~logpath ~timeout =
   let t0 = Unix.gettimeofday () in
   let rec go () =
     let pl = parse_log (read_file logpath) in
-    if pl.pl_ready then true
+    if pl.pl_sealed >= 0 then true
     else if Option.is_some pl.pl_error then false
     else if Unix.gettimeofday () -. t0 > timeout then false
     else begin
@@ -455,35 +455,30 @@ let run_trial ?(recovery_kill = false) ?(recovery_kill_delay_us = 500)
           if ready then Unix.sleepf (float_of_int p.kill_delay_us *. 1e-6);
           sigkill_pid pid;
           let _, status = Unix.waitpid [] pid in
-          let killed =
-            match status with
-            | Unix.WSIGNALED s -> s = Sys.sigkill
-            | _ -> false
-          in
           let pl = parse_log (read_file logpath) in
-          let extra =
-            (match pl.pl_error with Some m -> [ Child_error m ] | None -> [])
-            @
-            if ready then []
-            else [ Child_error "child never reached steady state" ]
-          in
-          if extra <> [] then
+          let o =
             {
               o_params = p;
-              o_killed = killed;
+              o_killed = status = Unix.WSIGNALED Sys.sigkill;
               o_finished = pl.pl_finished;
               o_recovery_killed = false;
               o_verdict = "none";
               o_failed_epoch = -1;
               o_sealed_max = pl.pl_sealed;
               o_truncated = false;
-              o_violations = extra;
+              o_violations =
+                Option.to_list (Option.map (fun m -> Child_error m) pl.pl_error)
+                @
+                if ready then []
+                else [ Child_error "child never reached steady state" ];
             }
+          in
+          if o.o_violations <> [] then o
           else begin
-            let rk = recovery_kill && killed in
+            let rk = recovery_kill && o.o_killed in
             if rk then
               kill_during_recovery ~img ~delay_us:recovery_kill_delay_us;
-            check_image p ~img ~pl ~killed ~recovery_killed:rk ~extra:[]
+            check_image { o with o_recovery_killed = rk } ~img ~pl
           end)
 
 let fork_available () =
@@ -496,11 +491,10 @@ let fork_available () =
         true
     | exception Unix.Unix_error _ -> false
 
-
 (* ------------------------------------------------------------------ *)
 (* Scratch directories: a fresh [<prefix>-<pid>-<random>] directory
-   under /dev/shm when writable (else the system temp dir), removed when
-   [f] returns or raises. *)
+   under /dev/shm when writable (else the system temp dir), emptied and
+   removed when [f] returns or raises. *)
 
 let with_scratch_dir prefix f =
   let base =
@@ -520,7 +514,11 @@ let with_scratch_dir prefix f =
       ""
   in
   Fun.protect
-    ~finally:(fun () -> try Unix.rmdir d with Unix.Unix_error _ -> ())
+    ~finally:(fun () ->
+      Array.iter
+        (fun e -> try Sys.remove (Filename.concat d e) with Sys_error _ -> ())
+        (try Sys.readdir d with Sys_error _ -> [||]);
+      try Unix.rmdir d with Unix.Unix_error _ -> ())
     (fun () -> f d)
 
 (* ------------------------------------------------------------------ *)

@@ -24,17 +24,13 @@ let fields p =
 let decode _body fs =
   let open Obs.Cx in
   let ( let* ) = Result.bind in
-  let in_range lo hi v =
-    Option.bind (int_of_string_opt v) (fun n ->
-        if n >= lo && n <= hi then Some n else None)
-  in
   let* () =
     known fs [ "seed"; "trial"; "threads"; "keyspace"; "delay_us"; "mutant" ]
   in
   let* seed = req fs "seed" int in
   let* trial = req fs "trial" int in
-  let* threads = req fs "threads" (in_range 1 ncounters) in
-  let* keyspace = req fs "keyspace" (in_range 1 max_int) in
+  let* threads = req fs "threads" (range 1 ncounters) in
+  let* keyspace = req fs "keyspace" (range 1 max_int) in
   let* kill_delay_us = req fs "delay_us" nat in
   let* mutant = req fs "mutant" bit in
   Ok { seed; trial; threads; keyspace; kill_delay_us; mutant }

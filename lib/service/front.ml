@@ -55,7 +55,6 @@ type config = {
       (* partition the keyspace by session (conflict-free traffic: the
          routing-differential oracle needs writes that never race) *)
   collect_final : bool;  (* return the merged final (key, value) map *)
-  record_digests : bool;  (* File: digest the durable image per epoch *)
   seed : int;
   backend : backend_kind;
   nvm_words : int;  (* per shard; 0 = size from prefill + traffic *)
@@ -85,7 +84,6 @@ let smoke =
     integrity = true;
     disjoint_keys = false;
     collect_final = false;
-    record_digests = false;
     seed = 1;
     backend = Sim;
     nvm_words = 0;
@@ -212,7 +210,7 @@ type shard = {
   mutable s_sealed : int;  (* largest epoch known sealed on the medium *)
   mutable s_sealed_at_crash : int;
   mutable s_last_flushed : int;
-  s_digests : (int, int) Hashtbl.t;  (* epoch -> durable-image digest *)
+  s_digests : (int, int) Hashtbl.t;  (* File: epoch -> durable-image digest *)
 }
 
 (* Durability freeze: the SIGKILL instant for an in-process world. Loads
@@ -244,6 +242,35 @@ let shard_digest sh ~read =
         ~buckets:(Pds.Hashmap_respct.buckets m)
         ~cbase:0 ~ncounters:0
 
+(* Power-cut a shard's image and hold its verified recovery to the one
+   durability verdict; the digest match is [None] unless the verdict
+   walked the image to compare digests. *)
+let audit sh fm ~sealed =
+  Filemem.crash fm;
+  let v =
+    Respct.Recovery.run_verified_backend
+      ~layout:(Respct.Runtime.layout sh.s_rt)
+      (Filemem.backend fm)
+  in
+  let walked = ref false in
+  let violations =
+    Prockill.violations v ~sealed
+      ~recorded:
+        (Hashtbl.find_opt sh.s_digests
+           v.Respct.Recovery.vreport.Respct.Recovery.failed_epoch)
+      ~digest:(fun () ->
+        walked := true;
+        shard_digest sh ~read:(Filemem.persisted fm))
+  in
+  let digest_ok =
+    List.for_all
+      (function
+        | Prockill.Snapshot_mismatch _ | Prockill.Walk_failed _ -> false
+        | _ -> true)
+      violations
+  in
+  (v, (if !walked then Some digest_ok else None), violations)
+
 (* ------------------------------------------------------------------ *)
 (* Reports *)
 
@@ -270,8 +297,8 @@ type crash_report = {
   cr_exact : bool;
   cr_failed_epoch : int;
   cr_sealed_at_crash : int;
-  cr_lost_sealed : bool;  (* true would be a durability violation *)
-  cr_digest_match : bool option;  (* None: no snapshot for that epoch *)
+  cr_digest_match : bool option;  (* None: the verdict compared no digest *)
+  cr_violations : Prockill.violation list;  (* the durability verdict *)
   cr_dropped : int;  (* requests failed back to clients by the crash *)
   cr_recovery_ns : float;  (* virtual time of the verified recovery *)
   cr_survivor_mrps : float;  (* survivors' Mreq/s while the victim is down *)
@@ -605,10 +632,10 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
                    if not sh.s_down then begin
                      sh.s_last_flushed <- e;
                      match sh.s_fm with
-                     | Some fm when cfg.record_digests ->
+                     | Some fm ->
                          Hashtbl.replace sh.s_digests e
                            (shard_digest sh ~read:(Filemem.persisted fm))
-                     | _ -> ()
+                     | None -> ()
                    end);
                if not sh.s_down then begin
                  sh.s_checkpoints <- sh.s_checkpoints + 1;
@@ -759,15 +786,11 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
                while sh.s_active > 0 do
                  Sched.sleep sched 2_000.0
                done;
-               let fm = Option.get sh.s_fm in
                (* power cut on the image, then verified recovery in-sim:
                   the survivors keep serving while this fiber recovers *)
-               Filemem.crash fm;
                let t0 = Sched.now sched in
-               let v =
-                 Respct.Recovery.run_verified_backend
-                   ~layout:(Respct.Runtime.layout sh.s_rt)
-                   (Filemem.backend fm)
+               let v, digest_match, violations =
+                 audit sh (Option.get sh.s_fm) ~sealed:sh.s_sealed_at_crash
                in
                (* the walk reads the post-crash [persisted] view, which the
                   simulator does not charge; add the modeled media scan *)
@@ -782,16 +805,6 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
                     *. Filemem.default_config.Filemem.latency
                          .Simnvm.Latency.nvm_miss_ns)
                in
-               let fe = v.Respct.Recovery.vreport.Respct.Recovery.failed_epoch in
-               let exact = Respct.Recovery.exact_image v.Respct.Recovery.verdict in
-               let digest_match =
-                 if not exact then None
-                 else
-                   match Hashtbl.find_opt sh.s_digests fe with
-                   | None -> None
-                   | Some expected ->
-                       Some (expected = shard_digest sh ~read:(Filemem.persisted fm))
-               in
                crash_rep :=
                  Some
                    {
@@ -800,11 +813,13 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
                      cr_verdict =
                        Fmt.str "%a" Respct.Recovery.pp_verdict
                          v.Respct.Recovery.verdict;
-                     cr_exact = exact;
-                     cr_failed_epoch = fe;
+                     cr_exact =
+                       Respct.Recovery.exact_image v.Respct.Recovery.verdict;
+                     cr_failed_epoch =
+                       v.Respct.Recovery.vreport.Respct.Recovery.failed_epoch;
                      cr_sealed_at_crash = sh.s_sealed_at_crash;
-                     cr_lost_sealed = fe < sh.s_sealed_at_crash;
                      cr_digest_match = digest_match;
+                     cr_violations = violations;
                      cr_dropped = List.length leftovers;
                      cr_recovery_ns = recovery_ns;
                      cr_survivor_mrps = 0.0 (* filled in after the run *);
@@ -866,39 +881,25 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
   in
 
   (* end-of-run durability audit: power-cut every surviving file image
-     and hold verified recovery to the sealed-epoch + digest oracles *)
+     and hold verified recovery to an exact image and the same verdict *)
   let survivors =
     Array.to_list shards
     |> List.filter_map (fun sh ->
            match sh.s_fm with
            | Some fm when (not sh.s_down) && cfg.integrity ->
-               Filemem.crash fm;
-               let v =
-                 Respct.Recovery.run_verified_backend
-                   ~layout:(Respct.Runtime.layout sh.s_rt)
-                   (Filemem.backend fm)
-               in
-               let fe =
-                 v.Respct.Recovery.vreport.Respct.Recovery.failed_epoch
-               in
-               let exact =
-                 Respct.Recovery.exact_image v.Respct.Recovery.verdict
-               in
-               let digest_ok =
-                 match Hashtbl.find_opt sh.s_digests fe with
-                 | Some expected when exact ->
-                     expected = shard_digest sh ~read:(Filemem.persisted fm)
-                 | _ -> true
-               in
+               let v, _, violations = audit sh fm ~sealed:sh.s_sealed in
                Some
                  {
                    sc_shard = sh.s_id;
                    sc_verdict =
                      Fmt.str "%a" Respct.Recovery.pp_verdict
                        v.Respct.Recovery.verdict;
-                   sc_failed_epoch = fe;
+                   sc_failed_epoch =
+                     v.Respct.Recovery.vreport.Respct.Recovery.failed_epoch;
                    sc_sealed = sh.s_sealed;
-                   sc_ok = exact && fe >= sh.s_sealed && digest_ok;
+                   sc_ok =
+                     Respct.Recovery.exact_image v.Respct.Recovery.verdict
+                     && violations = [];
                  }
            | _ -> None)
   in
@@ -1018,7 +1019,11 @@ let json_of_crash cr =
       ("exact_image", Obs.Json.Bool cr.cr_exact);
       ("failed_epoch", Obs.Json.Int cr.cr_failed_epoch);
       ("sealed_at_crash", Obs.Json.Int cr.cr_sealed_at_crash);
-      ("lost_sealed", Obs.Json.Bool cr.cr_lost_sealed);
+      ( "lost_sealed",
+        Obs.Json.Bool
+          (List.exists
+             (function Prockill.Lost_sealed_epoch _ -> true | _ -> false)
+             cr.cr_violations) );
       ( "digest_match",
         match cr.cr_digest_match with
         | None -> Obs.Json.Null
@@ -1064,15 +1069,3 @@ let to_json r =
                Obs.Json.Obj [ ("shard", Obs.Json.Int i); ("spans", j) ])
              r.r_span_json) );
     ]
-
-(* ------------------------------------------------------------------ *)
-
-let fresh_dir () =
-  let base = if Sys.file_exists "/dev/shm" then "/dev/shm" else Filename.get_temp_dir_name () in
-  let rec go i =
-    let d = Filename.concat base (Printf.sprintf "respct-svc-%d-%d" (Unix.getpid ()) i) in
-    match Unix.mkdir d 0o700 with
-    | () -> d
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
-  in
-  go 0

@@ -22,8 +22,10 @@
     {!Respct.Recovery.run_verified_backend} inside the simulation while
     the survivors keep serving. Replies are acked at execution, so the
     victim legitimately rolls back to its last sealed checkpoint; the
-    report holds recovery to the no-lost-sealed-epoch and
-    checkpoint-digest oracles. *)
+    report holds recovery to an exact (clean or repaired) image and to
+    prockill's durability verdict ({!Prockill.violations}: no lost
+    sealed epoch, exact checkpoint digest), as does the end-of-run audit
+    of every surviving image. *)
 
 type backend_kind =
   | Sim  (** the in-memory simulator ({!Simnvm.Memsys}) per shard *)
@@ -51,7 +53,6 @@ type config = {
   integrity : bool;
   disjoint_keys : bool;  (** partition the keyspace by session *)
   collect_final : bool;  (** return the merged final (key, value) map *)
-  record_digests : bool;  (** File: digest the durable image per epoch *)
   seed : int;
   backend : backend_kind;
   nvm_words : int;  (** per shard; 0 = size from prefill + traffic *)
@@ -88,8 +89,11 @@ type crash_report = {
   cr_exact : bool;
   cr_failed_epoch : int;
   cr_sealed_at_crash : int;
-  cr_lost_sealed : bool;  (** [true] would be a durability violation *)
-  cr_digest_match : bool option;  (** [None]: no snapshot for that epoch *)
+  cr_digest_match : bool option;
+      (** [None]: the verdict compared no digest (an inexact image, or no
+          digest recorded for the failed epoch) *)
+  cr_violations : Prockill.violation list;
+      (** {!Prockill.violations} on the recovered image; empty = held *)
   cr_dropped : int;  (** requests failed back to clients by the crash *)
   cr_recovery_ns : float;
       (** virtual duration of the verified recovery: charged in-sim time
@@ -104,6 +108,7 @@ type survivor_check = {
   sc_failed_epoch : int;
   sc_sealed : int;
   sc_ok : bool;
+      (** an exact image on which {!Prockill.violations} found nothing *)
 }
 
 type result = {
@@ -135,7 +140,3 @@ val run : ?crash_at_ns:float -> ?crash_shard:int -> config -> result
 val to_json : result -> Obs.Json.t
 (** Schema ["respct-service/v1"]. Everything exported is virtual-time or
     counter data: the same seed yields byte-identical text. *)
-
-val fresh_dir : unit -> string
-(** A fresh private directory for File-backend images ([/dev/shm] when
-    available, else the system temp dir). *)

@@ -838,17 +838,6 @@ let test_ir_plans_survive_and_mutants_die () =
    planted psync-elision mutant is caught, and counterexample strings
    round-trip through parse/replay. *)
 
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fmx-test-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Fun.protect
-    ~finally:(fun () -> try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
 let fmx_params =
   {
     Crashtest.Filematrix.fseed = 42;
@@ -860,13 +849,12 @@ let fmx_params =
   }
 
 let test_filematrix_clean_passes () =
-  with_tmpdir (fun dir ->
+  Prockill.with_scratch_dir "fmx-test" (fun dir ->
       let o = Crashtest.Filematrix.run_trial fmx_params ~dir in
       (match o.Crashtest.Filematrix.fo_violations with
       | [] -> ()
       | v :: _ ->
-          Alcotest.failf "clean trial violated: %a"
-            Crashtest.Filematrix.pp_violation v);
+          Alcotest.failf "clean trial violated: %a" Prockill.pp_violation v);
       Alcotest.(check bool) "at least one epoch sealed" true
         (o.Crashtest.Filematrix.fo_sealed_max >= 1);
       let o2 = Crashtest.Filematrix.run_trial fmx_params ~dir in
@@ -877,7 +865,7 @@ let test_filematrix_clean_passes () =
         o2.Crashtest.Filematrix.fo_sealed_max)
 
 let test_filematrix_mutant_caught () =
-  with_tmpdir (fun dir ->
+  Prockill.with_scratch_dir "fmx-test" (fun dir ->
       let p = { fmx_params with Crashtest.Filematrix.fmutant = true } in
       let o = Crashtest.Filematrix.run_trial p ~dir in
       match o.Crashtest.Filematrix.fo_violations with
@@ -885,7 +873,7 @@ let test_filematrix_mutant_caught () =
       | vs -> (
           (* the shrunk counterexample must still violate and replay *)
           let reason =
-            Fmt.str "%a" Fmt.(list ~sep:comma Crashtest.Filematrix.pp_violation) vs
+            Fmt.str "%a" Fmt.(list ~sep:comma Prockill.pp_violation) vs
           in
           let s =
             Cx.minimize (Crashtest.Filematrix.campaign ~dir ()) (p, reason)
@@ -900,7 +888,8 @@ let test_filematrix_mutant_caught () =
           | Error m -> Alcotest.failf "replay %S failed: %s" s.Cx.text m))
 
 (* The printed [# filematrix] line parses back to the same witness; the
-   retired [k=v;...] syntax is refused. *)
+   retired [k=v;...] syntax is refused, and so is a thread count past
+   the world's counter cells (prockill's bound). *)
 let test_filematrix_replay_string_roundtrip () =
   let c = Crashtest.Filematrix.campaign () in
   let s = Cx.to_string c fmx_params in
@@ -908,7 +897,12 @@ let test_filematrix_replay_string_roundtrip () =
   | Ok p -> Alcotest.(check bool) "round-trips" true (p = fmx_params)
   | Error e -> Alcotest.failf "cannot parse own string %S: %a" s Cx.pp_error e);
   Alcotest.(check bool) "garbage rejected" true
-    (Result.is_error (Cx.of_string c "seed=x;nope"))
+    (Result.is_error (Cx.of_string c "seed=x;nope"));
+  Alcotest.(check (result reject string)) "threads past ncounters rejected"
+    (Error "bad counterexample: bad field threads=17")
+    (Result.map_error (Fmt.str "%a" Cx.pp_error)
+       (Cx.of_string c
+          "# filematrix seed=1 threads=17 keyspace=96 ops=8 crash_us=60 mutant=0"))
 
 (* ------------------------------------------------------------------ *)
 (* One codec property for all five campaigns: printing then parsing a

@@ -76,10 +76,69 @@ let mutant_detected () =
   in
   hunt 4
 
+(* A body that leaves a trial file behind and raises still gets its
+   scratch directory removed. *)
+let scratch_dir_removed_on_raise () =
+  let made = ref "" in
+  (match
+     Prockill.with_scratch_dir "respct-prockill-test" (fun dir ->
+         made := dir;
+         Out_channel.with_open_bin (Filename.concat dir "trial.img") (fun oc ->
+             output_string oc "image");
+         failwith "trial raised")
+   with
+  | () -> Alcotest.fail "the body's exception was swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "directory and file removed" false (Sys.file_exists !made)
+
+(* The durability verdict, one row per branch, with no fork: [verdict],
+   failed epoch, sealed epoch, recorded digest, the digest walk, and the
+   printed violations. A walk that raises [Exit] proves the thunk is not
+   called where no digest comparison binds. *)
+let verdict_table () =
+  let module R = Respct.Recovery in
+  let verified verdict fe =
+    {
+      R.vreport =
+        { R.failed_epoch = fe; scanned = 0; rolled_back = []; duration_ns = 0.0;
+          rp_ids = [] };
+      verdict;
+      read_retries = 0;
+    }
+  in
+  let untouched () = raise Exit in
+  let broken = R.Unrecoverable [ R.Commit_broken { epoch_word = 0; commit_word = 0 } ] in
+  List.iter
+    (fun (name, verdict, fe, sealed, recorded, digest, expected) ->
+      Alcotest.(check (list string)) name expected
+        (List.map (Fmt.str "%a" Prockill.pp_violation)
+           (Prockill.violations (verified verdict fe) ~sealed ~recorded ~digest)))
+    [
+      ( "unrecoverable is the only violation", broken, 1, 3, Some 7, untouched,
+        [ Fmt.str "unrecoverable image: %a" R.pp_verdict broken ] );
+      ( "lost sealed epoch", R.Clean, 2, 3, None, untouched,
+        [ "lost sealed epoch: durable 2 < sealed 3" ] );
+      ("digest match", R.Clean, 3, 3, Some 0x2a, (fun () -> 0x2a), []);
+      ( "digest mismatch", R.Repaired [], 3, 3, Some 0x2a, (fun () -> 0x2b),
+        [ "snapshot mismatch at epoch 3: expected 2a got 2b" ] );
+      ( "cyclic chain is a walk failure", R.Clean, 3, 2, Some 1,
+        (fun () -> failwith "cycle"),
+        [ "oracle walk failed: Failure(\"cycle\")" ] );
+      ( "wild pointer is a walk failure", R.Clean, 3, 2, Some 1,
+        (fun () -> invalid_arg "wild"),
+        [ "oracle walk failed: Invalid_argument(\"wild\")" ] );
+      ("inexact image: no walk", R.Salvaged [], 3, 3, Some 1, untouched, []);
+      ("no recorded digest: no walk", R.Clean, 3, 3, None, untouched, []);
+    ]
+
 let () =
   Alcotest.run "prockill"
     [
       ("replay", [ Alcotest.test_case "round-trip" `Quick replay_roundtrip ]);
+      ("verdict", [ Alcotest.test_case "one row per branch" `Quick verdict_table ]);
+      ( "scratch",
+        [ Alcotest.test_case "removed when the body raises" `Quick
+            scratch_dir_removed_on_raise ] );
       ( "trials",
         [
           Alcotest.test_case "fault-free kill" `Quick fault_free_trial;
