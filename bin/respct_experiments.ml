@@ -374,9 +374,9 @@ let crashmatrix_cmd =
              Filemem dimension: virtual power cuts over memory-mapped \
              images, held to the prockill digest oracles with exact \
              shrinking). The file grid takes no dimension flag, \
-             --scenario or --no-schedules.")
+             --scenario, --no-schedules or --json.")
   in
-  let run deep filter mode no_schedules backend =
+  let run deep filter mode no_schedules backend json =
     let p = if deep then Crashtest.Matrix.deep else Crashtest.Matrix.smoke in
     let exit_with ok = if ok then `Ok () else exit 1 in
     match backend with
@@ -387,16 +387,26 @@ let crashmatrix_cmd =
               "--backend file runs the file-image grid alone: drop \
                --ablation-check, --faults, --pipeline, --scenario and \
                --no-schedules" )
+        else if json <> None then
+          `Error (true, "--json lists explored worlds; the file grid has none")
         else exit_with (Crashtest.Filematrix.check p Fmt.stdout)
     | `Sim ->
-        let dimension, check =
+        let dimension, check, name =
           match mode with
-          | `Matrix -> (Crashtest.Scenarios.Ablation, Crashtest.Matrix.run)
+          | `Matrix ->
+              (Crashtest.Scenarios.Ablation, Crashtest.Matrix.run, "matrix")
           | `Ablation ->
-              (Crashtest.Scenarios.Ablation, Crashtest.Matrix.ablation_check)
-          | `Faults -> (Crashtest.Scenarios.Faults, Crashtest.Matrix.faults_check)
+              ( Crashtest.Scenarios.Ablation,
+                Crashtest.Matrix.ablation_check,
+                "ablation-check" )
+          | `Faults ->
+              ( Crashtest.Scenarios.Faults,
+                Crashtest.Matrix.faults_check,
+                "faults" )
           | `Pipeline ->
-              (Crashtest.Scenarios.Pipeline, Crashtest.Matrix.pipeline_check)
+              ( Crashtest.Scenarios.Pipeline,
+                Crashtest.Matrix.pipeline_check,
+                "pipeline" )
         in
         Option.iter
           (fun prefix ->
@@ -410,7 +420,21 @@ let crashmatrix_cmd =
               exit 2
             end)
           filter;
-        exit_with (check ?filter ~schedules:(not no_schedules) p Fmt.stdout)
+        let rows = ref [] in
+        let ok =
+          check ?filter ~schedules:(not no_schedules)
+            ~record:(fun o -> rows := Crashtest.Report.outcome_json o :: !rows)
+            p Fmt.stdout
+        in
+        write_json json
+          (Obs.Json.Obj
+             [
+               ("schema", Obs.Json.String "respct-crashmatrix/v1");
+               ("preset", Obs.Json.String p.Crashtest.Matrix.label);
+               ("dimension", Obs.Json.String name);
+               ("worlds", Obs.Json.List (List.rev !rows));
+             ]);
+        exit_with ok
   in
   Cmd.v
     (Cmd.info "crashmatrix"
@@ -420,7 +444,7 @@ let crashmatrix_cmd =
     Term.(
       ret
         (const run $ deep_arg $ scenario_arg $ mode_arg $ no_schedules_arg
-       $ backend_arg))
+       $ backend_arg $ json_arg))
 
 let analyze_cmd =
   let program_arg =

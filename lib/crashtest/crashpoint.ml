@@ -8,10 +8,12 @@
    crash anywhere between two such events yields the same persistent image
    and the same set of dirty lines.
 
-   [walk] hands each boundary to its caller at the instant the event is
-   published, while the world is stopped inside the publishing access:
-   the pilot records a fingerprint there, the explorer checks the crash
-   images there and lets the world run on. [Fun.protect] guarantees the
+   [walk] hands each boundary and its event to its caller at the instant
+   the event is published, while the world is stopped inside the
+   publishing access: the pilot records a fingerprint there, the explorer
+   checks the crash images there and lets the world run on. Only a
+   write-back changes the persistent image, so the explorer reads the
+   event to tell which boundaries share one. [Fun.protect] guarantees the
    subscriber is detached from the world on every exit path: a leaked
    subscriber would fire in the *next* run of the world at stale
    indices. *)
@@ -35,7 +37,7 @@ let walk mem ~at run =
           let k = !n in
           incr n;
           busy := true;
-          at k;
+          at k ev;
           busy := false
         end)
   in
@@ -59,7 +61,7 @@ let fingerprint ~completed dirty =
 
 let pilot mem ~completed run =
   let acc = ref [] in
-  walk mem run ~at:(fun _ ->
+  walk mem run ~at:(fun _ _ ->
       acc :=
         fingerprint ~completed:(completed ()) (Simnvm.Memsys.dirty_nvm_lines mem)
         :: !acc);

@@ -6,13 +6,19 @@ val persist_event : nvm_words:int -> Simnvm.Event.t -> bool
 (** Whether the event can change what a power failure leaves in NVMM: an
     NVMM store, an NVMM write-back, or a fence. *)
 
-val walk : Simnvm.Memsys.t -> at:(int -> unit) -> (unit -> unit) -> unit
+val walk :
+  Simnvm.Memsys.t ->
+  at:(int -> Simnvm.Event.t -> unit) ->
+  (unit -> unit) ->
+  unit
 (** [walk mem ~at run] executes [run] with a subscriber on the memory's
-    bus that calls [at k] at the instant persist-relevant event [k]
-    (counting from 0) is published: what the event did to the persistent
-    image is in place (a write-back has landed), the access it announces
-    has not happened (a store is not yet in the cache). That instant is
-    the crash instant of boundary [k]. The subscriber ignores the events
+    bus that calls [at k ev] at the instant persist-relevant event [k]
+    (counting from 0) is published, [ev] being that event: what it did to
+    the persistent image is in place (a write-back has landed), the access
+    it announces has not happened (a store is not yet in the cache). That
+    instant is the crash instant of boundary [k]; only a boundary whose
+    event is a write-back has a persistent image different from the
+    boundary before it. The subscriber ignores the events
     published while [at] runs, and every event after an [at] that
     raised; the exception unwinds out of [run] and [walk]. The subscriber
     is detached on every exit path. *)

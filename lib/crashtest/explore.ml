@@ -32,12 +32,25 @@
    exploration costs one run of the world plus the recoveries, not one
    run per boundary.
 
+   Most of those recoveries would repeat one already made, so each
+   distinct image is recovered once per segment: a maximal run of
+   boundaries with no NVMM write-back among their events and one oracle
+   key. Inside a segment the persisted image stays what it was at the
+   segment's first boundary, so an image is fully determined by what its
+   variant installs on top — nothing, dirty lines or one word — and the
+   memo keyed on that content by structural equality hands a repeat the
+   verdict of its first recovery, with no restore, no install and no
+   recovery. A boundary whose images all repeat is never suspended.
+   Images carrying a fault plan are always recovered: the plan depends
+   on the crash index.
+
    The fingerprints make the two runs one deterministic execution: at
    every boundary the checking run must have completed as many
    operations as the pilot and hold the same dirty lines, word for word.
 
    [check_point], the replay of one counterexample, is the same checking
-   run stopped after its one boundary. *)
+   run stopped after its one boundary, without the memo: it recovers its
+   one image on a world of its own, the independent reference. *)
 
 type instance = {
   mem : Simnvm.Memsys.t;
@@ -51,6 +64,9 @@ type instance = {
       (** oracle for images carrying injected media damage: recovery must
           either restore the exact snapshot or explicitly report the
           damage; [None] falls back to [recover_check] *)
+  oracle_key : (unit -> int) option;
+      (** changes whenever the host state the oracle reads does; [None]:
+          that state may change between any two boundaries *)
 }
 
 type scenario = {
@@ -79,6 +95,7 @@ type outcome = {
   scenario : scenario;
   boundaries : int;
   images : int;
+  recoveries : int;
   truncated : int;
   failures : failure list;
 }
@@ -135,6 +152,41 @@ let variants_for ~eadr ~pcso ~line_words ~max_images dirty =
     if total <= max_images then (all, 0)
     else (List.filteri (fun i _ -> i < max_images) all, total - max_images)
 
+(* What a variant installs on the segment's persisted image: the number
+   and cached words of each dirty line it writes back (the clean words
+   equal the image's already, so the words fix the line), or the one word
+   it persists. *)
+type installs = Lines of (int * int array) list | Word of int * int
+
+let installs ~line_words dirty =
+  let line (dl : Simnvm.Memsys.dirty_line) =
+    (dl.Simnvm.Memsys.lineno, dl.Simnvm.Memsys.data)
+  in
+  function
+  | Baseline -> Lines []
+  | Evict_all -> Lines (List.map line dirty)
+  | Evict_line lineno ->
+      Lines
+        (List.filter_map
+           (fun dl ->
+             if dl.Simnvm.Memsys.lineno = lineno then Some (line dl) else None)
+           dirty)
+  | Evict_word addr -> (
+      match
+        List.find_opt
+          (fun dl -> dl.Simnvm.Memsys.lineno = addr / line_words)
+          dirty
+      with
+      | Some dl -> Word (addr, dl.Simnvm.Memsys.data.(addr mod line_words))
+      | None -> Lines [])
+
+(* The verdicts of the current segment, and the recoveries run so far. *)
+type memo = {
+  verdicts : (installs, (unit, string) result) Hashtbl.t;
+  mutable key : int option;  (* the segment's oracle key *)
+  mutable recoveries : int;
+}
+
 (* Raised out of the crash-point subscriber to end a checking run. *)
 exception Stop
 
@@ -151,52 +203,74 @@ let fresh s =
   inst
 
 (* The one per-boundary check, shared by [explore] and [check_point]. At
-   a boundary of the running world, suspend its memory; for each
-   (variant, fault seed) in [images], restore the boundary's image,
-   install the variant and the fault plan, run the oracle and hand the
-   verdict to [judge], which says whether to go on. The memory is resumed
-   on every exit path. *)
-let check_boundary inst ~crash_index ~dirty images judge =
+   a boundary of the running world, for each (variant, fault seed) in
+   [images], take the verdict from [memo] or else recover: restore the
+   boundary's image, install the variant and the fault plan and run the
+   oracle; then hand the verdict to [judge], which says whether to go on.
+   The memory is suspended at the first recovery and resumed on every
+   exit path. *)
+let check_boundary ?memo inst ~crash_index ~dirty images judge =
   let mem = inst.mem in
   let lw = (Simnvm.Memsys.config mem).Simnvm.Memsys.line_words in
-  let base = Simnvm.Memsys.suspend mem in
+  let suspended = ref None in
+  let recover v fs =
+    let base =
+      match !suspended with
+      | Some base -> base
+      | None ->
+          let base = Simnvm.Memsys.suspend mem in
+          suspended := Some base;
+          base
+    in
+    Option.iter (fun m -> m.recoveries <- m.recoveries + 1) memo;
+    (* restore clears poison / transient state from the previous fault
+       image as well as the pokes and the previous recovery's writes *)
+    Simnvm.Memsys.restore mem base;
+    apply_variant mem dirty v;
+    let check =
+      match fs with
+      | None -> inst.recover_check
+      | Some seed ->
+          Faultplan.apply mem ~base ~dirty
+            (Faultplan.derive ~seed ~crash_index ~line_words:lw dirty);
+          Option.value inst.recover_check_faulty ~default:inst.recover_check
+    in
+    match check () with
+    | r -> r
+    | exception e -> Error ("recovery raised " ^ Printexc.to_string e)
+  in
   let rec go = function
     | [] -> ()
     | (v, fs) :: rest ->
-        (* restore clears poison / transient state from the previous
-           fault image as well as the pokes and the previous recovery's
-           writes *)
-        Simnvm.Memsys.restore mem base;
-        apply_variant mem dirty v;
-        let check =
-          match fs with
-          | None -> inst.recover_check
-          | Some seed ->
-              Faultplan.apply mem ~base ~dirty
-                (Faultplan.derive ~seed ~crash_index ~line_words:lw dirty);
-              Option.value inst.recover_check_faulty ~default:inst.recover_check
-        in
         let verdict =
-          match check () with
-          | r -> r
-          | exception e -> Error ("recovery raised " ^ Printexc.to_string e)
+          match (memo, fs) with
+          | Some m, None -> (
+              let key = installs ~line_words:lw dirty v in
+              match Hashtbl.find_opt m.verdicts key with
+              | Some r -> r
+              | None ->
+                  let r = recover v None in
+                  Hashtbl.add m.verdicts key r;
+                  r)
+          | _ -> recover v fs
         in
         if judge v fs verdict then go rest
   in
   Fun.protect
-    ~finally:(fun () -> Simnvm.Memsys.resume mem base)
+    ~finally:(fun () -> Option.iter (Simnvm.Memsys.resume mem) !suspended)
     (fun () -> go images)
 
-(* Run a fresh instance of [s] to completion, calling [at inst k] at
-   every boundary [k]. [reached] counts the boundaries passed. *)
+(* Run a fresh instance of [s] to completion, calling [at inst k ev] at
+   every boundary [k], whose event is [ev]. [reached] counts the
+   boundaries passed. *)
 let checking_run s ~at :
     [ `Completed of int | `Stopped | `Raised of exn * int ] =
   let inst = fresh s in
   let reached = ref 0 in
   match
-    Crashpoint.walk inst.mem inst.run ~at:(fun k ->
+    Crashpoint.walk inst.mem inst.run ~at:(fun k ev ->
         reached := k + 1;
-        at inst k)
+        at inst k ev)
   with
   | () -> `Completed !reached
   | exception Stop -> `Stopped
@@ -206,6 +280,7 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
     ?(fault_seeds = []) (s : scenario) =
   let fault_options = None :: List.map Option.some fault_seeds in
   let failures = ref [] and images = ref 0 and truncated = ref 0 in
+  let memo = { verdicts = Hashtbl.create 64; key = None; recoveries = 0 } in
   let add crash_index variant fault_seed reason =
     failures := { crash_index; variant; fault_seed; reason } :: !failures
   in
@@ -214,6 +289,7 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
       scenario = s;
       boundaries;
       images = !images;
+      recoveries = memo.recoveries;
       truncated = !truncated;
       failures = List.rev !failures;
     }
@@ -226,7 +302,20 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
   | prints ->
       let boundaries = Array.length prints in
       let stopped () = stop_at_first_failure && !failures <> [] in
-      let at inst k =
+      (* A write-back or a new oracle key starts a segment; a world
+         without a key starts one at every boundary. *)
+      let enter_segment inst ev =
+        let key = Option.map (fun f -> f ()) inst.oracle_key in
+        let same_image =
+          match ev with Simnvm.Event.Writeback _ -> false | _ -> true
+        in
+        if not (same_image && key <> None && key = memo.key) then begin
+          Hashtbl.reset memo.verdicts;
+          memo.key <- key
+        end
+      in
+      let at inst k ev =
+        enter_segment inst ev;
         if k < boundaries then begin
           let dirty = Simnvm.Memsys.dirty_nvm_lines inst.mem in
           let seen = Crashpoint.fingerprint ~completed:(inst.completed ()) dirty
@@ -250,7 +339,7 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
                 ~max_images:max_images_per_point dirty
             in
             truncated := !truncated + dropped;
-            check_boundary inst ~crash_index:k ~dirty
+            check_boundary ~memo inst ~crash_index:k ~dirty
               (List.concat_map
                  (fun v -> List.map (fun fs -> (v, fs)) fault_options)
                  variants)
@@ -281,7 +370,7 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
    reported with the reason [explore] gives it. *)
 let check_point ?fault_seed (s : scenario) ~crash_index ~variant =
   let verdict = ref None in
-  let at inst k =
+  let at inst k _ =
     if k = crash_index then begin
       check_boundary inst ~crash_index
         ~dirty:(Simnvm.Memsys.dirty_nvm_lines inst.mem)

@@ -20,6 +20,7 @@ let scenario ?(strip_log = []) ~name ~sched_seed ~mem_seed ~pcso ~n_ops
       completed = w.Analysis.Exec.w_completed;
       recover_check = w.Analysis.Exec.w_recover_check;
       recover_check_faulty = None;
+      oracle_key = None;
     }
   in
   { Explore.name; sched_seed; mem_seed; pcso; n_ops; make }

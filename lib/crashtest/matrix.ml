@@ -116,7 +116,7 @@ let sweep ~label specs p ppf =
   List.iter (fun f -> Fmt.pf ppf "    %a@." Schedule.pp_failure f) failures;
   failures
 
-let run ?filter ?(schedules = true) p ppf =
+let run ?filter ?(schedules = true) ?(record = ignore) p ppf =
   Fmt.pf ppf "crash matrix (%s, PCSO)@." p.label;
   let violations = ref 0 in
   List.iter
@@ -124,6 +124,7 @@ let run ?filter ?(schedules = true) p ppf =
       let n_ops = n_ops_for p e.Scenarios.structure in
       List.iter
         (fun (o : Explore.outcome) ->
+          record o;
           Fmt.pf ppf "  %a@." Report.pp_outcome o;
           if o.Explore.failures <> [] then begin
             violations := !violations + List.length o.Explore.failures;
@@ -175,7 +176,7 @@ type check = {
    need the full sweep. An expected break is shrunk and its printed line
    replayed — a mutant whose counterexample does not reproduce fails the
    check. *)
-let check c ?filter ?(schedules = true) p ppf =
+let check c ?filter ?(schedules = true) ?(record = ignore) p ppf =
   Fmt.pf ppf "%s@." (c.title p);
   let ok = ref true in
   List.iter
@@ -189,6 +190,7 @@ let check c ?filter ?(schedules = true) p ppf =
           ~stop_at_first_failure:expected ~fault_seeds
           (e.Scenarios.build ~sched_seed ~mem_seed ~pcso:c.pcso ~n_ops)
       in
+      record o;
       let broke = o.Explore.failures <> [] in
       if broke <> expected then ok := false;
       Fmt.pf ppf "  %-*s boundaries=%-5d images=%-5d %s@." c.width

@@ -26,8 +26,16 @@ val entries : ?filter:string -> Scenarios.dimension -> Scenarios.entry list
 (** The registry entries of one dimension, in registry order; [filter]
     keeps those whose id starts with the given prefix. *)
 
+(** Each run below checks one dimension; [record] (default: nothing)
+    receives every exploration's outcome, in the order the rows print. *)
+
 val run :
-  ?filter:string -> ?schedules:bool -> preset -> Format.formatter -> bool
+  ?filter:string ->
+  ?schedules:bool ->
+  ?record:(Explore.outcome -> unit) ->
+  preset ->
+  Format.formatter ->
+  bool
 (** Explore every (filtered) {!Scenarios.Ablation} entry under PCSO and
     every seed pair, print one row per outcome with shrunk counterexamples
     for failures, then run the schedule sweeps unless [schedules] is
@@ -39,21 +47,36 @@ val run :
     returns whether every expectation held. *)
 
 val ablation_check :
-  ?filter:string -> ?schedules:bool -> preset -> Format.formatter -> bool
+  ?filter:string ->
+  ?schedules:bool ->
+  ?record:(Explore.outcome -> unit) ->
+  preset ->
+  Format.formatter ->
+  bool
 (** {!Scenarios.Ablation} under word-granular write-back: PCSO-reliant
     systems (ResPCT-InCLL, Quadra) must report violations,
     explicitly-flushing systems (Clobber, SOFT, FriedmanQueue) and the
     buffered epoch systems must not. *)
 
 val faults_check :
-  ?filter:string -> ?schedules:bool -> preset -> Format.formatter -> bool
+  ?filter:string ->
+  ?schedules:bool ->
+  ?record:(Explore.outcome -> unit) ->
+  preset ->
+  Format.formatter ->
+  bool
 (** {!Scenarios.Faults}: every crash image is re-checked with each of the
     preset's deterministic media-fault plans installed. Integrity-mode
     recovery must detect or exactly repair every fault; the planted
     no-verification mutant must produce violations. *)
 
 val pipeline_check :
-  ?filter:string -> ?schedules:bool -> preset -> Format.formatter -> bool
+  ?filter:string ->
+  ?schedules:bool ->
+  ?record:(Explore.outcome -> unit) ->
+  preset ->
+  Format.formatter ->
+  bool
 (** {!Scenarios.Pipeline}: pipeline-mode worlds must recover at every
     crash boundary (including mid-overlap windows: during the background
     walk, between the commit-slot stores, at post-advance restart

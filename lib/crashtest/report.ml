@@ -196,3 +196,17 @@ let pp_outcome ppf (o : Explore.outcome) =
     (match o.Explore.failures with
     | [] -> "ok"
     | fs -> Printf.sprintf "FAIL (%d violations)" (List.length fs))
+
+let outcome_json (o : Explore.outcome) =
+  let s = o.Explore.scenario in
+  Obs.Json.Obj
+    [
+      ("id", Obs.Json.String s.Explore.name);
+      ("sched_seed", Obs.Json.Int s.Explore.sched_seed);
+      ("mem_seed", Obs.Json.Int s.Explore.mem_seed);
+      ("boundaries", Obs.Json.Int o.Explore.boundaries);
+      ("images", Obs.Json.Int o.Explore.images);
+      ("recoveries", Obs.Json.Int o.Explore.recoveries);
+      ("truncated", Obs.Json.Int o.Explore.truncated);
+      ("failures", Obs.Json.Int (List.length o.Explore.failures));
+    ]

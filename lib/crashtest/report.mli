@@ -45,3 +45,8 @@ val campaign :
 
 val pp_counterexample : witness Obs.Cx.shrunk Fmt.t
 val pp_outcome : Explore.outcome Fmt.t
+
+val outcome_json : Explore.outcome -> Obs.Json.t
+(** One explored world as a row of the [crashmatrix --json] document: its
+    id, seeds, boundaries, images (enumerated), recoveries (run),
+    truncated images and failure count. *)

@@ -78,13 +78,15 @@ type world = {
    the driver's body; the body first calls [open_], which builds the
    structure and returns its op step and restart point, and ends with
    [close]. [oracle ~faults] judges the current persistent image;
-   [faults] says whether it carries injected media damage. *)
+   [faults] says whether it carries injected media damage. [key] is the
+   explorer's oracle key ([Explore.instance.oracle_key]). *)
 type 'op half = {
   start : (unit -> unit) -> unit;
   open_ : unit -> ('op -> unit) * (unit -> unit);
   after_op : 'op -> unit;
   close : unit -> unit;
   oracle : faults:bool -> unit -> (unit, string) result;
+  key : (unit -> int) option;
 }
 
 let drive ~name ~mix system ~sched_seed ~mem_seed ~pcso ~n_ops :
@@ -117,6 +119,7 @@ let drive ~name ~mix system ~sched_seed ~mem_seed ~pcso ~n_ops :
       completed = (fun () -> !(w.completed));
       recover_check = h.oracle ~faults:false;
       recover_check_faulty = Some (h.oracle ~faults:true);
+      oracle_key = h.key;
     }
   in
   { Explore.name; sched_seed; mem_seed; pcso; n_ops; make }
@@ -190,9 +193,13 @@ let spawn_coordinator sched r ~finished ~on_flushed =
    checkpoint's quiescent point; [oracle] gets the runtime and the
    snapshot for an epoch. A pipelined runtime is stopped at the end to
    wake its idle background flushers; otherwise the world ends in
-   [Scheduler.Deadlock], which [drive] deliberately does not catch. *)
+   [Scheduler.Deadlock], which [drive] deliberately does not catch.
+
+   Besides the image, the oracle reads the runtime, the structure handle
+   [open_] records and the snapshots, so [version] counts their changes:
+   runtime creation, structure creation and every [on_flushed]. *)
 let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
-  let rt = ref None and finished = ref false in
+  let rt = ref None and finished = ref false and version = ref 0 in
   let snapshots = Hashtbl.create 8 in
   let runtime () = Option.get !rt in
   {
@@ -201,10 +208,16 @@ let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
         let r = Respct.Runtime.create ~cfg w.env in
         Respct.Runtime.set_mutant r mutant;
         rt := Some r;
+        incr version;
         spawn_coordinator w.sched r ~finished ~on_flushed:(fun next_epoch ->
-            Hashtbl.replace snapshots next_epoch (snapshot ()));
+            Hashtbl.replace snapshots next_epoch (snapshot ());
+            incr version);
         ignore (Respct.Runtime.spawn r ~slot:0 (fun _ctx -> body ())));
-    open_ = (fun () -> open_ (runtime ()));
+    open_ =
+      (fun () ->
+        let step = open_ (runtime ()) in
+        incr version;
+        step);
     after_op;
     close =
       (fun () ->
@@ -217,6 +230,7 @@ let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
         | Some r ->
             oracle ~faults r (fun epoch ->
                 Option.value ~default:[] (Hashtbl.find_opt snapshots epoch)));
+    key = Some (fun () -> !version);
   }
 
 (* The last-checkpoint oracle, one recover-then-compare path for every
@@ -386,7 +400,8 @@ let respct_raw ?(mutant = false) ~sched_seed ~mem_seed ~pcso ~n_ops () =
 (* The other systems run their worker as a plain fiber. [create] builds
    the structure inside it and returns the handle the oracle reads: a
    crash during construction finds no handle, and nothing is promised
-   yet. *)
+   yet. Their oracles read host state that changes mid-operation (the
+   completed count, shadow logs), so they give no oracle key. *)
 
 let worker ?(close = ignore) ~create ~check (w : world) =
   let handle = ref None in
@@ -402,6 +417,7 @@ let worker ?(close = ignore) ~create ~check (w : world) =
     close = (fun () -> Option.iter close !handle);
     oracle =
       (fun ~faults:_ () -> match !handle with None -> Ok () | Some h -> check h);
+    key = None;
   }
 
 (* The {c, c+1} window over the reference prefix states. *)

@@ -628,14 +628,16 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
              if !stop_all || sh.s_down then continue := false
              else begin
                let before = sh.s_last_flushed in
+               (* the digest epoch [e] must recover to is the logical
+                  state at this quiescent instant: under pipelining the
+                  walk that persists it is still to come *)
                Respct.Runtime.run_checkpoint sh.s_rt ~on_flushed:(fun e ->
                    if not sh.s_down then begin
                      sh.s_last_flushed <- e;
-                     match sh.s_fm with
-                     | Some fm ->
-                         Hashtbl.replace sh.s_digests e
-                           (shard_digest sh ~read:(Filemem.persisted fm))
-                     | None -> ()
+                     if sh.s_fm <> None then
+                       Hashtbl.replace sh.s_digests e
+                         (shard_digest sh
+                            ~read:sh.s_backend.Simnvm.Backend.peek)
                    end);
                if not sh.s_down then begin
                  sh.s_checkpoints <- sh.s_checkpoints + 1;

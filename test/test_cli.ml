@@ -12,7 +12,8 @@
      flags, or the file grid with a flag it would not read, are usage
      errors; a --scenario prefix naming nothing in the chosen dimension
      exits 2 listing the ids it knows; --no-schedules holds in every
-     dimension. *)
+     dimension; --json adds one row per explored world and leaves the
+     text as it was. *)
 
 let exe = Filename.concat (Sys.getcwd ()) "../bin/respct_experiments.exe"
 let bench_baseline = Filename.concat (Sys.getcwd ()) "../BENCH_PR21.json"
@@ -189,6 +190,43 @@ let test_no_schedules_everywhere () =
         (contains out "schedule sweeps");
       check_untouched dir copy)
 
+let test_crashmatrix_json () =
+  with_dir (fun dir copy ->
+      let args = [ "--scenario"; "respct-map"; "--no-schedules" ] in
+      let _, plain, _ = crashmatrix dir args in
+      let status, out, _ = crashmatrix dir (args @ [ "--json"; "cm.json" ]) in
+      Alcotest.(check int) "passes" 0 status;
+      Alcotest.(check string) "text unchanged"
+        (plain ^ "[structured results written to cm.json]\n")
+        out;
+      let path = Filename.concat dir "cm.json" in
+      let doc = Obs.Json.of_file path in
+      Sys.remove path;
+      let field row k =
+        match Obs.Json.member k row with
+        | Some (Obs.Json.Int n) -> n
+        | _ -> Alcotest.failf "row without %s" k
+      in
+      (match Result.map (Obs.Json.member "worlds") doc with
+      | Ok (Some (Obs.Json.List [ row ])) ->
+          Alcotest.(check (option string)) "id" (Some "respct-map")
+            (match Obs.Json.member "id" row with
+            | Some (Obs.Json.String id) -> Some id
+            | _ -> None);
+          Alcotest.(check bool) "images as printed" true
+            (contains plain (Printf.sprintf "images=%d " (field row "images")));
+          Alcotest.(check bool) "repeated images not recovered" true
+            (field row "recoveries" < field row "images");
+          Alcotest.(check int) "no failures" 0 (field row "failures")
+      | _ -> Alcotest.fail "expected one world in the document");
+      let status, out, _ =
+        crashmatrix dir [ "--backend"; "file"; "--json"; "cm.json" ]
+      in
+      Sys.remove path;
+      Alcotest.(check int) "file grid: usage error" 124 status;
+      Alcotest.(check string) "file grid: nothing run" "" out;
+      check_untouched dir copy)
+
 let () =
   Alcotest.run "cli"
     [
@@ -219,5 +257,7 @@ let () =
             test_unknown_scenario;
           Alcotest.test_case "no-schedules in every dimension" `Quick
             test_no_schedules_everywhere;
+          Alcotest.test_case "json rows beside unchanged text" `Quick
+            test_crashmatrix_json;
         ] );
     ]

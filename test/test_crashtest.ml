@@ -143,6 +143,7 @@ let test_check_point_reports_raise () =
       completed = (fun () -> 0);
       recover_check = (fun () -> Ok ());
       recover_check_faulty = None;
+      oracle_key = None;
     }
   in
   let sc =
@@ -182,8 +183,8 @@ let images_at ~pcso ~line_words (dirty : Memsys.dirty_line list) =
   in
   (Explore.Baseline :: singles) @ if dirty = [] then [] else [ Explore.Evict_all ]
 
-(* [at k mem] at every boundary [k] of a fresh world of [sc], run to
-   completion. *)
+(* [at k ev mem] at every boundary [k] of a fresh world of [sc], run to
+   completion; [ev] is the boundary's event. *)
 let observe (sc : Explore.scenario) at =
   let inst = sc.Explore.make ~n_ops:sc.Explore.n_ops in
   let mem = inst.Explore.mem in
@@ -193,7 +194,7 @@ let observe (sc : Explore.scenario) at =
   let sub =
     Event.subscribe bus (fun ev ->
         if Crashpoint.persist_event ~nvm_words ev then begin
-          at !k mem;
+          at !k ev mem;
           incr k
         end)
   in
@@ -214,17 +215,32 @@ let image_digest img =
    world instead lets its cleanup code (a lock release, a thread
    deregistering) run other threads first, and their write-backs leak
    into the image: in this pipelined world, boundary 251 would carry line
-   6 persisted and never check the image without it. *)
+   6 persisted and never check the image without it.
+
+   The explorer recovers each distinct image once per segment, so the
+   images it recovers must be, in order, a subsequence of the
+   crash-instant images, and each image it skips must equal one it
+   recovered before. The segment rule itself is pinned here too: a
+   boundary whose event is not a write-back has the persistent image of
+   the boundary before it. *)
 let test_images_are_the_crash_instant () =
   let max_images = 48 in
   let sc =
     Scenarios.respct_map ~pipeline:true ~sched_seed:1 ~mem_seed:1 ~pcso:true
       ~n_ops:18 ()
   in
-  let want = ref [] in
-  observe sc (fun k mem ->
+  let want = ref [] and prev = ref None and kept = ref 0 in
+  observe sc (fun k ev mem ->
       let lw = (Memsys.config mem).Memsys.line_words in
       let img = Memsys.image mem and dirty = Memsys.dirty_nvm_lines mem in
+      (match (ev, !prev) with
+      | Event.Writeback _, _ | _, None -> ()
+      | _, Some p ->
+          if img <> p then
+            Alcotest.failf "boundary %d (%a) changed the persistent image" k
+              Event.pp ev;
+          incr kept);
+      prev := Some img;
       let evict d (dl : Memsys.dirty_line) =
         let d = ref d in
         for off = 0 to lw - 1 do
@@ -248,6 +264,8 @@ let test_images_are_the_crash_instant () =
                 | Explore.Baseline | Explore.Evict_word _ -> base )
               :: !want)
         (images_at ~pcso:true ~line_words:lw dirty));
+  Alcotest.(check bool) "the image stays put across some boundaries" true
+    (!kept > 0);
   let got = ref [] in
   let make ~n_ops =
     let inst = sc.Explore.make ~n_ops in
@@ -263,57 +281,75 @@ let test_images_are_the_crash_instant () =
     Explore.explore ~max_images_per_point:max_images { sc with Explore.make }
   in
   Alcotest.(check int) "no violations" 0 (List.length o.Explore.failures);
+  Alcotest.(check int) "every crash-instant image judged"
+    (List.length !want) o.Explore.images;
+  Alcotest.(check int) "recoveries counted" (List.length !got)
+    o.Explore.recoveries;
+  Alcotest.(check bool) "repeats not recovered" true
+    (o.Explore.recoveries < o.Explore.images);
+  let recovered = Hashtbl.create 1024 in
   let rec first i want got =
     match (want, got) with
     | [], [] -> ()
-    | (k, w) :: want, g :: got ->
-        if w <> g then
-          Alcotest.failf "image %d (boundary %d) is not the crash instant's" i k
-        else first (i + 1) want got
-    | (k, _) :: _, [] ->
-        Alcotest.failf "only %d images checked; boundary %d has more" i k
-    | [], _ :: _ -> Alcotest.failf "more than the %d crash-instant images" i
+    | (_, w) :: want, g :: got when w = g ->
+        Hashtbl.replace recovered w ();
+        first (i + 1) want got
+    | (k, w) :: want, got ->
+        if not (Hashtbl.mem recovered w) then
+          Alcotest.failf
+            "image %d (boundary %d) is neither recovered in order nor a \
+             repeat"
+            i k;
+        first (i + 1) want got
+    | [], _ :: _ ->
+        Alcotest.failf "%d recovered images are not crash-instant images"
+          (List.length got)
   in
   first 0 (List.rev !want) (List.rev !got)
 
-(* The single pass against fresh worlds: every image of every boundary,
-   replayed by [check_point] on a world of its own — which never resumes
-   a memory, nor runs a world on after a nested recovery — must fail
-   exactly where, and why, [explore]'s one checking run failed. *)
+(* The failures of [sc] that fresh worlds report: every image of every
+   boundary, replayed by [check_point] on a world of its own — which
+   never resumes a memory, runs a world on after a nested recovery, nor
+   reuses a verdict. Also returns the number of images. *)
+let fresh_world_failures ~pcso ~fault_seeds (sc : Explore.scenario) =
+  let points = ref [] in
+  observe sc (fun k _ mem ->
+      let line_words = (Memsys.config mem).Memsys.line_words in
+      points :=
+        (k, images_at ~pcso ~line_words (Memsys.dirty_nvm_lines mem))
+        :: !points);
+  let fault_options = None :: List.map Option.some fault_seeds in
+  ( List.concat_map
+      (fun (crash_index, variants) ->
+        List.concat_map
+          (fun variant ->
+            List.filter_map
+              (fun fault_seed ->
+                match
+                  Explore.check_point ?fault_seed sc ~crash_index ~variant
+                with
+                | Ok () -> None
+                | Error reason ->
+                    Some { Explore.crash_index; variant; fault_seed; reason })
+              fault_options)
+          variants)
+      (List.rev !points),
+    List.length (List.concat_map snd !points) * List.length fault_options )
+
+let failures_t = Alcotest.(list (testable Report.pp_failure ( = )))
+
+(* The single pass against fresh worlds: [explore]'s one checking run,
+   with its verdict memo, must fail exactly where, and why, the fresh
+   worlds fail. The two mutants give the memo failing verdicts to reuse,
+   on fault images too. *)
 let test_single_pass_equals_fresh_worlds () =
   List.iter
     (fun (id, pcso, fault_seeds) ->
       let sc = scenario_of id ~pcso ~n_ops:6 in
-      let points = ref [] in
-      observe sc (fun k mem ->
-          let line_words = (Memsys.config mem).Memsys.line_words in
-          points :=
-            (k, images_at ~pcso ~line_words (Memsys.dirty_nvm_lines mem))
-            :: !points);
-      let fault_options = None :: List.map Option.some fault_seeds in
-      let want =
-        List.concat_map
-          (fun (crash_index, variants) ->
-            List.concat_map
-              (fun variant ->
-                List.filter_map
-                  (fun fault_seed ->
-                    match
-                      Explore.check_point ?fault_seed sc ~crash_index ~variant
-                    with
-                    | Ok () -> None
-                    | Error reason ->
-                        Some { Explore.crash_index; variant; fault_seed; reason })
-                  fault_options)
-              variants)
-          (List.rev !points)
-      in
+      let want, images = fresh_world_failures ~pcso ~fault_seeds sc in
       let o = Explore.explore ~max_images_per_point:max_int ~fault_seeds sc in
-      Alcotest.(check int)
-        (id ^ ": images") (List.length (List.concat_map snd !points)
-                           * List.length fault_options)
-        o.Explore.images;
-      Alcotest.(check (list (testable Report.pp_failure ( = ))))
+      Alcotest.(check int) (id ^ ": images") images o.Explore.images;
+      Alcotest.check failures_t
         (id ^ ": failures equal the fresh worlds'")
         want o.Explore.failures)
     [
@@ -323,7 +359,52 @@ let test_single_pass_equals_fresh_worlds () =
       ("clobber-map", false, []);
       ("respct-map-pipeline", true, []);
       ("respct-map-integrity", true, [ 7 ]);
+      ("respct-map-noverify", true, [ 7 ]);
+      ("respct-map-pipeline-mutant-earlyseal", true, []);
     ]
+
+(* The oracle key's teeth: a world whose oracle reads a host counter that
+   moves at every store, with no write-back in between, so every image
+   stays the same. Keyed on the counter (or keyless), the memo must give
+   the fresh worlds' verdicts; under a constant key it reuses stale ones,
+   and the comparison must see that. *)
+let test_oracle_key_has_teeth () =
+  let counter_world key ~n_ops:_ =
+    let mem = Memsys.create (Scenarios.mem_cfg ~mem_seed:1 ~pcso:true) in
+    let stores = ref 0 in
+    {
+      Explore.mem;
+      run =
+        (fun () ->
+          for i = 0 to 5 do
+            Memsys.store mem (i * 8) 1;
+            incr stores
+          done);
+      completed = (fun () -> 0);
+      recover_check =
+        (fun () ->
+          if !stores mod 2 = 0 then Ok ()
+          else Error (Printf.sprintf "%d stores" !stores));
+      recover_check_faulty = None;
+      oracle_key = Option.map (fun key () -> key !stores) key;
+    }
+  in
+  let explore_and_fresh key =
+    let sc =
+      { Explore.name = "counter-oracle"; sched_seed = 1; mem_seed = 1;
+        pcso = true; n_ops = 0; make = counter_world key }
+    in
+    let want, _ = fresh_world_failures ~pcso:true ~fault_seeds:[] sc in
+    ((Explore.explore ~max_images_per_point:max_int sc).Explore.failures, want)
+  in
+  let keyed, want = explore_and_fresh (Some Fun.id) in
+  Alcotest.(check bool) "the fresh worlds fail" true (want <> []);
+  Alcotest.check failures_t "keyed on the counter" want keyed;
+  let keyless, _ = explore_and_fresh None in
+  Alcotest.check failures_t "keyless" want keyless;
+  let constant, _ = explore_and_fresh (Some (fun _ -> 0)) in
+  Alcotest.(check bool) "a constant key reuses stale verdicts" true
+    (constant <> want)
 
 (* Checking in place would undo a memory's own seeded crash faults, so
    such a world is refused by both entry points, not explored wrongly. *)
@@ -342,6 +423,7 @@ let test_seeded_crash_faults_rejected () =
       completed = (fun () -> 0);
       recover_check = (fun () -> Ok ());
       recover_check_faulty = None;
+      oracle_key = None;
     }
   in
   let sc =
@@ -455,7 +537,7 @@ exception Crash_here
 
 let crash_at mem j run =
   match
-    Crashpoint.walk mem run ~at:(fun k -> if k = j then raise Crash_here)
+    Crashpoint.walk mem run ~at:(fun k _ -> if k = j then raise Crash_here)
   with
   | () -> false
   | exception Crash_here -> true
@@ -537,7 +619,9 @@ let test_subscribers_detach_on_raise () =
   | exception Failure _ -> ());
   Alcotest.(check int) "pilot detaches on raise" before
     (subscribers mem);
-  (match Crashpoint.walk mem ~at:ignore (fun () -> failwith "boom") with
+  (match
+     Crashpoint.walk mem ~at:(fun _ _ -> ()) (fun () -> failwith "boom")
+   with
   | _ -> Alcotest.fail "walk swallowed the exception"
   | exception Failure _ -> ());
   Alcotest.(check int) "walk detaches on raise" before
@@ -1088,6 +1172,8 @@ let () =
             test_images_are_the_crash_instant;
           Alcotest.test_case "single pass equals fresh worlds" `Slow
             test_single_pass_equals_fresh_worlds;
+          Alcotest.test_case "oracle key has teeth" `Quick
+            test_oracle_key_has_teeth;
           Alcotest.test_case "seeded crash faults rejected" `Quick
             test_seeded_crash_faults_rejected;
         ] );

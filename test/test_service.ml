@@ -185,6 +185,26 @@ let test_crash_one_shard_under_load () =
             (cfg.Front.shards - 1)
             (List.length r.Front.r_survivors))
 
+(* A pipelined file-backed run without a crash: the end-of-run audit
+   power-cuts every shard's image, and each must recover exactly the
+   digest recorded for its failed epoch. That digest is the logical state
+   at the checkpoint's quiescent instant, which the pipelined walk
+   persists only afterwards. *)
+let test_pipelined_file_survivors_durable () =
+  Prockill.with_scratch_dir "respct-svc-test" (fun dir ->
+      let cfg = { tiny with Front.backend = Front.File dir } in
+      Alcotest.(check bool) "pipelined" true cfg.Front.pipeline;
+      let r = Front.run cfg in
+      Alcotest.(check int) "every shard audited" cfg.Front.shards
+        (List.length r.Front.r_survivors);
+      List.iter
+        (fun sc ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d image durable (%s)" sc.Front.sc_shard
+               sc.Front.sc_verdict)
+            true sc.Front.sc_ok)
+        r.Front.r_survivors)
+
 (* ------------------------------------------------------------------ *)
 (* Differential: for conflict-free (session-disjoint) key sets, a
    3-shard service and a single-shard service converge to the same
@@ -248,6 +268,8 @@ let () =
         [
           Alcotest.test_case "one shard dies, survivors keep serving" `Slow
             test_crash_one_shard_under_load;
+          Alcotest.test_case "pipelined file run, every image durable" `Slow
+            test_pipelined_file_survivors_durable;
         ] );
       ( "differential",
         [ seeded qcheck_sharded_vs_single ] );
