@@ -137,7 +137,7 @@ let recover_cmd =
       (fun (label, cells) ->
         Printf.printf "buckets=%s recovery=%sms entries=%s rolled-back=%s\n"
           label (List.nth cells 0) (List.nth cells 1) (List.nth cells 2))
-      (Figures.fig12_rows (Experiments.fig12_points ~scale:s ()))
+      (Figures.fig12_rows (Experiments.fig12_points s))
   in
   Cmd.v
     (Cmd.info "recover" ~doc:"Crash + parallel recovery (Figure 12 style).")

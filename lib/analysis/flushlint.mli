@@ -37,8 +37,6 @@ type finding = {
   fl_message : string;
 }
 
-val uses_flushes : Ir.program -> bool
-
 val run : ?lines:(Ir.var -> int) -> Ir.program -> finding list
 (** [lines] is the cache-line layout, as for {!Persistate.create}. *)
 

@@ -46,10 +46,6 @@ let needs_logging trace =
 let table2_raw = [ Write "x"; Read "x"; Write "y" ]
 let table2_war = [ Read "x"; Write "y"; Write "x" ]
 
-let pp_access ppf = function
-  | Read v -> Fmt.pf ppf "read %s" v
-  | Write v -> Fmt.pf ppf "write %s" v
-
 let pp_classification ppf = function
   | No_dependency -> Fmt.string ppf "no dependency"
   | Raw -> Fmt.string ppf "RAW (idempotent)"

@@ -31,5 +31,4 @@ val table2_raw : access list
 val table2_war : access list
 (** The paper's Table 2 WAR sequence: [y=x; x=8]. *)
 
-val pp_access : access Fmt.t
 val pp_classification : classification Fmt.t

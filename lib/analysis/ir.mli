@@ -48,7 +48,6 @@ val stmt_writes : stmt -> var list
 
 val declared : program -> var list
 val is_persistent : program -> var -> bool
-val is_declared : program -> var -> bool
 
 val stmt_rps : stmt -> int list
 (** Restart-point ids anywhere inside a statement, in syntactic order. *)
@@ -108,9 +107,7 @@ val node_reads : node_kind -> var list
 
 val node_write : node_kind -> var option
 
-val pp_expr : expr Fmt.t
 val pp_stmt : stmt Fmt.t
-val pp_program : program Fmt.t
 
 val program_to_string : program -> string
 (** [Fmt.str pp_program], for QCheck counterexample printing. *)

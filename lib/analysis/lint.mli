@@ -50,6 +50,5 @@ val run :
 
 val errors : finding list -> finding list
 val rule_name : rule -> string
-val severity_name : severity -> string
 val to_json : Ir.program -> finding list -> Obs.Json.t
 val pp_finding : finding Fmt.t

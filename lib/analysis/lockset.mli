@@ -33,8 +33,6 @@ type thread_summary = {
   rp_critical : rp_site list;  (** restart points with may-held locks *)
 }
 
-val analyse_cfg : Ir.cfg -> thread_summary
-val analyse_thread : Ir.thread -> thread_summary
 val analyse : Ir.program -> thread_summary list
 
 type access_kind = Acc_read | Acc_write

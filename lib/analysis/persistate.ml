@@ -44,8 +44,11 @@ let st_dirty = 4
 let full_mask = st_durable lor st_pending lor st_dirty
 let has_dirty m = m land st_dirty <> 0
 let has_pending m = m land st_pending <> 0
+(* Reachable and {Durable} only: the persisted word provably equals the
+   coherent word. *)
 let is_must_durable m = m <> 0 && m land (st_dirty lor st_pending) = 0
 
+(* e.g. "durable|dirty"; the empty mask prints "unreachable". *)
 let mask_name m =
   if m = 0 then "unreachable"
   else
@@ -131,6 +134,7 @@ let transfer t (n : Ir.node) (f : fact) : fact =
     | Ir.Node_psync -> Array.map step_psync f
     | _ -> f
 
+(* All variables {Durable}: the zeroed (or checkpointed) image. *)
 let entry_fact t = Array.make (Array.length t.pvars) st_durable
 
 type thread_facts = {

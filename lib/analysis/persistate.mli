@@ -22,20 +22,8 @@ module Vars = Dataflow.Vars
 type mask = int
 (** Bit-set over the three lifecycle states. *)
 
-val st_durable : int
-val st_pending : int
-val st_dirty : int
-val full_mask : mask
-
 val has_dirty : mask -> bool
 val has_pending : mask -> bool
-
-val is_must_durable : mask -> bool
-(** Reachable and [{Durable}] only: the persisted word provably equals
-    the coherent word. *)
-
-val mask_name : mask -> string
-(** e.g. ["durable|dirty"]; the empty mask prints ["unreachable"]. *)
 
 type t
 (** Analysis context: a program plus its persistent-variable universe
@@ -57,9 +45,6 @@ type fact = int array
 
 val mask : fact -> int -> mask
 (** [mask f i] is variable [i]'s mask, [0] on bottom. *)
-
-val entry_fact : t -> fact
-(** All variables [{Durable}]: the zeroed (or checkpointed) image. *)
 
 type thread_facts = {
   tf_thread : string;

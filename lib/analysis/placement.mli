@@ -1,7 +1,7 @@
 (** Automatic restart-point insertion and InCLL-logging inference —
     the static automation of the paper's section 6 future work.
 
-    [insert_rps] places one restart point at the end of each outermost
+    [infer] first places one restart point at the end of each outermost
     loop body that mutates persistent state and has none (the paper's
     per-iteration checkpoint discipline), plus a final restart point in
     any persistent-writing thread still without one; points are only
@@ -21,13 +21,12 @@ type plan = {
   track : Vars.t;  (** persistent vars written but RAW-only *)
 }
 
-val insert_rps : Ir.program -> Ir.program
-
 val plan : Ir.program -> plan
 (** Assumes restart points are already in place. *)
 
 val infer : Ir.program -> Ir.program * plan
-(** [insert_rps] followed by [plan] on the instrumented program. *)
+(** Restart-point insertion followed by [plan] on the instrumented
+    program. *)
 
 val plan_to_json : Ir.program -> plan -> Obs.Json.t
 (** Machine-readable instrumentation plan, schema [respct-plan/v1]. *)

@@ -32,11 +32,7 @@ type summary = {
   sites : site list;
 }
 
-val analyse_cfg : Ir.cfg -> summary
-val analyse_thread : Ir.thread -> summary
 val analyse : Ir.program -> summary list
-
-val classify_thread : summary -> Ir.var -> Idempotence.classification
 
 val classify : Ir.program -> Ir.var -> Idempotence.classification
 (** Program-wide verdict, merging threads with [War > Raw >

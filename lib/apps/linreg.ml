@@ -14,8 +14,6 @@
 type granularity = [ `Per_point | `Per_batch of int ]
 type cfg = { points : int; nthreads : int; granularity : granularity }
 
-let default_cfg = { points = 60_000; nthreads = 64; granularity = `Per_batch 1000 }
-
 let point_compute_ns = 2.0
 
 type accumulators = { sx : int; sy : int; sxx : int; sxy : int }

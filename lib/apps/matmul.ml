@@ -9,8 +9,6 @@
 
 type cfg = { n : int; nthreads : int }
 
-let default_cfg = { n = 48; nthreads = 64 }
-
 (* One fused multiply-add's worth of non-memory work. *)
 let fma_ns = 1.0
 

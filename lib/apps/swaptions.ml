@@ -18,9 +18,6 @@ type cfg = {
   granularity : granularity;
 }
 
-let default_cfg =
-  { swaptions = 256; trials = 200; nthreads = 64; granularity = `Per_swaption }
-
 let trial_compute_ns = 120.0 (* path simulation arithmetic *)
 
 (* Deterministic pseudo-price contribution of one trial. *)

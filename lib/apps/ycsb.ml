@@ -9,9 +9,6 @@ let read_intensive = { read_pct = 90 }
 let balanced = { read_pct = 50 }
 let write_intensive = { read_pct = 10 }
 
-let mix_name m =
-  Printf.sprintf "%d%%read/%d%%write" m.read_pct (100 - m.read_pct)
-
 (* Standard YCSB zipfian generator (Gray et al.'s algorithm): constant time
    per sample after an O(n) zeta precomputation. *)
 type zipf = {

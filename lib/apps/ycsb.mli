@@ -13,8 +13,6 @@ val balanced : mix
 val write_intensive : mix
 (** 10% reads. *)
 
-val mix_name : mix -> string
-
 type zipf
 
 val make_zipf : ?theta:float -> int -> zipf

@@ -1,15 +1,3 @@
-(* Dali (Nawab et al., DISC'17): a periodically persistent hash map.
-
-   Updates prepend a version record to the bucket's chain with plain NVMM
-   stores — no flushes on the operation path. Reads traverse the chain and
-   take the newest version of the key (read indirection: chains hold stale
-   versions until the epoch boundary). At each epoch the coordinator
-   flushes the dirty buckets and compacts their chains, retiring superseded
-   versions.
-
-   Record: [key; value; next]; a tombstone is a record whose value is
-   [tombstone]. *)
-
 let record_words = 3
 let tombstone = min_int
 

@@ -1,10 +1,3 @@
-(* Durably linearizable baselines: Clobber-NVM and Quadra/Trinity.
-
-   Both run the transient NVMM structures inside failure-atomic sections
-   (see Fatomic); they differ only in the logging discipline. The paper
-   evaluates Quadra on the Queue and Trinity on the HashMap; both share the
-   InCLL-based per-operation protocol we model with the [Quadra] policy. *)
-
 let log_words_per_slot = 4096
 
 let setup env ~policy ~max_threads =
@@ -56,13 +49,6 @@ let make_queue env ~policy ~max_threads =
   let fa, mem = setup env ~policy ~max_threads in
   let q = Pds.Queue_transient.create env mem in
   (queue_ops fa q, Pds.Ops.null_system)
-
-(* Crash-test handles: same construction, but with shadow capture enabled
-   and the failure-atomic machinery plus the structure handle exposed, so
-   the crash explorer can run shadow recovery and read the persisted
-   contents. Creation runs inside its own atomic section: a crash between
-   creation and the first operation rolls back to a committed empty
-   structure. *)
 
 let make_map_instrumented env ~policy ~max_threads ~buckets =
   let fa, mem = setup env ~policy ~max_threads in

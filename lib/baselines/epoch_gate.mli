@@ -21,9 +21,6 @@ val allow : t -> slot:int -> unit
 val prevent : t -> slot:int -> unit
 (** Resume after the blocking call, waiting out any ongoing epoch. *)
 
-val run_epoch : t -> (unit -> unit) -> unit
-(** Quiesce all registered workers, run the body, release (test hook). *)
-
 val start : t -> period_ns:float -> (unit -> unit) -> unit
 (** Spawn the periodic coordinator running the body at each boundary. *)
 

@@ -1,25 +1,3 @@
-(* Failure-atomic sections for the durably linearizable baselines.
-
-   The transient structures from [Pds] run over an intercepted memory
-   interface that records the read and write sets of the current operation;
-   [commit] then applies one of two published persistence disciplines:
-
-   - [Clobber] (Clobber-NVM, ASPLOS'21): undo-log only the WAR variables
-     (stores whose address was read earlier in the same operation); each log
-     entry must persist before the overwrite (pwb + psync on the log), and
-     the write set is flushed with one fence at section exit. Log truncation
-     is a lazy store on a hot line.
-
-   - [Quadra] (Trinity/Quadra, PPoPP'21): In-Cache-Line logging — the first
-     store to each line pays one extra same-line store (the in-line backup,
-     persistence ordering free under PCSO), and the write set is flushed
-     with one fence at section exit. No separate log, no log fences: the
-     InCLL advantage over Clobber is exactly the missing per-WAR-variable
-     pwb+psync.
-
-   Read-only operations have an empty write set and commit for free, as in
-   both original systems. *)
-
 type policy = Clobber | Quadra
 
 type opctx = {
@@ -75,16 +53,7 @@ let create env ~policy ~max_threads ~log_base ~log_words_per_slot =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Crash-test shadow: what each published system's recovery procedure
-   would reconstruct from its persistent log, maintained host-side.
-
-   Clobber keeps an undo log in NVMM but truncates it with a volatile
-   cursor; Quadra's in-line backups are modelled as a time cost only. The
-   shadow captures the information those logs durably contain — the
-   pre-operation value of every word the in-flight section overwrote
-   (Clobber), respectively the per-line store-order image sequence that
-   in-line backups pin under PCSO (Quadra) — with zero virtual-time or
-   event footprint (Memsys.peek), so watched runs stay bit-identical. *)
+(* Crash-test shadow *)
 
 let set_shadow t on = t.shadow <- on
 
@@ -138,9 +107,6 @@ let intercepted_store t ~slot addr v =
     Hashtbl.replace ctx.line_snaps line
       (snapshot_line t line :: Hashtbl.find ctx.line_snaps line)
 
-(* Commit the section: flush the write set, one fence; reset the op
-   context. The log is truncated with a lazy store (no fence), as both
-   systems do off the critical path. *)
 let commit t ~slot =
   let ctx = t.opctxs.(slot) in
   if Hashtbl.length ctx.lines > 0 then begin
@@ -168,19 +134,7 @@ let with_op t ~slot f =
   commit t ~slot;
   r
 
-(* Post-crash recovery against the shadow, applied directly to the NVMM
-   image. Clobber undoes every word the in-flight section overwrote (its
-   undo log persists before each overwrite, so the pre-image is always
-   recoverable). Quadra first validates each written line against the
-   sequence of cached images the section produced: under PCSO a write-back
-   is a line snapshot, so the persisted line must equal one of them — a
-   line matching none is torn (two stores of one line persisted out of
-   order), exactly what the word-granular ablation produces and what
-   in-line logging cannot recover from. *)
-
-type shadow_recovery =
-  | Rolled_back of int  (** in-flight sections undone *)
-  | Torn_line of int  (** persisted line state unreachable under PCSO *)
+type shadow_recovery = Rolled_back of int | Torn_line of int
 
 let recover_shadow t =
   let mem = Simsched.Env.mem t.env in
@@ -217,8 +171,6 @@ let recover_shadow t =
     t.opctxs;
   match !torn with Some line -> Torn_line line | None -> Rolled_back !rolled
 
-(* Intercepted memory interface over an NVM arena, for the transient
-   structures. *)
 let mem t bump =
   {
     Pds.Mem_iface.load = (fun ~slot addr -> intercepted_load t ~slot addr);
@@ -226,3 +178,6 @@ let mem t bump =
     alloc = (fun ~slot:_ ~words -> Pds.Bump.alloc bump ~words);
     free = (fun ~slot:_ addr ~words -> Pds.Bump.free bump addr ~words);
   }
+
+let stats_logged t = t.stats_logged
+let stats_flushed_lines t = t.stats_flushed_lines

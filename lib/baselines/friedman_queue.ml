@@ -1,13 +1,3 @@
-(* FriedmanQueue (Friedman et al., PPoPP'18): durably linearizable
-   lock-free FIFO queue in NVMM.
-
-   A Michael-Scott queue whose nodes are persisted before being linked and
-   whose link/unlink steps are flushed and fenced — between two and three
-   flush+fence pairs per operation, the cost profile the paper's Figure 9
-   shows. Nodes are not reclaimed (the published algorithm uses hazard
-   pointers and deferred reclamation; the simulation simply leaks, which is
-   safe and does not change the per-operation cost). *)
-
 let node_words = 2
 
 type t = {
@@ -103,15 +93,10 @@ let make_queue env =
   let t = create env in
   (ops t, Pds.Ops.null_system)
 
-(* Crash-test handle: the structure stays exposed for the persisted-image
-   reader below. *)
 let make_queue_instrumented env =
   let t = create env in
   (t, ops t)
 
-(* Recovery-time oracle view: the persisted head pointer names the sentinel;
-   the queue contents follow its persisted next chain — what the published
-   recovery procedure walks after a crash. *)
 let persisted_contents mem t =
   let p = Simnvm.Memsys.persisted mem in
   (* Fuel bounds the walk: corrupt crash images can tie the chain into a

@@ -1,16 +1,3 @@
-(* Montage (ICPP'21): buffered durability through copy-on-write payloads.
-
-   Every update allocates a fresh persistent payload block from a shared
-   allocator (the paper's identified Montage cost: allocator stress), while
-   indexes and pointers stay in DRAM. Payloads written during an epoch are
-   flushed at the epoch boundary by the background coordinator. The FIFO
-   queue additionally maintains a persistent global sequence number updated
-   inside the critical section — the metadata Montage needs to rebuild the
-   queue order at recovery (paper footnote 3), and its second cost.
-
-   Retired payloads are reclaimed one epoch later (Montage's epoch-based
-   reclamation). *)
-
 let payload_words = 4 (* key/value/epoch-tag/valid *)
 
 type t = {

@@ -1,21 +1,3 @@
-(* PMThreads (PLDI'20): versioned shadow copies with page-protection
-   tracking.
-
-   During an epoch every update goes to a DRAM shadow of the persistent
-   state. Modifications are tracked through the OS page-protection
-   mechanism: at the start of each epoch the whole persistent heap is
-   write-protected (an mprotect + TLB-shootdown storm whose cost grows with
-   the heap size), and the first store to each page takes a fault. At the
-   epoch boundary all threads quiesce and the dirty pages are copied to
-   NVMM by a flusher pool (we parallelised the copy exactly as the paper's
-   authors did for their evaluation -- the stock single flusher was the
-   bottleneck).
-
-   This reproduces the trade-off the paper describes: excellent on the
-   Queue (tiny hot heap: a handful of faults per epoch, DRAM-speed
-   operations) and poor on the HashMap (large heap: per-epoch reprotection
-   storm plus a fault for every touched page). *)
-
 let page_words = 512
 let dirty_check_ns = 5.0 (* store to an already-writable page *)
 let fault_ns = 2_000.0 (* write-protection fault on first touch *)

@@ -117,8 +117,3 @@ val check_point :
     recovering only that image at that boundary and stopping there.
     Without a memo, it is the independent reference the memo's verdicts
     are tested against. *)
-
-val apply_variant :
-  Simnvm.Memsys.t -> Simnvm.Memsys.dirty_line list -> variant -> unit
-(** Install a variant's extra write-backs into the persistent image
-    (exposed for the recovery-idempotence tests). *)

@@ -31,12 +31,6 @@ type op =
   | Bitflip of { addr : int; bit : int }
   | Transient of { lineno : int }
 
-let pp_op ppf = function
-  | Tear { lineno; keep } -> Fmt.pf ppf "tear(line=%d,keep=%#x)" lineno keep
-  | Poison { lineno } -> Fmt.pf ppf "poison(line=%d)" lineno
-  | Bitflip { addr; bit } -> Fmt.pf ppf "bitflip(addr=%d,bit=%d)" addr bit
-  | Transient { lineno } -> Fmt.pf ppf "transient(line=%d)" lineno
-
 (* With no dirty lines to aim at, target the metadata / registry region at
    the bottom of NVMM — always populated once a runtime exists. *)
 let low_lines = 16

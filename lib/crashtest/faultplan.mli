@@ -15,8 +15,6 @@ type op =
       (** one-shot read fault; disarms after the first raise (the retry
           path's negative control) *)
 
-val pp_op : op Fmt.t
-
 val derive :
   seed:int ->
   crash_index:int ->

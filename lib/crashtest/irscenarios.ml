@@ -53,11 +53,6 @@ let table : (string * Report.builder) list =
       ])
     Analysis.Corpus.all
 
-let corpus ?(sched_seed = 5) ?(mem_seed = 7) ?(pcso = true) ?(n_ops = 8) () =
-  List.map
-    (fun (id, build) -> (id, build ~sched_seed ~mem_seed ~pcso ~n_ops))
-    table
-
 let find id = List.assoc_opt id table
 
 (* Both-directions gate for one program: the inferred plan must survive

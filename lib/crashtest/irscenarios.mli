@@ -10,27 +10,6 @@
     goldens stay pinned; [# crashmatrix] counterexamples resolve them
     through {!find}. *)
 
-val scenario :
-  ?strip_log:Analysis.Ir.var list ->
-  name:string ->
-  sched_seed:int ->
-  mem_seed:int ->
-  pcso:bool ->
-  n_ops:int ->
-  (iters:int -> Analysis.Ir.program) ->
-  Explore.scenario
-
-val corpus :
-  ?sched_seed:int ->
-  ?mem_seed:int ->
-  ?pcso:bool ->
-  ?n_ops:int ->
-  unit ->
-  (string * Explore.scenario) list
-(** For every {!Analysis.Corpus} program: ["ir-<name>"] under its
-    inferred plan and ["ir-<name>-striplog"] with the alphabetically
-    first logged variable stripped. *)
-
 val find : string -> Report.builder option
 (** Resolve a [corpus] id (as printed in replay lines) to its builder;
     every id [corpus] returns resolves. *)

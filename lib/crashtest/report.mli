@@ -2,9 +2,6 @@
     codec: a shrunk failure prints as one [# crashmatrix ...] line that
     [respct_experiments replay] re-runs at the exact crash point. *)
 
-val variant_to_string : Explore.variant -> string
-val variant_of_string : string -> (Explore.variant, string) result
-val pp_variant : Explore.variant Fmt.t
 val pp_failure : Explore.failure Fmt.t
 
 type builder =

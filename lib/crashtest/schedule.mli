@@ -28,32 +28,15 @@ val sweep :
 (** For every seed: one baseline run, then one run per (every [stride]-th
     synchronisation point × delay) with the preemption injected there. *)
 
-val with_injection :
-  Simsched.Scheduler.t ->
-  injection option ->
-  (unit -> 'a) ->
-  'a * int
-(** Run a thunk with the injection subscriber attached to the scheduler's
-    trace bus; returns the thunk's result and the number of sync points
-    observed. The subscription is detached on every exit path. *)
-
-val transient_queue_spec : spec
-(** Two producers on the lock-based transient queue; per-producer FIFO
-    order and drain completeness checked. *)
-
-val respct_map_spec : spec
-(** Two ResPCT workers on disjoint key ranges with restart points and a
-    periodic checkpoint coordinator; volatile contents checked against the
-    per-worker models, rp/checkpoint deadlocks reported. *)
-
 val all_specs : spec list
-(** The classic sweep set ([transient_queue_spec]; [respct_map_spec]) —
-    pinned by the smoke golden, the pipelined spec lives in
-    {!pipeline_specs}. *)
-
-val respct_map_pipeline_spec : spec
-(** {!respct_map_spec} under {!Respct.Runtime.config.pipeline}: the
-    deadlock hunt for rp parking on the overlap barrier, the coordinator's
-    backpressure wait and the flusher pool's condvars. *)
+(** The classic sweep set, pinned by the smoke golden: two producers on
+    the lock-based transient queue (per-producer FIFO order and drain
+    completeness checked), and two ResPCT workers on disjoint key ranges
+    with restart points and a periodic checkpoint coordinator (volatile
+    contents checked against the per-worker models, rp/checkpoint
+    deadlocks reported). *)
 
 val pipeline_specs : spec list
+(** The ResPCT map spec under {!Respct.Runtime.config.pipeline}: the
+    deadlock hunt for rp parking on the overlap barrier, the coordinator's
+    backpressure wait and the flusher pool's condvars. *)

@@ -62,6 +62,7 @@ let default_config =
    self-describing: recovery rebuilds the Respct.Layout from these alone. *)
 type meta = { max_threads : int; registry_per_slot : int; integrity : bool }
 
+(* Runtime.default_config's layout parameters, integrity on. *)
 let default_meta = { max_threads = 8; registry_per_slot = 4096; integrity = true }
 
 type mutant = Elide_psync
@@ -330,7 +331,6 @@ let close t =
 
 let config t = t.cfg
 let meta t = t.meta
-let path t = t.path
 let stats t = t.stats
 let was_truncated t = t.truncated
 let arm_mutant t m = t.mutant <- Some m

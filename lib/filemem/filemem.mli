@@ -32,9 +32,6 @@ type meta = { max_threads : int; registry_per_slot : int; integrity : bool }
 (** Layout metadata stored in the durable header so a surviving file is
     self-describing: recovery rebuilds {!Respct.Layout} from it alone. *)
 
-val default_meta : meta
-(** [Runtime.default_config]'s layout parameters, integrity on. *)
-
 type mutant = Elide_psync
     (** planted bug for the prockill harness: [psync] charges and counts
         but performs no write-back *)
@@ -70,7 +67,6 @@ val open_existing :
 val close : t -> unit
 val config : t -> config
 val meta : t -> meta
-val path : t -> string
 val stats : t -> Simnvm.Stats.t
 
 val was_truncated : t -> bool
@@ -87,9 +83,6 @@ val backend : t -> Simnvm.Backend.t
 
 val persisted : t -> int -> int
 (** Durable-image word (the mapping), host-level. *)
-
-val peek : t -> int -> int
-(** Coherent (mirror) word, host-level. *)
 
 val crash : t -> unit
 (** In-process power cut: reload the mirror from the durable image, zero

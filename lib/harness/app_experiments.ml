@@ -1,6 +1,3 @@
-(* Real-world workload experiments: Figure 13 (compute-intensive
-   applications) and Figure 14 (Memcached-like KV store under YCSB). *)
-
 type app_scale = {
   matmul_n : int;
   lr_points : int;
@@ -46,8 +43,6 @@ let variant_name = function
   | App_nvm -> "Transient<NVMM>"
   | App_respct -> "ResPCT"
 
-(* Build a world sized for an application run; returns (env, persistence,
-   transient arena). *)
 let app_world (s : app_scale) variant ~nthreads ~nvm_words =
   let p =
     {
@@ -126,52 +121,35 @@ let run_app (s : app_scale) variant = function
       let env, p, _bump = app_world s variant ~nthreads:64 ~nvm_words:(1 lsl 21) in
       fst (Apps.Dedup.run env p cfg)
 
-(* Figure 13: normalised execution time (relative to Transient<DRAM>) for
-   the four applications; plus the RP-placement ablation rows of section
-   5.3 for LR and Swaptions. *)
-let fig13 ?(scale = small) () =
-  let apps =
-    [
-      ("Dedup", `Dedup);
-      ("Swaptions", `Swaptions false);
-      ("MatMul", `Matmul);
-      ("LR", `Linreg false);
-    ]
-  in
-  let base =
-    List.map (fun (name, app) -> (name, run_app scale App_dram app)) apps
+let fig13 scale =
+  (* Figure 13's columns: Dedup, Swaptions, MatMul, LR *)
+  let apps = [ `Dedup; `Swaptions false; `Matmul; `Linreg false ] in
+  let times variant = List.map (run_app scale variant) apps in
+  let base = times App_dram in
+  let row variant ts =
+    ( variant_name variant,
+      List.map2 (fun t b -> Table.fmt_ratio (t /. b)) ts base )
   in
   let rows =
-    List.map
-      (fun variant ->
-        ( variant_name variant,
-          List.map
-            (fun (name, app) ->
-              let t = run_app scale variant app in
-              Table.fmt_ratio (t /. List.assoc name base))
-            apps ))
-      [ App_dram; App_nvm; App_respct ]
+    row App_dram base
+    :: List.map (fun v -> row v (times v)) [ App_nvm; App_respct ]
   in
   (* section 5.3 ablation: naive RP placement *)
   let naive =
     ( "ResPCT (naive RPs)",
-      List.map
-        (fun (name, app) ->
+      List.map2
+        (fun app b ->
           match app with
           | `Swaptions _ ->
-              Table.fmt_ratio
-                (run_app scale App_respct (`Swaptions true)
-                /. List.assoc name base)
+              Table.fmt_ratio (run_app scale App_respct (`Swaptions true) /. b)
           | `Linreg _ ->
-              Table.fmt_ratio
-                (run_app scale App_respct (`Linreg true) /. List.assoc name base)
+              Table.fmt_ratio (run_app scale App_respct (`Linreg true) /. b)
           | `Matmul | `Dedup -> "-")
-        apps )
+        apps base )
   in
   rows @ [ naive ]
 
-(* Figure 14: KV-store throughput (Kops/s) per YCSB mix and system. *)
-let fig14 ?(scale = small) () =
+let fig14 scale =
   let mixes =
     [
       ("read-intensive", Apps.Ycsb.read_intensive);

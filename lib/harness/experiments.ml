@@ -1,23 +1,11 @@
-(* The paper's evaluation experiments (section 5.1-5.2): one function per
-   figure, returning labelled rows ready for Table.print and for
-   EXPERIMENTS.md.
-
-   Scaling: one simulated memory operation costs tens of virtual
-   nanoseconds, exactly like the hardware, but wall-clock budgets limit how
-   many of them a data point can execute. The [small] scale therefore
-   shrinks both the structures and the checkpoint period so that every
-   epoch still covers thousands of operations per thread — the ratio that
-   determines checkpoint overhead — while the [paper] scale uses the
-   paper's parameters (1M-bucket tables, 64 ms periods) for long runs. *)
-
 type scale = {
   label : string;
-  sweep_threads : int list; (* x-axis of Figures 8 and 9 *)
-  duration_ns : float; (* measured window per data point *)
+  sweep_threads : int list;
+  duration_ns : float;
   map_prefill : int;
   buckets : int;
   queue_prefill : int;
-  period_ns : float; (* default checkpoint interval *)
+  period_ns : float;
   fig10_threads : int;
   fig11_periods_ns : float list;
   fig12_buckets : int list;
@@ -57,12 +45,6 @@ let paper =
     recovery_threads = 32;
   }
 
-let scale_of_string = function
-  | "small" -> small
-  | "paper" -> paper
-  | s -> invalid_arg (Printf.sprintf "unknown scale %S (small|paper)" s)
-
-(* Memory geometry scaled to the structure size: nodes + registry + slack. *)
 let params_for (s : scale) ~threads ~kind:_ =
   let pow2_above n =
     let rec go p = if p >= n then p else go (p * 2) in
@@ -136,13 +118,7 @@ let queue_point ?params (s : scale) kind ~threads =
   (r, rt)
 
 (* ------------------------------------------------------------------ *)
-(* Instrumented points: the same worlds as [map_point]/[queue_point], with
-   the observability probes attached — a Memobs counter registry on the
-   memory-event pipeline (reset at the measurement-window start, so like
-   Stats it covers the window only), span profiling on the ResPCT runtime,
-   and the checkpoint statistics — all bundled into an [Obs.Run.point].
-   Probes are pure observation: the virtual-time results are bit-identical
-   to the uninstrumented points. *)
+(* Instrumented points *)
 
 let checkpoint_extra rt =
   match rt with
@@ -241,15 +217,9 @@ let point_mops (pt : Obs.Run.point) =
   match pt.Obs.Run.throughput_mops with Some x -> x | None -> nan
 
 (* ------------------------------------------------------------------ *)
-(* Figure 8: HashMap throughput vs threads, three update/search mixes. *)
+(* Figures 8 and 9 *)
 
-(* Structured form: per update ratio, per system, one instrumented point
-   per thread count. The ASCII table and the JSON export both read off
-   these points. [update_pcts]/[kinds]/[threads] narrow the sweep (the
-   determinism regression test runs a single cell). *)
-let fig8_points ?(scale = small) ?(update_pcts = [ 10; 50; 90 ])
-    ?(kinds = Systems.map_kinds) ?threads () =
-  let sweep = Option.value ~default:scale.sweep_threads threads in
+let fig8_points scale =
   List.map
     (fun update_pct ->
       ( update_pct,
@@ -258,43 +228,21 @@ let fig8_points ?(scale = small) ?(update_pcts = [ 10; 50; 90 ])
             ( Systems.name_of kind,
               List.map
                 (fun threads -> map_point_obs ~update_pct scale kind ~threads)
-                sweep ))
-          kinds ))
-    update_pcts
+                scale.sweep_threads ))
+          Systems.map_kinds ))
+    [ 10; 50; 90 ]
 
-let fig8 ?(scale = small) () =
-  List.map
-    (fun (update_pct, rows) ->
-      ( update_pct,
-        List.map
-          (fun (name, pts) ->
-            (name, List.map (fun pt -> Table.fmt_mops (point_mops pt)) pts))
-          rows ))
-    (fig8_points ~scale ())
-
-(* ------------------------------------------------------------------ *)
-(* Figure 9: Queue throughput vs threads, 1:1 enqueue/dequeue. *)
-
-let fig9_points ?(scale = small) ?(kinds = Systems.queue_kinds) ?threads () =
-  let sweep = Option.value ~default:scale.sweep_threads threads in
+let fig9_points scale =
   List.map
     (fun kind ->
       ( Systems.name_of kind,
-        List.map (fun threads -> queue_point_obs scale kind ~threads) sweep ))
-    kinds
-
-let fig9 ?(scale = small) () =
-  List.map
-    (fun (name, pts) ->
-      (name, List.map (fun pt -> Table.fmt_mops (point_mops pt)) pts))
-    (fig9_points ~scale ())
+        List.map
+          (fun threads -> queue_point_obs scale kind ~threads)
+          scale.sweep_threads ))
+    Systems.queue_kinds
 
 (* ------------------------------------------------------------------ *)
-(* Integrity tax: ResPCT with checksum-sealed metadata
-   ([Systems.params.integrity]) against the raw representation, in the
-   same worlds and workloads as Figures 8/9. The sealing work rides the
-   InCLL-update and checkpoint-commit hot paths, so the interesting number
-   is the relative throughput delta per workload, not the absolute one. *)
+(* Integrity tax *)
 
 let integrity_points ?(scale = small) ?threads () =
   let sweep = Option.value ~default:scale.sweep_threads threads in
@@ -336,15 +284,10 @@ let integrity_overhead_rows pts =
           cells ))
     pts
 
-let integrity_overhead ?(scale = small) ?threads () =
-  integrity_overhead_rows (integrity_points ~scale ?threads ())
-
 (* ------------------------------------------------------------------ *)
-(* Figure 10: overhead decomposition at full thread count. Rows are the
-   configurations, columns the three workloads, values normalised to
-   Transient<DRAM>. *)
+(* Figures 10, 11 and 12 *)
 
-let fig10_points ?(scale = small) () =
+let fig10_points scale =
   let threads = scale.fig10_threads in
   let workloads =
     [ ("Queue", `Queue); ("HashMap-RI", `Map 10); ("HashMap-WI", `Map 90) ]
@@ -371,37 +314,12 @@ let fig10_points ?(scale = small) () =
         List.map (fun (wname, w) -> (wname, run kind ~mode w)) workloads ))
     configs
 
-let fig10 ?(scale = small) () =
-  let rows = fig10_points ~scale () in
-  (* The first config is the Transient<DRAM> baseline everything else is
-     normalised to. *)
-  let base =
-    match rows with
-    | (_, cells) :: _ -> List.map (fun (w, pt) -> (w, point_mops pt)) cells
-    | [] -> []
-  in
-  List.map
-    (fun (cname, cells) ->
-      ( cname,
-        List.map
-          (fun (wname, pt) ->
-            Table.fmt_ratio (point_mops pt /. List.assoc wname base))
-          cells ))
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Figure 11: checkpoint-period sweep (write-intensive HashMap, full
-   thread count): normalised throughput and measured effective period. *)
-
 let point_eff (pt : Obs.Run.point) =
   match List.assoc_opt "effective_period_ns" pt.Obs.Run.extra with
   | Some (Obs.Json.Float f) -> f
   | _ -> nan
 
-(* Structured form: the Transient<DRAM> baseline point plus one ResPCT
-   point per configured period (its extras carry the measured effective
-   period). *)
-let fig11_points ?(scale = small) () =
+let fig11_points scale =
   let threads = scale.fig10_threads in
   let base =
     map_point_obs ~update_pct:90 scale Systems.Transient_dram ~threads
@@ -422,25 +340,7 @@ let fig11_points ?(scale = small) () =
   in
   (base, sweep)
 
-let fig11 ?(scale = small) () =
-  let base, sweep = fig11_points ~scale () in
-  let base_mops = point_mops base in
-  List.map
-    (fun (period_ns, pt) ->
-      let eff = point_eff pt in
-      ( Printf.sprintf "%.0f us" (period_ns /. 1e3),
-        [
-          Table.fmt_ratio (point_mops pt /. base_mops);
-          (if Float.is_nan eff then "-"
-           else Printf.sprintf "%.0f us" (eff /. 1e3));
-        ] ))
-    sweep
-
-(* ------------------------------------------------------------------ *)
-(* Figure 12: recovery time vs HashMap size. A write-intensive run is
-   crashed mid-epoch; recovery runs with the configured thread count. *)
-
-let fig12_points ?(scale = small) () =
+let fig12_points scale =
   List.map
     (fun buckets ->
       let s = { scale with buckets; map_prefill = buckets * 2 } in
@@ -506,14 +406,3 @@ let point_extra_int pt key =
   match List.assoc_opt key pt.Obs.Run.extra with
   | Some (Obs.Json.Int i) -> i
   | _ -> 0
-
-let fig12 ?(scale = small) () =
-  List.map
-    (fun pt ->
-      ( pt.Obs.Run.label,
-        [
-          Table.fmt_ms (point_extra_float pt "duration_ns");
-          string_of_int (point_extra_int pt "scanned");
-          string_of_int (point_extra_int pt "rolled_back");
-        ] ))
-    (fig12_points ~scale ())

@@ -1,25 +1,15 @@
-(* The paper's evaluation (section 5) as one registry. Each figure and table
-   is defined here once: its title, its header, its rows computed from the
-   measured points and, for Figures 8-12, the JSON experiment that carries
-   those same points in full. The ASCII table and the JSON are two views of
-   one run. `respct_experiments figures` prints a selection; the harness
-   tests run every entry at miniature scales.
-
-   Throughput is virtual-time Mops/s (see DESIGN.md on scaling). *)
-
 type table = {
   title : string;
   header : string list;
-  rows : (string * string list) list; (* (label, cells): one cell per column *)
+  rows : (string * string list) list;
 }
 
 type setup = {
   scale : Experiments.scale;
   apps : App_experiments.app_scale;
-  root : string; (* repository checkout whose sources Table 3 counts *)
+  root : string;
 }
 
-(* A simulation scale with its application scale, run from the checkout. *)
 let setup (scale : Experiments.scale) =
   let apps =
     if scale.Experiments.label = "paper" then App_experiments.paper
@@ -30,7 +20,6 @@ let setup (scale : Experiments.scale) =
 type figure = {
   name : string;
   run : setup -> table list * Obs.Json.t option;
-      (* the tables to print, and the experiment for the --json document *)
 }
 
 let print t = Table.print ~title:t.title ~header:t.header t.rows
@@ -66,7 +55,7 @@ let throughput_series rows =
 (* ------------------------------------------------------------------ *)
 
 let fig8 s =
-  let groups = Experiments.fig8_points ~scale:s.scale () in
+  let groups = Experiments.fig8_points s.scale in
   ( List.map
       (fun (update_pct, rows) ->
         {
@@ -96,7 +85,7 @@ let fig8 s =
   )
 
 let fig9 s =
-  let rows = Experiments.fig9_points ~scale:s.scale () in
+  let rows = Experiments.fig9_points s.scale in
   ( [
       {
         title = "Figure 9: Queue throughput (Mops/s), 1:1 enq/deq";
@@ -110,7 +99,7 @@ let fig9 s =
          (List.concat_map snd rows)) )
 
 let fig10 s =
-  let rows = Experiments.fig10_points ~scale:s.scale () in
+  let rows = Experiments.fig10_points s.scale in
   (* The first configuration, Transient<DRAM>, is the normalisation base. *)
   let base =
     match rows with
@@ -158,7 +147,7 @@ let fig10 s =
             rows)) )
 
 let fig11 s =
-  let base, sweep = Experiments.fig11_points ~scale:s.scale () in
+  let base, sweep = Experiments.fig11_points s.scale in
   let base_mops = Experiments.point_mops base in
   ( [
       {
@@ -192,8 +181,6 @@ let fig11 s =
                 })
               sweep)) )
 
-(* (buckets, [recovery ms; registry entries; rolled back]) per recovery
-   point; `respct_experiments recover` prints the same rows. *)
 let fig12_rows pts =
   List.map
     (fun pt ->
@@ -206,7 +193,7 @@ let fig12_rows pts =
     pts
 
 let fig12 s =
-  let pts = Experiments.fig12_points ~scale:s.scale () in
+  let pts = Experiments.fig12_points s.scale in
   ( [
       {
         title =
@@ -228,7 +215,7 @@ let fig13 s =
            normalised to Transient<DRAM>; last row = section 5.3's naive RP \
            placement)";
         header = [ "config:"; "Dedup"; "Swaptions"; "MatMul"; "LR" ];
-        rows = App_experiments.fig13 ~scale:s.apps ();
+        rows = App_experiments.fig13 s.apps;
       };
     ],
     None )
@@ -238,7 +225,7 @@ let fig14 s =
       {
         title = "Figure 14: KV store under YCSB (Kops/s)";
         header = [ "config:"; "read-intensive"; "balanced"; "write-intensive" ];
-        rows = App_experiments.fig14 ~scale:s.apps ();
+        rows = App_experiments.fig14 s.apps;
       };
     ],
     None )

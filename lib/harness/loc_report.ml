@@ -1,9 +1,3 @@
-(* Table 3 analogue: how much of each ported program is ResPCT
-   instrumentation. The paper counts lines added or modified in the C
-   sources; we count the lines of our OCaml ports that mention the ResPCT
-   API (restart points, InCLL updates, tracking, allow/prevent, runtime
-   plumbing) against the module's total lines. *)
-
 let instrumentation_markers =
   [
     "Respct.";
@@ -53,8 +47,6 @@ let count_file path =
   close_in ic;
   (!instrumented, !total)
 
-(* Rows of (application, instrumented lines, total lines, percentage);
-   files are resolved relative to [root] (the repository checkout). *)
 let rows ?(root = ".") () =
   List.filter_map
     (fun (name, path) ->

@@ -1,31 +1,10 @@
-(* Automation of the paper's section 3.3.2 rules over recorded executions —
-   the future-work direction of its section 6.
-
-   Given the event stream of a simulated run (Simnvm.Event), the advisor:
-
-   - splits each thread's accesses into restart-point-delimited segments
-     and applies the WAR rule per segment: any address read before its
-     first write within a segment needs InCLL logging; addresses only
-     written need tracking (add_modified); the rest of the persistent state
-     needs nothing;
-   - feeds the lock and access events to the vector-clock race checker,
-     validating the race-freedom assumption of section 2.1 that the whole
-     ResPCT design rests on.
-
-   Instrumentation sanity in this repository's own tests: the advisor run
-   over the ResPCT queue and hash map confirms that exactly the variables
-   we made InCLL variables are the ones the rule demands. *)
-
 type report = {
-  needs_logging : int list; (* addresses with a WAR segment somewhere *)
-  write_only : int list; (* persistent but WAR-free: add_modified suffices *)
+  needs_logging : int list;
+  write_only : int list;
   races : Analysis.Racecheck.race list;
-  segments : int; (* RP-delimited segments analysed *)
+  segments : int;
 }
 
-(* Per-thread segmentation: a Restart_point event closes the current
-   segment. Classification is cumulative across segments: one WAR segment
-   anywhere makes the address require logging. *)
 let analyse ?(addr_filter = fun (_ : int) -> true) events =
   let war : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let written : (int, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -93,30 +72,15 @@ let analyse ?(addr_filter = fun (_ : int) -> true) events =
     segments = !segments;
   }
 
-(* Subscriber-style capture: attach a recorder to the world's event bus,
-   run the workload, analyse what was seen. The advisor is just one more
-   subscriber; other subscribers on the same bus are unaffected. *)
-let capture ?addr_filter bus f =
-  let v, events = Simnvm.Event.record bus f in
-  (v, analyse ?addr_filter events)
-
 (* ------------------------------------------------------------------ *)
-(* Static/dynamic cross-check for analysed IR programs.
-
-   The static analyzer (Analysis.Warstatic/Placement) and this trace
-   advisor automate the same section 3.3.2 rule from opposite ends: one
-   over all CFG paths, one over a single recorded execution. Soundness
-   of the static side means every variable the dynamic advisor finds
-   WAR must already be in the static plan's logging set; the converse
-   need not hold (the static side may-overapproximates paths the run
-   did not take). *)
+(* Static/dynamic cross-check for analysed IR programs *)
 
 type ir_cross_check = {
-  cc_static_log : string list;  (* plan.log, sorted *)
-  cc_dynamic_log : string list; (* advisor needs_logging, as variables *)
-  cc_dynamic_only : string list; (* dynamic \ static: must be empty *)
+  cc_static_log : string list;
+  cc_dynamic_log : string list;
+  cc_dynamic_only : string list;
   cc_agrees : bool;
-  cc_races : Analysis.Racecheck.race list; (* on persistent data words *)
+  cc_races : Analysis.Racecheck.race list;
   cc_segments : int;
 }
 

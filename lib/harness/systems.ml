@@ -1,9 +1,3 @@
-(* Builders assembling one (world, system, structure) per evaluated system.
-
-   Each builder returns the fresh scheduler plus a [build] closure that the
-   workload driver calls inside its setup thread (structure creation
-   performs simulated memory accesses and must run on a simulated thread). *)
-
 type params = {
   max_threads : int;
   period_ns : float;
@@ -15,13 +9,13 @@ type params = {
   quantum : float;
   cache_sets : int;
   cache_ways : int;
-  mode : Respct.Runtime.mode; (* ResPCT variants (Figure 10) *)
+  mode : Respct.Runtime.mode;
   registry_per_slot : int;
   eadr : bool;
-  evict_rate : float; (* spontaneous-eviction probability of the world *)
-  pcso : bool; (* line-granular write-back; false = word-granular ablation *)
-  integrity : bool; (* checksum-sealed ResPCT metadata (faulty-media mode) *)
-  pipeline : bool; (* ResPCT pipelined checkpointing (async epoch advance) *)
+  evict_rate : float;
+  pcso : bool;
+  integrity : bool;
+  pipeline : bool;
 }
 
 let default_params =
@@ -52,10 +46,10 @@ type kind =
   | Pmthreads
   | Montage
   | Clobber
-  | Quadra (* Trinity for the map, Quadra for the queue *)
-  | Soft (* map only *)
-  | Dali (* map only *)
-  | Friedman (* queue only *)
+  | Quadra
+  | Soft
+  | Dali
+  | Friedman
 
 let name_of = function
   | Transient_dram -> "Transient<DRAM>"
@@ -77,8 +71,6 @@ let queue_kinds =
   [ Transient_dram; Transient_nvm; Respct; Pmthreads; Montage; Clobber;
     Quadra; Friedman ]
 
-(* Fresh world per data point: every system measures against its own
-   memory image and scheduler. *)
 let world (p : params) ~kind =
   let latency =
     let base =
@@ -132,8 +124,6 @@ let transient_mem env ~kind =
   in
   Pds.Mem_iface.of_env_bump env (Pds.Bump.create env ~base ~limit)
 
-(* Returns (sched, env, runtime option, build) — the runtime is exposed so
-   experiments can read checkpoint statistics afterwards. *)
 let map_system (p : params) kind =
   let _mem, sched, env = world p ~kind in
   match kind with

@@ -1,6 +1,3 @@
-(* Plain-text rendering of result tables and series, in the shape of the
-   paper's figures (rows = systems, columns = the swept parameter). *)
-
 let rule widths =
   let parts = List.map (fun w -> String.make (w + 2) '-') widths in
   "+" ^ String.concat "+" parts ^ "+"
@@ -15,7 +12,6 @@ let row widths cells =
   in
   "|" ^ String.concat "|" cells ^ "|"
 
-(* [print ~title ~header rows]: rows are (label, cell list). *)
 let print ?out ~title ~header rows =
   let ppf = Option.value ~default:Format.std_formatter out in
   let all = header :: List.map (fun (label, cells) -> label :: cells) rows in

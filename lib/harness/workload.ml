@@ -1,16 +1,8 @@
-(* Workload drivers for the data-structure experiments (paper section 5.1).
-
-   A driver owns the full lifecycle of one data point: build the world
-   (memory + scheduler + system + structure), prefill from a setup thread,
-   release the measurement threads through a barrier, run the op mix with a
-   restart point after every operation, and report throughput over the
-   measured virtual-time window. *)
-
 type map_params = {
   nthreads : int;
-  duration_ns : float; (* measured virtual-time window per thread *)
+  duration_ns : float;
   key_space : int;
-  update_pct : int; (* updates per 100 operations; half insert, half remove *)
+  update_pct : int;
   prefill : int;
   seed : int;
 }
@@ -23,8 +15,8 @@ type queue_params = {
 }
 
 type result = {
-  mops : float; (* million ops per virtual second *)
-  elapsed_ns : float; (* mean per-thread measured window *)
+  mops : float;
+  elapsed_ns : float;
   total_ops : int;
 }
 
@@ -109,9 +101,6 @@ let drive ?mem ?(on_window = fun () -> ()) ~sched ~nthreads ~seed ~setup
     total_ops = total;
   }
 
-(* Map workload: [build] runs inside the setup thread and returns the ops
-   record plus the system hooks. Update operations are half inserts, half
-   removes (paper section 5.1). *)
 let run_map ?mem ?on_window ~sched ~(params : map_params) ~build () =
   let ops = ref None in
   let setup () =
@@ -141,7 +130,6 @@ let run_map ?mem ?on_window ~sched ~(params : map_params) ~build () =
     ~setup ~prefill_total:params.prefill ~prefill_op
     ~duration_ns:params.duration_ns ~run_op ()
 
-(* Queue workload: 1:1 enqueue/dequeue mix (paper Figure 9). *)
 let run_queue ?mem ?on_window ~sched ~(params : queue_params) ~build () =
   let ops = ref None in
   let setup () =

@@ -424,20 +424,6 @@ let fuzz ?(n = 300) ?(seed = 1) ?(variant = Axiom.Pcso_lazy) ?mutate () :
 
 (* --- JSON -------------------------------------------------------------- *)
 
-let report_to_json (r : report) =
-  let locs ls = Obs.Json.List (List.map (fun l -> Obs.Json.String l) ls) in
-  Obs.Json.Obj
-    [
-      ("program", Obs.Json.String r.r_prog.Prog.name);
-      ("variant", Obs.Json.String (Axiom.variant_name r.r_variant));
-      ("skipped", Obs.Json.Bool r.r_skipped);
-      ("states", Obs.Json.Int r.r_states);
-      ("terminals", Obs.Json.Int r.r_terminals);
-      ("claimed", locs r.r_claimed);
-      ("empirical", locs r.r_empirical);
-      ("violations", Obs.Json.Int (List.length r.r_violations));
-    ]
-
 let fuzz_to_json (f : fuzz_result) =
   Obs.Json.Obj
     [

@@ -14,7 +14,6 @@
 type mutant = Strip_psync | Inject_redundant_pwb
 
 val mutant_name : mutant -> string
-val mutant_of_string : string -> mutant option
 
 val strip_psync : Prog.t -> Prog.t
 (** Delete every [Psync]: issued pwbs never fence, so the claims of the
@@ -24,8 +23,6 @@ val inject_redundant_pwb : Prog.t -> Prog.t
 (** Duplicate every [Pwb]: outcome-neutral axiomatically, caught by the
     static {!Analysis.Flushlint.Redundant_pwb} rule and the dynamic
     clean-pwb counter instead. *)
-
-val apply_mutant : mutant -> Prog.t -> Prog.t
 
 (** {2 IR bridge} *)
 
@@ -144,5 +141,4 @@ val fuzz :
     violation. With [mutate = None] any failure is a genuine soundness
     bug. *)
 
-val report_to_json : report -> Obs.Json.t
 val fuzz_to_json : fuzz_result -> Obs.Json.t

@@ -35,14 +35,6 @@ val check :
     the stream derives from [seed], so reported pairs replay — and
     collect every outcome outside the allowed set. *)
 
-val first_violation :
-  ?samples:int ->
-  ?seed:int ->
-  worlds:World.id list ->
-  variants:Axiom.variant list ->
-  Prog.t ->
-  violation option
-
 type witness = Prog.t * violation option
 (** A program and the violation found in it; [None] marks a shrink
     candidate still to be searched. *)
@@ -58,8 +50,9 @@ val campaign :
     [# check world=.. variant=.. \[mutant=..\] sched=.. image=..
     observed=..] line ({!Prog.of_string} skips it as a comment). A
     witness with a violation re-runs its seed pair with its mutant
-    planted; a candidate runs {!first_violation} over [worlds] (default
-    all) and [variants] (default PCSO) with [samples] and [seed].
+    planted; a candidate is searched for its first violation over
+    [worlds] (default all) and [variants] (default PCSO) with [samples]
+    and [seed].
     Candidates: the well-formed {!Gen.shrink} steps. *)
 
 type fuzz_result = {

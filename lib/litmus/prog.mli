@@ -55,9 +55,6 @@ val check : ?line_words:int -> t -> string list
 
 val well_formed : ?line_words:int -> t -> bool
 
-val pp_op : op Fmt.t
-val pp : t Fmt.t
-
 val to_string : t -> string
 (** Replay text; parseable by {!of_string} (round-trips). *)
 

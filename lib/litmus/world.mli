@@ -41,9 +41,6 @@ val line_words : int
 
 type run_cfg = { eadr : bool; ablation : bool; evict_rate : float }
 
-val default_run_cfg : run_cfg
-(** PCSO, eADR off, evict_rate 0.4. *)
-
 val run_cfg_of_variant : Axiom.variant -> run_cfg
 (** The world configuration matching an axiom variant ([Pcso_lazy] maps
     to the eager substrate — its spec is a superset). *)

@@ -1,21 +1,13 @@
-(* Counterexamples: the one shrinker, text format and replay entry every
-   crash campaign shares (DESIGN.md §17). Checking a witness replays it;
-   a searching campaign leaves the searched part of a candidate unset and
-   [check] fills it in. Text: optional body lines, then one tag line
-   [# <tag> k=v ...], whose values run to the next space. [parse] is
-   total: any input yields a typed error, never an exception. *)
-
 type fields = (string * string) list
-type 'p verdict = Pass | Fail of 'p * string  (** witness, reason *)
+type 'p verdict = Pass | Fail of 'p * string
 
 type 'p campaign = {
   tag : string;
-  print : 'p -> string list * fields;  (** body lines, tag-line fields *)
+  print : 'p -> string list * fields;
   decode : string list -> fields -> ('p, string) result;
   check : 'p -> 'p verdict;
-  candidates : 'p -> 'p list;  (** smaller witnesses, best first *)
+  candidates : 'p -> 'p list;
   attempts : int;
-      (** runs per candidate and per replay; >1 only for real-time kills *)
 }
 
 type error =
@@ -80,7 +72,7 @@ let of_string c text =
   | Ok (_, body, fs) ->
       Result.map_error (fun m -> Bad_field m) (c.decode body fs)
 
-(* Field decoders for campaigns' [decode]. *)
+(* --- field decoders ------------------------------------------------------ *)
 
 let known fs keys =
   match List.find_opt (fun (k, _) -> not (List.mem k keys)) fs with
@@ -142,9 +134,8 @@ let shrink c (w, reason) =
 type 'p shrunk = {
   witness : 'p;
   reason : string;
-  text : string;  (** the printed counterexample *)
+  text : string;
   parity : (unit, string) result;
-      (** the text parses back to [witness] and re-running it fails *)
 }
 
 let minimize c first =
@@ -162,7 +153,7 @@ let minimize c first =
   { witness; reason; text; parity }
 
 type packed = Campaign : 'p campaign -> packed
-type replayed = Reproduced of string | Vanished of int  (** attempts made *)
+type replayed = Reproduced of string | Vanished of int
 
 let replay campaigns text =
   match parse text with

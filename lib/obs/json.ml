@@ -1,14 +1,3 @@
-(* Minimal JSON document type with a deterministic printer and a small
-   reader.
-
-   Hand-rolled on purpose: the container has no JSON library baked in and
-   determinism of the output bytes is a test requirement (two same-seed
-   runs must serialise to identical files). Objects are association lists,
-   so field order is exactly construction order — never Hashtbl iteration
-   order. The reader exists for the one consumer in the repository: the
-   perf harness loading a committed benchmark baseline back for
-   [perf --compare]. *)
-
 type t =
   | Null
   | Bool of bool
@@ -32,8 +21,6 @@ let escape buf s =
       | c -> Buffer.add_char buf c)
     s
 
-(* Floats print with enough digits to round-trip but without the noise of
-   %.17g; NaN/inf are not valid JSON so they degrade to null. *)
 let float_repr f =
   match Float.classify_float f with
   | FP_nan | FP_infinite -> "null"
@@ -69,7 +56,6 @@ let rec write buf = function
         fields;
       Buffer.add_char buf '}'
 
-(* Indented variant for files meant to be read by humans and diffed. *)
 let rec write_indent buf level = function
   | (Null | Bool _ | Int _ | Float _ | String _) as v -> write buf v
   | List [] -> Buffer.add_string buf "[]"
@@ -120,10 +106,7 @@ let to_file path v =
     (fun () -> output_string oc (to_string_pretty v))
 
 (* ------------------------------------------------------------------ *)
-(* Reader: a plain recursive-descent parser over the subset of JSON the
-   printers above emit (which is all of JSON minus exotic number forms).
-   Errors carry the byte offset so a truncated baseline file is
-   diagnosable. *)
+(* Reader *)
 
 exception Parse_error of int * string
 
@@ -303,7 +286,6 @@ let of_file path =
   | s -> of_string s
   | exception Sys_error msg -> Error msg
 
-(* Field access helpers for the reader's consumers. *)
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 
 let to_float_opt = function

@@ -1,11 +1,3 @@
-(* Memory-event probe: a Metrics-backed subscriber on a memory's bus.
-
-   Attaching one puts named counters for every memory event class into a
-   registry, alongside (not instead of) the memory's Stats record. The
-   counter set is richer than Stats where the event carries more detail
-   than the historical record kept — clean pwbs and prefetched misses are
-   distinguished here. *)
-
 type t = {
   loads : Metrics.counter;
   stores : Metrics.counter;
@@ -123,7 +115,6 @@ let subscriber p (ev : Simnvm.Event.t) =
   | Simnvm.Event.Release _ | Simnvm.Event.Restart_point _ ->
       ()
 
-(* Attach to a memory system; returns the subscription for detaching. *)
 let attach registry mem =
   let p = make registry in
   (p, Simnvm.Event.subscribe (Simnvm.Memsys.bus mem) (subscriber p))

@@ -1,12 +1,3 @@
-(* Metric registry: named counters and virtual-time histograms.
-
-   A registry belongs to one experiment run. Names are get-or-create and
-   the registry remembers insertion order, so JSON export is deterministic
-   regardless of how lookup is implemented. Counters are plain ints on the
-   hot path (one record-field increment); histograms bucket a float sample
-   (typically a virtual-time duration in ns) against fixed bounds and keep
-   running sum/min/max for the summary line. *)
-
 type counter = { c_name : string; mutable count : int }
 
 type histogram = {
@@ -39,7 +30,6 @@ let counter t name =
       t.order <- Counter c :: t.order;
       c
 
-(* Default bounds suit virtual-time durations in ns: 100ns..100ms. *)
 let default_bounds =
   [| 1e2; 3e2; 1e3; 3e3; 1e4; 3e4; 1e5; 3e5; 1e6; 3e6; 1e7; 3e7; 1e8 |]
 

@@ -1,16 +1,3 @@
-(* Span-style phase profiling over virtual time.
-
-   Producers (the ResPCT runtime, the recovery procedure) report named
-   phases — epoch, checkpoint, flush, recovery — as [t0, t1] intervals on
-   the simulation's virtual clock. The recorder keeps the raw intervals
-   (bounded, newest dropped beyond the cap) plus exact per-name aggregates,
-   so a JSON export carries both a summary breakdown and a sample of
-   individual spans for timeline inspection.
-
-   Timestamps are plain floats: obs knows nothing of the scheduler, which
-   keeps the dependency graph acyclic (respct depends on obs, not the
-   reverse). *)
-
 type span = { name : string; t0 : float; t1 : float }
 
 type agg = {
@@ -54,9 +41,6 @@ let emit t ~name ~t0 ~t1 =
   if dur < a.min then a.min <- dur;
   if dur > a.max then a.max <- dur
 
-(* Convenience for callers that already hold the duration. *)
-let emit_dur t ~name ~at ~dur = emit t ~name ~t0:(at -. dur) ~t1:at
-
 type summary = {
   s_name : string;
   count : int;
@@ -84,6 +68,8 @@ let count t name =
 
 let total_ns t name =
   match Hashtbl.find_opt t.aggs name with Some a -> a.total | None -> 0.0
+
+let spans t = t.spans
 
 let reset t =
   t.spans <- [];

@@ -8,8 +8,6 @@
 
 type t
 
-val node_words : int
-
 val create : Respct.Runtime.t -> slot:int -> buckets:int -> t
 (** Allocate bucket-head cells from the runtime's persistent heap; call
     from a simulated thread. @raise Invalid_argument if [buckets <= 0]. *)

@@ -5,8 +5,6 @@
 
 type t
 
-val node_words : int
-
 val create : Simsched.Env.t -> Mem_iface.t -> buckets:int -> t
 (** Allocate the bucket array from the given memory interface.
     @raise Invalid_argument if [buckets <= 0]. *)

@@ -5,8 +5,6 @@
 
 type t
 
-val node_words : int
-
 val create : Respct.Runtime.t -> slot:int -> t
 (** Allocate the sentinel and pointer cells; call from a simulated thread. *)
 
@@ -25,9 +23,3 @@ val tail_cell : t -> Respct.Incll.cell
 val persisted_contents : Simnvm.Memsys.t -> t -> int list
 (** Recovery-time oracle: queue contents (head to tail) readable from the
     NVMM image. *)
-
-val contents_of : read:(int -> int) -> fuel:int -> head:int -> int list
-(** The walk underneath {!persisted_contents}, parameterised over the read
-    function: pass a backend's [persisted] or [peek] to take the reading
-    from any vantage point (any process that knows the head cell address).
-    @raise Failure on a cyclic chain (fuel exhausted). *)

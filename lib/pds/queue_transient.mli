@@ -4,8 +4,6 @@
 
 type t
 
-val node_words : int
-
 val create : Simsched.Env.t -> Mem_iface.t -> t
 val enqueue : t -> slot:int -> int -> unit
 val dequeue : t -> slot:int -> int option

@@ -1,12 +1,3 @@
-(* The benchmark suite: the paper's two throughput sweeps, run through the
-   *uninstrumented* experiment points (no Memobs subscribers attached) so
-   the kernel's stats-only fast path is what gets measured — exactly the
-   configuration every property test and crashmatrix run exercises.
-
-   Each benchmark executes a whole sweep (every system × every thread
-   count) once and reports its total simulated operations and total
-   virtual time. *)
-
 type preset = {
   p_name : string;
   p_benches : (string * (unit -> int * float)) list;

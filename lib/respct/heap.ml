@@ -149,8 +149,6 @@ let alloc_incll_array_block ctx t n =
   let lines = (n + per - 1) / per in
   alloc_block ~line_start:true ctx t ~words:(lines * lw)
 
-let alloc_incll_array ctx t n = fst (alloc_incll_array_block ctx t n)
-
 let cell_at_words ~line_words base i =
   let per = line_words / Incll.words in
   base + (i / per * line_words) + (i mod per * Incll.words)

@@ -53,9 +53,6 @@ val alloc_incll_array_block : Pctx.t -> t -> int -> int * bool
 (** Allocate [n] InCLL cells packed (line_words / 3) per line; returns the
     base and the freshness flag; address cells with {!cell_at}. *)
 
-val alloc_incll_array : Pctx.t -> t -> int -> int
-(** [alloc_incll_array_block] without the freshness flag. *)
-
 val cell_at : Simsched.Env.t -> int -> int -> Incll.cell
 (** [cell_at env base i]: address of the [i]-th cell of a packed array. *)
 
@@ -87,9 +84,6 @@ val release : t -> staged -> unit
 (** Promote a {!collect_pending} snapshot to the free lists. The pipelined
     runtime defers this until the overlapped background flush has sealed:
     releasing earlier could recycle a block the flusher walk still reads. *)
-
-val cursor : Pctx.t -> t -> int
-(** Current bump cursor (diagnostics). *)
 
 val used : Pctx.t -> t -> int
 (** Words carved from the arena so far (free lists not subtracted). *)

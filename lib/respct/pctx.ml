@@ -4,7 +4,7 @@
    A context is bound to (runtime, thread slot): [epoch] reads the current
    global epoch, [add_modified] appends an address to that slot's
    to_be_flushed list (paper, Table 1), and [slot] keys the per-thread
-   allocator caches. Transient code paths use {!none}. *)
+   allocator caches. *)
 
 type t = {
   env : Simsched.Env.t;
@@ -22,15 +22,3 @@ type t = {
   integrity : bool;
       (* seal InCLL epoch words with Checksum codes (faulty-media mode) *)
 }
-
-(* Context for code running outside any checkpointing runtime (transient
-   programs, test setup): epoch is frozen at 0 and tracking is a no-op. *)
-let none env =
-  {
-    env;
-    slot = 0;
-    epoch = (fun () -> 0);
-    add_modified = ignore;
-    wait_epoch_durable = ignore;
-    integrity = false;
-  }

@@ -23,7 +23,3 @@ type t = {
       (** seal InCLL epoch words with {!Checksum} codes (faulty-media
           hardening); off everywhere by default *)
 }
-
-val none : Simsched.Env.t -> t
-(** Context for transient code: slot 0, epoch frozen at 0, tracking
-    disabled. *)

@@ -166,6 +166,8 @@ let cell_in_heap (layout : Layout.t) cell =
   cell >= layout.Layout.heap_base
   && cell + Incll.words <= layout.Layout.heap_limit
 
+(* [run] over an arbitrary persistence backend (e.g. Filemem):
+   [run ... mem] is [run_backend ... (Simnvm.Backend.of_memsys mem)]. *)
 let run_backend ?(threads = 1) ?(layout : Layout.t option) ?spans
     (b : Simnvm.Backend.t) =
   let line_words = b.Simnvm.Backend.line_words in

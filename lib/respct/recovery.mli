@@ -84,7 +84,6 @@ type verified = {
   read_retries : int;  (** media errors retried during the scan *)
 }
 
-val pp_damage : damage Fmt.t
 val pp_verdict : verdict Fmt.t
 
 val exact_image : verdict -> bool
@@ -102,15 +101,6 @@ val run :
     Trusts the image. On faulty media it cannot hang or escape the heap
     (registry lengths and decoded ranges are clamped) but it can silently
     restore wrong data — use {!run_verified} on integrity-mode images. *)
-
-val run_backend :
-  ?threads:int ->
-  ?layout:Layout.t ->
-  ?spans:Obs.Span.t ->
-  Simnvm.Backend.t ->
-  report
-(** {!run} over an arbitrary persistence backend (e.g. [Filemem]).
-    [run ... mem] is [run_backend ... (Simnvm.Backend.of_memsys mem)]. *)
 
 val run_verified :
   ?max_read_retries:int ->

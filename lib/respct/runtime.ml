@@ -271,7 +271,6 @@ let make_internal ?(cfg = default_config) env =
   }
 
 let set_spans t r = t.spans <- Some r
-let spans t = t.spans
 
 let emit_span t name t0 t1 =
   match t.spans with
@@ -863,22 +862,10 @@ let cond_wait t ~slot cv app_mutex =
 (* ------------------------------------------------------------------ *)
 (* Introspection *)
 
-let debug_flags t =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "timer=%b stop=%b " t.timer t.stop_requested);
-  Array.iteri
-    (fun i st ->
-      if st.active then
-        Buffer.add_string b (Printf.sprintf "[%d:%b]" i st.flag))
-    t.slots;
-  Buffer.contents b
-
 let stats t = t.stats
 let heap t = t.heap
 let layout t = t.layout
 let env t = t.env
-let rp_id t ~slot = read t ~slot t.slots.(slot).rp_cell
 
 let mean_effective_period t =
   if t.stats.checkpoints <= 1 then nan

@@ -125,11 +125,6 @@ val checkpoint_allow : t -> slot:int -> unit
 (** Permit checkpoints to proceed without this thread (before a blocking
     call, paper Figure 7). *)
 
-val checkpoint_prevent : t -> slot:int -> Simsched.Mutex.t -> unit
-(** Revoke the permission after a [cond_wait] returned, waiting out any
-    ongoing checkpoint while temporarily releasing the application mutex
-    (paper lines 32-39). *)
-
 val checkpoint_prevent_nolock : t -> slot:int -> unit
 (** Variant for blocking calls made outside critical sections. *)
 
@@ -194,9 +189,6 @@ val epoch : t -> int
     volatile epoch counter in pipeline mode (which runs one ahead of the
     word while a background flush is in flight). *)
 
-val debug_flags : t -> string
-(** Debug helper: timer state and the per-slot flags of active threads. *)
-
 val set_spans : t -> Obs.Span.t -> unit
 (** Attach a span recorder: checkpoints thereafter report
     ["checkpoint"] (timer raise to completion — worker release in classic
@@ -208,15 +200,10 @@ val set_spans : t -> Obs.Span.t -> unit
     on the virtual clock. Pure observation: attaching one changes no
     charge. *)
 
-val spans : t -> Obs.Span.t option
-
 val stats : t -> stats
 val heap : t -> Heap.t
 val layout : t -> Layout.t
 val env : t -> Simsched.Env.t
-
-val rp_id : t -> slot:int -> int
-(** Last restart-point id persisted for the slot. *)
 
 val mean_effective_period : t -> float
 (** Mean measured distance between checkpoint completions (section 5.2's

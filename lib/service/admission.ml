@@ -10,10 +10,6 @@
 
 type reject = Queue_full | Shard_down
 
-let reject_name = function
-  | Queue_full -> "queue_full"
-  | Shard_down -> "shard_down"
-
 type 'a t = {
   sched : Simsched.Scheduler.t;
   cap : int;
@@ -89,8 +85,6 @@ let close t =
   Simsched.Mutex.unlock t.sched t.mu;
   leftovers
 
-let depth t = Queue.length t.q
-let closed t = t.closed
 let accepted t = t.accepted
 let rejected_full t = t.rejected_full
 let rejected_down t = t.rejected_down

@@ -10,8 +10,6 @@ type reject =
   | Queue_full  (** the shard is saturated: back off and retry *)
   | Shard_down  (** the shard closed (crashed or shut down): don't *)
 
-val reject_name : reject -> string
-
 type 'a t
 
 val create : ?name:string -> Simsched.Scheduler.t -> cap:int -> 'a t
@@ -37,8 +35,6 @@ val close : 'a t -> 'a list
     consumers wake and drain out. Returns the undrained requests so the
     caller can fail them back to their clients. *)
 
-val depth : 'a t -> int
-val closed : 'a t -> bool
 val accepted : 'a t -> int
 val rejected_full : 'a t -> int
 val rejected_down : 'a t -> int

@@ -341,7 +341,7 @@ let stall_overlap shards =
             if sp.Obs.Span.name = "checkpoint.stall" then
               [ (sp.Obs.Span.t0, 1); (sp.Obs.Span.t1, -1) ]
             else [])
-          sh.s_spans.Obs.Span.spans)
+          (Obs.Span.spans sh.s_spans))
       shards
   in
   let evs = List.sort compare evs in

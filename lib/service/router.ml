@@ -45,9 +45,6 @@ let create ~shards ~vnodes =
     owner = Array.map snd pts;
   }
 
-let shards t = t.shards
-let vnodes t = t.vnodes
-
 (* Successor lookup: smallest ring point >= h, wrapping to 0. *)
 let route t key =
   let h = mix key in

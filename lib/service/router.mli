@@ -10,9 +10,6 @@ type t
 val create : shards:int -> vnodes:int -> t
 (** @raise Invalid_argument if either count is non-positive. *)
 
-val shards : t -> int
-val vnodes : t -> int
-
 val route : t -> int -> int
 (** Owning shard of a key, in [0, shards). Pure and deterministic. *)
 

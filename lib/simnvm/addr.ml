@@ -6,7 +6,6 @@
 
 type t = int
 
-let word_bytes = 8
 let default_line_words = 8
 
 let line_of ~line_words addr = addr / line_words
@@ -22,5 +21,3 @@ let align_for ~line_words ~words addr =
     invalid_arg "Addr.align_for: allocation larger than a cache line";
   let off = offset_in_line ~line_words addr in
   if off + words <= line_words then addr else line_base ~line_words addr + line_words
-
-let pp ppf a = Fmt.pf ppf "0x%x" (a * word_bytes)

@@ -6,9 +6,6 @@
 
 type t = int
 
-val word_bytes : int
-(** Bytes per word (8). *)
-
 val default_line_words : int
 (** Words per cache line (8 = 64-byte lines). *)
 
@@ -29,5 +26,3 @@ val align_for : line_words:int -> words:int -> t -> t
 (** [align_for ~line_words ~words addr] is the first address [>= addr] at
     which an allocation of [words] words does not straddle a line boundary.
     @raise Invalid_argument if [words > line_words]. *)
-
-val pp : t Fmt.t

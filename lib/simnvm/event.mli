@@ -55,8 +55,6 @@ type t =
   | Release of { tid : int; lock : int }
   | Restart_point of { tid : int; id : int }
 
-val backing_label : backing -> string
-val pp_fault : fault Fmt.t
 val pp : t Fmt.t
 
 (** {2 The bus} *)

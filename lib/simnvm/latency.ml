@@ -45,10 +45,3 @@ let dram_only =
 (* eADR (paper section 6): the cache belongs to the persistent domain, so
    flush and fence instructions are free. Miss costs are unchanged. *)
 let eadr_of base = { base with clwb_ns = 0.0; sfence_ns = 0.0 }
-
-let pp ppf t =
-  Fmt.pf ppf
-    "@[<v>hit=%.0fns dram_miss=%.0fns nvm_miss=%.0fns clwb=%.0fns \
-     sfence=%.0fns wb(dram)=%.0fns wb(nvm)=%.0fns@]"
-    t.cache_hit_ns t.dram_miss_ns t.nvm_miss_ns t.clwb_ns t.sfence_ns
-    t.dram_writeback_ns t.nvm_writeback_ns

@@ -24,5 +24,3 @@ val dram_only : t
 val eadr_of : t -> t
 (** [eadr_of base] models eADR (cache in the persistent domain, paper
     section 6): flushes and fences become free. *)
-
-val pp : t Fmt.t

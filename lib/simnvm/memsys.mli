@@ -103,9 +103,6 @@ val set_tid_provider : t -> (unit -> int) -> unit
     written by a different thread pays a cache-to-cache transfer, writing a
     line not exclusively owned pays an invalidation round. *)
 
-val is_nvm : t -> Addr.t -> bool
-(** Whether the address is NVMM-backed. *)
-
 exception Media_error of { addr : int; line : int; transient : bool }
 (** Raised by an access that misses into a poisoned (or transiently
     failing) NVMM line. [transient] faults fail exactly once and heal;

@@ -8,7 +8,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
 let blit src dst = dst.state <- src.state
 
 (* splitmix64 step (Steele, Lea, Flood 2014). *)

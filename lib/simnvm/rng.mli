@@ -9,9 +9,6 @@ type t
 val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds give equal streams. *)
 
-val copy : t -> t
-(** Independent copy continuing from the current state. *)
-
 val blit : t -> t -> unit
 (** [blit src dst] makes [dst] continue from [src]'s current state, in
     place (save and rewind a generator without allocating). *)

@@ -80,18 +80,3 @@ let subscriber t (ev : Event.t) =
       ()
 
 let accesses t = t.loads + t.stores
-
-let hit_rate t =
-  let n = accesses t in
-  if n = 0 then 1.0 else float_of_int t.hits /. float_of_int n
-
-let pp ppf t =
-  Fmt.pf ppf
-    "@[<v>accesses=%d (loads=%d stores=%d) hit_rate=%.3f@,\
-     misses: dram=%d nvm=%d@,\
-     writebacks: dram=%d nvm=%d spontaneous=%d@,\
-     pwb=%d psync=%d crashes=%d@,\
-     faults=%d media-errors=%d scrubs=%d@]"
-    (accesses t) t.loads t.stores (hit_rate t) t.dram_misses t.nvm_misses
-    t.dram_writebacks t.nvm_writebacks t.spontaneous_evictions t.pwbs t.psyncs
-    t.crashes t.faults_injected t.media_errors t.media_scrubs

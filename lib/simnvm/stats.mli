@@ -28,8 +28,3 @@ val subscriber : t -> Event.t -> unit
 
 val accesses : t -> int
 (** Total loads + stores. *)
-
-val hit_rate : t -> float
-(** Cache hit rate over all accesses; 1.0 when no access happened. *)
-
-val pp : t Fmt.t

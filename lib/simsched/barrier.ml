@@ -18,16 +18,10 @@ let create ?(name = "barrier") parties =
     generation = 0;
   }
 
-let trace = ref false
-
 let await sched b =
   Mutex.lock sched b.m;
   let gen = b.generation in
   b.arrived <- b.arrived + 1;
-  if !trace then
-    Printf.printf "barrier %s: tid %d arrived (%d/%d) gen %d at %.0f\n"
-      (Condvar.name b.cv) (Scheduler.current_tid sched) b.arrived b.parties gen
-      (Scheduler.now sched);
   if b.arrived = b.parties then begin
     b.arrived <- 0;
     b.generation <- b.generation + 1;

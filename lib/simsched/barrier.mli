@@ -8,6 +8,3 @@ val create : ?name:string -> int -> t
 
 val await : Scheduler.t -> t -> unit
 (** Block until all parties arrived; the barrier then resets. *)
-
-val trace : bool ref
-(** Debug: print arrivals. *)

@@ -28,6 +28,3 @@ let broadcast sched cv =
   let at = Scheduler.now sched in
   Queue.iter (fun tid -> Scheduler.wakeup sched tid ~at) cv.waiters;
   Queue.clear cv.waiters
-
-let waiting cv = Queue.length cv.waiters
-let name cv = cv.name

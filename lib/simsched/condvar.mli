@@ -14,8 +14,3 @@ val signal : Scheduler.t -> t -> unit
 
 val broadcast : Scheduler.t -> t -> unit
 (** Wake every waiter. *)
-
-val waiting : t -> int
-(** Number of parked waiters (test hook). *)
-
-val name : t -> string

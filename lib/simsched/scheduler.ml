@@ -21,10 +21,10 @@
    models a whole-machine power failure at an arbitrary moment.
 
    Threads live in a growable array in spawn order and are never removed,
-   so a thread's tid doubles as its index ([thread_clock]/[wakeup] are
-   O(1)). Ready threads also sit in a binary min-heap keyed by (clock
-   ascending, tid descending), so a context switch costs O(log r) in the
-   number r of ready threads however many have finished. The newest
+   so a thread's tid doubles as its index ([wakeup] is O(1)). Ready
+   threads also sit in a binary min-heap keyed by (clock ascending, tid
+   descending), so a context switch costs O(log r) in the number r of
+   ready threads however many have finished. The newest
    thread wins clock ties; that rule fixes dispatch order, on which every
    seeded virtual time and golden depends. [spawn]
    and [wakeup] push, [run] pops the thread it dispatches and pushes it
@@ -181,11 +181,6 @@ let spawn ?(name = "thread") t f =
 
 let find_thread t tid =
   if tid >= 0 && tid < t.n_threads then Some t.threads.(tid) else None
-
-let thread_clock t tid =
-  match find_thread t tid with
-  | Some th -> th.clock
-  | None -> invalid_arg "Scheduler.thread_clock: unknown tid"
 
 let elapsed t =
   let acc = ref 0.0 in

@@ -67,9 +67,6 @@ val now : t -> float
 val elapsed : t -> float
 (** Maximum clock over all threads: the virtual makespan of the run. *)
 
-val thread_clock : t -> int -> float
-(** Clock of an arbitrary thread. *)
-
 val charge : t -> float -> unit
 (** Advance the running thread's clock by a cost in ns (jittered). Does not
     preempt; callers invoke {!poll} at safe points. No-op outside fibers, so

@@ -124,14 +124,14 @@ let test_clobber_logs_only_war () =
          (* write-only op: no WAR, nothing logged *)
          Baselines.Fatomic.with_op fa ~slot:0 (fun () ->
              Baselines.Fatomic.intercepted_store fa ~slot:0 100 1);
-         Alcotest.(check int) "no WAR yet" 0 fa.Baselines.Fatomic.stats_logged;
+         Alcotest.(check int) "no WAR yet" 0 (Baselines.Fatomic.stats_logged fa);
          (* read-then-write: one WAR log entry *)
          Baselines.Fatomic.with_op fa ~slot:0 (fun () ->
              let v = Baselines.Fatomic.intercepted_load fa ~slot:0 100 in
              Baselines.Fatomic.intercepted_store fa ~slot:0 100 (v + 1);
              (* second store to the same var: not re-logged *)
              Baselines.Fatomic.intercepted_store fa ~slot:0 100 (v + 2));
-         Alcotest.(check int) "one WAR entry" 1 fa.Baselines.Fatomic.stats_logged));
+         Alcotest.(check int) "one WAR entry" 1 (Baselines.Fatomic.stats_logged fa)));
   ignore (Scheduler.run sched)
 
 let test_fatomic_commit_flushes_write_set () =
@@ -145,7 +145,7 @@ let test_fatomic_commit_flushes_write_set () =
              Baselines.Fatomic.intercepted_store fa ~slot:0 256 9)));
   ignore (Scheduler.run sched);
   Alcotest.(check int) "two lines flushed" 2
-    fa.Baselines.Fatomic.stats_flushed_lines;
+    (Baselines.Fatomic.stats_flushed_lines fa);
   (* durable linearizability: committed values are in NVMM *)
   Alcotest.(check int) "persisted" 8 (Memsys.persisted mem 65);
   Alcotest.(check int) "persisted" 9 (Memsys.persisted mem 256)

@@ -85,12 +85,23 @@ let test_eadr_ablation () =
   Alcotest.(check bool) "throughput not worse under eADR" true
     (mops_on >= mops_off *. 0.9)
 
+(* The rows one registry entry prints for [scale]. *)
+let figure_rows ?(scale = tiny) name =
+  let f =
+    List.find
+      (fun (f : Harness.Figures.figure) -> f.Harness.Figures.name = name)
+      Harness.Figures.all
+  in
+  List.concat_map
+    (fun (t : Harness.Figures.table) -> t.Harness.Figures.rows)
+    (fst (f.Harness.Figures.run (Harness.Figures.setup scale)))
+
 (* The non-PCSO ablation at the workload level: running the full ResPCT
    HashMap on word-granular write-back hardware must eventually produce a
    recovery mismatch (DESIGN.md ablation 1). Covered at cell granularity in
    test_respct; here we only ensure the flag plumbs through the harness. *)
 let test_fig10_shape () =
-  let rows = Harness.Experiments.fig10 ~scale:tiny () in
+  let rows = figure_rows "fig10" in
   Alcotest.(check int) "five configurations" 5 (List.length rows);
   List.iter
     (fun (_name, cells) -> Alcotest.(check int) "three workloads" 3 (List.length cells))
@@ -100,7 +111,7 @@ let test_fig10_shape () =
   List.iter (fun c -> Alcotest.(check string) "unit base" "1.00" c) base
 
 let test_fig12_rows () =
-  let rows = Harness.Experiments.fig12 ~scale:tiny () in
+  let rows = figure_rows "fig12" in
   List.iter
     (fun (label, cells) ->
       Alcotest.(check bool) (label ^ " recovery time parses") true
@@ -412,6 +423,18 @@ let test_figures_registry () =
                 (1 + List.length cells))
             t.Harness.Figures.rows)
         tables;
+      (* Figures 10 and 13 are normalised to their Transient<DRAM> row. *)
+      if List.mem name [ "fig10"; "fig13" ] then
+        List.iter
+          (fun (t : Harness.Figures.table) ->
+            match List.assoc_opt "Transient<DRAM>" t.Harness.Figures.rows with
+            | None -> Alcotest.fail (name ^ ": no Transient<DRAM> row")
+            | Some cells ->
+                List.iter
+                  (Alcotest.(check string) (name ^ ": Transient<DRAM> cell")
+                     "1.00")
+                  cells)
+          tables;
       match experiment with
       | None ->
           Alcotest.(check bool) (name ^ " has no JSON experiment") false
@@ -469,7 +492,7 @@ let test_fig9_golden () =
     ~header:
       ("threads:"
       :: List.map string_of_int scale.Harness.Experiments.sweep_threads)
-    (Harness.Experiments.fig9 ~scale ());
+    (figure_rows ~scale "fig9");
   Alcotest.(check string) "fig9 byte-identical" fig9_golden (Buffer.contents buf)
 
 (* The crash-matrix smoke run: same capture, same guarantee. The verdict
