@@ -9,9 +9,11 @@
 # builds and runs its own benchmark/run.sh. Seed i runs every workload on
 # both trees back to back, the parent first when i is odd. Everything goes
 # to bench-pair/: the recorded invocations (parent.json, change.json), each
-# invocation's report and compare's table (compare.txt). The exit status is
-# compare's: 1 when a host metric regresses beyond its BENCHMARK.json bound
-# or a simulated metric differs for a seed.
+# invocation's report, each tree's code-layout table (layout-parent.txt,
+# layout-change.txt, from .github/layout.sh) and compare's table
+# (compare.txt). The exit status is compare's: 1 when a host metric
+# regresses beyond its BENCHMARK.json bound or a simulated metric differs
+# for a seed.
 set -euo pipefail
 
 parent_rev="${1:?usage: paired-benchmark.sh PARENT_COMMIT}"
@@ -46,6 +48,14 @@ for seed in $(seq 1 "$pairs"); do
         > "$out/$side-$w-$seed.txt"
     done
   done
+done
+
+# A host difference can be a code-layout shift rather than a code change:
+# record where each tree's hot modules landed.
+for side in parent change; do
+  bash "$change/.github/layout.sh" \
+    "${tree[$side]}/.bench_build/default/benchmark/main.exe" \
+    > "$out/layout-$side.txt"
 done
 
 status=0

@@ -37,8 +37,8 @@ module Bq = struct
       items = Queue.create ();
       cap;
       m = Simsched.Mutex.create ~name ();
-      not_empty = Simsched.Condvar.create ~name:(name ^ ".ne") ();
-      not_full = Simsched.Condvar.create ~name:(name ^ ".nf") ();
+      not_empty = Simsched.Condvar.create ();
+      not_full = Simsched.Condvar.create ();
     }
 
   (* [wait] abstracts the cond_wait protocol: ResPCT variants pass

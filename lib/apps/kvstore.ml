@@ -55,11 +55,11 @@ let run env persistence (cfg : cfg) =
     {
       q = Queue.create ();
       qm = Simsched.Mutex.create ~name:"kv-q" ();
-      q_nonempty = Simsched.Condvar.create ~name:"kv-q" ();
+      q_nonempty = Simsched.Condvar.create ();
       response_m =
         Array.init cfg.clients (fun _ -> Simsched.Mutex.create ~name:"kv-resp" ());
       response_cv =
-        Array.init cfg.clients (fun _ -> Simsched.Condvar.create ~name:"kv-resp" ());
+        Array.init cfg.clients (fun _ -> Simsched.Condvar.create ());
       response_ready = Array.make cfg.clients false;
       stop = false;
     }

@@ -24,8 +24,8 @@ let create sched ~max_threads =
   {
     sched;
     m = Simsched.Mutex.create ~name:"epoch-gate" ();
-    arrival = Simsched.Condvar.create ~name:"gate-arrival" ();
-    released = Simsched.Condvar.create ~name:"gate-release" ();
+    arrival = Simsched.Condvar.create ();
+    released = Simsched.Condvar.create ();
     gate_up = false;
     stop_requested = false;
     active = Array.make max_threads false;

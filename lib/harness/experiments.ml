@@ -145,7 +145,7 @@ let workload_extra (r : Workload.result) =
 let instrument env rt =
   let mem = Simsched.Env.mem env in
   let registry = Obs.Metrics.create () in
-  let _probe, _sub = Obs.Memobs.attach registry mem in
+  ignore (Obs.Memobs.attach registry mem);
   let spans = Obs.Span.create () in
   Option.iter (fun rt -> Respct.Runtime.set_spans rt spans) rt;
   (registry, spans, fun () -> Obs.Metrics.reset registry)

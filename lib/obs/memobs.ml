@@ -116,5 +116,4 @@ let subscriber p (ev : Simnvm.Event.t) =
       ()
 
 let attach registry mem =
-  let p = make registry in
-  (p, Simnvm.Event.subscribe (Simnvm.Memsys.bus mem) (subscriber p))
+  Simnvm.Event.subscribe (Simnvm.Memsys.bus mem) (subscriber (make registry))

@@ -6,7 +6,5 @@
    than the historical record kept — clean pwbs and prefetched misses are
    distinguished here. *)
 
-type t
-
 (* Attach to a memory system; returns the subscription for detaching. *)
-val attach : Metrics.t -> Simnvm.Memsys.t -> t * Simnvm.Event.subscription
+val attach : Metrics.t -> Simnvm.Memsys.t -> Simnvm.Event.subscription

@@ -338,29 +338,29 @@ let run_verified_backend ?(max_read_retries = 4) ?(layout : Layout.t option)
      crash during growth, shorter than its header's claimed geometry)
      surfaces as Invalid_argument from the backend: it grades into the
      taxonomy as an out-of-bounds range rather than escaping the scan --
-     the read yields 0, whose failing seal then classifies the cell. *)
-  let read addr =
-    let rec go n =
-      match Simsched.Env.load env addr with
-      | v -> v
-      | exception Simnvm.Memsys.Media_error { line; _ } ->
-          incr retries;
-          if n < max_read_retries then begin
-            Simsched.Scheduler.charge sched
-              (retry_backoff_ns *. float_of_int (1 lsl n));
-            go (n + 1)
-          end
-          else begin
-            add_damage (Media_failed { line });
-            b.Simnvm.Backend.scrub_line line;
-            go 0
-          end
-      | exception Invalid_argument _ ->
-          add_damage (Range_out_of_bounds { addr; base = addr; count = 1 });
-          0
-    in
-    go 0
+     the read yields 0, whose failing seal then classifies the cell.
+     [read_retry] is built once per recovery, not once per read: [n] is
+     the retry count so far. *)
+  let rec read_retry addr n =
+    match Simsched.Env.load env addr with
+    | v -> v
+    | exception Simnvm.Memsys.Media_error { line; _ } ->
+        incr retries;
+        if n < max_read_retries then begin
+          Simsched.Scheduler.charge sched
+            (retry_backoff_ns *. float_of_int (1 lsl n));
+          read_retry addr (n + 1)
+        end
+        else begin
+          add_damage (Media_failed { line });
+          b.Simnvm.Backend.scrub_line line;
+          read_retry addr 0
+        end
+    | exception Invalid_argument _ ->
+        add_damage (Range_out_of_bounds { addr; base = addr; count = 1 });
+        0
   in
+  let read addr = read_retry addr 0 in
   let rolled = ref [] in
   let scanned = ref 0 in
   let failed_epoch = ref 0 in

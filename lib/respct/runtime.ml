@@ -117,6 +117,11 @@ type t = {
   mutable next_job_id : int;
   mutable flushers_started : bool;
   mutable mutant : mutant option;
+  mutable ctxs : Pctx.t array;
+      (* each slot's persistence context, built once by [make_internal]:
+         every InCLL read and update, allocation and restart point takes
+         one, and a fresh record and closures per call is the bulk of the
+         runtime's allocation *)
 }
 
 (* Cost of the volatile bookkeeping on the hot path: checking [timer],
@@ -171,7 +176,7 @@ let add_modified t ~slot addr =
   st.to_flush_len <- st.to_flush_len + 1;
   Simsched.Scheduler.charge (sched t) track_ns
 
-let ctx t ~slot : Pctx.t =
+let make_ctx t slot : Pctx.t =
   if t.cfg.pipeline then
     {
       Pctx.env = t.env;
@@ -195,6 +200,8 @@ let ctx t ~slot : Pctx.t =
       wait_epoch_durable = ignore;
       integrity = t.cfg.integrity;
     }
+
+let ctx t ~slot = t.ctxs.(slot)
 
 (* Context whose tracked addresses are flushed immediately: used only for
    initialising a fresh image inside [create], before the simulation runs.
@@ -227,48 +234,53 @@ let make_internal ?(cfg = default_config) env =
     Heap.create env ~cursor_cell:layout.Layout.cursor_cell
       ~base:layout.Layout.heap_base ~limit:layout.Layout.heap_limit
   in
-  {
-    env;
-    cfg;
-    layout;
-    heap;
-    rmx = Simsched.Mutex.create ~name:"respct" ();
-    regmx = Simsched.Mutex.create ~name:"registry" ();
-    arrival = Simsched.Condvar.create ~name:"arrival" ();
-    finished = Simsched.Condvar.create ~name:"finished" ();
-    slots = Array.init cfg.max_threads (fun _ -> fresh_slot ());
-    timer = false;
-    stop_requested = false;
-    stats =
-      {
-        checkpoints = 0;
-        flushed_addrs = 0;
-        flush_ns = 0.0;
-        period_sum = 0.0;
-        last_checkpoint_end = 0.0;
-        stall_ns = 0.0;
-        overlap_ns = 0.0;
-      };
-    spans = None;
-    (* Volatile epoch views seeded from the NVMM image directly (persisted
-       is a host-level read: no cache traffic, no charge, so non-pipeline
-       virtual time is untouched). A fresh image reads 0, which [create]
-       re-establishes anyway; [restart] picks up the failed epoch. *)
-    cur_epoch =
-      Checksum.epoch_of
-        (b.Simnvm.Backend.persisted layout.Layout.epoch_addr);
-    slot_epochs =
-      Array.make cfg.max_threads
-        (Checksum.epoch_of
-           (b.Simnvm.Backend.persisted layout.Layout.epoch_addr));
-    fmx = Simsched.Mutex.create ~name:"flush" ();
-    flush_work = Simsched.Condvar.create ~name:"flush-work" ();
-    flush_done = Simsched.Condvar.create ~name:"flush-done" ();
-    job = None;
-    next_job_id = 0;
-    flushers_started = false;
-    mutant = None;
-  }
+  let t =
+    {
+      env;
+      cfg;
+      layout;
+      heap;
+      rmx = Simsched.Mutex.create ~name:"respct" ();
+      regmx = Simsched.Mutex.create ~name:"registry" ();
+      arrival = Simsched.Condvar.create ();
+      finished = Simsched.Condvar.create ();
+      slots = Array.init cfg.max_threads (fun _ -> fresh_slot ());
+      timer = false;
+      stop_requested = false;
+      stats =
+        {
+          checkpoints = 0;
+          flushed_addrs = 0;
+          flush_ns = 0.0;
+          period_sum = 0.0;
+          last_checkpoint_end = 0.0;
+          stall_ns = 0.0;
+          overlap_ns = 0.0;
+        };
+      spans = None;
+      (* Volatile epoch views seeded from the NVMM image directly (persisted
+         is a host-level read: no cache traffic, no charge, so non-pipeline
+         virtual time is untouched). A fresh image reads 0, which [create]
+         re-establishes anyway; [restart] picks up the failed epoch. *)
+      cur_epoch =
+        Checksum.epoch_of
+          (b.Simnvm.Backend.persisted layout.Layout.epoch_addr);
+      slot_epochs =
+        Array.make cfg.max_threads
+          (Checksum.epoch_of
+             (b.Simnvm.Backend.persisted layout.Layout.epoch_addr));
+      fmx = Simsched.Mutex.create ~name:"flush" ();
+      flush_work = Simsched.Condvar.create ();
+      flush_done = Simsched.Condvar.create ();
+      job = None;
+      next_job_id = 0;
+      flushers_started = false;
+      mutant = None;
+      ctxs = [||];
+    }
+  in
+  t.ctxs <- Array.init cfg.max_threads (make_ctx t);
+  t
 
 let set_spans t r = t.spans <- Some r
 

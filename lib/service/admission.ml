@@ -30,7 +30,7 @@ let create ?(name = "admission") sched ~cap =
     cap;
     q = Queue.create ();
     mu = Simsched.Mutex.create ~name:(name ^ ".mu") ();
-    nonempty = Simsched.Condvar.create ~name:(name ^ ".nonempty") ();
+    nonempty = Simsched.Condvar.create ();
     closed = false;
     accepted = 0;
     rejected_full = 0;

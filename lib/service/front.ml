@@ -513,7 +513,7 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
 
   (* Completion channel: workers -> front-end. *)
   let idle_mu = Simsched.Mutex.create ~name:"front.idle" () in
-  let idle_cv = Simsched.Condvar.create ~name:"front.idle" () in
+  let idle_cv = Simsched.Condvar.create () in
   let completions : (req * float) list ref = ref [] in
   let push_completions rs =
     match rs with

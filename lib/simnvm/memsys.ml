@@ -28,11 +28,17 @@
    Hot-path discipline: every per-access structure is a flat array or
    bitset indexed by line number (no hashtables), set/offset arithmetic
    uses precomputed shifts and masks when the geometry is a power of two,
-   and the steady state allocates nothing — events are only constructed
-   when the bus has a subscriber, and the stats counters are bumped
-   inline instead of travelling through the bus. The
-   differential oracle in [Refmodel] pins this kernel, word for word and
-   event for event, to a naive executable specification. *)
+   and a warm access allocates nothing. Lookups, victim scans and chunk
+   blits are loops, not local closures; the costs handed to [charge] are
+   boxed once, at [create]; the eviction decision compares an integer
+   draw against an integer threshold; events are only constructed when
+   the bus has a subscriber, and the stats counters are bumped inline
+   instead of travelling through the bus. What does allocate: a line's
+   word buffer and a backing chunk at their first touch, the undo
+   journal's growth while a snapshot is live, and crash-time fault
+   injection. The differential oracle in [Refmodel] pins this kernel,
+   word for word and event for event, to a naive executable
+   specification. *)
 
 (* Faulty-media model (opt-in, [faults = None] costs nothing): at every
    crash, a dedicated RNG derived from [fault_seed] and the crash ordinal
@@ -131,42 +137,43 @@ let[@inline] store_add (s : store) i d =
   c.(off) <- c.(off) + d
 
 (* Lines need not divide chunks (line_words is any size <= 62), so the
-   blits walk chunk boundaries. *)
+   blits walk chunk boundaries. They run on every fill and write-back, so
+   they are loops over mutable locals rather than local recursive
+   closures, which would be allocated at each call. *)
 let store_blit_in (s : store) pos (src : int array) srcpos len =
-  let rec go pos srcpos len =
-    if len > 0 then begin
-      let c = chunk_for_write s (pos lsr chunk_shift) in
-      let off = pos land chunk_mask in
-      let n = min len (chunk_words - off) in
-      Array.blit src srcpos c off n;
-      go (pos + n) (srcpos + n) (len - n)
-    end
-  in
-  go pos srcpos len
+  let pos = ref pos and srcpos = ref srcpos and len = ref len in
+  while !len > 0 do
+    let c = chunk_for_write s (!pos lsr chunk_shift) in
+    let off = !pos land chunk_mask in
+    let n = Int.min !len (chunk_words - off) in
+    Array.blit src !srcpos c off n;
+    pos := !pos + n;
+    srcpos := !srcpos + n;
+    len := !len - n
+  done
 
 let store_blit_out (s : store) pos (dst : int array) dstpos len =
-  let rec go pos dstpos len =
-    if len > 0 then begin
-      let c = s.(pos lsr chunk_shift) in
-      let off = pos land chunk_mask in
-      let n = min len (chunk_words - off) in
-      Array.blit c off dst dstpos n;
-      go (pos + n) (dstpos + n) (len - n)
-    end
-  in
-  go pos dstpos len
+  let pos = ref pos and dstpos = ref dstpos and len = ref len in
+  while !len > 0 do
+    let c = s.(!pos lsr chunk_shift) in
+    let off = !pos land chunk_mask in
+    let n = Int.min !len (chunk_words - off) in
+    Array.blit c off dst !dstpos n;
+    pos := !pos + n;
+    dstpos := !dstpos + n;
+    len := !len - n
+  done
 
 let store_fill_zero (s : store) pos len =
-  let rec go pos len =
-    if len > 0 then begin
-      let k = pos lsr chunk_shift in
-      let off = pos land chunk_mask in
-      let n = min len (chunk_words - off) in
-      if s.(k) != zero_chunk then Array.fill s.(k) off n 0;
-      go (pos + n) (len - n)
-    end
-  in
-  go pos len
+  let pos = ref pos and len = ref len in
+  while !len > 0 do
+    let k = !pos lsr chunk_shift in
+    let off = !pos land chunk_mask in
+    let n = Int.min !len (chunk_words - off) in
+    if s.(k) != zero_chunk then Array.fill s.(k) off n 0;
+    pos := !pos + n;
+    len := !len - n
+  done
 
 (* Zero the whole store by dropping every private chunk. *)
 let store_clear (s : store) = Array.fill s 0 (Array.length s) zero_chunk
@@ -222,6 +229,21 @@ type t = {
   mutable bus : Event.bus; (* the world's bus once Env.make couples it *)
   mutable charge : float -> unit;
   mutable current_tid : unit -> int;
+  (* The costs [charge] receives, copied out of the flat [Latency.t] (and
+     the clean-line clwb fraction computed) once at [create]: each field
+     of this mixed record holds its float boxed, so passing one to the
+     hook allocates nothing, where reading [cfg.latency] would box a fresh
+     float per charge. *)
+  hit_ns : float;
+  store_extra_ns : float;
+  dram_miss_ns : float;
+  nvm_miss_ns : float;
+  dram_wb_ns : float;
+  nvm_wb_ns : float;
+  clwb_ns : float;
+  clean_clwb_ns : float;
+  sfence_ns : float;
+  evict_below : int; (* see [evict_threshold]; 0 = never evict *)
   (* Precomputed geometry. [lw_shift]/[lw_mask] and [sets_mask] are -1
      when the corresponding dimension is not a power of two (fall back to
      division). *)
@@ -304,6 +326,16 @@ let prefetched_miss_ns = 12.0
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+(* [u / 2^53 < r] holds exactly when [u < ⌈r·2^53⌉] for a 53-bit draw [u]
+   (the division and the product are exact power-of-two scalings), so the
+   eviction decision compares integers and every decision stays the one
+   [Rng.float t.rng < evict_rate] made. A rate that is not positive never
+   draws. *)
+let evict_threshold r =
+  if not (r > 0.0) then 0
+  else if r >= 1.0 then max_int
+  else int_of_float (Float.ceil (Float.ldexp r 53))
+
 let log2 n =
   let rec go p acc = if p >= n then acc else go (2 * p) (acc + 1) in
   go 1 0
@@ -337,6 +369,16 @@ let create cfg =
     bus = Event.create_bus ();
     charge = no_charge;
     current_tid = no_tid;
+    hit_ns = cfg.latency.Latency.cache_hit_ns;
+    store_extra_ns = cfg.latency.Latency.store_extra_ns;
+    dram_miss_ns = cfg.latency.Latency.dram_miss_ns;
+    nvm_miss_ns = cfg.latency.Latency.nvm_miss_ns;
+    dram_wb_ns = cfg.latency.Latency.dram_writeback_ns;
+    nvm_wb_ns = cfg.latency.Latency.nvm_writeback_ns;
+    clwb_ns = cfg.latency.Latency.clwb_ns;
+    clean_clwb_ns = cfg.latency.Latency.clwb_ns /. 8.0;
+    sfence_ns = cfg.latency.Latency.sfence_ns;
+    evict_below = evict_threshold cfg.evict_rate;
     lw;
     lw_shift = (if is_pow2 lw then log2 lw else -1);
     lw_mask = (if is_pow2 lw then lw - 1 else -1);
@@ -471,36 +513,39 @@ let[@inline] set_of t lineno =
   let h = (lineno * 0x9E3779B1) lsr 11 land max_int in
   if t.sets_mask >= 0 then h land t.sets_mask else h mod t.cfg.sets
 
-(* Hot-path lookup: the way index of [lineno] in its set, or -1. No option
-   allocation on a hit. *)
+(* Hot-path lookup: the way index of [lineno] in its set, or -1. A loop,
+   so neither a hit nor a miss allocates (no option, no scan closure). *)
 let[@inline] find_slot t lineno =
   let base = set_of t lineno * t.ways in
   let lines = t.lines in
-  let rec scan i =
-    if i >= t.ways then -1
-    else if (Array.unsafe_get lines (base + i)).tag = lineno then base + i
-    else scan (i + 1)
-  in
-  scan 0
+  let stop = base + t.ways in
+  let i = ref base in
+  while !i < stop && (Array.unsafe_get lines !i).tag <> lineno do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 (* Cold-path wrapper for the host/test hooks. *)
 let find_line t lineno =
   match find_slot t lineno with -1 -> None | i -> Some t.lines.(i)
 
-(* Victim: an invalid way if any, else the least recently used. *)
+(* Victim: the first invalid way if any, else the least recently used
+   (the first of equals). *)
 let victim t lineno =
   let base = set_of t lineno * t.ways in
   let best = ref t.lines.(base) in
-  (try
-     for i = 0 to t.ways - 1 do
-       let line = t.lines.(base + i) in
-       if line.tag = -1 then begin
-         best := line;
-         raise Exit
-       end;
-       if line.lru < !best.lru then best := line
-     done
-   with Exit -> ());
+  let i = ref 0 in
+  while !i < t.ways do
+    let line = t.lines.(base + !i) in
+    if line.tag = -1 then begin
+      best := line;
+      i := t.ways
+    end
+    else begin
+      if line.lru < !best.lru then best := line;
+      incr i
+    end
+  done;
   !best
 
 (* Media check on a line fill: an armed transient fault fails exactly one
@@ -533,13 +578,10 @@ let check_media t lineno =
    victim write-back cost, which delays the fill) via the charge hook. *)
 let fill t lineno =
   check_media t lineno;
-  let lat = t.cfg.latency in
   let line = victim t lineno in
   if line.tag >= 0 && line.dirty then begin
     let nvm = write_back t line in
-    t.charge
-      (if nvm then lat.Latency.nvm_writeback_ns
-       else lat.Latency.dram_writeback_ns)
+    t.charge (if nvm then t.nvm_wb_ns else t.dram_wb_ns)
   end;
   let base = lineno * t.lw in
   line.tag <- lineno;
@@ -568,9 +610,8 @@ let fill t lineno =
            prefetched;
          });
   if nvm then
-    t.charge (if prefetched then prefetched_miss_ns else lat.Latency.nvm_miss_ns)
-  else
-    t.charge (if prefetched then prefetched_miss_ns else lat.Latency.dram_miss_ns);
+    t.charge (if prefetched then prefetched_miss_ns else t.nvm_miss_ns)
+  else t.charge (if prefetched then prefetched_miss_ns else t.dram_miss_ns);
   line
 
 let lookup t addr =
@@ -581,7 +622,7 @@ let lookup t addr =
       let line = Array.unsafe_get t.lines slot in
       t.stats.Stats.hits <- t.stats.Stats.hits + 1;
       if has_subs t then emit t (Event.Hit { addr });
-      t.charge t.cfg.latency.Latency.cache_hit_ns;
+      t.charge t.hit_ns;
       line
     end
     else fill t lineno
@@ -596,7 +637,7 @@ let lookup t addr =
    This is what creates the partial-persistence hazard that undo logging
    must defend against. *)
 let spontaneous_eviction t =
-  if t.cfg.evict_rate > 0.0 && Rng.float t.rng < t.cfg.evict_rate then begin
+  if t.evict_below > 0 && Rng.bits53 t.rng < t.evict_below then begin
     let i = Rng.int t.rng (Array.length t.lines) in
     let line = t.lines.(i) in
     if line.tag >= 0 && line.dirty then begin
@@ -631,7 +672,7 @@ let store t addr v =
   line.data.(off) <- v;
   line.dirty <- true;
   line.dirty_mask <- line.dirty_mask lor (1 lsl off);
-  t.charge t.cfg.latency.Latency.store_extra_ns;
+  t.charge t.store_extra_ns;
   spontaneous_eviction t
 
 let pwb t addr =
@@ -644,16 +685,16 @@ let pwb t addr =
     emit t (Event.Pwb { tid = t.current_tid (); addr; dirty });
   if dirty then begin
     ignore (write_back t t.lines.(slot));
-    t.charge t.cfg.latency.Latency.clwb_ns
+    t.charge t.clwb_ns
   end
   else
     (* clwb of a clean or absent line: issue cost only. *)
-    t.charge (t.cfg.latency.Latency.clwb_ns /. 8.0)
+    t.charge t.clean_clwb_ns
 
 let psync t =
   t.stats.Stats.psyncs <- t.stats.Stats.psyncs + 1;
   if has_subs t then emit t (Event.Psync { tid = t.current_tid () });
-  t.charge t.cfg.latency.Latency.sfence_ns
+  t.charge t.sfence_ns
 
 (* Deterministically persist-and-invalidate the line holding [addr]; used by
    tests to force a chosen partial state into NVMM before a crash. *)

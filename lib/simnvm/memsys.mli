@@ -81,7 +81,9 @@ val stats : t -> Stats.t
     publishes on a bus of its own; [Simsched.Env.make] couples it to the
     scheduler's bus with {!set_bus}, so one world has one stream. With no
     subscriber attached no event is even constructed: the stats counters
-    cost one integer increment per event site and nothing allocates. *)
+    cost one integer increment per event site, and a {!load}, {!store},
+    {!pwb} or {!psync} allocates nothing once the lines and backing
+    chunks it touches exist (each is allocated at its first touch). *)
 
 val bus : t -> Event.bus
 (** The bus this memory publishes on; attach with {!Event.subscribe}. *)
@@ -92,7 +94,9 @@ val set_bus : t -> Event.bus -> unit
     memory. *)
 
 val set_charge : t -> (float -> unit) -> unit
-(** Install the hook that receives the nanosecond cost of each operation. *)
+(** Install the hook that receives the nanosecond cost of each operation.
+    Each cost is a float boxed once, at {!create}: a charge allocates
+    only what the hook itself allocates. *)
 
 val get_charge : t -> float -> unit
 (** Current charge hook (used to save/restore around flusher-pool costing). *)

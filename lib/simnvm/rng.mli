@@ -20,8 +20,14 @@ val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).
     @raise Invalid_argument if [bound <= 0]. *)
 
+val bits53 : t -> int
+(** 53 uniformly distributed non-negative bits: the draw {!float} scales
+    to [0, 1), so [bits53 t < n] holds exactly when [float t < r] does on
+    the same state, for [n = ⌈r·2{^53}⌉] ([0 < r <= 1]). Comparing against
+    a precomputed [n] makes the draw free of float boxing. *)
+
 val float : t -> float
-(** Uniform draw from [0, 1). *)
+(** Uniform draw from [0, 1): [bits53] divided by [2{^53}]. *)
 
 val bool : t -> bool
 (** Fair coin. *)

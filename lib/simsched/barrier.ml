@@ -13,7 +13,7 @@ let create ?(name = "barrier") parties =
   {
     parties;
     m = Mutex.create ~name:(name ^ ".m") ();
-    cv = Condvar.create ~name ();
+    cv = Condvar.create ();
     arrived = 0;
     generation = 0;
   }

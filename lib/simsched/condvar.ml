@@ -3,9 +3,9 @@
 let signal_ns = 20.0
 let wait_ns = 25.0
 
-type t = { name : string; waiters : int Queue.t }
+type t = { waiters : int Queue.t }
 
-let create ?(name = "condvar") () = { name; waiters = Queue.create () }
+let create () = { waiters = Queue.create () }
 
 let wait sched cv m =
   Scheduler.charge sched wait_ns;

@@ -2,7 +2,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
+val create : unit -> t
 
 val wait : Scheduler.t -> t -> Mutex.t -> unit
 (** Atomically release the mutex and block; re-acquires the mutex before

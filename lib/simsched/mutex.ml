@@ -27,13 +27,14 @@ let unlock_ns = 14.0
    contended critical sections on real multiprocessors. *)
 let coherence_ns = 90.0
 
+(* Owners are tids, -1 when free: an [int option] would allocate a [Some]
+   at every acquisition. *)
 type t = {
   name : string;
   id : int; (* stable identity for trace events *)
-  mutable owner : int option;
+  mutable owner : int;
   mutable last_owner : int;
   waiters : int Queue.t;
-  mutable last_release : float;
 }
 
 let next_id = ref 0
@@ -43,18 +44,17 @@ let create ?(name = "mutex") () =
   {
     name;
     id = !next_id;
-    owner = None;
+    owner = -1;
     last_owner = -1;
     waiters = Queue.create ();
-    last_release = 0.0;
   }
 
 let lock sched m =
   Scheduler.charge sched lock_ns;
   Scheduler.poll sched;
   let me = Scheduler.current_tid sched in
-  (if m.owner = None then begin
-     m.owner <- Some me;
+  (if m.owner < 0 then begin
+     m.owner <- me;
      if m.last_owner >= 0 && m.last_owner <> me then
        Scheduler.charge sched coherence_ns;
      m.last_owner <- me
@@ -63,7 +63,7 @@ let lock sched m =
      Queue.add me m.waiters;
      Scheduler.block sched;
      (* Ownership was handed off by the releaser, necessarily another core. *)
-     assert (m.owner = Some me);
+     assert (m.owner = me);
      Scheduler.charge sched coherence_ns;
      m.last_owner <- me
    end);
@@ -71,28 +71,28 @@ let lock sched m =
   if Simnvm.Event.active bus then
     Simnvm.Event.emit bus (Simnvm.Event.Acquire { tid = me; lock = m.id })
 
+(* The hand-off reads the release instant only when there is a waiter to
+   hand to, so an uncontended release boxes no float. *)
 let unlock sched m =
   let me = Scheduler.current_tid sched in
-  (match m.owner with
-  | Some owner when owner = me -> ()
-  | Some _ | None ->
-      invalid_arg (Printf.sprintf "Mutex.unlock(%s): not the owner" m.name));
+  if m.owner <> me then
+    invalid_arg (Printf.sprintf "Mutex.unlock(%s): not the owner" m.name);
   Scheduler.charge sched unlock_ns;
   let bus = Scheduler.trace_bus sched in
   if Simnvm.Event.active bus then
     Simnvm.Event.emit bus (Simnvm.Event.Release { tid = me; lock = m.id });
-  m.last_release <- Scheduler.now sched;
-  match Queue.take_opt m.waiters with
-  | Some next ->
-      m.owner <- Some next;
-      Scheduler.wakeup sched next ~at:m.last_release
-  | None -> m.owner <- None
+  if Queue.is_empty m.waiters then m.owner <- -1
+  else begin
+    let next = Queue.take m.waiters in
+    m.owner <- next;
+    Scheduler.wakeup sched next ~at:(Scheduler.now sched)
+  end
 
 let try_lock sched m =
   Scheduler.charge sched lock_ns;
   let me = Scheduler.current_tid sched in
-  if m.owner = None then begin
-    m.owner <- Some me;
+  if m.owner < 0 then begin
+    m.owner <- me;
     if m.last_owner >= 0 && m.last_owner <> me then
       Scheduler.charge sched coherence_ns;
     m.last_owner <- me;
@@ -100,7 +100,7 @@ let try_lock sched m =
   end
   else false
 
-let holder m = m.owner
+let holder m = if m.owner < 0 then None else Some m.owner
 
 let with_lock sched m f =
   lock sched m;

@@ -666,7 +666,7 @@ let test_redundant_pwb_dynamic () =
   let clean_pwbs prog =
     let mem = Simnvm.Memsys.create Simnvm.Memsys.default_config in
     let r = Obs.Metrics.create () in
-    let _probe, _sub = Obs.Memobs.attach r mem in
+    ignore (Obs.Memobs.attach r mem);
     let lw = Simnvm.Memsys.default_config.Simnvm.Memsys.line_words in
     let addr_of = function
       | "payload" -> Some 0

@@ -103,7 +103,7 @@ let test_span_keep_cap () =
 let test_memobs_probe () =
   let mem = Simnvm.Memsys.create Simnvm.Memsys.default_config in
   let r = Obs.Metrics.create () in
-  let _probe, sub = Obs.Memobs.attach r mem in
+  let sub = Obs.Memobs.attach r mem in
   Simnvm.Memsys.store mem 0 7;
   ignore (Simnvm.Memsys.load mem 0);
   ignore (Simnvm.Memsys.load mem 4096);
@@ -132,7 +132,7 @@ let test_flush_discipline_counters () =
      rules: clean pwbs and unarmed psyncs *)
   let mem = Simnvm.Memsys.create Simnvm.Memsys.default_config in
   let r = Obs.Metrics.create () in
-  let _probe, _sub = Obs.Memobs.attach r mem in
+  ignore (Obs.Memobs.attach r mem);
   let v name = Obs.Metrics.value (Obs.Metrics.counter r ("mem." ^ name)) in
   Simnvm.Memsys.store mem 0 7;
   Simnvm.Memsys.pwb mem 0;

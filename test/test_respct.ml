@@ -197,6 +197,23 @@ let test_rp_without_pending_checkpoint_is_cheap () =
   (* 100 RPs, each a handful of cached accesses: well under 10us. *)
   Alcotest.(check bool) "cheap" true (!duration < 10_000.0)
 
+let test_rp_without_pending_checkpoint_allocates_nothing () =
+  let _mem, sched, _env, rt = fresh () in
+  let words = ref nan in
+  ignore
+    (Runtime.spawn rt ~slot:0 (fun _ctx ->
+         (* The epoch's first RP logs the RP-id cell and tracks it. *)
+         Runtime.rp rt ~slot:0 0;
+         let w0 = Gc.minor_words () in
+         for i = 1 to 10_000 do
+           Runtime.rp rt ~slot:0 i
+         done;
+         words := Gc.minor_words () -. w0));
+  ignore (Scheduler.run sched);
+  (* The slot's context is built with the runtime, not per call. *)
+  Alcotest.check (Alcotest.float 0.0) "words allocated by 10 000 RPs" 0.0
+    !words
+
 let test_periodic_coordinator_runs () =
   let _mem, sched, _env, rt = fresh ~cfg:(rt_cfg ~period_ns:20_000.0 ()) () in
   Runtime.start rt;
@@ -811,7 +828,7 @@ let test_cond_wait_no_deadlock () =
   in
   Runtime.start rt;
   let m = Simsched.Mutex.create ~name:"app" () in
-  let cv = Simsched.Condvar.create ~name:"app" () in
+  let cv = Simsched.Condvar.create () in
   let q = Queue.create () in
   let consumed = ref 0 in
   let n = 300 in
@@ -1136,6 +1153,8 @@ let () =
             test_checkpoint_waits_for_all_threads;
           Alcotest.test_case "RP cheap without pending checkpoint" `Quick
             test_rp_without_pending_checkpoint_is_cheap;
+          Alcotest.test_case "RP allocates nothing without pending checkpoint"
+            `Quick test_rp_without_pending_checkpoint_allocates_nothing;
           Alcotest.test_case "periodic coordinator" `Quick
             test_periodic_coordinator_runs;
           Alcotest.test_case "deregistered thread not awaited" `Quick

@@ -397,6 +397,76 @@ let test_subscriber_churn_cost () =
     true (per_round < 1.0)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation: the access path allocates nothing once warm.
+   [Gc.minor_words] is exact (it counts the current minor heap too), so
+   [words_per_call] runs [f 1 .. f rounds] once to warm up (first touches
+   materialise line buffers and backing chunks), then again under the
+   counter. *)
+
+let alloc_rounds = 10_000
+
+let words_per_call f =
+  for i = 1 to alloc_rounds do
+    f i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to alloc_rounds do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int alloc_rounds
+
+let check_no_alloc what f =
+  let w = words_per_call f in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s allocates %.3f words per call, want 0" what w)
+    true (w = 0.0)
+
+(* 4096 distinct NVMM lines cycle through a 256-line cache: every access
+   misses, and once stores have dirtied the cache every fill first writes
+   a dirty victim back. *)
+let miss_addr i = i land 4095 * lw
+
+let test_access_path_allocates_nothing () =
+  let m = Memsys.create (cfg ()) in
+  check_no_alloc "load hit" (fun _ -> ignore (Memsys.load m 0));
+  check_no_alloc "store hit" (fun i -> Memsys.store m 0 i);
+  check_no_alloc "load miss" (fun i -> ignore (Memsys.load m (miss_addr i)));
+  check_no_alloc "store miss, dirty victim" (fun i ->
+      Memsys.store m (miss_addr i) i);
+  let s = Memsys.stats m in
+  Alcotest.(check bool) "the fills wrote victims back" true
+    (s.Stats.nvm_writebacks >= alloc_rounds);
+  check_no_alloc "pwb of a dirty line" (fun i ->
+      Memsys.store m 8 i;
+      Memsys.pwb m 8);
+  check_no_alloc "pwb of a clean line" (fun _ -> Memsys.pwb m 8);
+  check_no_alloc "psync" (fun _ -> Memsys.psync m);
+  let m = Memsys.create (cfg ~evict_rate:1.0 ()) in
+  check_no_alloc "store, evict_rate 1.0" (fun i ->
+      Memsys.store m (i land 63 * lw) i);
+  (* Every store draws; a draw evicts when its random way is dirty. *)
+  Alcotest.(check bool) "the draws evicted dirty lines" true
+    ((Memsys.stats m).Stats.spontaneous_evictions > alloc_rounds / 10)
+
+let test_rng_allocates_nothing () =
+  let r = Rng.create 11 in
+  check_no_alloc "Rng.int" (fun _ -> ignore (Rng.int r 100));
+  check_no_alloc "Rng.bits" (fun _ -> ignore (Rng.bits r));
+  check_no_alloc "Rng.bits53" (fun _ -> ignore (Rng.bits53 r));
+  check_no_alloc "Rng.bool" (fun _ -> ignore (Rng.bool r))
+
+(* The integer eviction draw is the float one: [bits53] below
+   [⌈r·2^53⌉] exactly when [float] below [r], on the same state. *)
+let test_rng_bits53_is_float () =
+  let a = Rng.create 5 and b = Rng.create 5 in
+  for _ = 1 to 1000 do
+    let u = Rng.bits53 a in
+    Alcotest.check (Alcotest.float 0.0) "float = bits53 / 2^53"
+      (float_of_int u /. 9007199254740992.0)
+      (Rng.float b)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Faulty media: the seeded crash-time fault layer and the fault-plan
    hooks recovery relies on. *)
 
@@ -674,6 +744,10 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "split independent" `Quick
             test_rng_split_independent;
+          Alcotest.test_case "bits53 is the float draw" `Quick
+            test_rng_bits53_is_float;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_allocates_nothing;
         ] );
       ( "addr",
         [
@@ -707,6 +781,11 @@ let () =
           Alcotest.test_case "subscriber churn" `Quick test_pipeline_churn;
           Alcotest.test_case "churn allocation cost" `Quick
             test_subscriber_churn_cost;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "access path allocates nothing" `Quick
+            test_access_path_allocates_nothing;
         ] );
       ( "pcso",
         [

@@ -527,6 +527,93 @@ let test_switch_cost_ignores_finished () =
   Alcotest.check (Alcotest.float 0.01) "same words per switch" idle crowded
 
 (* ------------------------------------------------------------------ *)
+(* Allocation: a simulated access, a charge, a poll and an uncontended
+   lock pair allocate nothing once warm. Each runs inside a fiber, as in a
+   simulation: [words_per_call] runs [f 1 .. f rounds] once to warm up
+   (first touches materialise line buffers and backing chunks), then
+   again under [Gc.minor_words], which is exact. *)
+
+let alloc_rounds = 10_000
+
+let words_per_call s f =
+  let words = ref nan in
+  ignore
+    (Scheduler.spawn s (fun () ->
+         for i = 1 to alloc_rounds do
+           f i
+         done;
+         let before = Gc.minor_words () in
+         for i = 1 to alloc_rounds do
+           f i
+         done;
+         words := (Gc.minor_words () -. before) /. float_of_int alloc_rounds));
+  ignore (Scheduler.run s);
+  !words
+
+let check_no_alloc what w =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s allocates %.3f words per call, want 0" what w)
+    true (w = 0.0)
+
+(* A 256-line cache: cycling over 4096 lines misses on every access, and
+   once stores have dirtied the cache every fill writes a victim back. *)
+let env_words ?(evict_rate = 0.0) f =
+  let cfg =
+    {
+      Simnvm.Memsys.default_config with
+      Simnvm.Memsys.sets = 64;
+      ways = 4;
+      evict_rate;
+    }
+  in
+  let s = Scheduler.create () in
+  words_per_call s (f (Env.make (Simnvm.Memsys.create cfg) s))
+
+let miss_addr i =
+  i land 4095 * Simnvm.Memsys.default_config.Simnvm.Memsys.line_words
+
+let test_env_access_allocates_nothing () =
+  check_no_alloc "Env.load hit"
+    (env_words (fun env _ -> ignore (Env.load env 0)));
+  check_no_alloc "Env.store hit" (env_words (fun env i -> Env.store env 0 i));
+  check_no_alloc "Env.load miss"
+    (env_words (fun env i -> ignore (Env.load env (miss_addr i))));
+  check_no_alloc "Env.store miss, dirty victim"
+    (env_words (fun env i -> Env.store env (miss_addr i) i));
+  check_no_alloc "Env.store + Env.pwb"
+    (env_words (fun env i ->
+         Env.store env 8 i;
+         Env.pwb env 8));
+  check_no_alloc "Env.pwb of a clean line"
+    (env_words (fun env _ -> Env.pwb env 8));
+  check_no_alloc "Env.psync" (env_words (fun env _ -> Env.psync env));
+  check_no_alloc "Env.store, evict_rate 1.0"
+    (env_words ~evict_rate:1.0 (fun env i -> Env.store env (miss_addr i) i))
+
+let test_charge_poll_allocate_nothing () =
+  let s = Scheduler.create () in
+  check_no_alloc "Scheduler.charge + poll"
+    (words_per_call s (fun _ ->
+         Scheduler.charge s 3.0;
+         Scheduler.poll s))
+
+let test_uncontended_lock_allocates_nothing () =
+  let s = Scheduler.create () in
+  let m = Mutex.create () in
+  check_no_alloc "Mutex.lock + unlock"
+    (words_per_call s (fun _ ->
+         Mutex.lock s m;
+         Mutex.unlock s m))
+
+(* A yield switch allocates only what the OCaml runtime does: the
+   continuation it captures and the [Some] that parks it. *)
+let test_switch_words_bounded () =
+  let w = words_per_switch ~finished:0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "a yield switch allocates %.3f words, want <= 4" w)
+    true (w <= 4.0)
+
+(* ------------------------------------------------------------------ *)
 (* Env integration *)
 
 let test_env_charges_thread () =
@@ -725,6 +812,17 @@ let () =
             test_env_charges_thread;
           Alcotest.test_case "parallel virtual time" `Quick
             test_env_two_threads_parallel_time;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "Env accesses allocate nothing" `Quick
+            test_env_access_allocates_nothing;
+          Alcotest.test_case "charge and poll allocate nothing" `Quick
+            test_charge_poll_allocate_nothing;
+          Alcotest.test_case "uncontended lock allocates nothing" `Quick
+            test_uncontended_lock_allocates_nothing;
+          Alcotest.test_case "context switch bounded" `Quick
+            test_switch_words_bounded;
         ] );
       ( "trace",
         [
