@@ -725,7 +725,7 @@ let litmus_cmd =
       value & flag
       & info [ "corpus" ]
           ~doc:
-            "Check every named corpus test against all three worlds under \
+            "Check every named corpus test against both worlds under \
              its declared axiom variants, plus the axiom-level inclusions \
              (eADR admits only no-loss states; the word ablation admits \
              every PCSO state).")
@@ -756,9 +756,8 @@ let litmus_cmd =
       value
       & opt (some (enum
                [ ("kernel", Litmus.World.Kernel);
-                 ("ref", Litmus.World.Refm);
-                 ("ir", Litmus.World.Ir_mem) ])) None
-      & info [ "world" ] ~doc:"Restrict to one world (default: all three).")
+                 ("ref", Litmus.World.Refm) ])) None
+      & info [ "world" ] ~doc:"Restrict to one world (default: both).")
   in
   let variant_arg =
     Arg.(
@@ -926,10 +925,10 @@ let litmus_cmd =
   Cmd.v
     (Cmd.info "litmus"
        ~doc:
-         "Persistency-model litmus testing: check the kernel, the \
-          reference model and the analyzer-IR world against the \
-          axiomatic PCSO spec on named corpus tests and fuzzed programs, \
-          with shrunk replayable counterexamples.")
+         "Persistency-model litmus testing: check the kernel and the \
+          reference model against the axiomatic PCSO spec on named \
+          corpus tests and fuzzed programs, with shrunk replayable \
+          counterexamples.")
     Term.(
       const run $ corpus_arg $ fuzz_arg $ seed_arg $ samples_arg $ world_arg
       $ variant_arg $ mutant_arg $ verbose_arg $ ce_arg $ json_arg)

@@ -17,7 +17,140 @@ let apply op x y =
   | Ir.Or -> if truthy x || truthy y then 1 else 0
 
 (* ------------------------------------------------------------------ *)
-(* Host reference interpreter *)
+(* The stepper: one seeded schedule, one atomic statement per step *)
+
+type mem = {
+  load : Simnvm.Addr.t -> int;
+  store : Simnvm.Addr.t -> int -> unit;
+  pwb : Simnvm.Addr.t -> unit;
+  psync : unit -> unit;
+}
+
+let of_memsys m =
+  {
+    load = Simnvm.Memsys.load m;
+    store = Simnvm.Memsys.store m;
+    pwb = Simnvm.Memsys.pwb m;
+    psync = (fun () -> Simnvm.Memsys.psync m);
+  }
+
+let of_refmodel m =
+  {
+    load = Simnvm.Refmodel.load m;
+    store = Simnvm.Refmodel.store m;
+    pwb = Simnvm.Refmodel.pwb m;
+    psync = (fun () -> Simnvm.Refmodel.psync m);
+  }
+
+type status = { all_done : bool; halted : bool; error : string option }
+
+(* [on_access t] sees each access of thread [t] in evaluation order,
+   [on_rp t] each of its restart points. *)
+let steps ~on_access ~on_rp ~fuel ~sched_seed ~halt_var ~mem ~addr_of ~host
+    (p : Ir.program) : status =
+  List.iter
+    (fun (v, i) ->
+      match addr_of v with
+      | Some a ->
+          (* a zeroed image already holds 0: storing it would dirty a
+             line the program itself never writes *)
+          if i <> 0 then mem.store a i
+      | None -> Hashtbl.replace host v i)
+    (p.Ir.persistent @ p.Ir.transient);
+  let names = Array.of_list (List.map (fun t -> t.Ir.tname) p.Ir.threads) in
+  let work = Array.of_list (List.map (fun t -> t.Ir.body) p.Ir.threads) in
+  let owners : (int, int) Hashtbl.t = Hashtbl.create 4 in
+  let error = ref None in
+  let rec eval t = function
+    | Ir.Int n -> n
+    | Ir.Var v -> (
+        on_access t (Idempotence.Read v);
+        match addr_of v with
+        | Some a -> mem.load a
+        | None -> Hashtbl.find host v)
+    | Ir.Binop (op, a, b) ->
+        let x = eval t a in
+        let y = eval t b in
+        apply op x y
+  in
+  let step t =
+    match work.(t) with
+    | [] -> ()
+    | s :: rest -> (
+        work.(t) <- rest;
+        match s with
+        | Ir.Skip -> ()
+        | Ir.Assign (v, e) -> (
+            let x = eval t e in
+            on_access t (Idempotence.Write v);
+            match addr_of v with
+            | Some a -> mem.store a x
+            | None -> Hashtbl.replace host v x)
+        | Ir.If (c, a, b) ->
+            work.(t) <- (if truthy (eval t c) then a else b) @ rest
+        | Ir.While (c, body) ->
+            if truthy (eval t c) then work.(t) <- body @ (s :: rest)
+        | Ir.Acquire l ->
+            (* only picked when [l] is free or already ours *)
+            Hashtbl.replace owners l t
+        | Ir.Release l ->
+            if Hashtbl.find_opt owners l = Some t then Hashtbl.remove owners l
+            else begin
+              if !error = None then
+                error :=
+                  Some
+                    (Fmt.str "thread %s releases unheld lock L%d" names.(t) l);
+              work.(t) <- []
+            end
+        | Ir.Rp _ -> on_rp t
+        | Ir.Pwb v -> Option.iter mem.pwb (addr_of v)
+        | Ir.Psync -> mem.psync ())
+  in
+  (* A thread whose next statement acquires a lock another thread holds
+     is not runnable; the draw picks among the others. *)
+  let runnable t =
+    match work.(t) with
+    | [] -> false
+    | Ir.Acquire l :: _ -> (
+        match Hashtbl.find_opt owners l with Some o -> o = t | None -> true)
+    | _ -> true
+  in
+  let halted () =
+    match Option.bind halt_var (Hashtbl.find_opt host) with
+    | Some x -> x <> 0
+    | None -> false
+  in
+  let state = ref ((sched_seed * 0x9E3779B9) + 0x85EBCA6B) in
+  let next_int bound =
+    state := (!state * 25214903917) + 11;
+    let x = (!state lsr 17) land 0x3FFFFFFF in
+    x mod bound
+  in
+  let threads = List.init (Array.length work) Fun.id in
+  let rec drive fuel =
+    if fuel > 0 && not (halted ()) then
+      match List.filter runnable threads with
+      | [] -> ()
+      | rs ->
+          step (List.nth rs (next_int (List.length rs)));
+          drive (fuel - 1)
+  in
+  drive fuel;
+  {
+    all_done =
+      !error = None
+      && Array.for_all (function [] -> true | _ :: _ -> false) work;
+    halted = halted ();
+    error = !error;
+  }
+
+let run ?(fuel = 100_000) ?(sched_seed = 0) ?halt_var ~mem ~addr_of p =
+  steps ~on_access:(fun _ _ -> ()) ~on_rp:ignore ~fuel ~sched_seed ~halt_var
+    ~mem ~addr_of ~host:(Hashtbl.create 16) p
+
+(* ------------------------------------------------------------------ *)
+(* Host reference interpreter: the stepper over the host table, with the
+   WAR observer attached *)
 
 type obs = {
   war : Vars.t;
@@ -32,293 +165,54 @@ type obs = {
    was a read. *)
 type region_state = Read_first | Written
 
-type ithread = {
-  it_name : string;
-  mutable work : Ir.stmt list;
-  mutable blocked_on : int option;
-  region : (Ir.var, region_state) Hashtbl.t;
-  mutable cur : Idempotence.access list;  (** reversed *)
-  mutable segs : Idempotence.access list list;  (** reversed *)
-}
+(* Every variable lives in the host table, so only [Psync] reaches this
+   memory: persist instructions are volatile no-ops on the host. They
+   still cost one scheduler step, like any other atomic statement. *)
+let volatile =
+  { load = (fun _ -> 0); store = (fun _ _ -> ()); pwb = ignore; psync = ignore }
 
 let interp ?(fuel = 100_000) ?(sched_seed = 0) (p : Ir.program) : obs =
-  let store = Hashtbl.create 16 in
-  List.iter
-    (fun (v, i) -> Hashtbl.replace store v i)
-    (p.Ir.persistent @ p.Ir.transient);
-  let threads =
-    List.map
-      (fun (t : Ir.thread) ->
-        {
-          it_name = t.Ir.tname;
-          work = t.Ir.body;
-          blocked_on = None;
-          region = Hashtbl.create 8;
-          cur = [];
-          segs = [];
-        })
-      p.Ir.threads
-  in
-  let owners : (int, ithread) Hashtbl.t = Hashtbl.create 4 in
+  let n = List.length p.Ir.threads in
+  let regions = Array.init n (fun _ -> Hashtbl.create 8) in
+  let cur = Array.make n [] (* reversed *) in
+  let segs = Array.make n [] (* reversed *) in
   let war = ref Vars.empty in
-  let error = ref None in
-  let record_read t v =
-    t.cur <- Idempotence.Read v :: t.cur;
-    if not (Hashtbl.mem t.region v) then Hashtbl.replace t.region v Read_first
-  in
-  let record_write t v =
-    t.cur <- Idempotence.Write v :: t.cur;
-    (match Hashtbl.find_opt t.region v with
-    | Some Read_first -> war := Vars.add v !war
-    | Some Written | None -> ());
-    Hashtbl.replace t.region v Written
-  in
-  let rec eval t = function
-    | Ir.Int n -> n
-    | Ir.Var v ->
-        record_read t v;
-        Hashtbl.find store v
-    | Ir.Binop (op, a, b) ->
-        let x = eval t a in
-        let y = eval t b in
-        apply op x y
+  let on_access t a =
+    cur.(t) <- a :: cur.(t);
+    match a with
+    | Idempotence.Read v ->
+        if not (Hashtbl.mem regions.(t) v) then
+          Hashtbl.replace regions.(t) v Read_first
+    | Idempotence.Write v ->
+        if Hashtbl.find_opt regions.(t) v = Some Read_first then
+          war := Vars.add v !war;
+        Hashtbl.replace regions.(t) v Written
   in
   let flush_region t =
-    t.segs <- List.rev t.cur :: t.segs;
-    t.cur <- [];
-    Hashtbl.reset t.region
+    segs.(t) <- List.rev cur.(t) :: segs.(t);
+    cur.(t) <- [];
+    Hashtbl.reset regions.(t)
   in
-  (* Execute one atomic step of [t]; assignments evaluate their RHS and
-     write in one step, mirroring a single IR CFG node. *)
-  let step t =
-    match t.work with
-    | [] -> ()
-    | s :: rest -> (
-        match s with
-        | Ir.Skip -> t.work <- rest
-        | Ir.Assign (v, e) ->
-            let x = eval t e in
-            record_write t v;
-            Hashtbl.replace store v x;
-            t.work <- rest
-        | Ir.If (c, a, b) ->
-            let x = eval t c in
-            t.work <- (if truthy x then a else b) @ rest
-        | Ir.While (c, body) ->
-            let x = eval t c in
-            if truthy x then t.work <- body @ (s :: rest) else t.work <- rest
-        | Ir.Acquire l -> (
-            match Hashtbl.find_opt owners l with
-            | Some o when o != t -> t.blocked_on <- Some l
-            | Some _ -> t.work <- rest (* re-entrant: no-op *)
-            | None ->
-                Hashtbl.replace owners l t;
-                t.work <- rest)
-        | Ir.Release l -> (
-            match Hashtbl.find_opt owners l with
-            | Some o when o == t ->
-                Hashtbl.remove owners l;
-                t.work <- rest
-            | Some _ | None ->
-                if !error = None then
-                  error :=
-                    Some
-                      (Fmt.str "thread %s releases unheld lock L%d" t.it_name
-                         l);
-                t.work <- [])
-        | Ir.Rp _ ->
-            flush_region t;
-            t.work <- rest
-        | Ir.Pwb _ | Ir.Psync ->
-            (* Persist instructions are volatile no-ops: they order
-               write-back, which the host store does not model. They still
-               cost one scheduler step, like any other atomic statement. *)
-            t.work <- rest)
+  let host = Hashtbl.create 16 in
+  let s =
+    steps ~on_access ~on_rp:flush_region ~fuel ~sched_seed ~halt_var:None
+      ~mem:volatile ~addr_of:(fun _ -> None) ~host p
   in
-  (* Deterministic seeded scheduler: splitmix-style stream picking among
-     runnable threads each step. *)
-  let state = ref (sched_seed * 0x9E3779B9 + 0x85EBCA6B) in
-  let next_int bound =
-    state := (!state * 25214903917) + 11;
-    let x = (!state lsr 17) land 0x3FFFFFFF in
-    x mod bound
-  in
-  let fuel = ref fuel in
-  let runnable () =
-    List.filter
-      (fun t ->
-        t.work <> []
-        &&
-        match t.blocked_on with
-        | None -> true
-        | Some l -> (
-            match Hashtbl.find_opt owners l with
-            | Some o -> o == t
-            | None -> true))
-      threads
-  in
-  let rec drive () =
-    if !fuel > 0 then
-      match runnable () with
-      | [] -> ()
-      | rs ->
-          let t = List.nth rs (next_int (List.length rs)) in
-          (match t.blocked_on with
-          | Some l when not (Hashtbl.mem owners l) ->
-              Hashtbl.replace owners l t;
-              t.blocked_on <- None;
-              t.work <- (match t.work with _ :: rest -> rest | [] -> [])
-          | Some _ -> t.blocked_on <- None (* already owner *)
-          | None -> step t);
-          decr fuel;
-          drive ()
-  in
-  drive ();
-  List.iter flush_region threads;
+  for t = 0 to n - 1 do
+    flush_region t
+  done;
   {
     war = !war;
-    segments = List.map (fun t -> (t.it_name, List.rev t.segs)) threads;
+    segments =
+      List.mapi
+        (fun t (th : Ir.thread) -> (th.Ir.tname, List.rev segs.(t)))
+        p.Ir.threads;
     finals =
       List.map
-        (fun (v, _) -> (v, Hashtbl.find store v))
+        (fun (v, _) -> (v, Hashtbl.find host v))
         (p.Ir.persistent @ p.Ir.transient);
-    completed = List.for_all (fun t -> t.work = []) threads;
-    thread_error = !error;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Memory-backed stepper: the host interpreter's scheduler and statement
-   semantics, with persistent variables living in a Simnvm.Memsys at
-   caller-chosen addresses. This is the "analyzer IR semantics over real
-   persistent memory" world the litmus differential harness drives:
-   Pwb/Psync hit the memory system, and the caller crashes [mem] and
-   reads the persisted image afterwards. *)
-
-type mem_obs = {
-  mo_finals : (Ir.var * int) list;  (** volatile (coherent) final values *)
-  mo_halted : bool;  (** stopped because [halt_var] became nonzero *)
-  mo_completed : bool;  (** every thread ran to completion within fuel *)
-}
-
-let run_mem ?(fuel = 100_000) ?(sched_seed = 0) ?halt_var
-    ~(mem : Simnvm.Memsys.t) ~(addr_of : Ir.var -> Simnvm.Addr.t option)
-    (p : Ir.program) : mem_obs =
-  let transient = Hashtbl.create 16 in
-  let read v =
-    match addr_of v with
-    | Some a -> Simnvm.Memsys.load mem a
-    | None -> Hashtbl.find transient v
-  in
-  let write v x =
-    match addr_of v with
-    | Some a -> Simnvm.Memsys.store mem a x
-    | None -> Hashtbl.replace transient v x
-  in
-  List.iter
-    (fun (v, i) ->
-      match addr_of v with
-      | Some a ->
-          (* Avoid gratuitously dirtying the line when the zeroed image
-             already holds the initial value (litmus programs start all
-             locations at 0, and an init store would widen the crash-image
-             nondeterminism beyond what the program itself performs). *)
-          if Simnvm.Memsys.peek mem a <> i then Simnvm.Memsys.store mem a i
-      | None -> Hashtbl.replace transient v i)
-    (p.Ir.persistent @ p.Ir.transient);
-  let halted () =
-    match halt_var with
-    | None -> false
-    | Some v -> ( try read v <> 0 with Not_found -> false)
-  in
-  let threads =
-    List.map (fun (t : Ir.thread) -> (t.Ir.tname, ref t.Ir.body)) p.Ir.threads
-  in
-  let owners : (int, Ir.stmt list ref) Hashtbl.t = Hashtbl.create 4 in
-  let rec eval = function
-    | Ir.Int n -> n
-    | Ir.Var v -> read v
-    | Ir.Binop (op, a, b) ->
-        let x = eval a in
-        let y = eval b in
-        apply op x y
-  in
-  let step work =
-    match !work with
-    | [] -> ()
-    | s :: rest -> (
-        match s with
-        | Ir.Skip -> work := rest
-        | Ir.Assign (v, e) ->
-            let x = eval e in
-            write v x;
-            work := rest
-        | Ir.If (c, a, b) ->
-            work := (if truthy (eval c) then a else b) @ rest
-        | Ir.While (c, body) ->
-            if truthy (eval c) then work := body @ (s :: rest)
-            else work := rest
-        | Ir.Acquire l -> (
-            match Hashtbl.find_opt owners l with
-            | Some o when o != work -> () (* blocked; retried when free *)
-            | Some _ -> work := rest
-            | None ->
-                Hashtbl.replace owners l work;
-                work := rest)
-        | Ir.Release l ->
-            (match Hashtbl.find_opt owners l with
-            | Some o when o == work -> Hashtbl.remove owners l
-            | Some _ | None -> ());
-            work := rest
-        | Ir.Rp _ -> work := rest
-        | Ir.Pwb v -> (
-            (match addr_of v with
-            | Some a -> Simnvm.Memsys.pwb mem a
-            | None -> ());
-            work := rest)
-        | Ir.Psync ->
-            Simnvm.Memsys.psync mem;
-            work := rest)
-  in
-  let state = ref ((sched_seed * 0x9E3779B9) + 0x85EBCA6B) in
-  let next_int bound =
-    state := (!state * 25214903917) + 11;
-    let x = (!state lsr 17) land 0x3FFFFFFF in
-    x mod bound
-  in
-  let runnable () =
-    List.filter
-      (fun (_, work) ->
-        match !work with
-        | [] -> false
-        | Ir.Acquire l :: _ -> (
-            match Hashtbl.find_opt owners l with
-            | Some o -> o == work
-            | None -> true)
-        | _ -> true)
-      threads
-  in
-  let fuel = ref fuel in
-  let rec drive () =
-    if !fuel > 0 && not (halted ()) then
-      match runnable () with
-      | [] -> ()
-      | rs ->
-          let _, work = List.nth rs (next_int (List.length rs)) in
-          step work;
-          decr fuel;
-          drive ()
-  in
-  drive ();
-  {
-    mo_finals =
-      List.filter_map
-        (fun (v, _) ->
-          match try Some (read v) with Not_found -> None with
-          | Some x -> Some (v, x)
-          | None -> None)
-        (p.Ir.persistent @ p.Ir.transient);
-    mo_halted = halted ();
-    mo_completed = List.for_all (fun (_, w) -> !w = []) threads;
+    completed = s.all_done;
+    thread_error = s.error;
   }
 
 (* ------------------------------------------------------------------ *)

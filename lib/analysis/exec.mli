@@ -1,12 +1,21 @@
-(** Dynamic execution of IR programs, in two flavours, so every static
-    verdict can be validated end-to-end.
+(** Dynamic execution of IR programs, so every static verdict can be
+    validated end-to-end.
 
-    The {b host interpreter} ([interp]) runs a program natively under a
-    seeded deterministic scheduler and observes the actual dynamic WAR
-    set and per-region access traces — the ground truth for the QCheck
-    soundness property: {!Warstatic} must flag every WAR any execution
-    exhibits, and on straight-line programs must agree exactly with
-    {!Idempotence.classify} over the recorded segments.
+    The {b stepper} ([run]) runs a program under a seeded deterministic
+    scheduler, one atomic statement per step. Variables that [addr_of]
+    binds live in a memory given as four operations ({!mem}: a
+    {!Simnvm.Memsys}, a {!Simnvm.Refmodel}, a file backend); the rest
+    live in a host table. It is the one interleaving engine of the
+    repository: the litmus worlds run their programs, compiled to this
+    IR, through it, and the host interpreter is the same stepper.
+
+    The {b host interpreter} ([interp]) is the stepper with every
+    variable in the host table and a WAR observer attached. It reports
+    the actual dynamic WAR set and per-region access traces — the
+    ground truth for the QCheck soundness property: {!Warstatic} must
+    flag every WAR any execution exhibits, and on straight-line
+    programs must agree exactly with {!Idempotence.classify} over the
+    recorded segments.
 
     The {b simulator world} ([sim_world]) runs the program on
     {!Simsched}/{!Respct.Runtime} under an instrumentation plan:
@@ -19,6 +28,54 @@
 
 module Vars = Dataflow.Vars
 
+(** {2 The stepper} *)
+
+type mem = {
+  load : Simnvm.Addr.t -> int;
+  store : Simnvm.Addr.t -> int -> unit;
+  pwb : Simnvm.Addr.t -> unit;
+  psync : unit -> unit;
+}
+(** The memory the memory-held variables live in. *)
+
+val of_memsys : Simnvm.Memsys.t -> mem
+val of_refmodel : Simnvm.Refmodel.t -> mem
+
+type status = {
+  all_done : bool;
+      (** every thread ran to completion within fuel (a thread stopped
+          by an error did not) *)
+  halted : bool;  (** stopped because [halt_var] became nonzero *)
+  error : string option;
+      (** the first thread error (a release of a lock the thread does
+          not hold); that thread stopped there *)
+}
+
+val run :
+  ?fuel:int ->
+  ?sched_seed:int ->
+  ?halt_var:Ir.var ->
+  mem:mem ->
+  addr_of:(Ir.var -> Simnvm.Addr.t option) ->
+  Ir.program ->
+  status
+(** Run one seeded schedule (default seed 0) of at most [fuel] steps
+    (default 100 000). Each step draws one thread among the runnable
+    ones and runs its next statement atomically: an assignment
+    evaluates its right-hand side and writes in one step, like one CFG
+    node; [Pwb v] and [Psync] reach [mem] ([Pwb] of a host variable does
+    nothing). A thread whose next statement acquires a lock another
+    thread holds is not runnable; the run stops when no thread is.
+
+    A memory-held variable is stored at start only when its initial
+    value is nonzero, so a zero-initialised program over a zeroed image
+    dirties no line before its first real store. [halt_var], a host
+    variable, stops every thread at the next scheduling point once it
+    is nonzero (litmus [crash] compiles to an assignment to it). After
+    the last step [run] touches [mem] no more. *)
+
+(** {2 The host interpreter} *)
+
 type obs = {
   war : Vars.t;  (** variables dynamically WAR in some region *)
   segments : (string * Idempotence.access list list) list;
@@ -26,41 +83,14 @@ type obs = {
           restart-point-delimited region, in execution order (the last
           segment is the trailing partial region) *)
   finals : (Ir.var * int) list;
-  completed : bool;  (** all threads ran to completion within fuel *)
-  thread_error : string option;  (** e.g. a release of an unheld lock *)
+  completed : bool;  (** {!status}'s [all_done] *)
+  thread_error : string option;  (** {!status}'s [error] *)
 }
 
 val interp : ?fuel:int -> ?sched_seed:int -> Ir.program -> obs
-(** Execute on the host under a seeded scheduler, one atomic statement
-    per step (assignments read and write atomically, like one CFG
-    node). Deadlocked or fuel-exhausted runs return [completed =
+(** {!run} with every variable in the host table and the WAR observer
+    attached. Deadlocked or fuel-exhausted runs return [completed =
     false]; WARs observed up to that point are still real. *)
-
-type mem_obs = {
-  mo_finals : (Ir.var * int) list;  (** volatile (coherent) final values *)
-  mo_halted : bool;  (** stopped because [halt_var] became nonzero *)
-  mo_completed : bool;  (** every thread ran to completion within fuel *)
-}
-
-val run_mem :
-  ?fuel:int ->
-  ?sched_seed:int ->
-  ?halt_var:Ir.var ->
-  mem:Simnvm.Memsys.t ->
-  addr_of:(Ir.var -> Simnvm.Addr.t option) ->
-  Ir.program ->
-  mem_obs
-(** The {b memory-backed stepper}: [interp]'s scheduler and statement
-    semantics, but variables with an [addr_of] binding live in the given
-    {!Simnvm.Memsys} (loads/stores go through the cache; [Pwb]/[Psync]
-    hit the memory system), the rest stay host-transient. Used by the
-    litmus harness as the "analyzer IR over real persistent memory"
-    world: the caller seeds [mem], runs, then crashes it and reads the
-    persisted image. Initial stores are skipped when the image already
-    holds the initial value, so a zero-initialised program does not
-    dirty any line before its first real store. [halt_var], when it
-    becomes nonzero, stops every thread at the next scheduling point
-    (litmus [crash] compiles to an assignment to it). *)
 
 type world = {
   w_mem : Simnvm.Memsys.t;

@@ -19,7 +19,6 @@ module Ir = Analysis.Ir
 module Persistate = Analysis.Persistate
 module Vars = Analysis.Dataflow.Vars
 module Refmodel = Simnvm.Refmodel
-module Memsys = Simnvm.Memsys
 
 (* --- planted mutants over litmus programs ---------------------------- *)
 
@@ -221,34 +220,21 @@ let precision (r : report) =
 
 (* --- refmodel dirtiness (the may-dirty dynamic bound) ----------------- *)
 
-(* One seeded schedule against the eager-clwb reference model; returns
-   the litmus lines still cache-dirty when the program stops. The
+(* One seeded schedule of the worlds' compile-and-step path against the
+   eager-clwb reference model in the worlds' memory configuration;
+   returns the litmus lines still cache-dirty when the program stops. The
    static may-dirty set must cover every returned line (some member
    carries the Dirty bit): evictions only clean lines, so any
    [evict_rate] keeps the direction sound. *)
 let ref_dirty_lines ?(sched_seed = 1) ?(evict_rate = 0.0) (p : Prog.t) :
     int list =
-  let cfg =
-    {
-      Memsys.default_config with
-      Memsys.nvm_words = 32 * World.line_words;
-      dram_words = 8 * World.line_words;
-      line_words = World.line_words;
-      sets = 1;
-      ways = 4;
-      evict_rate;
-      seed = sched_seed lxor 0xd112;
-      eadr = false;
-      pcso = true;
-      faults = None;
-    }
+  let m =
+    Refmodel.create
+      (World.mem_config
+         ~cfg:{ World.eadr = false; ablation = false; evict_rate }
+         ~seed:(sched_seed lxor 0xd112))
   in
-  let m = Refmodel.create cfg in
-  ignore
-    (World.drive ~sched_seed ~load:(Refmodel.load m)
-       ~store:(Refmodel.store m) ~pwb:(Refmodel.pwb m)
-       ~psync:(fun () -> Refmodel.psync m)
-       p);
+  ignore (World.drive ~sched_seed (Analysis.Exec.of_refmodel m) p);
   List.filter
     (fun lid -> Refmodel.is_cached_dirty m (lid * World.line_words))
     (Prog.lines p)

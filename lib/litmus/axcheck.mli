@@ -84,8 +84,9 @@ val precision : report -> float
 
 val ref_dirty_lines : ?sched_seed:int -> ?evict_rate:float -> Prog.t -> int list
 (** Litmus lines still cache-dirty in the eager reference model after
-    one seeded schedule — every returned line must have a member in the
-    static may-dirty set. *)
+    one seeded schedule ({!World.drive} over {!World.mem_config}) —
+    every returned line must have a member in the static may-dirty
+    set. *)
 
 (** {2 Counterexamples} *)
 

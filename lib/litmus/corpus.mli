@@ -1,6 +1,6 @@
 (** The named litmus corpus: paper-derived persistency shapes whose
     PCSO-allowed sets are pinned as goldens in test/test_litmus.ml and
-    which [litmus --corpus] checks against all three worlds. *)
+    which [litmus --corpus] checks against both worlds. *)
 
 type entry = {
   e_name : string;

@@ -55,8 +55,11 @@ let check ?(line_words = 8) (p : t) : string list =
   if p.layout = [] then err "empty layout";
   if p.threads = [] then err "no threads";
   let seen = Hashtbl.create 8 and slots = Hashtbl.create 8 in
+  let reserved name = String.starts_with ~prefix:"__" name in
   List.iter
     (fun (l, line, off) ->
+      if reserved l then
+        err "location %s: names beginning with __ are reserved" l;
       if Hashtbl.mem seen l then err "duplicate location %s" l;
       Hashtbl.replace seen l ();
       if line < 0 then err "location %s: negative line %d" l line;
@@ -72,9 +75,13 @@ let check ?(line_words = 8) (p : t) : string list =
     (fun t ops ->
       List.iter
         (fun o ->
-          match op_loc o with
+          (match op_loc o with
           | Some l when not (Hashtbl.mem names l) ->
               err "thread %d: undeclared location %s" t l
+          | _ -> ());
+          match o with
+          | Ld (_, r) when Hashtbl.mem names r || reserved r ->
+              err "thread %d: register %s names a location or is reserved" t r
           | _ -> ())
         ops)
     p.threads;

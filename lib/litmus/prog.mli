@@ -51,7 +51,10 @@ val check : ?line_words:int -> t -> string list
 (** Well-formedness diagnostics (empty means well-formed): non-empty
     layout and thread list, distinct locations on distinct slots,
     offsets within [line_words] (default 8), every op over a declared
-    location. *)
+    location, no register named like a location (a compiled load
+    assigns its register, which must not be a memory word), and no
+    location or register name beginning with [__] (reserved for the
+    compiled program's halt flag). *)
 
 val well_formed : ?line_words:int -> t -> bool
 

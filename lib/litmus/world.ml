@@ -4,17 +4,16 @@ module Rng = Simnvm.Rng
 module Ir = Analysis.Ir
 module Exec = Analysis.Exec
 
-type id = Kernel | Refm | Ir_mem
+type id = Kernel | Refm
 
-let id_name = function Kernel -> "kernel" | Refm -> "ref" | Ir_mem -> "ir"
+let id_name = function Kernel -> "kernel" | Refm -> "ref"
 
 let id_of_string = function
   | "kernel" -> Some Kernel
   | "ref" -> Some Refm
-  | "ir" -> Some Ir_mem
   | _ -> None
 
-let all_ids = [ Kernel; Refm; Ir_mem ]
+let all_ids = [ Kernel; Refm ]
 
 (* --- planted kernel mutant (the Runtime.set_mutant pattern) --------- *)
 
@@ -64,49 +63,6 @@ let mem_config ~(cfg : run_cfg) ~seed =
 let addr_of_loc p l = (Prog.line_of p l * line_words) + Prog.offset_of p l
 let line_base lid = lid * line_words
 
-(* --- shared schedule: the interp/run_mem LCG over runnable threads --- *)
-
-let make_sched sched_seed =
-  let state = ref ((sched_seed * 0x9E3779B9) + 0x85EBCA6B) in
-  fun bound ->
-    state := (!state * 25214903917) + 11;
-    let x = (!state lsr 17) land 0x3FFFFFFF in
-    x mod bound
-
-(* Drive one schedule of the program against load/store/pwb/psync
-   callbacks, one op per scheduler pick; returns true if a [Crash]
-   executed. *)
-let drive ~sched_seed ~(load : int -> int) ~(store : int -> int -> unit)
-    ~(pwb : int -> unit) ~(psync : unit -> unit) (p : Prog.t) : bool =
-  let addr l = addr_of_loc p l in
-  let bodies = Array.of_list (List.map Array.of_list p.Prog.threads) in
-  let pcs = Array.map (fun _ -> 0) bodies in
-  let next = make_sched sched_seed in
-  let halted = ref false in
-  let runnable () =
-    List.filter
-      (fun t -> pcs.(t) < Array.length bodies.(t))
-      (List.init (Array.length bodies) (fun t -> t))
-  in
-  let rec loop () =
-    if not !halted then
-      match runnable () with
-      | [] -> ()
-      | rs ->
-          let t = List.nth rs (next (List.length rs)) in
-          (match bodies.(t).(pcs.(t)) with
-          | Prog.St (l, v) -> store (addr l) v
-          | Prog.Ld (l, _) -> ignore (load (addr l))
-          | Prog.Pwb l -> pwb (addr l)
-          | Prog.Psync -> psync ()
-          | Prog.Faa (l, k) -> store (addr l) (load (addr l) + k)
-          | Prog.Crash -> halted := true);
-          pcs.(t) <- pcs.(t) + 1;
-          loop ()
-  in
-  loop ();
-  !halted
-
 (* The adversarial crash image, sampled: for each litmus line still
    cached-dirty at the crash point, a coin decides whether its in-flight
    write-back completed (pwb: a PCSO-legal whole-line persist — also
@@ -123,37 +79,7 @@ let sample_flushes ~image_seed ~is_dirty ~flush lines =
 let outcome_of ~persisted p =
   List.map (fun l -> persisted (addr_of_loc p l)) (Prog.locs p)
 
-(* --- world 1: the flat kernel --------------------------------------- *)
-
-let run_kernel ~cfg ~sched_seed ~image_seed p =
-  let mem = Memsys.create (mem_config ~cfg ~seed:image_seed) in
-  ignore
-    (drive ~sched_seed ~load:(Memsys.load mem) ~store:(Memsys.store mem)
-       ~pwb:(Memsys.pwb mem)
-       ~psync:(fun () -> Memsys.psync mem)
-       p);
-  sample_flushes ~image_seed
-    ~is_dirty:(Memsys.is_cached_dirty mem)
-    ~flush:(Memsys.pwb mem) (Prog.lines p);
-  Memsys.crash mem;
-  outcome_of ~persisted:(Memsys.persisted mem) p
-
-(* --- world 2: the reference model ------------------------------------ *)
-
-let run_ref ~cfg ~sched_seed ~image_seed p =
-  let m = Refmodel.create (mem_config ~cfg ~seed:image_seed) in
-  ignore
-    (drive ~sched_seed ~load:(Refmodel.load m) ~store:(Refmodel.store m)
-       ~pwb:(Refmodel.pwb m)
-       ~psync:(fun () -> Refmodel.psync m)
-       p);
-  sample_flushes ~image_seed
-    ~is_dirty:(Refmodel.is_cached_dirty m)
-    ~flush:(Refmodel.pwb m) (Prog.lines p);
-  Refmodel.crash m;
-  outcome_of ~persisted:(Refmodel.persisted m) p
-
-(* --- world 3: analyzer IR over the kernel (Exec.run_mem) ------------- *)
+(* --- the compile-and-step path both worlds run ---------------------- *)
 
 let halt_var = "__halt"
 
@@ -164,7 +90,7 @@ let compile (p : Prog.t) : Ir.program =
     | Prog.Pwb l -> Ir.Pwb l
     | Prog.Psync -> Ir.Psync
     | Prog.Faa (l, k) ->
-        (* a single atomic Assign: interp/run_mem execute one statement
+        (* a single atomic Assign: the stepper executes one statement
            per scheduler step, which preserves RMW atomicity *)
         Ir.Assign (l, Ir.Binop (Ir.Add, Ir.Var l, Ir.Int k))
     | Prog.Crash -> Ir.Assign (halt_var, Ir.Int 1)
@@ -181,24 +107,36 @@ let compile (p : Prog.t) : Ir.program =
         p.Prog.threads;
   }
 
-let run_ir ~cfg ~sched_seed ~image_seed p =
-  let mem = Memsys.create (mem_config ~cfg ~seed:image_seed) in
-  let addr_of v =
-    if List.mem v (Prog.locs p) then Some (addr_of_loc p v) else None
-  in
-  ignore
-    (Exec.run_mem ~sched_seed ~halt_var ~mem ~addr_of (compile p));
-  sample_flushes ~image_seed
-    ~is_dirty:(Memsys.is_cached_dirty mem)
-    ~flush:(Memsys.pwb mem) (Prog.lines p);
-  Memsys.crash mem;
-  outcome_of ~persisted:(Memsys.persisted mem) p
+let drive ~sched_seed mem p =
+  let locs = Prog.locs p in
+  Exec.run ~sched_seed ~halt_var ~mem
+    ~addr_of:(fun v ->
+      if List.mem v locs then Some (addr_of_loc p v) else None)
+    (compile p)
+
+(* --- the two worlds: the flat kernel and the reference model -------- *)
 
 let run ~world ?(cfg = default_run_cfg) ~sched_seed ~image_seed p =
-  match world with
-  | Kernel -> run_kernel ~cfg ~sched_seed ~image_seed p
-  | Refm -> run_ref ~cfg ~sched_seed ~image_seed p
-  | Ir_mem -> run_ir ~cfg ~sched_seed ~image_seed p
+  let config = mem_config ~cfg ~seed:image_seed in
+  let mem, is_dirty, crash, persisted =
+    match world with
+    | Kernel ->
+        let m = Memsys.create config in
+        ( Exec.of_memsys m,
+          Memsys.is_cached_dirty m,
+          (fun () -> Memsys.crash m),
+          Memsys.persisted m )
+    | Refm ->
+        let m = Refmodel.create config in
+        ( Exec.of_refmodel m,
+          Refmodel.is_cached_dirty m,
+          (fun () -> Refmodel.crash m),
+          Refmodel.persisted m )
+  in
+  ignore (drive ~sched_seed mem p);
+  sample_flushes ~image_seed ~is_dirty ~flush:mem.Exec.pwb (Prog.lines p);
+  crash ();
+  outcome_of ~persisted p
 
 (* --- exhaustive reference exploration (completeness oracle) ---------- *)
 

@@ -1,20 +1,20 @@
-(** The three executable worlds a litmus program runs in, each sampling
+(** The two executable worlds a litmus program runs in, each sampling
     one schedule and one adversarial crash image per seed pair:
 
-    - {b kernel}: ops drive {!Simnvm.Memsys} directly;
-    - {b ref}: ops drive {!Simnvm.Refmodel}, the executable spec;
-    - {b ir}: the program compiles to the analyzer IR and runs through
-      {!Analysis.Exec.run_mem} over a kernel memory system.
+    - {b kernel}: the flat {!Simnvm.Memsys};
+    - {b ref}: {!Simnvm.Refmodel}, the executable spec.
 
-    A run interleaves threads with the interpreter's seeded LCG
-    scheduler ([sched_seed]), with the memory system's own seeded
-    spontaneous evictions live ([image_seed] seeds them). At the crash
-    point a coin per still-dirty litmus line decides whether its
+    Both run the same compile-and-step path: the program {!compile}s to
+    the analyzer IR and {!Analysis.Exec.run} steps one schedule of it,
+    drawn by the seeded LCG scheduler ([sched_seed]), with the
+    locations held in the world's memory and the memory system's own
+    seeded spontaneous evictions live ([image_seed] seeds them). At the
+    crash point a coin per still-dirty litmus line decides whether its
     in-flight write-back completed; then the world crashes and the
     persisted image is the observed outcome. Soundness: every observed
     outcome must lie in the matching {!Axiom} set. *)
 
-type id = Kernel | Refm | Ir_mem
+type id = Kernel | Refm
 
 val id_name : id -> string
 val id_of_string : string -> id option
@@ -45,20 +45,12 @@ val run_cfg_of_variant : Axiom.variant -> run_cfg
 (** The world configuration matching an axiom variant ([Pcso_lazy] maps
     to the eager substrate — its spec is a superset). *)
 
-val addr_of_loc : Prog.t -> Prog.loc -> Simnvm.Addr.t
+val mem_config : cfg:run_cfg -> seed:int -> Simnvm.Memsys.config
+(** The memory configuration of both worlds: 32 NVM lines behind one
+    four-way cache set, [seed] driving the spontaneous evictions.
+    [pcso] is off under [cfg.ablation] and under the planted mutant. *)
 
-val drive :
-  sched_seed:int ->
-  load:(int -> int) ->
-  store:(int -> int -> unit) ->
-  pwb:(int -> unit) ->
-  psync:(unit -> unit) ->
-  Prog.t ->
-  bool
-(** Run one seeded schedule of the program against raw memory-op
-    callbacks (addresses from {!addr_of_loc}), one op per scheduler
-    pick; returns [true] iff a [Crash] executed. The hook {!Axcheck}
-    and the Filemem dynamic oracle drive arbitrary backends with. *)
+val addr_of_loc : Prog.t -> Prog.loc -> Simnvm.Addr.t
 
 val halt_var : Analysis.Ir.var
 (** The transient flag [Crash] compiles to an assignment of; the
@@ -66,10 +58,17 @@ val halt_var : Analysis.Ir.var
     it. *)
 
 val compile : Prog.t -> Analysis.Ir.program
-(** The IR compilation the [Ir_mem] world runs: stores/loads become
-    assignments (loads into transient registers), [Faa] becomes one
-    atomic read-modify-write assignment, [Crash] sets a transient halt
-    flag that stops the stepper. *)
+(** Stores and loads become assignments (loads into transient
+    registers), [Faa] becomes one atomic read-modify-write assignment,
+    [Crash] sets a transient halt flag that stops the stepper. Every
+    variable starts at 0. *)
+
+val drive :
+  sched_seed:int -> Analysis.Exec.mem -> Prog.t -> Analysis.Exec.status
+(** {!compile} the program and run one seeded schedule of it through
+    {!Analysis.Exec.run}, each location held in [mem] at
+    {!addr_of_loc}. Both worlds, {!Axcheck}'s dirty-line bound and the
+    file-backend dynamic oracle run programs this way. *)
 
 val run :
   world:id ->

@@ -371,6 +371,51 @@ let test_interp_kv () =
   Alcotest.check Alcotest.int "size" 4 (final "size");
   Alcotest.check Alcotest.int "journal" 31 (final "journal")
 
+(* Two threads contend for one lock, three statements each. A thread
+   whose next statement acquires a held lock is not runnable, so every
+   schedule spends its six steps on statements and completes. *)
+let test_interp_lock_contenders () =
+  let body =
+    [ Ir.Acquire 0; set "x" (Ir.Binop (Ir.Add, Ir.Var "x", Ir.Int 1));
+      Ir.Release 0 ]
+  in
+  let p =
+    {
+      Ir.pname = "contend";
+      persistent = [ ("x", 0) ];
+      transient = [];
+      threads = [ { Ir.tname = "a"; body }; { Ir.tname = "b"; body } ];
+    }
+  in
+  for sched_seed = 0 to 9 do
+    let obs = Exec.interp ~fuel:6 ~sched_seed p in
+    let name = Fmt.str "seed %d" sched_seed in
+    Alcotest.check Alcotest.bool (name ^ " completes") true obs.Exec.completed;
+    Alcotest.check Alcotest.int (name ^ " x") 2 (List.assoc "x" obs.Exec.finals)
+  done
+
+(* A release of a lock the thread does not hold is an error on both
+   paths: the thread stops there, so its next store never happens. *)
+let test_release_unheld () =
+  let p = one_thread [ Ir.Release 0; set "x" (stmt_i 5) ] in
+  let obs = Exec.interp p in
+  Alcotest.check Alcotest.bool "host: error reported" true
+    (obs.Exec.thread_error <> None);
+  Alcotest.check Alcotest.bool "host: not completed" false obs.Exec.completed;
+  Alcotest.check Alcotest.int "host: x untouched" 0
+    (List.assoc "x" obs.Exec.finals);
+  let mem = Simnvm.Memsys.create Simnvm.Memsys.default_config in
+  let st =
+    Exec.run ~mem:(Exec.of_memsys mem)
+      ~addr_of:(function "x" -> Some 0 | _ -> None)
+      p
+  in
+  Alcotest.check Alcotest.bool "memory: error reported" true
+    (st.Exec.error <> None);
+  Alcotest.check Alcotest.bool "memory: not completed" false st.Exec.all_done;
+  Alcotest.check Alcotest.int "memory: word untouched" 0
+    (Simnvm.Memsys.peek mem 0)
+
 (* ------------------------------------------------------------------ *)
 (* Persistate: the persist-state lattice *)
 
@@ -590,7 +635,7 @@ let test_wal_append_interp () =
   Alcotest.check Alcotest.int "payload" 31 (final "payload");
   Alcotest.check Alcotest.int "commit" 4 (final "commit")
 
-let test_wal_append_run_mem () =
+let test_wal_append_over_memsys () =
   let mem = Simnvm.Memsys.create Simnvm.Memsys.default_config in
   let lw = Simnvm.Memsys.default_config.Simnvm.Memsys.line_words in
   let addr_of = function
@@ -598,8 +643,10 @@ let test_wal_append_run_mem () =
     | "commit" -> Some lw
     | _ -> None
   in
-  let o = Exec.run_mem ~mem ~addr_of (Corpus.wal_append ~iters:4) in
-  Alcotest.check Alcotest.bool "run_mem completes" true o.Exec.mo_completed;
+  let st =
+    Exec.run ~mem:(Exec.of_memsys mem) ~addr_of (Corpus.wal_append ~iters:4)
+  in
+  Alcotest.check Alcotest.bool "run completes" true st.Exec.all_done;
   (* every iteration ends pwb;psync — the image tracks the finals *)
   Alcotest.check Alcotest.int "payload persisted" 31
     (Simnvm.Memsys.persisted mem 0);
@@ -629,10 +676,15 @@ let test_strip_psync_dynamic () =
     let path = Filename.temp_file "axdyn" ".img" in
     let fm = Filemem.create Filemem.default_config ~path in
     let b = Filemem.backend fm in
-    let halted =
-      Litmus.World.drive ~sched_seed:1 ~load:b.Simnvm.Backend.load
-        ~store:b.Simnvm.Backend.store ~pwb:b.Simnvm.Backend.pwb
-        ~psync:b.Simnvm.Backend.psync prog
+    let st =
+      Litmus.World.drive ~sched_seed:1
+        {
+          Exec.load = b.Simnvm.Backend.load;
+          store = b.Simnvm.Backend.store;
+          pwb = b.Simnvm.Backend.pwb;
+          psync = b.Simnvm.Backend.psync;
+        }
+        prog
     in
     Filemem.crash fm;
     let persisted loc =
@@ -641,7 +693,7 @@ let test_strip_psync_dynamic () =
     let r = List.map (fun l -> (l, persisted l)) (Litmus.Prog.locs prog) in
     Filemem.close fm;
     Sys.remove path;
-    (halted, r)
+    (st.Exec.halted, r)
   in
   let demo = Litmus.Axcheck.demo in
   let claims = Litmus.Axcheck.static_claims demo in
@@ -673,8 +725,8 @@ let test_redundant_pwb_dynamic () =
       | "commit" -> Some lw
       | _ -> None
     in
-    let o = Exec.run_mem ~mem ~addr_of prog in
-    Alcotest.check Alcotest.bool "completes" true o.Exec.mo_completed;
+    let st = Exec.run ~mem:(Exec.of_memsys mem) ~addr_of prog in
+    Alcotest.check Alcotest.bool "completes" true st.Exec.all_done;
     Obs.Metrics.value (Obs.Metrics.counter r "mem.pwbs.clean")
   in
   Alcotest.check Alcotest.int "baseline has no clean pwb" 0
@@ -836,7 +888,13 @@ let () =
             test_lint_structural_rules;
         ] );
       ( "exec",
-        [ Alcotest.test_case "kv interpreter finals" `Quick test_interp_kv ] );
+        [
+          Alcotest.test_case "kv interpreter finals" `Quick test_interp_kv;
+          Alcotest.test_case "held lock blocks without spending a step"
+            `Quick test_interp_lock_contenders;
+          Alcotest.test_case "release of an unheld lock stops the thread"
+            `Quick test_release_unheld;
+        ] );
       ( "persistate",
         [
           Alcotest.test_case "flush lifecycle" `Quick test_persistate_lifecycle;
@@ -865,7 +923,7 @@ let () =
           Alcotest.test_case "wal-append interp finals" `Quick
             test_wal_append_interp;
           Alcotest.test_case "wal-append over the memory system" `Quick
-            test_wal_append_run_mem;
+            test_wal_append_over_memsys;
           Alcotest.test_case "compile_ir round-trip" `Quick
             test_compile_ir_round_trip;
         ] );
