@@ -190,18 +190,6 @@ type memo = {
 (* Raised out of the crash-point subscriber to end a checking run. *)
 exception Stop
 
-(* A fresh instance. [restore] would undo the seeded crash-time faults of
-   a [faults = Some _] memory, so such a world cannot be checked in
-   place; the fault dimension is [fault_seeds]. *)
-let fresh s =
-  let inst = s.make ~n_ops:s.n_ops in
-  if (Simnvm.Memsys.config inst.mem).Simnvm.Memsys.faults <> None then
-    invalid_arg
-      (s.name
-     ^ ": Explore needs a memory without seeded crash faults (faults = \
-        None); fault_seeds layers media faults on the crash images");
-  inst
-
 (* The one per-boundary check, shared by [explore] and [check_point]. At
    a boundary of the running world, for each (variant, fault seed) in
    [images], take the verdict from [memo] or else recover: restore the
@@ -265,7 +253,7 @@ let check_boundary ?memo inst ~crash_index ~dirty images judge =
    boundaries passed. *)
 let checking_run s ~at :
     [ `Completed of int | `Stopped | `Raised of exn * int ] =
-  let inst = fresh s in
+  let inst = s.make ~n_ops:s.n_ops in
   let reached = ref 0 in
   match
     Crashpoint.walk inst.mem inst.run ~at:(fun k ev ->
@@ -294,7 +282,7 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
       failures = List.rev !failures;
     }
   in
-  let pilot = fresh s in
+  let pilot = s.make ~n_ops:s.n_ops in
   match Crashpoint.pilot pilot.mem ~completed:pilot.completed pilot.run with
   | exception e ->
       add 0 Baseline None ("pilot run raised " ^ Printexc.to_string e);

@@ -101,10 +101,7 @@ val explore :
     every adversarial image is additionally checked with the
     {!Faultplan} derived from (seed, crash index, dirty lines) installed
     on top, against [recover_check_faulty]. These images are always
-    recovered.
-
-    @raise Invalid_argument if the world's memory config has seeded
-    crash-time [faults]: checking in place would undo them. *)
+    recovered. *)
 
 val check_point :
   ?fault_seed:int ->

@@ -57,7 +57,6 @@ let mem_config ~(cfg : run_cfg) ~seed =
     seed;
     eadr = cfg.eadr;
     pcso;
-    faults = None;
   }
 
 let addr_of_loc p l = (Prog.line_of p l * line_words) + Prog.offset_of p l

@@ -18,10 +18,6 @@ type t = {
          flags. *)
   evictions : Metrics.counter;
   crashes : Metrics.counter;
-  faults_torn : Metrics.counter;
-  faults_poisoned : Metrics.counter;
-  faults_bitflip : Metrics.counter;
-  faults_transient : Metrics.counter;
   media_errors : Metrics.counter;
   media_errors_transient : Metrics.counter;
   media_scrubs : Metrics.counter;
@@ -45,10 +41,6 @@ let make registry =
   let noop_psyncs = c "psyncs.noop" in
   let evictions = c "evictions" in
   let crashes = c "crashes" in
-  let faults_torn = c "faults.torn" in
-  let faults_poisoned = c "faults.poisoned" in
-  let faults_bitflip = c "faults.bitflip" in
-  let faults_transient = c "faults.transient" in
   let media_errors = c "media_errors" in
   let media_errors_transient = c "media_errors.transient" in
   let media_scrubs = c "media_scrubs" in
@@ -68,10 +60,6 @@ let make registry =
     flush_armed = false;
     evictions;
     crashes;
-    faults_torn;
-    faults_poisoned;
-    faults_bitflip;
-    faults_transient;
     media_errors;
     media_errors_transient;
     media_scrubs;
@@ -101,12 +89,6 @@ let subscriber p (ev : Simnvm.Event.t) =
       p.flush_armed <- false
   | Simnvm.Event.Eviction _ -> Metrics.incr p.evictions
   | Simnvm.Event.Crash _ -> Metrics.incr p.crashes
-  | Simnvm.Event.Fault_injected f -> (
-      match f with
-      | Simnvm.Event.Torn _ -> Metrics.incr p.faults_torn
-      | Simnvm.Event.Poisoned _ -> Metrics.incr p.faults_poisoned
-      | Simnvm.Event.Bitflip _ -> Metrics.incr p.faults_bitflip
-      | Simnvm.Event.Transient_armed _ -> Metrics.incr p.faults_transient)
   | Simnvm.Event.Media_error { transient; _ } ->
       Metrics.incr p.media_errors;
       if transient then Metrics.incr p.media_errors_transient

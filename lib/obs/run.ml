@@ -2,16 +2,15 @@ type point = {
   label : string;
   params : (string * Json.t) list;
   throughput_mops : float option;
-  series : (string * float list) list;
   stats : Simnvm.Stats.t option;
   metrics : Metrics.t option;
   spans : Span.t option;
   extra : (string * Json.t) list;
 }
 
-let point ?(params = []) ?throughput_mops ?(series = []) ?stats ?metrics
-    ?spans ?(extra = []) label =
-  { label; params; throughput_mops; series; stats; metrics; spans; extra }
+let point ?(params = []) ?throughput_mops ?stats ?metrics ?spans
+    ?(extra = []) label =
+  { label; params; throughput_mops; stats; metrics; spans; extra }
 
 let stats_json (s : Simnvm.Stats.t) =
   Json.Obj
@@ -37,12 +36,6 @@ let point_json p =
   (match p.throughput_mops with
   | Some x -> add "throughput_mops" (Json.Float x)
   | None -> ());
-  if p.series <> [] then
-    add "series"
-      (Json.Obj
-         (List.map
-            (fun (k, xs) -> (k, Json.List (List.map (fun x -> Json.Float x) xs)))
-            p.series));
   (match p.stats with Some s -> add "mem_stats" (stats_json s) | None -> ());
   (match p.metrics with Some m -> add "metrics" (Metrics.to_json m) | None -> ());
   (match p.spans with Some s -> add "spans" (Span.to_json s) | None -> ());

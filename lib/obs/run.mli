@@ -2,8 +2,7 @@
 
    The harness experiments produce one [point] per configuration they
    measure (system x threads x update ratio ...). A point bundles the
-   scalar result (throughput), the throughput series over the measurement
-   window when one was sampled, the memory-system counters, the metric
+   scalar result (throughput), the memory-system counters, the metric
    registry and the span breakdown. [experiment] wraps the points of one
    figure; [document] wraps several experiments into the file handed to
    [--json]. ASCII tables and JSON export are two views of the same
@@ -13,8 +12,6 @@ type point = {
   label : string;
   params : (string * Json.t) list;
   throughput_mops : float option;
-  series : (string * float list) list;
-      (** named numeric series, e.g. per-thread Mops *)
   stats : Simnvm.Stats.t option;
   metrics : Metrics.t option;
   spans : Span.t option;
@@ -24,7 +21,6 @@ type point = {
 val point :
   ?params:(string * Json.t) list ->
   ?throughput_mops:float ->
-  ?series:(string * float list) list ->
   ?stats:Simnvm.Stats.t ->
   ?metrics:Metrics.t ->
   ?spans:Span.t ->

@@ -15,16 +15,6 @@
 
 type backing = Nvm | Dram
 
-(* Media faults injected at crash time by the seeded fault layer: a torn
-   write-back (a dirty line persisted only a subset of its words), a
-   poisoned line (unreadable until scrubbed), a bit flip in a persisted
-   word, or an armed transient read fault (fails once, then heals). *)
-type fault =
-  | Torn of { line : int; kept : int } (* bitmask of dirty words persisted *)
-  | Poisoned of { line : int }
-  | Bitflip of { addr : int; bit : int }
-  | Transient_armed of { line : int }
-
 type t =
   | Load of { tid : int; addr : int }
   | Store of { tid : int; addr : int }
@@ -35,7 +25,6 @@ type t =
   | Psync of { tid : int }
   | Eviction of { line : int } (* spontaneous background eviction *)
   | Crash of { eadr : bool }
-  | Fault_injected of fault
   | Media_error of { addr : int; line : int; transient : bool }
       (* a load touched a poisoned (or transiently failing) line *)
   | Media_scrub of { line : int } (* host/recovery cleared a poisoned line *)
@@ -46,12 +35,6 @@ type t =
   | Restart_point of { tid : int; id : int }
 
 let backing_label = function Nvm -> "nvm" | Dram -> "dram"
-
-let pp_fault ppf = function
-  | Torn { line; kept } -> Fmt.pf ppf "torn line %d (kept %#x)" line kept
-  | Poisoned { line } -> Fmt.pf ppf "poisoned line %d" line
-  | Bitflip { addr; bit } -> Fmt.pf ppf "bitflip word %d bit %d" addr bit
-  | Transient_armed { line } -> Fmt.pf ppf "transient fault armed line %d" line
 
 let pp ppf = function
   | Load { tid; addr } -> Fmt.pf ppf "load[%d] %d" tid addr
@@ -68,7 +51,6 @@ let pp ppf = function
   | Psync { tid } -> Fmt.pf ppf "psync[%d]" tid
   | Eviction { line } -> Fmt.pf ppf "eviction line %d" line
   | Crash { eadr } -> Fmt.pf ppf "crash%s" (if eadr then " (eadr)" else "")
-  | Fault_injected f -> Fmt.pf ppf "fault: %a" pp_fault f
   | Media_error { addr; line; transient } ->
       Fmt.pf ppf "media error%s word %d (line %d)"
         (if transient then " (transient)" else "")

@@ -17,16 +17,6 @@
 
 type backing = Nvm | Dram
 
-(** Media faults injected at crash time by the seeded fault layer. *)
-type fault =
-  | Torn of { line : int; kept : int }
-      (** a dirty line in flight persisted only the [kept] subset of its
-          dirty words (bitmask) — whole-line atomicity violated *)
-  | Poisoned of { line : int }  (** line unreadable until scrubbed *)
-  | Bitflip of { addr : int; bit : int }  (** persisted word corrupted *)
-  | Transient_armed of { line : int }
-      (** next read of the line fails once, then the line heals *)
-
 type t =
   | Load of { tid : int; addr : int }
   | Store of { tid : int; addr : int }
@@ -41,7 +31,6 @@ type t =
   | Eviction of { line : int }
       (** spontaneous background eviction (the hazard undo logging fights) *)
   | Crash of { eadr : bool }  (** power failure *)
-  | Fault_injected of fault  (** the fault layer corrupted media at a crash *)
   | Media_error of { addr : int; line : int; transient : bool }
       (** a load touched a poisoned (or transiently failing) line; the
           matching {!Memsys.Media_error} exception is raised after this *)

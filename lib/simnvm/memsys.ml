@@ -34,36 +34,14 @@
    draw against an integer threshold; events are only constructed when
    the bus has a subscriber, and the stats counters are bumped inline
    instead of travelling through the bus. What does allocate: a line's
-   word buffer and a backing chunk at their first touch, the undo
-   journal's growth while a snapshot is live, and crash-time fault
-   injection. The differential oracle in [Refmodel] pins this kernel,
-   word for word and event for event, to a naive executable
-   specification. *)
+   word buffer and a backing chunk at their first touch, and the undo
+   journal's growth while a snapshot is live. The differential oracle in
+   [Refmodel] pins this kernel, word for word and event for event, to a
+   naive executable specification.
 
-(* Faulty-media model (opt-in, [faults = None] costs nothing): at every
-   crash, a dedicated RNG derived from [fault_seed] and the crash ordinal
-   decides, per dirty NVMM line, whether its in-flight write-back tears
-   (a strict subset of its dirty words persists — whole-line atomicity
-   violated, words stay 8-byte atomic), whether the line's media poisons
-   (subsequent fills raise {!Media_error} until {!scrub_line}), plus a
-   batch of seeded bit flips on persisted words and armed one-shot
-   transient read faults. Everything is replayable from the seed. *)
-type fault_config = {
-  fault_seed : int;
-  tear_rate : float; (* per dirty NVMM line at crash *)
-  poison_rate : float; (* per dirty NVMM line at crash *)
-  bitflip_rate : float; (* expected flips per crash / nvm_words *)
-  transient_rate : float; (* expected armed lines per crash / NVMM lines *)
-}
-
-let no_faults =
-  {
-    fault_seed = 0;
-    tear_rate = 0.0;
-    poison_rate = 0.0;
-    bitflip_rate = 0.0;
-    transient_rate = 0.0;
-  }
+   Media damage (poisoned lines, transient read faults, torn or flipped
+   persisted words) enters only through the host hooks at the end of
+   this file, which the crash explorer's fault plans drive. *)
 
 type config = {
   nvm_words : int;
@@ -76,7 +54,6 @@ type config = {
   seed : int;
   eadr : bool;
   pcso : bool;
-  faults : fault_config option;
 }
 
 let default_config =
@@ -91,7 +68,6 @@ let default_config =
     seed = 42;
     eadr = false;
     pcso = true;
-    faults = None;
   }
 
 exception Media_error of { addr : int; line : int; transient : bool }
@@ -195,11 +171,11 @@ let no_data : int array = [||]
 (* The volatile state [suspend] sets aside while the memory serves a
    nested recovery, and [resume] puts back: a copy of every cache line
    (tag, words, dirtiness, LRU stamp, last writer), the LRU clock, the
-   DRAM chunk table, the prefetch ring, the eviction RNG, the crash
-   ordinal, the planted-fault bitsets and the three hooks. The DRAM table
-   is saved shallow: [crash] and [restore] replace chunks and never write
-   into them, so the saved chunks stay intact. Allocated at a memory's
-   first [suspend] and reused by every later one. *)
+   DRAM chunk table, the prefetch ring, the eviction RNG, the
+   planted-fault bitsets and the three hooks. The DRAM table is saved
+   shallow: [crash] and [restore] replace chunks and never write into
+   them, so the saved chunks stay intact. Allocated at a memory's first
+   [suspend] and reused by every later one. *)
 type parked = {
   p_lines : line array; (* indexed like [lines], with words of their own *)
   mutable p_stamp : int;
@@ -207,7 +183,6 @@ type parked = {
   p_fills : int array;
   mutable p_pos : int;
   p_rng : Rng.t;
-  mutable p_crash_count : int;
   p_poisoned : Bytes.t;
   mutable p_n_poisoned : int;
   p_transient : Bytes.t;
@@ -260,12 +235,11 @@ type t = {
   (* Faulty-media state: poisoned NVMM lines (fills raise until scrubbed)
      and armed one-shot transient read faults, as bitsets over the NVMM
      line numbers with element counts for the fast emptiness test. Both
-     stay empty with [faults = None] unless a host hook plants faults. *)
+     stay empty unless a host hook plants faults. *)
   poisoned_bits : Bytes.t;
   mutable n_poisoned : int;
   transient_bits : Bytes.t;
   mutable n_transient : int;
-  mutable crash_count : int;
   (* Undo journal of the live snapshot ([snap_live] is its id, 0 = none
      live): the NVMM lines written since the snapshot or its last
      restore, as a sparse set — line [l] is journaled iff
@@ -393,7 +367,6 @@ let create cfg =
     n_poisoned = 0;
     transient_bits = Bytes.make (max 1 ((nvm_lines + 7) / 8)) '\000';
     n_transient = 0;
-    crash_count = 0;
     snap_seq = 0;
     snap_live = 0;
     jr_slot = store_make nvm_lines;
@@ -424,12 +397,12 @@ let[@inline] off_of t addr =
   if t.lw_mask >= 0 then addr land t.lw_mask else addr mod t.lw
 
 (* Undo journal. While a snapshot is live, every writer into [pmem] —
-   whole-line and partial write-back, crash-time tears and bit flips,
-   [poke_persisted], [scrub_line] — first calls [journal], which saves
-   the line's old words on its first write since the snapshot or the last
-   restore. [restore] copies exactly those lines back, so installing an
-   image costs the lines recovery wrote, not the NVMM size. Without a
-   live snapshot a write-back pays one integer test. *)
+   whole-line and partial write-back, [poke_persisted], [scrub_line] —
+   first calls [journal], which saves the line's old words on its first
+   write since the snapshot or the last restore. [restore] copies exactly
+   those lines back, so installing an image costs the lines recovery
+   wrote, not the NVMM size. Without a live snapshot a write-back pays
+   one integer test. *)
 
 let journal_slot t lineno =
   let i = store_get t.jr_slot lineno in
@@ -722,106 +695,6 @@ let is_cached_dirty t addr =
   | Some line -> line.dirty
   | None -> false
 
-let bump_faults t =
-  t.stats.Stats.faults_injected <- t.stats.Stats.faults_injected + 1
-
-(* Seeded fault injection at a crash. The RNG derives from the config's
-   fault seed and the crash ordinal, so the nth crash of a given world
-   always injects the same faults. Under eADR the drain already persisted
-   every line whole, so only bit flips and transient faults apply; without
-   eADR each dirty NVMM line may additionally tear (persist a strict,
-   seeded subset of its dirty words — the violation of whole-line
-   atomicity real hardware exhibits at 8-byte granularity) or poison. *)
-let inject_crash_faults t (fc : fault_config) =
-  let rng = Rng.create (fc.fault_seed + (t.crash_count * 0x9E3779B1)) in
-  let lw = t.lw in
-  if not t.cfg.eadr then
-    Array.iter
-      (fun line ->
-        if line.tag >= 0 && line.dirty && is_nvm t (line.tag * lw) then begin
-          if fc.tear_rate > 0.0 && Rng.float rng < fc.tear_rate then begin
-            (* Persist a strict subset of the dirty words: each dirty word
-               independently, then force at least one dropped word so the
-               tear is observable. *)
-            let kept = ref 0 in
-            for off = 0 to lw - 1 do
-              if line.dirty_mask land (1 lsl off) <> 0 && Rng.bool rng then
-                kept := !kept lor (1 lsl off)
-            done;
-            if !kept = line.dirty_mask then begin
-              (* drop one dirty word, chosen by the seed: the k-th set bit
-                 of the mask in increasing offset order *)
-              let n_dirty = ref 0 in
-              for off = 0 to lw - 1 do
-                if line.dirty_mask land (1 lsl off) <> 0 then incr n_dirty
-              done;
-              let k = Rng.int rng !n_dirty in
-              let drop = ref 0 and seen = ref 0 in
-              (try
-                 for off = 0 to lw - 1 do
-                   if line.dirty_mask land (1 lsl off) <> 0 then begin
-                     if !seen = k then begin
-                       drop := off;
-                       raise Exit
-                     end;
-                     incr seen
-                   end
-                 done
-               with Exit -> ());
-              kept := !kept land lnot (1 lsl !drop)
-            end;
-            for off = 0 to lw - 1 do
-              if !kept land (1 lsl off) <> 0 then
-                backing_write t line.tag off line.data.(off)
-            done;
-            bump_faults t;
-            if has_subs t then
-              emit t
-                (Event.Fault_injected
-                   (Event.Torn { line = line.tag; kept = !kept }))
-          end;
-          if fc.poison_rate > 0.0 && Rng.float rng < fc.poison_rate then begin
-            if not (bit_get t.poisoned_bits line.tag) then begin
-              bit_set t.poisoned_bits line.tag;
-              t.n_poisoned <- t.n_poisoned + 1
-            end;
-            bump_faults t;
-            if has_subs t then
-              emit t (Event.Fault_injected (Event.Poisoned { line = line.tag }))
-          end
-        end)
-      t.lines;
-  if fc.bitflip_rate > 0.0 then begin
-    let k =
-      int_of_float (Float.round (fc.bitflip_rate *. float_of_int t.cfg.nvm_words))
-    in
-    for _ = 1 to max 1 k do
-      let addr = Rng.int rng t.cfg.nvm_words in
-      let bit = Rng.int rng 62 in
-      journal t (line_of t addr);
-      store_set t.pmem addr (store_get t.pmem addr lxor (1 lsl bit));
-      bump_faults t;
-      if has_subs t then
-        emit t (Event.Fault_injected (Event.Bitflip { addr; bit }))
-    done
-  end;
-  if fc.transient_rate > 0.0 then begin
-    let nlines = t.nvm_lines in
-    let k =
-      int_of_float (Float.round (fc.transient_rate *. float_of_int nlines))
-    in
-    for _ = 1 to max 1 k do
-      let line = Rng.int rng nlines in
-      if not (bit_get t.transient_bits line) then begin
-        bit_set t.transient_bits line;
-        t.n_transient <- t.n_transient + 1
-      end;
-      bump_faults t;
-      if has_subs t then
-        emit t (Event.Fault_injected (Event.Transient_armed { line }))
-    done
-  end
-
 let crash t =
   t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;
   if has_subs t then emit t (Event.Crash { eadr = t.cfg.eadr });
@@ -833,10 +706,6 @@ let crash t =
         if line.tag >= 0 && line.dirty && is_nvm t (line.tag * t.lw) then
           ignore (write_back t line))
       t.lines;
-  (match t.cfg.faults with
-  | None -> ()
-  | Some fc -> inject_crash_faults t fc);
-  t.crash_count <- t.crash_count + 1;
   Array.iter
     (fun line ->
       line.tag <- -1;
@@ -971,7 +840,6 @@ let make_parked t =
     p_fills = Array.make prefetch_window (-1);
     p_pos = 0;
     p_rng = Rng.create 0;
-    p_crash_count = 0;
     p_poisoned = Bytes.make (Bytes.length t.poisoned_bits) '\000';
     p_n_poisoned = 0;
     p_transient = Bytes.make (Bytes.length t.transient_bits) '\000';
@@ -1008,7 +876,6 @@ let suspend t =
   Array.blit t.recent_fills 0 p.p_fills 0 prefetch_window;
   p.p_pos <- t.recent_pos;
   Rng.blit t.rng p.p_rng;
-  p.p_crash_count <- t.crash_count;
   p.p_n_poisoned <- t.n_poisoned;
   if t.n_poisoned > 0 then
     Bytes.blit t.poisoned_bits 0 p.p_poisoned 0 (Bytes.length t.poisoned_bits);
@@ -1041,7 +908,6 @@ let resume t s =
   done;
   t.recent_pos <- p.p_pos;
   Rng.blit p.p_rng t.rng;
-  t.crash_count <- p.p_crash_count;
   (* [restore] left both bitsets empty. *)
   t.n_poisoned <- p.p_n_poisoned;
   if p.p_n_poisoned > 0 then
@@ -1074,7 +940,7 @@ let poke_persisted t addr v =
 
 (* ------------------------------------------------------------------ *)
 (* Fault-plan hooks: plant media faults directly (the crash explorer's
-   fault dimension), independent of the seeded [faults] config. *)
+   fault dimension, [Crashtest.Faultplan]). *)
 
 let check_nvm_line t lineno =
   if lineno < 0 || lineno * t.lw >= t.cfg.nvm_words then

@@ -15,24 +15,6 @@
     ({!set_charge}), which the scheduler binds to the virtual clock of the
     running simulated thread. *)
 
-(** Seeded faulty-media model (opt-in). At every {!crash}, a dedicated RNG
-    derived from [fault_seed] and the crash ordinal decides, per dirty NVMM
-    line, whether the in-flight write-back {e tears} (a strict subset of
-    its dirty words persists; words stay 8-byte atomic) or the line's media
-    {e poisons} (loads raise {!Media_error} until {!scrub_line}); plus a
-    batch of bit flips on persisted words and armed one-shot transient read
-    faults. Fully replayable from the seed. *)
-type fault_config = {
-  fault_seed : int;
-  tear_rate : float;  (** per dirty NVMM line at crash *)
-  poison_rate : float;  (** per dirty NVMM line at crash *)
-  bitflip_rate : float;  (** expected flips per crash, per NVMM word *)
-  transient_rate : float;  (** expected armed lines per crash, per NVMM line *)
-}
-
-val no_faults : fault_config
-(** All rates zero, seed 0. *)
-
 type config = {
   nvm_words : int;  (** words of persistent memory (line-aligned) *)
   dram_words : int;  (** words of volatile DRAM *)
@@ -51,9 +33,6 @@ type config = {
           Explicit {!pwb} and capacity evictions still persist the whole
           line: the ablation weakens ordering, never durability, so
           explicitly-flushing systems stay correct under it. *)
-  faults : fault_config option;
-      (** seeded media-fault injection at crash time; [None] (the default)
-          is the perfect-media model and costs nothing *)
 }
 
 val default_config : config
@@ -185,9 +164,9 @@ val image : t -> int array
 type snapshot
 (** A rewind point of the persistent image, kept as an undo journal rather
     than a copy: while a snapshot is live, the first write into an NVMM
-    line — write-back (whole or partial), crash-time tear or bit flip,
-    {!poke_persisted}, {!scrub_line} — saves that line's old words. Being
-    abstract, it cannot be changed behind the journal's back. *)
+    line — write-back (whole or partial), {!poke_persisted},
+    {!scrub_line} — saves that line's old words. Being abstract, it cannot
+    be changed behind the journal's back. *)
 
 val snapshot : t -> snapshot
 (** Start journaling from the current persistent image. O(1): nothing is
@@ -210,13 +189,13 @@ val suspend : t -> snapshot
     this memory and the world can continue afterwards. Saved are every
     cache line (tag, words, dirtiness, LRU stamp, last writer), the LRU
     clock, the DRAM contents, the prefetch ring, the eviction RNG, the
-    crash ordinal, the planted faults, and the charge, thread-id and bus
-    hooks. Until {!resume} the memory publishes on a private bus and
-    charges nothing, so nothing reaches the world's subscribers or
-    clocks (a recovery's own scheduler may install its hooks
-    meanwhile); the stats counters keep counting. Access the memory
-    only after a {!restore}: until then it still holds the world's cache
-    and DRAM. The save buffers are allocated once per memory.
+    planted faults, and the charge, thread-id and bus hooks. Until
+    {!resume} the memory publishes on a private bus and charges nothing,
+    so nothing reaches the world's subscribers or clocks (a recovery's
+    own scheduler may install its hooks meanwhile); the stats counters
+    keep counting. Access the memory only after a {!restore}: until then
+    it still holds the world's cache and DRAM. The save buffers are
+    allocated once per memory.
     @raise Invalid_argument if the memory is already suspended. *)
 
 val resume : t -> snapshot -> unit
@@ -238,11 +217,12 @@ val poke_persisted : t -> Addr.t -> int -> unit
 
 (** {2 Fault-plan hooks}
 
-    Plant media faults directly — the crash explorer's fault dimension
-    layers these on adversarial crash images, independently of the seeded
-    [faults] config. {!restore} clears all planted fault state.
-    {!persisted}, {!peek} and {!image} are oracle views and deliberately
-    bypass poison. *)
+    Plant media faults directly. These and {!poke_persisted} are the only
+    way media damage enters the model: a {!crash} loses dirty lines but
+    never damages what was persisted. The crash explorer's fault dimension
+    ([Crashtest.Faultplan]) layers them on adversarial crash images.
+    {!restore} clears all planted fault state. {!persisted}, {!peek} and
+    {!image} are oracle views and deliberately bypass poison. *)
 
 val poison_line : t -> int -> unit
 (** Poison an NVMM line (by line number): every subsequent access that

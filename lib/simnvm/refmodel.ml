@@ -34,7 +34,6 @@ type t = {
   mutable recent : int list; (* recently filled lines, newest first *)
   mutable poisoned : int list;
   mutable transient : int list;
-  mutable crash_count : int;
   mutable tid : unit -> int;
   mutable charged : float;
   mutable events : Event.t list; (* newest first *)
@@ -53,7 +52,6 @@ let create cfg =
     recent = [];
     poisoned = [];
     transient = [];
-    crash_count = 0;
     tid = (fun () -> -1);
     charged = 0.0;
     events = [];
@@ -259,83 +257,6 @@ let psync t =
   emit t (Event.Psync { tid = t.tid () });
   charge t t.cfg.Memsys.latency.Latency.sfence_ns
 
-(* Seeded fault injection at a crash: the same decision tree, draw for
-   draw, as the kernel's, over the naive structures. *)
-let inject_crash_faults t (fc : Memsys.fault_config) =
-  let rng =
-    Rng.create (fc.Memsys.fault_seed + (t.crash_count * 0x9E3779B1))
-  in
-  let lwn = lw t in
-  if not t.cfg.Memsys.eadr then
-    Array.iter
-      (fun slot ->
-        match slot with
-        | Some l when line_dirty l && is_nvm t (l.lineno * lwn) ->
-            let mask =
-              List.fold_left (fun m off -> m lor (1 lsl off)) 0 l.dirty_offs
-            in
-            if fc.Memsys.tear_rate > 0.0 && Rng.float rng < fc.Memsys.tear_rate
-            then begin
-              let kept = ref 0 in
-              for off = 0 to lwn - 1 do
-                if mask land (1 lsl off) <> 0 && Rng.bool rng then
-                  kept := !kept lor (1 lsl off)
-              done;
-              if !kept = mask then begin
-                let dirty_offs =
-                  List.filter
-                    (fun off -> mask land (1 lsl off) <> 0)
-                    (List.init lwn Fun.id)
-                in
-                let drop =
-                  List.nth dirty_offs (Rng.int rng (List.length dirty_offs))
-                in
-                kept := !kept land lnot (1 lsl drop)
-              end;
-              for off = 0 to lwn - 1 do
-                if !kept land (1 lsl off) <> 0 then
-                  backing_write t ((l.lineno * lwn) + off) l.words.(off)
-              done;
-              emit t
-                (Event.Fault_injected
-                   (Event.Torn { line = l.lineno; kept = !kept }))
-            end;
-            if
-              fc.Memsys.poison_rate > 0.0
-              && Rng.float rng < fc.Memsys.poison_rate
-            then begin
-              if not (List.mem l.lineno t.poisoned) then
-                t.poisoned <- l.lineno :: t.poisoned;
-              emit t (Event.Fault_injected (Event.Poisoned { line = l.lineno }))
-            end
-        | _ -> ())
-      t.slots;
-  if fc.Memsys.bitflip_rate > 0.0 then begin
-    let k =
-      int_of_float
-        (Float.round
-           (fc.Memsys.bitflip_rate *. float_of_int t.cfg.Memsys.nvm_words))
-    in
-    for _ = 1 to max 1 k do
-      let addr = Rng.int rng t.cfg.Memsys.nvm_words in
-      let bit = Rng.int rng 62 in
-      backing_write t addr (backing_read t addr lxor (1 lsl bit));
-      emit t (Event.Fault_injected (Event.Bitflip { addr; bit }))
-    done
-  end;
-  if fc.Memsys.transient_rate > 0.0 then begin
-    let nlines = t.cfg.Memsys.nvm_words / lwn in
-    let k =
-      int_of_float
-        (Float.round (fc.Memsys.transient_rate *. float_of_int nlines))
-    in
-    for _ = 1 to max 1 k do
-      let line = Rng.int rng nlines in
-      if not (List.mem line t.transient) then t.transient <- line :: t.transient;
-      emit t (Event.Fault_injected (Event.Transient_armed { line }))
-    done
-  end
-
 let crash t =
   emit t (Event.Crash { eadr = t.cfg.Memsys.eadr });
   if t.cfg.Memsys.eadr then
@@ -346,10 +267,6 @@ let crash t =
             ignore (write_back t l)
         | _ -> ())
       t.slots;
-  (match t.cfg.Memsys.faults with
-  | None -> ()
-  | Some fc -> inject_crash_faults t fc);
-  t.crash_count <- t.crash_count + 1;
   Array.fill t.slots 0 (Array.length t.slots) None;
   Hashtbl.reset t.dram
 
@@ -360,6 +277,11 @@ let persisted t addr =
 
 let image t =
   Array.init t.cfg.Memsys.nvm_words (fun addr -> persisted t addr)
+
+let poke_persisted t addr v =
+  if addr < 0 || addr >= t.cfg.Memsys.nvm_words then
+    invalid_arg "Refmodel.poke_persisted: address not in NVMM";
+  backing_write t addr v
 
 let is_cached_dirty t addr =
   match find t (addr / lw t) with Some l -> line_dirty l | None -> false

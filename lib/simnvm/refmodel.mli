@@ -33,6 +33,10 @@ val persisted : t -> int -> int
 val image : t -> int array
 val is_cached_dirty : t -> int -> bool
 
+val poke_persisted : t -> int -> int -> unit
+(** Write one word straight into the persistent image, bypassing the
+    cache. @raise Invalid_argument outside the NVMM region. *)
+
 val poison_line : t -> int -> unit
 val arm_transient_fault : t -> int -> unit
 val scrub_line : t -> int -> unit

@@ -12,7 +12,6 @@ type t = {
   mutable psyncs : int;
   mutable spontaneous_evictions : int;
   mutable crashes : int;
-  mutable faults_injected : int;
   mutable media_errors : int;
   mutable media_scrubs : int;
 }
@@ -30,7 +29,6 @@ let create () =
     psyncs = 0;
     spontaneous_evictions = 0;
     crashes = 0;
-    faults_injected = 0;
     media_errors = 0;
     media_scrubs = 0;
   }
@@ -47,7 +45,6 @@ let reset t =
   t.psyncs <- 0;
   t.spontaneous_evictions <- 0;
   t.crashes <- 0;
-  t.faults_injected <- 0;
   t.media_errors <- 0;
   t.media_scrubs <- 0
 
@@ -72,7 +69,6 @@ let subscriber t (ev : Event.t) =
   | Event.Eviction _ ->
       t.spontaneous_evictions <- t.spontaneous_evictions + 1
   | Event.Crash _ -> t.crashes <- t.crashes + 1
-  | Event.Fault_injected _ -> t.faults_injected <- t.faults_injected + 1
   | Event.Media_error _ -> t.media_errors <- t.media_errors + 1
   | Event.Media_scrub _ -> t.media_scrubs <- t.media_scrubs + 1
   | Event.Rmw _ | Event.Compute _ | Event.Acquire _ | Event.Release _

@@ -12,7 +12,6 @@ type t = {
   mutable psyncs : int;
   mutable spontaneous_evictions : int;
   mutable crashes : int;
-  mutable faults_injected : int;
   mutable media_errors : int;
   mutable media_scrubs : int;
 }

@@ -37,8 +37,10 @@ val create :
     [quantum] (ns) bounds how far a running thread may overrun the next
     ready thread's clock before {!poll} preempts it: [0.0] gives the most
     faithful interleaving, larger values trade accuracy for speed.
-    [jitter] randomises charges by the given relative amplitude, to vary
-    interleavings across seeds in crash-injection tests. *)
+    [jitter] (default [0.0]) randomises charges by the given relative
+    amplitude, to vary interleavings across seeds in crash-injection
+    tests. [seed] (default 1) seeds the jitter's draws and nothing else:
+    without jitter every seed runs the same schedule. *)
 
 val trace_bus : t -> Simnvm.Event.bus
 (** This world's one event stream: the memory {!Env.make} couples to it,

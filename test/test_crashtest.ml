@@ -406,39 +406,6 @@ let test_oracle_key_has_teeth () =
   Alcotest.(check bool) "a constant key reuses stale verdicts" true
     (constant <> want)
 
-(* Checking in place would undo a memory's own seeded crash faults, so
-   such a world is refused by both entry points, not explored wrongly. *)
-let test_seeded_crash_faults_rejected () =
-  let make ~n_ops:_ =
-    let mem =
-      Memsys.create
-        {
-          (Scenarios.mem_cfg ~mem_seed:1 ~pcso:true) with
-          Memsys.faults = Some Memsys.no_faults;
-        }
-    in
-    {
-      Explore.mem;
-      run = (fun () -> Memsys.store mem 0 1);
-      completed = (fun () -> 0);
-      recover_check = (fun () -> Ok ());
-      recover_check_faulty = None;
-      oracle_key = None;
-    }
-  in
-  let sc =
-    { Explore.name = "seeded-faults"; sched_seed = 1; mem_seed = 1;
-      pcso = true; n_ops = 0; make }
-  in
-  let rejected f =
-    match f () with _ -> false | exception Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "explore rejects it" true
-    (rejected (fun () -> ignore (Explore.explore sc)));
-  Alcotest.(check bool) "check_point rejects it" true
-    (rejected (fun () ->
-         ignore (Explore.check_point sc ~crash_index:0 ~variant:Explore.Baseline)))
-
 let test_unmutated_raw_passes () =
   let sc =
     Scenarios.respct_raw ~sched_seed:1 ~mem_seed:1 ~pcso:true ~n_ops:9 ()
@@ -663,7 +630,6 @@ let test_stream_folds_to_stats () =
       ("psyncs", fun c -> c.psyncs);
       ("spontaneous_evictions", fun c -> c.spontaneous_evictions);
       ("crashes", fun c -> c.crashes);
-      ("faults_injected", fun c -> c.faults_injected);
       ("media_errors", fun c -> c.media_errors);
       ("media_scrubs", fun c -> c.media_scrubs);
     ];
@@ -1174,8 +1140,6 @@ let () =
             test_single_pass_equals_fresh_worlds;
           Alcotest.test_case "oracle key has teeth" `Quick
             test_oracle_key_has_teeth;
-          Alcotest.test_case "seeded crash faults rejected" `Quick
-            test_seeded_crash_faults_rejected;
         ] );
       ( "ablation",
         [

@@ -162,7 +162,6 @@ let test_run_point_json () =
     Obs.Run.point
       ~params:[ ("threads", Obs.Json.Int 4) ]
       ~throughput_mops:1.25
-      ~series:[ ("mops", [ 1.0; 2.0 ]) ]
       ~metrics:r ~spans
       ~extra:[ ("note", Obs.Json.String "t") ]
       "sys"
@@ -185,7 +184,6 @@ let test_run_point_json () =
       {|"experiment":"exp"|};
       {|"label":"sys"|};
       {|"throughput_mops":1.25|};
-      {|"series":{"mops":[1.0,2.0]}|};
       {|"recovery"|};
       {|"note":"t"|};
     ]

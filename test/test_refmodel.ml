@@ -8,11 +8,17 @@
    final crash, the poisoned-line set, the exact (float-equal) total
    latency charge, and the entire event stream.
 
+   Fault cases plant, after every crash of the op stream, one to three
+   media faults on both models through the hooks the crash explorer's
+   fault plans use: a bit flip written with [poke_persisted], a
+   [poison_line] or an [arm_transient_fault]. The damage is drawn from a
+   stream of its own, so a fault case runs the fault-free op stream.
+
    Armed cases run the same sequences under a live [Memsys.snapshot]: the
    undo journal must be invisible to every check above, and must record
    every write into the persistent image — write-back whole or partial,
-   crash-time tear and bit flip, scrub — so that the snapshot still reads
-   the pre-sequence image and [Memsys.restore] reinstalls it exactly.
+   poke, scrub — so that the snapshot still reads the pre-sequence image
+   and [Memsys.restore] reinstalls it exactly.
 
    Suspended cases interleave, at seeded points, what the crash explorer
    does to a running world's memory: [Memsys.suspend], an interlude of
@@ -40,7 +46,7 @@ let nvm_words = nvm_lines * line_words
 let dram_words = dram_lines * line_words
 let n_addr = nvm_words + dram_words
 
-let config ~pcso ~faults seed =
+let config ~pcso seed =
   {
     Memsys.default_config with
     Memsys.nvm_words;
@@ -51,17 +57,6 @@ let config ~pcso ~faults seed =
     evict_rate = 0.05;
     seed;
     pcso;
-    faults =
-      (if faults then
-         Some
-           {
-             Memsys.fault_seed = seed lxor 0x5bf03ab5;
-             tear_rate = 0.5;
-             poison_rate = 0.25;
-             bitflip_rate = 4.0 /. float_of_int nvm_words;
-             transient_rate = 2.0 /. float_of_int nvm_lines;
-           }
-       else None);
   }
 
 type media = { m_addr : int; m_line : int; m_transient : bool }
@@ -79,12 +74,13 @@ let pp_result ppf = function
 
 (* One differential run. Raises via QCheck.Test.fail_reportf on
    divergence; returns a digest of the executed op stream (kinds,
-   operands, tid rerolls), which pins the seeded draw derivation: the
+   operands, tid rerolls, and in a fault case the planted faults), which
+   pins the seeded draw derivation: the
    replay recipes the printers emit are only as durable as the draw
    order below, so a reordered or added draw must fail the pinned-trace
    test loudly instead of silently invalidating every recorded seed. *)
 let run_case ?(armed = false) ?(suspended = false) ~pcso ~faults ~n_ops seed =
-  let cfg = config ~pcso ~faults seed in
+  let cfg = config ~pcso seed in
   let mem = Memsys.create cfg in
   let rm = Refmodel.create cfg in
   let fail fmt =
@@ -121,6 +117,35 @@ let run_case ?(armed = false) ?(suspended = false) ~pcso ~faults ~n_ops seed =
   let rng = Rng.create (seed + 0x51ed5eed) in
   let digest = ref 0 in
   let mix v = digest := ((!digest * 31) + v) land 0x3FFFFFFF in
+  (* The media damage planted after a crash, from a stream of its own. *)
+  let frng = Rng.create (seed lxor 0x5bf03ab5) in
+  let plant_faults () =
+    for _ = 0 to Rng.int frng 3 do
+      match Rng.int frng 3 with
+      | 0 ->
+          let addr = Rng.int frng nvm_words in
+          let bit = Rng.int frng 62 in
+          mix 9;
+          mix addr;
+          mix bit;
+          Memsys.poke_persisted mem addr
+            (Memsys.persisted mem addr lxor (1 lsl bit));
+          Refmodel.poke_persisted rm addr
+            (Refmodel.persisted rm addr lxor (1 lsl bit))
+      | 1 ->
+          let lineno = Rng.int frng nvm_lines in
+          mix 10;
+          mix lineno;
+          Memsys.poison_line mem lineno;
+          Refmodel.poison_line rm lineno
+      | _ ->
+          let lineno = Rng.int frng nvm_lines in
+          mix 11;
+          mix lineno;
+          Memsys.arm_transient_fault mem lineno;
+          Refmodel.arm_transient_fault rm lineno
+    done
+  in
   let step op_ix =
     if Rng.int rng 7 = 0 then cur_tid := Rng.int rng 4 - 1;
     mix !cur_tid;
@@ -166,7 +191,8 @@ let run_case ?(armed = false) ?(suspended = false) ~pcso ~faults ~n_ops seed =
     | k when k < 94 ->
         mix 5;
         Memsys.crash mem;
-        Refmodel.crash rm
+        Refmodel.crash rm;
+        if faults then plant_faults ()
     | k when k < 96 ->
         let lineno = Rng.int rng nvm_lines in
         mix 6;
@@ -218,8 +244,8 @@ let run_case ?(armed = false) ?(suspended = false) ~pcso ~faults ~n_ops seed =
   (* Persisted image agreement before the final crash... *)
   if Memsys.image mem <> Refmodel.image rm then
     fail "pre-crash persisted images diverged";
-  (* ...and the crash image afterwards (under the ablation and with
-     faults enabled, this is where weakened orderings and tears land). *)
+  (* ...and the crash image afterwards (under the ablation, this is where
+     weakened orderings land). *)
   Memsys.crash mem;
   Refmodel.crash rm;
   if Memsys.image mem <> Refmodel.image rm then fail "crash images diverged";
@@ -268,9 +294,6 @@ let run_case ?(armed = false) ?(suspended = false) ~pcso ~faults ~n_ops seed =
         s.Stats.spontaneous_evictions,
         count (function Event.Eviction _ -> true | _ -> false) );
       ("crashes", s.Stats.crashes, count (function Event.Crash _ -> true | _ -> false));
-      ( "faults",
-        s.Stats.faults_injected,
-        count (function Event.Fault_injected _ -> true | _ -> false) );
       ( "media_errors",
         s.Stats.media_errors,
         count (function Event.Media_error _ -> true | _ -> false) );
@@ -318,13 +341,17 @@ let prop ?(armed = false) ?(suspended = false) ~name ~count ~pcso ~faults
          true))
 
 (* The seeded derivation itself, pinned: one fixed (seed, n_ops) case
-   whose executed op stream must digest to a known constant. See the
+   whose executed op stream must digest to a known constant, and the
+   same case with faults, whose digest adds the planted damage. See the
    comment on [run_case] — this is what keeps old replay recipes (and
    the per-suite streams of Gen_common.to_alcotest) stable. *)
 let pinned_trace () =
   Alcotest.(check int)
     "op-stream digest of seed=42 n_ops=140" 871623150
-    (run_case ~pcso:true ~faults:false ~n_ops:140 42)
+    (run_case ~pcso:true ~faults:false ~n_ops:140 42);
+  Alcotest.(check int)
+    "the same with its planted faults" 531517531
+    (run_case ~pcso:true ~faults:true ~n_ops:140 42)
 
 (* >= 1000 seeded sequences across the four variants, each ~140 ops:
    the CI smoke budget of the ISSUE. *)

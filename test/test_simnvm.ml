@@ -289,7 +289,6 @@ let kind_of (ev : Event.t) =
   | Event.Psync _ -> "psync"
   | Event.Eviction _ -> "eviction"
   | Event.Crash _ -> "crash"
-  | Event.Fault_injected _ -> "fault"
   | Event.Media_error _ -> "media-error"
   | Event.Media_scrub _ -> "media-scrub"
   | Event.Rmw _ -> "rmw"
@@ -467,71 +466,8 @@ let test_rng_bits53_is_float () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Faulty media: the seeded crash-time fault layer and the fault-plan
-   hooks recovery relies on. *)
-
-let faulty_cfg ?(fault_seed = 5) () =
-  {
-    (cfg ()) with
-    Memsys.faults =
-      Some
-        {
-          Memsys.fault_seed;
-          tear_rate = 0.5;
-          poison_rate = 0.25;
-          bitflip_rate = 0.002;
-          transient_rate = 0.01;
-        };
-  }
-
-(* Plenty of dirty lines at crash time, a few explicit persists. *)
-let fault_workload m =
-  let r = Rng.create 42 in
-  for i = 1 to 300 do
-    let a = Rng.int r 512 in
-    Memsys.store m a i;
-    if i mod 7 = 0 then Memsys.pwb m a
-  done
-
-let crash_with_faults fault_seed =
-  let m = Memsys.create (faulty_cfg ~fault_seed ()) in
-  let faults = ref [] in
-  let _sub =
-    subscribe m (fun ev ->
-        match ev with
-        | Event.Fault_injected f -> faults := f :: !faults
-        | _ -> ())
-  in
-  fault_workload m;
-  Memsys.crash m;
-  (Memsys.image m, List.rev !faults, Memsys.poisoned_lines m)
-
-let test_fault_injection_deterministic () =
-  let i1, f1, p1 = crash_with_faults 5 in
-  let i2, f2, p2 = crash_with_faults 5 in
-  Alcotest.(check bool) "faults were injected at all" true (f1 <> []);
-  Alcotest.(check bool) "same seed, same fault events" true (f1 = f2);
-  Alcotest.(check (array int)) "same seed, same image" i1 i2;
-  Alcotest.(check (list int)) "same seed, same poison set" p1 p2;
-  let i3, f3, _ = crash_with_faults 6 in
-  Alcotest.(check bool)
-    "different seed, different damage" true
-    (f1 <> f3 || i1 <> i3)
-
-let test_no_faults_is_perfect_media () =
-  (* [faults = None] and all-zero rates must both be byte-identical to the
-     historical perfect-media crash — the zero-overhead guard. *)
-  let run faults =
-    let m = Memsys.create { (cfg ()) with Memsys.faults } in
-    fault_workload m;
-    Memsys.crash m;
-    (Memsys.image m, Memsys.poisoned_lines m)
-  in
-  let i1, p1 = run None in
-  let i2, p2 = run (Some Memsys.no_faults) in
-  Alcotest.(check (array int)) "byte-identical images" i1 i2;
-  Alcotest.(check (list int)) "no poison without faults" [] p1;
-  Alcotest.(check (list int)) "no poison with zero rates" [] p2
+(* Faulty media: the fault-plan hooks, the only way media damage enters
+   a memory, and the fill-time checks recovery relies on. *)
 
 let test_poison_raises_and_scrub_heals () =
   let m = Memsys.create (cfg ()) in
@@ -812,10 +748,6 @@ let () =
         ] );
       ( "faults",
         [
-          Alcotest.test_case "injection deterministic under a seed" `Quick
-            test_fault_injection_deterministic;
-          Alcotest.test_case "no-fault configs are perfect media" `Quick
-            test_no_faults_is_perfect_media;
           Alcotest.test_case "poison raises, scrub heals" `Quick
             test_poison_raises_and_scrub_heals;
           Alcotest.test_case "transient fault is one-shot" `Quick

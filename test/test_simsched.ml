@@ -100,8 +100,8 @@ let test_tie_break_newest_first () =
    of a seeded jittered program mixing mutex hand-off, condvar wake-ups,
    sleep_until and yield. Pinned so that any change to dispatch order or
    to any virtual clock shows up bit for bit. *)
-let dispatch_trace () =
-  let s = Scheduler.create ~seed:5 ~quantum:10.0 ~jitter:0.3 () in
+let dispatch_trace ?(seed = 5) ?(jitter = 0.3) () =
+  let s = Scheduler.create ~seed ~quantum:10.0 ~jitter () in
   let m = Mutex.create () in
   let cv = Condvar.create () in
   let buf = Buffer.create 4096 in
@@ -160,6 +160,15 @@ let test_dispatch_order_golden () =
   let marks, digest = dispatch_trace () in
   Alcotest.(check int) "scheduling points" 212 marks;
   Alcotest.(check string) "dispatch digest" "e3676d320126c0e40feb9d2fd057fe4c" digest
+
+(* The seed feeds only the charge jitter: without jitter every seed runs
+   the one schedule, with it two seeds run two. *)
+let test_seed_read_only_under_jitter () =
+  let digest ~seed ~jitter = snd (dispatch_trace ~seed ~jitter ()) in
+  Alcotest.(check string) "jitter 0: seeds 5 and 6 agree"
+    (digest ~seed:5 ~jitter:0.0) (digest ~seed:6 ~jitter:0.0);
+  Alcotest.(check bool) "jitter 0.3: seeds 5 and 6 differ" true
+    (digest ~seed:5 ~jitter:0.3 <> digest ~seed:6 ~jitter:0.3)
 
 let test_determinism () =
   let run_once () =
@@ -675,7 +684,6 @@ let kind_of (ev : Event.t) =
   | Event.Release _ -> "release"
   | Event.Restart_point _ -> "rp"
   | Event.Crash _ -> "crash"
-  | Event.Fault_injected _ -> "fault"
   | Event.Media_error _ -> "media-error"
   | Event.Media_scrub _ -> "media-scrub"
 
@@ -764,6 +772,8 @@ let () =
             test_tie_break_newest_first;
           Alcotest.test_case "dispatch-order golden" `Quick
             test_dispatch_order_golden;
+          Alcotest.test_case "seed read only under jitter" `Quick
+            test_seed_read_only_under_jitter;
           Alcotest.test_case "switch cost ignores finished threads" `Quick
             test_switch_cost_ignores_finished;
         ] );
