@@ -47,22 +47,20 @@ type fingerprint = { completed : int; dirty : int }
 
 let mix h v = (h lxor v) * 0x100000001b3
 
-let fingerprint ~completed dirty =
-  {
-    completed;
-    dirty =
-      List.fold_left
-        (fun h (dl : Simnvm.Memsys.dirty_line) ->
-          Array.fold_left mix
-            (mix (mix h dl.Simnvm.Memsys.lineno) dl.Simnvm.Memsys.mask)
-            dl.Simnvm.Memsys.data)
-        0 dirty;
-  }
+(* A closed function over an immediate accumulator: the fold that calls
+   it allocates nothing. *)
+let mix_line h lineno mask words =
+  let h = ref (mix (mix h lineno) mask) in
+  for i = 0 to Array.length words - 1 do
+    h := mix !h words.(i)
+  done;
+  !h
+
+let fingerprint mem ~completed =
+  { completed; dirty = Simnvm.Memsys.fold_dirty_nvm mem mix_line 0 }
 
 let pilot mem ~completed run =
   let acc = ref [] in
   walk mem run ~at:(fun _ _ ->
-      acc :=
-        fingerprint ~completed:(completed ()) (Simnvm.Memsys.dirty_nvm_lines mem)
-        :: !acc);
+      acc := fingerprint mem ~completed:(completed ()) :: !acc);
   Array.of_list (List.rev !acc)

@@ -28,9 +28,11 @@ type fingerprint = { completed : int; dirty : int }
     completed operations and a digest of the dirty NVMM lines (line
     number, dirty mask and words of each). *)
 
-val fingerprint : completed:int -> Simnvm.Memsys.dirty_line list -> fingerprint
-(** The fingerprint of a boundary at which [completed] operations are done
-    and these lines ({!Simnvm.Memsys.dirty_nvm_lines}) are dirty. *)
+val fingerprint : Simnvm.Memsys.t -> completed:int -> fingerprint
+(** The fingerprint of the memory's current boundary, at which [completed]
+    operations are done, folded straight over the cache
+    ({!Simnvm.Memsys.fold_dirty_nvm}): it copies no line and allocates
+    only the record. *)
 
 val pilot :
   Simnvm.Memsys.t -> completed:(unit -> int) -> (unit -> unit) -> fingerprint array

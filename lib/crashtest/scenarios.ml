@@ -255,18 +255,24 @@ let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
    the comparison: [Clean] / [Repaired] promise the exact last-checkpoint
    snapshot and are held to it; [Salvaged] / [Unrecoverable] explicitly
    report the damage, which is the whole durability contract — detected
-   or exact, never silently wrong. *)
-let last_checkpoint ~fault_mode ~faults mem r ~snapshot ~created ~recovered
-    ~pp =
+   or exact, never silently wrong.
+
+   Verified recovery runs over the world's own backend record, built once
+   with the world: nothing in it depends on the image. *)
+let last_checkpoint ~fault_mode ~faults (w : world) r ~snapshot ~created
+    ~recovered ~pp =
   let layout = Respct.Runtime.layout r in
   let failed, verdict =
     match fault_mode with
     | `Verified ->
-        let v = Respct.Recovery.run_verified ~layout mem in
+        let v =
+          Respct.Recovery.run_verified_backend ~layout
+            (Simsched.Env.backend w.env)
+        in
         ( v.Respct.Recovery.vreport.Respct.Recovery.failed_epoch,
           Some v.Respct.Recovery.verdict )
     | `Off | `Noverify ->
-        ((Respct.Recovery.run ~layout mem).Respct.Recovery.failed_epoch, None)
+        ((Respct.Recovery.run ~layout w.mem).Respct.Recovery.failed_epoch, None)
   in
   match (verdict, created) with
   | Some v, _ when faults && not (Respct.Recovery.exact_image v) -> Ok ()
@@ -304,7 +310,7 @@ let respct ?(fault_mode : respct_fault_mode = `Off) ?(pipeline = false)
         created := Some (Respct.Runtime.epoch r, h);
         step)
       ~oracle:(fun ~faults r snapshot ->
-        last_checkpoint ~fault_mode ~faults w.mem r ~snapshot
+        last_checkpoint ~fault_mode ~faults w r ~snapshot
           ~created:!created ~recovered:(recovered w.mem) ~pp)
   in
   match structure with

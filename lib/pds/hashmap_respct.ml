@@ -49,50 +49,81 @@ let rec find t ~slot node key =
   else if Simsched.Env.load t.env (key_of node) = key then node
   else find t ~slot (Respct.Runtime.read t.rt ~slot (next_cell node)) key
 
+(* Critical sections take the bucket lock inline rather than through
+   [Mutex.with_lock], whose closure over the operation's arguments would
+   cost 7 words per operation. As in [with_lock], a simulated crash
+   leaves the lock held (the machine died holding it); any other
+   exception releases it. *)
+let abort t b e =
+  if e <> Simsched.Scheduler.Crashed then
+    Simsched.Mutex.unlock (sched t) t.locks.(b);
+  raise e
+
+let insert_locked t ~slot ~key ~value b =
+  let head = Respct.Runtime.read t.rt ~slot (head_cell t b) in
+  match find t ~slot head key with
+  | 0 ->
+      let node, fresh =
+        Respct.Runtime.alloc_raw_block ~align_line:true t.rt ~slot
+          ~words:node_words
+      in
+      (* The key is written once per node lifetime: WAR-free. *)
+      Simsched.Env.store t.env (key_of node) key;
+      Respct.Runtime.add_modified t.rt ~slot (key_of node);
+      Respct.Runtime.init_incll t.rt ~slot ~fresh (value_cell node) value;
+      Respct.Runtime.init_incll t.rt ~slot ~fresh (next_cell node) head;
+      Respct.Runtime.update t.rt ~slot (head_cell t b) node;
+      true
+  | node ->
+      Respct.Runtime.update t.rt ~slot (value_cell node) value;
+      false
+
 let insert t ~slot ~key ~value =
   let b = bucket t key in
-  Simsched.Mutex.with_lock (sched t) t.locks.(b) (fun () ->
-      let head = Respct.Runtime.read t.rt ~slot (head_cell t b) in
-      match find t ~slot head key with
-      | 0 ->
-          let node, fresh =
-            Respct.Runtime.alloc_raw_block ~align_line:true t.rt ~slot
-              ~words:node_words
-          in
-          (* The key is written once per node lifetime: WAR-free. *)
-          Simsched.Env.store t.env (key_of node) key;
-          Respct.Runtime.add_modified t.rt ~slot (key_of node);
-          Respct.Runtime.init_incll t.rt ~slot ~fresh (value_cell node) value;
-          Respct.Runtime.init_incll t.rt ~slot ~fresh (next_cell node) head;
-          Respct.Runtime.update t.rt ~slot (head_cell t b) node;
-          true
-      | node ->
-          Respct.Runtime.update t.rt ~slot (value_cell node) value;
-          false)
+  Simsched.Mutex.lock (sched t) t.locks.(b);
+  match insert_locked t ~slot ~key ~value b with
+  | inserted ->
+      Simsched.Mutex.unlock (sched t) t.locks.(b);
+      inserted
+  | exception e -> abort t b e
+
+let search_locked t ~slot ~key b =
+  let head = Respct.Runtime.read t.rt ~slot (head_cell t b) in
+  match find t ~slot head key with
+  | 0 -> None
+  | node -> Some (Respct.Runtime.read t.rt ~slot (value_cell node))
 
 let search t ~slot ~key =
   let b = bucket t key in
-  Simsched.Mutex.with_lock (sched t) t.locks.(b) (fun () ->
-      let head = Respct.Runtime.read t.rt ~slot (head_cell t b) in
-      match find t ~slot head key with
-      | 0 -> None
-      | node -> Some (Respct.Runtime.read t.rt ~slot (value_cell node)))
+  Simsched.Mutex.lock (sched t) t.locks.(b);
+  match search_locked t ~slot ~key b with
+  | found ->
+      Simsched.Mutex.unlock (sched t) t.locks.(b);
+      found
+  | exception e -> abort t b e
+
+let rec unlink t ~slot ~key b prev node =
+  if node = 0 then false
+  else if Simsched.Env.load t.env (key_of node) = key then begin
+    let nxt = Respct.Runtime.read t.rt ~slot (next_cell node) in
+    if prev = 0 then Respct.Runtime.update t.rt ~slot (head_cell t b) nxt
+    else Respct.Runtime.update t.rt ~slot (next_cell prev) nxt;
+    Respct.Runtime.free t.rt ~slot node ~words:node_words;
+    true
+  end
+  else
+    unlink t ~slot ~key b node (Respct.Runtime.read t.rt ~slot (next_cell node))
 
 let remove t ~slot ~key =
   let b = bucket t key in
-  Simsched.Mutex.with_lock (sched t) t.locks.(b) (fun () ->
-      let rec unlink prev node =
-        if node = 0 then false
-        else if Simsched.Env.load t.env (key_of node) = key then begin
-          let nxt = Respct.Runtime.read t.rt ~slot (next_cell node) in
-          if prev = 0 then Respct.Runtime.update t.rt ~slot (head_cell t b) nxt
-          else Respct.Runtime.update t.rt ~slot (next_cell prev) nxt;
-          Respct.Runtime.free t.rt ~slot node ~words:node_words;
-          true
-        end
-        else unlink node (Respct.Runtime.read t.rt ~slot (next_cell node))
-      in
-      unlink 0 (Respct.Runtime.read t.rt ~slot (head_cell t b)))
+  Simsched.Mutex.lock (sched t) t.locks.(b);
+  match
+    unlink t ~slot ~key b 0 (Respct.Runtime.read t.rt ~slot (head_cell t b))
+  with
+  | removed ->
+      Simsched.Mutex.unlock (sched t) t.locks.(b);
+      removed
+  | exception e -> abort t b e
 
 let ops t : Ops.map =
   {

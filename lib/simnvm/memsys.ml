@@ -113,16 +113,22 @@ let[@inline] store_add (s : store) i d =
   c.(off) <- c.(off) + d
 
 (* Lines need not divide chunks (line_words is any size <= 62), so the
-   blits walk chunk boundaries. They run on every fill and write-back, so
-   they are loops over mutable locals rather than local recursive
-   closures, which would be allocated at each call. *)
+   blits walk chunk boundaries. They run on every fill, write-back and
+   journal save or undo, so they are loops over mutable locals rather
+   than local recursive closures, which would be allocated at each call.
+   The words move in typed [int array] loops: [Array.blit] into an array
+   that has left the minor heap runs OCaml 5's write barrier on every
+   word, which ints never need. *)
 let store_blit_in (s : store) pos (src : int array) srcpos len =
   let pos = ref pos and srcpos = ref srcpos and len = ref len in
   while !len > 0 do
     let c = chunk_for_write s (!pos lsr chunk_shift) in
     let off = !pos land chunk_mask in
     let n = Int.min !len (chunk_words - off) in
-    Array.blit src !srcpos c off n;
+    let from = !srcpos in
+    for i = 0 to n - 1 do
+      c.(off + i) <- src.(from + i)
+    done;
     pos := !pos + n;
     srcpos := !srcpos + n;
     len := !len - n
@@ -134,7 +140,10 @@ let store_blit_out (s : store) pos (dst : int array) dstpos len =
     let c = s.(!pos lsr chunk_shift) in
     let off = !pos land chunk_mask in
     let n = Int.min !len (chunk_words - off) in
-    Array.blit c off dst !dstpos n;
+    let into = !dstpos in
+    for i = 0 to n - 1 do
+      dst.(into + i) <- c.(off + i)
+    done;
     pos := !pos + n;
     dstpos := !dstpos + n;
     len := !len - n
@@ -168,25 +177,31 @@ type line = {
    so the placeholder is never read or written. *)
 let no_data : int array = [||]
 
-(* The volatile state [suspend] sets aside while the memory serves a
-   nested recovery, and [resume] puts back: a copy of every cache line
-   (tag, words, dirtiness, LRU stamp, last writer), the LRU clock, the
-   DRAM chunk table, the prefetch ring, the eviction RNG, the
-   planted-fault bitsets and the three hooks. The DRAM table is saved
-   shallow: [crash] and [restore] replace chunks and never write into
-   them, so the saved chunks stay intact. Allocated at a memory's first
-   [suspend] and reused by every later one. *)
+(* The volatile state: what a power failure loses and what [suspend]
+   swaps out while the memory serves a nested recovery. One record of
+   them is the world's, the other the spare the recoveries run on;
+   [suspend] and [resume] exchange the two by swapping fields, so
+   neither copies a line. *)
+type volatile = {
+  mutable v_lines : line array;
+  mutable v_stamp : int;
+  mutable v_dram : store;
+  mutable v_fills : int array;
+  mutable v_count : store;
+  mutable v_pos : int;
+  mutable v_poisoned : Bytes.t;
+  mutable v_n_poisoned : int;
+  mutable v_transient : Bytes.t;
+  mutable v_n_transient : int;
+}
+
+(* What [suspend] sets aside and [resume] puts back: the world's volatile
+   state (swapped out, so this holds the world's while suspended and the
+   spare's otherwise), the eviction RNG and the three hooks. Allocated at
+   a memory's first [suspend] and reused by every later one. *)
 type parked = {
-  p_lines : line array; (* indexed like [lines], with words of their own *)
-  mutable p_stamp : int;
-  p_dram : int array array;
-  p_fills : int array;
-  mutable p_pos : int;
+  p_vol : volatile;
   p_rng : Rng.t;
-  p_poisoned : Bytes.t;
-  mutable p_n_poisoned : int;
-  p_transient : Bytes.t;
-  mutable p_n_transient : int;
   mutable p_charge : float -> unit;
   mutable p_tid : unit -> int;
   mutable p_bus : Event.bus;
@@ -196,8 +211,8 @@ type parked = {
 type t = {
   cfg : config;
   pmem : store; (* the persistent NVMM image *)
-  dram : store;
-  lines : line array; (* sets * ways, row-major by set *)
+  mutable dram : store;
+  mutable lines : line array; (* sets * ways, row-major by set *)
   mutable stamp : int;
   rng : Rng.t;
   stats : Stats.t; (* bumped inline on the hot path, not through the bus *)
@@ -229,16 +244,18 @@ type t = {
   ways : int;
   nvm_lines : int;
   total_lines : int;
-  recent_fills : int array; (* ring of recently filled line numbers *)
-  recent_count : store; (* line -> occurrences in the ring *)
+  (* Ring of the line numbers of recent fills, in fill order; entries
+     not written since the ring was last emptied are -1. *)
+  mutable recent_fills : int array;
+  mutable recent_count : store; (* line -> occurrences in the ring *)
   mutable recent_pos : int;
   (* Faulty-media state: poisoned NVMM lines (fills raise until scrubbed)
      and armed one-shot transient read faults, as bitsets over the NVMM
      line numbers with element counts for the fast emptiness test. Both
      stay empty unless a host hook plants faults. *)
-  poisoned_bits : Bytes.t;
+  mutable poisoned_bits : Bytes.t;
   mutable n_poisoned : int;
-  transient_bits : Bytes.t;
+  mutable transient_bits : Bytes.t;
   mutable n_transient : int;
   (* Undo journal of the live snapshot ([snap_live] is its id, 0 = none
      live): the NVMM lines written since the snapshot or its last
@@ -314,21 +331,21 @@ let log2 n =
   let rec go p acc = if p >= n then acc else go (2 * p) (acc + 1) in
   go 1 0
 
+let mk_line _ =
+  {
+    tag = -1;
+    data = no_data;
+    dirty = false;
+    dirty_mask = 0;
+    lru = 0;
+    last_writer = -1;
+  }
+
 let create cfg =
   if cfg.nvm_words mod cfg.line_words <> 0 then
     invalid_arg "Memsys.create: nvm_words must be line-aligned";
   if cfg.line_words > 62 then
     invalid_arg "Memsys.create: line_words must fit a dirty bitmask";
-  let mk_line _ =
-    {
-      tag = -1;
-      data = no_data;
-      dirty = false;
-      dirty_mask = 0;
-      lru = 0;
-      last_writer = -1;
-    }
-  in
   let lw = cfg.line_words in
   let nvm_lines = cfg.nvm_words / lw in
   let total_lines = (cfg.nvm_words + cfg.dram_words + lw - 1) / lw in
@@ -743,14 +760,28 @@ let peek t addr =
 
 type dirty_line = { lineno : int; data : int array; mask : int }
 
+(* Dirtiness first: most lines are clean, and no invalid line is dirty. *)
+let[@inline] dirty_nvm t line =
+  line.dirty && line.tag >= 0 && is_nvm t (line.tag * t.lw)
+
 let dirty_nvm_lines t =
-  Array.fold_right
-    (fun line acc ->
-      if line.tag >= 0 && line.dirty && is_nvm t (line.tag * t.lw) then
+  let acc = ref [] in
+  for i = Array.length t.lines - 1 downto 0 do
+    let line = t.lines.(i) in
+    if dirty_nvm t line then
+      acc :=
         { lineno = line.tag; data = Array.copy line.data; mask = line.dirty_mask }
-        :: acc
-      else acc)
-    t.lines []
+        :: !acc
+  done;
+  !acc
+
+let fold_dirty_nvm t f acc =
+  let acc = ref acc in
+  for i = 0 to Array.length t.lines - 1 do
+    let line = t.lines.(i) in
+    if dirty_nvm t line then acc := f !acc line.tag line.dirty_mask line.data
+  done;
+  !acc
 
 (* Materialize the persisted image as one flat array: blit every private
    chunk, leave the zero-chunk spans as the zeros Array.make gave us. *)
@@ -778,32 +809,49 @@ let check_live t s fn =
   if s.owner != t || s.id <> t.snap_live then
     invalid_arg ("Memsys." ^ fn ^ ": not the live snapshot of this memory")
 
-let restore t s =
-  check_live t s "restore";
+(* Copy every journaled line back and empty the journal. *)
+let undo_journal t =
   let lw = t.lw in
   for i = 0 to t.jr_count - 1 do
     store_blit_in t.pmem (t.jr_lines.(i) * lw) t.jr_words (i * lw) lw
   done;
-  t.jr_count <- 0;
-  Array.iter
-    (fun line ->
-      line.tag <- -1;
-      line.dirty <- false;
-      line.dirty_mask <- 0;
-      line.last_writer <- -1)
-    t.lines;
-  store_clear t.dram;
-  (* Empty the prefetch ring entry by entry: clearing [recent_count]
-     wholesale would drop its chunks and re-materialise them on the next
-     miss. *)
-  for i = 0 to prefetch_window - 1 do
-    let l = t.recent_fills.(i) in
+  t.jr_count <- 0
+
+let invalidate line =
+  line.tag <- -1;
+  line.dirty <- false;
+  line.dirty_mask <- 0;
+  line.last_writer <- -1
+
+(* Drop the volatile state: invalidate every cache line without
+   write-back, zero the DRAM, empty the prefetch ring and clear the
+   planted faults. Only [fill] makes a line valid, and it records the
+   line in the ring; only [create] and this reset empty the ring, and
+   both leave every line invalid. So every valid line was filled since
+   the ring was last emptied, and while the ring has not wrapped (the
+   entry at [recent_pos] was never written) its entries name them all:
+   the reset then costs the fills since the last one, not the cache
+   geometry. A wrapped ring falls back to a sweep of every line and
+   entry. *)
+let reset_volatile t =
+  let fills = t.recent_fills in
+  let wrapped = fills.(t.recent_pos) >= 0 in
+  if wrapped then Array.iter invalidate t.lines;
+  (* Empty the ring entry by entry: clearing [recent_count] wholesale
+     would drop its chunks and re-materialise them on the next miss. *)
+  for i = 0 to (if wrapped then prefetch_window else t.recent_pos) - 1 do
+    let l = fills.(i) in
     if l >= 0 then begin
+      if not wrapped then begin
+        let slot = find_slot t l in
+        if slot >= 0 then invalidate t.lines.(slot)
+      end;
       store_add t.recent_count l (-1);
-      t.recent_fills.(i) <- -1
+      fills.(i) <- -1
     end
   done;
   t.recent_pos <- 0;
+  store_clear t.dram;
   (* A snapshot image carries no fault state: each adversarial
      re-recovery starts from healthy media and plants its own faults. *)
   if t.n_poisoned > 0 then begin
@@ -815,50 +863,71 @@ let restore t s =
     t.n_transient <- 0
   end
 
+let restore t s =
+  check_live t s "restore";
+  undo_journal t;
+  reset_volatile t
+
 (* Suspend and resume: a running world's memory serves the crash
-   explorer's recoveries in place. [suspend] parks the volatile state and
-   journals from the current image; each recovery then starts from
-   [restore]; [resume] rewinds the image once more and unparks, so the
-   world runs on from exactly the state it published its event in. *)
+   explorer's recoveries in place. [suspend] swaps the world's volatile
+   state for the spare and journals from the current image; each
+   recovery then starts from [restore], which resets the spare; [resume]
+   rewinds the image once more and swaps the world's state back, so the
+   world runs on from exactly the state it published its event in. The
+   spare keeps what the last recovery left in it until the next
+   [restore]. *)
 
 let make_parked t =
   {
-    p_lines =
-      Array.map
-        (fun _ ->
-          {
-            tag = -1;
-            data = Array.make t.lw 0;
-            dirty = false;
-            dirty_mask = 0;
-            lru = 0;
-            last_writer = -1;
-          })
-        t.lines;
-    p_stamp = 0;
-    p_dram = Array.make (Array.length t.dram) zero_chunk;
-    p_fills = Array.make prefetch_window (-1);
-    p_pos = 0;
+    p_vol =
+      {
+        v_lines = Array.map mk_line t.lines;
+        v_stamp = 0;
+        v_dram = store_make t.cfg.dram_words;
+        v_fills = Array.make prefetch_window (-1);
+        v_count = store_make (t.total_lines + 1);
+        v_pos = 0;
+        v_poisoned = Bytes.make (Bytes.length t.poisoned_bits) '\000';
+        v_n_poisoned = 0;
+        v_transient = Bytes.make (Bytes.length t.transient_bits) '\000';
+        v_n_transient = 0;
+      };
     p_rng = Rng.create 0;
-    p_poisoned = Bytes.make (Bytes.length t.poisoned_bits) '\000';
-    p_n_poisoned = 0;
-    p_transient = Bytes.make (Bytes.length t.transient_bits) '\000';
-    p_n_transient = 0;
     p_charge = no_charge;
     p_tid = no_tid;
     p_bus = t.bus;
     p_private_bus = Event.create_bus ();
   }
 
-(* Only a valid line's words matter, and a line that was ever valid has
-   words of its own. *)
-let copy_line lw src dst =
-  dst.tag <- src.tag;
-  if src.tag >= 0 then Array.blit src.data 0 dst.data 0 lw;
-  dst.dirty <- src.dirty;
-  dst.dirty_mask <- src.dirty_mask;
-  dst.lru <- src.lru;
-  dst.last_writer <- src.last_writer
+let swap_volatile t v =
+  let lines = t.lines in
+  t.lines <- v.v_lines;
+  v.v_lines <- lines;
+  let stamp = t.stamp in
+  t.stamp <- v.v_stamp;
+  v.v_stamp <- stamp;
+  let dram = t.dram in
+  t.dram <- v.v_dram;
+  v.v_dram <- dram;
+  let fills = t.recent_fills in
+  t.recent_fills <- v.v_fills;
+  v.v_fills <- fills;
+  let count = t.recent_count in
+  t.recent_count <- v.v_count;
+  v.v_count <- count;
+  let pos = t.recent_pos in
+  t.recent_pos <- v.v_pos;
+  v.v_pos <- pos;
+  let bits = t.poisoned_bits and n = t.n_poisoned in
+  t.poisoned_bits <- v.v_poisoned;
+  t.n_poisoned <- v.v_n_poisoned;
+  v.v_poisoned <- bits;
+  v.v_n_poisoned <- n;
+  let bits = t.transient_bits and n = t.n_transient in
+  t.transient_bits <- v.v_transient;
+  t.n_transient <- v.v_n_transient;
+  v.v_transient <- bits;
+  v.v_n_transient <- n
 
 let suspend t =
   if t.suspended then invalid_arg "Memsys.suspend: already suspended";
@@ -870,19 +939,8 @@ let suspend t =
         t.parked <- Some p;
         p
   in
-  Array.iter2 (copy_line t.lw) t.lines p.p_lines;
-  p.p_stamp <- t.stamp;
-  Array.blit t.dram 0 p.p_dram 0 (Array.length t.dram);
-  Array.blit t.recent_fills 0 p.p_fills 0 prefetch_window;
-  p.p_pos <- t.recent_pos;
+  swap_volatile t p.p_vol;
   Rng.blit t.rng p.p_rng;
-  p.p_n_poisoned <- t.n_poisoned;
-  if t.n_poisoned > 0 then
-    Bytes.blit t.poisoned_bits 0 p.p_poisoned 0 (Bytes.length t.poisoned_bits);
-  p.p_n_transient <- t.n_transient;
-  if t.n_transient > 0 then
-    Bytes.blit t.transient_bits 0 p.p_transient 0
-      (Bytes.length t.transient_bits);
   p.p_charge <- t.charge;
   p.p_tid <- t.current_tid;
   p.p_bus <- t.bus;
@@ -894,28 +952,11 @@ let suspend t =
 
 let resume t s =
   if not t.suspended then invalid_arg "Memsys.resume: not suspended";
-  restore t s;
+  check_live t s "resume";
+  undo_journal t;
   let p = Option.get t.parked in
-  Array.iter2 (copy_line t.lw) p.p_lines t.lines;
-  t.stamp <- p.p_stamp;
-  Array.blit p.p_dram 0 t.dram 0 (Array.length t.dram);
-  (* [restore] emptied the ring; refill it entry by entry so the
-     per-line counts are rebuilt with it. *)
-  for i = 0 to prefetch_window - 1 do
-    let l = p.p_fills.(i) in
-    t.recent_fills.(i) <- l;
-    if l >= 0 then store_add t.recent_count l 1
-  done;
-  t.recent_pos <- p.p_pos;
+  swap_volatile t p.p_vol;
   Rng.blit p.p_rng t.rng;
-  (* [restore] left both bitsets empty. *)
-  t.n_poisoned <- p.p_n_poisoned;
-  if p.p_n_poisoned > 0 then
-    Bytes.blit p.p_poisoned 0 t.poisoned_bits 0 (Bytes.length t.poisoned_bits);
-  t.n_transient <- p.p_n_transient;
-  if p.p_n_transient > 0 then
-    Bytes.blit p.p_transient 0 t.transient_bits 0
-      (Bytes.length t.transient_bits);
   t.charge <- p.p_charge;
   t.current_tid <- p.p_tid;
   t.bus <- p.p_bus;

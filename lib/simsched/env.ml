@@ -20,10 +20,12 @@ type t = {
   be : Simnvm.Backend.t;
   sim : Simnvm.Memsys.t option; (* the simulator underneath, for [mem] *)
   sched : Scheduler.t;
-  rmw_tokens : (int, Mutex.t) Hashtbl.t;
+  mutable rmw_tokens : (int, Mutex.t) Hashtbl.t option;
       (* per-line exclusive-ownership tokens: conflicting RMWs on one line
          serialise on real hardware (the line passes core to core), which a
-         pure time charge cannot express *)
+         pure time charge cannot express. Created at the first
+         [serialize_rmw]: most worlds, recoveries among them, never take
+         one. *)
 }
 
 let init sim (be : Simnvm.Backend.t) sched =
@@ -31,7 +33,7 @@ let init sim (be : Simnvm.Backend.t) sched =
   be.Simnvm.Backend.set_charge (fun ns -> Scheduler.charge sched ns);
   be.Simnvm.Backend.set_tid_provider (fun () ->
       Scheduler.current_tid_opt sched);
-  { be; sim; sched; rmw_tokens = Hashtbl.create 64 }
+  { be; sim; sched; rmw_tokens = None }
 
 let make mem sched = init (Some mem) (Simnvm.Backend.of_memsys mem) sched
 let make_backend be sched = init None be sched
@@ -75,12 +77,20 @@ let psync t =
    nest [cas]/[faa] on a different line only. *)
 let serialize_rmw t addr f =
   let line = Simnvm.Addr.line_of ~line_words:(line_words t) addr in
+  let tokens =
+    match t.rmw_tokens with
+    | Some tokens -> tokens
+    | None ->
+        let tokens = Hashtbl.create 64 in
+        t.rmw_tokens <- Some tokens;
+        tokens
+  in
   let token =
-    match Hashtbl.find_opt t.rmw_tokens line with
+    match Hashtbl.find_opt tokens line with
     | Some m -> m
     | None ->
         let m = Mutex.create ~name:"rmw-token" () in
-        Hashtbl.add t.rmw_tokens line m;
+        Hashtbl.add tokens line m;
         m
   in
   Mutex.with_lock t.sched token (fun () ->

@@ -406,6 +406,27 @@ let test_oracle_key_has_teeth () =
   Alcotest.(check bool) "a constant key reuses stale verdicts" true
     (constant <> want)
 
+(* The exploration's work, pinned on the benchmark's crash-matrix worlds
+   (verified ResPCT map, PCSO, 100 ops, seeds 84 and 85): boundaries,
+   enumerated images and recoveries actually run. A change that only
+   makes exploring cheaper keeps all three; one that recovers a different
+   set of images, or reaches a different set of boundaries, fails
+   here. *)
+let test_exploration_work_pinned () =
+  List.iter
+    (fun (seed, boundaries, images, recoveries) ->
+      let o =
+        Explore.explore
+          (Scenarios.respct_map ~fault_mode:`Verified ~sched_seed:seed
+             ~mem_seed:seed ~pcso:true ~n_ops:100 ())
+      in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check int) (name "boundaries") boundaries o.Explore.boundaries;
+      Alcotest.(check int) (name "images") images o.Explore.images;
+      Alcotest.(check int) (name "recoveries") recoveries o.Explore.recoveries;
+      Alcotest.(check int) (name "failures") 0 (List.length o.Explore.failures))
+    [ (84, 983, 8_301, 1_950); (85, 948, 7_857, 1_842) ]
+
 let test_unmutated_raw_passes () =
   let sc =
     Scenarios.respct_raw ~sched_seed:1 ~mem_seed:1 ~pcso:true ~n_ops:9 ()
@@ -1140,6 +1161,8 @@ let () =
             test_single_pass_equals_fresh_worlds;
           Alcotest.test_case "oracle key has teeth" `Quick
             test_oracle_key_has_teeth;
+          Alcotest.test_case "exploration work pinned" `Quick
+            test_exploration_work_pinned;
         ] );
       ( "ablation",
         [

@@ -22,12 +22,16 @@
 
    Suspended cases interleave, at seeded points, what the crash explorer
    does to a running world's memory: [Memsys.suspend], an interlude of
-   [restore], pokes, loads and stores under a private charge hook, then
-   [Memsys.resume]. The reference model runs nothing meanwhile, so every
-   check above proves the interlude invisible: resume puts back the
-   cache, the replacement and eviction state, DRAM, the faults and the
-   hooks bit for bit. The interlude's events go to the suspended
-   memory's private bus; the stats counters count them too.
+   [restore], pokes, planted faults, loads and stores under a private
+   charge hook, then [Memsys.resume]. One interlude in four is long: it
+   fills more lines than the cache and the prefetch ring hold, restores
+   again and runs a second stretch, so the spare the interludes run on
+   is reset both from its fill ring and by the full sweep. The reference
+   model runs nothing meanwhile, so every check above proves the
+   interlude invisible: resume puts back the cache, the replacement and
+   eviction state, DRAM, the faults and the hooks bit for bit. The
+   interlude's events go to the suspended memory's private bus; the
+   stats counters count them too.
 
    As in test/common/gen_common.ml, a case generates only its seed and the
    failure printer emits a replay recipe, so a red run identifies the
@@ -216,6 +220,57 @@ let run_case ?(armed = false) ?(suspended = false) ~pcso ~faults ~n_ops seed =
      runs the unsuspended op stream. *)
   let srng = Rng.create (seed + 0x5e5e5e) in
   let interlude_events = ref [] in
+  let misses () =
+    let s = Memsys.stats mem in
+    s.Stats.nvm_misses + s.Stats.dram_misses
+  in
+  (* One recovery's worth of work on the suspended memory: pokes,
+     sometimes a planted fault, then loads and stores. A long stretch
+     misses more than 300 times, more fills than the cache has lines (8)
+     and the prefetch ring has entries (256), so the reset after it
+     cannot rely on the ring to name the valid lines. *)
+  let stretch ~long =
+    for _ = 0 to Rng.int srng 4 do
+      Memsys.poke_persisted mem (Rng.int srng nvm_words) (Rng.int srng 1_000)
+    done;
+    if Rng.int srng 4 = 0 then
+      (if Rng.bool srng then Memsys.poison_line else Memsys.arm_transient_fault)
+        mem (Rng.int srng nvm_lines);
+    let access () =
+      let addr = Rng.int srng n_addr in
+      ignore
+        (run_mem (fun () ->
+             if Rng.bool srng then Memsys.load mem addr
+             else (Memsys.store mem addr (Rng.int srng 1_000); 0)))
+    in
+    if long then begin
+      let m0 = misses () in
+      while misses () - m0 <= 300 do
+        access ()
+      done
+    end
+    else
+      for _ = 1 to Rng.int srng 24 do
+        access ()
+      done
+  in
+  (* After a [restore] the memory holds nothing volatile: no line is
+     cached dirty, every NVMM word reads as persisted and every DRAM word
+     as zero (a stale valid line would show through [peek]), and no line
+     is poisoned. *)
+  let restore_clean snap what =
+    Memsys.restore mem snap;
+    for addr = 0 to n_addr - 1 do
+      let want = if addr < nvm_words then Memsys.persisted mem addr else 0 in
+      if Memsys.is_cached_dirty mem addr || Memsys.peek mem addr <> want then
+        fail "%s restore left word %d cached (%d, want %d)" what addr
+          (Memsys.peek mem addr) want
+    done;
+    if Memsys.poisoned_lines mem <> [] then
+      fail "%s restore left lines poisoned" what
+  in
+  (* Now and then a long stretch, a [restore] and a second stretch
+     before the resume, as at a boundary with two recoveries. *)
   let interlude () =
     let snap = Memsys.suspend mem in
     let bus = Memsys.bus mem in
@@ -223,17 +278,13 @@ let run_case ?(armed = false) ?(suspended = false) ~pcso ~faults ~n_ops seed =
       Event.subscribe bus (fun ev -> interlude_events := ev :: !interlude_events)
     in
     Memsys.set_charge mem ignore;
-    Memsys.restore mem snap;
-    for _ = 0 to Rng.int srng 4 do
-      Memsys.poke_persisted mem (Rng.int srng nvm_words) (Rng.int srng 1_000)
-    done;
-    for _ = 1 to Rng.int srng 24 do
-      let addr = Rng.int srng n_addr in
-      ignore
-        (run_mem (fun () ->
-             if Rng.bool srng then Memsys.load mem addr
-             else (Memsys.store mem addr (Rng.int srng 1_000); 0)))
-    done;
+    restore_clean snap "first";
+    let long = Rng.int srng 4 = 0 in
+    stretch ~long;
+    if long then begin
+      restore_clean snap "mid-interlude";
+      stretch ~long:false
+    end;
     Event.unsubscribe bus sub;
     Memsys.resume mem snap
   in
