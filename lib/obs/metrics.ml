@@ -1,13 +1,15 @@
 type counter = { c_name : string; mutable count : int }
 
+(* A float-only record stores its fields unboxed, so updating the
+   running figures allocates nothing. *)
+type moments = { mutable sum : float; mutable min : float; mutable max : float }
+
 type histogram = {
   h_name : string;
   bounds : float array; (* ascending upper bounds; +inf bucket is implicit *)
   buckets : int array; (* length = Array.length bounds + 1 *)
   mutable n : int;
-  mutable sum : float;
-  mutable min : float;
-  mutable max : float;
+  m : moments;
 }
 
 type entry = Counter of counter | Histogram of histogram
@@ -45,9 +47,7 @@ let histogram ?(bounds = default_bounds) t name =
           bounds;
           buckets = Array.make (Array.length bounds + 1) 0;
           n = 0;
-          sum = 0.0;
-          min = infinity;
-          max = neg_infinity;
+          m = { sum = 0.0; min = infinity; max = neg_infinity };
         }
       in
       Hashtbl.add t.by_name name (Histogram h);
@@ -58,22 +58,24 @@ let[@inline] incr c = c.count <- c.count + 1
 let[@inline] add c k = c.count <- c.count + k
 let value c = c.count
 
+(* The bucket is the first bound >= x, else the +inf one. *)
 let observe h x =
-  let rec bucket i =
-    if i >= Array.length h.bounds then i
-    else if x <= h.bounds.(i) then i
-    else bucket (i + 1)
-  in
-  let i = bucket 0 in
+  let nb = Array.length h.bounds in
+  let i = ref 0 in
+  while !i < nb && not (x <= h.bounds.(!i)) do
+    i := !i + 1
+  done;
+  let i = !i in
   h.buckets.(i) <- h.buckets.(i) + 1;
   h.n <- h.n + 1;
-  h.sum <- h.sum +. x;
-  if x < h.min then h.min <- x;
-  if x > h.max then h.max <- x
+  let m = h.m in
+  m.sum <- m.sum +. x;
+  if x < m.min then m.min <- x;
+  if x > m.max then m.max <- x
 
 let count h = h.n
-let sum h = h.sum
-let mean h = if h.n = 0 then 0.0 else h.sum /. float_of_int h.n
+let sum h = h.m.sum
+let mean h = if h.n = 0 then 0.0 else h.m.sum /. float_of_int h.n
 
 let reset t =
   Hashtbl.iter
@@ -83,9 +85,9 @@ let reset t =
       | Histogram h ->
           Array.fill h.buckets 0 (Array.length h.buckets) 0;
           h.n <- 0;
-          h.sum <- 0.0;
-          h.min <- infinity;
-          h.max <- neg_infinity)
+          h.m.sum <- 0.0;
+          h.m.min <- infinity;
+          h.m.max <- neg_infinity)
     t.by_name
 
 let histogram_json h =
@@ -103,10 +105,10 @@ let histogram_json h =
     [
       ("type", Json.String "histogram");
       ("count", Json.Int h.n);
-      ("sum", Json.Float h.sum);
+      ("sum", Json.Float h.m.sum);
       ("mean", Json.Float (mean h));
-      ("min", Json.Float (if h.n = 0 then 0.0 else h.min));
-      ("max", Json.Float (if h.n = 0 then 0.0 else h.max));
+      ("min", Json.Float (if h.n = 0 then 0.0 else h.m.min));
+      ("max", Json.Float (if h.n = 0 then 0.0 else h.m.max));
       ("buckets", Json.Obj bucket_fields);
     ]
 

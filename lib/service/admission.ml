@@ -4,16 +4,21 @@
    or closed queue fails immediately with a typed rejection the client
    can act on (back off and retry vs. give up). Consumers (shard
    workers) block on a condition variable and drain up to a batch of
-   requests per wakeup; the wait is parameterised so a ResPCT worker can
-   wrap it in checkpoint allow/prevent ({!Respct.Runtime.cond_wait})
-   without this module knowing about runtimes. *)
+   requests per wakeup into their own buffer; the wait is parameterised
+   so a ResPCT worker can wrap it in checkpoint allow/prevent
+   ({!Respct.Runtime.cond_wait}) without this module knowing about
+   runtimes.
+
+   The queue is an int ring of exactly [cap] slots: admission never lets
+   the depth pass the cap, so the ring never grows. *)
 
 type reject = Queue_full | Shard_down
 
-type 'a t = {
+type t = {
   sched : Simsched.Scheduler.t;
-  cap : int;
-  q : 'a Queue.t;
+  ring : int array;  (* [cap] slots; the live ones are [head, head + len) *)
+  mutable head : int;
+  mutable len : int;
   mu : Simsched.Mutex.t;
   nonempty : Simsched.Condvar.t;
   mutable closed : bool;
@@ -27,8 +32,9 @@ let create ?(name = "admission") sched ~cap =
   if cap <= 0 then invalid_arg "Admission.create: cap";
   {
     sched;
-    cap;
-    q = Queue.create ();
+    ring = Array.make cap 0;
+    head = 0;
+    len = 0;
     mu = Simsched.Mutex.create ~name:(name ^ ".mu") ();
     nonempty = Simsched.Condvar.create ();
     closed = false;
@@ -38,6 +44,12 @@ let create ?(name = "admission") sched ~cap =
     max_depth = 0;
   }
 
+(* The slot [i] places after the head. *)
+let[@inline] slot t i =
+  let s = t.head + i in
+  let cap = Array.length t.ring in
+  if s >= cap then s - cap else s
+
 let offer t x =
   Simsched.Mutex.lock t.sched t.mu;
   let r =
@@ -45,13 +57,14 @@ let offer t x =
       t.rejected_down <- t.rejected_down + 1;
       Error Shard_down
     end
-    else if Queue.length t.q >= t.cap then begin
+    else if t.len >= Array.length t.ring then begin
       t.rejected_full <- t.rejected_full + 1;
       Error Queue_full
     end
     else begin
-      Queue.push x t.q;
-      let d = Queue.length t.q in
+      t.ring.(slot t t.len) <- x;
+      t.len <- t.len + 1;
+      let d = t.len in
       if d > t.max_depth then t.max_depth <- d;
       t.accepted <- t.accepted + 1;
       Simsched.Condvar.signal t.sched t.nonempty;
@@ -61,26 +74,27 @@ let offer t x =
   Simsched.Mutex.unlock t.sched t.mu;
   r
 
-let take t ~max ~wait =
-  if max <= 0 then invalid_arg "Admission.take: max";
+let take t buf ~wait =
+  if Array.length buf = 0 then invalid_arg "Admission.take: empty buffer";
   Simsched.Mutex.lock t.sched t.mu;
-  while Queue.is_empty t.q && not t.closed do
+  while t.len = 0 && not t.closed do
     wait t.nonempty t.mu
   done;
-  let n = min max (Queue.length t.q) in
-  let rec grab n acc =
-    if n = 0 then List.rev acc else grab (n - 1) (Queue.pop t.q :: acc)
-  in
-  let batch = grab n [] in
-  if not (Queue.is_empty t.q) then Simsched.Condvar.signal t.sched t.nonempty;
+  let n = min (Array.length buf) t.len in
+  for i = 0 to n - 1 do
+    buf.(i) <- t.ring.(slot t i)
+  done;
+  t.head <- slot t n;
+  t.len <- t.len - n;
+  if t.len > 0 then Simsched.Condvar.signal t.sched t.nonempty;
   Simsched.Mutex.unlock t.sched t.mu;
-  batch
+  n
 
 let close t =
   Simsched.Mutex.lock t.sched t.mu;
   t.closed <- true;
-  let leftovers = List.of_seq (Queue.to_seq t.q) in
-  Queue.clear t.q;
+  let leftovers = List.init t.len (fun i -> t.ring.(slot t i)) in
+  t.len <- 0;
   Simsched.Condvar.broadcast t.sched t.nonempty;
   Simsched.Mutex.unlock t.sched t.mu;
   leftovers

@@ -9,9 +9,11 @@
 
    Sessions are *not* fibers: each fiber costs its own stack and effect
    continuation, so 10k session fibers would be heavy to hold. Instead
-   one front-end fiber multiplexes all sessions as plain records
-   driven by a binary heap of arrival events, and shard workers hand
-   completions back through a mutex-guarded list + condvar. Network
+   one front-end fiber multiplexes all sessions. A closed-loop session
+   has one request in flight at most, so a request is its session id:
+   the event heap, the admission queues, the worker batches and the
+   completion channel (an int FIFO under a mutex + condvar) all carry
+   ids, and a request's fields live in per-session arrays. Network
    latency is one constant [net_ns] per hop (client->shard and
    shard->client), charged on the event times themselves, so queueing
    delay and propagation delay both land in the measured latency.
@@ -115,77 +117,204 @@ let sweep =
 (* ------------------------------------------------------------------ *)
 (* Requests and sessions *)
 
-type status = Pending | Done | Dropped
-
-type req = {
-  r_sid : int;
-  r_key : int;
-  r_put : int option;  (* None = get *)
-  mutable r_submit : float;  (* client-side send instant *)
-  mutable r_retries : int;
-  mutable r_status : status;
+(* A closed-loop session never has more than one request in flight, so
+   a request is named by its session id and its fields live in
+   per-session arrays indexed by that id. The id sits in exactly one
+   place at a time: the event heap, a shard's admission queue, a
+   worker's batch, or the completion channel. Float fields are
+   [float array]s, so storing an instant boxes nothing. *)
+type sessions = {
+  key : int array;
+  put : int array;  (* the value a put stores; -1 for a get *)
+  retries : int array;  (* retries left to the in-flight request *)
+  status : int array;  (* [st_pending], [st_done] or [st_dropped] *)
+  submit : float array;  (* client-side send instant *)
+  at_shard : float array;
+      (* the last instant the shard handled the request: its arrival
+         (a rejection answers at once), then its execution or drop; the
+         client hears of it [net_ns] later *)
+  left : int array;  (* requests the session has still to finish *)
 }
 
-(* Binary min-heap of timed events, tie-broken by insertion sequence so
-   the event order (hence the whole run) is deterministic. *)
+let st_pending = 0
+let st_done = 1
+let st_dropped = 2
+
+let sessions cfg =
+  let n = cfg.sessions in
+  {
+    key = Array.make n 0;
+    put = Array.make n (-1);
+    retries = Array.make n 0;
+    status = Array.make n st_pending;
+    submit = Array.make n 0.0;
+    at_shard = Array.make n 0.0;
+    left = Array.make n cfg.requests;
+  }
+
+let mix3 a b c =
+  Router.mix (Router.mix ((a * 0x85EB_CA77) lxor (b * 0x9E37_79B1)) lxor c)
+
+let[@inline] exp_draw rng mean =
+  if mean <= 0.0 then 0.0 else -.mean *. log (1.0 -. Rng.float rng)
+
+(* Draw request [idx] of session [sid] into the session's slots. The
+   stream is a function of (seed, session, index) alone, whatever the
+   shard count. Put values are 20 bits, so -1 is free to mean a get. *)
+let draw_req cfg zipf ss sid idx =
+  let rng = Rng.create (mix3 cfg.seed sid idx) in
+  ss.key.(sid) <-
+    (if cfg.disjoint_keys then begin
+       let span = max 1 (cfg.keys / cfg.sessions) in
+       min (cfg.keys - 1) ((sid * span) + Rng.int rng span)
+     end
+     else Apps.Ycsb.scramble (Apps.Ycsb.sample_zipf zipf rng) cfg.keys);
+  ss.put.(sid) <-
+    (if Rng.int rng 100 >= cfg.read_pct then Rng.bits rng land 0xFFFFF
+     else -1);
+  ss.retries.(sid) <- cfg.retries;
+  ss.status.(sid) <- st_pending
+
+(* Put-coalescing: the put at [batch.(j)] is superseded when a later put
+   in the same [n]-request batch writes its key (last write wins). A
+   batch holds at most [batch_max] requests, so a scan does the work of
+   a per-batch table. *)
+let superseded ss batch j n =
+  let key = ss.key.(batch.(j)) in
+  let i = ref (j + 1) in
+  while
+    !i < n
+    &&
+    let sid = batch.(!i) in
+    not (ss.put.(sid) >= 0 && ss.key.(sid) = key)
+  do
+    incr i
+  done;
+  !i < n
+
+(* Binary min-heap of session wake-ups over parallel arrays, ordered by
+   (instant, insertion sequence). That order is strict and total, so the
+   pop order, hence the whole run, is deterministic. A session has at
+   most one pending event, so [sessions] slots never overflow. *)
 module Eheap = struct
-  type 'a entry = { at : float; seq : int; v : 'a }
-  type 'a t = { mutable a : 'a entry array; mutable n : int; mutable seq : int }
+  type t = {
+    at : float array;
+    seq : int array;
+    sid : int array;
+    mutable n : int;
+    mutable next : int;  (* the next insertion sequence *)
+  }
 
-  let create () = { a = [||]; n = 0; seq = 0 }
-  let lt x y = x.at < y.at || (x.at = y.at && x.seq < y.seq)
+  let create cap =
+    {
+      at = Array.make cap 0.0;
+      seq = Array.make cap 0;
+      sid = Array.make cap 0;
+      n = 0;
+      next = 0;
+    }
 
-  let push t at v =
-    let e = { at; seq = t.seq; v } in
-    t.seq <- t.seq + 1;
-    if t.n = Array.length t.a then begin
-      let cap = max 16 (2 * t.n) in
-      let a = Array.make cap e in
-      Array.blit t.a 0 a 0 t.n;
-      t.a <- a
-    end;
-    t.a.(t.n) <- e;
+  let[@inline] is_empty t = t.n = 0
+
+  (* The earliest instant; read it before {!pop}. *)
+  let[@inline] top_at t = t.at.(0)
+
+  let[@inline] move t ~src ~dst =
+    t.at.(dst) <- t.at.(src);
+    t.seq.(dst) <- t.seq.(src);
+    t.sid.(dst) <- t.sid.(src)
+
+  (* Slot [i] orders before the entry ([at], [seq]). *)
+  let[@inline] earlier t i at seq =
+    t.at.(i) < at || (t.at.(i) = at && t.seq.(i) < seq)
+
+  let[@inline] set t i at seq sid =
+    t.at.(i) <- at;
+    t.seq.(i) <- seq;
+    t.sid.(i) <- sid
+
+  (* Sift a hole up from the end, then fill it. *)
+  let[@inline] push t at sid =
+    let seq = t.next in
+    t.next <- seq + 1;
+    let i = ref t.n in
     t.n <- t.n + 1;
-    let i = ref (t.n - 1) in
-    while
-      !i > 0
-      &&
+    while !i > 0 && not (earlier t ((!i - 1) / 2) at seq) do
       let p = (!i - 1) / 2 in
-      lt t.a.(!i) t.a.(p)
-    do
-      let p = (!i - 1) / 2 in
-      let tmp = t.a.(p) in
-      t.a.(p) <- t.a.(!i);
-      t.a.(!i) <- tmp;
+      move t ~src:p ~dst:!i;
       i := p
-    done
+    done;
+    set t !i at seq sid
 
-  let pop_min t =
-    if t.n = 0 then None
-    else begin
-      let top = t.a.(0) in
-      t.n <- t.n - 1;
-      if t.n > 0 then begin
-        t.a.(0) <- t.a.(t.n);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let s = ref !i in
-          if l < t.n && lt t.a.(l) t.a.(!s) then s := l;
-          if r < t.n && lt t.a.(r) t.a.(!s) then s := r;
-          if !s = !i then continue := false
-          else begin
-            let tmp = t.a.(!s) in
-            t.a.(!s) <- t.a.(!i);
-            t.a.(!i) <- tmp;
-            i := !s
-          end
-        done
-      end;
-      Some (top.at, top.v)
-    end
+  (* Remove the earliest entry and return its session: the last entry
+     sifts down from the root's hole. *)
+  let pop t =
+    let top = t.sid.(0) in
+    let n = t.n - 1 in
+    t.n <- n;
+    let at = t.at.(n) and seq = t.seq.(n) and sid = t.sid.(n) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let c =
+        if l + 1 < n && earlier t (l + 1) t.at.(l) t.seq.(l) then l + 1 else l
+      in
+      if c < n && earlier t c at seq then begin
+        move t ~src:c ~dst:!i;
+        i := c
+      end
+      else continue := false
+    done;
+    if n > 0 then set t !i at seq sid;
+    top
 end
+
+(* Completion channel, workers -> front end: the ids of finished
+   requests in FIFO order. The front end swaps [ids] with [spare] under
+   [mu] and handles the swapped-out ids outside it. Each session is in
+   the channel at most once, so [sessions] slots never overflow. *)
+type completions = {
+  mu : Simsched.Mutex.t;
+  cv : Simsched.Condvar.t;
+  mutable ids : int array;
+  mutable n : int;
+  mutable spare : int array;
+}
+
+let completions cap =
+  {
+    mu = Simsched.Mutex.create ~name:"front.idle" ();
+    cv = Simsched.Condvar.create ();
+    ids = Array.make cap 0;
+    n = 0;
+    spare = Array.make cap 0;
+  }
+
+(* Post [buf.(0 .. n-1)] under one lock and wake the front end; nothing
+   to post takes no lock. *)
+let post sched c buf n =
+  if n > 0 then begin
+    Simsched.Mutex.lock sched c.mu;
+    for i = 0 to n - 1 do
+      c.ids.(c.n + i) <- buf.(i)
+    done;
+    c.n <- c.n + n;
+    Simsched.Condvar.signal sched c.cv;
+    Simsched.Mutex.unlock sched c.mu
+  end
+
+(* Take every posted id under the lock, then hand each to [handle]. *)
+let drain sched c handle =
+  Simsched.Mutex.lock sched c.mu;
+  let got = c.ids and n = c.n in
+  c.ids <- c.spare;
+  c.spare <- got;
+  c.n <- 0;
+  Simsched.Mutex.unlock sched c.mu;
+  for i = 0 to n - 1 do
+    handle got.(i)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Shards *)
@@ -196,7 +325,7 @@ type shard = {
   s_fm : Filemem.t option;
   s_frozen : bool ref;
   s_rt : Respct.Runtime.t;
-  s_queue : req Admission.t;
+  s_queue : Admission.t;  (* session ids *)
   s_spans : Obs.Span.t;
   s_path : string option;
   mutable s_map : Pds.Hashmap_respct.t option;
@@ -357,14 +486,16 @@ let stall_overlap shards =
 (* ------------------------------------------------------------------ *)
 (* The run *)
 
-let mix3 a b c =
-  Router.mix (Router.mix ((a * 0x85EB_CA77) lxor (b * 0x9E37_79B1)) lxor c)
-
 let run ?crash_at_ns ?(crash_shard = 0) cfg =
   if cfg.shards <= 0 || cfg.workers <= 0 then
     invalid_arg "Front.run: shards/workers";
   if cfg.sessions <= 0 || cfg.requests <= 0 then
     invalid_arg "Front.run: sessions/requests";
+  if cfg.keys <= 0 then invalid_arg "Front.run: keys";
+  if cfg.batch_max <= 0 then invalid_arg "Front.run: batch_max";
+  if cfg.read_pct < 0 || cfg.read_pct > 100 then
+    invalid_arg "Front.run: read_pct";
+  if crash_shard < 0 then invalid_arg "Front.run: crash_shard";
   (match (crash_at_ns, cfg.backend) with
   | Some _, Sim ->
       invalid_arg "Front.run: crash trials need the File backend"
@@ -375,7 +506,7 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
      (run_checkpoint returns at the seal); pipelining stays on for
      crash-free runs. *)
   let pipeline = cfg.pipeline && crash_at_ns = None in
-  let victim = if cfg.shards = 0 then 0 else crash_shard mod cfg.shards in
+  let victim = crash_shard mod cfg.shards in
   let ring = Router.create ~shards:cfg.shards ~vnodes:cfg.vnodes in
   let sched = Sched.create ~seed:cfg.seed () in
 
@@ -511,19 +642,8 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
       ~bounds:[| 1.; 2.; 4.; 8.; 16.; 32.; 64. |]
   in
 
-  (* Completion channel: workers -> front-end. *)
-  let idle_mu = Simsched.Mutex.create ~name:"front.idle" () in
-  let idle_cv = Simsched.Condvar.create () in
-  let completions : (req * float) list ref = ref [] in
-  let push_completions rs =
-    match rs with
-    | [] -> ()
-    | rs ->
-        Simsched.Mutex.lock sched idle_mu;
-        completions := List.rev_append rs !completions;
-        Simsched.Condvar.signal sched idle_cv;
-        Simsched.Mutex.unlock sched idle_mu
-  in
+  let ss = sessions cfg in
+  let done_ch = completions cfg.sessions in
 
   let stop_all = ref false in
   let crash_rep = ref None in
@@ -561,45 +681,35 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
            done;
            sh.s_active <- sh.s_active + 1;
            let wait cv mu = Respct.Runtime.cond_wait sh.s_rt ~slot:w cv mu in
+           let batch = Array.make cfg.batch_max 0 in
            let continue = ref true in
            while !continue do
-             match Admission.take sh.s_queue ~max:cfg.batch_max ~wait with
-             | [] -> continue := false
-             | batch ->
-                 sh.s_batches <- sh.s_batches + 1;
-                 Obs.Metrics.observe h_batch (float_of_int (List.length batch));
-                 (* put-coalescing: only the last put per key executes *)
-                 let last_put = Hashtbl.create 8 in
-                 List.iteri
-                   (fun j r ->
-                     if r.r_put <> None then Hashtbl.replace last_put r.r_key j)
-                   batch;
-                 let finished = ref [] in
-                 List.iteri
-                   (fun j r ->
-                     if sh.s_down then begin
-                       (* the crash cut this batch: the rest dies in flight *)
-                       r.r_status <- Dropped;
-                       finished := (r, Sched.now sched) :: !finished
-                     end
-                     else begin
-                       (match r.r_put with
-                       | Some v ->
-                           if Hashtbl.find last_put r.r_key = j then
-                             ignore
-                               (Pds.Hashmap_respct.insert m ~slot:w ~key:r.r_key
-                                  ~value:v)
-                           else sh.s_coalesced <- sh.s_coalesced + 1
-                       | None ->
-                           ignore
-                             (Pds.Hashmap_respct.search m ~slot:w ~key:r.r_key));
-                       sh.s_served <- sh.s_served + 1;
-                       Respct.Runtime.rp sh.s_rt ~slot:w 2;
-                       r.r_status <- Done;
-                       finished := (r, Sched.now sched) :: !finished
-                     end)
-                   batch;
-                 push_completions (List.rev !finished)
+             let n = Admission.take sh.s_queue batch ~wait in
+             if n = 0 then continue := false
+             else begin
+               sh.s_batches <- sh.s_batches + 1;
+               Obs.Metrics.observe h_batch (float_of_int n);
+               for j = 0 to n - 1 do
+                 let sid = batch.(j) in
+                 if sh.s_down then
+                   (* the crash cut this batch: the rest dies in flight *)
+                   ss.status.(sid) <- st_dropped
+                 else begin
+                   let key = ss.key.(sid) and v = ss.put.(sid) in
+                   if v < 0 then
+                     ignore (Pds.Hashmap_respct.search m ~slot:w ~key)
+                   else if superseded ss batch j n then
+                     sh.s_coalesced <- sh.s_coalesced + 1
+                   else
+                     ignore (Pds.Hashmap_respct.insert m ~slot:w ~key ~value:v);
+                   sh.s_served <- sh.s_served + 1;
+                   Respct.Runtime.rp sh.s_rt ~slot:w 2;
+                   ss.status.(sid) <- st_done
+                 end;
+                 ss.at_shard.(sid) <- Sched.now sched
+               done;
+               post sched done_ch batch n
+             end
            done;
            sh.s_active <- sh.s_active - 1))
   in
@@ -654,111 +764,93 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
   in
 
   (* ---------------- front-end fiber ---------------- *)
-  let heap : req Eheap.t = Eheap.create () in
-  let left = Array.make cfg.sessions cfg.requests in
+  let heap = Eheap.create cfg.sessions in
   let live = ref cfg.sessions in
   let zipf = Apps.Ycsb.make_zipf ~theta:cfg.theta cfg.keys in
   let timing_rng = Rng.create (cfg.seed lxor 0x74_11) in
-  let exp_draw rng mean =
-    if mean <= 0.0 then 0.0 else -.mean *. log (1.0 -. Rng.float rng)
-  in
-  let draw_req sid idx =
-    let rng = Rng.create (mix3 cfg.seed sid idx) in
-    let key =
-      if cfg.disjoint_keys then begin
-        let span = max 1 (cfg.keys / cfg.sessions) in
-        min (cfg.keys - 1) ((sid * span) + Rng.int rng span)
-      end
-      else Apps.Ycsb.scramble (Apps.Ycsb.sample_zipf zipf rng) cfg.keys
-    in
-    let put =
-      if Rng.int rng 100 >= cfg.read_pct then
-        Some (Rng.bits rng land 0xFFFFF)
-      else None
-    in
-    {
-      r_sid = sid;
-      r_key = key;
-      r_put = put;
-      r_submit = 0.0;
-      r_retries = cfg.retries;
-      r_status = Pending;
-    }
-  in
   ignore
     (Sched.spawn ~name:"front" sched (fun () ->
          (* session arrivals: a Poisson-ish ramp over the arrival gap *)
          let at = ref 0.0 in
          for sid = 0 to cfg.sessions - 1 do
            at := !at +. exp_draw timing_rng cfg.arrival_ns;
-           let r = draw_req sid 0 in
-           r.r_submit <- !at;
-           Eheap.push heap (!at +. cfg.net_ns) r
+           draw_req cfg zipf ss sid 0;
+           ss.submit.(sid) <- !at;
+           Eheap.push heap (!at +. cfg.net_ns) sid
          done;
-         let rec advance sid at_client =
-           left.(sid) <- left.(sid) - 1;
-           if left.(sid) = 0 then decr live
+         (* [advance], [retry_or_fail] and [handle] act when the client
+            hears from the shard, at [ss.at_shard.(sid) +. cfg.net_ns] *)
+         let rec advance sid =
+           let left = ss.left.(sid) - 1 in
+           ss.left.(sid) <- left;
+           if left = 0 then decr live
            else begin
-             let idx = cfg.requests - left.(sid) in
-             let r = draw_req sid idx in
-             let t_send = at_client +. exp_draw timing_rng cfg.think_ns in
-             r.r_submit <- t_send;
-             Eheap.push heap (t_send +. cfg.net_ns) r
+             draw_req cfg zipf ss sid (cfg.requests - left);
+             let t_send =
+               ss.at_shard.(sid) +. cfg.net_ns
+               +. exp_draw timing_rng cfg.think_ns
+             in
+             ss.submit.(sid) <- t_send;
+             Eheap.push heap (t_send +. cfg.net_ns) sid
            end
-         and retry_or_fail r at_client =
-           if r.r_retries > 0 then begin
-             r.r_retries <- r.r_retries - 1;
-             r.r_status <- Pending;
+         and retry_or_fail sid =
+           let retries = ss.retries.(sid) in
+           if retries > 0 then begin
+             ss.retries.(sid) <- retries - 1;
+             ss.status.(sid) <- st_pending;
              Obs.Metrics.incr m_retried;
-             let t_send = at_client +. exp_draw timing_rng cfg.retry_ns in
-             Eheap.push heap (t_send +. cfg.net_ns) r
+             let t_send =
+               ss.at_shard.(sid) +. cfg.net_ns
+               +. exp_draw timing_rng cfg.retry_ns
+             in
+             Eheap.push heap (t_send +. cfg.net_ns) sid
            end
            else begin
              Obs.Metrics.incr m_failed;
-             advance r.r_sid at_client
+             advance sid
            end
-         and handle (r, at) =
-           let at_client = at +. cfg.net_ns in
-           match r.r_status with
-           | Done ->
-               Obs.Metrics.incr m_completed;
-               Obs.Metrics.observe h_latency (at_client -. r.r_submit);
-               advance r.r_sid at_client
-           | Dropped -> retry_or_fail r at_client
-           | Pending -> assert false
-         and submit r t_arrive =
-           let sh = shards.(Router.route ring r.r_key) in
-           match Admission.offer sh.s_queue r with
+         in
+         let handle sid =
+           let status = ss.status.(sid) in
+           if status = st_done then begin
+             Obs.Metrics.incr m_completed;
+             Obs.Metrics.observe h_latency
+               (ss.at_shard.(sid) +. cfg.net_ns -. ss.submit.(sid));
+             advance sid
+           end
+           else if status = st_dropped then retry_or_fail sid
+           else assert false
+         in
+         let submit sid =
+           let sh = shards.(Router.route ring ss.key.(sid)) in
+           match Admission.offer sh.s_queue sid with
            | Ok d -> Obs.Metrics.observe h_depth (float_of_int d)
            | Error rej ->
                (match rej with
                | Admission.Queue_full -> Obs.Metrics.incr m_rej_full
                | Admission.Shard_down -> Obs.Metrics.incr m_rej_down);
-               retry_or_fail r (t_arrive +. cfg.net_ns)
-         in
-         let drain () =
-           Simsched.Mutex.lock sched idle_mu;
-           let got = List.rev !completions in
-           completions := [];
-           Simsched.Mutex.unlock sched idle_mu;
-           List.iter handle got
+               retry_or_fail sid
          in
          let rec loop () =
-           drain ();
+           drain sched done_ch handle;
            if !live > 0 then
-             match Eheap.pop_min heap with
-             | Some (t, r) ->
-                 Sched.sleep_until sched t;
-                 drain ();
-                 submit r t;
-                 loop ()
-             | None ->
-                 Simsched.Mutex.lock sched idle_mu;
-                 while !completions = [] && !live > 0 do
-                   Simsched.Condvar.wait sched idle_cv idle_mu
-                 done;
-                 Simsched.Mutex.unlock sched idle_mu;
-                 loop ()
+             if not (Eheap.is_empty heap) then begin
+               let t = Eheap.top_at heap in
+               let sid = Eheap.pop heap in
+               Sched.sleep_until sched t;
+               drain sched done_ch handle;
+               ss.at_shard.(sid) <- t;
+               submit sid;
+               loop ()
+             end
+             else begin
+               Simsched.Mutex.lock sched done_ch.mu;
+               while done_ch.n = 0 && !live > 0 do
+                 Simsched.Condvar.wait sched done_ch.cv done_ch.mu
+               done;
+               Simsched.Mutex.unlock sched done_ch.mu;
+               loop ()
+             end
          in
          loop ();
          (* all sessions finished: shut the shards down *)
@@ -781,9 +873,13 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
                Array.iter (fun s -> s.s_served_at_crash <- s.s_served) shards;
                sh.s_frozen := true;
                (* queued requests die with the shard; fail them back *)
-               let leftovers = Admission.close sh.s_queue in
-               List.iter (fun r -> r.r_status <- Dropped) leftovers;
-               push_completions (List.map (fun r -> (r, at)) leftovers);
+               let leftovers = Array.of_list (Admission.close sh.s_queue) in
+               Array.iter
+                 (fun sid ->
+                   ss.status.(sid) <- st_dropped;
+                   ss.at_shard.(sid) <- at)
+                 leftovers;
+               post sched done_ch leftovers (Array.length leftovers);
                (* let the dying workers drain out of the serving loop *)
                while sh.s_active > 0 do
                  Sched.sleep sched 2_000.0
@@ -822,7 +918,7 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
                      cr_sealed_at_crash = sh.s_sealed_at_crash;
                      cr_digest_match = digest_match;
                      cr_violations = violations;
-                     cr_dropped = List.length leftovers;
+                     cr_dropped = Array.length leftovers;
                      cr_recovery_ns = recovery_ns;
                      cr_survivor_mrps = 0.0 (* filled in after the run *);
                    }

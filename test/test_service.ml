@@ -19,19 +19,96 @@ let tiny =
     prefill = 1_000;
   }
 
+(* A hot, saturated config: every request a put to one of 16 keys, one
+   worker per shard behind a 4-slot queue. It coalesces puts, rejects
+   with Queue_full, retries and wraps the admission ring — paths the
+   benchmark's workload never takes. *)
+let hot =
+  {
+    tiny with
+    Front.read_pct = 0;
+    keys = 16;
+    prefill = 8;
+    think_ns = 500.;
+    arrival_ns = 50.;
+    sessions = 200;
+    requests = 10;
+    workers = 1;
+    queue_cap = 4;
+  }
+
+let json r = Obs.Json.to_string (Front.to_json r)
+
+(* The MD5 of a run's JSON document pins its exact output, every
+   simulated value included. *)
+let md5 s = Digest.to_hex (Digest.string s)
+
 (* ------------------------------------------------------------------ *)
-(* Determinism: equal seeds give byte-identical structured output *)
+(* Determinism: equal seeds give byte-identical structured output, and
+   that output is pinned *)
 
 let test_same_seed_byte_identical () =
-  let run () = Obs.Json.to_string (Front.to_json (Front.run tiny)) in
-  let a = run () in
-  let b = run () in
+  let run cfg = json (Front.run cfg) in
+  let a = run tiny in
+  let b = run tiny in
   Alcotest.(check string) "same seed, same bytes" a b;
-  let c =
-    Obs.Json.to_string
-      (Front.to_json (Front.run { tiny with Front.seed = tiny.Front.seed + 1 }))
+  Alcotest.(check string) "tiny output pinned"
+    "690b563b8c7eb376372d02d25e9c3abd" (md5 a);
+  let c = run { tiny with Front.seed = tiny.Front.seed + 1 } in
+  Alcotest.(check bool) "different seed, different run" true (a <> c);
+  let r = Front.run hot in
+  let coalesced =
+    List.fold_left (fun n s -> n + s.Front.sr_coalesced) 0 r.Front.r_shards
   in
-  Alcotest.(check bool) "different seed, different run" true (a <> c)
+  Alcotest.(check bool) "hot run coalesces puts" true (coalesced > 0);
+  Alcotest.(check bool) "hot run rejects with Queue_full" true
+    (r.Front.r_rejected_full > 0);
+  Alcotest.(check bool) "hot run retries" true (r.Front.r_retried > 0);
+  let h = json r in
+  Alcotest.(check string) "hot, same seed, same bytes" h (run hot);
+  Alcotest.(check string) "hot output pinned"
+    "390ed881ee6395246564efb1c3c6a85c" (md5 h)
+
+(* ------------------------------------------------------------------ *)
+(* A bad config is refused up front, naming its field, before any shard
+   or image exists: a file-backed run leaves its directory empty. *)
+
+let test_config_validated () =
+  let cases =
+    [
+      ("keys", "Front.run: keys", fun c -> Front.run { c with Front.keys = 0 });
+      ( "batch_max",
+        "Front.run: batch_max",
+        fun c -> Front.run { c with Front.batch_max = 0 } );
+      ( "read_pct 150",
+        "Front.run: read_pct",
+        fun c -> Front.run { c with Front.read_pct = 150 } );
+      ( "read_pct -1",
+        "Front.run: read_pct",
+        fun c -> Front.run { c with Front.read_pct = -1 } );
+      ( "shards",
+        "Front.run: shards/workers",
+        fun c -> Front.run { c with Front.shards = 0 } );
+      ( "requests",
+        "Front.run: sessions/requests",
+        fun c -> Front.run { c with Front.requests = 0 } );
+      ( "crash_shard",
+        "Front.run: crash_shard",
+        fun c -> Front.run ~crash_at_ns:500_000.0 ~crash_shard:(-1) c );
+    ]
+  in
+  Prockill.with_scratch_dir "respct-svc-test" (fun dir ->
+      List.iter
+        (fun (name, msg, run) ->
+          List.iter
+            (fun backend ->
+              Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+                  ignore (run { tiny with Front.backend }));
+              Alcotest.(check (array string))
+                (name ^ ": no image left behind")
+                [||] (Sys.readdir dir))
+            [ Front.Sim; Front.File dir ])
+        cases)
 
 (* ------------------------------------------------------------------ *)
 (* Routing: adding a shard moves only ~K/(N+1) keys, all onto the new
@@ -76,7 +153,9 @@ let test_ring_deterministic () =
 
 (* ------------------------------------------------------------------ *)
 (* Admission control: the queue never exceeds its cap, overflow is a
-   typed rejection, and accept/reject counts conserve offers. *)
+   typed rejection, accept/reject counts conserve offers, and what comes
+   out (taken, then returned at close) is what went in, in offer order,
+   across many wraps of the cap-slot ring. *)
 
 let test_admission_saturation () =
   let sched = Sched.create ~seed:3 () in
@@ -85,29 +164,37 @@ let test_admission_saturation () =
   let taken = ref 0 in
   let rejected = ref 0 in
   let leftover = ref 0 in
+  let admitted = ref [] and drained = ref [] in
   ignore
     (Sched.spawn ~name:"producer" sched (fun () ->
          for i = 1 to offered do
            (match Admission.offer q i with
            | Ok depth ->
-               if depth > 32 then Alcotest.fail "depth exceeded cap"
+               if depth > 32 then Alcotest.fail "depth exceeded cap";
+               admitted := i :: !admitted
            | Error Admission.Queue_full -> incr rejected
            | Error Admission.Shard_down -> Alcotest.fail "queue is not down");
            (* a fast producer against a slow consumer *)
            Sched.sleep sched 10.0
          done;
-         leftover := List.length (Admission.close q)));
+         let left = Admission.close q in
+         leftover := List.length left;
+         drained := List.rev_append left !drained));
   ignore
     (Sched.spawn ~name:"consumer" sched (fun () ->
+         let batch = Array.make 8 0 in
          let continue = ref true in
          while !continue do
-           let batch =
-             Admission.take q ~max:8 ~wait:(fun cv mu ->
+           let n =
+             Admission.take q batch ~wait:(fun cv mu ->
                  Simsched.Condvar.wait sched cv mu)
            in
-           if batch = [] then continue := false
+           if n = 0 then continue := false
            else begin
-             taken := !taken + List.length batch;
+             taken := !taken + n;
+             for j = 0 to n - 1 do
+               drained := batch.(j) :: !drained
+             done;
              Sched.sleep sched 1_000.0
            end
          done));
@@ -123,7 +210,15 @@ let test_admission_saturation () =
   Alcotest.(check bool)
     (Printf.sprintf "max depth %d within cap" (Admission.max_depth q))
     true
-    (Admission.max_depth q <= 32)
+    (Admission.max_depth q <= 32);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d accepted wrap the 32-slot ring" (Admission.accepted q))
+    true
+    (Admission.accepted q > 2 * 32);
+  Alcotest.(check bool) "close returned leftovers" true (!leftover > 0);
+  Alcotest.(check (list int))
+    "taken then closed-over values arrive in offer order" (List.rev !admitted)
+    (List.rev !drained)
 
 let test_admission_down_typed () =
   let sched = Sched.create ~seed:4 () in
@@ -156,6 +251,8 @@ let test_crash_one_shard_under_load () =
         }
       in
       let r = Front.run ~crash_at_ns:500_000.0 ~crash_shard:1 cfg in
+      Alcotest.(check string) "crash drill output pinned"
+        "d096e084f7e77ef809843f23638193f7" (md5 (json r));
       match r.Front.r_crash with
       | None -> Alcotest.fail "crash report missing"
       | Some cr ->
@@ -251,6 +348,11 @@ let () =
         [
           Alcotest.test_case "same seed, byte-identical JSON" `Quick
             test_same_seed_byte_identical;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "bad fields refused up front" `Quick
+            test_config_validated;
         ] );
       ( "routing",
         [
