@@ -1079,8 +1079,8 @@ let service_cmd =
       & info [ "preset" ]
           ~doc:
             "Service preset: smoke (4 shards, 200 sessions, seconds-scale) \
-             or sweep (the ROADMAP target: 8 shards, 10k sessions, 2^20 \
-             keys, zipfian hot-key storm).")
+             or sweep (8 shards, 10k sessions, 2^20 keys, zipfian hot-key \
+             storm).")
   in
   let opt_int name doc =
     Arg.(value & opt (some int) None & info [ name ] ~doc)
@@ -1131,24 +1131,28 @@ let service_cmd =
       | `Smoke -> Service.Front.smoke
     in
     let ov v = function None -> v | Some x -> x in
-    let serve backend =
-      let cfg =
-        {
-          base with
-          Service.Front.shards = ov base.Service.Front.shards shards;
-          workers = ov base.Service.Front.workers workers;
-          sessions = ov base.Service.Front.sessions sessions;
-          requests = ov base.Service.Front.requests requests;
-          keys = ov base.Service.Front.keys keys;
-          seed = ov base.Service.Front.seed seed;
-          period_ns =
-            (match period_us with
-            | None -> base.Service.Front.period_ns
-            | Some us -> us *. 1_000.0);
-          backend;
-        }
-      in
-      let crash_at_ns = Option.map (fun us -> us *. 1_000.0) crash_at_us in
+    let cfg =
+      {
+        base with
+        Service.Front.shards = ov base.Service.Front.shards shards;
+        workers = ov base.Service.Front.workers workers;
+        sessions = ov base.Service.Front.sessions sessions;
+        requests = ov base.Service.Front.requests requests;
+        keys = ov base.Service.Front.keys keys;
+        seed = ov base.Service.Front.seed seed;
+        period_ns =
+          (match period_us with
+          | None -> base.Service.Front.period_ns
+          | Some us -> us *. 1_000.0);
+        (* [validate] reads the kind; the scratch directory comes later *)
+        backend =
+          (match backend with
+          | `Sim -> Service.Front.Sim
+          | `File -> Service.Front.File "");
+      }
+    in
+    let crash_at_ns = Option.map (fun us -> us *. 1_000.0) crash_at_us in
+    let serve cfg =
       let r = Service.Front.run ?crash_at_ns ~crash_shard cfg in
       let open Service.Front in
       Printf.printf
@@ -1199,14 +1203,17 @@ let service_cmd =
       write_json json (Service.Front.to_json r);
       crash_ok && surv_ok
     in
-    let ok =
-      match backend with
-      | `Sim -> serve Service.Front.Sim
-      | `File ->
-          Prockill.with_scratch_dir "respct-svc" (fun d ->
-              serve (Service.Front.File d))
-    in
-    if not ok then exit 1
+    match Service.Front.validate ?crash_at_ns ~crash_shard cfg with
+    | Error field -> `Error (true, "refused service config: " ^ field)
+    | Ok () ->
+        let ok =
+          match cfg.Service.Front.backend with
+          | Service.Front.Sim -> serve cfg
+          | Service.Front.File _ ->
+              Prockill.with_scratch_dir "respct-svc" (fun d ->
+                  serve { cfg with Service.Front.backend = Service.Front.File d })
+        in
+        if ok then `Ok () else exit 1
   in
   Cmd.v
     (Cmd.info "service"
@@ -1216,9 +1223,10 @@ let service_cmd =
           checkpointed ResPCT shards with a rolling checkpoint schedule; \
           optional crash-under-load trial with verified recovery.")
     Term.(
-      const run $ preset_arg $ shards_arg $ workers_arg
-      $ sessions_arg $ requests_arg $ keys_arg $ seed_arg $ period_us_arg
-      $ backend_arg $ crash_at_arg $ crash_shard_arg $ json_arg)
+      ret
+        (const run $ preset_arg $ shards_arg $ workers_arg $ sessions_arg
+       $ requests_arg $ keys_arg $ seed_arg $ period_us_arg $ backend_arg
+       $ crash_at_arg $ crash_shard_arg $ json_arg))
 
 let () =
   let info =

@@ -2,34 +2,25 @@
     ResPCT shards (DESIGN.md §15).
 
     Simulated client sessions (closed-loop, exponential arrivals and
-    think times, constant per-hop network latency) feed one front-end
-    fiber that routes each request through a consistent-hash ring
-    ({!Router}) into a bounded per-shard admission queue ({!Admission}).
-    Shard workers drain batches, coalesce duplicate puts, execute against
-    the shard's own {!Respct.Runtime} world and hand completions back.
-    Checkpoints roll: each shard's coordinator staggers its deadlines by
-    [period/shards], so no instant pauses every shard at once (the
-    result reports the measured stall overlap).
+    think times) feed one front-end fiber that routes each request
+    through a consistent-hash ring ({!Router}) into a bounded per-shard
+    admission queue ({!Admission}). Shard workers drain batches, coalesce
+    duplicate puts, execute against the shard's own {!Respct.Runtime}
+    world and hand completions back. Checkpoints roll: each shard's
+    coordinator staggers its deadlines by [period/shards], so no instant
+    pauses every shard at once (the result reports the measured stall
+    overlap, swept over every stall span the shards record).
 
-    Sessions are multiplexed on one fiber, not fibers themselves: a
-    fiber holds its own stack and effect continuation, so 10k+
-    concurrent sessions stay cheap only as data. A closed-loop session
-    has at most one request in flight, so a request is its session id.
-    The event heap (parallel arrays of instant, insertion sequence and
-    id), the admission queues ({!Admission}'s int rings), each worker's
-    batch buffer and the completion channel (an int FIFO) carry ids
-    only; key, put value, retries left, status and the submit and
-    shard-side instants live in per-session arrays, the instants in
-    [float array]s. A served request therefore allocates no record of
-    its own: at full benchmark size (kv-service, 500 sessions × 600
-    requests) serving costs 58 words and 5.5 scheduler dispatches per
-    request, about 22 of those words the dispatches' parked
-    continuations.
+    Six settings are constants rather than config fields, since no
+    caller varies them: 64 ring points per shard, a one-way network hop
+    of 3 µs, 2 retries per request after a 10 µs mean backoff, pipelined
+    checkpoints and integrity-mode images. A crash trial still forces
+    classic checkpoints. The JSON document prints all six.
 
-    Crash-under-load (File backend, integrity mode): at [crash_at_ns]
-    the victim shard's durability path freezes (the SIGKILL instant),
-    its queue closes — clients see typed [Shard_down] rejections — and
-    once its workers drain, the image takes a power cut and runs
+    Crash-under-load (File backend): at [crash_at_ns] the victim shard's
+    durability path freezes (the SIGKILL instant), its queue closes —
+    clients see typed [Shard_down] rejections — and once its workers
+    drain, the image takes a power cut and runs
     {!Respct.Recovery.run_verified_backend} inside the simulation while
     the survivors keep serving. Replies are acked at execution, so the
     victim legitimately rolls back to its last sealed checkpoint; the
@@ -44,7 +35,6 @@ type backend_kind =
 
 type config = {
   shards : int;
-  vnodes : int;  (** ring points per shard *)
   workers : int;  (** worker threads per shard *)
   sessions : int;
   requests : int;  (** requests per session (closed loop) *)
@@ -54,14 +44,9 @@ type config = {
   read_pct : int;
   arrival_ns : float;  (** mean inter-session-arrival gap *)
   think_ns : float;  (** mean client think time between requests *)
-  net_ns : float;  (** one-way network propagation *)
   queue_cap : int;
   batch_max : int;
-  retries : int;  (** per request, on rejection or in-flight drop *)
-  retry_ns : float;  (** mean client backoff before a retry *)
   period_ns : float;  (** per-shard checkpoint period *)
-  pipeline : bool;  (** pipelined checkpoints (forced off in crash trials) *)
-  integrity : bool;
   disjoint_keys : bool;  (** partition the keyspace by session *)
   collect_final : bool;  (** return the merged final (key, value) map *)
   seed : int;
@@ -74,8 +59,14 @@ val smoke : config
 (** Seconds-scale: 4 shards, 200 sessions, 20k keys. *)
 
 val sweep : config
-(** The ROADMAP target: 8 shards, 10k sessions, 2^20 keys, zipfian
-    hot-key storm. *)
+(** 8 shards, 10k sessions, 2^20 keys, zipfian hot-key storm. *)
+
+val validate :
+  ?crash_at_ns:float -> ?crash_shard:int -> config -> (unit, string) result
+(** [Error field] names the first field {!run} would refuse: non-positive
+    [shards], [workers], [sessions], [requests], [keys] or [batch_max],
+    [read_pct] outside [[0, 100]], a negative [crash_shard], or a crash
+    trial without the File backend. *)
 
 type shard_report = {
   sr_id : int;
@@ -145,11 +136,8 @@ type result = {
 val run : ?crash_at_ns:float -> ?crash_shard:int -> config -> result
 (** Execute one service run. [crash_at_ns] arms the crash-under-load
     scenario against shard [crash_shard mod shards] (default 0).
-    @raise Invalid_argument, naming the field, before any shard or image
-    exists: on non-positive [shards], [workers], [sessions], [requests],
-    [keys] or [batch_max], on [read_pct] outside [[0, 100]], on a
-    negative [crash_shard], or on a crash trial without the File backend
-    and integrity mode. *)
+    @raise Invalid_argument ["Front.run: " ^ field] before any shard or
+    image exists, when {!validate} refuses [field]. *)
 
 val to_json : result -> Obs.Json.t
 (** Schema ["respct-service/v1"]. Everything exported is virtual-time or

@@ -13,7 +13,9 @@
      errors; a --scenario prefix naming nothing in the chosen dimension
      exits 2 listing the ids it knows; --no-schedules holds in every
      dimension; --json adds one row per explored world and leaves the
-     text as it was. *)
+     text as it was;
+   - `service` refuses a config it could not run as a usage error that
+     names the field, before it runs anything. *)
 
 let exe = Filename.concat (Sys.getcwd ()) "../bin/respct_experiments.exe"
 let bench_baseline = Filename.concat (Sys.getcwd ()) "../BENCH_PR21.json"
@@ -227,6 +229,22 @@ let test_crashmatrix_json () =
       Alcotest.(check string) "file grid: nothing run" "" out;
       check_untouched dir copy)
 
+let test_service_refused_config () =
+  with_dir (fun dir copy ->
+      List.iter
+        (fun (args, field) ->
+          let what = String.concat " " args in
+          let status, out, err = run dir ("service" :: args) in
+          Alcotest.(check int) (what ^ ": usage error") 124 status;
+          Alcotest.(check string) (what ^ ": nothing run") "" out;
+          Alcotest.(check bool) (what ^ ": names " ^ field) true
+            (contains err field))
+        [
+          ([ "--shards"; "0" ], "shards");
+          ([ "--crash-at-us"; "700" ], "File backend");
+        ];
+      check_untouched dir copy)
+
 let () =
   Alcotest.run "cli"
     [
@@ -259,5 +277,10 @@ let () =
             test_no_schedules_everywhere;
           Alcotest.test_case "json rows beside unchanged text" `Quick
             test_crashmatrix_json;
+        ] );
+      ( "service",
+        [
+          Alcotest.test_case "refused config is a usage error" `Quick
+            test_service_refused_config;
         ] );
     ]

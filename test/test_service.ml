@@ -1,6 +1,7 @@
 (* Tests for the sharded KV service layer (lib/service): deterministic
    replay of whole runs, consistent-hash routing stability, admission
-   saturation behaviour, the crash-one-shard-under-load scenario, and a
+   saturation behaviour, the crash-one-shard-under-load scenario, which
+   runs pipeline their checkpoints, the stall-overlap sweep, and a
    sharded-vs-single differential against the same request stream. *)
 
 module Front = Service.Front
@@ -43,6 +44,39 @@ let json r = Obs.Json.to_string (Front.to_json r)
    simulated value included. *)
 let md5 s = Digest.to_hex (Digest.string s)
 
+(* Each shard's count of [name] spans, from the result's span summaries. *)
+let span_counts r name =
+  List.map
+    (fun (_, j) ->
+      match
+        Option.bind
+          (Option.bind (Obs.Json.member "summary" j) (Obs.Json.member name))
+          (Obs.Json.member "count")
+      with
+      | Some (Obs.Json.Int n) -> n
+      | _ -> 0)
+    r.Front.r_span_json
+
+(* Each shard's kept [name] spans as (t0, t1), from the result's JSON. *)
+let kept_spans r name =
+  let float k sp =
+    match Obs.Json.member k sp with
+    | Some (Obs.Json.Float f) -> f
+    | _ -> Alcotest.failf "span without %s" k
+  in
+  List.map
+    (fun (_, j) ->
+      match Obs.Json.member "spans" j with
+      | Some (Obs.Json.List sps) ->
+          List.filter_map
+            (fun sp ->
+              if Obs.Json.member "name" sp = Some (Obs.Json.String name) then
+                Some (float "t0_ns" sp, float "t1_ns" sp)
+              else None)
+            sps
+      | _ -> Alcotest.fail "shard without spans")
+    r.Front.r_span_json
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: equal seeds give byte-identical structured output, and
    that output is pinned *)
@@ -56,6 +90,11 @@ let test_same_seed_byte_identical () =
     "690b563b8c7eb376372d02d25e9c3abd" (md5 a);
   let c = run { tiny with Front.seed = tiny.Front.seed + 1 } in
   Alcotest.(check bool) "different seed, different run" true (a <> c);
+  (* every session's first request reaches the front end at one instant,
+     so the pin holds the event heap's tie order (FIFO by insertion) *)
+  Alcotest.(check string) "zero-gap arrivals output pinned"
+    "542233d1026eacdcb04656a1e3e2316b"
+    (md5 (run { tiny with Front.arrival_ns = 0. }));
   let r = Front.run hot in
   let coalesced =
     List.fold_left (fun n s -> n + s.Front.sr_coalesced) 0 r.Front.r_shards
@@ -253,6 +292,11 @@ let test_crash_one_shard_under_load () =
       let r = Front.run ~crash_at_ns:500_000.0 ~crash_shard:1 cfg in
       Alcotest.(check string) "crash drill output pinned"
         "d096e084f7e77ef809843f23638193f7" (md5 (json r));
+      (* the sealed-epoch oracle needs the classic synchronous seal *)
+      Alcotest.(check (list int))
+        "crash trials force classic checkpoints: no overlap spans"
+        (List.init cfg.Front.shards (fun _ -> 0))
+        (span_counts r "checkpoint.overlap");
       match r.Front.r_crash with
       | None -> Alcotest.fail "crash report missing"
       | Some cr ->
@@ -290,8 +334,14 @@ let test_crash_one_shard_under_load () =
 let test_pipelined_file_survivors_durable () =
   Prockill.with_scratch_dir "respct-svc-test" (fun dir ->
       let cfg = { tiny with Front.backend = Front.File dir } in
-      Alcotest.(check bool) "pipelined" true cfg.Front.pipeline;
       let r = Front.run cfg in
+      (* only a pipelined checkpoint emits checkpoint.overlap spans *)
+      List.iteri
+        (fun i n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d pipelined (%d overlap spans)" i n)
+            true (n > 0))
+        (span_counts r "checkpoint.overlap");
       Alcotest.(check int) "every shard audited" cfg.Front.shards
         (List.length r.Front.r_survivors);
       List.iter
@@ -301,6 +351,44 @@ let test_pipelined_file_survivors_durable () =
                sc.Front.sc_verdict)
             true sc.Front.sc_ok)
         r.Front.r_survivors)
+
+(* ------------------------------------------------------------------ *)
+(* The stall overlap sweeps every stall interval: a short period over a
+   long run makes each shard record thousands of stall spans, and every
+   one of them is kept and swept. *)
+
+let test_stall_overlap_reads_every_stall () =
+  let r =
+    Front.run
+      {
+        tiny with
+        Front.shards = 8;
+        period_ns = 5_000.;
+        requests = 300;
+        sessions = 40;
+      }
+  in
+  let kept = kept_spans r "checkpoint.stall" in
+  List.iteri
+    (fun i (n, spans) ->
+      Alcotest.(check int)
+        (Printf.sprintf "shard %d keeps its %d stall spans" i n)
+        n (List.length spans))
+    (List.combine (span_counts r "checkpoint.stall") kept);
+  let evs =
+    List.sort compare
+      (List.concat_map
+         (List.concat_map (fun (t0, t1) -> [ (t0, 1); (t1, -1) ]))
+         kept)
+  in
+  let _, _, overlap =
+    List.fold_left
+      (fun (active, last, acc) (t, d) ->
+        (active + d, t, if active >= 2 then acc +. (t -. last) else acc))
+      (0, 0.0, 0.0) evs
+  in
+  Alcotest.check (Alcotest.float 0.0) "overlap swept over every stall"
+    overlap r.Front.r_stall_overlap_ns
 
 (* ------------------------------------------------------------------ *)
 (* Differential: for conflict-free (session-disjoint) key sets, a
@@ -372,6 +460,11 @@ let () =
             test_crash_one_shard_under_load;
           Alcotest.test_case "pipelined file run, every image durable" `Slow
             test_pipelined_file_survivors_durable;
+        ] );
+      ( "stall-overlap",
+        [
+          Alcotest.test_case "every stall span swept" `Quick
+            test_stall_overlap_reads_every_stall;
         ] );
       ( "differential",
         [ seeded qcheck_sharded_vs_single ] );
