@@ -473,9 +473,9 @@ let analyze_cmd =
       value & flag
       & info [ "dynamic" ]
           ~doc:
-            "Also cross-check each inferred plan against the dynamic \
-             restart-point advisor over a recorded simulator run: every \
-             dynamically observed WAR variable must be statically logged.")
+            "Also cross-check each inferred plan against the WAR audit \
+             of a simulator run: every dynamically observed WAR variable \
+             must be statically logged.")
   in
   let persistency_arg =
     Arg.(
@@ -610,27 +610,34 @@ let analyze_cmd =
           let dyn_json =
             if not dynamic then []
             else begin
-              let cc = Rp_advisor.cross_check_ir ~n_ops:iters prog in
+              let {
+                Analysis.Audit.cc_agrees;
+                cc_static_log;
+                cc_dynamic_log;
+                cc_races;
+                cc_segments;
+              } =
+                Analysis.Audit.cross_check_ir ~n_ops:iters prog
+              in
               Fmt.pf ppf
                 "dynamic cross-check: %s (static log {%s} / dynamic {%s}), \
                  %d race(s)@."
-                (if cc.Rp_advisor.cc_agrees then "agrees" else "DISAGREES")
-                (String.concat ", " cc.Rp_advisor.cc_static_log)
-                (String.concat ", " cc.Rp_advisor.cc_dynamic_log)
-                (List.length cc.Rp_advisor.cc_races);
-              if not cc.Rp_advisor.cc_agrees then failed := true;
+                (if cc_agrees then "agrees" else "DISAGREES")
+                (String.concat ", " cc_static_log)
+                (String.concat ", " cc_dynamic_log)
+                (List.length cc_races);
+              if not cc_agrees then failed := true;
               [
                 ( "dynamic",
                   Obs.Json.Obj
                     [
-                      ("agrees", Obs.Json.Bool cc.Rp_advisor.cc_agrees);
+                      ("agrees", Obs.Json.Bool cc_agrees);
                       ( "dynamic_log",
                         Obs.Json.List
-                          (List.map
-                             (fun v -> Obs.Json.String v)
-                             cc.Rp_advisor.cc_dynamic_log) );
-                      ("races", Obs.Json.Int (List.length cc.Rp_advisor.cc_races));
-                      ("segments", Obs.Json.Int cc.Rp_advisor.cc_segments);
+                          (List.map (fun v -> Obs.Json.String v) cc_dynamic_log)
+                      );
+                      ("races", Obs.Json.Int (List.length cc_races));
+                      ("segments", Obs.Json.Int cc_segments);
                     ] );
               ]
             end
@@ -806,9 +813,6 @@ let litmus_cmd =
       List.iter
         (fun (e : Litmus.Corpus.entry) ->
           let locs = Litmus.Prog.locs e.Litmus.Corpus.e_prog in
-          let ax v =
-            Litmus.Axiom.allowed ~variant:v e.Litmus.Corpus.e_prog
-          in
           if verbose then
             List.iter
               (fun v ->
@@ -816,24 +820,17 @@ let litmus_cmd =
                   e.Litmus.Corpus.e_name
                   (Litmus.Axiom.variant_name v)
                   (Litmus.Axiom.pp_outcomes locs)
-                  (ax v).Litmus.Axiom.outcomes)
+                  (Litmus.Axiom.allowed ~variant:v e.Litmus.Corpus.e_prog)
+                    .Litmus.Axiom.outcomes)
               e.Litmus.Corpus.e_variants;
-          (* axiom-level inclusions *)
-          let pcso = ax Litmus.Axiom.Pcso in
-          let sub a b =
-            Litmus.Axiom.Outcomes.subset a.Litmus.Axiom.outcomes
-              b.Litmus.Axiom.outcomes
-          in
-          if not (sub (ax Litmus.Axiom.Eadr) pcso) then begin
-            failed := true;
-            Fmt.pf ppf "%-16s AXIOM FAIL: eadr not within pcso@."
-              e.Litmus.Corpus.e_name
-          end;
-          if not (sub pcso (ax Litmus.Axiom.Ablation)) then begin
-            failed := true;
-            Fmt.pf ppf "%-16s AXIOM FAIL: pcso not within ablation@."
-              e.Litmus.Corpus.e_name
-          end;
+          List.iter
+            (fun (a, b) ->
+              failed := true;
+              Fmt.pf ppf "%-16s AXIOM FAIL: %s not within %s@."
+                e.Litmus.Corpus.e_name
+                (Litmus.Axiom.variant_name a)
+                (Litmus.Axiom.variant_name b))
+            (Litmus.Axiom.failed_inclusions e.Litmus.Corpus.e_prog);
           List.iter
             (fun v ->
               List.iter

@@ -44,9 +44,9 @@ let of_refmodel m =
 
 type status = { all_done : bool; halted : bool; error : string option }
 
-(* [on_access t] sees each access of thread [t] in evaluation order,
-   [on_rp t] each of its restart points. *)
-let steps ~on_access ~on_rp ~fuel ~sched_seed ~halt_var ~mem ~addr_of ~host
+(* [war], when given, sees each access of thread [t] in evaluation order
+   and each of its restart points. *)
+let steps ?war ~fuel ~sched_seed ~halt_var ~mem ~addr_of ~host
     (p : Ir.program) : status =
   List.iter
     (fun (v, i) ->
@@ -64,7 +64,7 @@ let steps ~on_access ~on_rp ~fuel ~sched_seed ~halt_var ~mem ~addr_of ~host
   let rec eval t = function
     | Ir.Int n -> n
     | Ir.Var v -> (
-        on_access t (Idempotence.Read v);
+        (match war with Some w -> Idempotence.read w ~tid:t v | None -> ());
         match addr_of v with
         | Some a -> mem.load a
         | None -> Hashtbl.find host v)
@@ -82,7 +82,9 @@ let steps ~on_access ~on_rp ~fuel ~sched_seed ~halt_var ~mem ~addr_of ~host
         | Ir.Skip -> ()
         | Ir.Assign (v, e) -> (
             let x = eval t e in
-            on_access t (Idempotence.Write v);
+            (match war with
+            | Some w -> Idempotence.write w ~tid:t v
+            | None -> ());
             match addr_of v with
             | Some a -> mem.store a x
             | None -> Hashtbl.replace host v x)
@@ -102,7 +104,10 @@ let steps ~on_access ~on_rp ~fuel ~sched_seed ~halt_var ~mem ~addr_of ~host
                     (Fmt.str "thread %s releases unheld lock L%d" names.(t) l);
               work.(t) <- []
             end
-        | Ir.Rp _ -> on_rp t
+        | Ir.Rp _ -> (
+            match war with
+            | Some w -> Idempotence.restart_point w ~tid:t
+            | None -> ())
         | Ir.Pwb v -> Option.iter mem.pwb (addr_of v)
         | Ir.Psync -> mem.psync ())
   in
@@ -145,25 +150,18 @@ let steps ~on_access ~on_rp ~fuel ~sched_seed ~halt_var ~mem ~addr_of ~host
   }
 
 let run ?(fuel = 100_000) ?(sched_seed = 0) ?halt_var ~mem ~addr_of p =
-  steps ~on_access:(fun _ _ -> ()) ~on_rp:ignore ~fuel ~sched_seed ~halt_var
-    ~mem ~addr_of ~host:(Hashtbl.create 16) p
+  steps ~fuel ~sched_seed ~halt_var ~mem ~addr_of ~host:(Hashtbl.create 16) p
 
 (* ------------------------------------------------------------------ *)
 (* Host reference interpreter: the stepper over the host table, with the
-   WAR observer attached *)
+   WAR automaton attached *)
 
 type obs = {
-  war : Vars.t;
-  segments : (string * Idempotence.access list list) list;
+  verdicts : (Ir.var * Idempotence.classification) list;
   finals : (Ir.var * int) list;
   completed : bool;
   thread_error : string option;
 }
-
-(* The section 3.3.2 state machine, applied to the executed path: a
-   region-local per-variable record of whether the first access so far
-   was a read. *)
-type region_state = Read_first | Written
 
 (* Every variable lives in the host table, so only [Psync] reaches this
    memory: persist instructions are volatile no-ops on the host. They
@@ -172,45 +170,16 @@ let volatile =
   { load = (fun _ -> 0); store = (fun _ _ -> ()); pwb = ignore; psync = ignore }
 
 let interp ?(fuel = 100_000) ?(sched_seed = 0) (p : Ir.program) : obs =
-  let n = List.length p.Ir.threads in
-  let regions = Array.init n (fun _ -> Hashtbl.create 8) in
-  let cur = Array.make n [] (* reversed *) in
-  let segs = Array.make n [] (* reversed *) in
-  let war = ref Vars.empty in
-  let on_access t a =
-    cur.(t) <- a :: cur.(t);
-    match a with
-    | Idempotence.Read v ->
-        if not (Hashtbl.mem regions.(t) v) then
-          Hashtbl.replace regions.(t) v Read_first
-    | Idempotence.Write v ->
-        if Hashtbl.find_opt regions.(t) v = Some Read_first then
-          war := Vars.add v !war;
-        Hashtbl.replace regions.(t) v Written
-  in
-  let flush_region t =
-    segs.(t) <- List.rev cur.(t) :: segs.(t);
-    cur.(t) <- [];
-    Hashtbl.reset regions.(t)
-  in
+  let war = Idempotence.create () in
   let host = Hashtbl.create 16 in
   let s =
-    steps ~on_access ~on_rp:flush_region ~fuel ~sched_seed ~halt_var:None
-      ~mem:volatile ~addr_of:(fun _ -> None) ~host p
+    steps ~war ~fuel ~sched_seed ~halt_var:None ~mem:volatile
+      ~addr_of:(fun _ -> None) ~host p
   in
-  for t = 0 to n - 1 do
-    flush_region t
-  done;
+  let declared = Ir.declared p in
   {
-    war = !war;
-    segments =
-      List.mapi
-        (fun t (th : Ir.thread) -> (th.Ir.tname, List.rev segs.(t)))
-        p.Ir.threads;
-    finals =
-      List.map
-        (fun (v, _) -> (v, Hashtbl.find host v))
-        (p.Ir.persistent @ p.Ir.transient);
+    verdicts = List.map (fun v -> (v, Idempotence.verdict war v)) declared;
+    finals = List.map (fun v -> (v, Hashtbl.find host v)) declared;
     completed = s.all_done;
     thread_error = s.error;
   }

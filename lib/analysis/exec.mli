@@ -10,12 +10,12 @@
     IR, through it, and the host interpreter is the same stepper.
 
     The {b host interpreter} ([interp]) is the stepper with every
-    variable in the host table and a WAR observer attached. It reports
-    the actual dynamic WAR set and per-region access traces — the
-    ground truth for the QCheck soundness property: {!Warstatic} must
-    flag every WAR any execution exhibits, and on straight-line
-    programs must agree exactly with {!Idempotence.classify} over the
-    recorded segments.
+    variable in the host table and the {!Idempotence} automaton
+    attached. It reports the actual dynamic WAR set and the automaton's
+    verdict per variable — the ground truth for the QCheck soundness
+    properties: {!Warstatic} must flag every WAR any execution
+    exhibits, and on straight-line programs must agree exactly with
+    the verdicts.
 
     The {b simulator world} ([sim_world]) runs the program on
     {!Simsched}/{!Respct.Runtime} under an instrumentation plan:
@@ -77,26 +77,24 @@ val run :
 (** {2 The host interpreter} *)
 
 type obs = {
-  war : Vars.t;  (** variables dynamically WAR in some region *)
-  segments : (string * Idempotence.access list list) list;
-      (** per thread: the straight-line access trace of each
-          restart-point-delimited region, in execution order (the last
-          segment is the trailing partial region) *)
+  verdicts : (Ir.var * Idempotence.classification) list;
+      (** the automaton's verdict on every declared variable, merged
+          over threads and restart-point-delimited regions *)
   finals : (Ir.var * int) list;
   completed : bool;  (** {!status}'s [all_done] *)
   thread_error : string option;  (** {!status}'s [error] *)
 }
 
 val interp : ?fuel:int -> ?sched_seed:int -> Ir.program -> obs
-(** {!run} with every variable in the host table and the WAR observer
+(** {!run} with every variable in the host table and the WAR automaton
     attached. Deadlocked or fuel-exhausted runs return [completed =
     false]; WARs observed up to that point are still real. *)
 
 type world = {
   w_mem : Simnvm.Memsys.t;
   w_bus : Simnvm.Event.bus;
-      (** the world's event bus, for attaching the dynamic advisor or a
-          race checker around [w_run] *)
+      (** the world's event bus, for attaching {!Audit.watch} around
+          [w_run] *)
   w_run : unit -> unit;
   w_completed : unit -> int;  (** restart points executed *)
   w_recover_check : unit -> (unit, string) result;

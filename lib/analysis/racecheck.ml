@@ -8,16 +8,10 @@
    and releases.
 
    The checker is streaming: [create] makes an empty state, [push] feeds
-   one event, [races] reads the verdicts so far. That shape lets it sit
-   directly on a trace bus as a subscriber, consuming events as the
+   one Simnvm.Event, [races] reads the verdicts so far. That shape lets
+   it sit directly on a world's bus (Audit), consuming events as the
    simulation produces them, with the batch [check] kept as a wrapper for
-   recorded event lists. *)
-
-type event =
-  | Racq of { thread : int; lock : int }
-  | Rrel of { thread : int; lock : int }
-  | Rread of { thread : int; addr : int }
-  | Rwrite of { thread : int; addr : int }
+   event lists. *)
 
 type access = Aread | Awrite
 
@@ -40,10 +34,6 @@ module Vc = struct
     Hashtbl.iter (fun i v -> if v > get a i then set a i v) b
 
   let copy (t : t) : t = Hashtbl.copy t
-
-  (* a <= b pointwise *)
-  let leq (a : t) (b : t) =
-    Hashtbl.fold (fun i v acc -> acc && v <= get b i) a true
 end
 
 type shadow = {
@@ -108,16 +98,16 @@ let report t addr (first, first_access) (second, second_access) =
 
 let push t ev =
   match ev with
-  | Racq { thread; lock } -> (
+  | Simnvm.Event.Acquire { tid = thread; lock } -> (
       let vc = vc_of t thread in
       match Hashtbl.find_opt t.locks lock with
       | Some lvc -> Vc.join vc lvc
       | None -> ())
-  | Rrel { thread; lock } ->
+  | Simnvm.Event.Release { tid = thread; lock } ->
       let vc = vc_of t thread in
       Hashtbl.replace t.locks lock (Vc.copy vc);
       Vc.set vc thread (Vc.get vc thread + 1)
-  | Rread { thread; addr } ->
+  | Simnvm.Event.Load { tid = thread; addr } ->
       let vc = vc_of t thread in
       let s = shadow_of t addr in
       List.iter
@@ -128,7 +118,7 @@ let push t ev =
       s.last_reads <-
         (thread, Vc.get vc thread)
         :: List.filter (fun (th, _) -> th <> thread) s.last_reads
-  | Rwrite { thread; addr } ->
+  | Simnvm.Event.Store { tid = thread; addr } ->
       let vc = vc_of t thread in
       let s = shadow_of t addr in
       List.iter
@@ -143,6 +133,7 @@ let push t ev =
         s.last_reads;
       s.last_writes <- [ (thread, Vc.get vc thread) ];
       s.last_reads <- []
+  | _ -> ()
 
 let races t = List.rev t.found
 let race_count t = t.n_races
@@ -153,5 +144,3 @@ let check events =
   races t
 
 let race_free events = check events = []
-
-let _ = Vc.leq (* exposed for tests of the vector-clock lattice *)

@@ -3,14 +3,8 @@
     ResPCT assumes race-free lock-based programs (paper section 2.1): two
     conflicting accesses to the same variable must be ordered by the
     happens-before edges of lock release/acquire pairs. This checker
-    validates the assumption for recorded traces with the standard
-    vector-clock algorithm. *)
-
-type event =
-  | Racq of { thread : int; lock : int }
-  | Rrel of { thread : int; lock : int }
-  | Rread of { thread : int; addr : int }
-  | Rwrite of { thread : int; addr : int }
+    validates the assumption for a world's event stream with the
+    standard vector-clock algorithm. *)
 
 type access = Aread | Awrite
 
@@ -31,8 +25,10 @@ type t
 
 val create : unit -> t
 
-val push : t -> event -> unit
-(** Feed one event in trace order. *)
+val push : t -> Simnvm.Event.t -> unit
+(** Feed one event in trace order. Only [Acquire], [Release], [Load] and
+    [Store] carry happens-before or access information; every other
+    event is ignored. *)
 
 val races : t -> race list
 (** Races detected so far, in trace order, deduplicated: at most one
@@ -46,11 +42,11 @@ val race_count : t -> int
     [race_count t >= List.length (races t)], with equality iff no pair
     raced more than once. *)
 
-(** {2 Batch interface over recorded traces} *)
+(** {2 Batch interface over event lists} *)
 
-val check : event list -> race list
+val check : Simnvm.Event.t list -> race list
 (** Conflicting, unordered access pairs, in trace order, deduplicated
     per (address, unordered thread pair) like [races]. *)
 
-val race_free : event list -> bool
+val race_free : Simnvm.Event.t list -> bool
 (** [check events = []]. *)

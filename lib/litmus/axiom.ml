@@ -196,6 +196,17 @@ let allowed ?max_states ~variant (p : Prog.t) : result =
 
 let mem_outcome r o = Outcomes.mem o r.outcomes
 
+let failed_inclusions p =
+  let set v = (allowed ~variant:v p).outcomes in
+  let pcso = set Pcso in
+  List.filter_map
+    (fun (a, sa, b, sb) -> if Outcomes.subset sa sb then None else Some (a, b))
+    [
+      (Eadr, set Eadr, Pcso, pcso);
+      (Pcso, pcso, Pcso_lazy, set Pcso_lazy);
+      (Pcso, pcso, Ablation, set Ablation);
+    ]
+
 (* Non-breaking separators: golden tests and replay files pin these
    strings, so they must never wrap. *)
 let pp_outcome locs ppf o =

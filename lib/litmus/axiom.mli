@@ -65,5 +65,9 @@ val enumerate :
 
 val mem_outcome : result -> int list -> bool
 
+val failed_inclusions : Prog.t -> (variant * variant) list
+(** The pairs [(a, b)] among eadr ⊆ pcso, pcso ⊆ pcso-lazy and pcso ⊆
+    ablation whose [a] outcomes [p] does not keep within [b]'s. *)
+
 val pp_outcome : Prog.loc list -> int list Fmt.t
 val pp_outcomes : Prog.loc list -> Outcomes.t Fmt.t

@@ -125,8 +125,8 @@ let unsubscribe b id =
       b.sink_fns.(n - 1) <- no_sink;
       b.n_sinks <- n - 1
 
-(* Run [f] with an accumulating subscriber attached, then detach it: the
-   capture the offline analyses (Rp_advisor, idempotence) consume. *)
+(* Run [f] with an accumulating subscriber attached, then detach it: a
+   whole run's stream as one list, for tests that inspect it. *)
 let record b f =
   let acc = ref [] in
   let id = subscribe b (fun ev -> acc := ev :: !acc) in

@@ -130,8 +130,8 @@ let arb_queue_mix ?(max_seed = 10_000) ~n () =
 
 (* ------------------------------------------------------------------ *)
 (* Seeded random IR programs for the static-analysis soundness
-   properties: the straight-line family must agree exactly with
-   Idempotence.classify over interpreter traces, the branchy family
+   properties: the straight-line family must agree exactly with the
+   interpreter's Idempotence verdicts, the branchy family
    must have its dynamic WAR set contained in the static one. All
    structure derives from the seed via the repo Rng, and the printer
    emits the whole program so a failing case replays from the output. *)

@@ -56,25 +56,27 @@ let test_needs_logging_matches_paper_example () =
 let test_locked_accesses_race_free () =
   let open Racecheck in
   let events =
-    [
-      Racq { thread = 1; lock = 0 };
-      Rwrite { thread = 1; addr = 100 };
-      Rrel { thread = 1; lock = 0 };
-      Racq { thread = 2; lock = 0 };
-      Rread { thread = 2; addr = 100 };
-      Rwrite { thread = 2; addr = 100 };
-      Rrel { thread = 2; lock = 0 };
-    ]
+    Simnvm.Event.
+      [
+        Acquire { tid = 1; lock = 0 };
+        Store { tid = 1; addr = 100 };
+        Release { tid = 1; lock = 0 };
+        Acquire { tid = 2; lock = 0 };
+        Load { tid = 2; addr = 100 };
+        Store { tid = 2; addr = 100 };
+        Release { tid = 2; lock = 0 };
+      ]
   in
   Alcotest.check Alcotest.bool "race free" true (race_free events)
 
 let test_unlocked_write_write_races () =
   let open Racecheck in
   let events =
-    [
-      Rwrite { thread = 1; addr = 100 };
-      Rwrite { thread = 2; addr = 100 };
-    ]
+    Simnvm.Event.
+      [
+        Store { tid = 1; addr = 100 };
+        Store { tid = 2; addr = 100 };
+      ]
   in
   Alcotest.check Alcotest.bool "detected" false (race_free events);
   match check events with
@@ -89,15 +91,16 @@ let test_unlocked_write_write_races () =
 let test_read_write_race () =
   let open Racecheck in
   let events =
-    [
-      Racq { thread = 1; lock = 0 };
-      Rread { thread = 1; addr = 7 };
-      Rrel { thread = 1; lock = 0 };
-      (* writer uses a different lock: still a race with the read *)
-      Racq { thread = 2; lock = 9 };
-      Rwrite { thread = 2; addr = 7 };
-      Rrel { thread = 2; lock = 9 };
-    ]
+    Simnvm.Event.
+      [
+        Acquire { tid = 1; lock = 0 };
+        Load { tid = 1; addr = 7 };
+        Release { tid = 1; lock = 0 };
+        (* writer uses a different lock: still a race with the read *)
+        Acquire { tid = 2; lock = 9 };
+        Store { tid = 2; addr = 7 };
+        Release { tid = 2; lock = 9 };
+      ]
   in
   Alcotest.check Alcotest.bool "different locks do not order" false
     (race_free events)
@@ -107,29 +110,31 @@ let test_hb_transitivity () =
   (* T1 -> (lock A) -> T2 -> (lock B) -> T3: T3's write is ordered after
      T1's via the chain, no race. *)
   let events =
-    [
-      Rwrite { thread = 1; addr = 42 };
-      Racq { thread = 1; lock = 1 };
-      Rrel { thread = 1; lock = 1 };
-      Racq { thread = 2; lock = 1 };
-      Racq { thread = 2; lock = 2 };
-      Rrel { thread = 2; lock = 2 };
-      Rrel { thread = 2; lock = 1 };
-      Racq { thread = 3; lock = 2 };
-      Rwrite { thread = 3; addr = 42 };
-      Rrel { thread = 3; lock = 2 };
-    ]
+    Simnvm.Event.
+      [
+        Store { tid = 1; addr = 42 };
+        Acquire { tid = 1; lock = 1 };
+        Release { tid = 1; lock = 1 };
+        Acquire { tid = 2; lock = 1 };
+        Acquire { tid = 2; lock = 2 };
+        Release { tid = 2; lock = 2 };
+        Release { tid = 2; lock = 1 };
+        Acquire { tid = 3; lock = 2 };
+        Store { tid = 3; addr = 42 };
+        Release { tid = 3; lock = 2 };
+      ]
   in
   Alcotest.check Alcotest.bool "transitive happens-before" true (race_free events)
 
 let test_same_thread_never_races () =
   let open Racecheck in
   let events =
-    [
-      Rwrite { thread = 1; addr = 5 };
-      Rread { thread = 1; addr = 5 };
-      Rwrite { thread = 1; addr = 5 };
-    ]
+    Simnvm.Event.
+      [
+        Store { tid = 1; addr = 5 };
+        Load { tid = 1; addr = 5 };
+        Store { tid = 1; addr = 5 };
+      ]
   in
   Alcotest.check Alcotest.bool "program order" true (race_free events)
 
@@ -137,12 +142,13 @@ let test_race_dedupe_and_count () =
   let open Racecheck in
   let t = create () in
   List.iter (push t)
-    [
-      Rwrite { thread = 1; addr = 100 };
-      Rwrite { thread = 2; addr = 100 };
-      Rwrite { thread = 1; addr = 100 };
-      Rwrite { thread = 2; addr = 100 };
-    ];
+    Simnvm.Event.
+      [
+        Store { tid = 1; addr = 100 };
+        Store { tid = 2; addr = 100 };
+        Store { tid = 1; addr = 100 };
+        Store { tid = 2; addr = 100 };
+      ];
   Alcotest.check Alcotest.int "one deduped report" 1 (List.length (races t));
   Alcotest.check Alcotest.int "race_count keeps every detection" 3
     (race_count t)
@@ -737,21 +743,6 @@ let test_redundant_pwb_dynamic () =
 (* ------------------------------------------------------------------ *)
 (* QCheck soundness: static analysis vs the interpreter *)
 
-let merge a b =
-  match (a, b) with
-  | Idempotence.War, _ | _, Idempotence.War -> Idempotence.War
-  | Idempotence.Raw, _ | _, Idempotence.Raw -> Idempotence.Raw
-  | Idempotence.No_dependency, Idempotence.No_dependency ->
-      Idempotence.No_dependency
-
-let dynamic_classify obs v =
-  List.fold_left
-    (fun acc (_, segs) ->
-      List.fold_left
-        (fun acc seg -> merge acc (Idempotence.classify seg v))
-        acc segs)
-    Idempotence.No_dependency obs.Exec.segments
-
 let straightline_exact =
   QCheck.Test.make ~count:1000 ~name:"straight-line static = Idempotence.classify"
     (Gen_common.arb_straightline_ir ~n:30 ())
@@ -761,8 +752,8 @@ let straightline_exact =
       if not obs.Exec.completed then
         QCheck.Test.fail_report "straight-line program did not complete";
       List.for_all
-        (fun v -> Warstatic.classify p v = dynamic_classify obs v)
-        (Ir.declared p))
+        (fun (v, verdict) -> Warstatic.classify p v = verdict)
+        obs.Exec.verdicts)
 
 let branchy_sound =
   QCheck.Test.make ~count:500
@@ -777,7 +768,10 @@ let branchy_sound =
           (match obs.Exec.thread_error with
           | Some e -> QCheck.Test.fail_report e
           | None -> ());
-          Dataflow.Vars.subset obs.Exec.war static_war)
+          List.for_all
+            (fun (v, verdict) ->
+              verdict <> Idempotence.War || Dataflow.Vars.mem v static_war)
+            obs.Exec.verdicts)
         [ 0; 1; 2 ])
 
 (* ------------------------------------------------------------------ *)

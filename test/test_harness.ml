@@ -164,7 +164,7 @@ let test_loc_report () =
         rows
 
 (* ------------------------------------------------------------------ *)
-(* RP advisor over recorded traces (the section 6 automation extension) *)
+(* The recorded-run audit (the section 6 automation extension) *)
 
 let traced_queue_world () =
   let mem =
@@ -190,7 +190,6 @@ let traced_queue_world () =
 let test_advisor_queue_war_rule () =
   let _mem, sched, rt = traced_queue_world () in
   let q = ref None in
-  let value_addr = ref 0 in
   ignore
     (Respct.Runtime.spawn rt ~slot:0 (fun _ctx ->
          let queue = Pds.Queue_respct.create rt ~slot:0 in
@@ -201,30 +200,28 @@ let test_advisor_queue_war_rule () =
            ignore (Pds.Queue_respct.dequeue queue ~slot:0);
            Respct.Runtime.rp rt ~slot:0 2
          done));
-  let heap_base = (Respct.Runtime.layout rt).Respct.Layout.heap_base in
-  let (), events =
-    Simnvm.Event.record (Simsched.Scheduler.trace_bus sched) (fun () ->
+  let (), report =
+    Analysis.Audit.watch (Simsched.Scheduler.trace_bus sched) (fun () ->
         match Simsched.Scheduler.run sched with
         | Simsched.Scheduler.Completed -> ()
         | Simsched.Scheduler.Crash_interrupt _ -> Alcotest.fail "crash")
   in
-  ignore !value_addr;
-  let report =
-    Harness.Rp_advisor.analyse ~addr_filter:(fun a -> a >= heap_base) events
-  in
+  let heap_base = (Respct.Runtime.layout rt).Respct.Layout.heap_base in
+  let on_heap = List.filter (fun a -> a >= heap_base) in
   let queue = Option.get !q in
   let head = Respct.Incll.record (Pds.Queue_respct.head_cell queue) in
   let tail = Respct.Incll.record (Pds.Queue_respct.tail_cell queue) in
   (* The rule derives exactly our instrumentation choices: head and tail
-     pointers are WAR across restart points -> they are InCLL variables. *)
-  Alcotest.(check bool) "head needs logging" true
-    (List.mem head report.Harness.Rp_advisor.needs_logging);
-  Alcotest.(check bool) "tail needs logging" true
-    (List.mem tail report.Harness.Rp_advisor.needs_logging);
-  Alcotest.(check bool) "segments seen" true
-    (report.Harness.Rp_advisor.segments >= 20);
+     pointers are WAR across restart points -> they are InCLL variables,
+     and nothing else on the heap is. *)
+  Alcotest.(check (list int)) "exactly head and tail need logging"
+    (List.sort compare [ head; tail ])
+    (on_heap report.Analysis.Audit.needs_logging);
+  (* one segment per restart point: the first plus twenty in the loop *)
+  Alcotest.(check int) "segments seen" 21
+    report.Analysis.Audit.segments;
   Alcotest.(check bool) "write-only data exists (payload words)" true
-    (report.Harness.Rp_advisor.write_only <> [])
+    (on_heap report.Analysis.Audit.write_only <> [])
 
 let test_advisor_race_freedom_of_map () =
   let mem =
@@ -277,21 +274,23 @@ let test_advisor_race_freedom_of_map () =
            done;
            if w = 0 then Respct.Runtime.stop rt))
   done;
-  let heap_base = (Respct.Runtime.layout rt).Respct.Layout.heap_base in
-  let (), events =
-    Simnvm.Event.record (Simsched.Scheduler.trace_bus sched) (fun () ->
+  let (), report =
+    Analysis.Audit.watch (Simsched.Scheduler.trace_bus sched) (fun () ->
         match Simsched.Scheduler.run sched with
         | Simsched.Scheduler.Completed -> ()
         | Simsched.Scheduler.Crash_interrupt _ -> Alcotest.fail "crash")
   in
-  let report =
-    Harness.Rp_advisor.analyse ~addr_filter:(fun a -> a >= heap_base) events
-  in
+  let heap_base = (Respct.Runtime.layout rt).Respct.Layout.heap_base in
   (* The lock-per-bucket map keeps the section 2.1 assumption: the shared
      structure accesses are race-free. (Per-thread RP cells and tracking
      are private by construction.) *)
   Alcotest.(check int) "no data races on the shared structure" 0
-    (List.length report.Harness.Rp_advisor.races)
+    (List.length
+       (List.filter
+          (fun r -> r.Analysis.Racecheck.addr >= heap_base)
+          report.Analysis.Audit.races));
+  Alcotest.(check int) "one segment per restart point (2 x 200)" 400
+    report.Analysis.Audit.segments
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of the structured-results path *)
@@ -685,30 +684,37 @@ let test_lint_json_golden () =
   Alcotest.(check string) "re-run produces the same bytes" (render ())
     (render ())
 
-(* The static analyzer and the dynamic trace advisor automate the same
+(* The static analyzer and the recorded-run audit automate the same
    section 3.3.2 rule from opposite ends; on the IR corpus they must
-   agree (every dynamically observed WAR variable statically logged)
-   and the locked corpus programs must trace race-free. *)
+   agree exactly (every logged variable is dynamically WAR and every
+   dynamic WAR variable statically logged), every restart point must
+   close one segment, and the locked corpus programs must trace
+   race-free. *)
 let test_static_dynamic_advisor_agree () =
+  let expected =
+    [
+      ("bank-transfer", ([ "acct0"; "acct1"; "acct2" ], 12));
+      ("kv-update", ([ "size"; "slot0"; "slot1" ], 6));
+      ("wal-append", ([], 6));
+    ]
+  in
   List.iter
     (fun (name, prog) ->
-      let cc = Harness.Rp_advisor.cross_check_ir ~n_ops:6 prog in
-      Alcotest.(check (list string))
-        (name ^ ": no dynamic WAR outside the static plan")
-        [] cc.Harness.Rp_advisor.cc_dynamic_only;
-      Alcotest.(check bool)
-        (name ^ ": dynamic advisor saw the WAR vars at all")
-        true
-        (cc.Harness.Rp_advisor.cc_dynamic_log <> []);
+      let log, segments = List.assoc name expected in
+      let cc = Analysis.Audit.cross_check_ir ~n_ops:6 prog in
+      Alcotest.(check (list string)) (name ^ ": static log") log
+        cc.Analysis.Audit.cc_static_log;
+      Alcotest.(check (list string)) (name ^ ": dynamic log = static log")
+        cc.Analysis.Audit.cc_static_log
+        cc.Analysis.Audit.cc_dynamic_log;
       Alcotest.(check int)
         (name ^ ": persistent accesses race-free")
         0
-        (List.length cc.Harness.Rp_advisor.cc_races);
-      Alcotest.(check bool)
+        (List.length cc.Analysis.Audit.cc_races);
+      Alcotest.(check int)
         (name ^ ": restart points segmented the trace")
-        true
-        (cc.Harness.Rp_advisor.cc_segments > 0))
-    Analysis.Corpus.all
+        segments cc.Analysis.Audit.cc_segments)
+    (Analysis.Corpus.all @ Analysis.Corpus.flush_corpus)
 
 let () =
   Alcotest.run "harness"
