@@ -31,10 +31,18 @@
    back if it is still Ready after its slice, and the running thread's
    preemption bound reads the heap top. [kill_all] empties the heap.
 
+   The heap is two flat parallel arrays, a [float array] of clocks and an
+   [int array] of tids, sifted in place: a compare reads two adjacent
+   keys instead of following two thread records to their clocks, and a
+   move writes no pointer, so it runs no write barrier (DESIGN.md section
+   10 has the measured switch costs). [pop] maps the top tid back to its
+   thread through [threads].
+
    Invariant: a queued thread's clock never changes. Only [wakeup] (on a
    Blocked thread, before pushing it) and [charge], [advance_to] and
    [sleep_until] (on the running thread, which is not queued) write
-   clocks, so the heap order stays valid without re-keying.
+   clocks, so the heap order stays valid without re-keying, and the
+   clock copied into the heap at [push] stays exact.
 
    Allocation: every simulated access charges and polls, and a map
    operation switches threads about five times, so none of these paths
@@ -42,8 +50,9 @@
    which OCaml stores flat: writing a float field of a mixed record would
    box it at every charge. No thread running is the [idle] sentinel, not
    an option. Each thread's effect-handler closures are built once, when
-   it first runs. What a switch still allocates is the runtime's
-   continuation and the [Some] that parks it. *)
+   it first runs. The heap sifts box no clock (see [push]). What a switch
+   still allocates is the runtime's continuation and the [Some] that
+   parks it. *)
 
 exception Crashed
 exception Deadlock of string
@@ -69,7 +78,11 @@ and status = Ready | Running | Blocked | Finished
 type t = {
   mutable threads : thread array; (* index = tid, spawn order *)
   mutable n_threads : int;
-  mutable ready : thread array; (* min-heap of Ready threads, see [before] *)
+  (* The ready heap, see [before]: entry [i] is the thread
+     [ready_tid.(i)], queued at clock [ready_clock.(i)]. Both arrays are
+     as long as [threads], since a thread is queued at most once. *)
+  mutable ready_clock : float array;
+  mutable ready_tid : int array;
   mutable n_ready : int;
   mutable current : thread; (* [idle] when no simulated thread runs *)
   bound : vtime; (* preemption bound for the running thread *)
@@ -99,7 +112,8 @@ let create ?bus ?(seed = 1) ?(quantum = 0.0) ?(jitter = 0.0) () =
   {
     threads = [||];
     n_threads = 0;
-    ready = [||];
+    ready_clock = [||];
+    ready_tid = [||];
     n_ready = 0;
     current = idle;
     bound = { ns = infinity };
@@ -136,50 +150,72 @@ let tighten_bound t th =
 
 (* Heap order: the smaller clock first, the newer thread on equal clocks.
    Tids are unique, so this is a strict total order and the heap top is
-   one well-defined thread. *)
-let before a b =
-  a.clock.ns < b.clock.ns || (a.clock.ns = b.clock.ns && a.tid > b.tid)
+   one well-defined thread. Inlined, so no clock is boxed to call it. *)
+let[@inline] before (clock_a : float) (tid_a : int) clock_b tid_b =
+  clock_a < clock_b || (clock_a = clock_b && tid_a > tid_b)
 
-(* The sifts are top-level functions: local ones would be closures
-   allocated at every push and pop. *)
-let rec sift_up heap th i =
-  let parent = (i - 1) / 2 in
-  if i > 0 && before th heap.(parent) then begin
-    heap.(i) <- heap.(parent);
-    sift_up heap th parent
-  end
-  else heap.(i) <- th
+(* The sifts are loops over the two arrays, not recursive helpers: a
+   float passed to a call that is not inlined is boxed. They skip the
+   bounds checks: every index is below [n_ready] but [push]'s first hole,
+   which the assertion keeps inside the arrays. *)
 
-(* Fill hole [i] of the [n]-element heap with [last] or a child. *)
-let rec sift_down heap n last i =
-  let l = (2 * i) + 1 in
-  if l >= n then heap.(i) <- last
-  else
-    let c = if l + 1 < n && before heap.(l + 1) heap.(l) then l + 1 else l in
-    if before heap.(c) last then begin
-      heap.(i) <- heap.(c);
-      sift_down heap n last c
-    end
-    else heap.(i) <- last
-
+(* Queue Ready [th]: a hole at the end rises to its entry's place. *)
 let push t th =
-  let n = t.n_ready in
-  if n = Array.length t.ready then begin
-    let arr = Array.make (max 8 (2 * n)) th in
-    Array.blit t.ready 0 arr 0 n;
-    t.ready <- arr
-  end;
-  sift_up t.ready th n;
-  t.n_ready <- n + 1
+  let clocks = t.ready_clock and tids = t.ready_tid in
+  let clock = th.clock.ns and tid = th.tid in
+  let i = ref t.n_ready and sifting = ref true in
+  assert (!i < Array.length tids);
+  while !sifting && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if before clock tid (Array.unsafe_get clocks p) (Array.unsafe_get tids p)
+    then begin
+      Array.unsafe_set clocks !i (Array.unsafe_get clocks p);
+      Array.unsafe_set tids !i (Array.unsafe_get tids p);
+      i := p
+    end
+    else sifting := false
+  done;
+  Array.unsafe_set clocks !i clock;
+  Array.unsafe_set tids !i tid;
+  t.n_ready <- t.n_ready + 1
 
-(* Remove and return the heap top; [t.n_ready] must be positive. *)
+(* Remove the heap top and return its thread; [t.n_ready] must be
+   positive. The hole at the root sinks until the last entry fits. *)
 let pop t =
-  let heap = t.ready in
-  let top = heap.(0) in
+  let clocks = t.ready_clock and tids = t.ready_tid in
+  let top = tids.(0) in
   let n = t.n_ready - 1 in
   t.n_ready <- n;
-  if n > 0 then sift_down heap n heap.(n) 0;
-  top
+  if n > 0 then begin
+    let clock = Array.unsafe_get clocks n and tid = Array.unsafe_get tids n in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let c =
+          if
+            l + 1 < n
+            && before
+                 (Array.unsafe_get clocks (l + 1))
+                 (Array.unsafe_get tids (l + 1))
+                 (Array.unsafe_get clocks l) (Array.unsafe_get tids l)
+          then l + 1
+          else l
+        in
+        if before (Array.unsafe_get clocks c) (Array.unsafe_get tids c) clock tid
+        then begin
+          Array.unsafe_set clocks !i (Array.unsafe_get clocks c);
+          Array.unsafe_set tids !i (Array.unsafe_get tids c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    Array.unsafe_set clocks !i clock;
+    Array.unsafe_set tids !i tid
+  end;
+  t.threads.(top)
 
 let spawn ?(name = "thread") t f =
   let th =
@@ -197,7 +233,12 @@ let spawn ?(name = "thread") t f =
     let cap = max 8 (2 * n) in
     let arr = Array.make cap th in
     Array.blit t.threads 0 arr 0 n;
-    t.threads <- arr
+    t.threads <- arr;
+    let clocks = Array.make cap 0.0 and tids = Array.make cap 0 in
+    Array.blit t.ready_clock 0 clocks 0 t.n_ready;
+    Array.blit t.ready_tid 0 tids 0 t.n_ready;
+    t.ready_clock <- clocks;
+    t.ready_tid <- tids
   end;
   t.threads.(n) <- th;
   t.n_threads <- n + 1;
@@ -301,7 +342,7 @@ let handler t th =
    another thread should get the processor in virtual time. The running
    thread has been popped, so this is the heap top. *)
 let[@inline] next_other_clock t =
-  if t.n_ready > 0 then t.ready.(0).clock.ns else infinity
+  if t.n_ready > 0 then t.ready_clock.(0) else infinity
 
 (* Run [th], just popped from the heap, for one slice. *)
 let dispatch t th =
@@ -370,7 +411,7 @@ let run t =
       else Completed
     else
       match t.crash_at with
-      | Some c when t.ready.(0).clock.ns >= c ->
+      | Some c when t.ready_clock.(0) >= c ->
           kill_all t;
           Crash_interrupt c
       | Some _ | None ->

@@ -223,6 +223,38 @@ let test_advisor_queue_war_rule () =
   Alcotest.(check bool) "write-only data exists (payload words)" true
     (on_heap report.Analysis.Audit.write_only <> [])
 
+(* The transition from Written back to a read on the address path: in
+   one segment, address A is stored, loaded and stored again (its first
+   access is a write, so re-execution is idempotent) while B is loaded
+   and then stored (a WAR). Only B needs logging. *)
+let test_audit_read_after_write () =
+  let mem = Simnvm.Memsys.create Simnvm.Memsys.default_config in
+  let sched = Simsched.Scheduler.create () in
+  let env = Simsched.Env.make mem sched in
+  let a = 64 and b = 128 in
+  ignore
+    (Simsched.Scheduler.spawn sched (fun () ->
+         Simsched.Env.store env a 1;
+         ignore (Simsched.Env.load env a);
+         Simsched.Env.store env a 2;
+         ignore (Simsched.Env.load env b);
+         Simsched.Env.store env b 3;
+         Simnvm.Event.emit
+           (Simsched.Scheduler.trace_bus sched)
+           (Simnvm.Event.Restart_point
+              { tid = Simsched.Scheduler.current_tid sched; id = 1 })));
+  let (), report =
+    Analysis.Audit.watch (Simsched.Scheduler.trace_bus sched) (fun () ->
+        match Simsched.Scheduler.run sched with
+        | Simsched.Scheduler.Completed -> ()
+        | Simsched.Scheduler.Crash_interrupt _ -> Alcotest.fail "crash")
+  in
+  Alcotest.(check (list int)) "B, not A, needs logging" [ b ]
+    report.Analysis.Audit.needs_logging;
+  Alcotest.(check (list int)) "A is write-only" [ a ]
+    report.Analysis.Audit.write_only;
+  Alcotest.(check int) "one segment" 1 report.Analysis.Audit.segments
+
 let test_advisor_race_freedom_of_map () =
   let mem =
     Simnvm.Memsys.create
@@ -775,6 +807,8 @@ let () =
         [
           Alcotest.test_case "queue WAR rule matches instrumentation" `Quick
             test_advisor_queue_war_rule;
+          Alcotest.test_case "read after write is not WAR" `Quick
+            test_audit_read_after_write;
           Alcotest.test_case "map trace is race-free" `Quick
             test_advisor_race_freedom_of_map;
           Alcotest.test_case "static plan contains dynamic advisor" `Quick
