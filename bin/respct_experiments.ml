@@ -51,20 +51,27 @@ let update_arg =
     value & opt int 50
     & info [ "update" ] ~doc:"Update percentage of the map mix (rest search).")
 
-(* The one --json sink. The path is opened for writing (without
-   truncating it) before the subcommand does any work, so an unwritable
-   path fails with exit 2 up front and an existing file is left as it was
-   until [write_json] replaces it. *)
+(* The one --json sink. It must be writable before the subcommand does
+   any work (exit 2 otherwise), but nothing is created until [write_json]
+   writes the document, so a refused run leaves no file behind and an
+   existing file stays as it was until then. *)
 let json_arg =
+  let writable path =
+    match Unix.stat path with
+    | { Unix.st_kind = Unix.S_DIR; _ } ->
+        raise (Unix.Unix_error (Unix.EISDIR, "stat", path))
+    | _ -> Unix.access path [ Unix.W_OK ]
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
+        Unix.access (Filename.dirname path) [ Unix.W_OK ]
+  in
   let check = function
     | None -> None
     | Some path -> (
-        match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
-        | oc ->
-            close_out oc;
-            Some path
-        | exception Sys_error msg ->
-            Printf.eprintf "cannot write --json sink: %s\n" msg;
+        match writable path with
+        | () -> Some path
+        | exception Unix.Unix_error (e, _, _) ->
+            Printf.eprintf "cannot write --json sink: %s: %s\n" path
+              (Unix.error_message e);
             exit 2)
   in
   let path =
@@ -82,6 +89,29 @@ let write_json sink doc =
       Obs.Json.to_file path doc;
       Fmt.pr "[structured results written to %s]@." path)
     sink
+
+(* Run a campaign whose flags are valid (exit 2 naming the problem
+   otherwise), then print its text, write its counterexample file and its
+   JSON document, and exit 1 unless it passed. *)
+let run_campaign ?ce_file json = function
+  | Error msg ->
+      Fmt.epr "%s@." msg;
+      exit 2
+  | Ok t ->
+      let r = Obs.Jobs.run t in
+      print_string r.Obs.Jobs.text;
+      Option.iter
+        (fun text ->
+          Option.iter
+            (fun file ->
+              try
+                Out_channel.with_open_text file (fun oc ->
+                    Out_channel.output_string oc text)
+              with Sys_error msg -> Fmt.epr "cannot write %s: %s@." file msg)
+            ce_file)
+        r.Obs.Jobs.counterexample;
+      write_json json r.Obs.Jobs.json;
+      if not r.Obs.Jobs.ok then exit 1
 
 let map_cmd =
   let run scale threads system update_pct json =
@@ -306,12 +336,6 @@ let perf_cmd =
           a baseline.")
     Term.(const run $ preset_arg $ json_arg $ compare_arg $ only_arg)
 
-(* The line a shrunk counterexample gets when its printed text did not
-   replay. *)
-let pp_parity ppf = function
-  | Ok () -> ()
-  | Error m -> Fmt.pf ppf "REPLAY DID NOT REPRODUCE (%s)@." m
-
 let crashmatrix_cmd =
   let deep_arg =
     Arg.(
@@ -331,15 +355,15 @@ let crashmatrix_cmd =
   let mode_arg =
     Arg.(
       value
-      & vflag `Matrix
+      & vflag Crashtest.Matrix.Matrix
           [
-            ( `Ablation,
+            ( Crashtest.Matrix.Ablation_check,
               info [ "ablation-check" ]
                 ~doc:
                   "Check the PCSO-reliance asymmetry: under word-granular \
                    write-back, InCLL-based systems must report violations \
                    and explicitly-flushing systems must not." );
-            ( `Faults,
+            ( Crashtest.Matrix.Faults_check,
               info [ "faults" ]
                 ~doc:
                   "Run the media-fault dimension: layer deterministic torn / \
@@ -347,7 +371,7 @@ let crashmatrix_cmd =
                    every crash image; integrity-mode recovery must detect or \
                    exactly repair every fault and the planted \
                    no-verification mutant must break." );
-            ( `Pipeline,
+            ( Crashtest.Matrix.Pipeline_check,
               info [ "pipeline" ]
                 ~doc:
                   "Run the pipelined-checkpointing dimension: pipeline-mode \
@@ -376,65 +400,24 @@ let crashmatrix_cmd =
              shrinking). The file grid takes no dimension flag, \
              --scenario, --no-schedules or --json.")
   in
-  let run deep filter mode no_schedules backend json =
+  let run deep filter dimension no_schedules backend json =
     let p = if deep then Crashtest.Matrix.deep else Crashtest.Matrix.smoke in
-    let exit_with ok = if ok then `Ok () else exit 1 in
     match backend with
-    | `File ->
-        if mode <> `Matrix || filter <> None || no_schedules then
-          `Error
-            ( true,
-              "--backend file runs the file-image grid alone: drop \
-               --ablation-check, --faults, --pipeline, --scenario and \
-               --no-schedules" )
-        else if json <> None then
-          `Error (true, "--json lists explored worlds; the file grid has none")
-        else exit_with (Crashtest.Filematrix.check p Fmt.stdout)
+    | `File when dimension <> Crashtest.Matrix.Matrix || filter <> None
+                 || no_schedules ->
+        `Error
+          ( true,
+            "--backend file runs the file-image grid alone: drop \
+             --ablation-check, --faults, --pipeline, --scenario and \
+             --no-schedules" )
+    | `File when json <> None ->
+        `Error (true, "--json lists explored worlds; the file grid has none")
+    | `File -> `Ok (run_campaign None (Ok (Crashtest.Filematrix.jobs p)))
     | `Sim ->
-        let dimension, check, name =
-          match mode with
-          | `Matrix ->
-              (Crashtest.Scenarios.Ablation, Crashtest.Matrix.run, "matrix")
-          | `Ablation ->
-              ( Crashtest.Scenarios.Ablation,
-                Crashtest.Matrix.ablation_check,
-                "ablation-check" )
-          | `Faults ->
-              ( Crashtest.Scenarios.Faults,
-                Crashtest.Matrix.faults_check,
-                "faults" )
-          | `Pipeline ->
-              ( Crashtest.Scenarios.Pipeline,
-                Crashtest.Matrix.pipeline_check,
-                "pipeline" )
-        in
-        Option.iter
-          (fun prefix ->
-            if Crashtest.Matrix.entries ~filter:prefix dimension = [] then begin
-              Fmt.epr "unknown scenario %s (know: %s)@." prefix
-                (String.concat ", "
-                   (List.map
-                      (fun (e : Crashtest.Scenarios.entry) ->
-                        e.Crashtest.Scenarios.id)
-                      (Crashtest.Matrix.entries dimension)));
-              exit 2
-            end)
-          filter;
-        let rows = ref [] in
-        let ok =
-          check ?filter ~schedules:(not no_schedules)
-            ~record:(fun o -> rows := Crashtest.Report.outcome_json o :: !rows)
-            p Fmt.stdout
-        in
-        write_json json
-          (Obs.Json.Obj
-             [
-               ("schema", Obs.Json.String "respct-crashmatrix/v1");
-               ("preset", Obs.Json.String p.Crashtest.Matrix.label);
-               ("dimension", Obs.Json.String name);
-               ("worlds", Obs.Json.List (List.rev !rows));
-             ]);
-        exit_with ok
+        `Ok
+          (run_campaign json
+             (Crashtest.Matrix.jobs ?filter ~schedules:(not no_schedules)
+                dimension p))
   in
   Cmd.v
     (Cmd.info "crashmatrix"
@@ -493,10 +476,9 @@ let analyze_cmd =
       & opt
           (some
              (enum
-                [
-                  ("strip-psync", Litmus.Axcheck.Strip_psync);
-                  ("redundant-pwb", Litmus.Axcheck.Inject_redundant_pwb);
-                ]))
+                (List.map
+                   (fun m -> (Analysis.Flushlint.mutant_name m, m))
+                   Analysis.Flushlint.mutants)))
           None
       & info [ "mutant" ] ~docv:"KIND"
           ~doc:
@@ -532,186 +514,15 @@ let analyze_cmd =
   in
   let run program iters json strip dynamic persistency mutant axcheck axseed
       ce_file =
-    let ppf = Fmt.stdout in
-    let corpus = Analysis.Corpus.all @ Analysis.Corpus.flush_corpus in
-    let selected =
-      match program with
-      | None -> corpus
-      | Some n -> (
-          match List.filter (fun (cn, _) -> cn = n) corpus with
-          | [] ->
-              Fmt.epr "unknown program %s (know: %s)@." n
-                (String.concat ", " (List.map fst corpus));
-              exit 2
-          | l -> l)
-    in
-    let failed = ref false in
-    let expected_rule =
-      match mutant with
-      | None -> None
-      | Some Litmus.Axcheck.Strip_psync ->
-          Some "missing-psync-before-dependent-publish"
-      | Some Litmus.Axcheck.Inject_redundant_pwb -> Some "redundant-pwb"
-    in
-    let mutant_hits = ref 0 in
-    let docs =
-      List.map
-        (fun (cname, prog) ->
-          let base = prog ~iters in
-          let base =
-            match mutant with
-            | None -> base
-            | Some Litmus.Axcheck.Strip_psync ->
-                Analysis.Flushlint.strip_psync base
-            | Some Litmus.Axcheck.Inject_redundant_pwb ->
-                Analysis.Flushlint.inject_redundant_pwb base
-          in
-          let p, plan = Analysis.Placement.infer base in
-          let plan =
-            match strip with
-            | None -> plan
-            | Some v ->
-                {
-                  plan with
-                  Analysis.Placement.log =
-                    Analysis.Dataflow.Vars.remove v plan.Analysis.Placement.log;
-                }
-          in
-          let findings = Analysis.Lint.run ~plan p in
-          Fmt.pf ppf "== %s ==@.%a@." cname Analysis.Placement.pp_plan plan;
-          List.iter (Fmt.pf ppf "%a@." Analysis.Lint.pp_finding) findings;
-          (match expected_rule with
-          | None -> ()
-          | Some r ->
-              let hits =
-                List.filter
-                  (fun (f : Analysis.Lint.finding) ->
-                    Analysis.Lint.rule_name f.Analysis.Lint.rule = r)
-                  findings
-              in
-              mutant_hits := !mutant_hits + List.length hits);
-          let errors = Analysis.Lint.errors findings in
-          if errors <> [] then begin
-            failed := true;
-            Fmt.pf ppf "%d error(s)@." (List.length errors)
-          end;
-          let pers_json =
-            if not persistency then []
-            else begin
-              let summary =
-                Analysis.Persistate.summarize
-                  ~crash_var:Litmus.World.halt_var
-                  (Analysis.Persistate.create p)
-              in
-              Fmt.pf ppf "%a@." Analysis.Persistate.pp_summary summary;
-              [ ("persistency", Analysis.Persistate.summary_to_json summary) ]
-            end
-          in
-          let dyn_json =
-            if not dynamic then []
-            else begin
-              let {
-                Analysis.Audit.cc_agrees;
-                cc_static_log;
-                cc_dynamic_log;
-                cc_races;
-                cc_segments;
-              } =
-                Analysis.Audit.cross_check_ir ~n_ops:iters prog
-              in
-              Fmt.pf ppf
-                "dynamic cross-check: %s (static log {%s} / dynamic {%s}), \
-                 %d race(s)@."
-                (if cc_agrees then "agrees" else "DISAGREES")
-                (String.concat ", " cc_static_log)
-                (String.concat ", " cc_dynamic_log)
-                (List.length cc_races);
-              if not cc_agrees then failed := true;
-              [
-                ( "dynamic",
-                  Obs.Json.Obj
-                    [
-                      ("agrees", Obs.Json.Bool cc_agrees);
-                      ( "dynamic_log",
-                        Obs.Json.List
-                          (List.map (fun v -> Obs.Json.String v) cc_dynamic_log)
-                      );
-                      ("races", Obs.Json.Int (List.length cc_races));
-                      ("segments", Obs.Json.Int cc_segments);
-                    ] );
-              ]
-            end
-          in
-          Obs.Json.Obj
-            ([
-               ("name", Obs.Json.String cname);
-               ("plan", Analysis.Placement.plan_to_json p plan);
-               ("lint", Analysis.Lint.to_json p findings);
-             ]
-            @ pers_json @ dyn_json))
-        selected
-    in
-    let write_ce text =
-      try
-        Out_channel.with_open_text ce_file (fun oc ->
-            Out_channel.output_string oc text)
-      with Sys_error msg -> Fmt.epr "cannot write %s: %s@." ce_file msg
-    in
-    (match (mutant, expected_rule) with
-    | Some m, Some r ->
-        let mname = Litmus.Axcheck.mutant_name m in
-        if !mutant_hits > 0 then begin
-          failed := true;
-          Fmt.pf ppf "mutant %s caught statically: %d %s finding(s)@." mname
-            !mutant_hits r
-        end
-        else Fmt.pf ppf "mutant %s NOT caught (no %s finding)@." mname r;
-        if m = Litmus.Axcheck.Strip_psync then begin
-          match
-            Litmus.Axcheck.counterexample ~mutant:m
-              ~variant:Litmus.Axiom.Pcso_lazy Litmus.Axcheck.demo
-          with
-          | None ->
-              failed := true;
-              Fmt.pf ppf
-                "axcheck: stripped WAL twin shows no claim violation — \
-                 the gate lost its teeth@."
-          | Some s ->
-              write_ce s.Obs.Cx.text;
-              Fmt.pf ppf
-                "axcheck: WAL twin claim violated under %s (re-run: \
-                 replay %s):@.%s%a"
-                mname ce_file s.Obs.Cx.text pp_parity s.Obs.Cx.parity
-        end
-    | _ -> ());
-    let ax_json =
-      match axcheck with
-      | None -> []
-      | Some n ->
-          let r = Litmus.Axcheck.fuzz ~n ~seed:axseed () in
-          Fmt.pf ppf
-            "axcheck: %d programs tested, %d skipped (state cap), %d \
-             must-durable claims verified@."
-            r.Litmus.Axcheck.fz_tested r.Litmus.Axcheck.fz_skipped
-            r.Litmus.Axcheck.fz_claims;
-          (match r.Litmus.Axcheck.fz_failure with
-          | None -> ()
-          | Some s ->
-              failed := true;
-              write_ce s.Obs.Cx.text;
-              Fmt.pf ppf
-                "axcheck: shrunk soundness violation (re-run: replay %s):@.%s%a"
-                ce_file s.Obs.Cx.text pp_parity s.Obs.Cx.parity);
-          [ ("axcheck", Litmus.Axcheck.fuzz_to_json r) ]
-    in
-    write_json json
-      (Obs.Json.Obj
-         ([
-            ("schema", Obs.Json.String "respct-analyze/v2");
-            ("programs", Obs.Json.List docs);
-          ]
-         @ ax_json));
-    if !failed then exit 1
+    run_campaign ~ce_file json
+      (Result.map
+         (fun programs ->
+           Obs.Jobs.append programs
+             (Litmus.Axcheck.jobs ?mutant
+                ?fuzz:(Option.map (fun n -> (n, axseed)) axcheck)
+                ~ce_file ()))
+         (Analysis.Analyze.jobs ?program ?mutant ?strip ~iters ~dynamic
+            ~persistency ()))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -799,125 +610,13 @@ let litmus_cmd =
       & info [ "counterexample-out" ] ~docv:"FILE"
           ~doc:"Where --fuzz writes a shrunk counterexample.")
   in
-  let run corpus fuzz_n seed samples world variant mutant verbose ce_file json
-      =
-    let ppf = Fmt.stdout in
-    let worlds =
-      match world with Some w -> [ w ] | None -> Litmus.World.all_ids
-    in
-    if mutant then
-      Litmus.World.set_mutant (Some Litmus.World.Drop_same_line_order);
-    let failed = ref false in
-    let reports = ref [] in
-    if corpus then begin
-      List.iter
-        (fun (e : Litmus.Corpus.entry) ->
-          let locs = Litmus.Prog.locs e.Litmus.Corpus.e_prog in
-          if verbose then
-            List.iter
-              (fun v ->
-                Fmt.pf ppf "%-16s %-9s allowed %a@."
-                  e.Litmus.Corpus.e_name
-                  (Litmus.Axiom.variant_name v)
-                  (Litmus.Axiom.pp_outcomes locs)
-                  (Litmus.Axiom.allowed ~variant:v e.Litmus.Corpus.e_prog)
-                    .Litmus.Axiom.outcomes)
-              e.Litmus.Corpus.e_variants;
-          List.iter
-            (fun (a, b) ->
-              failed := true;
-              Fmt.pf ppf "%-16s AXIOM FAIL: %s not within %s@."
-                e.Litmus.Corpus.e_name
-                (Litmus.Axiom.variant_name a)
-                (Litmus.Axiom.variant_name b))
-            (Litmus.Axiom.failed_inclusions e.Litmus.Corpus.e_prog);
-          List.iter
-            (fun v ->
-              List.iter
-                (fun w ->
-                  let r =
-                    Litmus.Harness.check ~samples ~seed ~world:w
-                      ~variant:v e.Litmus.Corpus.e_prog
-                  in
-                  reports := r :: !reports;
-                  match r.Litmus.Harness.r_violations with
-                  | [] ->
-                      Fmt.pf ppf "%-16s %-6s %-9s ok (%d samples)@."
-                        e.Litmus.Corpus.e_name
-                        (Litmus.World.id_name w)
-                        (Litmus.Axiom.variant_name v)
-                        r.Litmus.Harness.r_samples
-                  | v0 :: _ ->
-                      failed := true;
-                      Fmt.pf ppf "%-16s %-6s %-9s VIOLATION %a@."
-                        e.Litmus.Corpus.e_name
-                        (Litmus.World.id_name w)
-                        (Litmus.Axiom.variant_name v)
-                        (Litmus.Harness.pp_violation locs)
-                        v0)
-                worlds)
-            e.Litmus.Corpus.e_variants)
-        Litmus.Corpus.all
-    end;
-    let fuzz_json =
-      match fuzz_n with
-      | None -> Obs.Json.Null
-      | Some n ->
-          let r =
-            Litmus.Harness.fuzz ~n ~seed ~samples ~worlds
-              ~variants:[ variant ] ()
-          in
-          Fmt.pf ppf
-            "fuzz: %d programs tested, %d skipped (state cap)@."
-            r.Litmus.Harness.f_tested r.Litmus.Harness.f_skipped;
-          (match r.Litmus.Harness.f_failure with
-          | None -> ()
-          | Some s ->
-              failed := true;
-              (try
-                 Out_channel.with_open_text ce_file (fun oc ->
-                     Out_channel.output_string oc s.Obs.Cx.text)
-               with Sys_error msg ->
-                 Fmt.epr "cannot write %s: %s@." ce_file msg);
-              Fmt.pf ppf "fuzz: shrunk violation (re-run: replay %s):@.%s%a"
-                ce_file s.Obs.Cx.text pp_parity s.Obs.Cx.parity);
-          Obs.Json.Obj
-            [
-              ("tested", Obs.Json.Int r.Litmus.Harness.f_tested);
-              ("skipped", Obs.Json.Int r.Litmus.Harness.f_skipped);
-              ( "failure",
-                match r.Litmus.Harness.f_failure with
-                | Some { Obs.Cx.witness = p, Some v; _ } ->
-                    Obs.Json.Obj
-                      [
-                        ( "program",
-                          Obs.Json.String (Litmus.Prog.to_string p) );
-                        ( "violation",
-                          Litmus.Harness.violation_to_json v );
-                      ]
-                | _ -> Obs.Json.Null );
-            ]
-    in
-    if (not corpus) && fuzz_n = None then begin
-      Fmt.epr "nothing to do: pass --corpus or --fuzz N@.";
-      exit 2
-    end;
-    write_json json
-      (Obs.Json.Obj
-         [
-           ("schema", Obs.Json.String "respct-litmus/v1");
-           ("seed", Obs.Json.Int seed);
-           ("samples", Obs.Json.Int samples);
-           ( "mutant",
-             Obs.Json.Bool
-               (Litmus.World.mutant () = Some Litmus.World.Drop_same_line_order)
-           );
-           ( "corpus",
-             Obs.Json.List (List.rev_map Litmus.Harness.report_to_json !reports)
-           );
-           ("fuzz", fuzz_json);
-         ]);
-    if !failed then exit 1
+  let run corpus fuzz seed samples world variant mutant verbose ce_file json =
+    run_campaign ~ce_file json
+      (Litmus.Harness.jobs
+         ?mutant:(if mutant then Some Litmus.World.Drop_same_line_order else None)
+         ~verbose ?fuzz ~samples ~seed
+         ?worlds:(Option.map (fun w -> [ w ]) world)
+         ~variant ~ce_file ~corpus ())
   in
   Cmd.v
     (Cmd.info "litmus"
@@ -999,7 +698,7 @@ let prockill_cmd =
                     "mutant: psync elision DETECTED after %d trial(s); shrunk \
                      (%s):@.  %s%a"
                     m.Prockill_campaign.m_attempts s.Obs.Cx.reason s.Obs.Cx.text
-                    pp_parity s.Obs.Cx.parity;
+                    Obs.Cx.pp_parity s.Obs.Cx.parity;
                   s.Obs.Cx.parity = Ok ()
               | None ->
                   Fmt.pr "mutant: NOT detected in %d trial(s)@."

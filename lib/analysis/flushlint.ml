@@ -292,3 +292,15 @@ let inject_redundant_pwb p =
       | Ir.Pwb v -> [ Ir.Pwb v; Ir.Pwb v ]
       | s -> [ s ]))
     { p with Ir.pname = p.Ir.pname ^ "+redundant-pwb" }
+
+type mutant = Strip_psync | Inject_redundant_pwb
+
+let mutants = [ Strip_psync; Inject_redundant_pwb ]
+
+let mutant_name = function
+  | Strip_psync -> "strip-psync"
+  | Inject_redundant_pwb -> "redundant-pwb"
+
+let plant = function
+  | Strip_psync -> strip_psync
+  | Inject_redundant_pwb -> inject_redundant_pwb

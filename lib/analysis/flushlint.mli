@@ -52,3 +52,16 @@ val strip_psync : Ir.program -> Ir.program
 val inject_redundant_pwb : Ir.program -> Ir.program
 (** Duplicate every [Pwb] immediately after itself; the second can
     never see a dirty line. *)
+
+type mutant = Strip_psync | Inject_redundant_pwb
+(** The two planted mutants, over IR here and over litmus programs in
+    [Litmus.Axcheck]. *)
+
+val mutants : mutant list
+
+val mutant_name : mutant -> string
+(** [strip-psync] or [redundant-pwb], as the CLI and counterexample
+    lines spell them. *)
+
+val plant : mutant -> Ir.program -> Ir.program
+(** {!strip_psync} or {!inject_redundant_pwb}. *)

@@ -111,19 +111,21 @@ let decode _body fs =
   let* fmutant = req fs "mutant" bit in
   Ok { fseed; fthreads; fkeyspace; fops; fcrash_us; fmutant }
 
+(* Trial files go to [dir], or to a scratch directory made and removed
+   around [f]. *)
+let in_dir dir f =
+  match dir with
+  | Some d -> f d
+  | None -> Prockill.with_scratch_dir "respct-fmx" f
+
 let campaign ?dir () : params Obs.Cx.campaign =
-  let in_dir f =
-    match dir with
-    | Some d -> f d
-    | None -> Prockill.with_scratch_dir "respct-fmx" f
-  in
   {
     Obs.Cx.tag = "filematrix";
     print = (fun p -> ([], fields p));
     decode;
     check =
       (fun p ->
-        let o = in_dir (fun dir -> run_trial p ~dir) in
+        let o = in_dir dir (fun dir -> run_trial p ~dir) in
         if violating o then
           Obs.Cx.Fail (p, Fmt.str "%a" pp_violations o.fo_violations)
         else Obs.Cx.Pass);
@@ -157,64 +159,60 @@ let grid (preset : Matrix.preset) =
   in
   List.concat_map
     (fun (sched_seed, mem_seed) ->
-      List.concat_map
-        (fun crash_us ->
-          [
-            {
-              fseed = sched_seed + (1_000_003 * mem_seed);
-              fthreads = 2;
-              fkeyspace = 96;
-              fops = preset.Matrix.map_ops * 20;
-              fcrash_us = crash_us;
-              fmutant = false;
-            };
-          ])
+      List.map
+        (fun fcrash_us ->
+          {
+            fseed = sched_seed + (1_000_003 * mem_seed);
+            fthreads = 2;
+            fkeyspace = 96;
+            fops = preset.Matrix.map_ops * 20;
+            fcrash_us;
+            fmutant = false;
+          })
         crash_points)
     preset.Matrix.seeds
 
-let check ?dir (preset : Matrix.preset) ppf =
-  let go dir =
-    let ok = ref true in
-    (* direction 1: clean worlds pass everywhere *)
-    List.iter
+(* Direction 1: a clean world passes its grid point. *)
+let grid_job ?dir p () =
+  let o = in_dir dir (fun dir -> run_trial p ~dir) in
+  let label = Obs.Cx.fields_to_string (fields p) in
+  if violating o then
+    Obs.Jobs.result ~ok:false
+      (Fmt.str "filemem %s FAIL (%a)@." label pp_violations o.fo_violations)
+  else
+    Obs.Jobs.result ~ok:true
+      (Fmt.str "filemem %s ok (%s, epoch %d, %d ckpts)@." label o.fo_verdict
+         o.fo_failed_epoch o.fo_checkpoints)
+
+(* Direction 2: the planted mutant breaks somewhere on the grid. *)
+let mutant_job ?dir preset () =
+  in_dir dir @@ fun dir ->
+  match
+    List.find_map
       (fun p ->
+        let p = { p with fmutant = true } in
         let o = run_trial p ~dir in
-        let label = Obs.Cx.fields_to_string (fields p) in
-        if violating o then begin
-          ok := false;
-          Fmt.pf ppf "filemem %s FAIL (%a)@." label pp_violations
-            o.fo_violations
-        end
-        else
-          Fmt.pf ppf "filemem %s ok (%s, epoch %d, %d ckpts)@." label
-            o.fo_verdict o.fo_failed_epoch o.fo_checkpoints)
-      (grid preset);
-    (* direction 2: the planted mutant must break somewhere on the grid *)
-    let caught =
-      List.find_map
-        (fun p ->
-          let p = { p with fmutant = true } in
-          let o = run_trial p ~dir in
-          if violating o then Some (p, o) else None)
-        (grid preset)
-    in
-    (match caught with
-    | None ->
-        ok := false;
-        Fmt.pf ppf
-          "filemem mutant Elide_psync NOT caught — oracles toothless@."
-    | Some (p, o) -> (
-        let reason = Fmt.str "%a" pp_violations o.fo_violations in
-        let s = Obs.Cx.minimize (campaign ~dir ()) (p, reason) in
-        Fmt.pf ppf "filemem mutant caught (%s); shrunk (%s):@.  %s@." reason
-          s.Obs.Cx.reason (String.trim s.Obs.Cx.text);
+        if violating o then Some (p, o) else None)
+      (grid preset)
+  with
+  | None ->
+      Obs.Jobs.result ~ok:false
+        "filemem mutant Elide_psync NOT caught — oracles toothless\n"
+  | Some (p, o) ->
+      let reason = Fmt.str "%a" pp_violations o.fo_violations in
+      let s = Obs.Cx.minimize (campaign ~dir ()) (p, reason) in
+      Obs.Jobs.result ~ok:(s.Obs.Cx.parity = Ok ())
+        (Fmt.str "filemem mutant caught (%s); shrunk (%s):@.  %s@." reason
+           s.Obs.Cx.reason (String.trim s.Obs.Cx.text)
+        ^
         match s.Obs.Cx.parity with
-        | Ok () -> ()
-        | Error m ->
-            ok := false;
-            Fmt.pf ppf "filemem REPLAY DID NOT REPRODUCE (%s)@." m));
-    !ok
-  in
-  match dir with
-  | Some d -> go d
-  | None -> Prockill.with_scratch_dir "respct-fmx" go
+        | Ok () -> ""
+        | Error m -> Fmt.str "filemem REPLAY DID NOT REPRODUCE (%s)@." m)
+
+let jobs ?dir preset =
+  {
+    Obs.Jobs.jobs =
+      Array.of_list
+        (List.map (grid_job ?dir) (grid preset) @ [ mutant_job ?dir preset ]);
+    close = Obs.Jobs.concat;
+  }

@@ -39,9 +39,10 @@ val campaign : ?dir:string -> unit -> params Obs.Cx.campaign
     ops, one thread fewer, a crash 40 µs earlier. Trial files go to
     [dir], or to a scratch directory made and removed around each run. *)
 
-val check : ?dir:string -> Matrix.preset -> Format.formatter -> bool
-(** Both directions over a grid derived from the preset: clean worlds
-    must pass every (seed × crash instant) point, and the planted
-    psync-elision mutant must be caught, shrunk and replayed. Returns
-    whether everything held. [dir] defaults to a scratch directory
-    removed on return. *)
+val jobs : ?dir:string -> Matrix.preset -> Obs.Jobs.t
+(** Both directions over a grid derived from the preset: one job per
+    (seed × crash instant) point, where a clean world must pass, then
+    one job in which the planted psync-elision mutant must be caught,
+    shrunk and replayed. The closing step joins their lines. Each job's
+    trial files go to [dir], or to a scratch directory of its own,
+    removed when the job returns. *)

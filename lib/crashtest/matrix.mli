@@ -22,65 +22,43 @@ val campaign : Report.witness Obs.Cx.campaign
     {!Scenarios.find} or {!Irscenarios.find} resolves — what
     [respct_experiments replay] runs. *)
 
-val entries : ?filter:string -> Scenarios.dimension -> Scenarios.entry list
-(** The registry entries of one dimension, in registry order; [filter]
-    keeps those whose id starts with the given prefix. *)
+type dimension =
+  | Matrix  (** {!Scenarios.Ablation} under PCSO: every entry must recover *)
+  | Ablation_check
+      (** {!Scenarios.Ablation} under word-granular write-back:
+          PCSO-reliant systems (ResPCT-InCLL, Quadra) must report
+          violations, explicitly-flushing systems (Clobber, SOFT,
+          FriedmanQueue) and the buffered epoch systems must not *)
+  | Faults_check
+      (** {!Scenarios.Faults}: every crash image is re-checked with each
+          of the preset's deterministic media-fault plans installed.
+          Integrity-mode recovery must detect or exactly repair every
+          fault; the planted no-verification mutant must produce
+          violations. *)
+  | Pipeline_check
+      (** {!Scenarios.Pipeline}: pipeline-mode worlds must recover at
+          every crash boundary (including mid-overlap windows: during the
+          background walk, between the commit-slot stores, at
+          post-advance restart points), the {!Scenarios.Detects} entry
+          also under the preset's media-fault plans; the planted
+          overlap-protocol mutants must produce violations. *)
 
-(** Each run below checks one dimension; [record] (default: nothing)
-    receives every exploration's outcome, in the order the rows print. *)
-
-val run :
+val jobs :
   ?filter:string ->
   ?schedules:bool ->
-  ?record:(Explore.outcome -> unit) ->
+  dimension ->
   preset ->
-  Format.formatter ->
-  bool
-(** Explore every (filtered) {!Scenarios.Ablation} entry under PCSO and
-    every seed pair, print one row per outcome with shrunk counterexamples
-    for failures, then run the schedule sweeps unless [schedules] is
-    false. Returns whether everything passed. *)
-
-(** The expectation checks: every (filtered) entry of one dimension runs
-    at the preset's first seed pair and must meet its
-    {!Scenarios.expect}; expected breaks are shrunk and replayed. Each
-    returns whether every expectation held. *)
-
-val ablation_check :
-  ?filter:string ->
-  ?schedules:bool ->
-  ?record:(Explore.outcome -> unit) ->
-  preset ->
-  Format.formatter ->
-  bool
-(** {!Scenarios.Ablation} under word-granular write-back: PCSO-reliant
-    systems (ResPCT-InCLL, Quadra) must report violations,
-    explicitly-flushing systems (Clobber, SOFT, FriedmanQueue) and the
-    buffered epoch systems must not. *)
-
-val faults_check :
-  ?filter:string ->
-  ?schedules:bool ->
-  ?record:(Explore.outcome -> unit) ->
-  preset ->
-  Format.formatter ->
-  bool
-(** {!Scenarios.Faults}: every crash image is re-checked with each of the
-    preset's deterministic media-fault plans installed. Integrity-mode
-    recovery must detect or exactly repair every fault; the planted
-    no-verification mutant must produce violations. *)
-
-val pipeline_check :
-  ?filter:string ->
-  ?schedules:bool ->
-  ?record:(Explore.outcome -> unit) ->
-  preset ->
-  Format.formatter ->
-  bool
-(** {!Scenarios.Pipeline}: pipeline-mode worlds must recover at every
-    crash boundary (including mid-overlap windows: during the background
-    walk, between the commit-slot stores, at post-advance restart
-    points), the {!Scenarios.Detects} entry also under the preset's
-    media-fault plans; the planted overlap-protocol mutants must produce
-    violations. Closes with the pipelined schedule sweep unless
-    [schedules] is false. *)
+  (Obs.Jobs.t, string) result
+(** The dimension as a job list: one job per registry entry of the
+    dimension, in registry order, whose id starts with [filter] — per seed
+    pair for [Matrix], at the preset's first seed pair for the checks,
+    which require each entry to meet its {!Scenarios.expect} — then one
+    job per schedule spec of the dimension's sweeps ([Matrix]: the
+    classic set, [Pipeline_check]: the pipelined one) unless [schedules]
+    is false. A job's text is the world's row, with shrunk and replayed
+    counterexamples for its failures; its JSON is the world's
+    {!Report.outcome_json} row. The closing step frames the rows with
+    the dimension's title and summary and returns the
+    [respct-crashmatrix/v1] document, whose [dimension] field is
+    [matrix], [ablation-check], [faults] or [pipeline]. [Error] names the
+    dimension's ids when [filter] matches none. *)

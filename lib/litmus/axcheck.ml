@@ -22,16 +22,9 @@ module Refmodel = Simnvm.Refmodel
 
 (* --- planted mutants over litmus programs ---------------------------- *)
 
-type mutant = Strip_psync | Inject_redundant_pwb
+type mutant = Analysis.Flushlint.mutant = Strip_psync | Inject_redundant_pwb
 
-let mutant_name = function
-  | Strip_psync -> "strip-psync"
-  | Inject_redundant_pwb -> "redundant-pwb"
-
-let mutant_of_string = function
-  | "strip-psync" -> Some Strip_psync
-  | "redundant-pwb" -> Some Inject_redundant_pwb
-  | _ -> None
+let mutant_name = Analysis.Flushlint.mutant_name
 
 let map_ops suffix f (p : Prog.t) =
   {
@@ -232,7 +225,7 @@ let ref_dirty_lines ?(sched_seed = 1) ?(evict_rate = 0.0) (p : Prog.t) :
     Refmodel.create
       (World.mem_config
          ~cfg:{ World.eadr = false; ablation = false; evict_rate }
-         ~seed:(sched_seed lxor 0xd112))
+         ~seed:(sched_seed lxor 0xd112) ())
   in
   ignore (World.drive ~sched_seed (Analysis.Exec.of_refmodel m) p);
   List.filter
@@ -295,7 +288,11 @@ let campaign : cx Obs.Cx.campaign =
         let* cx_prog = Prog.of_string (String.concat "\n" body) in
         let* () = known fs [ "variant"; "mutant"; "loc"; "must-durable" ] in
         let* cx_variant = req fs "variant" Axiom.variant_of_string in
-        let* cx_mutant = opt fs "mutant" mutant_of_string in
+        let* cx_mutant =
+          opt fs "mutant" (fun s ->
+              List.find_opt (fun m -> mutant_name m = s)
+                Analysis.Flushlint.mutants)
+        in
         let* cx_loc =
           req fs "loc" (fun l ->
               if List.mem l (Prog.locs cx_prog) then Some l else None)
@@ -362,51 +359,33 @@ type fuzz_result = {
 let fuzz ?(n = 300) ?(seed = 1) ?(variant = Axiom.Pcso_lazy) ?mutate () :
     fuzz_result =
   let rand = Random.State.make [| seed lxor 0xAc5eed |] in
-  let skipped = ref 0 in
-  let claims_total = ref 0 in
-  let rec loop i =
-    if i >= n then
-      {
-        fz_tested = n;
-        fz_skipped = !skipped;
-        fz_claims = !claims_total;
-        fz_failure = None;
-      }
-    else begin
+  let rec loop i skipped verified =
+    let result fz_tested fz_failure =
+      { fz_tested; fz_skipped = skipped; fz_claims = verified; fz_failure }
+    in
+    if i >= n then result n None
+    else
       let p = QCheck.Gen.generate1 ~rand Gen.gen_prog in
       let p = { p with Prog.name = Fmt.str "axfuzz-%d-%d" seed i } in
       let claims = static_claims p in
-      let target =
-        match mutate with None -> p | Some m -> apply_mutant m p
-      in
+      let target = match mutate with None -> p | Some m -> apply_mutant m p in
       let r = check ~variant ~claims target in
-      if r.r_skipped then begin
-        incr skipped;
-        loop (i + 1)
-      end
-      else
-        match r.r_violations with
-        | [] ->
-            claims_total := !claims_total + List.length claims.c_must_durable;
-            loop (i + 1)
-        | v :: _ ->
-            {
-              fz_tested = i + 1;
-              fz_skipped = !skipped;
-              fz_claims = !claims_total;
-              fz_failure =
-                Some
-                  (shrunk
-                     {
-                       cx_prog = p;
-                       cx_variant = variant;
-                       cx_mutant = mutate;
-                       cx_loc = v.v_loc;
-                     });
-            }
-    end
+      match r.r_violations with
+      | _ when r.r_skipped -> loop (i + 1) (skipped + 1) verified
+      | [] ->
+          loop (i + 1) skipped (verified + List.length claims.c_must_durable)
+      | v :: _ ->
+          result (i + 1)
+            (Some
+               (shrunk
+                  {
+                    cx_prog = p;
+                    cx_variant = variant;
+                    cx_mutant = mutate;
+                    cx_loc = v.v_loc;
+                  }))
   in
-  loop 0
+  loop 0 0 0
 
 (* --- JSON -------------------------------------------------------------- *)
 
@@ -421,3 +400,54 @@ let fuzz_to_json (f : fuzz_result) =
         | None -> Obs.Json.Null
         | Some s -> Obs.Json.String s.Obs.Cx.text );
     ]
+
+(* --- the analyze subcommand's jobs -------------------------------------- *)
+
+(* Stripping the psyncs of [demo] must violate one of its claims: the
+   gate's teeth. *)
+let wal_twin_job ~ce_file () =
+  match counterexample ~mutant:Strip_psync ~variant:Axiom.Pcso_lazy demo with
+  | None ->
+      Obs.Jobs.result ~ok:false
+        "axcheck: stripped WAL twin shows no claim violation — the gate \
+         lost its teeth\n"
+  | Some s ->
+      Obs.Jobs.result ~ok:true ~counterexample:s.Obs.Cx.text
+        (Fmt.str
+           "axcheck: WAL twin claim violated under %s (re-run: replay %s):@.%s%a"
+           (mutant_name Strip_psync) ce_file s.Obs.Cx.text Obs.Cx.pp_parity
+           s.Obs.Cx.parity)
+
+let fuzz_job ~n ~seed ~ce_file () =
+  let r = fuzz ~n ~seed () in
+  Obs.Jobs.result ~ok:(r.fz_failure = None)
+    ?counterexample:(Option.map (fun s -> s.Obs.Cx.text) r.fz_failure)
+    ~json:(fuzz_to_json r)
+    (Fmt.str
+       "axcheck: %d programs tested, %d skipped (state cap), %d must-durable \
+        claims verified@."
+       r.fz_tested r.fz_skipped r.fz_claims
+    ^
+    match r.fz_failure with
+    | None -> ""
+    | Some s ->
+        Fmt.str "axcheck: shrunk soundness violation (re-run: replay %s):@.%s%a"
+          ce_file s.Obs.Cx.text Obs.Cx.pp_parity s.Obs.Cx.parity)
+
+let jobs ?mutant ?fuzz:fz ~ce_file () =
+  let twin = if mutant = Some Strip_psync then [ wal_twin_job ~ce_file ] else []
+  and fuzzed =
+    Option.fold ~none:[] ~some:(fun (n, seed) -> [ fuzz_job ~n ~seed ~ce_file ]) fz
+  in
+  {
+    Obs.Jobs.jobs = Array.of_list (twin @ fuzzed);
+    close =
+      (fun rs ->
+        {
+          (Obs.Jobs.concat rs) with
+          Obs.Jobs.json =
+            Obs.Json.Obj
+              (if fz = None then []
+               else [ ("axcheck", rs.(Array.length rs - 1).Obs.Jobs.json) ]);
+        });
+  }

@@ -11,9 +11,9 @@
 
 (** {2 Planted mutants} *)
 
-type mutant = Strip_psync | Inject_redundant_pwb
-
-val mutant_name : mutant -> string
+type mutant = Analysis.Flushlint.mutant = Strip_psync | Inject_redundant_pwb
+(** The flush-discipline mutants of {!Analysis.Flushlint}, here over
+    litmus programs. *)
 
 val strip_psync : Prog.t -> Prog.t
 (** Delete every [Psync]: issued pwbs never fence, so the claims of the
@@ -142,4 +142,13 @@ val fuzz :
     violation. With [mutate = None] any failure is a genuine soundness
     bug. *)
 
-val fuzz_to_json : fuzz_result -> Obs.Json.t
+(** {2 The analyze campaign's axiomatic part} *)
+
+val jobs :
+  ?mutant:mutant -> ?fuzz:int * int -> ce_file:string -> unit -> Obs.Jobs.t
+(** Under [Strip_psync], one job in which the stripped {!demo} must
+    violate a claim, returning its shrunk counterexample; with [fuzz =
+    (n, seed)], one job that runs {!fuzz} and fails on a soundness
+    violation, returning it shrunk. Their re-run lines name [ce_file].
+    The closing step's document holds the fuzz's counts and shrunk text
+    under [axcheck], or nothing. *)

@@ -15,13 +15,9 @@ let id_of_string = function
 
 let all_ids = [ Kernel; Refm ]
 
-(* --- planted kernel mutant (the Runtime.set_mutant pattern) --------- *)
+(* --- planted kernel mutant -------------------------------------------- *)
 
 type mutant = Drop_same_line_order
-
-let mutant_hook : mutant option ref = ref None
-let set_mutant m = mutant_hook := m
-let mutant () = !mutant_hook
 
 (* --- memory-system configuration ------------------------------------ *)
 
@@ -36,10 +32,8 @@ let run_cfg_of_variant = function
   | Axiom.Eadr -> { default_run_cfg with eadr = true }
   | Axiom.Ablation -> { default_run_cfg with ablation = true }
 
-let mem_config ~(cfg : run_cfg) ~seed =
-  let pcso =
-    (not cfg.ablation) && not (mutant () = Some Drop_same_line_order)
-  in
+let mem_config ?mutant ~(cfg : run_cfg) ~seed () =
+  let pcso = (not cfg.ablation) && mutant <> Some Drop_same_line_order in
   {
     Memsys.default_config with
     Memsys.nvm_words = 32 * line_words;
@@ -115,8 +109,8 @@ let drive ~sched_seed mem p =
 
 (* --- the two worlds: the flat kernel and the reference model -------- *)
 
-let run ~world ?(cfg = default_run_cfg) ~sched_seed ~image_seed p =
-  let config = mem_config ~cfg ~seed:image_seed in
+let run ?mutant ~world ?(cfg = default_run_cfg) ~sched_seed ~image_seed p =
+  let config = mem_config ?mutant ~cfg ~seed:image_seed () in
   let mem, is_dirty, crash, persisted =
     match world with
     | Kernel ->
@@ -162,7 +156,7 @@ let exhaustive_ref ?(max_paths = 200_000) (p : Prog.t) :
   let capped = ref false in
   let addr l = addr_of_loc p l in
   let replay decs =
-    let m = Refmodel.create (mem_config ~cfg ~seed:1) in
+    let m = Refmodel.create (mem_config ~cfg ~seed:1 ()) in
     let pcs = Array.make nt 0 in
     let halted = ref false in
     let exec_op t =

@@ -22,16 +22,12 @@ val all_ids : id list
 
 (** {2 Planted mutant}
 
-    Mirrors the {!Respct.Runtime.set_mutant} hook pattern:
-    [Drop_same_line_order] runs the kernel-config worlds with
-    line-snapshot write-back disabled ([pcso = false]) while the spec
-    stays {!Axiom.Pcso} — same-line WAR litmus programs then observe
-    PCSO-forbidden outcomes, which the fuzzer must catch. *)
+    An argument of {!run} and {!mem_config}: [Drop_same_line_order] runs
+    the worlds with line-snapshot write-back disabled ([pcso = false])
+    while the spec stays {!Axiom.Pcso} — same-line WAR litmus programs
+    then observe PCSO-forbidden outcomes, which the fuzzer must catch. *)
 
 type mutant = Drop_same_line_order
-
-val set_mutant : mutant option -> unit
-val mutant : unit -> mutant option
 
 (** {2 Configuration} *)
 
@@ -45,7 +41,8 @@ val run_cfg_of_variant : Axiom.variant -> run_cfg
 (** The world configuration matching an axiom variant ([Pcso_lazy] maps
     to the eager substrate — its spec is a superset). *)
 
-val mem_config : cfg:run_cfg -> seed:int -> Simnvm.Memsys.config
+val mem_config :
+  ?mutant:mutant -> cfg:run_cfg -> seed:int -> unit -> Simnvm.Memsys.config
 (** The memory configuration of both worlds: 32 NVM lines behind one
     four-way cache set, [seed] driving the spontaneous evictions.
     [pcso] is off under [cfg.ablation] and under the planted mutant. *)
@@ -71,6 +68,7 @@ val drive :
     file-backend dynamic oracle run programs this way. *)
 
 val run :
+  ?mutant:mutant ->
   world:id ->
   ?cfg:run_cfg ->
   sched_seed:int ->
@@ -78,7 +76,7 @@ val run :
   Prog.t ->
   int list
 (** One observed post-crash outcome (persisted value per location, in
-    layout order). Deterministic in [(world, cfg, mutant, sched_seed,
+    layout order). Deterministic in [(mutant, world, cfg, sched_seed,
     image_seed)] — the replay contract. *)
 
 val exhaustive_ref : ?max_paths:int -> Prog.t -> Axiom.Outcomes.t option

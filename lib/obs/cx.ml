@@ -152,6 +152,10 @@ let minimize c first =
   in
   { witness; reason; text; parity }
 
+let pp_parity ppf = function
+  | Ok () -> ()
+  | Error m -> Fmt.pf ppf "REPLAY DID NOT REPRODUCE (%s)@." m
+
 type packed = Campaign : 'p campaign -> packed
 type replayed = Reproduced of string | Vanished of int
 

@@ -73,6 +73,10 @@ type 'p shrunk = {
    prints it; [parity] checks that the text replays. *)
 val minimize : 'p campaign -> 'p * string -> 'p shrunk
 
+(* Nothing when the printed text replayed, else its
+   [REPLAY DID NOT REPRODUCE (...)] line. *)
+val pp_parity : (unit, string) result Fmt.t
+
 type packed = Campaign : 'p campaign -> packed
 type replayed = Reproduced of string | Vanished of int  (** attempts made *)
 

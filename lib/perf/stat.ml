@@ -1,32 +1,14 @@
-(* Robust summary statistics for benchmark samples.
+(* Order statistics of benchmark samples. Wall-clock samples on a shared
+   machine are contaminated by scheduler noise, so the harness reports
+   medians rather than means: one preempted run shifts a mean arbitrarily
+   but moves a median by at most one rank. *)
 
-   Wall-clock samples on a shared machine are contaminated by scheduler
-   noise, so the harness reports medians with MAD (median absolute
-   deviation) spreads rather than means with standard deviations: one
-   preempted run shifts a mean arbitrarily but moves a median by at most
-   one rank. Confidence intervals come from a seeded bootstrap — all
-   randomness flows through Simnvm.Rng, so the same samples always yield
-   the same interval and the exported JSON stays byte-deterministic. *)
-
-let sorted xs =
+let median xs =
   let a = Array.copy xs in
   Array.sort compare a;
-  a
-
-let median_of_sorted a =
   let n = Array.length a in
   if n = 0 then invalid_arg "Stat.median: empty sample";
   if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-let median xs = median_of_sorted (sorted xs)
-
-(* Median absolute deviation around the median: the robust analogue of a
-   standard deviation (consistent up to the 1.4826 normal factor, which we
-   deliberately do not apply — the raw MAD is what thresholds are set
-   against). *)
-let mad xs =
-  let m = median xs in
-  median (Array.map (fun x -> Float.abs (x -. m)) xs)
 
 (* Percentile of a sorted sample, nearest-rank. *)
 let percentile_of_sorted a p =
@@ -34,43 +16,3 @@ let percentile_of_sorted a p =
   if n = 0 then invalid_arg "Stat.percentile: empty sample";
   let rank = int_of_float (Float.round (p *. float_of_int (n - 1))) in
   a.(max 0 (min (n - 1) rank))
-
-(* Bootstrap confidence interval for the median: resample with
-   replacement, take the median of each resample, report the central
-   [confidence] mass of the resulting distribution. Deterministic from
-   [seed]. With a single sample the interval degenerates to the point. *)
-let bootstrap_ci ?(resamples = 300) ?(confidence = 0.95) ~seed xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stat.bootstrap_ci: empty sample";
-  if n = 1 then (xs.(0), xs.(0))
-  else begin
-    let rng = Simnvm.Rng.create seed in
-    let medians =
-      Array.init resamples (fun _ ->
-          let resample = Array.init n (fun _ -> xs.(Simnvm.Rng.int rng n)) in
-          median resample)
-    in
-    let s = sorted medians in
-    let alpha = (1.0 -. confidence) /. 2.0 in
-    (percentile_of_sorted s alpha, percentile_of_sorted s (1.0 -. alpha))
-  end
-
-type summary = {
-  s_median : float;
-  s_mad : float;
-  s_ci_lo : float;
-  s_ci_hi : float;
-}
-
-let summarize ~seed xs =
-  let lo, hi = bootstrap_ci ~seed xs in
-  { s_median = median xs; s_mad = mad xs; s_ci_lo = lo; s_ci_hi = hi }
-
-let summary_json s =
-  Obs.Json.Obj
-    [
-      ("median", Obs.Json.Float s.s_median);
-      ("mad", Obs.Json.Float s.s_mad);
-      ("ci95_lo", Obs.Json.Float s.s_ci_lo);
-      ("ci95_hi", Obs.Json.Float s.s_ci_hi);
-    ]

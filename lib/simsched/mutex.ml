@@ -31,23 +31,21 @@ let coherence_ns = 90.0
    at every acquisition. *)
 type t = {
   name : string;
-  id : int; (* stable identity for trace events *)
+  mutable id : int; (* identity in trace events; 0 until first traced *)
   mutable owner : int;
   mutable last_owner : int;
   waiters : int Queue.t;
 }
 
-let next_id = ref 0
-
 let create ?(name = "mutex") () =
-  incr next_id;
-  {
-    name;
-    id = !next_id;
-    owner = -1;
-    last_owner = -1;
-    waiters = Queue.create ();
-  }
+  { name; id = 0; owner = -1; last_owner = -1; waiters = Queue.create () }
+
+(* A lock takes its identity from the world's scheduler the first time it
+   appears on the bus, so the same world emits the same Acquire/Release
+   stream however many worlds ran before it in the process. *)
+let trace_id sched m =
+  if m.id = 0 then m.id <- Scheduler.next_lock_id sched;
+  m.id
 
 let lock sched m =
   Scheduler.charge sched lock_ns;
@@ -69,7 +67,8 @@ let lock sched m =
    end);
   let bus = Scheduler.trace_bus sched in
   if Simnvm.Event.active bus then
-    Simnvm.Event.emit bus (Simnvm.Event.Acquire { tid = me; lock = m.id })
+    Simnvm.Event.emit bus
+      (Simnvm.Event.Acquire { tid = me; lock = trace_id sched m })
 
 (* The hand-off reads the release instant only when there is a waiter to
    hand to, so an uncontended release boxes no float. *)
@@ -80,7 +79,8 @@ let unlock sched m =
   Scheduler.charge sched unlock_ns;
   let bus = Scheduler.trace_bus sched in
   if Simnvm.Event.active bus then
-    Simnvm.Event.emit bus (Simnvm.Event.Release { tid = me; lock = m.id });
+    Simnvm.Event.emit bus
+      (Simnvm.Event.Release { tid = me; lock = trace_id sched m });
   if Queue.is_empty m.waiters then m.owner <- -1
   else begin
     let next = Queue.take m.waiters in

@@ -6,6 +6,9 @@
 type t
 
 val create : ?name:string -> unit -> t
+(** A free lock. Its identity in [Acquire]/[Release] events is numbered
+    by the scheduler on whose bus it first appears
+    ({!Scheduler.next_lock_id}). *)
 
 val lock : Scheduler.t -> t -> unit
 (** Acquire, blocking in virtual time while contended. *)

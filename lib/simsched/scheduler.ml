@@ -92,6 +92,7 @@ type t = {
   jitter : float;
   rng : Simnvm.Rng.t;
   bus : Simnvm.Event.bus; (* this world's one event stream *)
+  mutable lock_ids : int; (* trace identities handed to locks so far *)
 }
 
 type _ Effect.t += Preempt : unit Effect.t | Block : unit Effect.t
@@ -123,6 +124,7 @@ let create ?bus ?(seed = 1) ?(quantum = 0.0) ?(jitter = 0.0) () =
     jitter;
     rng = Simnvm.Rng.create seed;
     bus = (match bus with Some b -> b | None -> Simnvm.Event.create_bus ());
+    lock_ids = 0;
   }
 
 let trace_bus t = t.bus
@@ -419,3 +421,7 @@ let run t =
           loop ()
   in
   loop ()
+
+let next_lock_id t =
+  t.lock_ids <- t.lock_ids + 1;
+  t.lock_ids

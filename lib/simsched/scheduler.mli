@@ -108,3 +108,8 @@ val preempt_now : t -> unit
     (call from a {!trace_bus} subscriber at a chosen sync event). No-op outside
     the simulation; the thread still resumes whenever it holds the smallest
     ready clock. *)
+
+val next_lock_id : t -> int
+(** A fresh trace identity for a lock, 1, 2, ... in the order this
+    scheduler's locks first appear on its bus ({!Mutex}), so the same
+    world always names its locks alike. *)

@@ -829,6 +829,55 @@ let axcheck_qcheck_tests =
     (fun t -> Gen_common.to_alcotest ~suite:"analysis-axcheck" t)
     [ axcheck_litmus_sound; axcheck_ir_sound; may_dirty_refmodel ]
 
+(* The CI lint gate in process: [analyze --dynamic --persistency] must
+   not pass vacuously, since an audit that saw no events would agree with
+   an empty log. Every program agrees, with segments and no races; the
+   two programs with WAR variables have a nonempty dynamic log; a second
+   run gives the same text and document. *)
+let test_analyze_dynamic_gate () =
+  let run () =
+    Obs.Jobs.run
+      (Result.get_ok (Analyze.jobs ~dynamic:true ~persistency:true ()))
+  in
+  let r = run () in
+  Alcotest.(check bool) "passes" true r.Obs.Jobs.ok;
+  let field k j =
+    match Obs.Json.member k j with
+    | Some v -> v
+    | None -> Alcotest.failf "no %s field" k
+  in
+  let programs =
+    match field "programs" r.Obs.Jobs.json with
+    | Obs.Json.List ps -> ps
+    | _ -> Alcotest.fail "programs is not a list"
+  in
+  let name p =
+    match field "name" p with Obs.Json.String n -> n | _ -> "?"
+  in
+  Alcotest.(check (list string))
+    "every program"
+    [ "bank-transfer"; "kv-update"; "wal-append" ]
+    (List.map name programs);
+  List.iter
+    (fun p ->
+      let name = name p and d = field "dynamic" p in
+      Alcotest.(check bool) (name ^ " agrees") true
+        (field "agrees" d = Obs.Json.Bool true);
+      Alcotest.(check bool) (name ^ " has segments") true
+        (match field "segments" d with Obs.Json.Int n -> n > 0 | _ -> false);
+      Alcotest.(check bool) (name ^ " has no races") true
+        (field "races" d = Obs.Json.Int 0);
+      if name <> "wal-append" then
+        Alcotest.(check bool) (name ^ " has a dynamic log") true
+          (field "dynamic_log" d <> Obs.Json.List []))
+    programs;
+  let again = run () in
+  Alcotest.(check string) "same text" r.Obs.Jobs.text again.Obs.Jobs.text;
+  Alcotest.(check string)
+    "same document"
+    (Obs.Json.to_string r.Obs.Jobs.json)
+    (Obs.Json.to_string again.Obs.Jobs.json)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -920,6 +969,11 @@ let () =
             test_wal_append_over_memsys;
           Alcotest.test_case "compile_ir round-trip" `Quick
             test_compile_ir_round_trip;
+        ] );
+      ( "campaign",
+        [
+          Alcotest.test_case "dynamic gate holds, not vacuously" `Quick
+            test_analyze_dynamic_gate;
         ] );
       ( "mutants-dynamic",
         [

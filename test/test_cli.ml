@@ -14,6 +14,8 @@
      exits 2 listing the ids it knows; --no-schedules holds in every
      dimension; --json adds one row per explored world and leaves the
      text as it was;
+   - a refused run (crashmatrix, litmus or analyze with nothing valid to
+     do) exits 2 and leaves no --json file behind;
    - `service` refuses a config it could not run as a usage error that
      names the field, before it runs anything. *)
 
@@ -172,9 +174,37 @@ let test_unknown_scenario () =
             (what ^ ": lists the dimension's ids")
             true (contains err known))
         [
-          ([ "--scenario"; "nosuch" ], "respct-map, respct-queue");
+          ([ "--scenario"; "nosuch"; "--json"; "c.json" ],
+           "respct-map, respct-queue");
           (* soft-map exists, but not in the fault dimension *)
-          ([ "--faults"; "--scenario"; "soft" ], "respct-map-noverify");
+          ([ "--faults"; "--scenario"; "soft"; "--json"; "c.json" ],
+           "respct-map-noverify");
+        ];
+      check_untouched dir copy)
+
+(* Refused before any work: exit 2, nothing printed, the reason on
+   stderr, and no --json file left behind. *)
+let check_refused dir cases =
+  List.iter
+    (fun (args, reason) ->
+      let what = String.concat " " args in
+      let status, out, err = run dir args in
+      Alcotest.(check int) (what ^ ": exit 2") 2 status;
+      Alcotest.(check string) (what ^ ": nothing run") "" out;
+      Alcotest.(check bool) (what ^ ": says why") true (contains err reason))
+    cases
+
+let test_litmus_nothing_to_do () =
+  with_dir (fun dir copy ->
+      check_refused dir [ ([ "litmus"; "--json"; "a.json" ], "nothing to do") ];
+      check_untouched dir copy)
+
+let test_analyze_unknown_program () =
+  with_dir (fun dir copy ->
+      check_refused dir
+        [
+          ( [ "analyze"; "--program"; "nosuch"; "--json"; "b.json" ],
+            "bank-transfer, kv-update, wal-append" );
         ];
       check_untouched dir copy)
 
@@ -224,7 +254,6 @@ let test_crashmatrix_json () =
       let status, out, _ =
         crashmatrix dir [ "--backend"; "file"; "--json"; "cm.json" ]
       in
-      Sys.remove path;
       Alcotest.(check int) "file grid: usage error" 124 status;
       Alcotest.(check string) "file grid: nothing run" "" out;
       check_untouched dir copy)
@@ -277,6 +306,13 @@ let () =
             test_no_schedules_everywhere;
           Alcotest.test_case "json rows beside unchanged text" `Quick
             test_crashmatrix_json;
+        ] );
+      ( "refusals",
+        [
+          Alcotest.test_case "litmus with nothing to do" `Quick
+            test_litmus_nothing_to_do;
+          Alcotest.test_case "analyze of an unknown program" `Quick
+            test_analyze_unknown_program;
         ] );
       ( "service",
         [

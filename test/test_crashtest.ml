@@ -1137,6 +1137,33 @@ let test_replay_leaves_no_scratch_dirs () =
     else []);
   Alcotest.(check (list string)) "no scratch directory left behind" before (ours ())
 
+(* A campaign's jobs are independent: run last to first, every job
+   returns what it returns first to last — what a pool that runs them in
+   any order relies on. Over the crashmatrix smoke jobs (explorations and
+   schedule sweeps) and the litmus corpus jobs. *)
+let test_jobs_in_reverse () =
+  List.iter
+    (fun (what, (t : Obs.Jobs.t)) ->
+      let n = Array.length t.Obs.Jobs.jobs in
+      let forward = Array.map (fun job -> job ()) t.Obs.Jobs.jobs in
+      let backward = Array.make n None in
+      for i = n - 1 downto 0 do
+        backward.(i) <- Some (t.Obs.Jobs.jobs.(i) ())
+      done;
+      Array.iteri
+        (fun i r ->
+          if backward.(i) <> Some r then
+            Alcotest.failf "%s job %d changed with the order:@.%s" what i
+              r.Obs.Jobs.text)
+        forward)
+    [
+      ( "crashmatrix",
+        Result.get_ok
+          (Crashtest.Matrix.jobs Crashtest.Matrix.Matrix Crashtest.Matrix.smoke)
+      );
+      ("litmus corpus", Result.get_ok (Litmus.Harness.jobs ~corpus:true ()));
+    ]
+
 let () =
   Alcotest.run "crashtest"
     [
@@ -1221,6 +1248,11 @@ let () =
             test_filematrix_mutant_caught;
           Alcotest.test_case "replay string round-trips" `Quick
             test_filematrix_replay_string_roundtrip;
+        ] );
+      ( "jobs",
+        [
+          Alcotest.test_case "reverse order, same results" `Quick
+            test_jobs_in_reverse;
         ] );
       ( "cx",
         List.map

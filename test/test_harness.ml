@@ -549,14 +549,20 @@ let crashmatrix_golden =
 crash matrix smoke: PASS
 |}
 
+(* One dimension's job list at the smoke preset: its verdict and the text
+   the CLI prints. *)
+let smoke_output d =
+  let r =
+    Obs.Jobs.run
+      (Result.get_ok (Crashtest.Matrix.jobs d Crashtest.Matrix.smoke))
+  in
+  (r.Obs.Jobs.ok, r.Obs.Jobs.text)
+
 let test_crashmatrix_golden () =
-  let buf = Buffer.create 4096 in
-  let ppf = Format.formatter_of_buffer buf in
-  let ok = Crashtest.Matrix.run Crashtest.Matrix.smoke ppf in
-  Format.pp_print_flush ppf ();
+  let ok, text = smoke_output Crashtest.Matrix.Matrix in
   Alcotest.(check bool) "matrix passes" true ok;
   Alcotest.(check string) "verdict counts byte-identical" crashmatrix_golden
-    (Buffer.contents buf)
+    text
 
 (* The three expectation dimensions at the smoke preset, pinned the same
    way: verdict rows, shrunk counterexamples and their [# crashmatrix]
@@ -663,13 +669,10 @@ let pipeline_golden =
 pipelined checkpointing: PASS
 |}
 
-let check_dimension_golden run golden () =
-  let buf = Buffer.create 8192 in
-  let ppf = Format.formatter_of_buffer buf in
-  let ok = run Crashtest.Matrix.smoke ppf in
-  Format.pp_print_flush ppf ();
+let check_dimension_golden d golden () =
+  let ok, text = smoke_output d in
   Alcotest.(check bool) "every expectation holds" true ok;
-  Alcotest.(check string) "output byte-identical" golden (Buffer.contents buf)
+  Alcotest.(check string) "output byte-identical" golden text
 
 (* The lint's JSON output is a CI artifact: the diagnostics document for
    a fixed multi-finding program is pinned byte-for-byte, which is what
@@ -789,16 +792,13 @@ let () =
           Alcotest.test_case "fig9 table" `Quick test_fig9_golden;
           Alcotest.test_case "crashmatrix smoke" `Quick test_crashmatrix_golden;
           Alcotest.test_case "crashmatrix ablation check" `Quick
-            (check_dimension_golden
-               (fun p ppf -> Crashtest.Matrix.ablation_check p ppf)
+            (check_dimension_golden Crashtest.Matrix.Ablation_check
                ablation_golden);
           Alcotest.test_case "crashmatrix faults check" `Quick
-            (check_dimension_golden
-               (fun p ppf -> Crashtest.Matrix.faults_check p ppf)
+            (check_dimension_golden Crashtest.Matrix.Faults_check
                faults_golden);
           Alcotest.test_case "crashmatrix pipeline check" `Slow
-            (check_dimension_golden
-               (fun p ppf -> Crashtest.Matrix.pipeline_check p ppf)
+            (check_dimension_golden Crashtest.Matrix.Pipeline_check
                pipeline_golden);
           Alcotest.test_case "lint diagnostics json" `Quick
             test_lint_json_golden;

@@ -90,21 +90,26 @@ let golden_allowed () =
            r.Axiom.outcomes))
     goldens
 
+(* The corpus jobs of [litmus --corpus], paired with their entries. *)
+let corpus_jobs ?mutant ?samples ?seed () =
+  let t =
+    Result.get_ok (Harness.jobs ?mutant ?samples ?seed ~corpus:true ())
+  in
+  List.combine Corpus.all (Array.to_list t.Obs.Jobs.jobs)
+
 (* Eadr <= Pcso <= Pcso_lazy and Pcso <= Ablation, on every entry: the
-   variant lattice of DESIGN.md section 13. [failed_inclusions] is the
-   CLI's check; on incll-war, whose eadr, pcso and ablation sets all
-   differ, the lattice is also checked directly, so the case does not
-   only trust that function. *)
+   variant lattice of DESIGN.md section 13. With no samples a corpus
+   job's verdict is its [failed_inclusions] alone; on incll-war, whose
+   eadr, pcso and ablation sets all differ, the lattice is also checked
+   directly, so the case does not only trust that function. *)
 let variant_inclusions () =
   List.iter
-    (fun e ->
-      Alcotest.(check (list (pair string string)))
-        (e.Corpus.e_name ^ ": failed inclusions")
-        []
-        (List.map
-           (fun (a, b) -> (Axiom.variant_name a, Axiom.variant_name b))
-           (Axiom.failed_inclusions e.Corpus.e_prog)))
-    Corpus.all;
+    (fun ((e : Corpus.entry), job) ->
+      let r = job () in
+      if not r.Obs.Jobs.ok then
+        Alcotest.failf "%s: inclusions fail:@.%s" e.Corpus.e_name
+          r.Obs.Jobs.text)
+    (corpus_jobs ~samples:0 ());
   let p = (entry "incll-war").Corpus.e_prog in
   let set v = (Axiom.allowed ~variant:v p).Axiom.outcomes in
   let incl name want a b =
@@ -139,7 +144,9 @@ let schedule_pin () =
       (fun e ->
         List.concat_map
           (fun sched_seed ->
-            let mem = Simnvm.Memsys.create (World.mem_config ~cfg ~seed:1) in
+            let mem =
+              Simnvm.Memsys.create (World.mem_config ~cfg ~seed:1 ())
+            in
             snd
               (Simnvm.Event.record (Simnvm.Memsys.bus mem) (fun () ->
                    World.drive ~sched_seed (Analysis.Exec.of_memsys mem)
@@ -173,31 +180,42 @@ let register_names_location () =
 
 (* --- differential soundness ------------------------------------------ *)
 
+(* The reports in a corpus job's JSON: (world, skipped, violations). *)
+let reports (r : Obs.Jobs.result) =
+  match r.Obs.Jobs.json with
+  | Obs.Json.List reports ->
+      List.map
+        (fun rep ->
+          match
+            ( Obs.Json.member "world" rep,
+              Obs.Json.member "skipped" rep,
+              Obs.Json.member "violations" rep )
+          with
+          | ( Some (Obs.Json.String w),
+              Some (Obs.Json.Bool skipped),
+              Some (Obs.Json.List vs) ) ->
+              (w, skipped, List.length vs)
+          | _ -> Alcotest.fail "malformed report")
+        reports
+  | _ -> Alcotest.fail "corpus job without reports"
+
 let corpus_sound () =
   List.iter
-    (fun e ->
+    (fun ((e : Corpus.entry), job) ->
+      let r = job () in
+      if not r.Obs.Jobs.ok then
+        Alcotest.failf "%s:@.%s" e.Corpus.e_name r.Obs.Jobs.text;
+      Alcotest.(check int)
+        (e.Corpus.e_name ^ ": one report per variant and world")
+        (List.length World.all_ids * List.length e.Corpus.e_variants)
+        (List.length (reports r));
       List.iter
-        (fun variant ->
-          List.iter
-            (fun world ->
-              let r =
-                Harness.check ~samples:32 ~seed:7 ~world ~variant
-                  e.Corpus.e_prog
-              in
-              Alcotest.(check bool)
-                (Fmt.str "%s %s %s checked" e.Corpus.e_name
-                   (World.id_name world)
-                   (Axiom.variant_name variant))
-                false r.Harness.r_skipped;
-              match r.Harness.r_violations with
-              | [] -> ()
-              | v :: _ ->
-                  Alcotest.failf "%s: %a" e.Corpus.e_name
-                    (Harness.pp_violation (Prog.locs e.Corpus.e_prog))
-                    v)
-            World.all_ids)
-        e.Corpus.e_variants)
-    Corpus.all
+        (fun (w, skipped, _) ->
+          Alcotest.(check bool)
+            (Fmt.str "%s %s checked" e.Corpus.e_name w)
+            false skipped)
+        (reports r))
+    (corpus_jobs ~samples:32 ~seed:7 ())
 
 (* >= 500 fuzzed programs per world; a failure prints the replay file
    verbatim, so it feeds straight into [respct_experiments replay]. *)
@@ -239,35 +257,50 @@ let shrink_well_formed =
    counterexample that replays from its printed text, which is what
    [respct_experiments replay] consumes. *)
 let mutant_detected () =
-  Fun.protect
-    ~finally:(fun () -> World.set_mutant None)
-    (fun () ->
-      World.set_mutant (Some World.Drop_same_line_order);
-      let fz =
-        Harness.fuzz ~n:60 ~seed:3 ~samples:24 ~worlds:[ World.Kernel ]
-          ~variants:[ Axiom.Pcso ] ()
-      in
-      match fz.Harness.f_failure with
-      | None ->
-          Alcotest.failf
-            "planted mutant survived %d fuzzed programs (%d skipped)"
-            fz.Harness.f_tested fz.Harness.f_skipped
-      | Some s -> (
-          (match s.Obs.Cx.witness with
-          | _, Some v ->
-              Alcotest.(check bool)
-                "violation records the planted mutant" true
-                (v.Harness.v_mutant = Some World.Drop_same_line_order)
-          | _, None -> Alcotest.fail "shrunk witness carries no violation");
-          (* the replay plants the recorded mutant itself *)
-          World.set_mutant None;
-          match
-            Obs.Cx.replay [ Obs.Cx.Campaign (Harness.campaign ()) ] s.Obs.Cx.text
-          with
-          | Ok (_, Obs.Cx.Reproduced _) -> ()
-          | Ok (_, Obs.Cx.Vanished _) ->
-              Alcotest.fail "parsed replay file no longer reproduces"
-          | Error e -> Alcotest.failf "replay file: %a" Obs.Cx.pp_error e))
+  let fz =
+    Harness.fuzz ~mutant:World.Drop_same_line_order ~n:60 ~seed:3 ~samples:24
+      ~worlds:[ World.Kernel ] ~variants:[ Axiom.Pcso ] ()
+  in
+  match fz.Harness.f_failure with
+  | None ->
+      Alcotest.failf "planted mutant survived %d fuzzed programs (%d skipped)"
+        fz.Harness.f_tested fz.Harness.f_skipped
+  | Some s -> (
+      (match s.Obs.Cx.witness with
+      | _, Some v ->
+          Alcotest.(check bool)
+            "violation records the planted mutant" true
+            (v.Harness.v_mutant = Some World.Drop_same_line_order)
+      | _, None -> Alcotest.fail "shrunk witness carries no violation");
+      (* the replay plants the recorded mutant itself *)
+      match
+        Obs.Cx.replay [ Obs.Cx.Campaign (Harness.campaign ()) ] s.Obs.Cx.text
+      with
+      | Ok (_, Obs.Cx.Reproduced _) -> ()
+      | Ok (_, Obs.Cx.Vanished _) ->
+          Alcotest.fail "parsed replay file no longer reproduces"
+      | Error e -> Alcotest.failf "replay file: %a" Obs.Cx.pp_error e)
+
+(* [litmus --corpus --mutant] in process: the corpus fails, and the
+   same-line WAR entry shows a violation in each world (the fuzzer stops
+   at its first violation, which is in kernel, so only the corpus shows
+   that ref catches the mutant too). *)
+let mutant_corpus_caught () =
+  let results =
+    List.map
+      (fun ((e : Corpus.entry), job) -> (e.Corpus.e_name, job ()))
+      (corpus_jobs ~mutant:World.Drop_same_line_order ())
+  in
+  Alcotest.(check bool) "corpus fails" false
+    (List.for_all (fun (_, r) -> r.Obs.Jobs.ok) results);
+  let caught = reports (List.assoc "incll-war" results) in
+  List.iter
+    (fun w ->
+      Alcotest.(check bool)
+        ("incll-war: violation in the " ^ w ^ " world")
+        true
+        (List.exists (fun (w', _, n) -> w' = w && n > 0) caught))
+    [ "kernel"; "ref" ]
 
 (* The same fuzz budget without the mutant is clean — the detection
    above is the mutant's doing, not generator noise. *)
@@ -431,6 +464,8 @@ let () =
             `Quick mutant_detected;
           Alcotest.test_case "clean baseline without mutant" `Quick
             mutant_clean_baseline;
+          Alcotest.test_case "corpus catches it in both worlds" `Quick
+            mutant_corpus_caught;
         ] );
       ( "completeness",
         [

@@ -1,7 +1,6 @@
 (* Tests for the deterministic perf harness (lib/perf):
 
-   - the summary statistics are correct and the bootstrap is a pure
-     function of (samples, seed);
+   - the order statistics are correct;
    - two same-seed smoke runs of the real benchmark suite export
      byte-identical documents;
    - the sim gate is exact and two-sided: a planted 2x slowdown, a 2x
@@ -22,24 +21,18 @@ let checkf = Alcotest.check (Alcotest.float 1e-12)
 (* ---------------------------------------------------------------- *)
 (* Stat *)
 
-let test_median_mad () =
+let test_median_percentile () =
   checkf "odd median" 3.0 (Stat.median [| 5.0; 1.0; 3.0 |]);
   checkf "even median" 2.5 (Stat.median [| 4.0; 1.0; 2.0; 3.0 |]);
-  checkf "mad" 1.0 (Stat.mad [| 1.0; 2.0; 3.0; 4.0; 5.0 |]);
-  checkf "constant mad" 0.0 (Stat.mad [| 7.0; 7.0; 7.0 |])
-
-let test_bootstrap () =
-  let xs = [| 3.0; 1.0; 4.0; 1.0; 5.0; 9.0; 2.0; 6.0 |] in
-  let lo1, hi1 = Stat.bootstrap_ci ~seed:11 xs in
-  let lo2, hi2 = Stat.bootstrap_ci ~seed:11 xs in
-  checkf "ci lo deterministic" lo1 lo2;
-  checkf "ci hi deterministic" hi1 hi2;
-  checkb "ci ordered" true (lo1 <= hi1);
-  checkb "ci brackets median" true
-    (lo1 <= Stat.median xs && Stat.median xs <= hi1);
-  let lo, hi = Stat.bootstrap_ci ~seed:3 [| 42.0 |] in
-  checkf "singleton lo" 42.0 lo;
-  checkf "singleton hi" 42.0 hi
+  (* nearest rank over 0 .. n-1: p = 0.5 of five values is the third *)
+  let sorted = [| 10.0; 20.0; 30.0; 40.0; 50.0 |] in
+  checkf "p0" 10.0 (Stat.percentile_of_sorted sorted 0.0);
+  checkf "p50" 30.0 (Stat.percentile_of_sorted sorted 0.5);
+  checkf "p60 rounds to the nearer rank" 30.0
+    (Stat.percentile_of_sorted sorted 0.6);
+  checkf "p99" 50.0 (Stat.percentile_of_sorted sorted 0.99);
+  checkf "p100" 50.0 (Stat.percentile_of_sorted sorted 1.0);
+  checkf "singleton" 42.0 (Stat.percentile_of_sorted [| 42.0 |] 0.99)
 
 (* ---------------------------------------------------------------- *)
 (* JSON round-trip *)
@@ -140,8 +133,8 @@ let () =
     [
       ( "stat",
         [
-          Alcotest.test_case "median and mad" `Quick test_median_mad;
-          Alcotest.test_case "bootstrap" `Quick test_bootstrap;
+          Alcotest.test_case "median and percentile" `Quick
+            test_median_percentile;
         ] );
       ("json", [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip ]);
       ( "bench",

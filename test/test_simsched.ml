@@ -796,21 +796,37 @@ let test_trace_rmw_regression () =
     [ "load"; "miss"; "store"; "hit"; "rmw" ]
     (traced (fun env -> ignore (Env.faa env 0 7)))
 
-let test_trace_mutex_events () =
+(* Two threads over three locks, two of them nested: the lock events of
+   one run, lock ids included. *)
+let lock_events () =
   let s = Scheduler.create () in
-  let m = Mutex.create () in
+  let a = Mutex.create () and b = Mutex.create () and c = Mutex.create () in
   let (), tr =
     Event.record (Scheduler.trace_bus s) (fun () ->
-        ignore
-          (Scheduler.spawn s (fun () ->
-               Mutex.with_lock s m (fun () -> Scheduler.charge s 10.0)));
+        for i = 0 to 1 do
+          ignore
+            (Scheduler.spawn s (fun () ->
+                 Mutex.with_lock s (if i = 0 then b else c) (fun () ->
+                     Mutex.with_lock s a (fun () -> Scheduler.charge s 10.0))))
+        done;
         ignore (Scheduler.run s))
   in
+  List.filter_map
+    (function
+      | Event.Acquire { tid; lock } -> Some (Fmt.str "acquire t%d L%d" tid lock)
+      | Event.Release { tid; lock } -> Some (Fmt.str "release t%d L%d" tid lock)
+      | _ -> None)
+    tr
+
+let test_trace_mutex_events () =
+  let first = lock_events () in
   Alcotest.(check (list string))
-    "lock events" [ "acquire"; "release" ]
-    (List.filter
-       (fun k -> k = "acquire" || k = "release")
-       (List.map kind_of tr))
+    "lock events"
+    [ "acquire"; "acquire"; "acquire"; "release"; "release"; "acquire";
+      "release"; "release" ]
+    (List.map (fun e -> List.hd (String.split_on_char ' ' e)) first);
+  (* lock identities come from the world, not from what ran before *)
+  Alcotest.(check (list string)) "same world, same stream" first (lock_events ())
 
 let test_trace_inactive_by_default () =
   let s = Scheduler.create () in
