@@ -32,7 +32,7 @@ val fingerprint : Simnvm.Memsys.t -> completed:int -> fingerprint
 (** The fingerprint of the memory's current boundary, at which [completed]
     operations are done, folded straight over the cache
     ({!Simnvm.Memsys.fold_dirty_nvm}): it copies no line and allocates
-    only the record. *)
+    only the record and the digest's closure over the line size. *)
 
 val pilot :
   Simnvm.Memsys.t -> completed:(unit -> int) -> (unit -> unit) -> fingerprint array

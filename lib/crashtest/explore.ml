@@ -34,9 +34,10 @@
    and its bookkeeping follows what each boundary and image touch, not
    the cache geometry. On the crash-matrix benchmark's two worlds (seed
    42: 1 931 boundaries, 16 158 images, 3 792 recoveries) the
-   recoveries take about 60% of the host time, at about 5.5 µs each; a
-   suspend and resume pair costs about 0.25 µs and a restore 0.2 µs
-   (times scaled to the benchmark's reference box).
+   recoveries take about 73% of the host time, at 11-16 µs each
+   (unscaled, every call timed, on a 2-vCPU shared VM); a suspend and
+   resume pair costs about 0.25 µs and a restore 0.2 µs (scaled to the
+   benchmark's reference box).
 
    Most of those recoveries would repeat one already made, so each
    distinct image is recovered once per segment: a maximal run of

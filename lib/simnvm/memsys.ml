@@ -25,19 +25,21 @@
    flushed data — which is what keeps the explicitly-flushing baselines
    (Clobber, SOFT, FriedmanQueue) correct under the same ablation.
 
-   Hot-path discipline: every per-access structure is a flat array or
-   bitset indexed by line number (no hashtables), set/offset arithmetic
-   uses precomputed shifts and masks when the geometry is a power of two,
-   and a warm access allocates nothing. Lookups, victim scans and chunk
-   blits are loops, not local closures; the costs handed to [charge] are
-   boxed once, at [create]; the eviction decision compares an integer
-   draw against an integer threshold; events are only constructed when
-   the bus has a subscriber, and the stats counters are bumped inline
-   instead of travelling through the bus. What does allocate: a line's
-   word buffer and a backing chunk at their first touch, and the undo
-   journal's growth while a snapshot is live. The differential oracle in
-   [Refmodel] pins this kernel, word for word and event for event, to a
-   naive executable specification.
+   Hot-path discipline: the cache is five flat arrays indexed by slot
+   (tags, dirty masks, LRU stamps, last writers, and all slots' words in
+   one), so a lookup scans a set's tags in adjacent words; the
+   prefetcher counts its fill ring's lines in a small open-addressing
+   table; set/offset arithmetic uses precomputed shifts and masks when
+   the geometry is a power of two. Lookups, victim scans and chunk
+   blits are loops, not local closures; the costs handed to [charge]
+   are boxed once, at [create]; the eviction decision compares an
+   integer draw against an integer threshold; events are only
+   constructed when the bus has a subscriber, and the stats counters
+   are bumped inline instead of travelling through the bus. An access
+   allocates nothing but a backing chunk, at the first write-back into
+   it; the undo journal also grows while a snapshot is live. The differential oracle
+   in [Refmodel] pins this kernel, word for word and event for event,
+   to a naive executable specification.
 
    Media damage (poisoned lines, transient read faults, torn or flipped
    persisted words) enters only through the host hooks at the end of
@@ -107,11 +109,6 @@ let chunk_for_write (s : store) k =
 let store_set (s : store) i v =
   (chunk_for_write s (i lsr chunk_shift)).(i land chunk_mask) <- v
 
-let[@inline] store_add (s : store) i d =
-  let c = chunk_for_write s (i lsr chunk_shift) in
-  let off = i land chunk_mask in
-  c.(off) <- c.(off) + d
-
 (* Lines need not divide chunks (line_words is any size <= 62), so the
    blits walk chunk boundaries. They run on every fill, write-back and
    journal save or undo, so they are loops over mutable locals rather
@@ -163,31 +160,22 @@ let store_fill_zero (s : store) pos len =
 (* Zero the whole store by dropping every private chunk. *)
 let store_clear (s : store) = Array.fill s 0 (Array.length s) zero_chunk
 
-type line = {
-  mutable tag : int; (* line index in the address space; -1 = invalid *)
-  mutable data : int array; (* aliases [no_data] until the first fill *)
-  mutable dirty : bool;
-  mutable dirty_mask : int; (* bitmask of dirty words, for the pcso ablation *)
-  mutable lru : int;
-  mutable last_writer : int; (* thread that last wrote the line; -1 = shared *)
-}
-
-(* Shared placeholder for the data of never-filled lines: only [fill]
-   writes to an invalid line, and it materializes a private array first,
-   so the placeholder is never read or written. *)
-let no_data : int array = [||]
-
 (* The volatile state: what a power failure loses and what [suspend]
    swaps out while the memory serves a nested recovery. One record of
    them is the world's, the other the spare the recoveries run on;
    [suspend] and [resume] exchange the two by swapping fields, so
    neither copies a line. *)
 type volatile = {
-  mutable v_lines : line array;
+  mutable v_tags : int array;
+  mutable v_masks : int array;
+  mutable v_lrus : int array;
+  mutable v_writers : int array;
+  mutable v_words : int array;
   mutable v_stamp : int;
   mutable v_dram : store;
   mutable v_fills : int array;
-  mutable v_count : store;
+  mutable v_table : int array;
+  mutable v_live : int;
   mutable v_pos : int;
   mutable v_poisoned : Bytes.t;
   mutable v_n_poisoned : int;
@@ -212,7 +200,15 @@ type t = {
   cfg : config;
   pmem : store; (* the persistent NVMM image *)
   mutable dram : store;
-  mutable lines : line array; (* sets * ways, row-major by set *)
+  (* The cache, one slot per way, row-major by set: [set * ways + way].
+     A slot is valid when its tag names a line (-1 = invalid) and dirty
+     exactly when its mask of dirty words is nonzero (so an invalid slot
+     is clean); its words are [words.(slot * lw) .. + lw - 1]. *)
+  mutable tags : int array;
+  mutable masks : int array;
+  mutable lrus : int array;
+  mutable writers : int array; (* thread that last wrote; -1 = shared *)
+  mutable words : int array;
   mutable stamp : int;
   rng : Rng.t;
   stats : Stats.t; (* bumped inline on the hot path, not through the bus *)
@@ -243,11 +239,13 @@ type t = {
   sets_mask : int;
   ways : int;
   nvm_lines : int;
-  total_lines : int;
   (* Ring of the line numbers of recent fills, in fill order; entries
-     not written since the ring was last emptied are -1. *)
+     not written since the ring was last emptied are -1. The table
+     counts each line's occurrences in it (see [recent_add]), and
+     [recent_live] counts the table's keys. *)
   mutable recent_fills : int array;
-  mutable recent_count : store; (* line -> occurrences in the ring *)
+  mutable recent_table : int array;
+  mutable recent_live : int;
   mutable recent_pos : int;
   (* Faulty-media state: poisoned NVMM lines (fills raise until scrubbed)
      and armed one-shot transient read faults, as bitsets over the NVMM
@@ -315,6 +313,15 @@ let prefetch_window = 256
 let prefetch_mask = prefetch_window - 1
 let prefetched_miss_ns = 12.0
 
+(* The ring's line counts live in an open-addressing table of
+   [table_slots] (key, count) pairs, a key of -1 marking a free slot. A
+   line's probe run starts at a multiplicative hash of it and walks on,
+   masked, to the line or to a free slot. The ring names at most
+   [prefetch_window] distinct lines, so at most a quarter of the slots
+   is ever taken and probe runs stay short. *)
+let table_slots = 4 * prefetch_window
+let table_mask = table_slots - 1
+
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 (* [u / 2^53 < r] holds exactly when [u < ⌈r·2^53⌉] for a 53-bit draw [u]
@@ -331,16 +338,6 @@ let log2 n =
   let rec go p acc = if p >= n then acc else go (2 * p) (acc + 1) in
   go 1 0
 
-let mk_line _ =
-  {
-    tag = -1;
-    data = no_data;
-    dirty = false;
-    dirty_mask = 0;
-    lru = 0;
-    last_writer = -1;
-  }
-
 let create cfg =
   if cfg.nvm_words mod cfg.line_words <> 0 then
     invalid_arg "Memsys.create: nvm_words must be line-aligned";
@@ -348,12 +345,16 @@ let create cfg =
     invalid_arg "Memsys.create: line_words must fit a dirty bitmask";
   let lw = cfg.line_words in
   let nvm_lines = cfg.nvm_words / lw in
-  let total_lines = (cfg.nvm_words + cfg.dram_words + lw - 1) / lw in
+  let slots = cfg.sets * cfg.ways in
   {
     cfg;
     pmem = store_make cfg.nvm_words;
     dram = store_make cfg.dram_words;
-    lines = Array.init (cfg.sets * cfg.ways) mk_line;
+    tags = Array.make slots (-1);
+    masks = Array.make slots 0;
+    lrus = Array.make slots 0;
+    writers = Array.make slots (-1);
+    words = Array.make (slots * lw) 0;
     stamp = 0;
     rng = Rng.create cfg.seed;
     stats = Stats.create ();
@@ -376,9 +377,9 @@ let create cfg =
     sets_mask = (if is_pow2 cfg.sets then cfg.sets - 1 else -1);
     ways = cfg.ways;
     nvm_lines;
-    total_lines;
     recent_fills = Array.make prefetch_window (-1);
-    recent_count = store_make (total_lines + 1);
+    recent_table = Array.make (2 * table_slots) (-1);
+    recent_live = 0;
     recent_pos = 0;
     poisoned_bits = Bytes.make (max 1 ((nvm_lines + 7) / 8)) '\000';
     n_poisoned = 0;
@@ -463,29 +464,28 @@ let backing_write t lineno off v =
    capacity evictions, eADR drain — [complete=true]) still persist
    everything and only the *ordering* of persists is weakened, never their
    durability. *)
-let write_back ?(complete = true) t line =
-  let lineno = line.tag in
-  let base = lineno * t.lw in
+let write_back ?(complete = true) t slot =
+  let lineno = t.tags.(slot) in
+  let base = lineno * t.lw and src = slot * t.lw in
   let nvm = is_nvm t base in
   if t.cfg.pcso || complete then begin
     if nvm then begin
       journal t lineno;
-      store_blit_in t.pmem base line.data 0 t.lw
+      store_blit_in t.pmem base t.words src t.lw
     end
-    else store_blit_in t.dram (base - t.cfg.nvm_words) line.data 0 t.lw;
-    line.dirty <- false;
-    line.dirty_mask <- 0
+    else store_blit_in t.dram (base - t.cfg.nvm_words) t.words src t.lw;
+    t.masks.(slot) <- 0
   end
   else begin
-    let mask = ref line.dirty_mask in
+    let dirty = t.masks.(slot) in
+    let mask = ref dirty in
     for off = 0 to t.lw - 1 do
-      if line.dirty_mask land (1 lsl off) <> 0 && Rng.bool t.rng then begin
-        backing_write t lineno off line.data.(off);
+      if dirty land (1 lsl off) <> 0 && Rng.bool t.rng then begin
+        backing_write t lineno off t.words.(src + off);
         mask := !mask land lnot (1 lsl off)
       end
     done;
-    line.dirty_mask <- !mask;
-    line.dirty <- !mask <> 0
+    t.masks.(slot) <- !mask
   end;
   (let s = t.stats in
    if nvm then s.Stats.nvm_writebacks <- s.Stats.nvm_writebacks + 1
@@ -496,6 +496,18 @@ let write_back ?(complete = true) t line =
          { backing = (if nvm then Event.Nvm else Event.Dram); line = lineno });
   nvm
 
+(* Drop a slot's line without write-back. *)
+let invalidate t slot =
+  t.tags.(slot) <- -1;
+  t.masks.(slot) <- 0;
+  t.writers.(slot) <- -1
+
+let invalidate_all t =
+  let n = Array.length t.tags in
+  Array.fill t.tags 0 n (-1);
+  Array.fill t.masks 0 n 0;
+  Array.fill t.writers 0 n (-1)
+
 (* Set index uses a multiplicative hash, as real LLCs hash addresses to
    slices: without it, regular allocation strides (per-thread heap chunks)
    alias into a handful of sets and thrash artificially. *)
@@ -503,40 +515,98 @@ let[@inline] set_of t lineno =
   let h = (lineno * 0x9E3779B1) lsr 11 land max_int in
   if t.sets_mask >= 0 then h land t.sets_mask else h mod t.cfg.sets
 
-(* Hot-path lookup: the way index of [lineno] in its set, or -1. A loop,
-   so neither a hit nor a miss allocates (no option, no scan closure). *)
+(* Hot-path lookup: the slot of [lineno], or -1. A loop over the set's
+   adjacent tags, so neither a hit nor a miss allocates. The set's slots
+   are in bounds by construction, as is every slot this and [victim]
+   return: the accesses below index by them unchecked. *)
 let[@inline] find_slot t lineno =
   let base = set_of t lineno * t.ways in
-  let lines = t.lines in
+  let tags = t.tags in
   let stop = base + t.ways in
   let i = ref base in
-  while !i < stop && (Array.unsafe_get lines !i).tag <> lineno do
+  while !i < stop && Array.unsafe_get tags !i <> lineno do
     incr i
   done;
   if !i < stop then !i else -1
-
-(* Cold-path wrapper for the host/test hooks. *)
-let find_line t lineno =
-  match find_slot t lineno with -1 -> None | i -> Some t.lines.(i)
 
 (* Victim: the first invalid way if any, else the least recently used
    (the first of equals). *)
 let victim t lineno =
   let base = set_of t lineno * t.ways in
-  let best = ref t.lines.(base) in
-  let i = ref 0 in
-  while !i < t.ways do
-    let line = t.lines.(base + !i) in
-    if line.tag = -1 then begin
-      best := line;
-      i := t.ways
+  let tags = t.tags and lrus = t.lrus in
+  let stop = base + t.ways in
+  let best = ref base and i = ref base in
+  while !i < stop do
+    let s = !i in
+    if Array.unsafe_get tags s = -1 then begin
+      best := s;
+      i := stop
     end
     else begin
-      if line.lru < !best.lru then best := line;
+      if Array.unsafe_get lrus s < Array.unsafe_get lrus !best then best := s;
       incr i
     end
   done;
   !best
+
+let[@inline] table_home lineno = (lineno * 0x9E3779B1) lsr 16 land table_mask
+
+(* The slot holding [lineno], or the free slot that ends its probe run
+   (one always comes: at most [prefetch_window] keys are live). *)
+let table_probe tbl lineno =
+  let i = ref (table_home lineno) in
+  while
+    let k = Array.unsafe_get tbl (2 * !i) in
+    k <> lineno && k >= 0
+  do
+    i := (!i + 1) land table_mask
+  done;
+  !i
+
+let[@inline] recent_mem t lineno =
+  let tbl = t.recent_table in
+  Array.unsafe_get tbl (2 * table_probe tbl lineno) = lineno
+
+let recent_add t lineno =
+  let tbl = t.recent_table in
+  let i = 2 * table_probe tbl lineno in
+  if tbl.(i) = lineno then tbl.(i + 1) <- tbl.(i + 1) + 1
+  else begin
+    (* A deletion that left a hole in a probe run would strand the keys
+       behind it: never found again, never removed, they would fill the
+       table until a probe never ends. Counting the keys (and removing
+       only keys that are there) makes that fail here instead. *)
+    t.recent_live <- t.recent_live + 1;
+    assert (t.recent_live <= prefetch_window);
+    tbl.(i) <- lineno;
+    tbl.(i + 1) <- 1
+  end
+
+(* Remove one occurrence of [lineno], which the ring holds. A key that
+   drops to zero leaves by backward shift: each later key of the probe
+   run whose home does not lie between the hole and itself moves into
+   the hole, so no run is ever broken and no tombstone is needed. *)
+let recent_remove t lineno =
+  let tbl = t.recent_table in
+  let i = table_probe tbl lineno in
+  assert (tbl.(2 * i) = lineno);
+  let n = tbl.((2 * i) + 1) in
+  if n > 1 then tbl.((2 * i) + 1) <- n - 1
+  else begin
+    let hole = ref i and j = ref ((i + 1) land table_mask) in
+    while tbl.(2 * !j) >= 0 do
+      let k = tbl.(2 * !j) in
+      if (!j - table_home k) land table_mask >= (!j - !hole) land table_mask
+      then begin
+        tbl.(2 * !hole) <- k;
+        tbl.((2 * !hole) + 1) <- tbl.((2 * !j) + 1);
+        hole := !j
+      end;
+      j := (!j + 1) land table_mask
+    done;
+    tbl.(2 * !hole) <- -1;
+    t.recent_live <- t.recent_live - 1
+  end
 
 (* Media check on a line fill: an armed transient fault fails exactly one
    read and disarms; a poisoned line fails every read until {!scrub_line}.
@@ -564,30 +634,30 @@ let check_media t lineno =
     raise (Media_error { addr; line = lineno; transient = false })
   end
 
-(* Bring a line into the cache, returning it. Charges miss cost (and the
-   victim write-back cost, which delays the fill) via the charge hook. *)
+(* Bring a line into the cache, returning its slot. Charges miss cost (and
+   the victim write-back cost, which delays the fill) via the charge
+   hook. *)
 let fill t lineno =
   check_media t lineno;
-  let line = victim t lineno in
-  if line.tag >= 0 && line.dirty then begin
-    let nvm = write_back t line in
+  let slot = victim t lineno in
+  if Array.unsafe_get t.masks slot <> 0 then begin
+    let nvm = write_back t slot in
     t.charge (if nvm then t.nvm_wb_ns else t.dram_wb_ns)
   end;
   let base = lineno * t.lw in
-  line.tag <- lineno;
-  line.dirty <- false;
-  line.dirty_mask <- 0;
-  line.last_writer <- -1;
+  Array.unsafe_set t.tags slot lineno;
+  Array.unsafe_set t.masks slot 0;
+  Array.unsafe_set t.writers slot (-1);
   let nvm = is_nvm t base in
-  if line.data == no_data then line.data <- Array.make t.lw 0;
-  if nvm then store_blit_out t.pmem base line.data 0 t.lw
-  else store_blit_out t.dram (base - t.cfg.nvm_words) line.data 0 t.lw;
-  let prefetched = lineno > 0 && store_get t.recent_count (lineno - 1) > 0 in
-  (let old = t.recent_fills.(t.recent_pos) in
-   if old >= 0 then store_add t.recent_count old (-1);
-   t.recent_fills.(t.recent_pos) <- lineno;
-   store_add t.recent_count lineno 1;
-   t.recent_pos <- (t.recent_pos + 1) land prefetch_mask);
+  if nvm then store_blit_out t.pmem base t.words (slot * t.lw) t.lw
+  else store_blit_out t.dram (base - t.cfg.nvm_words) t.words (slot * t.lw) t.lw;
+  let prefetched = lineno > 0 && recent_mem t (lineno - 1) in
+  (let pos = t.recent_pos in
+   let old = t.recent_fills.(pos) in
+   if old >= 0 then recent_remove t old;
+   t.recent_fills.(pos) <- lineno;
+   recent_add t lineno;
+   t.recent_pos <- (pos + 1) land prefetch_mask);
   (let s = t.stats in
    if nvm then s.Stats.nvm_misses <- s.Stats.nvm_misses + 1
    else s.Stats.dram_misses <- s.Stats.dram_misses + 1);
@@ -602,24 +672,23 @@ let fill t lineno =
   if nvm then
     t.charge (if prefetched then prefetched_miss_ns else t.nvm_miss_ns)
   else t.charge (if prefetched then prefetched_miss_ns else t.dram_miss_ns);
-  line
+  slot
 
 let lookup t addr =
   let lineno = line_of t addr in
   let slot = find_slot t lineno in
-  let line =
+  let slot =
     if slot >= 0 then begin
-      let line = Array.unsafe_get t.lines slot in
       t.stats.Stats.hits <- t.stats.Stats.hits + 1;
       if has_subs t then emit t (Event.Hit { addr });
       t.charge t.hit_ns;
-      line
+      slot
     end
     else fill t lineno
   in
   t.stamp <- t.stamp + 1;
-  line.lru <- t.stamp;
-  line
+  Array.unsafe_set t.lrus slot t.stamp;
+  slot
 
 (* Background hardware may write any dirty line back at any moment: with
    probability [evict_rate] per store, persist one random dirty line. Not
@@ -628,13 +697,12 @@ let lookup t addr =
    must defend against. *)
 let spontaneous_eviction t =
   if t.evict_below > 0 && Rng.bits53 t.rng < t.evict_below then begin
-    let i = Rng.int t.rng (Array.length t.lines) in
-    let line = t.lines.(i) in
-    if line.tag >= 0 && line.dirty then begin
-      ignore (write_back ~complete:false t line);
+    let slot = Rng.int t.rng (Array.length t.tags) in
+    if t.masks.(slot) <> 0 then begin
+      ignore (write_back ~complete:false t slot);
       t.stats.Stats.spontaneous_evictions <-
         t.stats.Stats.spontaneous_evictions + 1;
-      if has_subs t then emit t (Event.Eviction { line = line.tag })
+      if has_subs t then emit t (Event.Eviction { line = t.tags.(slot) })
     end
   end
 
@@ -642,39 +710,39 @@ let load t addr =
   check_addr t addr;
   t.stats.Stats.loads <- t.stats.Stats.loads + 1;
   if has_subs t then emit t (Event.Load { tid = t.current_tid (); addr });
-  let line = lookup t addr in
+  let slot = lookup t addr in
   let me = t.current_tid () in
-  if line.last_writer >= 0 && line.last_writer <> me then begin
+  let writer = Array.unsafe_get t.writers slot in
+  if writer >= 0 && writer <> me then begin
     t.charge coherence_read_ns;
-    line.last_writer <- -1
+    Array.unsafe_set t.writers slot (-1)
   end;
-  line.data.(off_of t addr)
+  Array.unsafe_get t.words ((slot * t.lw) + off_of t addr)
 
 let store t addr v =
   check_addr t addr;
   t.stats.Stats.stores <- t.stats.Stats.stores + 1;
   if has_subs t then emit t (Event.Store { tid = t.current_tid (); addr });
-  let line = lookup t addr in
+  let slot = lookup t addr in
   let me = t.current_tid () in
-  if me >= 0 && line.last_writer <> me then t.charge coherence_write_ns;
-  if me >= 0 then line.last_writer <- me;
+  if me >= 0 && Array.unsafe_get t.writers slot <> me then
+    t.charge coherence_write_ns;
+  if me >= 0 then Array.unsafe_set t.writers slot me;
   let off = off_of t addr in
-  line.data.(off) <- v;
-  line.dirty <- true;
-  line.dirty_mask <- line.dirty_mask lor (1 lsl off);
+  Array.unsafe_set t.words ((slot * t.lw) + off) v;
+  Array.unsafe_set t.masks slot (Array.unsafe_get t.masks slot lor (1 lsl off));
   t.charge t.store_extra_ns;
   spontaneous_eviction t
 
 let pwb t addr =
   check_addr t addr;
-  let lineno = line_of t addr in
-  let slot = find_slot t lineno in
-  let dirty = slot >= 0 && t.lines.(slot).dirty in
+  let slot = find_slot t (line_of t addr) in
+  let dirty = slot >= 0 && t.masks.(slot) <> 0 in
   t.stats.Stats.pwbs <- t.stats.Stats.pwbs + 1;
   if has_subs t then
     emit t (Event.Pwb { tid = t.current_tid (); addr; dirty });
   if dirty then begin
-    ignore (write_back t t.lines.(slot));
+    ignore (write_back t slot);
     t.charge t.clwb_ns
   end
   else
@@ -690,27 +758,26 @@ let psync t =
    tests to force a chosen partial state into NVMM before a crash. *)
 let force_evict t addr =
   check_addr t addr;
-  match find_line t (line_of t addr) with
-  | Some line ->
-      if line.dirty then ignore (write_back t line);
-      line.tag <- -1
-  | None -> ()
+  match find_slot t (line_of t addr) with
+  | -1 -> ()
+  | slot ->
+      if t.masks.(slot) <> 0 then ignore (write_back t slot);
+      invalidate t slot
 
 (* Drop the line holding [addr] without writing it back: used by tests to
    guarantee a store did NOT persist. *)
 let drop_line t addr =
   check_addr t addr;
-  match find_line t (line_of t addr) with
-  | Some line ->
-      line.tag <- -1;
-      line.dirty <- false;
-      line.dirty_mask <- 0
-  | None -> ()
+  match find_slot t (line_of t addr) with -1 -> () | slot -> invalidate t slot
 
 let is_cached_dirty t addr =
-  match find_line t (line_of t addr) with
-  | Some line -> line.dirty
-  | None -> false
+  match find_slot t (line_of t addr) with
+  | -1 -> false
+  | slot -> t.masks.(slot) <> 0
+
+(* Dirtiness first: most lines are clean, and no invalid line is dirty. *)
+let[@inline] dirty_nvm t slot =
+  t.masks.(slot) <> 0 && is_nvm t (t.tags.(slot) * t.lw)
 
 let crash t =
   t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;
@@ -718,17 +785,10 @@ let crash t =
   if t.cfg.eadr then
     (* eADR: the cache is in the persistent domain; dirty NVMM lines are
        drained by the battery-backed flush on power failure. *)
-    Array.iter
-      (fun line ->
-        if line.tag >= 0 && line.dirty && is_nvm t (line.tag * t.lw) then
-          ignore (write_back t line))
-      t.lines;
-  Array.iter
-    (fun line ->
-      line.tag <- -1;
-      line.dirty <- false;
-      line.dirty_mask <- 0)
-    t.lines;
+    for slot = 0 to Array.length t.tags - 1 do
+      if dirty_nvm t slot then ignore (write_back t slot)
+    done;
+  invalidate_all t;
   store_clear t.dram
 
 let persisted t addr =
@@ -737,7 +797,9 @@ let persisted t addr =
   store_get t.pmem addr
 
 let flush_all t =
-  Array.iter (fun line -> if line.tag >= 0 && line.dirty then ignore (write_back t line)) t.lines
+  for slot = 0 to Array.length t.tags - 1 do
+    if t.masks.(slot) <> 0 then ignore (write_back t slot)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Crash-image hooks for the systematic crash explorer (lib/crashtest).
@@ -752,34 +814,33 @@ let flush_all t =
 (* Logical (cache-coherent) view of a word, bypassing cost and events. *)
 let peek t addr =
   check_addr t addr;
-  match find_line t (line_of t addr) with
-  | Some line -> line.data.(off_of t addr)
-  | None ->
+  match find_slot t (line_of t addr) with
+  | -1 ->
       if is_nvm t addr then store_get t.pmem addr
       else store_get t.dram (addr - t.cfg.nvm_words)
+  | slot -> t.words.((slot * t.lw) + off_of t addr)
 
 type dirty_line = { lineno : int; data : int array; mask : int }
 
-(* Dirtiness first: most lines are clean, and no invalid line is dirty. *)
-let[@inline] dirty_nvm t line =
-  line.dirty && line.tag >= 0 && is_nvm t (line.tag * t.lw)
-
 let dirty_nvm_lines t =
   let acc = ref [] in
-  for i = Array.length t.lines - 1 downto 0 do
-    let line = t.lines.(i) in
-    if dirty_nvm t line then
+  for slot = Array.length t.tags - 1 downto 0 do
+    if dirty_nvm t slot then
       acc :=
-        { lineno = line.tag; data = Array.copy line.data; mask = line.dirty_mask }
+        {
+          lineno = t.tags.(slot);
+          data = Array.sub t.words (slot * t.lw) t.lw;
+          mask = t.masks.(slot);
+        }
         :: !acc
   done;
   !acc
 
 let fold_dirty_nvm t f acc =
   let acc = ref acc in
-  for i = 0 to Array.length t.lines - 1 do
-    let line = t.lines.(i) in
-    if dirty_nvm t line then acc := f !acc line.tag line.dirty_mask line.data
+  for slot = 0 to Array.length t.tags - 1 do
+    if dirty_nvm t slot then
+      acc := f !acc t.tags.(slot) t.masks.(slot) t.words (slot * t.lw)
   done;
   !acc
 
@@ -817,12 +878,6 @@ let undo_journal t =
   done;
   t.jr_count <- 0
 
-let invalidate line =
-  line.tag <- -1;
-  line.dirty <- false;
-  line.dirty_mask <- 0;
-  line.last_writer <- -1
-
 (* Drop the volatile state: invalidate every cache line without
    write-back, zero the DRAM, empty the prefetch ring and clear the
    planted faults. Only [fill] makes a line valid, and it records the
@@ -836,17 +891,15 @@ let invalidate line =
 let reset_volatile t =
   let fills = t.recent_fills in
   let wrapped = fills.(t.recent_pos) >= 0 in
-  if wrapped then Array.iter invalidate t.lines;
-  (* Empty the ring entry by entry: clearing [recent_count] wholesale
-     would drop its chunks and re-materialise them on the next miss. *)
+  if wrapped then invalidate_all t;
   for i = 0 to (if wrapped then prefetch_window else t.recent_pos) - 1 do
     let l = fills.(i) in
     if l >= 0 then begin
       if not wrapped then begin
         let slot = find_slot t l in
-        if slot >= 0 then invalidate t.lines.(slot)
+        if slot >= 0 then invalidate t slot
       end;
-      store_add t.recent_count l (-1);
+      recent_remove t l;
       fills.(i) <- -1
     end
   done;
@@ -881,11 +934,16 @@ let make_parked t =
   {
     p_vol =
       {
-        v_lines = Array.map mk_line t.lines;
+        v_tags = Array.make (Array.length t.tags) (-1);
+        v_masks = Array.make (Array.length t.masks) 0;
+        v_lrus = Array.make (Array.length t.lrus) 0;
+        v_writers = Array.make (Array.length t.writers) (-1);
+        v_words = Array.make (Array.length t.words) 0;
         v_stamp = 0;
         v_dram = store_make t.cfg.dram_words;
         v_fills = Array.make prefetch_window (-1);
-        v_count = store_make (t.total_lines + 1);
+        v_table = Array.make (2 * table_slots) (-1);
+        v_live = 0;
         v_pos = 0;
         v_poisoned = Bytes.make (Bytes.length t.poisoned_bits) '\000';
         v_n_poisoned = 0;
@@ -900,9 +958,21 @@ let make_parked t =
   }
 
 let swap_volatile t v =
-  let lines = t.lines in
-  t.lines <- v.v_lines;
-  v.v_lines <- lines;
+  let a = t.tags in
+  t.tags <- v.v_tags;
+  v.v_tags <- a;
+  let a = t.masks in
+  t.masks <- v.v_masks;
+  v.v_masks <- a;
+  let a = t.lrus in
+  t.lrus <- v.v_lrus;
+  v.v_lrus <- a;
+  let a = t.writers in
+  t.writers <- v.v_writers;
+  v.v_writers <- a;
+  let a = t.words in
+  t.words <- v.v_words;
+  v.v_words <- a;
   let stamp = t.stamp in
   t.stamp <- v.v_stamp;
   v.v_stamp <- stamp;
@@ -912,9 +982,11 @@ let swap_volatile t v =
   let fills = t.recent_fills in
   t.recent_fills <- v.v_fills;
   v.v_fills <- fills;
-  let count = t.recent_count in
-  t.recent_count <- v.v_count;
-  v.v_count <- count;
+  let table = t.recent_table and live = t.recent_live in
+  t.recent_table <- v.v_table;
+  t.recent_live <- v.v_live;
+  v.v_table <- table;
+  v.v_live <- live;
   let pos = t.recent_pos in
   t.recent_pos <- v.v_pos;
   v.v_pos <- pos;
@@ -992,12 +1064,7 @@ let check_nvm_line t lineno =
    access must go through [fill] and hit the media check. *)
 let poison_line t lineno =
   check_nvm_line t lineno;
-  (match find_line t lineno with
-  | Some line ->
-      line.tag <- -1;
-      line.dirty <- false;
-      line.dirty_mask <- 0
-  | None -> ());
+  (match find_slot t lineno with -1 -> () | slot -> invalidate t slot);
   if not (bit_get t.poisoned_bits lineno) then begin
     bit_set t.poisoned_bits lineno;
     t.n_poisoned <- t.n_poisoned + 1
@@ -1005,12 +1072,7 @@ let poison_line t lineno =
 
 let arm_transient_fault t lineno =
   check_nvm_line t lineno;
-  (match find_line t lineno with
-  | Some line ->
-      line.tag <- -1;
-      line.dirty <- false;
-      line.dirty_mask <- 0
-  | None -> ());
+  (match find_slot t lineno with -1 -> () | slot -> invalidate t slot);
   if not (bit_get t.transient_bits lineno) then begin
     bit_set t.transient_bits lineno;
     t.n_transient <- t.n_transient + 1

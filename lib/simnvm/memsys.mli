@@ -42,7 +42,9 @@ val default_config : config
 type t
 
 val create : config -> t
-(** Fresh memory system with a zeroed persistent image.
+(** Fresh memory system with a zeroed persistent image and an empty
+    cache. The cache is allocated here whole: [sets * ways] slots of
+    [line_words + 4] words, plus a 2 048-word prefetch count table.
     @raise Invalid_argument if [nvm_words] is not line-aligned. *)
 
 val config : t -> config
@@ -61,8 +63,9 @@ val stats : t -> Stats.t
     scheduler's bus with {!set_bus}, so one world has one stream. With no
     subscriber attached no event is even constructed: the stats counters
     cost one integer increment per event site, and a {!load}, {!store},
-    {!pwb} or {!psync} allocates nothing once the lines and backing
-    chunks it touches exist (each is allocated at its first touch). *)
+    {!pwb} or {!psync} allocates nothing but a backing chunk at the first
+    write-back into it: the cache's arrays, its line words included, are
+    allocated at {!create}. *)
 
 val bus : t -> Event.bus
 (** The bus this memory publishes on; attach with {!Event.subscribe}. *)
@@ -159,12 +162,14 @@ val dirty_nvm_lines : t -> dirty_line list
     a power failure may or may not have completed, i.e. the degrees of
     freedom of the adversarial crash-image enumeration. *)
 
-val fold_dirty_nvm : t -> ('a -> int -> int -> int array -> 'a) -> 'a -> 'a
-(** [fold_dirty_nvm t f init] folds [f acc lineno mask words] over the
-    lines {!dirty_nvm_lines} lists, in its order, copying nothing:
-    [words] is the cache line's own buffer, valid only during the call —
-    never write it or keep it. With an immediate accumulator and a
-    closed [f] it allocates nothing. *)
+val fold_dirty_nvm :
+  t -> ('a -> int -> int -> int array -> int -> 'a) -> 'a -> 'a
+(** [fold_dirty_nvm t f init] folds [f acc lineno mask words off] over
+    the lines {!dirty_nvm_lines} lists, in its order, copying nothing:
+    [words] is the cache's own word array, and the line's words are
+    [words.(off)] to [words.(off + line_words - 1)]. Read only those,
+    only during the call: never write the array or keep it. With an
+    immediate accumulator and a closed [f] it allocates nothing. *)
 
 val image : t -> int array
 (** Copy of the full persistent NVMM image: O(NVMM words), an oracle view
@@ -186,13 +191,15 @@ val restore : t -> snapshot -> unit
 (** Rewind the persistent image to the snapshot by copying back each
     journaled line, then drop all volatile state: every cache line is
     invalidated without write-back, the DRAM is zeroed, the prefetch ring
-    is emptied, and poisoned lines and armed transient faults are cleared.
-    The snapshot stays live, so one crash point can be re-recovered under
-    several adversarial images. Costs the lines written since the
-    snapshot or the previous restore, plus the lines filled since the
-    previous reset (the prefetch ring lists them while there were at
-    most 256; beyond that, one pass over every cache line) and the DRAM
-    chunk table — not the NVMM size. On the crash-matrix benchmark's
+    and its count table are emptied, and poisoned lines and armed
+    transient faults are cleared. The snapshot stays live, so one crash
+    point can be re-recovered under several adversarial images. Costs
+    the lines written since the snapshot or the previous restore, plus
+    the lines filled since the previous reset (the prefetch ring lists
+    them while there were at most 256, and each is invalidated in its
+    slot and removed from the table; beyond that, one pass over the
+    cache's tag, mask and writer arrays) and the DRAM chunk table — not
+    the NVMM size. On the crash-matrix benchmark's
     worlds a restore before a recovery takes about 0.2 µs.
     @raise Invalid_argument if the snapshot is not the live one of [t]. *)
 
@@ -200,8 +207,10 @@ val suspend : t -> snapshot
 (** Set the running world's volatile state aside and return the live
     {!snapshot} of the current persistent image, so recoveries can run on
     this memory and the world can continue afterwards. The world's cache
-    lines, LRU clock, DRAM, prefetch ring and planted faults are swapped
-    for a spare set of them, allocated at the memory's first suspend;
+    arrays (tags, dirty masks, LRU stamps, last writers and line words),
+    LRU clock, DRAM, prefetch ring with its count table and planted
+    faults are swapped for a spare set of them, allocated at the memory's
+    first suspend;
     the eviction RNG and the charge, thread-id and bus hooks are saved.
     Until {!resume} the memory publishes on a private bus and charges
     nothing, so nothing reaches the world's subscribers or clocks (a

@@ -44,20 +44,28 @@ module Event = Simnvm.Event
 module Stats = Simnvm.Stats
 
 let line_words = 8
-let nvm_lines = 32
-let dram_lines = 8
-let nvm_words = nvm_lines * line_words
-let dram_words = dram_lines * line_words
-let n_addr = nvm_words + dram_words
 
-let config ~pcso seed =
+(* The address space a case runs over, in lines. Every case runs on the
+   same 4 x 2 cache. Over [small]'s 40 lines that is constant eviction
+   pressure, but the prefetch ring names at most 40 distinct lines, and
+   in the count table their keys never share a probe run: over the pcso,
+   armed and suspended cases no probe takes a second step and no
+   deletion shifts a key. Over [wide]'s 2 056 lines nearly every access
+   misses, the ring wraps holding close to 256 distinct lines, and about
+   one deletion in seven shifts keys back. *)
+type geometry = { nvm_lines : int; dram_lines : int }
+
+let small = { nvm_lines = 32; dram_lines = 8 }
+let wide = { nvm_lines = 2048; dram_lines = 8 }
+
+let config ~geometry ~pcso seed =
   {
     Memsys.default_config with
-    Memsys.nvm_words;
-    dram_words;
+    Memsys.nvm_words = geometry.nvm_lines * line_words;
+    dram_words = geometry.dram_lines * line_words;
     line_words;
     sets = 4;
-    ways = 2 (* 8-line cache over 40 lines: constant eviction pressure *);
+    ways = 2;
     evict_rate = 0.05;
     seed;
     pcso;
@@ -83,14 +91,19 @@ let pp_result ppf = function
    replay recipes the printers emit are only as durable as the draw
    order below, so a reordered or added draw must fail the pinned-trace
    test loudly instead of silently invalidating every recorded seed. *)
-let run_case ?(armed = false) ?(suspended = false) ~pcso ~faults ~n_ops seed =
-  let cfg = config ~pcso seed in
+let run_case ?(geometry = small) ?(armed = false) ?(suspended = false) ~pcso
+    ~faults ~n_ops seed =
+  let nvm_lines = geometry.nvm_lines in
+  let nvm_words = nvm_lines * line_words in
+  let n_addr = nvm_words + (geometry.dram_lines * line_words) in
+  let cfg = config ~geometry ~pcso seed in
   let mem = Memsys.create cfg in
   let rm = Refmodel.create cfg in
   let fail fmt =
     QCheck.Test.fail_reportf
-      ("seed=%d pcso=%b faults=%b armed=%b suspended=%b n_ops=%d: " ^^ fmt)
-      seed pcso faults armed suspended n_ops
+      ("seed=%d nvm_lines=%d pcso=%b faults=%b armed=%b suspended=%b \
+        n_ops=%d: " ^^ fmt)
+      seed nvm_lines pcso faults armed suspended n_ops
   in
   let cur_tid = ref 0 in
   Memsys.set_tid_provider mem (fun () -> !cur_tid);
@@ -373,22 +386,24 @@ let run_case ?(armed = false) ?(suspended = false) ~pcso ~faults ~n_ops seed =
     armed_at;
   !digest
 
-let arb_seed ~armed ~suspended ~pcso ~faults ~n_ops =
+let arb_seed ~geometry ~armed ~suspended ~pcso ~faults ~n_ops =
   QCheck.make
     ~print:(fun seed ->
       Printf.sprintf
-        "refmodel differential: seed=%d pcso=%b faults=%b armed=%b \
-         suspended=%b n_ops=%d"
-        seed pcso faults armed suspended n_ops)
+        "refmodel differential: seed=%d nvm_lines=%d pcso=%b faults=%b \
+         armed=%b suspended=%b n_ops=%d"
+        seed geometry.nvm_lines pcso faults armed suspended n_ops)
     QCheck.Gen.(1 -- 100_000)
 
-let prop ?(armed = false) ?(suspended = false) ~name ~count ~pcso ~faults
-    ~n_ops () =
+let prop ?(geometry = small) ?(armed = false) ?(suspended = false) ~name
+    ~count ~pcso ~faults ~n_ops () =
   Gen_common.to_alcotest ~suite:"refmodel"
     (QCheck.Test.make ~name ~count
-       (arb_seed ~armed ~suspended ~pcso ~faults ~n_ops)
+       (arb_seed ~geometry ~armed ~suspended ~pcso ~faults ~n_ops)
        (fun seed ->
-         ignore (run_case ~armed ~suspended ~pcso ~faults ~n_ops seed : int);
+         ignore
+           (run_case ~geometry ~armed ~suspended ~pcso ~faults ~n_ops seed
+             : int);
          true))
 
 (* The seeded derivation itself, pinned: one fixed (seed, n_ops) case
@@ -417,6 +432,8 @@ let () =
           prop ~name:"faults" ~count:250 ~pcso:true ~faults:true ~n_ops:140 ();
           prop ~name:"ablation+faults" ~count:100 ~pcso:false ~faults:true
             ~n_ops:140 ();
+          prop ~geometry:wide ~name:"fill table under collisions" ~count:20
+            ~pcso:true ~faults:false ~n_ops:2000 ();
         ] );
       ( "journal",
         [

@@ -447,6 +447,30 @@ let test_access_path_allocates_nothing () =
   Alcotest.(check bool) "the draws evicted dirty lines" true
     ((Memsys.stats m).Stats.spontaneous_evictions > alloc_rounds / 10)
 
+(* No warm-up here: from [create] on, a miss allocates nothing, minor or
+   major. Each load fills a line never touched before, into a slot never
+   filled before, and records it in the prefetcher's ring and count
+   table: every array those touch exists from [create]. The minor heap
+   is emptied first, so no collection promotes words into the major
+   heap's count meanwhile. *)
+let test_first_fills_allocate_nothing () =
+  let m = Memsys.create (cfg ()) in
+  Gc.minor ();
+  let major_words () =
+    let _, _, words = Gc.counters () in
+    words
+  in
+  let major0 = major_words () and minor0 = Gc.minor_words () in
+  for i = 0 to 4095 do
+    ignore (Memsys.load m (miss_addr i))
+  done;
+  let minor = Gc.minor_words () -. minor0 and major = major_words () -. major0 in
+  Alcotest.(check int) "every load missed" 4096
+    (Memsys.stats m).Stats.nvm_misses;
+  let words = Alcotest.float 0.0 in
+  Alcotest.check (Alcotest.pair words words)
+    "minor and major words of 4096 first fills" (0.0, 0.0) (minor, major)
+
 let test_rng_allocates_nothing () =
   let r = Rng.create 11 in
   check_no_alloc "Rng.int" (fun _ -> ignore (Rng.int r 100));
@@ -722,6 +746,8 @@ let () =
         [
           Alcotest.test_case "access path allocates nothing" `Quick
             test_access_path_allocates_nothing;
+          Alcotest.test_case "first fills allocate nothing" `Quick
+            test_first_fills_allocate_nothing;
         ] );
       ( "pcso",
         [
