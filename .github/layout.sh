@@ -20,7 +20,7 @@ printf '%-18s %s\n' caml_program "$calls calls"
 for m in Respct_benchmark__Probe:Probe Harness__Workload:Harness.Workload \
   Pds__Hashmap_respct:Hashmap_respct Respct__Runtime:Runtime \
   Respct__Recovery:Recovery Simsched__Scheduler:Scheduler Simsched__Env:Env \
-  Simsched__Mutex:Mutex Simnvm__Memsys:Memsys Crashtest__Explore:Explore \
+  Simsched__Mutex:Mutex Simsched__Condvar:Condvar Simnvm__Memsys:Memsys Crashtest__Explore:Explore \
   Crashtest__Scenarios:Scenarios; do
   name=${m#*:}
   addr=$(awk -v s="caml${m%%:*}.code_begin" '$3 == s { print $1 }' <<<"$syms")

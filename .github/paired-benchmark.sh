@@ -19,15 +19,20 @@ set -euo pipefail
 parent_rev="${1:?usage: paired-benchmark.sh PARENT_COMMIT}"
 pairs=5
 workloads=(map-write map-read kv-service crash-matrix)
-# Smoke size keeps map-* near 2 s an invocation. crash-matrix runs at full
-# size (about 2.6 s): its smoke worlds differ so much between seeds that
-# seeds 1-5 spread its host_ops_per_s by 13-24% between quartiles, over the
-# 15% bound, so compare mostly says "unresolved" (a planted 2.3x slowdown
-# did); at full size the spread was 5-18% (2-vCPU shared VM). kv-service
-# runs at full size too: at smoke size (20 sessions x 20 requests) set-up
-# dominates each execution, so a change to the request path barely moves
-# host_ops_per_s (a 1.10-1.15x full-size gain read 1.01x there).
-declare -A size=([map-write]=--smoke [map-read]=--smoke [kv-service]=
+# Smoke size keeps map-write near 2 s an invocation. crash-matrix runs at
+# full size (about 2.6 s): its smoke worlds differ so much between seeds
+# that seeds 1-5 spread its host_ops_per_s by 13-24% between quartiles,
+# over the 15% bound, so compare mostly says "unresolved" (a planted 2.3x
+# slowdown did); at full size the spread was 5-18% (2-vCPU shared VM).
+# kv-service runs at full size too: at smoke size (20 sessions x 20
+# requests) set-up dominates each execution, so a change to the request
+# path barely moves host_ops_per_s (a 1.10-1.15x full-size gain read
+# 1.01x there). So does map-read: its smoke world (4 fibers over 256
+# buckets) fits the host's caches, and a change to the scheduler's
+# synchronisation state that gained 1.06-1.09x at full size read 1.02x
+# there. A full-size map-read invocation takes about 6.7 s wall instead
+# of 1.0 s, which makes the gate about 57 s longer.
+declare -A size=([map-write]=--smoke [map-read]= [kv-service]=
   [crash-matrix]=)
 
 change="$(git rev-parse --show-toplevel)"

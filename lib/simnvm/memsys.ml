@@ -239,6 +239,7 @@ type t = {
   sets_mask : int;
   ways : int;
   nvm_lines : int;
+  limit : int; (* one past the last address: nvm_words + dram_words *)
   (* Ring of the line numbers of recent fills, in fill order; entries
      not written since the ring was last emptied are -1. The table
      counts each line's occurrences in it (see [recent_add]), and
@@ -377,6 +378,7 @@ let create cfg =
     sets_mask = (if is_pow2 cfg.sets then cfg.sets - 1 else -1);
     ways = cfg.ways;
     nvm_lines;
+    limit = cfg.nvm_words + cfg.dram_words;
     recent_fills = Array.make prefetch_window (-1);
     recent_table = Array.make (2 * table_slots) (-1);
     recent_live = 0;
@@ -403,9 +405,13 @@ let set_tid_provider t f = t.current_tid <- f
 
 let is_nvm t addr = addr < t.cfg.nvm_words
 
-let check_addr t addr =
-  if addr < 0 || addr >= t.cfg.nvm_words + t.cfg.dram_words then
-    invalid_arg (Printf.sprintf "Memsys: address %d out of range" addr)
+(* Every access checks its address, so the test is inlined into each and
+   reads one field; the message is formatted out of line. *)
+let[@inline never] out_of_range addr =
+  invalid_arg (Printf.sprintf "Memsys: address %d out of range" addr)
+
+let[@inline] check_addr t addr =
+  if addr < 0 || addr >= t.limit then out_of_range addr
 
 (* Line/offset arithmetic on the precomputed geometry. *)
 let[@inline] line_of t addr =

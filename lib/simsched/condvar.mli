@@ -1,4 +1,8 @@
-(** Simulated condition variable with pthread semantics over {!Mutex}. *)
+(** Simulated condition variable with pthread semantics over {!Mutex}.
+
+    A condvar is one block: its waiters are chained through the links of
+    the scheduler they blocked in ({!Scheduler.wait_link}), as a
+    {!Mutex}'s are. *)
 
 type t
 
@@ -13,4 +17,4 @@ val signal : Scheduler.t -> t -> unit
 (** Wake the oldest waiter, if any. *)
 
 val broadcast : Scheduler.t -> t -> unit
-(** Wake every waiter. *)
+(** Wake every waiter, oldest first. *)

@@ -30,9 +30,8 @@ type t = {
 
 let init sim (be : Simnvm.Backend.t) sched =
   be.Simnvm.Backend.set_bus (Scheduler.trace_bus sched);
-  be.Simnvm.Backend.set_charge (fun ns -> Scheduler.charge sched ns);
-  be.Simnvm.Backend.set_tid_provider (fun () ->
-      Scheduler.current_tid_opt sched);
+  be.Simnvm.Backend.set_charge (Scheduler.charge_hook sched);
+  be.Simnvm.Backend.set_tid_provider (Scheduler.tid_hook sched);
   { be; sim; sched; rmw_tokens = None }
 
 let make mem sched = init (Some mem) (Simnvm.Backend.of_memsys mem) sched

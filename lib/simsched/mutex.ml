@@ -17,7 +17,14 @@
 
    No preemption point sits between a wait-queue registration and the
    corresponding [Scheduler.block], so a waiter is always observably Blocked
-   by the time any other thread can try to wake it. *)
+   by the time any other thread can try to wake it.
+
+   The wait queue is intrusive: a lock holds the tids of its oldest and
+   newest waiters, and the scheduler's per-thread links chain them
+   ([Scheduler.wait_link]). So a lock is one block, [unlock] reads no
+   second block to learn that nobody waits, and a contended acquisition
+   allocates no queue cell. Waiters join at the tail, ownership passes
+   from the head, and a queue emptied resets both ends. *)
 
 let lock_ns = 18.0
 let unlock_ns = 14.0
@@ -27,18 +34,19 @@ let unlock_ns = 14.0
    contended critical sections on real multiprocessors. *)
 let coherence_ns = 90.0
 
-(* Owners are tids, -1 when free: an [int option] would allocate a [Some]
-   at every acquisition. *)
+(* Owners and waiters are tids, -1 for none: an [int option] would
+   allocate a [Some] at every acquisition. *)
 type t = {
   name : string;
   mutable id : int; (* identity in trace events; 0 until first traced *)
   mutable owner : int;
   mutable last_owner : int;
-  waiters : int Queue.t;
+  mutable head : int; (* oldest waiter *)
+  mutable tail : int; (* newest waiter *)
 }
 
 let create ?(name = "mutex") () =
-  { name; id = 0; owner = -1; last_owner = -1; waiters = Queue.create () }
+  { name; id = 0; owner = -1; last_owner = -1; head = -1; tail = -1 }
 
 (* A lock takes its identity from the world's scheduler the first time it
    appears on the bus, so the same world emits the same Acquire/Release
@@ -58,7 +66,10 @@ let lock sched m =
      m.last_owner <- me
    end
    else begin
-     Queue.add me m.waiters;
+     Scheduler.set_wait_link sched me (-1);
+     if m.tail < 0 then m.head <- me
+     else Scheduler.set_wait_link sched m.tail me;
+     m.tail <- me;
      Scheduler.block sched;
      (* Ownership was handed off by the releaser, necessarily another core. *)
      assert (m.owner = me);
@@ -81,9 +92,12 @@ let unlock sched m =
   if Simnvm.Event.active bus then
     Simnvm.Event.emit bus
       (Simnvm.Event.Release { tid = me; lock = trace_id sched m });
-  if Queue.is_empty m.waiters then m.owner <- -1
+  let next = m.head in
+  if next < 0 then m.owner <- -1
   else begin
-    let next = Queue.take m.waiters in
+    let after = Scheduler.wait_link sched next in
+    m.head <- after;
+    if after < 0 then m.tail <- -1;
     m.owner <- next;
     Scheduler.wakeup sched next ~at:(Scheduler.now sched)
   end

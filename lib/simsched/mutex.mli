@@ -1,7 +1,11 @@
 (** Simulated pthread-style mutex with virtual-time hand-off semantics: on
     unlock, ownership passes to the oldest waiter and the waiter's clock is
     advanced to the release instant, serialising critical sections in
-    virtual time. *)
+    virtual time.
+
+    A lock is one block. Its waiters are chained through the links of the
+    scheduler they blocked in ({!Scheduler.wait_link}), so a waiter's link
+    belongs to that scheduler: a lock with waiters must be unlocked there. *)
 
 type t
 

@@ -20,23 +20,35 @@
    fibers and reports [Crashed]. Combined with [Simnvm.Memsys.crash] this
    models a whole-machine power failure at an arbitrary moment.
 
-   Threads live in a growable array in spawn order and are never removed,
+   Threads live in a growable table in spawn order and are never removed,
    so a thread's tid doubles as its index ([wakeup] is O(1)). Ready
    threads also sit in a binary min-heap keyed by (clock ascending, tid
    descending), so a context switch costs O(log r) in the number r of
    ready threads however many have finished. The newest
    thread wins clock ties; that rule fixes dispatch order, on which every
    seeded virtual time and golden depends. [spawn]
-   and [wakeup] push, [run] pops the thread it dispatches and pushes it
-   back if it is still Ready after its slice, and the running thread's
-   preemption bound reads the heap top. [kill_all] empties the heap.
+   and [wakeup] push, [run] pops the tid it dispatches and pushes it
+   back if the thread is still Ready after its slice, and the running
+   thread's preemption bound reads the heap top. [kill_all] empties the
+   heap.
 
    The heap is two flat parallel arrays, a [float array] of clocks and an
    [int array] of tids, sifted in place: a compare reads two adjacent
    keys instead of following two thread records to their clocks, and a
    move writes no pointer, so it runs no write barrier (DESIGN.md section
-   10 has the measured switch costs). [pop] maps the top tid back to its
-   thread through [threads].
+   10 has the measured switch costs).
+
+   What the hot paths read of a thread is flat too, one slot per tid in
+   arrays as long as the thread table: [clocks] holds each thread's
+   virtual clock, and [links] the wait-queue chain. The running thread is
+   its tid, -1 outside the simulation, so [charge], [poll] and [now] read
+   one slot of [clocks], and a dispatch stores an int, which runs no
+   write barrier. A thread waits on at most one queue at a time, so one
+   link per thread serves every queue: a [Mutex] or [Condvar] holds only
+   the tids of its oldest and newest waiters, and [links.(tid)] names the
+   waiter queued after [tid] (-1 ends the chain). Only those two modules
+   read or write the links ([wait_link], [set_wait_link]); a link means
+   something only while its thread waits.
 
    Invariant: a queued thread's clock never changes. Only [wakeup] (on a
    Blocked thread, before pushing it) and [charge], [advance_to] and
@@ -46,13 +58,14 @@
 
    Allocation: every simulated access charges and polls, and a map
    operation switches threads about five times, so none of these paths
-   allocates. A clock and the preemption bound are float-only records,
-   which OCaml stores flat: writing a float field of a mixed record would
-   box it at every charge. No thread running is the [idle] sentinel, not
-   an option. Each thread's effect-handler closures are built once, when
-   it first runs. The heap sifts box no clock (see [push]). What a switch
-   still allocates is the runtime's continuation and the [Some] that
-   parks it. *)
+   allocates. Clocks are a [float array] and the preemption bound a
+   float-only record, both stored flat: writing a float field of a mixed
+   record would box it at every charge. Each thread's effect-handler
+   closures are built once, when it first runs; the memory's charge and
+   tid hooks once per world ([charge_hook], [tid_hook]). The heap sifts
+   box no clock (see [push]), and waiting allocates no queue cell. What
+   a switch still allocates is the runtime's continuation and the [Some]
+   that parks it. *)
 
 exception Crashed
 exception Deadlock of string
@@ -65,9 +78,7 @@ type entry = Thunk of (unit -> unit) | Started
 type vtime = { mutable ns : float }
 
 type thread = {
-  tid : int;
   name : string;
-  clock : vtime;
   mutable status : status;
   mutable entry : entry;
   mutable k : (unit, unit) Effect.Deep.continuation option;
@@ -76,15 +87,20 @@ type thread = {
 and status = Ready | Running | Blocked | Finished
 
 type t = {
-  mutable threads : thread array; (* index = tid, spawn order *)
+  (* The thread table, index = tid, spawn order. The five arrays have one
+     length, the capacity; the first [n_threads] slots of [threads],
+     [clocks] and [links] are live. *)
+  mutable threads : thread array;
+  mutable clocks : float array; (* each thread's virtual clock *)
+  mutable links : int array; (* the next waiter on a thread's queue *)
   mutable n_threads : int;
   (* The ready heap, see [before]: entry [i] is the thread
-     [ready_tid.(i)], queued at clock [ready_clock.(i)]. Both arrays are
-     as long as [threads], since a thread is queued at most once. *)
+     [ready_tid.(i)], queued at clock [ready_clock.(i)]. A thread is
+     queued at most once. *)
   mutable ready_clock : float array;
   mutable ready_tid : int array;
   mutable n_ready : int;
-  mutable current : thread; (* [idle] when no simulated thread runs *)
+  mutable current : int; (* tid of the running thread, -1 when none *)
   bound : vtime; (* preemption bound for the running thread *)
   mutable crash_at : float option;
   mutable failure : exn option;
@@ -97,26 +113,16 @@ type t = {
 
 type _ Effect.t += Preempt : unit Effect.t | Block : unit Effect.t
 
-(* The running thread outside any slice. Its clock stays 0 (the clock of
-   setup code) and nothing writes it: every clock writer checks for it. *)
-let idle =
-  {
-    tid = -1;
-    name = "idle";
-    clock = { ns = 0.0 };
-    status = Finished;
-    entry = Started;
-    k = None;
-  }
-
 let create ?bus ?(seed = 1) ?(quantum = 0.0) ?(jitter = 0.0) () =
   {
     threads = [||];
+    clocks = [||];
+    links = [||];
     n_threads = 0;
     ready_clock = [||];
     ready_tid = [||];
     n_ready = 0;
-    current = idle;
+    current = -1;
     bound = { ns = infinity };
     crash_at = None;
     failure = None;
@@ -129,23 +135,26 @@ let create ?bus ?(seed = 1) ?(quantum = 0.0) ?(jitter = 0.0) () =
 
 let trace_bus t = t.bus
 
-let current t =
-  let th = t.current in
-  if th == idle then invalid_arg "Scheduler: no simulated thread is running";
-  th
+let current_tid t =
+  let c = t.current in
+  if c < 0 then invalid_arg "Scheduler: no simulated thread is running";
+  c
 
-let current_tid t = (current t).tid
-let current_tid_opt t = t.current.tid
-let now t = t.current.clock.ns
+let current_tid_opt t = t.current
+
+(* [t.current] is -1 or a live tid, so [clocks] holds its slot. *)
+let[@inline] now t =
+  let c = t.current in
+  if c < 0 then 0.0 else Array.unsafe_get t.clocks c
 
 (* A thread becoming Ready while another runs must tighten the runner's
    preemption bound: the bound was computed at dispatch time, and without
    this a thread woken mid-slice (lock hand-off, broadcast) would not get
    the processor until the runner blocked by itself -- entire epochs could
    execute against a stale-infinite bound. *)
-let tighten_bound t th =
-  if t.current != idle then
-    t.bound.ns <- Float.min t.bound.ns (th.clock.ns +. t.quantum)
+let tighten_bound t tid =
+  if t.current >= 0 then
+    t.bound.ns <- Float.min t.bound.ns (t.clocks.(tid) +. t.quantum)
 
 (* ------------------------------------------------------------------ *)
 (* Ready heap *)
@@ -161,10 +170,11 @@ let[@inline] before (clock_a : float) (tid_a : int) clock_b tid_b =
    bounds checks: every index is below [n_ready] but [push]'s first hole,
    which the assertion keeps inside the arrays. *)
 
-(* Queue Ready [th]: a hole at the end rises to its entry's place. *)
-let push t th =
+(* Queue Ready thread [tid]: a hole at the end rises to its entry's
+   place. *)
+let push t tid =
   let clocks = t.ready_clock and tids = t.ready_tid in
-  let clock = th.clock.ns and tid = th.tid in
+  let clock = t.clocks.(tid) in
   let i = ref t.n_ready and sifting = ref true in
   assert (!i < Array.length tids);
   while !sifting && !i > 0 do
@@ -181,7 +191,7 @@ let push t th =
   Array.unsafe_set tids !i tid;
   t.n_ready <- t.n_ready + 1
 
-(* Remove the heap top and return its thread; [t.n_ready] must be
+(* Remove the heap top and return its tid; [t.n_ready] must be
    positive. The hole at the root sinks until the last entry fits. *)
 let pop t =
   let clocks = t.ready_clock and tids = t.ready_tid in
@@ -217,76 +227,95 @@ let pop t =
     Array.unsafe_set clocks !i clock;
     Array.unsafe_set tids !i tid
   end;
-  t.threads.(top)
+  top
 
+(* The table starts at one thread and doubles: a verified recovery
+   builds a fresh one-fiber scheduler, about 3 500 per crash-matrix
+   execution, and each slot of capacity costs five words. *)
 let spawn ?(name = "thread") t f =
-  let th =
-    {
-      tid = t.n_threads;
-      name;
-      clock = { ns = t.current.clock.ns };
-      status = Ready;
-      entry = Thunk f;
-      k = None;
-    }
-  in
+  let th = { name; status = Ready; entry = Thunk f; k = None } in
   let n = t.n_threads in
   if n = Array.length t.threads then begin
-    let cap = max 8 (2 * n) in
-    let arr = Array.make cap th in
-    Array.blit t.threads 0 arr 0 n;
-    t.threads <- arr;
-    let clocks = Array.make cap 0.0 and tids = Array.make cap 0 in
-    Array.blit t.ready_clock 0 clocks 0 t.n_ready;
-    Array.blit t.ready_tid 0 tids 0 t.n_ready;
-    t.ready_clock <- clocks;
-    t.ready_tid <- tids
+    let cap = max 1 (2 * n) in
+    let threads = Array.make cap th
+    and clocks = Array.make cap 0.0
+    and links = Array.make cap (-1)
+    and ready_clock = Array.make cap 0.0
+    and ready_tid = Array.make cap 0 in
+    Array.blit t.threads 0 threads 0 n;
+    Array.blit t.clocks 0 clocks 0 n;
+    Array.blit t.links 0 links 0 n;
+    Array.blit t.ready_clock 0 ready_clock 0 t.n_ready;
+    Array.blit t.ready_tid 0 ready_tid 0 t.n_ready;
+    t.threads <- threads;
+    t.clocks <- clocks;
+    t.links <- links;
+    t.ready_clock <- ready_clock;
+    t.ready_tid <- ready_tid
   end;
   t.threads.(n) <- th;
+  t.clocks.(n) <- now t;
   t.n_threads <- n + 1;
-  push t th;
-  tighten_bound t th;
-  th.tid
+  push t n;
+  tighten_bound t n;
+  n
 
 let elapsed t =
   let acc = ref 0.0 in
   for i = 0 to t.n_threads - 1 do
-    acc := Float.max !acc t.threads.(i).clock.ns
+    acc := Float.max !acc t.clocks.(i)
   done;
   !acc
 
-let charge t ns =
-  let th = t.current in
+(* Inlined into [charge] and into the memory's hook ([charge_hook]). *)
+let[@inline] add_charge t ns =
+  let c = t.current in
   (* setup code outside the simulation is free *)
-  if th != idle then begin
+  if c >= 0 then begin
     let ns =
       if t.jitter > 0.0 then
         ns *. (1.0 +. (t.jitter *. (Simnvm.Rng.float t.rng -. 0.5)))
       else ns
     in
-    th.clock.ns <- th.clock.ns +. ns
+    let clocks = t.clocks in
+    Array.unsafe_set clocks c (Array.unsafe_get clocks c +. ns)
   end
 
+let charge t ns = add_charge t ns
+
+(* Each hook is a closure of one argument over [t]: the [let] keeps
+   [charge_hook t] from being an arity-2 function, whose partial
+   application would build a closure that calls it. *)
+let charge_hook t =
+  let hook ns = add_charge t ns in
+  hook
+
+let tid_hook t =
+  let hook () = t.current in
+  hook
+
 let advance_to t at =
-  let th = t.current in
-  if th != idle && at > th.clock.ns then th.clock.ns <- at
+  let c = t.current in
+  if c >= 0 && at > Array.unsafe_get t.clocks c then
+    Array.unsafe_set t.clocks c at
 
 let poll t =
-  let th = t.current in
-  if th != idle && th.clock.ns > t.bound.ns then Effect.perform Preempt
+  let c = t.current in
+  if c >= 0 && Array.unsafe_get t.clocks c > t.bound.ns then
+    Effect.perform Preempt
 
-let yield t = if t.current != idle then Effect.perform Preempt
+let yield t = if t.current >= 0 then Effect.perform Preempt
 
 let sleep_until t time =
-  let th = current t in
-  if time > th.clock.ns then th.clock.ns <- time;
+  let c = current_tid t in
+  if time > t.clocks.(c) then t.clocks.(c) <- time;
   Effect.perform Preempt
 
 let sleep t dur = sleep_until t (now t +. dur)
 
 let block t =
-  let th = current t in
-  th.status <- Blocked;
+  let c = current_tid t in
+  t.threads.(c).status <- Blocked;
   Effect.perform Block;
   (* Re-entry point after wakeup. *)
   ()
@@ -298,17 +327,19 @@ let wakeup t tid ~at =
   if th.status <> Blocked then
     invalid_arg "Scheduler.wakeup: thread is not blocked";
   th.status <- Ready;
-  if at > th.clock.ns then th.clock.ns <- at;
-  push t th;
-  tighten_bound t th
+  if at > t.clocks.(tid) then t.clocks.(tid) <- at;
+  push t tid;
+  tighten_bound t tid
 
+let wait_link t tid = t.links.(tid)
+let set_wait_link t tid next = t.links.(tid) <- next
 let set_crash_at t time = t.crash_at <- Some time
 
 (* Targeted preemption injection (schedule exploration): collapse the
    running thread's bound so its next [poll] switches out even inside the
    quantum. A no-op outside fibers or when no other thread is ready (the
    min-clock dispatcher would re-pick the same thread anyway). *)
-let preempt_now t = if t.current != idle then t.bound.ns <- neg_infinity
+let preempt_now t = if t.current >= 0 then t.bound.ns <- neg_infinity
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch loop *)
@@ -346,10 +377,11 @@ let handler t th =
 let[@inline] next_other_clock t =
   if t.n_ready > 0 then t.ready_clock.(0) else infinity
 
-(* Run [th], just popped from the heap, for one slice. *)
-let dispatch t th =
+(* Run thread [tid], just popped from the heap, for one slice. *)
+let dispatch t tid =
+  let th = t.threads.(tid) in
   th.status <- Running;
-  t.current <- th;
+  t.current <- tid;
   let bound = next_other_clock t +. t.quantum in
   t.bound.ns <-
     (match t.crash_at with Some c -> Float.min bound c | None -> bound);
@@ -363,9 +395,9 @@ let dispatch t th =
           th.k <- None;
           Effect.Deep.continue k ()
       | None -> assert false));
-  t.current <- idle;
+  t.current <- -1;
   (* The handler left the thread Ready (preempted), Blocked or Finished. *)
-  if th.status = Ready then push t th
+  if th.status = Ready then push t tid
 
 let kill_all t =
   for i = t.n_threads - 1 downto 0 do
@@ -373,10 +405,10 @@ let kill_all t =
     (match th.k with
     | Some k -> (
         th.k <- None;
-        t.current <- th;
+        t.current <- i;
         try Effect.Deep.discontinue k Crashed with Crashed -> ())
     | None -> ());
-    t.current <- idle;
+    t.current <- -1;
     th.status <- Finished
   done;
   t.n_ready <- 0
@@ -386,7 +418,7 @@ let describe_blocked t =
   for i = 0 to t.n_threads - 1 do
     let th = t.threads.(i) in
     if th.status = Blocked then
-      acc := Printf.sprintf "%s#%d@%.0fns" th.name th.tid th.clock.ns :: !acc
+      acc := Printf.sprintf "%s#%d@%.0fns" th.name i t.clocks.(i) :: !acc
   done;
   String.concat ", " !acc
 

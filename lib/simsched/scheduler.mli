@@ -74,6 +74,15 @@ val charge : t -> float -> unit
     preempt; callers invoke {!poll} at safe points. No-op outside fibers, so
     setup code is free. *)
 
+val charge_hook : t -> float -> unit
+(** [charge_hook t] is {!charge} [t] as one closure built over [t]'s
+    state, with [charge] inlined into it: the memory's charge hook, which
+    {!Env} installs once per world. *)
+
+val tid_hook : t -> unit -> int
+(** [tid_hook t] is {!current_tid_opt} [t] as one closure over [t]: the
+    memory's thread-id hook, which {!Env} installs once per world. *)
+
 val advance_to : t -> float -> unit
 (** Advance the running thread's clock to the given instant if it is behind
     (a happens-before edge: e.g. acquiring a mutex released at that time). *)
@@ -98,6 +107,20 @@ val block : t -> unit
 val wakeup : t -> int -> at:float -> unit
 (** Make a blocked thread ready again, advancing its clock to [at] if that
     is later (the waker's clock: the happens-before edge of the wakeup). *)
+
+val wait_link : t -> int -> int
+(** The wait-queue chain, used only by {!Mutex} and {!Condvar}. A thread
+    waits on at most one queue at a time, so each thread has one link:
+    [wait_link t tid] is the tid queued after [tid] on the queue it waits
+    on, -1 if [tid] is that queue's newest waiter. A queue holds only its
+    oldest and newest waiters' tids, and allocates nothing. A link means
+    something only while its thread waits, and belongs to the scheduler
+    the thread blocked in. *)
+
+val set_wait_link : t -> int -> int -> unit
+(** [set_wait_link t tid next] sets {!wait_link} [t tid] to [next]: -1
+    when [tid] joins a queue at its tail, the newcomer's tid on the
+    previous tail. *)
 
 val set_crash_at : t -> float -> unit
 (** Declare a power failure at the given virtual instant. *)

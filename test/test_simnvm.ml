@@ -275,6 +275,25 @@ let test_create_validation () =
     (Invalid_argument "Memsys.create: nvm_words must be line-aligned")
     (fun () -> ignore (Memsys.create { (cfg ()) with Memsys.nvm_words = 100 }))
 
+(* The range test is inlined into every access and its message raised
+   out of line: the message stays the one callers match on, at both ends
+   of the address space. *)
+let test_address_out_of_range () =
+  let c = cfg () in
+  let m = Memsys.create c in
+  List.iter
+    (fun addr ->
+      let want =
+        Invalid_argument (Printf.sprintf "Memsys: address %d out of range" addr)
+      in
+      Alcotest.check_raises "load" want (fun () -> ignore (Memsys.load m addr));
+      Alcotest.check_raises "store" want (fun () -> Memsys.store m addr 1);
+      Alcotest.check_raises "pwb" want (fun () -> Memsys.pwb m addr))
+    [ -1; c.Memsys.nvm_words + c.Memsys.dram_words ];
+  Memsys.store m (c.Memsys.nvm_words + c.Memsys.dram_words - 1) 5;
+  Alcotest.(check int) "last address in range" 5
+    (Memsys.load m (c.Memsys.nvm_words + c.Memsys.dram_words - 1))
+
 (* ------------------------------------------------------------------ *)
 (* Event pipeline *)
 
@@ -733,6 +752,8 @@ let () =
           Alcotest.test_case "coherence under eviction" `Quick
             test_coherence_after_eviction;
           Alcotest.test_case "create validation" `Quick test_create_validation;
+          Alcotest.test_case "address out of range" `Quick
+            test_address_out_of_range;
         ] );
       ( "pipeline",
         [

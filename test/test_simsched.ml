@@ -412,6 +412,137 @@ let test_condvar_signal_no_waiter () =
   Alcotest.check outcome "no-op" Scheduler.Completed (Scheduler.run s)
 
 (* ------------------------------------------------------------------ *)
+(* Wait queues *)
+
+(* Mutex and Condvar queues are chained through the scheduler's
+   per-thread links. Waiters arrive in an order that is neither tid
+   order nor its reverse ([arrival], by first charge: the k-th entry
+   arrives k-th), so FIFO, LIFO and the newest-tid tie-break all tell
+   apart. *)
+let arrival = [ 3; 7; 1; 5; 8; 2; 6; 4 ]
+
+let arrival_charge tid =
+  match List.find_index (( = ) tid) arrival with
+  | Some k -> 100.0 +. (10.0 *. float_of_int k)
+  | None -> invalid_arg "arrival_charge"
+
+let test_wait_queues_fifo () =
+  (* A mutex: thread 0 holds it while threads 1..8 queue behind it in
+     [arrival] order; each then receives it in that order. Once the
+     queue has drained, a late thread queues behind a new holder and
+     receives the lock from it. *)
+  let s = Scheduler.create () in
+  let m = Mutex.create () in
+  let got = ref [] in
+  ignore
+    (Scheduler.spawn s (fun () ->
+         Mutex.lock s m;
+         Scheduler.charge s 10_000.0;
+         Scheduler.poll s;
+         Mutex.unlock s m;
+         Scheduler.charge s 10_000.0;
+         Scheduler.poll s;
+         Mutex.lock s m;
+         Scheduler.charge s 10_000.0;
+         Scheduler.poll s;
+         Mutex.unlock s m));
+  for tid = 1 to 8 do
+    ignore
+      (Scheduler.spawn s (fun () ->
+           Scheduler.charge s (arrival_charge tid);
+           Scheduler.poll s;
+           Mutex.lock s m;
+           got := tid :: !got;
+           Scheduler.charge s 5.0;
+           Mutex.unlock s m))
+  done;
+  ignore
+    (Scheduler.spawn s (fun () ->
+         Scheduler.charge s 25_000.0;
+         Scheduler.poll s;
+         Mutex.lock s m;
+         got := 9 :: !got;
+         Mutex.unlock s m));
+  Alcotest.check outcome "mutex world completes" Scheduler.Completed
+    (Scheduler.run s);
+  Alcotest.(check (list int)) "hand-off in arrival order, then the late one"
+    (arrival @ [ 9 ]) (List.rev !got);
+  (* A condvar: threads 1..8 wait in [arrival] order. Each [signal] wakes
+     the oldest waiter, which queues on the mutex the signaller still
+     holds, so it moves from the condvar's chain onto the mutex's. A
+     [broadcast] then wakes the other six at one clock. The ready heap,
+     not the wake order, orders their dispatch, so what the list pins
+     for them is that each wakes exactly once. Then threads 9 and 10
+     queue on the mutex, 10 behind 9; 9 takes it and waits on the
+     emptied condvar, 10 takes it and finishes. A [signal] wakes 9 and
+     drains the queue, a second finds no waiter (not 10, which 9's link
+     named on the mutex's queue), and thread 11 waits on the drained
+     queue and is woken by the last. *)
+  let s = Scheduler.create () in
+  let m = Mutex.create () and cv = Condvar.create () in
+  let woke = ref [] in
+  let hold ns =
+    Scheduler.charge s ns;
+    Scheduler.poll s
+  in
+  let waiter tid delay () =
+    hold delay;
+    Mutex.lock s m;
+    Condvar.wait s cv m;
+    woke := tid :: !woke;
+    Scheduler.charge s 5.0;
+    Mutex.unlock s m
+  in
+  let wake_one () =
+    Mutex.lock s m;
+    Condvar.signal s cv;
+    hold 1_000.0;
+    Mutex.unlock s m;
+    hold 1_000.0
+  in
+  ignore
+    (Scheduler.spawn s (fun () ->
+         hold 1_000.0;
+         wake_one ();
+         wake_one ();
+         Mutex.lock s m;
+         Condvar.broadcast s cv;
+         hold 1_000.0;
+         Mutex.unlock s m;
+         hold 5_000.0;
+         Mutex.lock s m;
+         hold 3_000.0;
+         Mutex.unlock s m;
+         hold 5_000.0;
+         wake_one ();
+         wake_one ();
+         hold 10_000.0;
+         wake_one ()));
+  for tid = 1 to 8 do
+    ignore (Scheduler.spawn s (waiter tid (arrival_charge tid)))
+  done;
+  ignore (Scheduler.spawn s (waiter 9 12_000.0));
+  ignore
+    (Scheduler.spawn s (fun () ->
+         hold 12_500.0;
+         Mutex.lock s m;
+         woke := 10 :: !woke;
+         Mutex.unlock s m));
+  ignore (Scheduler.spawn s (waiter 11 25_000.0));
+  Alcotest.check outcome "condvar world completes" Scheduler.Completed
+    (Scheduler.run s);
+  Alcotest.(check (list int)) "signals, broadcast, then the drained queue"
+    [ 3; 7; 1; 8; 6; 5; 4; 2; 10; 9; 11 ] (List.rev !woke)
+
+(* A lock and a condvar are one block each: their waiters are chained
+   through the scheduler's per-thread links, not a queue of their own. *)
+let test_sync_objects_one_block () =
+  Alcotest.(check int) "lock: its record and its default name" 9
+    (Obj.reachable_words (Obj.repr (Mutex.create ())));
+  Alcotest.(check int) "condvar: its head and tail" 3
+    (Obj.reachable_words (Obj.repr (Condvar.create ())))
+
+(* ------------------------------------------------------------------ *)
 (* Barrier / sleep / deadlock *)
 
 let test_barrier_syncs_clocks () =
@@ -690,6 +821,58 @@ let test_switch_words_bounded () =
   Alcotest.check (Alcotest.float 0.01) "64 ready threads vs 2" w
     (words_per_switch ~ready:64 ())
 
+(* A contended hand-off: two fibers ping-pong on one mutex, each holding
+   it across a yield, so every acquisition blocks and every release hands
+   the lock to the other. Per hand-off that costs the switches and the
+   boxed release instant; the wait queue, chained through the
+   scheduler's links, allocates no cell. *)
+type reading = { mutable words : float }
+
+let test_handoff_words_bounded () =
+  let s = Scheduler.create () in
+  let m = Mutex.create () in
+  let n = 2_000 in
+  (* a float-only record, so taking the readings boxes nothing *)
+  let r = { words = 0.0 } in
+  let ping measure () =
+    for i = 1 to n + 100 do
+      if measure && i = 101 then r.words <- Gc.minor_words ();
+      Mutex.lock s m;
+      Scheduler.charge s 1.0;
+      Scheduler.yield s;
+      Mutex.unlock s m
+    done;
+    if measure then r.words <- Gc.minor_words () -. r.words
+  in
+  ignore (Scheduler.spawn s (ping true));
+  ignore (Scheduler.spawn s (ping false));
+  ignore (Scheduler.run s);
+  (* each round of the measured fiber is two hand-offs *)
+  let w = r.words /. float_of_int (2 * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "a contended hand-off allocates %.3f words, want <= 14" w)
+    true (w <= 14.0)
+
+(* A one-fiber world, as a verified recovery builds thousands of times
+   per crash exploration: 106 words before the thread table's per-tid
+   arrays (clocks, wait links) and its first capacity of one. *)
+let test_one_fiber_world_words () =
+  let world () =
+    let s = Scheduler.create () in
+    ignore (Scheduler.spawn s (fun () -> ()));
+    ignore (Scheduler.run s)
+  in
+  world ();
+  let rounds = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    world ()
+  done;
+  let w = (Gc.minor_words () -. before) /. float_of_int rounds in
+  Alcotest.(check bool)
+    (Printf.sprintf "a one-fiber world allocates %.3f words, want <= 106" w)
+    true (w <= 106.0)
+
 (* ------------------------------------------------------------------ *)
 (* Env integration *)
 
@@ -882,6 +1065,10 @@ let () =
           Alcotest.test_case "broadcast" `Quick test_condvar_broadcast;
           Alcotest.test_case "signal without waiter" `Quick
             test_condvar_signal_no_waiter;
+          Alcotest.test_case "wait queues are FIFO" `Quick
+            test_wait_queues_fifo;
+          Alcotest.test_case "a lock and a condvar are one block" `Quick
+            test_sync_objects_one_block;
         ] );
       ( "coordination",
         [
@@ -919,6 +1106,10 @@ let () =
             test_uncontended_lock_allocates_nothing;
           Alcotest.test_case "context switch bounded" `Quick
             test_switch_words_bounded;
+          Alcotest.test_case "contended hand-off bounded" `Quick
+            test_handoff_words_bounded;
+          Alcotest.test_case "one-fiber world bounded" `Quick
+            test_one_fiber_world_words;
         ] );
       ( "trace",
         [
