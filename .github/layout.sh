@@ -18,7 +18,8 @@ syms=$(nm "$bin")
 printf '%-18s %s\n' caml_program "$calls calls"
 # symbol prefix (after "caml"):printed name
 for m in Respct_benchmark__Probe:Probe Harness__Workload:Harness.Workload \
-  Pds__Hashmap_respct:Hashmap_respct Respct__Runtime:Runtime \
+  Pds__Hashmap_respct:Hashmap_respct Respct__Checksum:Checksum \
+  Respct__Runtime:Runtime \
   Respct__Recovery:Recovery Simsched__Scheduler:Scheduler Simsched__Env:Env \
   Simsched__Mutex:Mutex Simsched__Condvar:Condvar Simnvm__Memsys:Memsys Crashtest__Explore:Explore \
   Crashtest__Scenarios:Scenarios; do

@@ -34,10 +34,11 @@
    and its bookkeeping follows what each boundary and image touch, not
    the cache geometry. On the crash-matrix benchmark's two worlds (seed
    42: 1 931 boundaries, 16 158 images, 3 792 recoveries) the
-   recoveries take about 73% of the host time, at 11-16 µs each
-   (unscaled, every call timed, on a 2-vCPU shared VM); a suspend and
-   resume pair costs about 0.25 µs and a restore 0.2 µs (scaled to the
-   benchmark's reference box).
+   recoveries, each a verified scan plus the oracle, take about two
+   thirds of the host time, at about 5 µs each (best of 45
+   explorations, every call timed, unscaled, on a 2-vCPU shared VM); a
+   suspend and resume pair costs about 0.25 µs and a restore 0.2 µs
+   (scaled to the benchmark's reference box).
 
    Most of those recoveries would repeat one already made, so each
    distinct image is recovered once per segment: a maximal run of
@@ -152,7 +153,7 @@ let variants_for ~eadr ~pcso ~line_words ~max_images dirty =
           n + if pcso then 1 else popcount dl.Simnvm.Memsys.mask)
         0 dirty
     in
-    let total = 1 + singles + if dirty = [] then 0 else 1 in
+    let total = 1 + singles + match dirty with [] -> 0 | _ :: _ -> 1 in
     let kept = if total <= max_images then total else max 0 max_images in
     let vs = Array.make kept Baseline and i = ref 1 in
     let add v =
@@ -169,7 +170,7 @@ let variants_for ~eadr ~pcso ~line_words ~max_images dirty =
               add (Evict_word ((lineno * line_words) + off))
           done)
       dirty;
-    if dirty <> [] then add Evict_all;
+    (match dirty with [] -> () | _ :: _ -> add Evict_all);
     (vs, if total <= max_images then 0 else total - max_images)
 
 (* What a variant installs on the segment's persisted image, flattened
@@ -211,11 +212,15 @@ let installs ~line_words dirty = function
    only the first ten, and the all-lines keys of one segment share their
    first lines: on the benchmark's worlds they piled up to 47 to a
    bucket. The shift folds high bits down, so keys that differ only
-   there (line-aligned pointers) still spread over the buckets. *)
+   there (line-aligned pointers) still spread over the buckets. Keys
+   are compared word by word, as ints, not by the polymorphic [=]. *)
 module Verdicts = Hashtbl.Make (struct
   type t = int array
 
-  let equal (a : t) b = a = b
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    let rec from i = i = n || (a.(i) = b.(i) && from (i + 1)) in
+    n = Array.length b && from 0
 
   let hash (key : t) =
     let h = ref (Array.length key) in
@@ -347,7 +352,12 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
         let same_image =
           match ev with Simnvm.Event.Writeback _ -> false | _ -> true
         in
-        if not (same_image && key <> None && key = memo.key) then begin
+        let same_key =
+          match (key, memo.key) with
+          | Some k, Some k' -> k = k'
+          | _ -> false
+        in
+        if not (same_image && same_key) then begin
           Verdicts.reset memo.verdicts;
           memo.key <- key
         end
@@ -364,7 +374,7 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
                  "nondeterministic re-execution: %d ops completed, pilot saw \
                   %d"
                  seen.Crashpoint.completed want.Crashpoint.completed)
-          else if seen <> want then
+          else if seen.Crashpoint.dirty <> want.Crashpoint.dirty then
             add k Baseline None
               "nondeterministic re-execution: dirty lines differ from the \
                pilot's"

@@ -188,6 +188,10 @@ let spawn_coordinator sched r ~finished ~on_flushed =
          in
          loop rt_cfg.Respct.Runtime.period_ns))
 
+(* The snapshots of a ResPCT world by epoch: every oracle call looks one
+   up, so the table compares its int keys directly. *)
+module Epochs = Hashtbl.Make (Int)
+
 (* ResPCT's half: the runtime and its coordinator start before the
    worker, which runs under [Runtime.spawn]. [snapshot] is taken at every
    checkpoint's quiescent point; [oracle] gets the runtime and the
@@ -200,7 +204,7 @@ let spawn_coordinator sched r ~finished ~on_flushed =
    runtime creation, structure creation and every [on_flushed]. *)
 let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
   let rt = ref None and finished = ref false and version = ref 0 in
-  let snapshots = Hashtbl.create 8 in
+  let snapshots = Epochs.create 8 in
   let runtime () = Option.get !rt in
   {
     start =
@@ -210,7 +214,7 @@ let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
         rt := Some r;
         incr version;
         spawn_coordinator w.sched r ~finished ~on_flushed:(fun next_epoch ->
-            Hashtbl.replace snapshots next_epoch (snapshot ());
+            Epochs.replace snapshots next_epoch (snapshot ());
             incr version);
         ignore (Respct.Runtime.spawn r ~slot:0 (fun _ctx -> body ())));
     open_ =
@@ -229,7 +233,7 @@ let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
         | None -> Ok () (* crash before the runtime existed: nothing promised *)
         | Some r ->
             oracle ~faults r (fun epoch ->
-                Option.value ~default:[] (Hashtbl.find_opt snapshots epoch)));
+                Option.value ~default:[] (Epochs.find_opt snapshots epoch)));
     key = Some (fun () -> !version);
   }
 
@@ -258,9 +262,10 @@ let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
    or exact, never silently wrong.
 
    Verified recovery runs over the world's own backend record, built once
-   with the world: nothing in it depends on the image. *)
+   with the world: nothing in it depends on the image. Each structure
+   passes the typed [equal] of its contents. *)
 let last_checkpoint ~fault_mode ~faults (w : world) r ~snapshot ~created
-    ~recovered ~pp =
+    ~recovered ~equal ~pp =
   let layout = Respct.Runtime.layout r in
   let failed, verdict =
     match fault_mode with
@@ -280,7 +285,7 @@ let last_checkpoint ~fault_mode ~faults (w : world) r ~snapshot ~created
       Error (Fmt.str "perfect media judged %a" Respct.Recovery.pp_verdict v)
   | _, Some (epoch, h) when failed > epoch ->
       let expected = snapshot failed and got = recovered h in
-      if got = expected then Ok ()
+      if equal got expected then Ok ()
       else
         Error
           (Fmt.str "%aepoch %d: recovered %a, last checkpoint had %a"
@@ -300,7 +305,7 @@ let respct ?(fault_mode : respct_fault_mode = `Off) ?(pipeline = false)
   let cfg =
     { rt_cfg with Respct.Runtime.integrity = fault_mode <> `Off; pipeline }
   in
-  let system ~model ~create ~recovered ~pp (w : world) _ops =
+  let system ~model ~create ~recovered ~equal ~pp (w : world) _ops =
     let m = model () in
     let created = ref None in
     respct_half ~cfg ?mutant w ~snapshot:m.Workmix.state
@@ -311,7 +316,7 @@ let respct ?(fault_mode : respct_fault_mode = `Off) ?(pipeline = false)
         step)
       ~oracle:(fun ~faults r snapshot ->
         last_checkpoint ~fault_mode ~faults w r ~snapshot
-          ~created:!created ~recovered:(recovered w.mem) ~pp)
+          ~created:!created ~recovered:(recovered w.mem) ~equal ~pp)
   in
   match structure with
   | Map ->
@@ -324,6 +329,8 @@ let respct ?(fault_mode : respct_fault_mode = `Off) ?(pipeline = false)
              let m = Pds.Hashmap_respct.create r ~slot:0 ~buckets in
              (m, map_step (Pds.Hashmap_respct.ops m)))
            ~recovered:Pds.Hashmap_respct.persisted_bindings
+           ~equal:
+             (List.equal (fun a b -> Pds.Hashmap_respct.compare_binding a b = 0))
            ~pp:Workmix.pp_bindings)
   | Queue ->
       drive ~name ~mix:(queue_mix 23)
@@ -332,7 +339,7 @@ let respct ?(fault_mode : respct_fault_mode = `Off) ?(pipeline = false)
              let q = Pds.Queue_respct.create r ~slot:0 in
              (q, queue_step (Pds.Queue_respct.ops q)))
            ~recovered:Pds.Queue_respct.persisted_contents
-           ~pp:Workmix.pp_contents)
+           ~equal:(List.equal Int.equal) ~pp:Workmix.pp_contents)
 
 let respct_map ?(fault_mode : respct_fault_mode = `Off) ?(pipeline = false)
     ?(churn = false) ?mutant ~sched_seed ~mem_seed ~pcso ~n_ops () =

@@ -59,7 +59,8 @@ let map_model () =
       | Search _ -> ());
     state =
       (fun () ->
-        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []));
+        List.sort Pds.Hashmap_respct.compare_binding
+          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []));
   }
 
 let queue_model () =

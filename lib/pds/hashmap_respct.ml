@@ -136,6 +136,11 @@ let ops t : Ops.map =
 let heads t = t.heads
 let buckets t = t.buckets
 
+(* The order of (key, value) bindings: by key, then by value -- the order
+   the polymorphic [compare] gives int pairs, without its generic walk. *)
+let compare_binding ((k, v) : int * int) ((k', v') : int * int) =
+  match Int.compare k k' with 0 -> Int.compare v v' | c -> c
+
 (* Recovery-time view over the persistent image: rebuild the logical
    contents bucket by bucket (used by crash-consistency tests).
    Parameterised over the read function and the geometry so the same walk
@@ -161,7 +166,7 @@ let bindings_of ~read ~line_words ~fuel ~heads ~buckets =
     all :=
       walk (read (Respct.Heap.cell_at_words ~line_words heads b)) !all fuel
   done;
-  List.sort compare !all
+  List.sort compare_binding !all
 
 let persisted_bindings mem t =
   bindings_of

@@ -33,6 +33,10 @@ val heads : t -> int
 
 val buckets : t -> int
 
+val compare_binding : int * int -> int * int -> int
+(** The order of the sorted binding lists below: by key, then by value
+    (the order polymorphic [compare] gives, typed). *)
+
 val bindings_of :
   read:(int -> int) ->
   line_words:int ->

@@ -80,8 +80,11 @@ let crc16_slices =
   in
   slices byte (fun c -> byte.((c lsr 8) land 0xFF) lxor ((c lsl 8) land 0xFFFF))
 
-(* A byte plus a slice offset: below 2048 by construction. *)
-let[@inline] slice t k b = Array.unsafe_get t ((k lsl 8) lor (b land 0xFF))
+(* A byte plus a slice offset: below 2048 by construction. The table is
+   typed [int array]: a read from an array of unknown element type tests
+   its tag for a float array and keeps a path that boxes. *)
+let[@inline] slice (t : int array) k b =
+  Array.unsafe_get t ((k lsl 8) lor (b land 0xFF))
 
 (* Reflected: the register enters the word's low four bytes. *)
 let crc32_step crc w =

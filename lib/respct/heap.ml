@@ -156,6 +156,21 @@ let cell_at_words ~line_words base i =
 let cell_at env base i =
   cell_at_words ~line_words:(Simsched.Env.line_words env) base i
 
+(* [cell_at_words] for i = 0 .. count - 1, stepping instead of dividing:
+   the cells of a line are [Incll.words] apart, and the next line starts
+   once a line's [line_words / Incll.words] cells are done. *)
+let iter_cells ~line_words base count f =
+  let span = line_words / Incll.words * Incll.words in
+  let line = ref base and off = ref 0 in
+  for _ = 1 to count do
+    f (!line + !off);
+    off := !off + Incll.words;
+    if !off = span then begin
+      off := 0;
+      line := !line + line_words
+    end
+  done
+
 let free (ctx : Pctx.t) t addr ~words =
   Simsched.Scheduler.charge (sched t) cache_op_ns;
   let slot = ctx.Pctx.slot in

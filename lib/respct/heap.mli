@@ -60,6 +60,13 @@ val cell_at_words : line_words:int -> int -> int -> Incll.cell
 (** Pure form of {!cell_at} for host-level walkers that hold no
     environment (e.g. oracle reads over a backend's durable image). *)
 
+val iter_cells :
+  line_words:int -> int -> int -> (Incll.cell -> unit) -> unit
+(** [iter_cells ~line_words base count f] calls [f] on the cells [0] to
+    [count - 1] of a packed array, in order: [cell_at_words ~line_words
+    base i] for each [i], without a division per cell. Both recovery
+    scans walk registry ranges with it. *)
+
 val free : Pctx.t -> t -> int -> words:int -> unit
 (** Return a block to the freeing slot's pending list; it becomes reusable
     after the next checkpoint. *)

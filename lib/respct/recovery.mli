@@ -24,7 +24,9 @@ type report = {
   scanned : int;  (** registry entries examined *)
   rolled_back : Incll.cell list;
       (** cells restored from their backup; feed to [Runtime.restart] *)
-  duration_ns : float;  (** virtual makespan of the parallel recovery *)
+  duration_ns : float;
+      (** virtual time of the recovery: the makespan of {!run}'s parallel
+          scan, the sum of {!run_verified}'s charges *)
   rp_ids : (int * int) list;
       (** per thread slot, the restart-point id to resume from *)
 }
@@ -109,13 +111,18 @@ val run_verified :
   Simnvm.Memsys.t ->
   verified
 (** Integrity-checked, self-healing recovery for images written under
-    [Runtime.config.integrity]. Sequential single-fiber scan: derives the
-    failed epoch from the commit record, verifies every seal before
-    trusting it, repairs what a CRC proves, quarantines what it cannot,
-    retries each [Media_error] up to [max_read_retries] times (default 4)
-    with exponential virtual-time backoff before scrubbing the line.
-    [layout] defaults to the integrity layout induced by
-    {!Runtime.default_config}.
+    [Runtime.config.integrity]. Sequential scan: derives the failed epoch
+    from the commit record, verifies every seal before trusting it,
+    repairs what a CRC proves, quarantines what it cannot, retries each
+    [Media_error] up to [max_read_retries] times (default 4) with
+    exponential virtual-time backoff before scrubbing the line. [layout]
+    defaults to the integrity layout induced by {!Runtime.default_config}.
+
+    The scan is a plain loop over the memory, with no scheduler: while it
+    runs, the memory's charge hook adds to the scan's clock and its
+    thread id is 0; on return or raise, the memory is left charging
+    nothing with thread id -1, as outside any simulated thread. Its
+    accesses publish on the memory's current bus.
     @raise Invalid_argument if [layout] was built without [~integrity]. *)
 
 val run_verified_backend :

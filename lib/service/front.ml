@@ -960,7 +960,7 @@ let final_bindings w =
                ~fuel:sh.s_backend.Simnvm.Backend.nvm_words
                ~heads:(Pds.Hashmap_respct.heads m)
                ~buckets:(Pds.Hashmap_respct.buckets m))
-  |> List.sort compare
+  |> List.sort Pds.Hashmap_respct.compare_binding
 
 (* End-of-run durability audit: power-cut every surviving file image and
    hold verified recovery to an exact image and the same verdict. *)

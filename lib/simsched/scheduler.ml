@@ -229,9 +229,9 @@ let pop t =
   end;
   top
 
-(* The table starts at one thread and doubles: a verified recovery
-   builds a fresh one-fiber scheduler, about 3 500 per crash-matrix
-   execution, and each slot of capacity costs five words. *)
+(* The table starts at one thread and doubles: each slot of capacity
+   costs five words, and many worlds are small (a trusting recovery's
+   scheduler holds its main fiber and a worker or two). *)
 let spawn ?(name = "thread") t f =
   let th = { name; status = Ready; entry = Thunk f; k = None } in
   let n = t.n_threads in

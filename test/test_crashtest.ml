@@ -427,6 +427,45 @@ let test_exploration_work_pinned () =
       Alcotest.(check int) (name "failures") 0 (List.length o.Explore.failures))
     [ (84, 983, 8_301, 1_950); (85, 948, 7_857, 1_842) ]
 
+(* One verified recovery's allocation, on the benchmark's crash-matrix
+   world at seed 84 with 60 ops, run to its end and crashed: the second of
+   two calls on the same image, so nothing is allocated the first time
+   only. The bound is the count when each call built a one-fiber
+   scheduler world (609 words in this test's profile). *)
+let test_verified_recovery_words () =
+  let sc =
+    Scenarios.respct_map ~fault_mode:`Verified ~sched_seed:84 ~mem_seed:84
+      ~pcso:true ~n_ops:60 ()
+  in
+  let inst = sc.Explore.make ~n_ops:60 in
+  inst.Explore.run ();
+  let mem = inst.Explore.mem in
+  Memsys.crash mem;
+  let cfg = Memsys.config mem in
+  let rt = Scenarios.rt_cfg in
+  let layout =
+    Respct.Layout.v ~integrity:true ~line_words:cfg.Memsys.line_words
+      ~nvm_words:cfg.Memsys.nvm_words
+      ~max_threads:rt.Respct.Runtime.max_threads
+      ~registry_per_slot:rt.Respct.Runtime.registry_per_slot ()
+  in
+  let b = Simnvm.Backend.of_memsys mem in
+  let image = Memsys.snapshot mem in
+  let recover () =
+    Memsys.restore mem image;
+    Respct.Recovery.run_verified_backend ~layout b
+  in
+  let first = recover () in
+  let w0 = Gc.minor_words () in
+  let second = recover () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "the scan did work" true
+    (second.Respct.Recovery.vreport.Respct.Recovery.scanned > 0
+    && first.Respct.Recovery.vreport = second.Respct.Recovery.vreport);
+  if words > 609.0 then
+    Alcotest.failf "one verified recovery allocated %.0f words, bound 609"
+      words
+
 let test_unmutated_raw_passes () =
   let sc =
     Scenarios.respct_raw ~sched_seed:1 ~mem_seed:1 ~pcso:true ~n_ops:9 ()
@@ -658,10 +697,11 @@ let test_stream_folds_to_stats () =
     (folded.hits > 0 && folded.nvm_misses > 0 && folded.nvm_writebacks > 0
     && folded.crashes = 1)
 
-(* Env.make couples the memory to the scheduler's bus; Recovery.run and
-   Recovery.run_verified build their schedulers on that same bus, so a
-   subscriber attached to the world before recovery counts recovery's
-   persists, and the memory keeps publishing there afterwards. *)
+(* Env.make couples the memory to the scheduler's bus; Recovery.run
+   builds its scheduler on that same bus and Recovery.run_verified
+   accesses the memory directly, so a subscriber attached to the world
+   before recovery counts recovery's persists, and the memory keeps
+   publishing there afterwards. *)
 let test_recovery_shares_the_bus () =
   let cfg = { Scenarios.rt_cfg with Respct.Runtime.integrity = true } in
   let mem, sched, rt, run = respct_world ~cfg ~n_ops:12 () in
@@ -1202,6 +1242,8 @@ let () =
         [
           Alcotest.test_case "idempotent under mid-recovery crashes" `Slow
             test_recovery_idempotent;
+          Alcotest.test_case "verified recovery allocation bounded" `Quick
+            test_verified_recovery_words;
         ] );
       ( "subscribers",
         [

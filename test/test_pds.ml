@@ -436,6 +436,30 @@ let test_filemem_oracle_walk () =
                ~buckets:1));
       Filemem.close fm)
 
+(* The typed binding order is polymorphic [compare]'s on int pairs: every
+   oracle, model and golden that sorts bindings relies on the same order.
+   Every pair of pairs over extreme and tied values, then a sort. *)
+let test_binding_order () =
+  let vals = [ min_int; -7; -1; 0; 1; 7; max_int ] in
+  let pairs = List.concat_map (fun k -> List.map (fun v -> (k, v)) vals) vals in
+  let sign c = compare c 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check int) "sign" (sign (compare a b))
+            (sign (Pds.Hashmap_respct.compare_binding a b)))
+        pairs)
+    pairs;
+  let rng = Random.State.make [| 36 |] in
+  let l =
+    List.init 500 (fun _ ->
+        (Random.State.int rng 64 - 32, Random.State.int rng 64 - 32))
+  in
+  Alcotest.(check (list (pair int int))) "sorts as compare does"
+    (List.sort compare l)
+    (List.sort Pds.Hashmap_respct.compare_binding l)
+
 (* ------------------------------------------------------------------ *)
 (* Bump allocator *)
 
@@ -480,5 +504,7 @@ let () =
         [
           Alcotest.test_case "bindings_of over a Filemem image" `Quick
             test_filemem_oracle_walk;
+          Alcotest.test_case "binding order is compare's" `Quick
+            test_binding_order;
         ] );
     ]

@@ -126,7 +126,21 @@ let test_heap_cell_packing () =
       for i = 0 to 8 do
         let a = Heap.cell_at env base i and b = Heap.cell_at env base (i + 1) in
         Alcotest.(check bool) "disjoint" true (b - a >= Incll.words)
-      done)
+      done);
+  (* The stepping walk visits exactly the cells [cell_at_words] packs. *)
+  List.iter
+    (fun line_words ->
+      List.iter
+        (fun count ->
+          let seen = ref [] in
+          Heap.iter_cells ~line_words 640 count (fun c -> seen := c :: !seen);
+          Alcotest.(check (list int))
+            (Printf.sprintf "iter_cells, %d-word lines, %d cells" line_words
+               count)
+            (List.init count (Heap.cell_at_words ~line_words 640))
+            (List.rev !seen))
+        [ 0; 1; 2; 5; 17 ])
+    [ 6; 8; 9; 16 ]
 
 (* ------------------------------------------------------------------ *)
 (* Runtime basics *)
@@ -297,8 +311,10 @@ let test_crash_before_first_checkpoint_recovers_initial () =
    checkpoint (via the [on_flushed] hook: after the flush, before the epoch
    increment — exactly the state recovery restores for a crash in the next
    epoch). After a crash at [crash_ns] + recovery, the NVMM image must equal
-   the snapshot recorded for [failed_epoch]. *)
-let crash_trial ?(pcso = true) ?(verified = false) ~seed ~crash_ns () =
+   the snapshot recorded for [failed_epoch]. [crashed_world] runs the
+   trial to its crash and returns the memory, its layout, [observe] and
+   the snapshots; [crash_trial] recovers it. *)
+let crashed_world ?(pcso = true) ?(verified = false) ~seed ~crash_ns () =
   let cfg =
     if verified then { (rt_cfg ()) with Runtime.integrity = true }
     else rt_cfg ()
@@ -345,6 +361,12 @@ let crash_trial ?(pcso = true) ?(verified = false) ~seed ~crash_ns () =
   | Scheduler.Crash_interrupt _ -> ()
   | Scheduler.Completed -> Alcotest.fail "expected crash");
   Memsys.crash mem;
+  (mem, layout, observe, snapshots)
+
+let crash_trial ?pcso ?(verified = false) ~seed ~crash_ns () =
+  let mem, layout, observe, snapshots =
+    crashed_world ?pcso ~verified ~seed ~crash_ns ()
+  in
   let rep =
     if verified then begin
       (* Perfect media: the verified scan must prove the image exact. *)
@@ -808,6 +830,110 @@ let test_verified_media_retry_and_scrub () =
   | d -> Alcotest.failf "expected Media_failed, got %a" Recovery.pp_verdict d);
   Alcotest.(check bool) "line scrubbed" false (Memsys.is_poisoned mem line)
 
+(* The verified scan, pinned on two fixed images: a crash trial's image
+   (seed 2, crash at 75 us) and the same image with planted media faults:
+   a transient fault on the first registry line (one retry and its
+   backoff), a poisoned line at the heap base (the retry budget, then a
+   scrub) and a torn undo log on the last cell the clean scan rolled
+   back. Every field of the report is pinned, the virtual duration to the
+   bit, so a change to how the scan runs, rather than to what it reads,
+   writes or reports, must keep them all. *)
+let pinned_scan_images () =
+  let mem, layout, _, _ =
+    crashed_world ~verified:true ~seed:2 ~crash_ns:75_000.0 ()
+  in
+  let base = Memsys.snapshot mem in
+  let clean = Recovery.run_verified ~layout mem in
+  let lw = (Memsys.config mem).Memsys.line_words in
+  let torn =
+    match clean.Recovery.vreport.Recovery.rolled_back with
+    | c :: _ -> c
+    | [] -> layout.Layout.heap_base
+  in
+  Memsys.restore mem base;
+  Memsys.arm_transient_fault mem (Layout.registry_segment layout 0 / lw);
+  Memsys.poison_line mem (layout.Layout.heap_base / lw);
+  Memsys.poke_persisted mem (Incll.backup torn)
+    (Memsys.persisted mem (Incll.backup torn) lxor 0x5A5A);
+  let faulty = Recovery.run_verified ~layout mem in
+  (clean, faulty)
+
+let check_report what (v : Recovery.verified) ~failed_epoch ~scanned
+    ~rolled_back ~rp_ids ~verdict ~read_retries ~duration_ns =
+  let r = v.Recovery.vreport in
+  let name field = what ^ ": " ^ field in
+  Alcotest.(check int) (name "failed_epoch") failed_epoch
+    r.Recovery.failed_epoch;
+  Alcotest.(check int) (name "scanned") scanned r.Recovery.scanned;
+  Alcotest.(check (list int)) (name "rolled_back") rolled_back
+    r.Recovery.rolled_back;
+  Alcotest.(check (list (pair int int))) (name "rp_ids") rp_ids
+    r.Recovery.rp_ids;
+  check_verdict (name "verdict") verdict v.Recovery.verdict;
+  Alcotest.(check int) (name "read_retries") read_retries
+    v.Recovery.read_retries;
+  Alcotest.(check int64) (name "duration_ns, bit for bit")
+    (Int64.bits_of_float duration_ns)
+    (Int64.bits_of_float r.Recovery.duration_ns)
+
+let test_verified_scan_pinned () =
+  let clean, faulty = pinned_scan_images () in
+  check_report "clean image" clean ~failed_epoch:3 ~scanned:52
+    ~rolled_back:[ 132219; 132216; 132211; 132208 ] ~rp_ids:[ (0, 1) ]
+    ~verdict:Recovery.Clean ~read_retries:0 ~duration_ns:0x1.b18p+11;
+  check_report "faulty image" faulty ~failed_epoch:3 ~scanned:52
+    ~rolled_back:[ 132216; 132211; 132208 ] ~rp_ids:[ (0, 0) ]
+    ~verdict:
+      (Recovery.Salvaged
+         [
+           Recovery.Torn_log { cell = 131171 };
+           Recovery.Torn_log { cell = 132219 };
+           Recovery.Torn_log { cell = 131168 };
+           Recovery.Media_failed { line = 16396 };
+         ])
+    ~read_retries:6 ~duration_ns:0x1.348p+12
+
+(* The verified scan runs as thread 0: every access it makes publishes
+   tid 0. Once it returns, or raises (here from a backend whose loads
+   fail), the memory is left as outside any simulated thread: an access
+   publishes tid -1. *)
+let test_verified_scan_tids () =
+  let mem, layout, _, _ =
+    crashed_world ~verified:true ~seed:2 ~crash_ns:75_000.0 ()
+  in
+  let bus = Memsys.bus mem in
+  let access_tids evs =
+    List.filter_map
+      (function
+        | Event.Load { tid; _ } | Event.Store { tid; _ } | Event.Pwb { tid; _ }
+          ->
+            Some tid
+        | _ -> None)
+      evs
+  in
+  let _, evs = Event.record bus (fun () -> Recovery.run_verified ~layout mem) in
+  let tids = access_tids evs in
+  Alcotest.(check bool) "the scan loads, stores and flushes" true
+    (List.length tids > 100);
+  Alcotest.(check (list int)) "every access of the scan is thread 0"
+    (List.map (fun _ -> 0) tids) tids;
+  let after () =
+    let _, evs =
+      Event.record bus (fun () ->
+          Memsys.store mem layout.Layout.heap_base 1;
+          ignore (Memsys.load mem layout.Layout.heap_base);
+          Memsys.pwb mem layout.Layout.heap_base)
+    in
+    access_tids evs
+  in
+  Alcotest.(check (list int)) "after it returns" [ -1; -1; -1 ] (after ());
+  let b = Backend.of_memsys mem in
+  let unreadable = { b with Backend.load = (fun _ -> failwith "unreadable") } in
+  (match Recovery.run_verified_backend ~layout unreadable with
+  | _ -> Alcotest.fail "a failing load must escape the scan"
+  | exception Failure _ -> ());
+  Alcotest.(check (list int)) "after it raises" [ -1; -1; -1 ] (after ())
+
 let test_integrity_off_keeps_raw_words () =
   (* integrity=false must keep the historical raw-word representation:
      plain epochs in the global word and in every cell tag, no seal bits. *)
@@ -1188,6 +1314,10 @@ let () =
             test_verified_media_retry_and_scrub;
           Alcotest.test_case "integrity off keeps raw words" `Quick
             test_integrity_off_keeps_raw_words;
+          Alcotest.test_case "verified scan pinned" `Quick
+            test_verified_scan_pinned;
+          Alcotest.test_case "verified scan runs as thread 0" `Quick
+            test_verified_scan_tids;
         ]
         @ qcheck [ prop_crcs_match_bytewise ] );
       ( "condvar",
