@@ -115,7 +115,9 @@ let run_campaign ?ce_file json = function
 
 let map_cmd =
   let run scale threads system update_pct json =
-    let pt = Experiments.map_point_obs ~update_pct scale system ~threads in
+    let pt =
+      Experiments.point scale system (Experiments.Map update_pct) ~threads
+    in
     Printf.printf "%s HashMap %d threads %d%% updates: %.2f Mops/s (%d ops)\n"
       (Systems.name_of system) threads update_pct (Experiments.point_mops pt)
       (Experiments.point_extra_int pt "total_ops");
@@ -125,7 +127,7 @@ let map_cmd =
       Printf.printf "checkpoints=%d flushed=%d addrs effective-period=%.0fus\n"
         ckpts
         (Experiments.point_extra_int pt "flushed_addrs")
-        (Experiments.point_eff pt /. 1e3);
+        (Experiments.point_extra_float pt "effective_period_ns" /. 1e3);
       if ckpts > 0 then
         Printf.printf "mutator-stall=%.1fus/ckpt flush-overlap=%.1fus/ckpt\n"
           (Experiments.point_extra_float pt "stall_ns"
@@ -141,7 +143,7 @@ let map_cmd =
 
 let queue_cmd =
   let run scale threads system json =
-    let pt = Experiments.queue_point_obs scale system ~threads in
+    let pt = Experiments.point scale system Experiments.Queue ~threads in
     Printf.printf "%s Queue %d threads: %.2f Mops/s (%d ops)\n"
       (Systems.name_of system) threads (Experiments.point_mops pt)
       (Experiments.point_extra_int pt "total_ops");
@@ -163,11 +165,19 @@ let recover_cmd =
     let s =
       { scale with Experiments.fig12_buckets = [ buckets ]; recovery_threads = rthreads }
     in
+    let fig12 =
+      List.find
+        (fun (f : Figures.figure) -> f.Figures.name = "fig12")
+        Figures.all
+    in
     List.iter
-      (fun (label, cells) ->
-        Printf.printf "buckets=%s recovery=%sms entries=%s rolled-back=%s\n"
-          label (List.nth cells 0) (List.nth cells 1) (List.nth cells 2))
-      (Figures.fig12_rows (Experiments.fig12_points s))
+      (fun (t : Figures.table) ->
+        List.iter
+          (fun (label, cells) ->
+            Printf.printf "buckets=%s recovery=%sms entries=%s rolled-back=%s\n"
+              label (List.nth cells 0) (List.nth cells 1) (List.nth cells 2))
+          t.Figures.rows)
+      (fst (Obs.Jobs.run (fig12.Figures.jobs (Figures.setup s))))
   in
   Cmd.v
     (Cmd.info "recover" ~doc:"Crash + parallel recovery (Figure 12 style).")
@@ -193,7 +203,7 @@ let figures_cmd =
       List.filter_map
         (fun (f : Figures.figure) ->
           let t0 = Unix.gettimeofday () in
-          let tables, experiment = f.Figures.run setup in
+          let tables, experiment = Obs.Jobs.run (f.Figures.jobs setup) in
           List.iter Figures.print tables;
           Printf.printf "[%s done in %.1fs wall]\n%!" f.Figures.name
             (Unix.gettimeofday () -. t0);
@@ -222,21 +232,11 @@ let integrity_cmd =
           ~doc:"Restrict the sweep to one worker thread count.")
   in
   let run scale threads json =
-    let threads = Option.map (fun t -> [ t ]) threads in
-    let pts = Experiments.integrity_points ~scale ?threads () in
-    let sweep =
-      Option.value ~default:scale.Experiments.sweep_threads threads
+    let table, experiments =
+      Obs.Jobs.run (Figures.integrity ?threads scale)
     in
-    Table.print ~title:"Integrity tax (ResPCT sealed/raw Mops, delta)"
-      ~header:("threads:" :: List.map string_of_int sweep)
-      (Experiments.integrity_overhead_rows pts);
-    let sel f = List.concat_map (fun (_, cells) -> List.map f cells) pts in
-    write_json json
-      (Obs.Run.document
-         [
-           Obs.Run.experiment "integrity-off" (sel (fun (_, off, _) -> off));
-           Obs.Run.experiment "integrity-on" (sel (fun (_, _, on) -> on));
-         ])
+    Figures.print table;
+    write_json json (Obs.Run.document experiments)
   in
   Cmd.v
     (Cmd.info "integrity"
@@ -296,7 +296,7 @@ let perf_cmd =
               exit 2)
         compare
     in
-    let bs = Perf.Suite.run ?only preset in
+    let bs, pauses = Obs.Jobs.run (Perf.Suite.jobs ?only preset) in
     if bs = [] then begin
       Printf.eprintf "no benchmark selected (check --only)\n";
       exit 2
@@ -307,7 +307,7 @@ let perf_cmd =
           b.Perf.Bench.name b.Perf.Bench.ops b.Perf.Bench.sim_ns
           (Perf.Bench.sim_mops b))
       bs;
-    (* The pause probe only makes sense for full-suite runs; --only is for
+    (* The pause rows are printed for full-suite runs only; --only is for
        iterating on one benchmark. *)
     if only = None then
       List.iter
@@ -317,7 +317,7 @@ let perf_cmd =
              us/ckpt  (%d checkpoints)\n"
             p.Perf.Suite.pause_mode p.Perf.Suite.pause_stall_us
             p.Perf.Suite.pause_overlap_us p.Perf.Suite.pause_checkpoints)
-        (Perf.Suite.checkpoint_pause preset);
+        pauses;
     let doc = Perf.Suite.document preset bs in
     write_json json doc;
     Option.iter

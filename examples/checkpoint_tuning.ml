@@ -20,11 +20,11 @@ let () =
     }
   in
   print_endline "Checkpoint-period sweep (write-intensive HashMap, 16 threads):";
+  let wi = Harness.Experiments.Map 90 in
   let base =
-    (fst
-       (Harness.Experiments.map_point ~update_pct:90 scale
-          Harness.Systems.Transient_dram ~threads:16))
-      .Harness.Workload.mops
+    Harness.Experiments.point_mops
+      (Harness.Experiments.point scale Harness.Systems.Transient_dram wi
+         ~threads:16)
   in
   List.iter
     (fun period_ns ->
@@ -36,21 +36,17 @@ let () =
           Harness.Systems.period_ns;
         }
       in
-      let r, rt =
-        Harness.Experiments.map_point ~update_pct:90 ~params:p scale
-          Harness.Systems.Respct ~threads:16
+      let pt =
+        Harness.Experiments.point ~params:p scale Harness.Systems.Respct wi
+          ~threads:16
       in
-      let eff =
-        match rt with
-        | Some rt -> Respct.Runtime.mean_effective_period rt
-        | None -> nan
-      in
+      let mops = Harness.Experiments.point_mops pt in
       Printf.printf
         "  period %6.0f us: %5.2f Mops/s (%.2fx of DRAM), effective period \
          %.0f us\n"
-        (period_ns /. 1e3) r.Harness.Workload.mops
-        (r.Harness.Workload.mops /. base)
-        (eff /. 1e3))
+        (period_ns /. 1e3) mops (mops /. base)
+        (Harness.Experiments.point_extra_float pt "effective_period_ns"
+        /. 1e3))
     [ 8_000.0; 32_000.0; 128_000.0; 512_000.0 ];
   print_endline "";
   print_endline "RP granularity on the LR kernel (64 threads):";

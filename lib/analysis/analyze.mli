@@ -16,7 +16,7 @@ val jobs :
   ?dynamic:bool ->
   ?persistency:bool ->
   unit ->
-  (Obs.Jobs.t, string) result
+  (Obs.Jobs.campaign, string) result
 (** [program] selects one program by name; [iters] (default 8) is the
     corpus loop count. [strip] drops a variable from every inferred
     logging set before linting (the strip-log mutant). [mutant] is

@@ -39,7 +39,7 @@ val campaign : ?dir:string -> unit -> params Obs.Cx.campaign
     ops, one thread fewer, a crash 40 µs earlier. Trial files go to
     [dir], or to a scratch directory made and removed around each run. *)
 
-val jobs : ?dir:string -> Matrix.preset -> Obs.Jobs.t
+val jobs : ?dir:string -> Matrix.preset -> Obs.Jobs.campaign
 (** Both directions over a grid derived from the preset: one job per
     (seed × crash instant) point, where a clean world must pass, then
     one job in which the planted psync-elision mutant must be caught,

@@ -48,7 +48,7 @@ val jobs :
   ?schedules:bool ->
   dimension ->
   preset ->
-  (Obs.Jobs.t, string) result
+  (Obs.Jobs.campaign, string) result
 (** The dimension as a job list: one job per registry entry of the
     dimension, in registry order, whose id starts with [filter] — per seed
     pair for [Matrix], at the preset's first seed pair for the checks,

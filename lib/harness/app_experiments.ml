@@ -121,63 +121,20 @@ let run_app (s : app_scale) variant = function
       let env, p, _bump = app_world s variant ~nthreads:64 ~nvm_words:(1 lsl 21) in
       fst (Apps.Dedup.run env p cfg)
 
-let fig13 scale =
-  (* Figure 13's columns: Dedup, Swaptions, MatMul, LR *)
-  let apps = [ `Dedup; `Swaptions false; `Matmul; `Linreg false ] in
-  let times variant = List.map (run_app scale variant) apps in
-  let base = times App_dram in
-  let row variant ts =
-    ( variant_name variant,
-      List.map2 (fun t b -> Table.fmt_ratio (t /. b)) ts base )
+let run_kv (s : app_scale) variant mix =
+  let cfg =
+    {
+      Apps.Kvstore.default_cfg with
+      Apps.Kvstore.keys = s.kv_keys;
+      buckets = s.kv_keys;
+      load_ops = s.kv_load;
+      run_ops = s.kv_run;
+      mix;
+    }
   in
-  let rows =
-    row App_dram base
-    :: List.map (fun v -> row v (times v)) [ App_nvm; App_respct ]
+  let env, p, _bump =
+    app_world s variant
+      ~nthreads:(cfg.Apps.Kvstore.clients + cfg.Apps.Kvstore.workers)
+      ~nvm_words:(1 lsl 22)
   in
-  (* section 5.3 ablation: naive RP placement *)
-  let naive =
-    ( "ResPCT (naive RPs)",
-      List.map2
-        (fun app b ->
-          match app with
-          | `Swaptions _ ->
-              Table.fmt_ratio (run_app scale App_respct (`Swaptions true) /. b)
-          | `Linreg _ ->
-              Table.fmt_ratio (run_app scale App_respct (`Linreg true) /. b)
-          | `Matmul | `Dedup -> "-")
-        apps base )
-  in
-  rows @ [ naive ]
-
-let fig14 scale =
-  let mixes =
-    [
-      ("read-intensive", Apps.Ycsb.read_intensive);
-      ("balanced", Apps.Ycsb.balanced);
-      ("write-intensive", Apps.Ycsb.write_intensive);
-    ]
-  in
-  List.map
-    (fun variant ->
-      ( variant_name variant,
-        List.map
-          (fun (_name, mix) ->
-            let cfg =
-              {
-                Apps.Kvstore.default_cfg with
-                Apps.Kvstore.keys = scale.kv_keys;
-                buckets = scale.kv_keys;
-                load_ops = scale.kv_load;
-                run_ops = scale.kv_run;
-                mix;
-              }
-            in
-            let env, p, _bump =
-              app_world scale variant
-                ~nthreads:(cfg.Apps.Kvstore.clients + cfg.Apps.Kvstore.workers)
-                ~nvm_words:(1 lsl 22)
-            in
-            let dur, ops = Apps.Kvstore.run env p cfg in
-            Printf.sprintf "%.0f" (float_of_int ops /. dur *. 1e6))
-          mixes ))
-    [ App_dram; App_nvm; App_respct ]
+  Apps.Kvstore.run env p cfg

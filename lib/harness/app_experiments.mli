@@ -1,5 +1,6 @@
-(* Real-world workload experiments: Figure 13 (compute-intensive
-   applications) and Figure 14 (Memcached-like KV store under YCSB). *)
+(* Real-world workload runs: the applications of Figure 13
+   (compute-intensive) and the Memcached-like KV store of Figure 14 (under
+   YCSB). [Figures] builds both figures from these runs. *)
 
 type app_scale = {
   matmul_n : int;
@@ -38,11 +39,6 @@ val run_app :
   [ `Matmul | `Linreg of bool | `Swaptions of bool | `Dedup ] ->
   float
 
-(* Figure 13's rows: execution time normalised to Transient<DRAM> (whose
-   row reads 1.00) for Dedup, Swaptions, MatMul and LR under each variant,
-   then the naive-placement row for Swaptions and LR. *)
-val fig13 : app_scale -> (string * string list) list
-
-(* Figure 14's rows: KV-store throughput (Kops/s) per variant, one cell per
-   YCSB mix (read-intensive, balanced, write-intensive). *)
-val fig14 : app_scale -> (string * string list) list
+(* One KV-store run under the YCSB [mix]: its virtual duration and the
+   operations it completed. *)
+val run_kv : app_scale -> variant -> Apps.Ycsb.mix -> float * int

@@ -81,44 +81,7 @@ let params_for (s : scale) ~threads ~kind:_ =
     cache_ways = 16;
   }
 
-let map_point ?(update_pct = 50) ?params (s : scale) kind ~threads =
-  let p =
-    match params with Some p -> p | None -> params_for s ~threads ~kind
-  in
-  let sched, env, rt, build = Systems.map_system p kind in
-  let wl =
-    {
-      Workload.nthreads = threads;
-      duration_ns = s.duration_ns;
-      key_space = 2 * s.buckets;
-      update_pct;
-      prefill = s.map_prefill;
-      seed = p.Systems.seed;
-    }
-  in
-  let r = Workload.run_map ~mem:(Simsched.Env.mem env) ~sched ~params:wl ~build () in
-  (r, rt)
-
-let queue_point ?params (s : scale) kind ~threads =
-  let p =
-    match params with Some p -> p | None -> params_for s ~threads ~kind
-  in
-  let sched, env, rt, build = Systems.queue_system p kind in
-  let wl =
-    {
-      Workload.q_nthreads = threads;
-      q_duration_ns = s.duration_ns;
-      q_prefill = s.queue_prefill;
-      q_seed = p.Systems.seed;
-    }
-  in
-  let r =
-    Workload.run_queue ~mem:(Simsched.Env.mem env) ~sched ~params:wl ~build ()
-  in
-  (r, rt)
-
-(* ------------------------------------------------------------------ *)
-(* Instrumented points *)
+type workload = Map of int | Queue
 
 let checkpoint_extra rt =
   match rt with
@@ -136,265 +99,72 @@ let checkpoint_extra rt =
           if Float.is_nan eff then Obs.Json.Null else Obs.Json.Float eff );
       ]
 
-let workload_extra (r : Workload.result) =
-  [
-    ("total_ops", Obs.Json.Int r.Workload.total_ops);
-    ("elapsed_ns", Obs.Json.Float r.Workload.elapsed_ns);
-  ]
-
-let instrument env rt =
-  let mem = Simsched.Env.mem env in
-  let registry = Obs.Metrics.create () in
-  ignore (Obs.Memobs.attach registry mem);
-  let spans = Obs.Span.create () in
-  Option.iter (fun rt -> Respct.Runtime.set_spans rt spans) rt;
-  (registry, spans, fun () -> Obs.Metrics.reset registry)
-
-let map_point_obs ?(update_pct = 50) ?params (s : scale) kind ~threads =
+(* The probes attach to the world before the workload runs: a Memobs
+   counter registry on the memory's bus, reset at the measurement-window
+   start, and span profiling on the ResPCT runtime. *)
+let point ?params (s : scale) kind w ~threads =
   let p =
     match params with Some p -> p | None -> params_for s ~threads ~kind
   in
-  let sched, env, rt, build = Systems.map_system p kind in
-  let registry, spans, reset = instrument env rt in
-  let wl =
-    {
-      Workload.nthreads = threads;
-      duration_ns = s.duration_ns;
-      key_space = 2 * s.buckets;
-      update_pct;
-      prefill = s.map_prefill;
-      seed = p.Systems.seed;
-    }
+  let registry = Obs.Metrics.create () and spans = Obs.Span.create () in
+  let instrument env rt =
+    ignore (Obs.Memobs.attach registry (Simsched.Env.mem env));
+    Option.iter (fun rt -> Respct.Runtime.set_spans rt spans) rt
   in
-  let r =
-    Workload.run_map ~mem:(Simsched.Env.mem env) ~on_window:reset ~sched
-      ~params:wl ~build ()
-  in
-  Obs.Run.point
-    ~params:
-      [
-        ("system", Obs.Json.String (Systems.name_of kind));
-        ("threads", Obs.Json.Int threads);
-        ("update_pct", Obs.Json.Int update_pct);
-      ]
-    ~throughput_mops:r.Workload.mops
-    ~stats:(Simnvm.Memsys.stats (Simsched.Env.mem env))
-    ~metrics:registry ~spans
-    ~extra:(workload_extra r @ checkpoint_extra rt)
-    (Systems.name_of kind)
-
-let queue_point_obs ?params (s : scale) kind ~threads =
-  let p =
-    match params with Some p -> p | None -> params_for s ~threads ~kind
-  in
-  let sched, env, rt, build = Systems.queue_system p kind in
-  let registry, spans, reset = instrument env rt in
-  let wl =
-    {
-      Workload.q_nthreads = threads;
-      q_duration_ns = s.duration_ns;
-      q_prefill = s.queue_prefill;
-      q_seed = p.Systems.seed;
-    }
-  in
-  let r =
-    Workload.run_queue ~mem:(Simsched.Env.mem env) ~on_window:reset ~sched
-      ~params:wl ~build ()
+  let on_window () = Obs.Metrics.reset registry in
+  let env, rt, r, mix =
+    match w with
+    | Map update_pct ->
+        let sched, env, rt, build = Systems.map_system p kind in
+        instrument env rt;
+        let wl =
+          {
+            Workload.nthreads = threads;
+            duration_ns = s.duration_ns;
+            key_space = 2 * s.buckets;
+            update_pct;
+            prefill = s.map_prefill;
+            seed = p.Systems.seed;
+          }
+        in
+        ( env,
+          rt,
+          Workload.run_map ~mem:(Simsched.Env.mem env) ~on_window ~sched
+            ~params:wl ~build (),
+          [ ("update_pct", Obs.Json.Int update_pct) ] )
+    | Queue ->
+        let sched, env, rt, build = Systems.queue_system p kind in
+        instrument env rt;
+        let wl =
+          {
+            Workload.q_nthreads = threads;
+            q_duration_ns = s.duration_ns;
+            q_prefill = s.queue_prefill;
+            q_seed = p.Systems.seed;
+          }
+        in
+        ( env,
+          rt,
+          Workload.run_queue ~mem:(Simsched.Env.mem env) ~on_window ~sched
+            ~params:wl ~build (),
+          [] )
   in
   Obs.Run.point
     ~params:
-      [
-        ("system", Obs.Json.String (Systems.name_of kind));
-        ("threads", Obs.Json.Int threads);
-      ]
+      (("system", Obs.Json.String (Systems.name_of kind))
+      :: ("threads", Obs.Json.Int threads)
+      :: mix)
     ~throughput_mops:r.Workload.mops
     ~stats:(Simnvm.Memsys.stats (Simsched.Env.mem env))
     ~metrics:registry ~spans
-    ~extra:(workload_extra r @ checkpoint_extra rt)
+    ~extra:
+      (("total_ops", Obs.Json.Int r.Workload.total_ops)
+      :: ("elapsed_ns", Obs.Json.Float r.Workload.elapsed_ns)
+      :: checkpoint_extra rt)
     (Systems.name_of kind)
 
 let point_mops (pt : Obs.Run.point) =
   match pt.Obs.Run.throughput_mops with Some x -> x | None -> nan
-
-(* ------------------------------------------------------------------ *)
-(* Figures 8 and 9 *)
-
-let fig8_points scale =
-  List.map
-    (fun update_pct ->
-      ( update_pct,
-        List.map
-          (fun kind ->
-            ( Systems.name_of kind,
-              List.map
-                (fun threads -> map_point_obs ~update_pct scale kind ~threads)
-                scale.sweep_threads ))
-          Systems.map_kinds ))
-    [ 10; 50; 90 ]
-
-let fig9_points scale =
-  List.map
-    (fun kind ->
-      ( Systems.name_of kind,
-        List.map
-          (fun threads -> queue_point_obs scale kind ~threads)
-          scale.sweep_threads ))
-    Systems.queue_kinds
-
-(* ------------------------------------------------------------------ *)
-(* Integrity tax *)
-
-let integrity_points ?(scale = small) ?threads () =
-  let sweep = Option.value ~default:scale.sweep_threads threads in
-  let kind = Systems.Respct in
-  let run ~integrity w ~threads =
-    (* The integrity layout additionally reserves one regsum word per
-       registry entry; give *both* arms the doubled NVMM so the geometry
-       (and hence the cache behaviour) stays identical across the pair. *)
-    let p = params_for scale ~threads ~kind in
-    let p =
-      { p with Systems.nvm_words = 2 * p.Systems.nvm_words; integrity }
-    in
-    match w with
-    | `Queue -> queue_point_obs ~params:p scale kind ~threads
-    | `Map update_pct ->
-        map_point_obs ~update_pct ~params:p scale kind ~threads
-  in
-  List.map
-    (fun (wname, w) ->
-      ( wname,
-        List.map
-          (fun threads ->
-            ( threads,
-              run ~integrity:false w ~threads,
-              run ~integrity:true w ~threads ))
-          sweep ))
-    [ ("Queue", `Queue); ("HashMap", `Map 50) ]
-
-let integrity_overhead_rows pts =
-  List.map
-    (fun (wname, cells) ->
-      ( wname,
-        List.map
-          (fun (_threads, off, on) ->
-            let raw = point_mops off and sealed = point_mops on in
-            Printf.sprintf "%s/%s (%+.1f%%)" (Table.fmt_mops sealed)
-              (Table.fmt_mops raw)
-              (100.0 *. ((sealed -. raw) /. raw)))
-          cells ))
-    pts
-
-(* ------------------------------------------------------------------ *)
-(* Figures 10, 11 and 12 *)
-
-let fig10_points scale =
-  let threads = scale.fig10_threads in
-  let workloads =
-    [ ("Queue", `Queue); ("HashMap-RI", `Map 10); ("HashMap-WI", `Map 90) ]
-  in
-  let run kind ~mode w =
-    let p = { (params_for scale ~threads ~kind) with Systems.mode } in
-    match w with
-    | `Queue -> queue_point_obs ~params:p scale kind ~threads
-    | `Map update_pct ->
-        map_point_obs ~update_pct ~params:p scale kind ~threads
-  in
-  let configs =
-    [
-      ("Transient<DRAM>", Systems.Transient_dram, Respct.Runtime.Full);
-      ("Transient<NVMM>", Systems.Transient_nvm, Respct.Runtime.Full);
-      ("ResPCT-InCLL", Systems.Respct, Respct.Runtime.Incll_only);
-      ("ResPCT-noFlush", Systems.Respct, Respct.Runtime.No_flush);
-      ("ResPCT", Systems.Respct, Respct.Runtime.Full);
-    ]
-  in
-  List.map
-    (fun (cname, kind, mode) ->
-      ( cname,
-        List.map (fun (wname, w) -> (wname, run kind ~mode w)) workloads ))
-    configs
-
-let point_eff (pt : Obs.Run.point) =
-  match List.assoc_opt "effective_period_ns" pt.Obs.Run.extra with
-  | Some (Obs.Json.Float f) -> f
-  | _ -> nan
-
-let fig11_points scale =
-  let threads = scale.fig10_threads in
-  let base =
-    map_point_obs ~update_pct:90 scale Systems.Transient_dram ~threads
-  in
-  let sweep =
-    List.map
-      (fun period_ns ->
-        let p =
-          {
-            (params_for scale ~threads ~kind:Systems.Respct) with
-            Systems.period_ns;
-          }
-        in
-        ( period_ns,
-          map_point_obs ~update_pct:90 ~params:p scale Systems.Respct ~threads
-        ))
-      scale.fig11_periods_ns
-  in
-  (base, sweep)
-
-let fig12_points scale =
-  List.map
-    (fun buckets ->
-      let s = { scale with buckets; map_prefill = buckets * 2 } in
-      let threads = 8 in
-      let p = params_for s ~threads ~kind:Systems.Respct in
-      let sched, env, _rt, build = Systems.map_system p Systems.Respct in
-      let wl =
-        {
-          Workload.nthreads = threads;
-          duration_ns = infinity (* run until the crash *);
-          key_space = 2 * s.buckets;
-          update_pct = 90;
-          prefill = s.map_prefill;
-          seed = p.Systems.seed;
-        }
-      in
-      (* Crash roughly 1.5 periods after the prefill finishes: prefill time
-         is unknown in advance, so run a probe first? Instead: crash far
-         enough to cover prefill + one checkpoint for all sizes. *)
-      let crash_at =
-        (float_of_int s.map_prefill *. 400.0) +. (2.5 *. p.Systems.period_ns)
-      in
-      Simsched.Scheduler.set_crash_at sched crash_at;
-      (try ignore (Workload.run_map ~sched ~params:wl ~build ())
-       with Failure _ -> ());
-      let mem = Simsched.Env.mem env in
-      Simnvm.Memsys.crash mem;
-      let layout =
-        Respct.Layout.v
-          ~line_words:(Simnvm.Memsys.config mem).Simnvm.Memsys.line_words
-          ~nvm_words:p.Systems.nvm_words ~max_threads:p.Systems.max_threads
-          ~registry_per_slot:p.Systems.registry_per_slot ()
-      in
-      let spans = Obs.Span.create () in
-      let rep =
-        Respct.Recovery.run ~threads:scale.recovery_threads ~layout ~spans mem
-      in
-      Obs.Run.point
-        ~params:
-          [
-            ("buckets", Obs.Json.Int buckets);
-            ("recovery_threads", Obs.Json.Int scale.recovery_threads);
-          ]
-        ~spans
-        ~extra:
-          [
-            ("duration_ns", Obs.Json.Float rep.Respct.Recovery.duration_ns);
-            ("scanned", Obs.Json.Int rep.Respct.Recovery.scanned);
-            ( "rolled_back",
-              Obs.Json.Int (List.length rep.Respct.Recovery.rolled_back) );
-            ("failed_epoch", Obs.Json.Int rep.Respct.Recovery.failed_epoch);
-          ]
-        (string_of_int buckets))
-    scale.fig12_buckets
 
 let point_extra_float pt key =
   match List.assoc_opt key pt.Obs.Run.extra with

@@ -124,6 +124,18 @@ let transient_mem env ~kind =
   in
   Pds.Mem_iface.of_env_bump env (Pds.Bump.create env ~base ~limit)
 
+(* How [Workload.run_map] and [Workload.run_queue] register threads with
+   a ResPCT runtime and let it checkpoint. *)
+let respct_system rt =
+  {
+    Pds.Ops.sys_register = (fun ~slot -> Respct.Runtime.register rt ~slot);
+    sys_deregister = (fun ~slot -> Respct.Runtime.deregister rt ~slot);
+    sys_allow = (fun ~slot -> Respct.Runtime.checkpoint_allow rt ~slot);
+    sys_prevent =
+      (fun ~slot -> Respct.Runtime.checkpoint_prevent_nolock rt ~slot);
+    sys_stop = (fun () -> Respct.Runtime.stop rt);
+  }
+
 let map_system (p : params) kind =
   let _mem, sched, env = world p ~kind in
   match kind with
@@ -138,17 +150,7 @@ let map_system (p : params) kind =
       Respct.Runtime.start rt;
       let build () =
         let m = Pds.Hashmap_respct.create rt ~slot:0 ~buckets:p.buckets in
-        let sys =
-          {
-            Pds.Ops.sys_register = (fun ~slot -> Respct.Runtime.register rt ~slot);
-            sys_deregister = (fun ~slot -> Respct.Runtime.deregister rt ~slot);
-            sys_allow = (fun ~slot -> Respct.Runtime.checkpoint_allow rt ~slot);
-            sys_prevent =
-              (fun ~slot -> Respct.Runtime.checkpoint_prevent_nolock rt ~slot);
-            sys_stop = (fun () -> Respct.Runtime.stop rt);
-          }
-        in
-        (Pds.Hashmap_respct.ops m, sys)
+        (Pds.Hashmap_respct.ops m, respct_system rt)
       in
       (sched, env, Some rt, build)
   | Pmthreads ->
@@ -203,17 +205,7 @@ let queue_system (p : params) kind =
       Respct.Runtime.start rt;
       let build () =
         let q = Pds.Queue_respct.create rt ~slot:0 in
-        let sys =
-          {
-            Pds.Ops.sys_register = (fun ~slot -> Respct.Runtime.register rt ~slot);
-            sys_deregister = (fun ~slot -> Respct.Runtime.deregister rt ~slot);
-            sys_allow = (fun ~slot -> Respct.Runtime.checkpoint_allow rt ~slot);
-            sys_prevent =
-              (fun ~slot -> Respct.Runtime.checkpoint_prevent_nolock rt ~slot);
-            sys_stop = (fun () -> Respct.Runtime.stop rt);
-          }
-        in
-        (Pds.Queue_respct.ops q, sys)
+        (Pds.Queue_respct.ops q, respct_system rt)
       in
       (sched, env, Some rt, build)
   | Pmthreads ->

@@ -145,7 +145,11 @@ val fuzz :
 (** {2 The analyze campaign's axiomatic part} *)
 
 val jobs :
-  ?mutant:mutant -> ?fuzz:int * int -> ce_file:string -> unit -> Obs.Jobs.t
+  ?mutant:mutant ->
+  ?fuzz:int * int ->
+  ce_file:string ->
+  unit ->
+  Obs.Jobs.campaign
 (** Under [Strip_psync], one job in which the stripped {!demo} must
     violate a claim, returning its shrunk counterexample; with [fuzz =
     (n, seed)], one job that runs {!fuzz} and fails on a soundness

@@ -88,7 +88,7 @@ val jobs :
   ?ce_file:string ->
   corpus:bool ->
   unit ->
-  (Obs.Jobs.t, string) result
+  (Obs.Jobs.campaign, string) result
 (** The [litmus] subcommand as a job list. With [corpus], one job per
     {!Corpus.all} entry, in order: its {!Axiom.failed_inclusions}, then
     {!check} under each of its variants in each of [worlds], one line

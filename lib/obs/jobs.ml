@@ -1,6 +1,5 @@
-(* Campaigns as job lists: independent jobs, run one after another, then
-   a closing step over their results in job order (DESIGN.md section
-   17). *)
+(* Job lists: independent jobs, run one after another, then a closing
+   step over their results in job order (DESIGN.md section 17). *)
 
 type result = {
   ok : bool;
@@ -10,12 +9,27 @@ type result = {
   counterexample : string option;
 }
 
-type t = { jobs : (unit -> result) array; close : result array -> result }
+type ('a, 'b) t = { jobs : (unit -> 'a) array; close : 'a array -> 'b }
+type campaign = (result, result) t
 
 let result ?(json = Json.Null) ?(count = 0) ?counterexample ~ok text =
   { ok; text; json; count; counterexample }
 
 let run t = t.close (Array.map (fun job -> job ()) t.jobs)
+
+let grid rows cols job close =
+  let n = List.length cols in
+  {
+    jobs =
+      Array.of_list
+        (List.concat_map (fun r -> List.map (fun c () -> job r c) cols) rows);
+    close =
+      (fun rs ->
+        close
+          (List.mapi
+             (fun i r -> (r, Array.to_list (Array.sub rs (i * n) n)))
+             rows));
+  }
 
 let concat rs =
   let rs = Array.to_list rs in

@@ -1,31 +1,8 @@
 type preset = {
   p_name : string;
-  p_benches : (string * (unit -> int * float)) list;
+  scale : Harness.Experiments.scale;
+  big : bool;  (* the full-size KV-service sample *)
 }
-
-(* Total ops and virtual time of [point] over every kind × thread count
-   of the sweep, summed in that order. *)
-let sweep point (scale : Harness.Experiments.scale) kinds () =
-  List.fold_left
-    (fun acc kind ->
-      List.fold_left
-        (fun (ops, sim) threads ->
-          let r, _ = point scale kind ~threads in
-          ( ops + r.Harness.Workload.total_ops,
-            sim +. r.Harness.Workload.elapsed_ns ))
-        acc scale.Harness.Experiments.sweep_threads)
-    (0, 0.0) kinds
-
-(* A fig8 map point (50% updates), with ResPCT's pipelined checkpointing
-   (async epoch advance, double-buffered commits) on or off. *)
-let map_point ~pipeline scale kind ~threads =
-  let params =
-    {
-      (Harness.Experiments.params_for scale ~threads ~kind) with
-      Harness.Systems.pipeline;
-    }
-  in
-  Harness.Experiments.map_point ~update_pct:50 ~params scale kind ~threads
 
 (* The sharded KV service front-end (lib/service): sessions, admission,
    batching and consistent-hash routing over per-shard runtimes, on the
@@ -33,7 +10,7 @@ let map_point ~pipeline scale kind ~threads =
    run's virtual makespan, so a regression anywhere in the serving path
    (router, queues, batcher, shard runtimes, rolling checkpoints) moves
    it. *)
-let service_sample ~big () =
+let service_point ~big () =
   let cfg =
     if big then
       {
@@ -53,51 +30,70 @@ let service_sample ~big () =
       }
   in
   let r = Service.Front.run cfg in
-  (r.Service.Front.r_completed, r.Service.Front.r_makespan_ns)
+  Obs.Run.point
+    ~extra:
+      [
+        ("total_ops", Obs.Json.Int r.Service.Front.r_completed);
+        ("elapsed_ns", Obs.Json.Float r.Service.Front.r_makespan_ns);
+      ]
+    "kv-service"
 
-let benches_for ?(big = true) scale =
+(* Every benchmark of the preset: its name and one job per point. A
+   sweep runs every kind × thread count, map points at 50% updates, with
+   ResPCT's pipelined checkpointing (async epoch advance, double-buffered
+   commits) on or off. *)
+let benches preset =
+  let scale = preset.scale in
+  let sweep ?(pipeline = false) w kinds =
+    List.concat_map
+      (fun kind ->
+        List.map
+          (fun threads () ->
+            let params =
+              {
+                (Harness.Experiments.params_for scale ~threads ~kind) with
+                Harness.Systems.pipeline;
+              }
+            in
+            Harness.Experiments.point ~params scale kind w ~threads)
+          scale.Harness.Experiments.sweep_threads)
+      kinds
+  in
   [
-    ( "fig8-map",
-      sweep (map_point ~pipeline:false) scale Harness.Systems.map_kinds );
-    ( "fig9-queue",
-      sweep
-        (fun s k ~threads -> Harness.Experiments.queue_point s k ~threads)
-        scale Harness.Systems.queue_kinds );
-    (* The same sweep restricted to ResPCT with pipelined checkpointing, so
+    ("fig8-map", sweep (Harness.Experiments.Map 50) Harness.Systems.map_kinds);
+    ("fig9-queue", sweep Harness.Experiments.Queue Harness.Systems.queue_kinds);
+    (* The fig8 sweep restricted to ResPCT with pipelined checkpointing, so
        the pipelined runtime (volatile epoch views, overlap barrier, staged
        reclamation) is under the gate as well. *)
     ( "respct-pipe",
-      sweep (map_point ~pipeline:true) scale [ Harness.Systems.Respct ] );
-    ("kv-service", service_sample ~big);
+      sweep ~pipeline:true (Harness.Experiments.Map 50)
+        [ Harness.Systems.Respct ] );
+    ("kv-service", [ service_point ~big:preset.big ]);
   ]
 
 (* Default preset: the fig8 and fig9 sweeps at the figures' own scale. *)
 let default_preset =
-  { p_name = "default"; p_benches = benches_for Harness.Experiments.small }
+  { p_name = "default"; scale = Harness.Experiments.small; big = true }
 
 (* Smoke preset: the same sweeps on a drastically shrunk world, for CI
    and for the harness's own tests — seconds, not minutes. *)
-let smoke_scale =
+let smoke_preset =
   {
-    Harness.Experiments.small with
-    Harness.Experiments.label = "smoke";
-    sweep_threads = [ 2 ];
-    duration_ns = 100_000.0;
-    map_prefill = 400;
-    buckets = 200;
-    queue_prefill = 50;
-    period_ns = 25_000.0;
+    p_name = "smoke";
+    scale =
+      {
+        Harness.Experiments.small with
+        Harness.Experiments.label = "smoke";
+        sweep_threads = [ 2 ];
+        duration_ns = 100_000.0;
+        map_prefill = 400;
+        buckets = 200;
+        queue_prefill = 50;
+        period_ns = 25_000.0;
+      };
+    big = false;
   }
 
-let smoke_preset =
-  { p_name = "smoke"; p_benches = benches_for ~big:false smoke_scale }
-
-(* Checkpoint-pause probe: the metric the pipelined runtime is built to
-   move. One classic and one pipelined ResPCT map run at the preset's
-   largest thread count; the pause is the mutator stall per checkpoint
-   (the whole flush in classic mode, only quiescence + handoff in
-   pipeline mode) and the overlap is the background-flush window that
-   replaced the rest of it. *)
 type pause = {
   pause_mode : string; (* "classic" | "pipeline" *)
   pause_stall_us : float; (* mutator stall per checkpoint *)
@@ -105,39 +101,70 @@ type pause = {
   pause_checkpoints : int;
 }
 
-let checkpoint_pause preset =
-  let scale =
-    if preset.p_name = "smoke" then smoke_scale else Harness.Experiments.small
-  in
-  let threads =
-    List.fold_left max 1 scale.Harness.Experiments.sweep_threads
-  in
-  let run ~pipeline =
-    let _, rt = map_point ~pipeline scale Harness.Systems.Respct ~threads in
-    Option.bind rt (fun rt ->
-        let s = Respct.Runtime.stats rt in
-        let n = s.Respct.Runtime.checkpoints in
-        if n = 0 then None
-        else
-          Some
-            {
-              pause_mode = (if pipeline then "pipeline" else "classic");
-              pause_stall_us =
-                s.Respct.Runtime.stall_ns /. float_of_int n /. 1e3;
-              pause_overlap_us =
-                s.Respct.Runtime.overlap_ns /. float_of_int n /. 1e3;
-              pause_checkpoints = n;
-            })
-  in
-  List.filter_map (fun pipeline -> run ~pipeline) [ false; true ]
+(* The pause row of a ResPCT point, or none when it took no checkpoint. *)
+let pause_of mode pt =
+  let n = Harness.Experiments.point_extra_int pt "checkpoints" in
+  if n = 0 then None
+  else
+    let per key =
+      Harness.Experiments.point_extra_float pt key /. float_of_int n /. 1e3
+    in
+    Some
+      {
+        pause_mode = mode;
+        pause_stall_us = per "stall_ns";
+        pause_overlap_us = per "overlap_ns";
+        pause_checkpoints = n;
+      }
 
-let run ?only preset =
-  List.filter_map
-    (fun (name, f) ->
-      if Option.fold ~none:true ~some:(String.equal name) only then
-        let ops, sim_ns = f () in
-        Some { Bench.name; ops; sim_ns }
-      else None)
-    preset.p_benches
+let jobs ?only preset =
+  let selected =
+    List.filter
+      (fun (name, _) -> Option.fold ~none:true ~some:(String.equal name) only)
+      (benches preset)
+  in
+  let close pts =
+    let _, groups =
+      List.fold_left_map
+        (fun i (name, jobs) ->
+          let n = List.length jobs in
+          (i + n, (name, Array.to_list (Array.sub pts i n))))
+        0 selected
+    in
+    (* summed in job order: kind-major, then thread count *)
+    let bench (name, pts) =
+      {
+        Bench.name;
+        ops =
+          List.fold_left
+            (fun n pt -> n + Harness.Experiments.point_extra_int pt "total_ops")
+            0 pts;
+        sim_ns =
+          List.fold_left
+            (fun t pt ->
+              t +. Harness.Experiments.point_extra_float pt "elapsed_ns")
+            0.0 pts;
+      }
+    in
+    let threads =
+      List.fold_left max 1 preset.scale.Harness.Experiments.sweep_threads
+    in
+    let respct = Harness.Systems.name_of Harness.Systems.Respct in
+    let pause mode name =
+      Option.bind (List.assoc_opt name groups) (fun pts ->
+          Option.bind
+            (List.find_opt
+               (fun pt ->
+                 pt.Obs.Run.label = respct
+                 && List.assoc_opt "threads" pt.Obs.Run.params
+                    = Some (Obs.Json.Int threads))
+               pts)
+            (pause_of mode))
+    in
+    ( List.map bench groups,
+      List.filter_map Fun.id
+        [ pause "classic" "fig8-map"; pause "pipeline" "respct-pipe" ] )
+  in
+  { Obs.Jobs.jobs = Array.of_list (List.concat_map snd selected); close }
 
 let document preset bs = Bench.document ~preset:preset.p_name bs

@@ -4,14 +4,10 @@
     once and reports its total simulated operations and total virtual
     time.
 
-    The sweeps run through the plain experiment points
-    ({!Harness.Experiments.map_point}), not the instrumented ones the
-    figures use. The probes (Memobs counters, spans, checkpoint
-    statistics) do not move virtual time, so the gated numbers would be
-    the same either way (test_harness "instrumented points equal plain
-    points"). They cost host time: one 16-thread ResPCT map point at small
-    scale (release build, 2-vCPU shared VM, 13 runs each) took 0.80–1.02 s
-    plain (median 0.92 s) and 0.88–1.09 s instrumented (median 0.97 s). *)
+    The suite is one job list ({!Obs.Jobs}): one job per sweep point,
+    made by {!Harness.Experiments.point} as for the figures, and one for
+    the service run. The closing step reads both the sums and the
+    checkpoint-pause rows off those points, so every point runs once. *)
 
 type preset
 
@@ -21,16 +17,9 @@ val default_preset : preset
 val smoke_preset : preset
 (** The same sweeps on shrunk worlds: seconds, not minutes. *)
 
-val run : ?only:string -> preset -> Bench.t list
-(** Run every benchmark of the preset, or only the one named. *)
-
-val document : preset -> Bench.t list -> Obs.Json.t
-(** {!Bench.document} labelled with the preset's name. *)
-
 (** Checkpoint pause: the mutator stall per checkpoint (the whole flush
     in classic mode, only quiescence and handoff in pipeline mode) and
-    the background flush that overlapped it, for one classic and one
-    pipelined ResPCT map run at the preset's largest thread count. *)
+    the background flush that overlapped it. *)
 type pause = {
   pause_mode : string;  (** ["classic"] or ["pipeline"] *)
   pause_stall_us : float;
@@ -38,4 +27,16 @@ type pause = {
   pause_checkpoints : int;
 }
 
-val checkpoint_pause : preset -> pause list
+val jobs :
+  ?only:string ->
+  preset ->
+  (Obs.Run.point, Bench.t list * pause list) Obs.Jobs.t
+(** Every benchmark of the preset, or only the one named: one job per
+    point. The closing step sums each benchmark's [total_ops] and
+    [elapsed_ns] in job order, and reads the pause rows (classic, then
+    pipeline) off the largest-thread-count ResPCT points of the
+    [fig8-map] and [respct-pipe] sweeps; a sweep that did not run, or a
+    point that took no checkpoint, gives no row. *)
+
+val document : preset -> Bench.t list -> Obs.Json.t
+(** {!Bench.document} labelled with the preset's name. *)

@@ -55,8 +55,7 @@ let retry_ns = 10_000.0 (* mean client backoff before a retry *)
 
 (* Every shard runs integrity-mode images and pipelined checkpoints,
    except that a crash trial forces classic ones (see [run]); the
-   document prints [pipeline = true] for a crash trial too. *)
-let pipeline = true
+   document prints the mode that ran. *)
 let integrity = true
 
 let smoke =
@@ -481,6 +480,7 @@ type result = {
   r_mrps : float;  (* completed requests per virtual µs (Mreq/s) *)
   r_shards : shard_report list;
   r_stall_overlap_ns : float;  (* >= 2 shards stalled simultaneously *)
+  r_pipelined : bool;
   r_crash : crash_report option;
   r_survivors : survivor_check list;
   r_final : (int * int) list option;
@@ -1026,6 +1026,7 @@ let report w =
        else 0.0);
     r_shards = List.map shard_report shards;
     r_stall_overlap_ns = stall_overlap w.shard;
+    r_pipelined = w.pipelined;
     r_crash = crash;
     r_survivors = survivors;
     r_final = final;
@@ -1070,7 +1071,7 @@ let run ?crash_at_ns ?(crash_shard = 0) cfg =
 (* JSON export (schema respct-service/v1). Everything in here is
    virtual-time or counter data, so same seed => byte-identical text. *)
 
-let json_of_config cfg =
+let json_of_config ~pipelined cfg =
   Obs.Json.Obj
     [
       ("shards", Obs.Json.Int cfg.shards);
@@ -1089,7 +1090,7 @@ let json_of_config cfg =
       ("batch_max", Obs.Json.Int cfg.batch_max);
       ("retries", Obs.Json.Int retries);
       ("period_ns", Obs.Json.Float cfg.period_ns);
-      ("pipeline", Obs.Json.Bool pipeline);
+      ("pipeline", Obs.Json.Bool pipelined);
       ("integrity", Obs.Json.Bool integrity);
       ("seed", Obs.Json.Int cfg.seed);
       ( "backend",
@@ -1152,7 +1153,7 @@ let to_json r =
   Obs.Json.Obj
     [
       ("schema", Obs.Json.String "respct-service/v1");
-      ("config", json_of_config r.r_cfg);
+      ("config", json_of_config ~pipelined:r.r_pipelined r.r_cfg);
       ("makespan_ns", Obs.Json.Float r.r_makespan_ns);
       ("completed", Obs.Json.Int r.r_completed);
       ("failed", Obs.Json.Int r.r_failed);

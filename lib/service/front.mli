@@ -15,7 +15,8 @@
     caller varies them: 64 ring points per shard, a one-way network hop
     of 3 µs, 2 retries per request after a 10 µs mean backoff, pipelined
     checkpoints and integrity-mode images. A crash trial still forces
-    classic checkpoints. The JSON document prints all six.
+    classic checkpoints. The JSON document prints all six, the
+    checkpoint mode as the one that ran.
 
     Crash-under-load (File backend): at [crash_at_ns] the victim shard's
     durability path freezes (the SIGKILL instant), its queue closes —
@@ -125,6 +126,8 @@ type result = {
   r_shards : shard_report list;
   r_stall_overlap_ns : float;
       (** virtual time during which >= 2 shards were stalled at once *)
+  r_pipelined : bool;
+      (** the shards ran pipelined checkpoints: false in a crash trial *)
   r_crash : crash_report option;
   r_survivors : survivor_check list;
       (** end-of-run durability audit of every surviving file image *)

@@ -1183,7 +1183,7 @@ let test_replay_leaves_no_scratch_dirs () =
    schedule sweeps) and the litmus corpus jobs. *)
 let test_jobs_in_reverse () =
   List.iter
-    (fun (what, (t : Obs.Jobs.t)) ->
+    (fun (what, (t : Obs.Jobs.campaign)) ->
       let n = Array.length t.Obs.Jobs.jobs in
       let forward = Array.map (fun job -> job ()) t.Obs.Jobs.jobs in
       let backward = Array.make n None in

@@ -19,42 +19,42 @@ let tiny =
 let test_map_point_sane () =
   List.iter
     (fun kind ->
-      let r, _ =
-        Harness.Experiments.map_point ~update_pct:50 tiny kind ~threads:2
+      let pt =
+        Harness.Experiments.point tiny kind (Harness.Experiments.Map 50)
+          ~threads:2
       in
       Alcotest.(check bool)
         (Harness.Systems.name_of kind ^ " throughput positive")
         true
-        (r.Harness.Workload.mops > 0.0);
-      Alcotest.(check bool) "ops counted" true (r.Harness.Workload.total_ops > 0))
+        (Harness.Experiments.point_mops pt > 0.0);
+      Alcotest.(check bool) "ops counted" true
+        (Harness.Experiments.point_extra_int pt "total_ops" > 0))
     Harness.Systems.map_kinds
 
 let test_queue_point_sane () =
   List.iter
     (fun kind ->
-      let r, _ = Harness.Experiments.queue_point tiny kind ~threads:2 in
+      let pt =
+        Harness.Experiments.point tiny kind Harness.Experiments.Queue
+          ~threads:2
+      in
       Alcotest.(check bool)
         (Harness.Systems.name_of kind ^ " throughput positive")
         true
-        (r.Harness.Workload.mops > 0.0))
+        (Harness.Experiments.point_mops pt > 0.0))
     Harness.Systems.queue_kinds
 
 let test_respct_checkpoints_during_measurement () =
-  let r, rt =
-    Harness.Experiments.map_point ~update_pct:90 tiny Harness.Systems.Respct
-      ~threads:2
+  let pt =
+    Harness.Experiments.point tiny Harness.Systems.Respct
+      (Harness.Experiments.Map 90) ~threads:2
   in
-  ignore r;
-  match rt with
-  | None -> Alcotest.fail "runtime expected"
-  | Some rt ->
-      let s = Respct.Runtime.stats rt in
-      Alcotest.(check bool)
-        (Printf.sprintf "checkpoints ran (%d)" s.Respct.Runtime.checkpoints)
-        true
-        (s.Respct.Runtime.checkpoints >= 2);
-      Alcotest.(check bool) "flushed addresses" true
-        (s.Respct.Runtime.flushed_addrs > 0)
+  let checkpoints = Harness.Experiments.point_extra_int pt "checkpoints" in
+  Alcotest.(check bool)
+    (Printf.sprintf "checkpoints ran (%d)" checkpoints)
+    true (checkpoints >= 2);
+  Alcotest.(check bool) "flushed addresses" true
+    (Harness.Experiments.point_extra_int pt "flushed_addrs" > 0)
 
 (* eADR ablation (paper section 6): with the cache in the persistent
    domain, flushes are free; ResPCT's checkpoint flush time collapses. *)
@@ -68,13 +68,12 @@ let test_eadr_ablation () =
         Harness.Systems.eadr;
       }
     in
-    let r, rt =
-      Harness.Experiments.map_point ~update_pct:90 ~params:p tiny
-        Harness.Systems.Respct ~threads:2
+    let pt =
+      Harness.Experiments.point ~params:p tiny Harness.Systems.Respct
+        (Harness.Experiments.Map 90) ~threads:2
     in
-    match rt with
-    | Some rt -> (r.Harness.Workload.mops, (Respct.Runtime.stats rt).Respct.Runtime.flush_ns)
-    | None -> Alcotest.fail "runtime expected"
+    ( Harness.Experiments.point_mops pt,
+      Harness.Experiments.point_extra_float pt "flush_ns" )
   in
   let mops_off, flush_off = run false in
   let mops_on, flush_on = run true in
@@ -94,7 +93,7 @@ let figure_rows ?(scale = tiny) name =
   in
   List.concat_map
     (fun (t : Harness.Figures.table) -> t.Harness.Figures.rows)
-    (fst (f.Harness.Figures.run (Harness.Figures.setup scale)))
+    (fst (Obs.Jobs.run (f.Harness.Figures.jobs (Harness.Figures.setup scale))))
 
 (* The non-PCSO ablation at the workload level: running the full ResPCT
    HashMap on word-granular write-back hardware must eventually produce a
@@ -333,8 +332,8 @@ let test_advisor_race_freedom_of_map () =
 let test_structured_results_deterministic () =
   let digest () =
     let pt =
-      Harness.Experiments.map_point_obs ~update_pct:50 tiny
-        Harness.Systems.Respct ~threads:2
+      Harness.Experiments.point tiny Harness.Systems.Respct
+        (Harness.Experiments.Map 50) ~threads:2
     in
     Obs.Json.to_string (Obs.Run.document [ Obs.Run.experiment "det" [ pt ] ])
   in
@@ -345,44 +344,6 @@ let test_structured_results_deterministic () =
     "byte-identical documents"
     (Digest.to_hex (Digest.string a))
     (Digest.to_hex (Digest.string b))
-
-(* The instrumented points (`map`/`queue`, the figures) and the plain ones
-   (the perf gate) must measure the same thing: probes only observe, so
-   throughput and op counts agree to the bit for every system and mix. *)
-let test_instrumented_equals_plain () =
-  let same what (r : Harness.Workload.result) pt =
-    Alcotest.(check int64)
-      (what ^ " mops bits")
-      (Int64.bits_of_float r.Harness.Workload.mops)
-      (Int64.bits_of_float (Harness.Experiments.point_mops pt));
-    Alcotest.(check int)
-      (what ^ " total_ops")
-      r.Harness.Workload.total_ops
-      (Harness.Experiments.point_extra_int pt "total_ops")
-  in
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun update_pct ->
-          let r, _ =
-            Harness.Experiments.map_point ~update_pct tiny kind ~threads:2
-          in
-          same
-            (Printf.sprintf "%s map %d%%" (Harness.Systems.name_of kind)
-               update_pct)
-            r
-            (Harness.Experiments.map_point_obs ~update_pct tiny kind
-               ~threads:2))
-        [ 10; 50; 90 ])
-    Harness.Systems.map_kinds;
-  List.iter
-    (fun kind ->
-      let r, _ = Harness.Experiments.queue_point tiny kind ~threads:2 in
-      same
-        (Harness.Systems.name_of kind ^ " queue")
-        r
-        (Harness.Experiments.queue_point_obs tiny kind ~threads:2))
-    Harness.Systems.queue_kinds
 
 (* ------------------------------------------------------------------ *)
 (* The figure registry at miniature scales: every figure and table runs,
@@ -427,7 +388,7 @@ let miniature =
 let run_figures () =
   List.map
     (fun (f : Harness.Figures.figure) ->
-      (f.Harness.Figures.name, f.Harness.Figures.run miniature))
+      (f.Harness.Figures.name, Obs.Jobs.run (f.Harness.Figures.jobs miniature)))
     Harness.Figures.all
 
 let with_json = [ "fig8"; "fig9"; "fig10"; "fig11"; "fig12" ]
@@ -490,6 +451,43 @@ let test_figures_json_deterministic () =
   in
   let a = document () in
   Alcotest.(check string) "byte-identical documents" a (document ())
+
+(* A figure's jobs are independent: run last to first, Figures 9-12
+   give the tables and JSON of the in-order run, byte for byte — what a
+   pool that runs them in any order relies on. *)
+let test_figure_jobs_any_order () =
+  let output (tables, experiment) =
+    let buf = Buffer.create 1024 in
+    let out = Format.formatter_of_buffer buf in
+    List.iter
+      (fun (t : Harness.Figures.table) ->
+        Harness.Table.print ~out ~title:t.Harness.Figures.title
+          ~header:t.Harness.Figures.header t.Harness.Figures.rows)
+      tables;
+    Format.pp_print_flush out ();
+    Buffer.contents buf
+    ^ Option.fold ~none:"" ~some:Obs.Json.to_string experiment
+  in
+  List.iter
+    (fun (f : Harness.Figures.figure) ->
+      if List.mem f.Harness.Figures.name [ "fig9"; "fig10"; "fig11"; "fig12" ]
+      then begin
+        let t = f.Harness.Figures.jobs miniature in
+        let jobs = t.Obs.Jobs.jobs in
+        let n = Array.length jobs in
+        let backward = Array.make n None in
+        for i = n - 1 downto 0 do
+          backward.(i) <- Some (jobs.(i) ())
+        done;
+        Alcotest.(check bool)
+          (f.Harness.Figures.name ^ " has jobs")
+          true (n > 0);
+        Alcotest.(check string)
+          (f.Harness.Figures.name ^ " output independent of job order")
+          (output (Obs.Jobs.run t))
+          (output (t.Obs.Jobs.close (Array.map Option.get backward)))
+      end)
+    Harness.Figures.all
 
 (* ------------------------------------------------------------------ *)
 (* Golden outputs pinned across the fast-path kernel rewrite *)
@@ -772,8 +770,6 @@ let () =
           Alcotest.test_case "fig12 rows" `Quick test_fig12_rows;
           Alcotest.test_case "structured results deterministic" `Quick
             test_structured_results_deterministic;
-          Alcotest.test_case "instrumented points equal plain" `Quick
-            test_instrumented_equals_plain;
         ] );
       ( "figures",
         [
@@ -781,6 +777,8 @@ let () =
             test_figures_registry;
           Alcotest.test_case "json byte-identical across runs" `Quick
             test_figures_json_deterministic;
+          Alcotest.test_case "jobs give the same output in any order" `Quick
+            test_figure_jobs_any_order;
         ] );
       ( "reporting",
         [

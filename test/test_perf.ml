@@ -3,6 +3,9 @@
    - the order statistics are correct;
    - two same-seed smoke runs of the real benchmark suite export
      byte-identical documents;
+   - the smoke preset's checkpoint-pause rows, read off the sweeps'
+     points, are the ones the suite printed when it ran two extra points
+     for them;
    - the sim gate is exact and two-sided: a planted 2x slowdown, a 2x
      speed-up and a one-op drift all fail it, and structural problems
      (missing benchmark, bad schema) are reported as errors;
@@ -61,13 +64,32 @@ let test_json_roundtrip () =
 (* ---------------------------------------------------------------- *)
 (* Bench determinism on the real suite *)
 
+let smoke_run () = Obs.Jobs.run (Suite.jobs Suite.smoke_preset)
 let smoke_doc () =
-  let preset = Suite.smoke_preset in
-  Json.to_string (Suite.document preset (Suite.run preset))
+  Json.to_string (Suite.document Suite.smoke_preset (fst (smoke_run ())))
 
 let test_bench_determinism () =
   check Alcotest.string "same-seed smoke exports identical JSON"
     (smoke_doc ()) (smoke_doc ())
+
+(* The smoke preset's pause rows, bit for bit, as the suite computed them
+   from a separate classic and a separate pipelined ResPCT map run at the
+   largest thread count (printed: classic 8.0 / 0.0 us per checkpoint,
+   pipeline 0.8 / 8.0 us, 13 checkpoints each). *)
+let test_checkpoint_pause_pinned () =
+  let row (p : Suite.pause) =
+    Printf.sprintf "%s stall=%h overlap=%h checkpoints=%d" p.Suite.pause_mode
+      p.Suite.pause_stall_us p.Suite.pause_overlap_us p.Suite.pause_checkpoints
+  in
+  check
+    Alcotest.(list string)
+    "smoke pause rows"
+    [
+      "classic stall=0x1.ff571e67a909fp+2 overlap=0x0p+0 checkpoints=13";
+      "pipeline stall=0x1.84ec4ec4ec4edp-1 overlap=0x1.0104e239a8b94p+3 \
+       checkpoints=13";
+    ]
+    (List.map row (snd (smoke_run ())))
 
 (* ---------------------------------------------------------------- *)
 (* Regression gate *)
@@ -141,6 +163,8 @@ let () =
         [
           Alcotest.test_case "same-seed determinism" `Quick
             test_bench_determinism;
+          Alcotest.test_case "checkpoint-pause rows pinned" `Quick
+            test_checkpoint_pause_pinned;
         ] );
       ( "compare",
         [

@@ -44,6 +44,11 @@ let json r = Obs.Json.to_string (Front.to_json r)
    simulated value included. *)
 let md5 s = Digest.to_hex (Digest.string s)
 
+(* The checkpoint mode a run's document reports. *)
+let pipeline_field r =
+  Option.bind (Obs.Json.member "config" (Front.to_json r))
+    (Obs.Json.member "pipeline")
+
 (* Each shard's count of [name] spans, from the result's span summaries. *)
 let span_counts r name =
   List.map
@@ -86,6 +91,8 @@ let test_same_seed_byte_identical () =
   let a = run tiny in
   let b = run tiny in
   Alcotest.(check string) "same seed, same bytes" a b;
+  Alcotest.(check bool) "a crash-free run reports pipelined checkpoints" true
+    (pipeline_field (Front.run tiny) = Some (Obs.Json.Bool true));
   Alcotest.(check string) "tiny output pinned"
     "690b563b8c7eb376372d02d25e9c3abd" (md5 a);
   let c = run { tiny with Front.seed = tiny.Front.seed + 1 } in
@@ -291,8 +298,10 @@ let test_crash_one_shard_under_load () =
       in
       let r = Front.run ~crash_at_ns:500_000.0 ~crash_shard:1 cfg in
       Alcotest.(check string) "crash drill output pinned"
-        "d096e084f7e77ef809843f23638193f7" (md5 (json r));
+        "cba0b5c19dd91e748c10fcb629656d49" (md5 (json r));
       (* the sealed-epoch oracle needs the classic synchronous seal *)
+      Alcotest.(check bool) "the document reports classic checkpoints" true
+        (pipeline_field r = Some (Obs.Json.Bool false));
       Alcotest.(check (list int))
         "crash trials force classic checkpoints: no overlap spans"
         (List.init cfg.Front.shards (fun _ -> 0))
