@@ -7,7 +7,7 @@
 # every function whose code makes that test and exits 1 if there is any.
 #
 #   bash .github/generic-arrays.sh .bench_build/default/benchmark/main.exe \
-#     Checksum Recovery Heap Memsys Scheduler Env Explore Crashpoint
+#     Checksum Recovery Heap Runtime Memsys Scheduler Env Explore Crashpoint
 #
 # A module is named as in the source (Checksum) or with its library
 # prefix as the symbols spell it (Respct__Checksum). Hashmap_respct is

@@ -117,6 +117,23 @@ let pause_of mode pt =
         pause_checkpoints = n;
       }
 
+let pauses ~threads groups =
+  let threads = List.fold_left max 1 threads in
+  let respct = Harness.Systems.name_of Harness.Systems.Respct in
+  let pause mode name =
+    Option.bind (List.assoc_opt name groups) (fun pts ->
+        Option.bind
+          (List.find_opt
+             (fun pt ->
+               pt.Obs.Run.label = respct
+               && List.assoc_opt "threads" pt.Obs.Run.params
+                  = Some (Obs.Json.Int threads))
+             pts)
+          (pause_of mode))
+  in
+  List.filter_map Fun.id
+    [ pause "classic" "fig8-map"; pause "pipeline" "respct-pipe" ]
+
 let jobs ?only preset =
   let selected =
     List.filter
@@ -146,24 +163,8 @@ let jobs ?only preset =
             0.0 pts;
       }
     in
-    let threads =
-      List.fold_left max 1 preset.scale.Harness.Experiments.sweep_threads
-    in
-    let respct = Harness.Systems.name_of Harness.Systems.Respct in
-    let pause mode name =
-      Option.bind (List.assoc_opt name groups) (fun pts ->
-          Option.bind
-            (List.find_opt
-               (fun pt ->
-                 pt.Obs.Run.label = respct
-                 && List.assoc_opt "threads" pt.Obs.Run.params
-                    = Some (Obs.Json.Int threads))
-               pts)
-            (pause_of mode))
-    in
     ( List.map bench groups,
-      List.filter_map Fun.id
-        [ pause "classic" "fig8-map"; pause "pipeline" "respct-pipe" ] )
+      pauses ~threads:preset.scale.Harness.Experiments.sweep_threads groups )
   in
   { Obs.Jobs.jobs = Array.of_list (List.concat_map snd selected); close }
 

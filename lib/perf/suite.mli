@@ -27,16 +27,22 @@ type pause = {
   pause_checkpoints : int;
 }
 
+val pauses :
+  threads:int list -> (string * Obs.Run.point list) list -> pause list
+(** [pauses ~threads groups]: the pause rows, classic then pipeline, of
+    sweep points grouped by benchmark name, each read off the ResPCT
+    point of the [fig8-map] or the [respct-pipe] group at the largest of
+    [threads], the sweep's thread counts. A group that is absent, or a
+    point that took no checkpoint, gives no row. *)
+
 val jobs :
   ?only:string ->
   preset ->
   (Obs.Run.point, Bench.t list * pause list) Obs.Jobs.t
 (** Every benchmark of the preset, or only the one named: one job per
     point. The closing step sums each benchmark's [total_ops] and
-    [elapsed_ns] in job order, and reads the pause rows (classic, then
-    pipeline) off the largest-thread-count ResPCT points of the
-    [fig8-map] and [respct-pipe] sweeps; a sweep that did not run, or a
-    point that took no checkpoint, gives no row. *)
+    [elapsed_ns] in job order, and reads the pause rows off the points
+    with {!pauses}. *)
 
 val document : preset -> Bench.t list -> Obs.Json.t
 (** {!Bench.document} labelled with the preset's name. *)

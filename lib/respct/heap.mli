@@ -6,19 +6,50 @@
     small allocations and per-slot, per-size free lists. Freed blocks become
     reusable only after the next checkpoint, never within the epoch that
     freed them. Free lists are segregated by size; blocks must not be
-    recycled across different layouts of the same size (see DESIGN.md). *)
+    recycled across different layouts of the same size (see DESIGN.md).
+    A slot reuses the blocks of one size last in, first out, and promotes
+    an epoch's frees newest first, so the epoch's oldest free comes back
+    first. *)
+
+(** A growable stack of ints, bottom first: the allocator's free and
+    pending lists and the runtime's modified sets. [clear] keeps the
+    array, so a warm stack pushes without allocating. *)
+module Int_stack : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+
+  val clear : t -> unit
+  (** Empty the stack, keeping its array. *)
+
+  val push : t -> int -> unit
+
+  val pop : t -> int
+  (** @raise Invalid_argument on an empty stack. *)
+
+  val get : t -> int -> int
+  (** [get s i]: the [i]-th int pushed and still held, [0] the bottom.
+      @raise Invalid_argument unless [0 <= i < length s]. *)
+
+  val blit : t -> int array -> int -> unit
+  (** [blit s dst pos] copies the stack, bottom first, to [dst] from
+      [pos]. *)
+end
 
 type t
 
 val create :
   ?chunk_words:int ->
   Simsched.Env.t ->
+  slots:int ->
   cursor_cell:Incll.cell ->
   base:int ->
   limit:int ->
   t
-(** Attach an allocator to the arena [base, limit) whose persistent cursor
-    lives in [cursor_cell]. [chunk_words] sizes the per-slot cache chunks.
+(** Attach an allocator for thread slots [0, slots) to the arena
+    [base, limit) whose persistent cursor lives in [cursor_cell].
+    [chunk_words] sizes the per-slot cache chunks.
     @raise Invalid_argument if [base > limit]. *)
 
 val init_cursor : Pctx.t -> t -> unit
@@ -67,6 +98,13 @@ val iter_cells :
     base i] for each [i], without a division per cell. Both recovery
     scans walk registry ranges with it. *)
 
+val range_last_cell : line_words:int -> int -> int -> Incll.cell
+(** [range_last_cell ~line_words base count] is [cell_at_words ~line_words
+    base (count - 1)] for [1 <= count <= Layout.max_entry_count], with a
+    multiply and a shift where [cell_at_words] divides twice: apply it to
+    [~line_words] once and call the result per range. The verified scan
+    bounds-checks every registry entry with it. *)
+
 val free : Pctx.t -> t -> int -> words:int -> unit
 (** Return a block to the freeing slot's pending list; it becomes reusable
     after the next checkpoint. *)
@@ -80,10 +118,11 @@ type staged
 (** A snapshot of the pending frees of one epoch, detached from the heap. *)
 
 val staged_addrs : staged -> int list
-(** Debug view: the staged block addresses. *)
+(** Debug view: the staged block addresses, slot by slot, each slot's
+    newest free first (the order {!release} promotes them in). *)
 
 val collect_pending : t -> staged
-(** Snapshot and clear the pending free lists (pipelined runtime: taken at
+(** Copy and clear the pending free lists (pipelined runtime: taken at
     quiescence, so it captures exactly the frees of the epoch being
     checkpointed). *)
 

@@ -523,21 +523,25 @@ let verified_scan ~max_read_retries (l : Layout.t) (b : Simnvm.Backend.t)
   in
   (* 2. Fixed metadata cells: the registry lengths govern the scan and
      the heap cursor governs reallocation, so unproven damage here grades
-     as Unrecoverable. *)
-  let fixed =
-    l.Layout.cursor_cell :: l.Layout.slots_cell
-    :: List.init l.Layout.max_threads (fun slot ->
-           Layout.reglen_cell l ~line_words slot)
-  in
-  List.iter (verify_cell ~metadata:true) fixed;
+     as Unrecoverable. The registry-length cells are a packed array, one
+     per slot ([Layout.reglen_cell]), stepped through once. *)
+  let reglens = Array.make l.Layout.max_threads 0 in
+  (let slot = ref 0 in
+   Heap.iter_cells ~line_words l.Layout.reglen_cells_base l.Layout.max_threads
+     (fun cell ->
+       reglens.(!slot) <- cell;
+       incr slot));
+  verify_cell ~metadata:true l.Layout.cursor_cell;
+  verify_cell ~metadata:true l.Layout.slots_cell;
+  Array.iter (verify_cell ~metadata:true) reglens;
   b.Simnvm.Backend.psync ();
   (* 3. Registry scan, every entry checked against its summary CRC and
      its decoded range bounds before any cell is trusted. *)
   let verify_data = verify_cell ~metadata:false in
+  let last_cell = Heap.range_last_cell ~line_words in
   for slot = 0 to l.Layout.max_threads - 1 do
     let len =
-      clamp 0 l.Layout.registry_per_slot
-        (read (Incll.record (Layout.reglen_cell l ~line_words slot)))
+      clamp 0 l.Layout.registry_per_slot (read (Incll.record reglens.(slot)))
     in
     scanned := !scanned + len;
     let seg = Layout.registry_segment l slot in
@@ -549,11 +553,10 @@ let verified_scan ~max_read_retries (l : Layout.t) (b : Simnvm.Backend.t)
         add_damage (Registry_corrupt { addr = eaddr })
       else begin
         let base, count = Layout.decode_entry entry in
-        let last = Heap.cell_at_words ~line_words base (count - 1) in
         if
-          base < l.Layout.heap_base
-          || last + Incll.words > l.Layout.heap_limit
-          || last < base
+          count = 0
+          || base < l.Layout.heap_base
+          || last_cell base count + Incll.words > l.Layout.heap_limit
         then add_damage (Range_out_of_bounds { addr = eaddr; base; count })
         else Heap.iter_cells ~line_words base count verify_data
       end

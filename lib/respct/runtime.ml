@@ -47,11 +47,14 @@ type mutant =
   | No_overlap_wait (* drop the wait-for-flushed overlap barrier *)
   | Early_reclaim (* release the epoch's heap frees at handoff *)
 
+(* A slot's volatile state. [to_flush] is its modified set, the paper's
+   to_be_flushed list: the addresses it tracked this epoch, oldest first.
+   A checkpoint empties it and the stack keeps its array, so tracking an
+   address allocates nothing once the slot has seen an epoch as busy. *)
 type slot_state = {
   mutable active : bool;
   mutable flag : bool; (* perThread_flag *)
-  mutable to_flush : int list;
-  mutable to_flush_len : int;
+  to_flush : Heap.Int_stack.t;
   mutable rp_cell : Incll.cell; (* 0 = not yet assigned *)
 }
 
@@ -76,9 +79,8 @@ type stats = {
 type flush_job = {
   j_id : int;
   j_epoch : int; (* the epoch whose modified set is walked *)
-  j_addrs : Simnvm.Addr.t array;
+  j_addrs : Simnvm.Addr.t array; (* the slots' modified sets, flush order *)
   mutable j_next : int; (* shared claim cursor over j_addrs *)
-  j_count : int;
   j_staged : Heap.staged; (* epoch frees, released at seal *)
   j_t0 : float; (* timer raise (virtual) *)
   j_handoff : float; (* worker release (virtual) *)
@@ -130,7 +132,12 @@ let flag_check_ns = 2.0
 let track_ns = 5.0
 
 let fresh_slot () =
-  { active = false; flag = false; to_flush = []; to_flush_len = 0; rp_cell = 0 }
+  {
+    active = false;
+    flag = false;
+    to_flush = Heap.Int_stack.create ();
+    rp_cell = 0;
+  }
 
 let sched t = Simsched.Env.sched t.env
 let bops t = Simsched.Env.backend t.env
@@ -171,9 +178,7 @@ let store_epoch t e =
      else e)
 
 let add_modified t ~slot addr =
-  let st = t.slots.(slot) in
-  st.to_flush <- addr :: st.to_flush;
-  st.to_flush_len <- st.to_flush_len + 1;
+  Heap.Int_stack.push t.slots.(slot).to_flush addr;
   Simsched.Scheduler.charge (sched t) track_ns
 
 let make_ctx t slot : Pctx.t =
@@ -231,7 +236,8 @@ let make_internal ?(cfg = default_config) env =
       ~registry_per_slot:cfg.registry_per_slot ()
   in
   let heap =
-    Heap.create env ~cursor_cell:layout.Layout.cursor_cell
+    Heap.create env ~slots:cfg.max_threads
+      ~cursor_cell:layout.Layout.cursor_cell
       ~base:layout.Layout.heap_base ~limit:layout.Layout.heap_limit
   in
   let t =
@@ -335,12 +341,11 @@ let create ?cfg env =
    [reflush] seeds the to_be_flushed list with the cells the recovery rolled
    back: they carry the current (failed) epoch number in their epoch_id, so
    their next update skips logging and would otherwise never be re-flushed
-   (see Recovery). They are assigned to slot 0. *)
+   (see Recovery). They are assigned to slot 0, last listed first: the
+   order in which the first checkpoint has always flushed them. *)
 let restart ?cfg ?(reflush = []) env =
   let t = make_internal ?cfg env in
-  let st = t.slots.(0) in
-  st.to_flush <- reflush;
-  st.to_flush_len <- List.length reflush;
+  List.iter (Heap.Int_stack.push t.slots.(0).to_flush) (List.rev reflush);
   t
 
 (* ------------------------------------------------------------------ *)
@@ -480,19 +485,42 @@ let read t ~slot cell = Incll.read (ctx t ~slot) cell
 let all_flags_raised t =
   Array.for_all (fun st -> (not st.active) || st.flag) t.slots
 
-(* Flush the gathered addresses, modelling the flusher-thread pool: the
-   pwb costs are accumulated off the coordinator's clock, divided by the
-   pool width, and charged as the parallel flush's makespan. *)
-let flush_with_pool t addrs =
+(* A checkpoint flushes the modified sets slot [max_threads - 1] first,
+   each slot's addresses oldest first. *)
+let modified_count t =
+  Array.fold_left
+    (fun n st -> n + Heap.Int_stack.length st.to_flush)
+    0 t.slots
+
+let clear_modified t =
+  Array.iter (fun st -> Heap.Int_stack.clear st.to_flush) t.slots
+
+(* A float-only record, so adding a charge stores the float unboxed. *)
+type charge_sum = { mutable ns : float }
+
+(* Flush the modified sets in place, in flush order, modelling the
+   flusher-thread pool: the pwb costs are accumulated off the
+   coordinator's clock, divided by the pool width, and charged as the
+   parallel flush's makespan. The walk cannot yield, since the backend's
+   [pwb] does not poll: no worker tracks an address between the first pwb
+   and the caller's [clear_modified], so the quiescent point still divides
+   the epochs and an address tracked after it belongs to the next
+   checkpoint. *)
+let flush_with_pool t =
   let b = bops t in
   let t0 = Simsched.Scheduler.now (sched t) in
   let saved = b.Simnvm.Backend.get_charge () in
-  let acc = ref 0.0 in
-  b.Simnvm.Backend.set_charge (fun ns -> acc := !acc +. ns);
-  List.iter (fun addr -> b.Simnvm.Backend.pwb addr) addrs;
+  let acc = { ns = 0.0 } in
+  b.Simnvm.Backend.set_charge (fun ns -> acc.ns <- acc.ns +. ns);
+  for slot = Array.length t.slots - 1 downto 0 do
+    let s = t.slots.(slot).to_flush in
+    for i = 0 to Heap.Int_stack.length s - 1 do
+      b.Simnvm.Backend.pwb (Heap.Int_stack.get s i)
+    done
+  done;
   b.Simnvm.Backend.psync ();
   b.Simnvm.Backend.set_charge saved;
-  let makespan = !acc /. float_of_int (max 1 t.cfg.flusher_pool) in
+  let makespan = acc.ns /. float_of_int (max 1 t.cfg.flusher_pool) in
   Simsched.Scheduler.charge (sched t) makespan;
   t.stats.flush_ns <- t.stats.flush_ns +. makespan;
   emit_span t "checkpoint.flush" t0 (Simsched.Scheduler.now (sched t))
@@ -521,15 +549,18 @@ let finish_checkpoint_stats t ~count ~now =
       t.stats.period_sum +. (now -. t.stats.last_checkpoint_end);
   t.stats.last_checkpoint_end <- now
 
-let collect_to_flush t =
-  Array.fold_left
-    (fun (acc, n) st ->
-      let l = st.to_flush in
-      let k = st.to_flush_len in
-      st.to_flush <- [];
-      st.to_flush_len <- 0;
-      (List.rev_append l acc, n + k))
-    ([], 0) t.slots
+(* The pipelined handoff's one copy of the modified sets, in flush order;
+   the sets are emptied. *)
+let collect_modified t =
+  let addrs = Array.make (modified_count t) 0 in
+  let k = ref 0 in
+  for slot = Array.length t.slots - 1 downto 0 do
+    let s = t.slots.(slot).to_flush in
+    Heap.Int_stack.blit s addrs !k;
+    k := !k + Heap.Int_stack.length s;
+    Heap.Int_stack.clear s
+  done;
+  addrs
 
 (* ------------------------------------------------------------------ *)
 (* Background flusher pool (pipeline mode). The fibers are long-lived:
@@ -593,7 +624,7 @@ let flusher_body t () =
           t.stats.overlap_ns <- t.stats.overlap_ns +. (now -. j.j_handoff);
           emit_span t "checkpoint.overlap" j.j_handoff now;
           emit_span t "checkpoint" j.j_t0 now;
-          finish_checkpoint_stats t ~count:j.j_count ~now;
+          finish_checkpoint_stats t ~count:(Array.length j.j_addrs) ~now;
           Simsched.Mutex.lock s t.fmx;
           t.job <- None;
           Simsched.Condvar.broadcast s t.flush_done;
@@ -627,10 +658,11 @@ let ensure_flushers t =
    image is exactly the state at the start of the next epoch, which test
    oracles snapshot to verify recovery. *)
 let checkpoint_body ?(on_flushed = fun (_ : int) -> ()) t =
-  let addrs, count = collect_to_flush t in
+  let count = modified_count t in
   (match t.cfg.mode with
-  | Full -> flush_with_pool t addrs
+  | Full -> flush_with_pool t
   | No_flush | Incll_only -> ());
+  clear_modified t;
   let e = epoch_word t in
   on_flushed (e + 1);
   seal_commit t (e + 1);
@@ -647,7 +679,7 @@ let checkpoint_body ?(on_flushed = fun (_ : int) -> ()) t =
    the last flusher, once the walk completes (seal-at-walk-completion). *)
 let checkpoint_handoff ?(on_flushed = fun (_ : int) -> ()) t ~t0 =
   let s = sched t in
-  let addrs, count = collect_to_flush t in
+  let addrs = collect_modified t in
   let e = t.cur_epoch in
   (* Quiescent instant: the model state here equals end-of-epoch-[e],
      exactly what recovery restores for a crash in epoch e+1 — the same
@@ -662,9 +694,8 @@ let checkpoint_handoff ?(on_flushed = fun (_ : int) -> ()) t ~t0 =
     {
       j_id = t.next_job_id;
       j_epoch = e;
-      j_addrs = Array.of_list addrs;
+      j_addrs = addrs;
       j_next = 0;
-      j_count = count;
       j_staged = staged;
       j_t0 = t0;
       j_handoff = now;

@@ -91,6 +91,52 @@ let test_checkpoint_pause_pinned () =
     ]
     (List.map row (snd (smoke_run ())))
 
+(* The pause rows come from the ResPCT points at the sweep's largest
+   thread count: synthetic points at 2 and 8 threads, listed smallest
+   first, with another system's point at 8 threads ahead of ResPCT's. *)
+let test_pause_rows_largest_threads () =
+  let respct = Harness.Systems.name_of Harness.Systems.Respct in
+  let pt ?(label = respct) threads ~checkpoints ~stall_ns ~overlap_ns =
+    Obs.Run.point
+      ~params:[ ("threads", Json.Int threads) ]
+      ~extra:
+        [
+          ("checkpoints", Json.Int checkpoints);
+          ("stall_ns", Json.Float stall_ns);
+          ("overlap_ns", Json.Float overlap_ns);
+        ]
+      label
+  in
+  let other = Harness.Systems.name_of Harness.Systems.Transient_dram in
+  let groups =
+    [
+      ( "fig8-map",
+        [
+          pt 2 ~checkpoints:4 ~stall_ns:8_000.0 ~overlap_ns:0.0;
+          pt ~label:other 8 ~checkpoints:1 ~stall_ns:1_000.0 ~overlap_ns:0.0;
+          pt 8 ~checkpoints:2 ~stall_ns:6_000.0 ~overlap_ns:0.0;
+        ] );
+      ( "respct-pipe",
+        [
+          pt 2 ~checkpoints:5 ~stall_ns:500.0 ~overlap_ns:20_000.0;
+          pt 8 ~checkpoints:3 ~stall_ns:900.0 ~overlap_ns:9_000.0;
+        ] );
+    ]
+  in
+  let row (p : Suite.pause) =
+    Printf.sprintf "%s %g/%g us x %d" p.Suite.pause_mode p.Suite.pause_stall_us
+      p.Suite.pause_overlap_us p.Suite.pause_checkpoints
+  in
+  check
+    Alcotest.(list string)
+    "rows of the 8-thread ResPCT points"
+    [ "classic 3/0 us x 2"; "pipeline 0.3/3 us x 3" ]
+    (List.map row (Suite.pauses ~threads:[ 2; 8 ] groups));
+  check
+    Alcotest.(list string)
+    "a missing group gives no row" [ "classic 3/0 us x 2" ]
+    (List.map row (Suite.pauses ~threads:[ 8; 2 ] [ List.hd groups ]))
+
 (* ---------------------------------------------------------------- *)
 (* Regression gate *)
 
@@ -165,6 +211,8 @@ let () =
             test_bench_determinism;
           Alcotest.test_case "checkpoint-pause rows pinned" `Quick
             test_checkpoint_pause_pinned;
+          Alcotest.test_case "pause rows at the largest thread count" `Quick
+            test_pause_rows_largest_threads;
         ] );
       ( "compare",
         [

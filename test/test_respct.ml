@@ -140,7 +140,19 @@ let test_heap_cell_packing () =
             (List.init count (Heap.cell_at_words ~line_words 640))
             (List.rev !seen))
         [ 0; 1; 2; 5; 17 ])
-    [ 6; 8; 9; 16 ]
+    [ 6; 8; 9; 16 ];
+  (* The multiply-and-shift last cell is [cell_at_words]'s for every count
+     a registry entry can hold. *)
+  List.iter
+    (fun line_words ->
+      let last = Heap.range_last_cell ~line_words in
+      for count = 1 to Layout.max_entry_count do
+        let want = Heap.cell_at_words ~line_words 640 (count - 1) in
+        if last 640 count <> want then
+          Alcotest.failf "range_last_cell, %d-word lines, count %d: %d, want %d"
+            line_words count (last 640 count) want
+      done)
+    [ 6; 8; 9; 16; 64; 3 * 1000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Runtime basics *)
@@ -1187,6 +1199,217 @@ let test_pipeline_verified_crash_recovery () =
     [ 1; 2; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
+(* Flush and reuse orders. The modified sets flush slot [max_threads - 1]
+   first, each slot's addresses in tracking order; the allocator hands
+   back the same-size blocks one epoch freed oldest first. Every pwb of a
+   checkpoint and every reused block depends on these orders. *)
+
+(* Heap words nothing else in these worlds touches: slot [slot]'s
+   [i]-th tracked address. *)
+let known_addr rt ~slot i =
+  (Runtime.layout rt).Layout.heap_base + 8192 + (slot * 64) + i
+
+(* Slots 0-2 track four known addresses each, round-robin. *)
+let track_known rt =
+  for i = 0 to 3 do
+    for slot = 0 to 2 do
+      Runtime.add_modified rt ~slot (known_addr rt ~slot i)
+    done
+  done
+
+let expected_flush rt =
+  List.concat_map (fun slot -> List.init 4 (known_addr rt ~slot)) [ 2; 1; 0 ]
+  @ [ (Runtime.layout rt).Layout.epoch_addr ]
+
+(* Register slots 0-2 from the calling fiber with their flags raised (as
+   before a blocking call), so checkpoints proceed without them; a first
+   checkpoint flushes what registration tracked. *)
+let register_idle rt =
+  for slot = 0 to 2 do
+    Runtime.register rt ~slot;
+    Runtime.checkpoint_allow rt ~slot
+  done;
+  Runtime.run_checkpoint rt
+
+(* The addresses of the Pwb events published while [on] holds. *)
+let capture_pwbs sched =
+  let on = ref false and seen = ref [] in
+  ignore
+    (Event.subscribe (Scheduler.trace_bus sched) (function
+      | Event.Pwb { addr; _ } when !on -> seen := addr :: !seen
+      | _ -> ()));
+  (on, fun () -> List.rev !seen)
+
+let test_classic_flush_order () =
+  let _mem, sched, _env, rt = fresh () in
+  let on, seen = capture_pwbs sched in
+  ignore
+    (Scheduler.spawn sched (fun () ->
+         register_idle rt;
+         track_known rt;
+         on := true;
+         Runtime.run_checkpoint rt;
+         on := false));
+  ignore (Scheduler.run sched);
+  Alcotest.(check (list int))
+    "slots 2, 1, 0, each in tracking order, then the seal" (expected_flush rt)
+    (seen ())
+
+let test_pipelined_flush_order () =
+  let _mem, sched, _env, rt =
+    fresh ~cfg:(rt_cfg ~pipeline:true ~flusher_pool:1 ()) ()
+  in
+  let on, seen = capture_pwbs sched in
+  ignore
+    (Scheduler.spawn sched (fun () ->
+         register_idle rt;
+         (* the first walk seals long before *)
+         Scheduler.sleep sched 1_000_000.0;
+         track_known rt;
+         on := true;
+         Runtime.run_checkpoint rt;
+         Scheduler.sleep sched 1_000_000.0;
+         on := false;
+         Runtime.stop rt));
+  ignore (Scheduler.run sched);
+  Alcotest.(check (list int))
+    "the one flusher walks the classic order, then seals" (expected_flush rt)
+    (seen ())
+
+(* [restart ~reflush] hands slot 0 the rolled-back cells; the next
+   checkpoint flushes them last listed first. *)
+let test_reflush_order () =
+  let _mem, sched, env, _rt = fresh () in
+  let rt = Runtime.restart ~cfg:(rt_cfg ()) ~reflush:[ 900; 300; 600 ] env in
+  let on, seen = capture_pwbs sched in
+  ignore
+    (Scheduler.spawn sched (fun () ->
+         on := true;
+         Runtime.run_checkpoint rt;
+         on := false));
+  ignore (Scheduler.run sched);
+  Alcotest.(check (list int))
+    "reflushed cells, last listed first, then the seal"
+    [ 600; 300; 900; (Runtime.layout rt).Layout.epoch_addr ]
+    (seen ())
+
+(* Blocks of two sizes freed interleaved in one epoch come back per size,
+   oldest first, then fresh ones; a later epoch's frees are reused before
+   an earlier epoch's leftovers; another slot's frees are never handed to
+   this one. [promote] is [advance_epoch] or the pipelined pair. *)
+let check_reuse_order ~what promote =
+  let _mem, _sched, _env, rt = fresh () in
+  in_thread rt (fun ctx ->
+      let heap = Runtime.heap rt in
+      let other = Runtime.ctx rt ~slot:1 in
+      let fours = Array.init 5 (fun _ -> Heap.alloc ctx heap ~words:4) in
+      let sixes = Array.init 2 (fun _ -> Heap.alloc ctx heap ~words:6) in
+      let foreign = Heap.alloc other heap ~words:4 in
+      let free4 i = Heap.free ctx heap fours.(i) ~words:4 in
+      let free6 i = Heap.free ctx heap sixes.(i) ~words:6 in
+      free4 0; free6 0; free4 1; free4 2; free6 1; free4 3;
+      Heap.free other heap foreign ~words:4;
+      promote heap;
+      let take words = Heap.alloc_block ctx heap ~words in
+      let reused label expected =
+        let addr, fresh = expected in
+        let got = take (if Array.mem addr sixes then 6 else 4) in
+        Alcotest.(check (pair int bool)) (what ^ ": " ^ label) (addr, fresh) got
+      in
+      reused "first 4-word block freed" (fours.(0), false);
+      reused "first 6-word block freed" (sixes.(0), false);
+      reused "second 4-word block freed" (fours.(1), false);
+      (* next epoch: one more free, while fours.(2) and fours.(3) wait *)
+      free4 4;
+      promote heap;
+      reused "this epoch's free first" (fours.(4), false);
+      reused "then the earlier epoch's, oldest first" (fours.(2), false);
+      reused "last 4-word block freed" (fours.(3), false);
+      reused "last 6-word block freed" (sixes.(1), false);
+      let addr, fresh = take 4 in
+      Alcotest.(check bool) (what ^ ": 4-word lists drained, fresh") true fresh;
+      Alcotest.(check bool)
+        (what ^ ": never a block of another size or slot") false
+        (Array.mem addr sixes || addr = foreign);
+      Alcotest.(check (pair int bool))
+        (what ^ ": the other slot reuses its own block") (foreign, false)
+        (Heap.alloc_block other heap ~words:4))
+
+let test_heap_reuse_order () =
+  check_reuse_order ~what:"advance_epoch" Heap.advance_epoch;
+  check_reuse_order ~what:"collect_pending + release" (fun heap ->
+      Heap.release heap (Heap.collect_pending heap))
+
+(* ------------------------------------------------------------------ *)
+(* The volatile bookkeeping allocates nothing once warm: a modified set
+   and a free stack keep their arrays across epochs. Dev profile, read
+   with [Gc.minor_words] after a warm-up epoch. *)
+
+let tracked i = 20_000 + (i * 8)
+
+(* Words [measure] allocates in epoch 1 of a world whose slot 0 tracked
+   [n] addresses in epoch 0 and tracks them again before [measure]. *)
+let words_after_warm_epoch ?(track_first = true) n measure =
+  let _mem, sched, _env, rt = fresh () in
+  let track () =
+    for i = 0 to n - 1 do
+      Runtime.add_modified rt ~slot:0 (tracked i)
+    done
+  in
+  let words = ref nan in
+  ignore
+    (Scheduler.spawn sched (fun () ->
+         track ();
+         Runtime.run_checkpoint rt;
+         if track_first then track ();
+         let w0 = Gc.minor_words () in
+         measure rt track;
+         words := Gc.minor_words () -. w0));
+  ignore (Scheduler.run sched);
+  !words
+
+(* 3 000 words with a per-slot [int list] (a 3-word cons per call). *)
+let test_tracking_allocates_nothing () =
+  Alcotest.check (Alcotest.float 0.0) "words allocated by 1 000 add_modified"
+    0.0
+    (words_after_warm_epoch ~track_first:false 1_000 (fun _ track -> track ()))
+
+(* With per-slot lists, 148 words for 10 addresses and 5 098 for 1 000:
+   the merged list's conses and the boxed float of the pool's charge
+   accumulator, 5 words per address. *)
+let test_checkpoint_flush_allocation_flat () =
+  let checkpoint n =
+    words_after_warm_epoch n (fun rt _ -> Runtime.run_checkpoint rt)
+  in
+  let ten = checkpoint 10 and thousand = checkpoint 1_000 in
+  if thousand > ten then
+    Alcotest.failf
+      "a checkpoint flushing 1 000 addresses allocated %.0f words, one \
+       flushing 10 %.0f"
+      thousand ten
+
+(* With hash tables of lists, 46 words: the pending pair and its cons,
+   the staged slot list, every (slot, words) key and each lookup's
+   [Some], and the free-list cons. *)
+let test_heap_cycle_allocates_pair () =
+  let _mem, _sched, _env, rt = fresh () in
+  let words = ref nan in
+  in_thread rt (fun ctx ->
+      let heap = Runtime.heap rt in
+      let a = Heap.alloc ctx heap ~words:4 in
+      let cycle () =
+        Heap.free ctx heap a ~words:4;
+        Heap.advance_epoch heap;
+        ignore (Heap.alloc_block ctx heap ~words:4)
+      in
+      cycle ();
+      let w0 = Gc.minor_words () in
+      cycle ();
+      words := Gc.minor_words () -. w0);
+  Alcotest.check (Alcotest.float 0.0)
+    "free, advance_epoch, alloc_block: only the returned pair" 3.0 !words
+
+(* ------------------------------------------------------------------ *)
 (* QCheck: the headline buffered-durable-linearizability property *)
 
 let prop_recovery_equals_last_checkpoint =
@@ -1337,6 +1560,24 @@ let () =
             test_pipeline_crash_recovery;
           Alcotest.test_case "verified crash recovery (4 seeds)" `Quick
             test_pipeline_verified_crash_recovery;
+        ] );
+      ( "orders",
+        [
+          Alcotest.test_case "classic flush order" `Quick
+            test_classic_flush_order;
+          Alcotest.test_case "pipelined flush order" `Quick
+            test_pipelined_flush_order;
+          Alcotest.test_case "reflush order" `Quick test_reflush_order;
+          Alcotest.test_case "heap reuse order" `Quick test_heap_reuse_order;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "tracking allocates nothing" `Quick
+            test_tracking_allocates_nothing;
+          Alcotest.test_case "checkpoint flush allocation flat" `Quick
+            test_checkpoint_flush_allocation_flat;
+          Alcotest.test_case "free/advance/alloc allocates the pair" `Quick
+            test_heap_cycle_allocates_pair;
         ] );
       ( "properties",
         qcheck
