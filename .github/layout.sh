@@ -21,8 +21,9 @@ for m in Respct_benchmark__Probe:Probe Harness__Workload:Harness.Workload \
   Pds__Hashmap_respct:Hashmap_respct Respct__Checksum:Checksum \
   Respct__Heap:Heap Respct__Runtime:Runtime \
   Respct__Recovery:Recovery Simsched__Scheduler:Scheduler Simsched__Env:Env \
-  Simsched__Mutex:Mutex Simsched__Condvar:Condvar Simnvm__Memsys:Memsys Crashtest__Explore:Explore \
-  Crashtest__Scenarios:Scenarios; do
+  Simsched__Mutex:Mutex Simsched__Condvar:Condvar Simnvm__Memsys:Memsys \
+  Simnvm__Backend:Backend Crashtest__Crashpoint:Crashpoint \
+  Crashtest__Explore:Explore Crashtest__Scenarios:Scenarios; do
   name=${m#*:}
   addr=$(awk -v s="caml${m%%:*}.code_begin" '$3 == s { print $1 }' <<<"$syms")
   if [ -n "$addr" ]; then

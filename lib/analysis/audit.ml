@@ -47,6 +47,9 @@ type ir_cross_check = {
   cc_segments : int;
 }
 
+let logs_agree ~static ~dynamic =
+  List.sort_uniq compare static = List.sort_uniq compare dynamic
+
 let cross_check_ir ?sched_seed ?mem_seed ?pcso ~n_ops prog : ir_cross_check =
   let p, plan = Placement.infer (prog ~iters:n_ops) in
   let w = Exec.sim_world ?sched_seed ?mem_seed ?pcso ~plan p in
@@ -62,7 +65,7 @@ let cross_check_ir ?sched_seed ?mem_seed ?pcso ~n_ops prog : ir_cross_check =
   {
     cc_static_log = static_log;
     cc_dynamic_log = dynamic_log;
-    cc_agrees = List.for_all (fun v -> List.mem v static_log) dynamic_log;
+    cc_agrees = logs_agree ~static:static_log ~dynamic:dynamic_log;
     cc_races =
       List.filter
         (fun r -> List.mem_assoc r.Racecheck.addr var_of_addr)

@@ -28,13 +28,19 @@ val watch : Simnvm.Event.bus -> (unit -> 'a) -> 'a * report
     {!Placement} and the audit automate the section 3.3.2 rule from
     opposite ends: one over all CFG paths, one over a single execution.
     Soundness of the static side means every variable the audit finds
-    WAR is in the static plan's logging set; the converse need not hold
-    (the static side may over-approximate paths the run did not take). *)
+    WAR is in the static plan's logging set. A static side that
+    over-approximates paths the run did not take would log more, but so
+    would a run whose audit under-reports, so the two agree only when
+    the logs are equal, as they are on the corpus, whose runs take every
+    path. *)
+
+val logs_agree : static:string list -> dynamic:string list -> bool
+(** Whether the two logs name the same variables. *)
 
 type ir_cross_check = {
   cc_static_log : string list;  (** plan.log, sorted *)
   cc_dynamic_log : string list;  (** the audit's needs_logging, as variables *)
-  cc_agrees : bool;  (** [cc_dynamic_log] within [cc_static_log] *)
+  cc_agrees : bool;  (** {!logs_agree} of the two logs *)
   cc_races : Racecheck.race list;  (** on persistent data words *)
   cc_segments : int;
 }

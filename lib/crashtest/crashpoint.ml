@@ -47,15 +47,16 @@ type fingerprint = { completed : int; dirty : int }
 
 let mix h v = (h lxor v) * 0x100000001b3
 
+(* One dirty line into the digest; top-level, so a fingerprint builds no
+   closure. *)
+let mix_line h lineno mask words off lw =
+  let h = ref (mix (mix h lineno) mask) in
+  for i = off to off + lw - 1 do
+    h := mix !h words.(i)
+  done;
+  !h
+
 let fingerprint mem ~completed =
-  let lw = (Simnvm.Memsys.config mem).Simnvm.Memsys.line_words in
-  let mix_line h lineno mask words off =
-    let h = ref (mix (mix h lineno) mask) in
-    for i = off to off + lw - 1 do
-      h := mix !h words.(i)
-    done;
-    !h
-  in
   { completed; dirty = Simnvm.Memsys.fold_dirty_nvm mem mix_line 0 }
 
 let pilot mem ~completed run =

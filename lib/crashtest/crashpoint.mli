@@ -30,9 +30,10 @@ type fingerprint = { completed : int; dirty : int }
 
 val fingerprint : Simnvm.Memsys.t -> completed:int -> fingerprint
 (** The fingerprint of the memory's current boundary, at which [completed]
-    operations are done, folded straight over the cache
-    ({!Simnvm.Memsys.fold_dirty_nvm}): it copies no line and allocates
-    only the record and the digest's closure over the line size. *)
+    operations are done, folded straight over the cache's dirty NVMM
+    lines in slot order ({!Simnvm.Memsys.fold_dirty_nvm}): it costs the
+    dirty lines, not the cache, copies no line and allocates only the
+    record. *)
 
 val pilot :
   Simnvm.Memsys.t -> completed:(unit -> int) -> (unit -> unit) -> fingerprint array

@@ -32,13 +32,17 @@
    and the world runs on to the next boundary. So the exploration costs
    one run of the world plus the recoveries, not one run per boundary,
    and its bookkeeping follows what each boundary and image touch, not
-   the cache geometry. On the crash-matrix benchmark's two worlds (seed
-   42: 1 931 boundaries, 16 158 images, 3 792 recoveries) the
-   recoveries, each a verified scan plus the oracle, take about two
-   thirds of the host time, at about 5 µs each (best of 45
-   explorations, every call timed, unscaled, on a 2-vCPU shared VM); a
-   suspend and resume pair costs about 0.25 µs and a restore 0.2 µs
-   (scaled to the benchmark's reference box).
+   the cache geometry: the memory indexes its dirty slots, so the
+   fingerprint and the dirty-line list of a boundary cost its dirty
+   lines (6.5 of 256 slots on average), not a sweep of the cache. On the
+   crash-matrix benchmark's two worlds (seed 42: 1 931 boundaries,
+   16 158 images, 3 371 recoveries) an exploration of both takes about
+   24 ms, about 70% of it in the recoveries, each a verified scan plus
+   the oracle at about 5 µs (best of 30 explorations, unscaled, on a
+   2-vCPU shared VM; 28 ms and 3 792 recoveries when every boundary
+   swept the cache and every write-back emptied the memo); a suspend
+   and resume pair costs about 0.25 µs and a restore 0.2 µs (scaled to
+   the benchmark's reference box).
 
    Most of those recoveries would repeat one already made, so each
    distinct image is recovered once per segment: a maximal run of
@@ -52,12 +56,27 @@
    Images carrying a fault plan are always recovered: the plan depends
    on the crash index.
 
+   A segment that starts with a write-back of line L under PCSO and
+   keeps the oracle key carries verdicts over from the boundary just
+   before it. A key of that boundary that wrote L back with exactly the
+   words L now holds persisted installs, on the old image, the same
+   image as the rest of the key installs on the new one, so the rest
+   takes the key's verdict. That is exact, and carrying only the last
+   boundary's keys keeps the cost at a handful of keys per write-back
+   (rekeying the whole segment's memo cost more than the recoveries it
+   saved). The memo still empties at a new oracle key and at every
+   write-back under pcso = false, where a spontaneous write-back may
+   persist part of a line and word variants install single words. On
+   the benchmark's worlds this cuts the recoveries from 3 792 to 3 371;
+   the distinct images per oracle key number 3 189.
+
    The fingerprints make the two runs one deterministic execution: at
    every boundary the checking run must have completed as many
    operations as the pilot and hold the same dirty lines, word for word.
-   Both runs fold the digest straight over the cache, so the pilot costs
-   its run plus one pass over the cache lines per boundary (1.3 ms
-   against a plain run's 0.2 ms on those worlds).
+   Both runs fold the digest over the dirty lines in place, so the pilot
+   costs its run plus the dirty lines of each boundary (0.7 ms against a
+   plain run's 0.2 ms on those worlds, 1.1 ms when every boundary swept
+   all 256 cache slots).
 
    [check_point], the replay of one counterexample, is the same checking
    run stopped after its one boundary, without the memo: it recovers its
@@ -231,12 +250,50 @@ module Verdicts = Hashtbl.Make (struct
     !h land max_int
 end)
 
-(* The verdicts of the current segment, and the recoveries run so far. *)
+(* The verdicts of the current segment, those of the last boundary's
+   images, and the recoveries run so far. *)
 type memo = {
   verdicts : (unit, string) result Verdicts.t;
   mutable key : int option;  (* the segment's oracle key *)
+  mutable last : (int array * (unit, string) result) list;
   mutable recoveries : int;
 }
+
+(* The position of [line]'s block in a key of whole-line blocks, or -1. *)
+let block_of ~line_words (key : int array) line =
+  let pos = ref 0 in
+  while !pos < Array.length key && key.(!pos) <> line do
+    pos := !pos + 1 + line_words
+  done;
+  if !pos < Array.length key then !pos else -1
+
+(* Whether the block at [pos] writes its line back with exactly the
+   words [mem] now holds persisted for it. *)
+let installs_persisted mem ~line_words (key : int array) pos =
+  let base = key.(pos) * line_words and same = ref true in
+  for j = 0 to line_words - 1 do
+    if key.(pos + 1 + j) <> Simnvm.Memsys.persisted mem (base + j) then
+      same := false
+  done;
+  !same
+
+(* A segment that starts with an NVMM write-back of [line] under PCSO
+   inherits the verdicts of the last boundary's images that wrote [line]
+   back with exactly the words it now holds in [mem]: the old image plus
+   such a key is the new image plus the rest of the key, so the key less
+   [line]'s block names the same image in the new segment. *)
+let carry memo mem ~line_words line =
+  let stride = 1 + line_words in
+  List.iter
+    (fun (key, verdict) ->
+      let pos = block_of ~line_words key line in
+      if pos >= 0 && installs_persisted mem ~line_words key pos then begin
+        let rest = Array.make (Array.length key - stride) 0 in
+        Array.blit key 0 rest 0 pos;
+        Array.blit key (pos + stride) rest pos (Array.length rest - pos);
+        Verdicts.replace memo.verdicts rest verdict
+      end)
+    memo.last
 
 (* Raised out of the crash-point subscriber to end a checking run. *)
 exception Stop
@@ -289,12 +346,16 @@ let check_boundary ?memo inst ~crash_index ~dirty variants fault_options judge
             match (memo, fs) with
             | Some m, None -> (
                 let key = installs ~line_words:lw dirty v in
-                match Verdicts.find_opt m.verdicts key with
-                | Some r -> r
-                | None ->
-                    let r = recover v None in
-                    Verdicts.add m.verdicts key r;
-                    r)
+                let r =
+                  match Verdicts.find_opt m.verdicts key with
+                  | Some r -> r
+                  | None ->
+                      let r = recover v None in
+                      Verdicts.add m.verdicts key r;
+                      r
+                in
+                m.last <- (key, r) :: m.last;
+                r)
             | _ -> recover v fs
           in
           if judge v fs verdict then go i rest
@@ -323,7 +384,9 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
     ?(fault_seeds = []) (s : scenario) =
   let fault_options = None :: List.map Option.some fault_seeds in
   let failures = ref [] and images = ref 0 and truncated = ref 0 in
-  let memo = { verdicts = Verdicts.create 64; key = None; recoveries = 0 } in
+  let memo =
+    { verdicts = Verdicts.create 64; key = None; last = []; recoveries = 0 }
+  in
   let add crash_index variant fault_seed reason =
     failures := { crash_index; variant; fault_seed; reason } :: !failures
   in
@@ -346,21 +409,28 @@ let explore ?(max_images_per_point = 64) ?(stop_at_first_failure = false)
       let boundaries = Array.length prints in
       let stopped () = stop_at_first_failure && !failures <> [] in
       (* A write-back or a new oracle key starts a segment; a world
-         without a key starts one at every boundary. *)
+         without a key starts one at every boundary. Under PCSO a
+         write-back under the same key carries the verdicts that still
+         name an image of the new segment. *)
       let enter_segment inst ev =
         let key = Option.map (fun f -> f ()) inst.oracle_key in
-        let same_image =
-          match ev with Simnvm.Event.Writeback _ -> false | _ -> true
-        in
         let same_key =
           match (key, memo.key) with
           | Some k, Some k' -> k = k'
           | _ -> false
         in
-        if not (same_image && same_key) then begin
-          Verdicts.reset memo.verdicts;
-          memo.key <- key
-        end
+        (match ev with
+        | _ when not same_key ->
+            Verdicts.reset memo.verdicts;
+            memo.key <- key
+        | Simnvm.Event.Writeback { line; _ } ->
+            Verdicts.reset memo.verdicts;
+            let cfg = Simnvm.Memsys.config inst.mem in
+            if cfg.Simnvm.Memsys.pcso then
+              carry memo inst.mem ~line_words:cfg.Simnvm.Memsys.line_words
+                line
+        | _ -> ());
+        memo.last <- []
       in
       let at inst k ev =
         enter_segment inst ev;

@@ -39,12 +39,16 @@ module Int_stack = struct
   let length s = s.n
   let clear s = s.n <- 0
 
-  let push s x =
-    if s.n = Array.length s.a then begin
-      let a = Array.make (max 8 (2 * s.n)) 0 in
-      Array.blit s.a 0 a 0 s.n;
-      s.a <- a
-    end;
+  (* Doubling is out of line, so that the append inlines into its
+     callers ([Runtime.add_modified] runs it for every tracked address)
+     and the common case makes no call. *)
+  let[@inline never] grow s =
+    let a = Array.make (max 8 (2 * s.n)) 0 in
+    Array.blit s.a 0 a 0 s.n;
+    s.a <- a
+
+  let[@inline] push s x =
+    if s.n = Array.length s.a then grow s;
     Array.unsafe_set s.a s.n x;
     s.n <- s.n + 1
 

@@ -27,7 +27,9 @@
 
    Hot-path discipline: the cache is five flat arrays indexed by slot
    (tags, dirty masks, LRU stamps, last writers, and all slots' words in
-   one), so a lookup scans a set's tags in adjacent words; the
+   one), so a lookup scans a set's tags in adjacent words; a bitset over
+   the slots indexes the dirty ones, so a sweep of the dirty lines costs
+   them and a word per 32 slots, not the cache geometry; the
    prefetcher counts its fill ring's lines in a small open-addressing
    table; set/offset arithmetic uses precomputed shifts and masks when
    the geometry is a power of two. Lookups, victim scans and chunk
@@ -168,6 +170,7 @@ let store_clear (s : store) = Array.fill s 0 (Array.length s) zero_chunk
 type volatile = {
   mutable v_tags : int array;
   mutable v_masks : int array;
+  mutable v_dirty : int array;
   mutable v_lrus : int array;
   mutable v_writers : int array;
   mutable v_words : int array;
@@ -206,6 +209,11 @@ type t = {
      is clean); its words are [words.(slot * lw) .. + lw - 1]. *)
   mutable tags : int array;
   mutable masks : int array;
+  (* The dirty-slot index: bit [slot land 31] of [dirty.(slot lsr 5)] is
+     set exactly when [masks.(slot)] is nonzero. Every write of a mask
+     keeps it so, and every sweep of the dirty lines walks it in slot
+     order ([next_dirty]). *)
+  mutable dirty : int array;
   mutable lrus : int array;
   mutable writers : int array; (* thread that last wrote; -1 = shared *)
   mutable words : int array;
@@ -339,6 +347,42 @@ let log2 n =
   let rec go p acc = if p >= n then acc else go (2 * p) (acc + 1) in
   go 1 0
 
+(* The dirty-slot index holds 32 slots per word, so a slot's word and bit
+   are a shift and a mask away. Its bits are set and cleared inline, with
+   no call: [mark_dirty] runs in every store that dirties a clean line. *)
+let[@inline] mark_dirty t slot =
+  let d = t.dirty and i = slot lsr 5 in
+  Array.unsafe_set d i (Array.unsafe_get d i lor (1 lsl (slot land 31)))
+
+let[@inline] mark_clean t slot =
+  let d = t.dirty and i = slot lsr 5 in
+  Array.unsafe_set d i (Array.unsafe_get d i land lnot (1 lsl (slot land 31)))
+
+(* The position of the lowest set bit of [b], a nonzero index word, by
+   halving the range it lies in. *)
+let[@inline] lowest_bit b =
+  let b = b land -b in
+  let n = if b land 0xFFFF = 0 then 16 else 0 in
+  let n = if b land (0xFF lsl n) = 0 then n + 8 else n in
+  let n = if b land (0xF lsl n) = 0 then n + 4 else n in
+  let n = if b land (0x3 lsl n) = 0 then n + 2 else n in
+  if b land (0x1 lsl n) = 0 then n + 1 else n
+
+(* The first dirty slot at or after [slot], or -1: the first nonzero
+   index word from [slot]'s on, its bits below [slot] masked off. A
+   sweep is a loop over it, so it allocates nothing, and it may clean
+   the slot it stands on (the next call re-reads the word). *)
+let next_dirty t slot =
+  let d = t.dirty in
+  let n = Array.length d in
+  let i = ref (slot lsr 5) in
+  let bits = ref (if !i < n then d.(!i) land (-1 lsl (slot land 31)) else 0) in
+  while !bits = 0 && !i + 1 < n do
+    incr i;
+    bits := Array.unsafe_get d !i
+  done;
+  if !bits = 0 then -1 else (!i lsl 5) + lowest_bit !bits
+
 let create cfg =
   if cfg.nvm_words mod cfg.line_words <> 0 then
     invalid_arg "Memsys.create: nvm_words must be line-aligned";
@@ -353,6 +397,7 @@ let create cfg =
     dram = store_make cfg.dram_words;
     tags = Array.make slots (-1);
     masks = Array.make slots 0;
+    dirty = Array.make ((slots + 31) lsr 5) 0;
     lrus = Array.make slots 0;
     writers = Array.make slots (-1);
     words = Array.make (slots * lw) 0;
@@ -480,7 +525,8 @@ let write_back ?(complete = true) t slot =
       store_blit_in t.pmem base t.words src t.lw
     end
     else store_blit_in t.dram (base - t.cfg.nvm_words) t.words src t.lw;
-    t.masks.(slot) <- 0
+    t.masks.(slot) <- 0;
+    mark_clean t slot
   end
   else begin
     let dirty = t.masks.(slot) in
@@ -491,7 +537,8 @@ let write_back ?(complete = true) t slot =
         mask := !mask land lnot (1 lsl off)
       end
     done;
-    t.masks.(slot) <- !mask
+    t.masks.(slot) <- !mask;
+    if !mask = 0 then mark_clean t slot
   end;
   (let s = t.stats in
    if nvm then s.Stats.nvm_writebacks <- s.Stats.nvm_writebacks + 1
@@ -506,12 +553,14 @@ let write_back ?(complete = true) t slot =
 let invalidate t slot =
   t.tags.(slot) <- -1;
   t.masks.(slot) <- 0;
+  mark_clean t slot;
   t.writers.(slot) <- -1
 
 let invalidate_all t =
   let n = Array.length t.tags in
   Array.fill t.tags 0 n (-1);
   Array.fill t.masks 0 n 0;
+  Array.fill t.dirty 0 (Array.length t.dirty) 0;
   Array.fill t.writers 0 n (-1)
 
 (* Set index uses a multiplicative hash, as real LLCs hash addresses to
@@ -642,7 +691,9 @@ let check_media t lineno =
 
 (* Bring a line into the cache, returning its slot. Charges miss cost (and
    the victim write-back cost, which delays the fill) via the charge
-   hook. *)
+   hook. The victim is clean once written back (a complete write-back
+   clears its index bit), so the new line's zero mask leaves the index
+   as it is. *)
 let fill t lineno =
   check_media t lineno;
   let slot = victim t lineno in
@@ -736,7 +787,9 @@ let store t addr v =
   if me >= 0 then Array.unsafe_set t.writers slot me;
   let off = off_of t addr in
   Array.unsafe_set t.words ((slot * t.lw) + off) v;
-  Array.unsafe_set t.masks slot (Array.unsafe_get t.masks slot lor (1 lsl off));
+  let mask = Array.unsafe_get t.masks slot in
+  if mask = 0 then mark_dirty t slot;
+  Array.unsafe_set t.masks slot (mask lor (1 lsl off));
   t.charge t.store_extra_ns;
   spontaneous_eviction t
 
@@ -781,19 +834,25 @@ let is_cached_dirty t addr =
   | -1 -> false
   | slot -> t.masks.(slot) <> 0
 
-(* Dirtiness first: most lines are clean, and no invalid line is dirty. *)
-let[@inline] dirty_nvm t slot =
-  t.masks.(slot) <> 0 && is_nvm t (t.tags.(slot) * t.lw)
+(* The first dirty slot at or after [slot] that caches an NVMM line, or
+   -1. *)
+let rec next_dirty_nvm t slot =
+  let s = next_dirty t slot in
+  if s < 0 || is_nvm t (t.tags.(s) * t.lw) then s else next_dirty_nvm t (s + 1)
 
 let crash t =
   t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;
   if has_subs t then emit t (Event.Crash { eadr = t.cfg.eadr });
-  if t.cfg.eadr then
+  if t.cfg.eadr then begin
     (* eADR: the cache is in the persistent domain; dirty NVMM lines are
-       drained by the battery-backed flush on power failure. *)
-    for slot = 0 to Array.length t.tags - 1 do
-      if dirty_nvm t slot then ignore (write_back t slot)
-    done;
+       drained by the battery-backed flush on power failure, in slot
+       order. *)
+    let s = ref (next_dirty_nvm t 0) in
+    while !s >= 0 do
+      ignore (write_back t !s);
+      s := next_dirty_nvm t (!s + 1)
+    done
+  end;
   invalidate_all t;
   store_clear t.dram
 
@@ -803,8 +862,10 @@ let persisted t addr =
   store_get t.pmem addr
 
 let flush_all t =
-  for slot = 0 to Array.length t.tags - 1 do
-    if t.masks.(slot) <> 0 then ignore (write_back t slot)
+  let s = ref (next_dirty t 0) in
+  while !s >= 0 do
+    ignore (write_back t !s);
+    s := next_dirty t (!s + 1)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -828,25 +889,27 @@ let peek t addr =
 
 type dirty_line = { lineno : int; data : int array; mask : int }
 
-let dirty_nvm_lines t =
-  let acc = ref [] in
-  for slot = Array.length t.tags - 1 downto 0 do
-    if dirty_nvm t slot then
-      acc :=
-        {
-          lineno = t.tags.(slot);
-          data = Array.sub t.words (slot * t.lw) t.lw;
-          mask = t.masks.(slot);
-        }
-        :: !acc
-  done;
-  !acc
+(* Both sweeps walk the index from slot 0 up: the list is built in
+   place, front to back, so it costs its cells and nothing else. *)
+let[@tail_mod_cons] rec dirty_nvm_from t slot =
+  let slot = next_dirty_nvm t slot in
+  if slot < 0 then []
+  else
+    {
+      lineno = t.tags.(slot);
+      data = Array.sub t.words (slot * t.lw) t.lw;
+      mask = t.masks.(slot);
+    }
+    :: dirty_nvm_from t (slot + 1)
+
+let dirty_nvm_lines t = dirty_nvm_from t 0
 
 let fold_dirty_nvm t f acc =
-  let acc = ref acc in
-  for slot = 0 to Array.length t.tags - 1 do
-    if dirty_nvm t slot then
-      acc := f !acc t.tags.(slot) t.masks.(slot) t.words (slot * t.lw)
+  let acc = ref acc and s = ref (next_dirty_nvm t 0) in
+  while !s >= 0 do
+    let slot = !s in
+    acc := f !acc t.tags.(slot) t.masks.(slot) t.words (slot * t.lw) t.lw;
+    s := next_dirty_nvm t (slot + 1)
   done;
   !acc
 
@@ -942,6 +1005,7 @@ let make_parked t =
       {
         v_tags = Array.make (Array.length t.tags) (-1);
         v_masks = Array.make (Array.length t.masks) 0;
+        v_dirty = Array.make (Array.length t.dirty) 0;
         v_lrus = Array.make (Array.length t.lrus) 0;
         v_writers = Array.make (Array.length t.writers) (-1);
         v_words = Array.make (Array.length t.words) 0;
@@ -970,6 +1034,9 @@ let swap_volatile t v =
   let a = t.masks in
   t.masks <- v.v_masks;
   v.v_masks <- a;
+  let a = t.dirty in
+  t.dirty <- v.v_dirty;
+  v.v_dirty <- a;
   let a = t.lrus in
   t.lrus <- v.v_lrus;
   v.v_lrus <- a;

@@ -44,7 +44,8 @@ type t
 val create : config -> t
 (** Fresh memory system with a zeroed persistent image and an empty
     cache. The cache is allocated here whole: [sets * ways] slots of
-    [line_words + 4] words, plus a 2 048-word prefetch count table.
+    [line_words + 4] words, the index of dirty slots (a word per 32
+    slots) and a 2 048-word prefetch count table.
     @raise Invalid_argument if [nvm_words] is not line-aligned. *)
 
 val config : t -> config
@@ -113,7 +114,8 @@ val psync : t -> unit
 
 val crash : t -> unit
 (** Power failure: drop all volatile state (cache contents and the whole
-    DRAM region). Under eADR, dirty NVMM lines are drained first. *)
+    DRAM region). Under eADR, dirty NVMM lines are drained first, in slot
+    order. *)
 
 val persisted : t -> Addr.t -> int
 (** Read the NVMM image directly, bypassing the cache (recovery-time and
@@ -131,7 +133,11 @@ val is_cached_dirty : t -> Addr.t -> bool
 (** Whether the line holding the address is cached and dirty. *)
 
 val flush_all : t -> unit
-(** Write back every dirty line (test hook / clean shutdown). *)
+(** Write back every dirty line, in slot order (test hook / clean
+    shutdown). Like every sweep of the dirty lines ({!crash}'s eADR
+    drain, {!dirty_nvm_lines}, {!fold_dirty_nvm}) it walks the memory's
+    index of its dirty slots, so it costs the dirty lines plus one word
+    read per 32 cache slots, not a pass over the cache. *)
 
 (** {2 Crash-image hooks}
 
@@ -157,19 +163,24 @@ type dirty_line = { lineno : int; data : int array; mask : int }
     contents and the bitmask of dirty words. *)
 
 val dirty_nvm_lines : t -> dirty_line list
-(** Every dirty NVMM-backed line currently cached, in deterministic order.
-    Capture {e before} {!crash}: this is the set of lines whose write-back
-    a power failure may or may not have completed, i.e. the degrees of
-    freedom of the adversarial crash-image enumeration. *)
+(** Every dirty NVMM-backed line currently cached, in slot order (the
+    order of the cache's [set * ways + way] slots). Capture {e before}
+    {!crash}: this is the set of lines whose write-back a power failure
+    may or may not have completed, i.e. the degrees of freedom of the
+    adversarial crash-image enumeration. It walks the index of dirty
+    slots (see {!flush_all}) and allocates only the list, its records
+    and their copies of the words. *)
 
 val fold_dirty_nvm :
-  t -> ('a -> int -> int -> int array -> int -> 'a) -> 'a -> 'a
-(** [fold_dirty_nvm t f init] folds [f acc lineno mask words off] over
-    the lines {!dirty_nvm_lines} lists, in its order, copying nothing:
-    [words] is the cache's own word array, and the line's words are
-    [words.(off)] to [words.(off + line_words - 1)]. Read only those,
-    only during the call: never write the array or keep it. With an
-    immediate accumulator and a closed [f] it allocates nothing. *)
+  t -> ('a -> int -> int -> int array -> int -> int -> 'a) -> 'a -> 'a
+(** [fold_dirty_nvm t f init] folds [f acc lineno mask words off lw]
+    over the lines {!dirty_nvm_lines} lists, in its order, copying
+    nothing: [words] is the cache's own word array, and the line's words
+    are [words.(off)] to [words.(off + lw - 1)], [lw] being the line
+    size. Read only those, only during the call: never write the array
+    or keep it. With an immediate accumulator and a closed [f] it
+    allocates nothing, and like {!dirty_nvm_lines} it costs the dirty
+    lines, not the cache. *)
 
 val image : t -> int array
 (** Copy of the full persistent NVMM image: O(NVMM words), an oracle view
@@ -207,8 +218,8 @@ val suspend : t -> snapshot
 (** Set the running world's volatile state aside and return the live
     {!snapshot} of the current persistent image, so recoveries can run on
     this memory and the world can continue afterwards. The world's cache
-    arrays (tags, dirty masks, LRU stamps, last writers and line words),
-    LRU clock, DRAM, prefetch ring with its count table and planted
+    arrays (tags, dirty masks, the dirty-slot index, LRU stamps, last
+    writers and line words), LRU clock, DRAM, prefetch ring with its count table and planted
     faults are swapped for a spare set of them, allocated at the memory's
     first suspend;
     the eviction RNG and the charge, thread-id and bus hooks are saved.

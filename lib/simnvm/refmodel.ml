@@ -286,6 +286,21 @@ let poke_persisted t addr v =
 let is_cached_dirty t addr =
   match find t (addr / lw t) with Some l -> line_dirty l | None -> false
 
+(* A scan of every slot, in slot order. *)
+let dirty_nvm_lines t =
+  List.filter_map
+    (function
+      | Some l when line_dirty l && is_nvm t (l.lineno * lw t) ->
+          Some
+            {
+              Memsys.lineno = l.lineno;
+              data = Array.copy l.words;
+              mask =
+                List.fold_left (fun m off -> m lor (1 lsl off)) 0 l.dirty_offs;
+            }
+      | _ -> None)
+    (Array.to_list t.slots)
+
 let check_nvm_line t lineno =
   if lineno < 0 || lineno * lw t >= t.cfg.Memsys.nvm_words then
     invalid_arg "Refmodel: line not in NVMM"

@@ -33,6 +33,11 @@ val persisted : t -> int -> int
 val image : t -> int array
 val is_cached_dirty : t -> int -> bool
 
+val dirty_nvm_lines : t -> Memsys.dirty_line list
+(** Every dirty NVMM-backed line, found by scanning every cache slot in
+    slot order: the reference for {!Memsys.dirty_nvm_lines}'s walk of its
+    dirty-slot index. *)
+
 val poke_persisted : t -> int -> int -> unit
 (** Write one word straight into the persistent image, bypassing the
     cache. @raise Invalid_argument outside the NVMM region. *)

@@ -829,6 +829,17 @@ let axcheck_qcheck_tests =
     (fun t -> Gen_common.to_alcotest ~suite:"analysis-axcheck" t)
     [ axcheck_litmus_sound; axcheck_ir_sound; may_dirty_refmodel ]
 
+(* The cross-check agrees only on equal logs: a dynamic log short of the
+   static one is what an audit that under-reports looks like, and one
+   beyond it is a variable the plan fails to log. *)
+let test_logs_agree () =
+  let agree static dynamic = Audit.logs_agree ~static ~dynamic in
+  Alcotest.(check bool) "equal" true (agree [ "a"; "b" ] [ "b"; "a" ]);
+  Alcotest.(check bool) "both empty" true (agree [] []);
+  Alcotest.(check bool) "strict subset" false (agree [ "a"; "b" ] [ "a" ]);
+  Alcotest.(check bool) "empty dynamic" false (agree [ "a" ] []);
+  Alcotest.(check bool) "strict superset" false (agree [ "a" ] [ "a"; "b" ])
+
 (* The CI lint gate in process: [analyze --dynamic --persistency] must
    not pass vacuously, since an audit that saw no events would agree with
    an empty log. Every program agrees, with segments and no races; the
@@ -974,6 +985,8 @@ let () =
         [
           Alcotest.test_case "dynamic gate holds, not vacuously" `Quick
             test_analyze_dynamic_gate;
+          Alcotest.test_case "logs agree only when equal" `Quick
+            test_logs_agree;
         ] );
       ( "mutants-dynamic",
         [

@@ -183,8 +183,8 @@ let images_at ~pcso ~line_words (dirty : Memsys.dirty_line list) =
   in
   (Explore.Baseline :: singles) @ if dirty = [] then [] else [ Explore.Evict_all ]
 
-(* [at k ev mem] at every boundary [k] of a fresh world of [sc], run to
-   completion; [ev] is the boundary's event. *)
+(* [at k ev inst] at every boundary [k] of a fresh world [inst] of [sc],
+   run to completion; [ev] is the boundary's event. *)
 let observe (sc : Explore.scenario) at =
   let inst = sc.Explore.make ~n_ops:sc.Explore.n_ops in
   let mem = inst.Explore.mem in
@@ -194,7 +194,7 @@ let observe (sc : Explore.scenario) at =
   let sub =
     Event.subscribe bus (fun ev ->
         if Crashpoint.persist_event ~nvm_words ev then begin
-          at !k ev mem;
+          at !k ev inst;
           incr k
         end)
   in
@@ -209,6 +209,40 @@ let image_digest img =
   let d = ref 0 in
   Array.iteri (fun a v -> d := !d lxor word_hash a v) img;
   !d
+
+(* The same digest of [mem]'s persisted image, read in place. *)
+let persisted_digest mem =
+  let d = ref 0 in
+  for a = 0 to (Memsys.config mem).Memsys.nvm_words - 1 do
+    d := !d lxor word_hash a (Memsys.persisted mem a)
+  done;
+  !d
+
+(* Each image [images_at] lists at [mem]'s current boundary, with its
+   digest: the persisted image's, each evicted word swapped in. *)
+let image_digests ~pcso mem =
+  let lw = (Memsys.config mem).Memsys.line_words in
+  let dirty = Memsys.dirty_nvm_lines mem in
+  let line l = List.find (fun dl -> dl.Memsys.lineno = l) dirty in
+  let swap d a v = d lxor word_hash a (Memsys.persisted mem a) lxor word_hash a v in
+  let evict d (dl : Memsys.dirty_line) =
+    let d = ref d in
+    for off = 0 to lw - 1 do
+      if dl.Memsys.mask land (1 lsl off) <> 0 then
+        d := swap !d ((dl.Memsys.lineno * lw) + off) dl.Memsys.data.(off)
+    done;
+    !d
+  in
+  let base = persisted_digest mem in
+  List.map
+    (fun v ->
+      ( v,
+        match v with
+        | Explore.Baseline -> base
+        | Explore.Evict_line l -> evict base (line l)
+        | Explore.Evict_word a -> swap base a (line (a / lw)).Memsys.data.(a mod lw)
+        | Explore.Evict_all -> List.fold_left evict base dirty ))
+    (images_at ~pcso ~line_words:lw dirty)
 
 (* The image each recovery gets is the persisted image at the boundary's
    instant plus the variant's write-backs. A crash taken by unwinding the
@@ -230,9 +264,9 @@ let test_images_are_the_crash_instant () =
       ~n_ops:18 ()
   in
   let want = ref [] and prev = ref None and kept = ref 0 in
-  observe sc (fun k ev mem ->
-      let lw = (Memsys.config mem).Memsys.line_words in
-      let img = Memsys.image mem and dirty = Memsys.dirty_nvm_lines mem in
+  observe sc (fun k ev inst ->
+      let mem = inst.Explore.mem in
+      let img = Memsys.image mem in
       (match (ev, !prev) with
       | Event.Writeback _, _ | _, None -> ()
       | _, Some p ->
@@ -241,29 +275,9 @@ let test_images_are_the_crash_instant () =
               Event.pp ev;
           incr kept);
       prev := Some img;
-      let evict d (dl : Memsys.dirty_line) =
-        let d = ref d in
-        for off = 0 to lw - 1 do
-          if dl.Memsys.mask land (1 lsl off) <> 0 then begin
-            let a = (dl.Memsys.lineno * lw) + off in
-            d := !d lxor word_hash a img.(a) lxor word_hash a dl.Memsys.data.(off)
-          end
-        done;
-        !d
-      in
-      let base = image_digest img in
       List.iteri
-        (fun i v ->
-          if i < max_images then
-            want :=
-              ( k,
-                match v with
-                | Explore.Evict_line l ->
-                    evict base (List.find (fun dl -> dl.Memsys.lineno = l) dirty)
-                | Explore.Evict_all -> List.fold_left evict base dirty
-                | Explore.Baseline | Explore.Evict_word _ -> base )
-              :: !want)
-        (images_at ~pcso:true ~line_words:lw dirty));
+        (fun i (_, d) -> if i < max_images then want := (k, d) :: !want)
+        (image_digests ~pcso:true mem));
   Alcotest.(check bool) "the image stays put across some boundaries" true
     (!kept > 0);
   let got = ref [] in
@@ -313,7 +327,8 @@ let test_images_are_the_crash_instant () =
    reuses a verdict. Also returns the number of images. *)
 let fresh_world_failures ~pcso ~fault_seeds (sc : Explore.scenario) =
   let points = ref [] in
-  observe sc (fun k _ mem ->
+  observe sc (fun k _ inst ->
+      let mem = inst.Explore.mem in
       let line_words = (Memsys.config mem).Memsys.line_words in
       points :=
         (k, images_at ~pcso ~line_words (Memsys.dirty_nvm_lines mem))
@@ -364,12 +379,15 @@ let test_single_pass_equals_fresh_worlds () =
     ]
 
 (* The oracle key's teeth: a world whose oracle reads a host counter that
-   moves at every store, with no write-back in between, so every image
-   stays the same. Keyed on the counter (or keyless), the memo must give
-   the fresh worlds' verdicts; under a constant key it reuses stale ones,
-   and the comparison must see that. *)
+   moves at every store. Without [flush] no line is written back, so
+   every image stays the same; with it, each store is fenced, the
+   counter moves and then the line is written back, so a verdict carried
+   across that write-back would be the old counter's. Keyed on the
+   counter (or keyless), the memo must give the fresh worlds' verdicts;
+   under a constant key it reuses stale ones, and the comparison must
+   see that. *)
 let test_oracle_key_has_teeth () =
-  let counter_world key ~n_ops:_ =
+  let counter_world ~flush key ~n_ops:_ =
     let mem = Memsys.create (Scenarios.mem_cfg ~mem_seed:1 ~pcso:true) in
     let stores = ref 0 in
     {
@@ -378,7 +396,9 @@ let test_oracle_key_has_teeth () =
         (fun () ->
           for i = 0 to 5 do
             Memsys.store mem (i * 8) 1;
-            incr stores
+            if flush then Memsys.psync mem;
+            incr stores;
+            if flush then Memsys.pwb mem (i * 8)
           done);
       completed = (fun () -> 0);
       recover_check =
@@ -389,29 +409,113 @@ let test_oracle_key_has_teeth () =
       oracle_key = Option.map (fun key () -> key !stores) key;
     }
   in
-  let explore_and_fresh key =
-    let sc =
-      { Explore.name = "counter-oracle"; sched_seed = 1; mem_seed = 1;
-        pcso = true; n_ops = 0; make = counter_world key }
-    in
-    let want, _ = fresh_world_failures ~pcso:true ~fault_seeds:[] sc in
-    ((Explore.explore ~max_images_per_point:max_int sc).Explore.failures, want)
-  in
-  let keyed, want = explore_and_fresh (Some Fun.id) in
-  Alcotest.(check bool) "the fresh worlds fail" true (want <> []);
-  Alcotest.check failures_t "keyed on the counter" want keyed;
-  let keyless, _ = explore_and_fresh None in
-  Alcotest.check failures_t "keyless" want keyless;
-  let constant, _ = explore_and_fresh (Some (fun _ -> 0)) in
-  Alcotest.(check bool) "a constant key reuses stale verdicts" true
-    (constant <> want)
+  List.iter
+    (fun flush ->
+      let explore_and_fresh key =
+        let sc =
+          { Explore.name = "counter-oracle"; sched_seed = 1; mem_seed = 1;
+            pcso = true; n_ops = 0; make = counter_world ~flush key }
+        in
+        let want, _ = fresh_world_failures ~pcso:true ~fault_seeds:[] sc in
+        ((Explore.explore ~max_images_per_point:max_int sc).Explore.failures, want)
+      in
+      let name what = Printf.sprintf "flush=%b: %s" flush what in
+      let keyed, want = explore_and_fresh (Some Fun.id) in
+      Alcotest.(check bool) (name "the fresh worlds fail") true (want <> []);
+      Alcotest.check failures_t (name "keyed on the counter") want keyed;
+      let keyless, _ = explore_and_fresh None in
+      Alcotest.check failures_t (name "keyless") want keyless;
+      let constant, _ = explore_and_fresh (Some (fun _ -> 0)) in
+      Alcotest.(check bool) (name "a constant key reuses stale verdicts") true
+        (constant <> want))
+    [ false; true ]
+
+(* A verdict carried across a write-back meets only the image it was
+   given for. On the benchmark's crash-matrix world (verified ResPCT map,
+   seed 84) each recovery records its persisted image's digest and the
+   oracle key, and every image the explorer enumerates but does not
+   recover must equal one recovered before under the same key. Under
+   PCSO some write-back boundary's baseline, the first image of a new
+   segment, is carried rather than recovered. Under pcso = false the memo
+   empties at every write-back, so an image skipped at a write-back
+   boundary repeats one recovered at that same boundary. *)
+let test_carried_verdicts_meet_same_image () =
+  List.iter
+    (fun (pcso, n_ops) ->
+      let sc =
+        Scenarios.respct_map ~fault_mode:`Verified ~sched_seed:84 ~mem_seed:84
+          ~pcso ~n_ops ()
+      in
+      let key (inst : Explore.instance) =
+        Option.map (fun f -> f ()) inst.Explore.oracle_key
+      in
+      let want = ref [] in
+      observe sc (fun k ev inst ->
+          let wb = match ev with Event.Writeback _ -> true | _ -> false in
+          List.iter
+            (fun (v, d) -> want := (k, wb, v, (d, key inst)) :: !want)
+            (image_digests ~pcso inst.Explore.mem));
+      let got = ref [] in
+      let make ~n_ops =
+        let inst = sc.Explore.make ~n_ops in
+        {
+          inst with
+          Explore.recover_check =
+            (fun () ->
+              got := (persisted_digest inst.Explore.mem, key inst) :: !got;
+              inst.Explore.recover_check ());
+        }
+      in
+      let o =
+        Explore.explore ~max_images_per_point:max_int { sc with Explore.make }
+      in
+      let name what = Printf.sprintf "pcso=%b: %s" pcso what in
+      Alcotest.(check int) (name "images") (List.length !want) o.Explore.images;
+      Alcotest.(check int) (name "recoveries") (List.length !got)
+        o.Explore.recoveries;
+      let recovered = Hashtbl.create 1024 and here = Hashtbl.create 64 in
+      let carried = ref 0 in
+      let rec walk at want got =
+        match (want, got) with
+        | [], [] -> ()
+        | [], _ :: _ ->
+            Alcotest.failf "%s: %d recoveries are not enumerated images"
+              (name "walk") (List.length got)
+        | (k, wb, v, img) :: want, got -> (
+            if k <> at then Hashtbl.reset here;
+            match got with
+            | g :: got when g = img ->
+                Hashtbl.replace recovered img ();
+                Hashtbl.replace here img ();
+                walk k want got
+            | _ ->
+                if not (Hashtbl.mem recovered img) then
+                  Alcotest.failf
+                    "%s: boundary %d: an image not recovered under its key \
+                     took a verdict"
+                    (name "walk") k;
+                if wb && (not pcso) && not (Hashtbl.mem here img) then
+                  Alcotest.failf
+                    "%s: boundary %d: a verdict survived a write-back"
+                    (name "walk") k;
+                if wb && v = Explore.Baseline then incr carried;
+                walk k want got)
+      in
+      walk (-1) (List.rev !want) (List.rev !got);
+      Alcotest.(check bool)
+        (name "a write-back boundary's baseline carried")
+        pcso (!carried > 0))
+    [ (true, 60); (false, 12) ]
 
 (* The exploration's work, pinned on the benchmark's crash-matrix worlds
    (verified ResPCT map, PCSO, 100 ops, seeds 84 and 85): boundaries,
    enumerated images and recoveries actually run. A change that only
    makes exploring cheaper keeps all three; one that recovers a different
    set of images, or reaches a different set of boundaries, fails
-   here. *)
+   here. Before verdicts survived a write-back, every write-back emptied
+   the memo and the two worlds ran 1 950 and 1 842 recoveries; the
+   distinct images per oracle key, the floor any memo can reach, are
+   1 646 and 1 543. *)
 let test_exploration_work_pinned () =
   List.iter
     (fun (seed, boundaries, images, recoveries) ->
@@ -425,7 +529,38 @@ let test_exploration_work_pinned () =
       Alcotest.(check int) (name "images") images o.Explore.images;
       Alcotest.(check int) (name "recoveries") recoveries o.Explore.recoveries;
       Alcotest.(check int) (name "failures") 0 (List.length o.Explore.failures))
-    [ (84, 983, 8_301, 1_950); (85, 948, 7_857, 1_842) ]
+    [ (84, 983, 8_301, 1_728); (85, 948, 7_857, 1_643) ]
+
+(* A boundary's bookkeeping allocates what it returns, however many cache
+   slots are clean: a fingerprint its record (3 words; 8 when it built a
+   closure over the line size per call), and [dirty_nvm_lines] a cons, a
+   record and a copy of the words per dirty line. *)
+let test_boundary_bookkeeping_words () =
+  let sc =
+    Scenarios.respct_map ~fault_mode:`Verified ~sched_seed:84 ~mem_seed:84
+      ~pcso:true ~n_ops:30 ()
+  in
+  let inst = sc.Explore.make ~n_ops:30 in
+  let mem = inst.Explore.mem in
+  let lw = (Memsys.config mem).Memsys.line_words in
+  let checked = ref 0 in
+  Crashpoint.walk mem inst.Explore.run ~at:(fun k _ ->
+      if k mod 50 = 25 then begin
+        let w0 = Gc.minor_words () in
+        let w1 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Crashpoint.fingerprint mem ~completed:0));
+        let w2 = Gc.minor_words () in
+        let dirty = Sys.opaque_identity (Memsys.dirty_nvm_lines mem) in
+        let w3 = Gc.minor_words () in
+        let words a b = int_of_float (b -. a -. (w1 -. w0)) in
+        let name what = Printf.sprintf "boundary %d: %s" k what in
+        Alcotest.(check int) (name "fingerprint words") 3 (words w1 w2);
+        Alcotest.(check int) (name "dirty_nvm_lines words")
+          ((8 + lw) * List.length dirty)
+          (words w2 w3);
+        incr checked
+      end);
+  Alcotest.(check bool) "boundaries checked" true (!checked > 0)
 
 (* One verified recovery's allocation, on the benchmark's crash-matrix
    world at seed 84 with 60 ops, run to its end and crashed: the second of
@@ -1228,6 +1363,8 @@ let () =
             test_single_pass_equals_fresh_worlds;
           Alcotest.test_case "oracle key has teeth" `Quick
             test_oracle_key_has_teeth;
+          Alcotest.test_case "carried verdicts meet the same image" `Slow
+            test_carried_verdicts_meet_same_image;
           Alcotest.test_case "exploration work pinned" `Quick
             test_exploration_work_pinned;
         ] );
@@ -1242,6 +1379,8 @@ let () =
         [
           Alcotest.test_case "idempotent under mid-recovery crashes" `Slow
             test_recovery_idempotent;
+          Alcotest.test_case "boundary bookkeeping allocation" `Quick
+            test_boundary_bookkeeping_words;
           Alcotest.test_case "verified recovery allocation bounded" `Quick
             test_verified_recovery_words;
         ] );

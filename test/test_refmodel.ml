@@ -33,6 +33,12 @@
    interlude's events go to the suspended memory's private bus; the
    stats counters count them too.
 
+   After every op, after every interlude's [restore] and after every
+   [resume], the kernel's dirty NVMM lines, which it finds by walking its
+   index of dirty slots, must equal the reference model's full scan:
+   the same lines, masks and words, in slot order (a restore leaves
+   none).
+
    As in test/common/gen_common.ml, a case generates only its seed and the
    failure printer emits a replay recipe, so a red run identifies the
    exact sequence. *)
@@ -280,7 +286,9 @@ let run_case ?(geometry = small) ?(armed = false) ?(suspended = false) ~pcso
           (Memsys.peek mem addr) want
     done;
     if Memsys.poisoned_lines mem <> [] then
-      fail "%s restore left lines poisoned" what
+      fail "%s restore left lines poisoned" what;
+    if Memsys.dirty_nvm_lines mem <> [] then
+      fail "%s restore left dirty lines listed" what
   in
   (* Now and then a long stretch, a [restore] and a second stretch
      before the resume, as at a boundary with two recoveries. *)
@@ -301,9 +309,19 @@ let run_case ?(geometry = small) ?(armed = false) ?(suspended = false) ~pcso
     Event.unsubscribe bus sub;
     Memsys.resume mem snap
   in
+  let check_dirty what op_ix =
+    let got = Memsys.dirty_nvm_lines mem and want = Refmodel.dirty_nvm_lines rm in
+    if got <> want then
+      fail "%s %d: dirty lines diverged (%d listed, the scan finds %d)" what
+        op_ix (List.length got) (List.length want)
+  in
   for op_ix = 1 to n_ops do
-    if suspended && Rng.int srng 8 = 0 then interlude ();
-    step op_ix
+    if suspended && Rng.int srng 8 = 0 then begin
+      interlude ();
+      check_dirty "resume before op" op_ix
+    end;
+    step op_ix;
+    check_dirty "op" op_ix
   done;
   (* Persisted image agreement before the final crash... *)
   if Memsys.image mem <> Refmodel.image rm then
