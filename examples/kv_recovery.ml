@@ -26,20 +26,13 @@ let () =
   let rt = Respct.Runtime.create ~cfg env in
   let map = ref None in
   let snapshots = Hashtbl.create 16 in
-  (* Manual coordinator so we can snapshot inside the quiescent window. *)
-  ignore
-    (Simsched.Scheduler.spawn ~name:"coordinator" sched (fun () ->
-         let rec loop deadline =
-           Simsched.Scheduler.sleep_until sched deadline;
-           Respct.Runtime.run_checkpoint rt ~on_flushed:(fun next_epoch ->
-               Option.iter
-                 (fun m ->
-                   Hashtbl.replace snapshots next_epoch
-                     (Pds.Hashmap_respct.persisted_bindings mem m))
-                 !map);
-           loop (deadline +. 40_000.0)
-         in
-         loop 40_000.0));
+  (* The coordinator's hook snapshots inside the quiescent window. *)
+  Respct.Runtime.start rt ~on_flushed:(fun next_epoch ->
+      Option.iter
+        (fun m ->
+          Hashtbl.replace snapshots next_epoch
+            (Pds.Hashmap_respct.persisted_bindings mem m))
+        !map);
   for w = 0 to 3 do
     ignore
       (Respct.Runtime.spawn rt ~slot:w (fun _ctx ->

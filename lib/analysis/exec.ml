@@ -274,22 +274,9 @@ let sim_world ?(sched_seed = 1) ?(mem_seed = 1) ?(pcso = true)
   let run () =
     let r = Respct.Runtime.create ~cfg:rt_cfg env in
     rt := Some r;
-    let finished = ref false in
-    ignore
-      (Simsched.Scheduler.spawn ~name:"ckpt" sched (fun () ->
-           let rec loop at =
-             if not !finished then begin
-               Simsched.Scheduler.sleep_until sched at;
-               if not !finished then begin
-                 Respct.Runtime.run_checkpoint r
-                   ~on_flushed:(fun next_epoch ->
-                     Hashtbl.replace snapshots next_epoch (model_snapshot ());
-                     Hashtbl.replace cursors next_epoch (history_cursors ()));
-                 loop (at +. rt_cfg.Respct.Runtime.period_ns)
-               end
-             end
-           in
-           loop rt_cfg.Respct.Runtime.period_ns));
+    Respct.Runtime.start r ~on_flushed:(fun next_epoch ->
+        Hashtbl.replace snapshots next_epoch (model_snapshot ());
+        Hashtbl.replace cursors next_epoch (history_cursors ()));
     let read slot v =
       match Hashtbl.find_opt bindings v with
       | Some (Cell c) -> Respct.Runtime.read r ~slot c
@@ -352,7 +339,7 @@ let sim_world ?(sched_seed = 1) ?(mem_seed = 1) ?(pcso = true)
     let worker slot (t : Ir.thread) () =
       exec_stmts slot t.Ir.body;
       decr remaining;
-      if !remaining = 0 then finished := true
+      if !remaining = 0 then Respct.Runtime.stop r
     in
     ignore
       (Respct.Runtime.spawn r ~slot:0 (fun _ctx ->
@@ -385,7 +372,7 @@ let sim_world ?(sched_seed = 1) ?(mem_seed = 1) ?(pcso = true)
                       (fun _ctx -> worker i t ())))
              p.Ir.threads;
            match p.Ir.threads with
-           | [] -> finished := true
+           | [] -> Respct.Runtime.stop r
            | t0 :: _ -> worker 0 t0 ()));
     match Simsched.Scheduler.run sched with
     | Simsched.Scheduler.Completed | Simsched.Scheduler.Crash_interrupt _ ->

@@ -15,61 +15,58 @@ type t = {
 
 let bucket t key = (key land max_int) mod t.buckets
 
-(* Epoch boundary: flush every dirty bucket's chain, then compact it
-   (newest version per key wins; tombstones and stale versions retire). *)
+(* Flush dirty bucket [b]'s chain, then compact it (newest version per
+   key wins; tombstones and stale versions retire). *)
+let flush_compact t m b =
+  let head_addr = t.heads + b in
+  Simnvm.Memsys.pwb m head_addr;
+  (* flush the chain records *)
+  let rec flush_chain node =
+    if node <> 0 then begin
+      Simnvm.Memsys.pwb m node;
+      flush_chain (Simnvm.Memsys.load m (node + 2))
+    end
+  in
+  flush_chain (Simnvm.Memsys.load m head_addr);
+  (* compact: rebuild keeping the newest version of each key *)
+  let seen = Hashtbl.create 8 in
+  let keep = ref [] in
+  let rec scan node =
+    if node <> 0 then begin
+      let key = Simnvm.Memsys.load m node in
+      let value = Simnvm.Memsys.load m (node + 1) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        if value <> tombstone then keep := node :: !keep
+        else Pds.Bump.free t.nvm_bump node ~words:record_words
+      end
+      else begin
+        Pds.Bump.free t.nvm_bump node ~words:record_words;
+        t.compacted <- t.compacted + 1
+      end;
+      scan (Simnvm.Memsys.load m (node + 2))
+    end
+  in
+  scan (Simnvm.Memsys.load m head_addr);
+  (* !keep is oldest-first; relink preserving newest-first order *)
+  let new_head =
+    List.fold_left
+      (fun next node ->
+        Simnvm.Memsys.store m (node + 2) next;
+        Simnvm.Memsys.pwb m node;
+        node)
+      0 !keep
+  in
+  Simnvm.Memsys.store m head_addr new_head;
+  Simnvm.Memsys.pwb m head_addr
+
+(* Epoch boundary: every dirty bucket, as a flusher pool. *)
 let epoch_body t () =
   let m = Simsched.Env.mem t.env in
-  let saved = Simnvm.Memsys.get_charge m in
-  let acc = ref 0.0 in
-  Simnvm.Memsys.set_charge m (fun ns -> acc := !acc +. ns);
-  Hashtbl.iter
-    (fun b () ->
-      let head_addr = t.heads + b in
-      Simnvm.Memsys.pwb m head_addr;
-      (* flush the chain records *)
-      let rec flush_chain node =
-        if node <> 0 then begin
-          Simnvm.Memsys.pwb m node;
-          flush_chain (Simnvm.Memsys.load m (node + 2))
-        end
-      in
-      flush_chain (Simnvm.Memsys.load m head_addr);
-      (* compact: rebuild keeping the newest version of each key *)
-      let seen = Hashtbl.create 8 in
-      let keep = ref [] in
-      let rec scan node =
-        if node <> 0 then begin
-          let key = Simnvm.Memsys.load m node in
-          let value = Simnvm.Memsys.load m (node + 1) in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            if value <> tombstone then keep := node :: !keep
-            else Pds.Bump.free t.nvm_bump node ~words:record_words
-          end
-          else begin
-            Pds.Bump.free t.nvm_bump node ~words:record_words;
-            t.compacted <- t.compacted + 1
-          end;
-          scan (Simnvm.Memsys.load m (node + 2))
-        end
-      in
-      scan (Simnvm.Memsys.load m head_addr);
-      (* !keep is oldest-first; relink preserving newest-first order *)
-      let new_head =
-        List.fold_left
-          (fun next node ->
-            Simnvm.Memsys.store m (node + 2) next;
-            Simnvm.Memsys.pwb m node;
-            node)
-          0 !keep
-      in
-      Simnvm.Memsys.store m head_addr new_head;
-      Simnvm.Memsys.pwb m head_addr)
-    t.dirty;
-  Simnvm.Memsys.psync m;
-  Simnvm.Memsys.set_charge m saved;
-  Simsched.Scheduler.charge (Simsched.Env.sched t.env)
-    (!acc /. float_of_int (max 1 t.flusher_pool));
+  ignore
+    (Simsched.Env.pool_makespan t.env ~pool:t.flusher_pool (fun () ->
+         Hashtbl.iter (fun b () -> flush_compact t m b) t.dirty;
+         Simnvm.Memsys.psync m));
   Hashtbl.reset t.dirty
 
 let create env ~max_threads ~period_ns ~flusher_pool ~buckets =

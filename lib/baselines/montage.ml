@@ -13,22 +13,18 @@ type t = {
 
 let epoch_body t () =
   let m = Simsched.Env.mem t.env in
-  let saved = Simnvm.Memsys.get_charge m in
-  let acc = ref 0.0 in
-  Simnvm.Memsys.set_charge m (fun ns -> acc := !acc +. ns);
-  Array.iter
-    (fun l ->
-      List.iter
-        (fun p ->
-          Simnvm.Memsys.pwb m p;
-          t.flushed_payloads <- t.flushed_payloads + 1)
-        !l;
-      l := [])
-    t.to_flush;
-  Simnvm.Memsys.psync m;
-  Simnvm.Memsys.set_charge m saved;
-  Simsched.Scheduler.charge (Simsched.Env.sched t.env)
-    (!acc /. float_of_int (max 1 t.flusher_pool));
+  ignore
+    (Simsched.Env.pool_makespan t.env ~pool:t.flusher_pool (fun () ->
+         Array.iter
+           (fun l ->
+             List.iter
+               (fun p ->
+                 Simnvm.Memsys.pwb m p;
+                 t.flushed_payloads <- t.flushed_payloads + 1)
+               !l;
+             l := [])
+           t.to_flush;
+         Simnvm.Memsys.psync m));
   (* Epoch-based reclamation: payloads retired during the epoch that just
      persisted are now reusable. *)
   Array.iter

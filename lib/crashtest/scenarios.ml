@@ -11,8 +11,8 @@
    starts, the structure's constructor, and the oracle.
 
    - ResPCT (and the raw-word variant): last-checkpoint oracle. The
-     manual checkpoint coordinator snapshots the host-side reference
-     model inside [run_checkpoint ~on_flushed] — the instant every thread
+     runtime's own coordinator snapshots the host-side reference model
+     in [Runtime.start]'s [on_flushed] hook — the instant every thread
      is quiescent at a restart point, when the logical state recovery
      must restore for a crash in the *next* epoch is exactly the model.
      Comparing the recovered bindings against the *model* (not against a
@@ -148,9 +148,8 @@ let queue_mix offset ~mem_seed ~n_ops =
   Workmix.queue_ops ~seed:(mem_seed + offset) ~n:n_ops ()
 
 (* ------------------------------------------------------------------ *)
-(* ResPCT: manual periodic coordinator with a termination flag (the
-   library coordinator runs forever) and model snapshots at the
-   quiescent point of every checkpoint. *)
+(* ResPCT: the runtime's own periodic coordinator ([Runtime.start]),
+   with model snapshots at the quiescent point of every checkpoint. *)
 
 let rt_cfg =
   {
@@ -174,36 +173,23 @@ let rt_cfg =
    as a silently wrong image the fault oracle catches. *)
 type respct_fault_mode = [ `Off | `Verified | `Noverify ]
 
-let spawn_coordinator sched r ~finished ~on_flushed =
-  ignore
-    (Simsched.Scheduler.spawn ~name:"ckpt" sched (fun () ->
-         let rec loop at =
-           if not !finished then begin
-             Simsched.Scheduler.sleep_until sched at;
-             if not !finished then begin
-               Respct.Runtime.run_checkpoint r ~on_flushed;
-               loop (at +. rt_cfg.Respct.Runtime.period_ns)
-             end
-           end
-         in
-         loop rt_cfg.Respct.Runtime.period_ns))
-
 (* The snapshots of a ResPCT world by epoch: every oracle call looks one
    up, so the table compares its int keys directly. *)
 module Epochs = Hashtbl.Make (Int)
 
 (* ResPCT's half: the runtime and its coordinator start before the
    worker, which runs under [Runtime.spawn]. [snapshot] is taken at every
-   checkpoint's quiescent point; [oracle] gets the runtime and the
-   snapshot for an epoch. A pipelined runtime is stopped at the end to
-   wake its idle background flushers; otherwise the world ends in
-   [Scheduler.Deadlock], which [drive] deliberately does not catch.
+   checkpoint's quiescent point ([Runtime.start]'s hook); [oracle] gets
+   the runtime and the snapshot for an epoch. The worker's [close] stops
+   the runtime: the coordinator exits at its next deadline and a
+   pipelined runtime's idle flushers wake and exit, so the world
+   completes.
 
    Besides the image, the oracle reads the runtime, the structure handle
    [open_] records and the snapshots, so [version] counts their changes:
    runtime creation, structure creation and every [on_flushed]. *)
 let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
-  let rt = ref None and finished = ref false and version = ref 0 in
+  let rt = ref None and version = ref 0 in
   let snapshots = Epochs.create 8 in
   let runtime () = Option.get !rt in
   {
@@ -213,7 +199,7 @@ let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
         Respct.Runtime.set_mutant r mutant;
         rt := Some r;
         incr version;
-        spawn_coordinator w.sched r ~finished ~on_flushed:(fun next_epoch ->
+        Respct.Runtime.start r ~on_flushed:(fun next_epoch ->
             Epochs.replace snapshots next_epoch (snapshot ());
             incr version);
         ignore (Respct.Runtime.spawn r ~slot:0 (fun _ctx -> body ())));
@@ -223,10 +209,7 @@ let respct_half ~cfg ?mutant (w : world) ~snapshot ~after_op ~open_ ~oracle =
         incr version;
         step);
     after_op;
-    close =
-      (fun () ->
-        finished := true;
-        if cfg.Respct.Runtime.pipeline then Respct.Runtime.stop (runtime ()));
+    close = (fun () -> Respct.Runtime.stop (runtime ()));
     oracle =
       (fun ~faults () ->
         match !rt with

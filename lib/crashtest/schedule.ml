@@ -170,10 +170,14 @@ let transient_queue_spec : spec =
   { name = "transient-queue-2p"; run }
 
 (* Scenario 2: ResPCT map, two workers on disjoint key ranges with
-   restart points and a periodic checkpoint coordinator; after the
-   workers exit, a checker thread validates the volatile contents against
-   the per-worker models. Deadlocks between [rp] parking and the
-   coordinator's quiescence wait are the target bug class. *)
+   restart points under the runtime's own periodic coordinator
+   ([Runtime.start], before any fiber, so its first checkpoint falls at
+   one period); after the workers exit, a checker thread validates the
+   volatile contents against the per-worker models. The last worker
+   stops the runtime; a checker that times out stops it too, so a
+   deadlock among the workers is left to the scheduler's detector.
+   Deadlocks between [rp] parking and the coordinator's quiescence wait
+   are the target bug class. *)
 
 let respct_map_spec_with ~name ~cfg : spec =
   let run ~sched_seed inj =
@@ -188,24 +192,10 @@ let respct_map_spec_with ~name ~cfg : spec =
         let done_workers = ref 0 in
         let models = [| Hashtbl.create 16; Hashtbl.create 16 |] in
         let errors = ref [] in
+        Respct.Runtime.start r;
         ignore
           (Simsched.Scheduler.spawn ~name:"setup" sched (fun () ->
                let m = Pds.Hashmap_respct.create r ~slot:0 ~buckets:8 in
-               ignore
-                 (Simsched.Scheduler.spawn ~name:"ckpt" sched (fun () ->
-                      (* bounded like the waiters: an unbounded periodic
-                         loop would keep the world runnable forever and
-                         mask a worker deadlock *)
-                      let rec loop at =
-                        if (not !finished) && at < 5.0e6 then begin
-                          Simsched.Scheduler.sleep_until sched at;
-                          if not !finished then begin
-                            Respct.Runtime.run_checkpoint r;
-                            loop (at +. 3_000.0)
-                          end
-                        end
-                      in
-                      loop 3_000.0));
                for w = 0 to 1 do
                  ignore
                    (Respct.Runtime.spawn r ~slot:w (fun _ctx ->
@@ -231,10 +221,7 @@ let respct_map_spec_with ~name ~cfg : spec =
                         incr done_workers;
                         if !done_workers = 2 then begin
                           finished := true;
-                          (* wake idle pipeline flushers, or the world
-                             ends in a (reported) deadlock *)
-                          if cfg.Respct.Runtime.pipeline then
-                            Respct.Runtime.stop r
+                          Respct.Runtime.stop r
                         end))
                done;
                ignore
@@ -243,7 +230,13 @@ let respct_map_spec_with ~name ~cfg : spec =
                         not
                           (wait_until sched ~deadline:5.0e6 (fun () ->
                                !finished))
-                      then errors := "timeout waiting for workers" :: !errors
+                      then begin
+                        (* the periodic coordinator would keep the world
+                           runnable forever and mask the workers'
+                           deadlock from the scheduler's detector *)
+                        Respct.Runtime.stop r;
+                        errors := "timeout waiting for workers" :: !errors
+                      end
                       else
                       Array.iteri
                         (fun w model ->

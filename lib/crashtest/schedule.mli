@@ -32,7 +32,7 @@ val all_specs : spec list
 (** The classic sweep set, pinned by the smoke golden: two producers on
     the lock-based transient queue (per-producer FIFO order and drain
     completeness checked), and two ResPCT workers on disjoint key ranges
-    with restart points and a periodic checkpoint coordinator (volatile
+    with restart points under the runtime's periodic coordinator (volatile
     contents checked against the per-worker models, rp/checkpoint
     deadlocks reported). *)
 

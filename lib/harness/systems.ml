@@ -6,14 +6,11 @@ type params = {
   nvm_words : int;
   dram_words : int;
   seed : int;
-  quantum : float;
   cache_sets : int;
   cache_ways : int;
   mode : Respct.Runtime.mode;
   registry_per_slot : int;
   eadr : bool;
-  evict_rate : float;
-  pcso : bool;
   integrity : bool;
   pipeline : bool;
 }
@@ -27,14 +24,11 @@ let default_params =
     nvm_words = 1 lsl 22;
     dram_words = 1 lsl 21;
     seed = 42;
-    quantum = 50.0;
     cache_sets = 256;
     cache_ways = 4;
     mode = Respct.Runtime.Full;
     registry_per_slot = 1 lsl 14;
     eadr = false;
-    evict_rate = Simnvm.Memsys.default_config.Simnvm.Memsys.evict_rate;
-    pcso = true;
     integrity = false;
     pipeline = false;
   }
@@ -71,6 +65,12 @@ let queue_kinds =
   [ Transient_dram; Transient_nvm; Respct; Pmthreads; Montage; Clobber;
     Quadra; Friedman ]
 
+(* Every evaluated world runs line-granular (PCSO) write-back at the
+   memory's default spontaneous-eviction rate, under a 50 ns scheduler
+   quantum; the crash matrix builds its word-granular ablation through
+   its own [Memsys] config. *)
+let quantum = 50.0
+
 let world (p : params) ~kind =
   let latency =
     let base =
@@ -91,11 +91,9 @@ let world (p : params) ~kind =
         latency;
         seed = p.seed;
         eadr = p.eadr;
-        evict_rate = p.evict_rate;
-        pcso = p.pcso;
       }
   in
-  let sched = Simsched.Scheduler.create ~seed:p.seed ~quantum:p.quantum () in
+  let sched = Simsched.Scheduler.create ~seed:p.seed ~quantum () in
   let env = Simsched.Env.make mem sched in
   (mem, sched, env)
 

@@ -12,14 +12,11 @@ type params = {
   nvm_words : int;
   dram_words : int;
   seed : int;
-  quantum : float;
   cache_sets : int;
   cache_ways : int;
   mode : Respct.Runtime.mode;  (** ResPCT variants (Figure 10) *)
   registry_per_slot : int;
   eadr : bool;
-  evict_rate : float;  (** spontaneous-eviction probability of the world *)
-  pcso : bool;  (** line-granular write-back; false = word-granular ablation *)
   integrity : bool;  (** checksum-sealed ResPCT metadata (faulty-media mode) *)
   pipeline : bool;  (** ResPCT pipelined checkpointing (async epoch advance) *)
 }
@@ -46,7 +43,9 @@ val map_kinds : kind list
 val queue_kinds : kind list
 
 (* Fresh world per data point: every system measures against its own
-   memory image and scheduler. *)
+   memory image and scheduler. The memory writes back line-granular
+   (PCSO) at [Memsys]'s default spontaneous-eviction rate, and the
+   scheduler's quantum is 50 ns. *)
 val world :
   params -> kind:kind -> Simnvm.Memsys.t * Simsched.Scheduler.t * Simsched.Env.t
 

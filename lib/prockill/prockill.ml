@@ -154,7 +154,10 @@ let world ~path ~mem_seed ~sched_seed ~worker_seed ~threads ~keyspace ~ops
          in
          (* One checkpoint before the mutant arms, so it can never corrupt
             setup and every crash lands on a steady-state image; that
-            first seal is reported once the mutant is armed. *)
+            first seal is reported once the mutant is armed. Both that
+            step and the sealed line logged after each return are why
+            this loop drives [run_checkpoint] itself instead of running
+            [Runtime.start]'s. *)
          ckpt ();
          if mutant then Filemem.arm_mutant fm Filemem.Elide_psync;
          on_sealed !last;

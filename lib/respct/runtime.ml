@@ -495,33 +495,27 @@ let modified_count t =
 let clear_modified t =
   Array.iter (fun st -> Heap.Int_stack.clear st.to_flush) t.slots
 
-(* A float-only record, so adding a charge stores the float unboxed. *)
-type charge_sum = { mutable ns : float }
-
 (* Flush the modified sets in place, in flush order, modelling the
-   flusher-thread pool: the pwb costs are accumulated off the
-   coordinator's clock, divided by the pool width, and charged as the
-   parallel flush's makespan. The walk cannot yield, since the backend's
-   [pwb] does not poll: no worker tracks an address between the first pwb
-   and the caller's [clear_modified], so the quiescent point still divides
-   the epochs and an address tracked after it belongs to the next
-   checkpoint. *)
+   flusher-thread pool ([Env.pool_makespan]: the pwb costs are added up
+   off the coordinator's clock, divided by the pool width, and charged as
+   the parallel flush's makespan). The walk cannot yield, since the
+   backend's [pwb] does not poll: no worker tracks an address between the
+   first pwb and the caller's [clear_modified], so the quiescent point
+   still divides the epochs and an address tracked after it belongs to
+   the next checkpoint. *)
 let flush_with_pool t =
   let b = bops t in
   let t0 = Simsched.Scheduler.now (sched t) in
-  let saved = b.Simnvm.Backend.get_charge () in
-  let acc = { ns = 0.0 } in
-  b.Simnvm.Backend.set_charge (fun ns -> acc.ns <- acc.ns +. ns);
-  for slot = Array.length t.slots - 1 downto 0 do
-    let s = t.slots.(slot).to_flush in
-    for i = 0 to Heap.Int_stack.length s - 1 do
-      b.Simnvm.Backend.pwb (Heap.Int_stack.get s i)
-    done
-  done;
-  b.Simnvm.Backend.psync ();
-  b.Simnvm.Backend.set_charge saved;
-  let makespan = acc.ns /. float_of_int (max 1 t.cfg.flusher_pool) in
-  Simsched.Scheduler.charge (sched t) makespan;
+  let makespan =
+    Simsched.Env.pool_makespan t.env ~pool:t.cfg.flusher_pool (fun () ->
+        for slot = Array.length t.slots - 1 downto 0 do
+          let s = t.slots.(slot).to_flush in
+          for i = 0 to Heap.Int_stack.length s - 1 do
+            b.Simnvm.Backend.pwb (Heap.Int_stack.get s i)
+          done
+        done;
+        b.Simnvm.Backend.psync ())
+  in
   t.stats.flush_ns <- t.stats.flush_ns +. makespan;
   emit_span t "checkpoint.flush" t0 (Simsched.Scheduler.now (sched t))
 
@@ -637,9 +631,9 @@ let flusher_body t () =
   done
 
 (* The pool is spawned once, lazily: [start] spawns it for a pipelined
-   runtime, and a manually driven [run_checkpoint] (tests, crash scenarios)
-   spawns it on first use — still long-lived fibers, never per-checkpoint
-   threads. *)
+   runtime, and a [run_checkpoint] driven by hand (the service's
+   coordinator, tests) spawns it on first use — still long-lived fibers,
+   never per-checkpoint threads. *)
 let ensure_flushers t =
   if not t.flushers_started then begin
     t.flushers_started <- true;
@@ -748,12 +742,12 @@ let run_checkpoint ?on_flushed t =
   emit_span t "checkpoint.stall" t0 now;
   if not pipelined then emit_span t "checkpoint" t0 now
 
-let coordinator t () =
+let coordinator ?on_flushed t () =
   let s = sched t in
   let rec loop deadline =
     Simsched.Scheduler.sleep_until s deadline;
     if not t.stop_requested then begin
-      run_checkpoint t;
+      run_checkpoint ?on_flushed t;
       let next =
         Float.max (deadline +. t.cfg.period_ns) (Simsched.Scheduler.now s)
       in
@@ -762,13 +756,13 @@ let coordinator t () =
   in
   loop (Simsched.Scheduler.now s +. t.cfg.period_ns)
 
-let start t =
+let start ?on_flushed t =
   match t.cfg.mode with
   | Incll_only -> ()
   | Full | No_flush ->
       if t.cfg.pipeline && t.cfg.mode = Full then ensure_flushers t;
       ignore (Simsched.Scheduler.spawn ~name:"respct-coordinator" (sched t)
-                (coordinator t))
+                (coordinator ?on_flushed t))
 
 let stop t =
   t.stop_requested <- true;

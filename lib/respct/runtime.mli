@@ -88,15 +88,28 @@ val restart : ?cfg:config -> ?reflush:Incll.cell list -> Simsched.Env.t -> t
     failed epoch in their epoch_id, so their next update skips logging and
     they would otherwise never be re-flushed. *)
 
-val start : t -> unit
-(** Spawn the periodic checkpoint coordinator (no-op in [Incll_only] mode).
-    Call before [Scheduler.run]. *)
+val start : ?on_flushed:(int -> unit) -> t -> unit
+(** Spawn the periodic checkpoint coordinator (no-op in [Incll_only] mode)
+    and, for a pipelined runtime, its flusher pool. The first checkpoint
+    falls one [period_ns] after the instant of the call (0 before
+    [Scheduler.run]); each later one a period after the previous
+    deadline, or at once when a checkpoint overran its period. Each is
+    {!run_checkpoint} [?on_flushed]: the hook runs at every checkpoint's
+    quiescent instant with the epoch that checkpoint opens (1, 2, ... on
+    a fresh image, in order), where the state is exactly what recovery
+    restores for a crash in that epoch. It runs on the coordinator while
+    every application thread waits at a restart point or is outside the
+    runtime, so it must not block. The loop runs until {!stop}. *)
 
 val stop : t -> unit
 (** Ask the coordinator to exit at its next period boundary; also wakes any
-    idle background flusher fibers so a pipelined run can terminate (call
-    it from inside the simulation once the workers are done, or the idle
-    pool deadlocks the scheduler). *)
+    idle background flusher fibers so a pipelined run can terminate. A
+    world whose coordinator runs ends only after [stop], classic or
+    pipelined: call it from inside the simulation once the workers are
+    done (typically from the last one), or the world never completes.
+    In pipeline mode, a checkpoint the coordinator has begun but not yet
+    handed off when [stop] runs is handed off after the idle flushers
+    exited, and never seals. *)
 
 val set_mutant : t -> mutant option -> unit
 (** Plant (or clear) a pipelined-protocol mutant. Test-only. *)
@@ -144,7 +157,11 @@ val run_checkpoint : ?on_flushed:(int -> unit) -> t -> unit
     previous epoch as failed (the epoch word has not advanced) and recovery
     restores the previous snapshot; a crash after the seal reports
     [next_epoch] and restores this one. Test oracles snapshot it there.
-    Exposed for deterministic tests. *)
+    {!start}'s coordinator is the periodic caller; only loops that need
+    something between checkpoints drive it by hand: the service's rolling
+    coordinator (staggered first deadline, sealed-epoch bookkeeping after
+    each return), the file world of {!Prockill} (one checkpoint before its
+    mutant arms) and tests that take a fixed number of checkpoints. *)
 
 val alloc_incll : t -> slot:int -> int -> Incll.cell
 (** Allocate, initialise and register one InCLL-protected variable. *)

@@ -734,8 +734,20 @@ let worker w sh slot =
   done;
   sh.s_active <- sh.s_active - 1
 
+(* A run in which no request completes or fails for this many checkpoint
+   periods while sessions remain is stuck: a fiber waits for good (a
+   lost wake-up), but the coordinators' deadlines keep the scheduler
+   busy, so it never reports a deadlock. The longest healthy stretch
+   over the runs of the tests, CI and the benchmark is 47 periods (the
+   sweep preset's prefill); this is about ten times that. *)
+let stuck_periods = 500
+
 (* The checkpoint coordinator of [sh]: staggering its first deadline by
-   [period * (id + 1) / shards] makes the shards' pauses roll. *)
+   [period * (id + 1) / shards] makes the shards' pauses roll. It drives
+   [run_checkpoint] itself rather than running [Runtime.start]'s loop:
+   it waits for the shard's map, staggers that first deadline, ends with
+   the run or with its shard's crash, and updates the sealed-epoch
+   bookkeeping after each checkpoint returns. *)
 let coordinator w sh =
   let sched = w.sched and period = w.cfg.period_ns in
   while Option.is_none sh.s_map do
@@ -747,10 +759,20 @@ let coordinator w sh =
       +. period *. float_of_int (sh.s_id + 1) /. float_of_int w.cfg.shards)
   in
   let continue = ref true in
+  let seen = ref (-1) and still = ref 0 in
   while !continue do
     Sched.sleep_until sched !deadline;
     if w.stop_all || sh.s_down then continue := false
     else begin
+      let n = Obs.Metrics.value w.m_completed + Obs.Metrics.value w.m_failed in
+      still := if n = !seen then !still + 1 else 0;
+      seen := n;
+      if !still >= stuck_periods && w.live > 0 then
+        failwith
+          (Printf.sprintf
+             "service: shard %d saw no request answered for %d checkpoint \
+              periods (virtual time %.0f ns): a fiber is stuck"
+             sh.s_id stuck_periods (Sched.now sched));
       let before = sh.s_last_flushed in
       (* the digest epoch [e] must recover to is the logical state at
          this quiescent instant: under pipelining the walk that persists

@@ -137,3 +137,20 @@ let compute t ns =
      Simnvm.Event.emit bus
        (Simnvm.Event.Compute { tid = Scheduler.current_tid_opt t.sched; ns }));
   Scheduler.poll t.sched
+
+(* A float-only record, so adding a charge stores the float unboxed. *)
+type charge_sum = { mutable ns : float }
+
+(* The flusher-pool cost model: the walk's charges are added up off the
+   running thread's clock, through the backend's charge hook, and their
+   sum divided by the pool width is charged as the pool's makespan. *)
+let pool_makespan t ~pool walk =
+  let be = t.be in
+  let saved = be.Simnvm.Backend.get_charge () in
+  let acc = { ns = 0.0 } in
+  be.Simnvm.Backend.set_charge (fun ns -> acc.ns <- acc.ns +. ns);
+  walk ();
+  be.Simnvm.Backend.set_charge saved;
+  let makespan = acc.ns /. float_of_int (max 1 pool) in
+  Scheduler.charge t.sched makespan;
+  makespan

@@ -67,3 +67,13 @@ val compute : t -> float -> unit
 
 val line_words : t -> int
 (** Cache-line size of the underlying memory system, in words. *)
+
+val pool_makespan : t -> pool:int -> (unit -> unit) -> float
+(** [pool_makespan t ~pool walk] runs [walk] as a pool of [pool] flusher
+    threads sharing it evenly (at least one): the memory charges of its
+    accesses are added up off the running thread's clock, through the
+    backend's charge hook, and their sum divided by the pool width is
+    charged to the running thread as the pool's makespan, which is
+    returned. The walk must not yield: it runs with the charge hook
+    diverted. The one cost model of the ResPCT, Montage and Dali flusher
+    pools. *)

@@ -15,7 +15,6 @@ let small_params threads =
     nvm_words = 1 lsl 19;
     dram_words = 1 lsl 18;
     registry_per_slot = 1 lsl 14;
-    quantum = 50.0;
   }
 
 (* Drive a map build through random ops on one simulated thread, checking

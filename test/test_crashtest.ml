@@ -645,18 +645,7 @@ let respct_world ?(cfg = Scenarios.rt_cfg) ~n_ops () =
   let sched = Scheduler.create ~seed:1 () in
   let env = Env.make mem sched in
   let rt = Respct.Runtime.create ~cfg env in
-  let finished = ref false in
-  let period = cfg.Respct.Runtime.period_ns in
-  ignore
-    (Scheduler.spawn ~name:"ckpt" sched (fun () ->
-         let rec loop at =
-           Scheduler.sleep_until sched at;
-           if not !finished then begin
-             Respct.Runtime.run_checkpoint rt ~on_flushed:(fun _ -> ());
-             loop (at +. period)
-           end
-         in
-         loop period));
+  Respct.Runtime.start rt;
   ignore
     (Respct.Runtime.spawn rt ~slot:0 (fun _ctx ->
          let m = Pds.Hashmap_respct.create rt ~slot:0 ~buckets:8 in
@@ -671,7 +660,7 @@ let respct_world ?(cfg = Scenarios.rt_cfg) ~n_ops () =
                  ignore (Pds.Hashmap_respct.search m ~slot:0 ~key));
              Respct.Runtime.rp rt ~slot:0 1)
            (Gen_common.map_ops ~seed:5 ~n:n_ops ());
-         finished := true));
+         Respct.Runtime.stop rt));
   let run () =
     match Scheduler.run sched with
     | Scheduler.Completed | Scheduler.Crash_interrupt _ -> ()
@@ -883,6 +872,26 @@ let test_schedule_sweeps_clean () =
         (spec.Schedule.name ^ " sweep failures")
         0 (List.length failures))
     Schedule.all_specs
+
+(* The sync points each sweep world shows at its first six seeds. They
+   size every injection sweep, so a change to a world's spawns, locks or
+   checkpoints that moves which schedules a sweep explores shows here
+   even when the sweep stays clean. *)
+let test_schedule_sync_points_pinned () =
+  List.iter2
+    (fun spec want ->
+      Alcotest.(check (list int))
+        (spec.Schedule.name ^ " sync points, seeds 1-6")
+        want
+        (List.map
+           (fun sched_seed -> snd (spec.Schedule.run ~sched_seed None))
+           [ 1; 2; 3; 4; 5; 6 ]))
+    (Schedule.all_specs @ Schedule.pipeline_specs)
+    [
+      [ 49; 49; 49; 49; 49; 49 ];
+      [ 103; 98; 97; 99; 101; 101 ];
+      [ 253; 273; 254; 251; 253; 253 ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Media faults: deterministic plans, the integrity oracle in both
@@ -1396,8 +1405,11 @@ let () =
             test_recovery_shares_the_bus;
         ] );
       ( "schedules",
-        [ Alcotest.test_case "sweeps clean" `Slow test_schedule_sweeps_clean ]
-      );
+        [
+          Alcotest.test_case "sweeps clean" `Slow test_schedule_sweeps_clean;
+          Alcotest.test_case "sync points pinned" `Quick
+            test_schedule_sync_points_pinned;
+        ] );
       ( "faults",
         [
           Alcotest.test_case "plans deterministic under a seed" `Quick

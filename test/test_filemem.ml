@@ -275,6 +275,9 @@ let build_checkpointed_image path =
   let rt = Respct.Runtime.create ~cfg:rcfg env in
   let cells = ref None in
   let done_ = ref false in
+  (* Exactly three checkpoints, then the worker stops: a count, not a
+     period, so this drives [run_checkpoint] by hand rather than
+     [Runtime.start]'s open-ended loop. *)
   ignore
     (Simsched.Scheduler.spawn ~name:"coord" sched (fun () ->
          while Option.is_none !cells do

@@ -197,24 +197,19 @@ let test_respct_search_allocation () =
 (* ------------------------------------------------------------------ *)
 (* Crash-consistency: recovered structure contents = last checkpoint *)
 
+let crash_cfg = { rt_cfg with Respct.Runtime.period_ns = 30_000.0 }
+
 let crash_trial_map seed =
   let mem, sched, env = world ~evict_rate:0.2 ~seed () in
-  let rt = Respct.Runtime.create ~cfg:rt_cfg env in
+  let rt = Respct.Runtime.create ~cfg:crash_cfg env in
   let map = ref None in
   let snapshots = Hashtbl.create 8 in
-  ignore
-    (Scheduler.spawn ~name:"cp" sched (fun () ->
-         let rec loop deadline =
-           Scheduler.sleep_until sched deadline;
-           Respct.Runtime.run_checkpoint rt ~on_flushed:(fun e ->
-               Option.iter
-                 (fun m ->
-                   Hashtbl.replace snapshots e
-                     (Pds.Hashmap_respct.persisted_bindings mem m))
-                 !map);
-           loop (deadline +. 30_000.0)
-         in
-         loop 30_000.0));
+  Respct.Runtime.start rt ~on_flushed:(fun e ->
+      Option.iter
+        (fun m ->
+          Hashtbl.replace snapshots e
+            (Pds.Hashmap_respct.persisted_bindings mem m))
+        !map);
   for w = 0 to 1 do
     ignore
       (Respct.Runtime.spawn rt ~slot:w (fun _ctx ->
@@ -267,22 +262,15 @@ let test_map_crash_recovery () =
 
 let crash_trial_queue seed =
   let mem, sched, env = world ~evict_rate:0.2 ~seed () in
-  let rt = Respct.Runtime.create ~cfg:rt_cfg env in
+  let rt = Respct.Runtime.create ~cfg:crash_cfg env in
   let queue = ref None in
   let snapshots = Hashtbl.create 8 in
-  ignore
-    (Scheduler.spawn ~name:"cp" sched (fun () ->
-         let rec loop deadline =
-           Scheduler.sleep_until sched deadline;
-           Respct.Runtime.run_checkpoint rt ~on_flushed:(fun e ->
-               Option.iter
-                 (fun q ->
-                   Hashtbl.replace snapshots e
-                     (Pds.Queue_respct.persisted_contents mem q))
-                 !queue);
-           loop (deadline +. 30_000.0)
-         in
-         loop 30_000.0));
+  Respct.Runtime.start rt ~on_flushed:(fun e ->
+      Option.iter
+        (fun q ->
+          Hashtbl.replace snapshots e
+            (Pds.Queue_respct.persisted_contents mem q))
+        !queue);
   ignore
     (Respct.Runtime.spawn rt ~slot:0 (fun _ctx ->
          let q = Pds.Queue_respct.create rt ~slot:0 in

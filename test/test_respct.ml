@@ -240,31 +240,55 @@ let test_rp_without_pending_checkpoint_allocates_nothing () =
   Alcotest.check (Alcotest.float 0.0) "words allocated by 10 000 RPs" 0.0
     !words
 
+(* [start ~on_flushed] is the periodic coordinator every world runs: the
+   hook sees epochs 1, 2, ..., k in order, k the checkpoints the run
+   completed, and a [stop] from the last worker ends the world, classic
+   or pipelined, with no helper fiber. A world that did not end by itself
+   runs into the crash bound. (Here no checkpoint is in progress at the
+   [stop]; one that is never seals in pipeline mode, see [Runtime.stop].) *)
 let test_periodic_coordinator_runs () =
-  let _mem, sched, _env, rt = fresh ~cfg:(rt_cfg ~period_ns:20_000.0 ()) () in
-  Runtime.start rt;
-  ignore
-    (Runtime.spawn rt ~slot:0 (fun _ctx ->
-         let cell = Runtime.alloc_incll rt ~slot:0 0 in
-         for i = 1 to 2000 do
-           Runtime.update rt ~slot:0 cell i;
-           Env.compute (Runtime.env rt) 100.0;
-           Runtime.rp rt ~slot:0 1
-         done));
-  ignore
-    (Scheduler.spawn sched (fun () ->
-         (* Stop the coordinator once the worker will have finished. *)
-         Scheduler.sleep sched 400_000.0;
-         Runtime.stop rt));
-  ignore (Scheduler.run sched);
-  let st = Runtime.stats rt in
-  Alcotest.(check bool)
-    (Printf.sprintf "several checkpoints (%d)" st.Runtime.checkpoints)
-    true
-    (st.Runtime.checkpoints >= 5);
-  let eff = Runtime.mean_effective_period rt in
-  Alcotest.(check bool) "effective period near nominal" true
-    (eff >= 19_000.0 && eff <= 40_000.0)
+  List.iter
+    (fun pipeline ->
+      let name = if pipeline then "pipelined" else "classic" in
+      let _mem, sched, _env, rt =
+        fresh ~cfg:(rt_cfg ~period_ns:20_000.0 ~pipeline ()) ()
+      in
+      let seen = ref [] in
+      Runtime.start rt ~on_flushed:(fun e -> seen := e :: !seen);
+      let live = ref 2 in
+      for slot = 0 to 1 do
+        ignore
+          (Runtime.spawn rt ~slot (fun _ctx ->
+               let cell = Runtime.alloc_incll rt ~slot 0 in
+               for i = 1 to 1000 do
+                 Runtime.update rt ~slot cell i;
+                 Env.compute (Runtime.env rt) 100.0;
+                 Runtime.rp rt ~slot 1
+               done;
+               decr live;
+               if !live = 0 then Runtime.stop rt))
+      done;
+      Scheduler.set_crash_at sched 10.0e6;
+      (match Scheduler.run sched with
+      | Scheduler.Completed -> ()
+      | Scheduler.Crash_interrupt _ ->
+          Alcotest.failf "%s: the world did not end after stop" name);
+      let st = Runtime.stats rt in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: several checkpoints (%d)" name
+           st.Runtime.checkpoints)
+        true
+        (st.Runtime.checkpoints >= 5);
+      Alcotest.(check (list int))
+        (name ^ ": the hook saw epochs 1..checkpoints in order")
+        (List.init st.Runtime.checkpoints (fun i -> i + 1))
+        (List.rev !seen);
+      let eff = Runtime.mean_effective_period rt in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: effective period near nominal (%.0f)" name eff)
+        true
+        (eff >= 19_000.0 && eff <= 40_000.0))
+    [ false; true ]
 
 let test_deregistered_thread_does_not_block_checkpoint () =
   let _mem, sched, _env, rt = fresh () in
@@ -328,8 +352,7 @@ let test_crash_before_first_checkpoint_recovers_initial () =
    the snapshots; [crash_trial] recovers it. *)
 let crashed_world ?(pcso = true) ?(verified = false) ~seed ~crash_ns () =
   let cfg =
-    if verified then { (rt_cfg ()) with Runtime.integrity = true }
-    else rt_cfg ()
+    { (rt_cfg ~period_ns:20_000.0 ()) with Runtime.integrity = verified }
   in
   let mem, sched, _env, rt = fresh ~seed ~evict_rate:0.2 ~pcso ~cfg () in
   let layout = Runtime.layout rt in
@@ -357,17 +380,9 @@ let crashed_world ?(pcso = true) ?(verified = false) ~seed ~crash_ns () =
            loop (i + 1)
          in
          loop 1));
-  ignore
-    (Scheduler.spawn ~name:"cp" sched (fun () ->
-         let rec loop deadline =
-           Scheduler.sleep_until sched deadline;
-           Runtime.run_checkpoint rt
-             ~on_flushed:(fun next_epoch ->
-               if Array.length !cells > 0 then
-                 Hashtbl.replace snapshots next_epoch (observe ()));
-           loop (deadline +. 20_000.0)
-         in
-         loop 20_000.0));
+  Runtime.start rt ~on_flushed:(fun next_epoch ->
+      if Array.length !cells > 0 then
+        Hashtbl.replace snapshots next_epoch (observe ()));
   Scheduler.set_crash_at sched crash_ns;
   (match Scheduler.run sched with
   | Scheduler.Crash_interrupt _ -> ()
@@ -1115,7 +1130,10 @@ let test_pipeline_commit_slots_alternate () =
    would be premature; the mirror is what the completed walk promises. *)
 let pipeline_crash_trial ?(verified = false) ~seed ~crash_ns () =
   let cfg =
-    { (rt_cfg ~pipeline:true ()) with Runtime.integrity = verified }
+    {
+      (rt_cfg ~period_ns:20_000.0 ~pipeline:true ()) with
+      Runtime.integrity = verified;
+    }
   in
   let mem, sched, _env, rt = fresh ~seed ~evict_rate:0.2 ~cfg () in
   let layout = Runtime.layout rt in
@@ -1139,16 +1157,9 @@ let pipeline_crash_trial ?(verified = false) ~seed ~crash_ns () =
            loop (i + 1)
          in
          loop 1));
-  ignore
-    (Scheduler.spawn ~name:"cp" sched (fun () ->
-         let rec loop deadline =
-           Scheduler.sleep_until sched deadline;
-           Runtime.run_checkpoint rt ~on_flushed:(fun next_epoch ->
-               if Array.length !cells > 0 then
-                 Hashtbl.replace snapshots next_epoch (Array.copy mirror));
-           loop (deadline +. 20_000.0)
-         in
-         loop 20_000.0));
+  Runtime.start rt ~on_flushed:(fun next_epoch ->
+      if Array.length !cells > 0 then
+        Hashtbl.replace snapshots next_epoch (Array.copy mirror));
   Scheduler.set_crash_at sched crash_ns;
   (match Scheduler.run sched with
   | Scheduler.Crash_interrupt _ -> ()
